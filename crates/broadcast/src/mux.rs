@@ -11,13 +11,21 @@
 //!
 //! A full protocol run drives *hundreds of thousands* of RB slots per
 //! process, and every delivered message routes through this mux — so the
-//! instance store is the hottest data structure in the stack. Three
+//! instance store is the hottest data structure in the stack. Four
 //! design rules keep it cache-friendly:
 //!
 //! - **Slab indexing.** Live instances sit in a recycled slab whose size
 //!   tracks the *peak concurrently-live* count, not the total a run
 //!   creates — the state machines the hot path mutates stay
 //!   cache-resident.
+//! - **Flat entries.** A slab entry is the interning key plus one
+//!   [`Rb`], and an [`Rb`] is flat (see the `rb` module docs): two tallies
+//!   of a sender bitset, a value and a count, a few flags. `me` and the
+//!   system parameters are held once, here, and handed to each call;
+//!   the instance writes its sends straight into the caller's list
+//!   through the caller's `wrap`. Creating, driving and recycling an
+//!   instance therefore allocates nothing unless senders contradict
+//!   each other.
 //! - **Retirement.** Bracha RB fixes the accepted value at acceptance:
 //!   once this process accepts, its `Ready` is already in flight to every
 //!   peer (the accept quorum `n−t` exceeds the amplification threshold
@@ -150,17 +158,12 @@ pub struct RbMux<T, P> {
     /// record). Written once at interning and once at retirement.
     index: SlotIndex,
     /// Live instances (with their interning keys), stored inline in a
-    /// slab whose freed entries are recycled — its size tracks the *peak
-    /// concurrently-live* count, not the 10⁵ instances a run creates, so
-    /// the state machines the hot path touches stay cache-resident.
+    /// slab whose freed entries are recycled.
     live: Vec<((Pid, T), Rb<P>)>,
     /// Recycled `live` indices.
     free: Vec<u32>,
     /// Keys and accepted values of retired instances, append-only.
     retired: Vec<((Pid, T), P)>,
-    /// Reusable buffer for the inner state machine's sends, so routing a
-    /// message allocates nothing at steady state.
-    scratch: Vec<(Pid, RbMsg<P>)>,
 }
 
 impl<T, P> RbMux<T, P>
@@ -177,7 +180,6 @@ where
             live: Vec::new(),
             free: Vec::new(),
             retired: Vec::new(),
-            scratch: Vec::new(),
         }
     }
 
@@ -248,7 +250,7 @@ where
         match self.probe(h, &key) {
             Ok(slot) => slot,
             Err(at) => {
-                let rb = Rb::new(self.me, origin, self.params);
+                let rb = Rb::new(origin);
                 let idx = if let Some(idx) = self.free.pop() {
                     self.live[idx as usize] = (key, rb);
                     idx
@@ -305,19 +307,15 @@ where
             idx & RETIRED_BIT == 0,
             "RB slot started twice (slot already retired)"
         );
-        let mut scratch = std::mem::take(&mut self.scratch);
-        self.live[idx as usize].1.start(value, &mut scratch);
-        sends.extend(scratch.drain(..).map(|(to, inner)| {
-            (
-                to,
+        self.live[idx as usize]
+            .1
+            .start_with(self.params, value, sends, |inner| {
                 wrap(MuxMsg {
                     tag,
                     origin: me,
                     inner,
-                }),
-            )
-        }));
-        self.scratch = scratch;
+                })
+            });
     }
 
     /// Reliably broadcasts `value` in slot `tag` (this process is origin).
@@ -392,17 +390,13 @@ where
         if idx & RETIRED_BIT != 0 {
             return None; // retired: late traffic needs no answer
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let accepted = self.live[idx as usize]
-            .1
-            .on_message(from, inner, &mut scratch);
-        sends.extend(
-            scratch
-                .drain(..)
-                .map(|(to, inner)| (to, wrap(MuxMsg { tag, origin, inner }))),
-        );
-        self.scratch = scratch;
-        let value = accepted?;
+        let value = self.live[idx as usize].1.on_message_with(
+            self.params,
+            from,
+            inner,
+            sends,
+            |inner| wrap(MuxMsg { tag, origin, inner }),
+        )?;
         // Retire: acceptance is final, our ready is already in flight to
         // everyone — drop the whole state machine, keep only the value,
         // and recycle the live slot. The index entry is rewritten exactly

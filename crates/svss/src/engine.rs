@@ -98,6 +98,9 @@ pub struct SvssEngine<F: Field> {
     /// state).
     rb_run: Vec<MuxMsg<SvssSlot, SvssRbValue<F>>>,
     rb_deliveries: Vec<RbDelivery<SvssSlot, SvssRbValue<F>>>,
+    /// Reusable buffer for one MW machine step's outputs (see
+    /// [`SvssEngine::drive_mw`]).
+    mw_outs: Vec<MwOut<F>>,
 }
 
 impl<F: Field> SvssEngine<F> {
@@ -123,7 +126,7 @@ impl<F: Field> SvssEngine<F> {
             rng: StdRng::seed_from_u64(seed ^ 0x5755_5353),
             domain,
             mux: RbMux::new(me, params),
-            dmm: Dmm::new(me),
+            dmm: Dmm::new(me, params.n()),
             mw: FastMap::default(),
             svss: FastMap::default(),
             mw_completed: BTreeSet::new(),
@@ -133,6 +136,7 @@ impl<F: Field> SvssEngine<F> {
             events: Vec::new(),
             rb_run: Vec::new(),
             rb_deliveries: Vec::new(),
+            mw_outs: Vec::new(),
         }
     }
 
@@ -265,15 +269,7 @@ impl<F: Field> SvssEngine<F> {
     /// Panics if this process is not `id.dealer()`.
     pub fn mw_share(&mut self, id: MwId, secret: F, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
         self.dmm.session_started(SessionKey::Mw(id));
-        let mut outs = Vec::new();
-        let (n, t, me) = (self.params.n(), self.params.t(), self.me);
-        let domain = Arc::clone(&self.domain);
-        let machine = self
-            .mw
-            .entry(id)
-            .or_insert_with(|| Box::new(Mw::new(id, me, n, t, domain)));
-        machine.start_share(secret, &mut self.rng, &mut outs);
-        self.handle_mw_outs(id, outs, sends);
+        self.drive_mw(id, sends, |mw, rng, outs| mw.start_share(secret, rng, outs));
         self.finish(sends);
     }
 
@@ -289,18 +285,14 @@ impl<F: Field> SvssEngine<F> {
         sends: &mut Vec<(Pid, SvssMsg<F>)>,
     ) {
         self.dmm.session_started(SessionKey::Mw(id));
-        let mut outs = Vec::new();
-        self.mw_machine(id).set_moderator_input(value, &mut outs);
-        self.handle_mw_outs(id, outs, sends);
+        self.drive_mw(id, sends, |mw, _, outs| mw.set_moderator_input(value, outs));
         self.finish(sends);
     }
 
     /// Begins the reconstruct protocol of a standalone MW-SVSS session.
     pub fn mw_reconstruct(&mut self, id: MwId, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
         self.dmm.session_started(SessionKey::Mw(id));
-        let mut outs = Vec::new();
-        self.mw_machine(id).start_reconstruct(&mut outs);
-        self.handle_mw_outs(id, outs, sends);
+        self.drive_mw(id, sends, |mw, _, outs| mw.start_reconstruct(outs));
         self.finish(sends);
     }
 
@@ -557,14 +549,26 @@ impl<F: Field> SvssEngine<F> {
         (p.index() as usize) <= self.params.n()
     }
 
-    fn mw_machine(&mut self, id: MwId) -> &mut Mw<F> {
-        let n = self.params.n();
-        let t = self.params.t();
-        let me = self.me;
-        let domain = Arc::clone(&self.domain);
-        self.mw
-            .entry(id)
-            .or_insert_with(|| Box::new(Mw::new(id, me, n, t, domain)))
+    /// Runs one step of MW machine `id` (created on first use) and
+    /// handles what it emits. One probe of the machine table per step;
+    /// the shared domain is cloned only for a new machine, and the
+    /// output buffer is the engine's own (a step nested inside the
+    /// handling of another finds it taken and uses a fresh one).
+    fn drive_mw(
+        &mut self,
+        id: MwId,
+        sends: &mut Vec<(Pid, SvssMsg<F>)>,
+        step: impl FnOnce(&mut Mw<F>, &mut StdRng, &mut Vec<MwOut<F>>),
+    ) {
+        let mut outs = std::mem::take(&mut self.mw_outs);
+        let (me, params, domain) = (self.me, self.params, &self.domain);
+        let machine = self.mw.entry(id).or_insert_with(|| {
+            let domain = Arc::clone(domain);
+            Box::new(Mw::new(id, me, params.n(), params.t(), domain))
+        });
+        step(machine, &mut self.rng, &mut outs);
+        self.handle_mw_outs(id, &mut outs, sends);
+        self.mw_outs = outs;
     }
 
     fn feed_mw(&mut self, id: MwId, input: MwIn<F>, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
@@ -579,18 +583,16 @@ impl<F: Field> SvssEngine<F> {
             return; // ids referencing unknown processes: drop
         }
         self.dmm.session_started(SessionKey::Mw(id));
-        let mut outs = Vec::new();
-        self.mw_machine(id).on_input(input, &mut outs);
-        self.handle_mw_outs(id, outs, sends);
+        self.drive_mw(id, sends, |mw, _, outs| mw.on_input(input, outs));
     }
 
     fn handle_mw_outs(
         &mut self,
         id: MwId,
-        outs: Vec<MwOut<F>>,
+        outs: &mut Vec<MwOut<F>>,
         sends: &mut Vec<(Pid, SvssMsg<F>)>,
     ) {
-        for o in outs {
+        for o in outs.drain(..) {
             match o {
                 MwOut::Send(to, p) => sends.push((to, SvssMsg::private(p))),
                 MwOut::Broadcast(slot, value) => {
@@ -661,25 +663,13 @@ impl<F: Field> SvssEngine<F> {
                     self.mux.broadcast_with(slot, value, sends, wire_of_mux);
                 }
                 SvssOut::StartMwShare { mw, secret } => {
-                    let mut outs2 = Vec::new();
-                    let (n, t, me) = (self.params.n(), self.params.t(), self.me);
-                    let domain = Arc::clone(&self.domain);
-                    let machine = self
-                        .mw
-                        .entry(mw)
-                        .or_insert_with(|| Box::new(Mw::new(mw, me, n, t, domain)));
-                    machine.start_share(secret, &mut self.rng, &mut outs2);
-                    self.handle_mw_outs(mw, outs2, sends);
+                    self.drive_mw(mw, sends, |m, rng, outs| m.start_share(secret, rng, outs));
                 }
                 SvssOut::SetMwModeratorInput { mw, value } => {
-                    let mut outs2 = Vec::new();
-                    self.mw_machine(mw).set_moderator_input(value, &mut outs2);
-                    self.handle_mw_outs(mw, outs2, sends);
+                    self.drive_mw(mw, sends, |m, _, outs| m.set_moderator_input(value, outs));
                 }
                 SvssOut::StartMwReconstruct { mw } => {
-                    let mut outs2 = Vec::new();
-                    self.mw_machine(mw).start_reconstruct(&mut outs2);
-                    self.handle_mw_outs(mw, outs2, sends);
+                    self.drive_mw(mw, sends, |m, _, outs| m.start_reconstruct(outs));
                 }
                 SvssOut::ShareCompleted => self.events.push(SvssEvent::ShareCompleted(sid)),
                 SvssOut::Output(v) => {
