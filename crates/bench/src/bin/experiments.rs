@@ -38,7 +38,9 @@
 //! explicit set, which is how CI stays inside its budget). With `--json
 //! PATH` the per-n gauges are *merged* into the snapshot as
 //! `scc_n<N>.{messages,wall_seconds,deal_bytes,...}`, so one file can
-//! carry both the e9 trajectory and the scaling curve.
+//! carry both the e9 trajectory and the scaling curve. `e10 --json
+//! PATH` merges the system runtimes' rows the same way, as
+//! `runtime_<kind>_<scenario>_n<N>.{wall_seconds,messages,batches,bytes,dropped}`.
 //!
 //! `compare OLD NEW [--key K] [--max-ratio R]` diffs two snapshots and
 //! exits nonzero when `K` (default `scc_larger_system.wall_seconds`)
@@ -125,7 +127,7 @@ fn main() {
         e9_perf(full, json_path.as_deref());
     }
     if run_all || which == "e10" {
-        e10_threaded(full);
+        e10_threaded(full, json_path.as_deref());
     }
     if run_all || which == "e11" {
         e11_scenario_zoo(full, json_path.as_deref());
@@ -476,7 +478,6 @@ impl sba::sim::Process<sba::svss::SvssMsg<Gf61>> for MwShareProc {
 fn e13_nsweep(full: bool, json_path: Option<&str>, ns_arg: Option<&str>) {
     use sba::field::Domain;
     use sba::sim::{schedulers, Simulation};
-    use sba_bench::parse_snapshot;
     use std::sync::Arc;
     use std::time::Instant;
 
@@ -573,35 +574,46 @@ fn e13_nsweep(full: bool, json_path: Option<&str>, ns_arg: Option<&str>) {
     }
 
     if let Some(path) = json_path {
-        // Merge-on-write: BENCH_<pr>.json carries both the e9 gauges and
-        // this sweep, so re-emit any existing numeric keys (minus stale
-        // scc_n<N> families, which this run replaces) before appending.
-        let mut sink = JsonSink::new();
-        sink.put_str("schema", "sba-bench-v1");
-        if let Ok(prev) = std::fs::read_to_string(path) {
-            if prev.contains("\"mode\": \"full\"") {
-                sink.put_str("mode", "full");
-            } else if prev.contains("\"mode\": \"quick\"") {
-                sink.put_str("mode", "quick");
-            }
-            let stale = |k: &str| {
-                k.strip_prefix("scc_n")
-                    .is_some_and(|rest| rest.bytes().next().is_some_and(|b| b.is_ascii_digit()))
-            };
-            for (k, v) in parse_snapshot(&prev).expect("existing snapshot parses") {
-                if !stale(&k) {
-                    sink.put_num(&k, v);
-                }
-            }
-        }
-        for (n, row) in &sink_rows {
-            for (name, v) in row {
-                sink.put_num(&format!("scc_n{n}.{name}"), *v);
-            }
-        }
-        std::fs::write(path, sink.render()).expect("write json snapshot");
-        println!("(wrote {path})\n");
+        let family = |k: &str| {
+            k.strip_prefix("scc_n")
+                .is_some_and(|rest| rest.bytes().next().is_some_and(|b| b.is_ascii_digit()))
+        };
+        let rows = sink_rows.iter().flat_map(|(n, row)| {
+            row.iter()
+                .map(move |(name, v)| (format!("scc_n{n}.{name}"), *v))
+        });
+        merge_into_snapshot(path, family, rows);
     }
+}
+
+/// Merge-on-write: `BENCH_<pr>.json` carries the e9 gauges, the e13
+/// sweep and the e10 runtime rows, so an experiment that adds a family
+/// of keys re-emits the numeric keys already in `path` (minus the
+/// `stale` family it replaces) before appending its own `rows`.
+fn merge_into_snapshot(
+    path: &str,
+    stale: impl Fn(&str) -> bool,
+    rows: impl Iterator<Item = (String, f64)>,
+) {
+    let mut sink = JsonSink::new();
+    sink.put_str("schema", "sba-bench-v1");
+    if let Ok(prev) = std::fs::read_to_string(path) {
+        if prev.contains("\"mode\": \"full\"") {
+            sink.put_str("mode", "full");
+        } else if prev.contains("\"mode\": \"quick\"") {
+            sink.put_str("mode", "quick");
+        }
+        for (k, v) in sba_bench::parse_snapshot(&prev).expect("existing snapshot parses") {
+            if !stale(&k) {
+                sink.put_num(&k, v);
+            }
+        }
+    }
+    for (k, v) in rows {
+        sink.put_num(&k, v);
+    }
+    std::fs::write(path, sink.render()).expect("write json snapshot");
+    println!("(wrote {path})\n");
 }
 
 // ---------------------------------------------------------------------
@@ -1615,7 +1627,7 @@ fn e8_ablation(full: bool) {
 // ---------------------------------------------------------------------
 // E10 - system runtimes: threads and sockets vs the sim oracle
 // ---------------------------------------------------------------------
-fn e10_threaded(full: bool) {
+fn e10_threaded(full: bool, json_path: Option<&str>) {
     use sba::scenario::{PlanCoin, ScenarioPlan, Zoo};
     use sba::{run_plan, RuntimeKind};
     use std::time::Duration;
@@ -1623,9 +1635,10 @@ fn e10_threaded(full: bool) {
     println!("## E10 - system runtimes: threads and sockets (OS nondeterminism)\n");
     println!("The runtime-independent core of each scenario plan (roles + coin;");
     println!("the OS supplies the schedule) runs thread-per-process over channels");
-    println!("and over real loopback TCP shipping the canonical frame bytes. A");
-    println!("decision watch re-checks agreement / stability / validity after");
-    println!("every delivered batch; any violation fails the experiment.\n");
+    println!("and over real loopback TCP shipping the canonical frame bytes. The");
+    println!("safety checker re-checks agreement / decision-stability / validity /");
+    println!("shun-monotonicity / honest-pair-shun after every batch an honest");
+    println!("process takes; any violation fails the experiment.\n");
     println!("| runtime | scenario | n | coin | inputs | messages | batches | bytes | dropped | wall | ok |");
     println!("|---------|----------|---|------|--------|----------|---------|-------|---------|------|----|");
 
@@ -1676,14 +1689,19 @@ fn e10_threaded(full: bool) {
         pin: Some(true),
     });
     if full {
+        // Named apart from the oracle-coin n=7 benign row: the name is
+        // the row's key in the snapshot.
+        let mut plan = Zoo::Benign.plan(7, 2, 7);
+        plan.name = "benign_scc".into();
         rows.push(Row {
-            plan: Zoo::Benign.plan(7, 2, 7),
+            plan,
             inputs: split_inputs(7),
             pin: None,
         });
     }
 
     let wall = Duration::from_secs(if full { 600 } else { 180 });
+    let mut sink_rows: Vec<(String, f64)> = Vec::new();
     for row in &rows {
         for kind in [RuntimeKind::Threaded, RuntimeKind::Socket] {
             let report = run_plan(kind, &row.plan, &row.inputs, wall).expect("socket setup failed");
@@ -1728,7 +1746,20 @@ fn e10_threaded(full: bool) {
                 report.violations_total,
                 report.decisions
             );
+            let key = format!("runtime_{}_{}_n{}", kind.name(), row.plan.name, row.plan.n);
+            for (name, v) in [
+                ("wall_seconds", report.stats.elapsed.as_secs_f64()),
+                ("messages", report.stats.messages as f64),
+                ("batches", report.stats.batches as f64),
+                ("bytes", report.stats.bytes as f64),
+                ("dropped", report.stats.dropped as f64),
+            ] {
+                sink_rows.push((format!("{key}.{name}"), v));
+            }
         }
+    }
+    if let Some(path) = json_path {
+        merge_into_snapshot(path, |k| k.starts_with("runtime_"), sink_rows.into_iter());
     }
     println!();
     println!("(The sim remains the correctness oracle and keeps the pinned");

@@ -70,6 +70,4 @@ pub use scenario::{
     Action, PlanCheckpoint, PlanCoin, PlanEvent, PlanRun, Role, ScenarioPlan, SchedLayer, Trigger,
     Zoo,
 };
-pub use threaded::{
-    run_plan, DecisionWatch, RuntimeKind, RuntimeReport, WatchViolation, WatchedProcess,
-};
+pub use threaded::{run_plan, RuntimeKind, RuntimeReport, WatchedProcess};

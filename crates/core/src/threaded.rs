@@ -1,8 +1,7 @@
 //! System runtimes for the cluster: the same protocol stack a
 //! [`Cluster`](crate::Cluster) simulates, run on OS threads
 //! ([`sba_sim::threaded`]) or over real loopback TCP sockets
-//! ([`sba_sim::socket`]), with a live decision watch riding every
-//! delivery.
+//! ([`sba_sim::socket`]), with the safety checker riding every batch.
 //!
 //! The deterministic simulator stays the correctness *oracle*: it
 //! explores adversarial schedules reproducibly and pins exact
@@ -16,14 +15,15 @@
 //! here).
 //!
 //! Safety is not only checked at the end: every process is wrapped in a
-//! [`WatchedProcess`] that re-reads its decision state after each
-//! delivered batch and folds it into a shared [`DecisionWatch`] — the
-//! threaded counterpart of the simulator's
-//! [`InvariantMonitor`](crate::InvariantMonitor) — so agreement-so-far,
-//! decision stability, and validity violations are localized to the
-//! batch that exposed them, even in a run that never terminates.
+//! [`WatchedProcess`] that, after each batch it takes, reports its own
+//! decision, event log and round to the run's one
+//! [safety checker](crate::monitor) — the checker the simulator's
+//! monitor feeds — so all five invariants (agreement,
+//! decision-stability, validity, shun-monotonicity, honest-pair-shun)
+//! are localized to the batch that exposed them, even in a run that
+//! never terminates. The honest set is the one the plan's roles fix at
+//! build: mid-run corruption is a simulator concern.
 
-use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use sba_net::{Outbox, Pid};
@@ -31,17 +31,14 @@ use sba_sim::threaded::ThreadedStats;
 use sba_sim::Process;
 
 use crate::cluster::{ClusterProcess, Msg};
+use crate::monitor::{InvariantMonitor, MonitorViolation};
 use crate::ScenarioPlan;
-
-/// How many violations are kept verbatim; later ones are only counted
-/// (a persistent violation re-fires on every subsequent batch).
-const MAX_RECORDED: usize = 64;
 
 /// Which system runtime to drive the cluster with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RuntimeKind {
-    /// One OS thread per process, crossbeam channels between them
-    /// ([`sba_sim::threaded`]).
+    /// One OS thread per process, crossbeam channels between them,
+    /// one step at a time ([`sba_sim::threaded`]).
     Threaded,
     /// One OS thread per process, loopback TCP between them, shipping
     /// the canonical per-recipient frame bytes ([`sba_sim::socket`]).
@@ -58,167 +55,16 @@ impl RuntimeKind {
     }
 }
 
-/// One safety violation observed by the [`DecisionWatch`], localized to
-/// the delivered batch that exposed it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WatchViolation {
-    /// The watch's global batch counter when the violation was observed
-    /// (there is no virtual time outside the simulator).
-    pub at_batch: u64,
-    /// Which invariant failed (`"agreement"`, `"decision-stability"`,
-    /// `"validity"`).
-    pub invariant: &'static str,
-    /// Human-readable specifics (who, what values).
-    pub detail: String,
-}
-
-struct WatchState {
-    /// Honest-unanimous proposal, if the honest proposers all agree —
-    /// validity then pins every honest decision to it.
-    unanimous: Option<bool>,
-    /// Whether pid `i+1` is honest (fixed at build: mid-run corruption
-    /// is a simulator concern).
-    honest: Vec<bool>,
-    /// Last observed decision per process.
-    decisions: Vec<Option<bool>>,
-    batches: u64,
-    checks: u64,
-    violations_total: u64,
-    violations: Vec<WatchViolation>,
-}
-
-/// The live safety net of a threaded or socket run: every
-/// [`WatchedProcess`] reports its decision state here after each
-/// delivered batch, and the watch re-checks the paper's safety
-/// properties against the decisions reported so far:
-///
-/// - **agreement-so-far** — no two honest decisions differ;
-/// - **decision stability** — a decision never changes once made;
-/// - **validity** — if every honest proposer proposed the same bit, any
-///   honest decision equals it.
-///
-/// (Shun-related invariants stay with the simulator's monitor: they
-/// need the cross-process honest-set view only the simulator's
-/// single-threaded event loop can read consistently.)
-pub struct DecisionWatch {
-    state: Mutex<WatchState>,
-}
-
-impl DecisionWatch {
-    /// A watch over `inputs.len()` processes; `honest[i]` tells whether
-    /// pid `i+1` runs the honest protocol (crash-recover counts).
-    pub fn new(inputs: &[Option<bool>], honest: &[bool]) -> Self {
-        assert_eq!(inputs.len(), honest.len());
-        // Only honest proposers count toward unanimity; bystanders
-        // (input None) never break it. No proposer at all means no pin.
-        let mut unanimous: Option<Option<bool>> = None;
-        for (i, input) in inputs.iter().enumerate() {
-            if !honest[i] {
-                continue;
-            }
-            if let Some(b) = *input {
-                unanimous = match unanimous {
-                    None => Some(Some(b)),
-                    Some(Some(prev)) if prev == b => Some(Some(b)),
-                    _ => Some(None),
-                };
-            }
-        }
-        DecisionWatch {
-            state: Mutex::new(WatchState {
-                unanimous: unanimous.flatten(),
-                honest: honest.to_vec(),
-                decisions: vec![None; inputs.len()],
-                batches: 0,
-                checks: 0,
-                violations_total: 0,
-                violations: Vec::new(),
-            }),
-        }
-    }
-
-    /// Records process `pid`'s current decision and re-checks the
-    /// safety properties. Called by [`WatchedProcess`] after every
-    /// delivered batch.
-    pub fn observe(&self, pid: Pid, decision: Option<bool>) {
-        let mut s = self.state.lock().expect("watch poisoned");
-        s.batches += 1;
-        let i = (pid.index() - 1) as usize;
-        if !s.honest[i] {
-            return;
-        }
-        s.checks += 3;
-        let at_batch = s.batches;
-        let prev = s.decisions[i];
-        if let Some(p) = prev {
-            if decision != Some(p) {
-                record(
-                    &mut s,
-                    at_batch,
-                    "decision-stability",
-                    format!("{pid:?} decided {p} but now reports {decision:?}"),
-                );
-            }
-        }
-        if let Some(d) = decision {
-            for j in 0..s.decisions.len() {
-                if j != i && s.honest[j] && s.decisions[j] == Some(!d) {
-                    record(
-                        &mut s,
-                        at_batch,
-                        "agreement",
-                        format!("{pid:?} decided {d} but pid {} decided {}", j + 1, !d),
-                    );
-                    break;
-                }
-            }
-            if let Some(u) = s.unanimous {
-                if d != u {
-                    record(
-                        &mut s,
-                        at_batch,
-                        "validity",
-                        format!("{pid:?} decided {d} against unanimous proposal {u}"),
-                    );
-                }
-            }
-            s.decisions[i] = Some(d);
-        }
-    }
-
-    /// The watch's findings: `(checks, violations_total, recorded)`.
-    pub fn snapshot(&self) -> (u64, u64, Vec<WatchViolation>) {
-        let s = self.state.lock().expect("watch poisoned");
-        (s.checks, s.violations_total, s.violations.clone())
-    }
-}
-
-fn record(s: &mut WatchState, at_batch: u64, invariant: &'static str, detail: String) {
-    s.violations_total += 1;
-    if s.violations.len() < MAX_RECORDED {
-        s.violations.push(WatchViolation {
-            at_batch,
-            invariant,
-            detail,
-        });
-    }
-}
-
-/// A [`ClusterProcess`] that reports its decision state to a shared
-/// [`DecisionWatch`] after every delivered batch — the monitored unit
-/// the system runtimes actually run.
+/// A [`ClusterProcess`] that reports itself to the run's shared
+/// [safety checker](crate::monitor) after every delivered batch — the
+/// monitored unit the system runtimes actually run.
 pub struct WatchedProcess {
     pid: Pid,
     inner: ClusterProcess,
-    watch: Arc<DecisionWatch>,
+    watch: InvariantMonitor,
 }
 
 impl WatchedProcess {
-    fn report(&self) {
-        let decision = self.inner.node().and_then(|n| n.decision(0));
-        self.watch.observe(self.pid, decision);
-    }
-
     /// The wrapped cluster process.
     pub fn inner(&self) -> &ClusterProcess {
         &self.inner
@@ -228,15 +74,15 @@ impl WatchedProcess {
 impl Process<Msg> for WatchedProcess {
     fn on_start(&mut self, out: &mut Outbox<Msg>) {
         self.inner.on_start(out);
-        self.report();
+        self.watch.after_batch(self.pid, &self.inner);
     }
     fn on_message(&mut self, from: Pid, msg: Msg, out: &mut Outbox<Msg>) {
         self.inner.on_message(from, msg, out);
-        self.report();
+        self.watch.after_batch(self.pid, &self.inner);
     }
     fn on_batch(&mut self, from: Pid, msgs: &mut Vec<Msg>, out: &mut Outbox<Msg>) {
         self.inner.on_batch(from, msgs, out);
-        self.report();
+        self.watch.after_batch(self.pid, &self.inner);
     }
     fn done(&self) -> bool {
         self.inner.done()
@@ -247,6 +93,25 @@ impl Process<Msg> for WatchedProcess {
     fn recoveries(&self) -> u64 {
         self.inner.recoveries()
     }
+}
+
+/// Wraps a process table for a system runtime: every process reports to
+/// one checker that takes `honest[i]` as whether pid `i+1` follows the
+/// protocol.
+fn watched(
+    procs: Vec<ClusterProcess>,
+    inputs: &[Option<bool>],
+    honest: Vec<bool>,
+) -> (Vec<WatchedProcess>, InvariantMonitor) {
+    let watch = InvariantMonitor::with_honest(inputs.to_vec(), honest);
+    let watched = (Pid::all(procs.len()).zip(procs))
+        .map(|(pid, inner)| WatchedProcess {
+            pid,
+            inner,
+            watch: watch.clone(),
+        })
+        .collect();
+    (watched, watch)
 }
 
 /// Outcome of a threaded or socket cluster run.
@@ -261,12 +126,14 @@ pub struct RuntimeReport {
     pub decisions: Vec<Option<bool>>,
     /// The honest pids.
     pub honest: Vec<Pid>,
-    /// Safety evaluations the [`DecisionWatch`] performed.
+    /// Invariant evaluations the safety checker performed (4 per batch
+    /// an honest process took).
     pub checks: u64,
     /// Total violations observed (including beyond the recording cap).
     pub violations_total: u64,
-    /// The first recorded violations, verbatim.
-    pub violations: Vec<WatchViolation>,
+    /// The first recorded violations, verbatim; `at_event` counts the
+    /// run's delivered batches.
+    pub violations: Vec<MonitorViolation>,
 }
 
 impl RuntimeReport {
@@ -286,7 +153,7 @@ impl RuntimeReport {
         vals.all(|v| v == first)
     }
 
-    /// Whether the watch saw no violation for the whole run.
+    /// Whether the checker saw no violation for the whole run.
     pub fn ok(&self) -> bool {
         self.violations_total == 0
     }
@@ -313,89 +180,86 @@ pub fn run_plan(
     inputs: &[Option<bool>],
     wall_limit: Duration,
 ) -> std::io::Result<RuntimeReport> {
-    let config = plan.cluster_config();
-    let (procs, _) = config.processes(inputs);
-    let n = config.n();
+    let (procs, _) = plan.cluster_config().processes(inputs);
     // The reporting-honest set: crash-recover processes count (they are
     // omission-faulted and expected to decide), Byzantine ones do not.
-    let honest_flags: Vec<bool> = procs.iter().map(ClusterProcess::is_honest).collect();
-    let honest: Vec<Pid> = honest_flags
-        .iter()
-        .enumerate()
-        .filter(|(_, &h)| h)
-        .map(|(k, _)| Pid::new(k as u32 + 1))
-        .collect();
-    let watch = Arc::new(DecisionWatch::new(inputs, &honest_flags));
-    let watched: Vec<WatchedProcess> = procs
-        .into_iter()
-        .enumerate()
-        .map(|(k, inner)| WatchedProcess {
-            pid: Pid::new(k as u32 + 1),
-            inner,
-            watch: Arc::clone(&watch),
-        })
-        .collect();
+    let honest: Vec<bool> = procs.iter().map(ClusterProcess::is_honest).collect();
+    let (watched, watch) = watched(procs, inputs, honest.clone());
 
     let (watched, stats) = match kind {
         RuntimeKind::Threaded => sba_sim::threaded::run(watched, wall_limit),
         RuntimeKind::Socket => sba_sim::socket::run(watched, wall_limit)?,
     };
 
-    let mut decisions = vec![None; n];
-    for (k, w) in watched.iter().enumerate() {
-        if w.inner.is_honest() {
-            if let Some(node) = w.inner.node() {
-                decisions[k] = node.decision(0);
-            }
-        }
-    }
-    let (checks, violations_total, violations) = watch.snapshot();
+    let decision = |w: &WatchedProcess| w.inner.node().filter(|_| w.inner.is_honest())?.decision(0);
+    let decisions = watched.iter().map(decision).collect();
+    let honest = (Pid::all(honest.len()).zip(honest))
+        .filter_map(|(pid, honest)| honest.then_some(pid))
+        .collect();
+    let findings = watch.report();
     Ok(RuntimeReport {
         kind,
         stats,
         decisions,
         honest,
-        checks,
-        violations_total,
-        violations,
+        checks: findings.checks,
+        violations_total: findings.violations_total,
+        violations: findings.violations,
     })
 }
 
 #[cfg(test)]
 mod tests {
+    use sba_aba::AbaEvent;
+    use sba_sim::{schedulers, Simulation};
+
     use super::*;
+    use crate::Role;
 
-    #[test]
-    fn watch_flags_agreement_and_validity_breaks() {
-        let watch = DecisionWatch::new(&[Some(true), Some(true), Some(true)], &[true, true, true]);
-        watch.observe(Pid::new(1), Some(true));
-        watch.observe(Pid::new(2), Some(false)); // breaks agreement AND validity
-        let (checks, total, violations) = watch.snapshot();
-        assert_eq!(checks, 6);
-        assert_eq!(total, 2);
-        assert!(violations.iter().any(|v| v.invariant == "agreement"));
-        assert!(violations.iter().any(|v| v.invariant == "validity"));
+    /// A plan with one lying process, its table wrapped for a system
+    /// runtime but driven by the deterministic simulator — so the
+    /// schedule, and with it the liar's detection, repeats — under a
+    /// checker that takes `honest` for the honest set. Returns the
+    /// checker's findings and whether some honest process shunned the
+    /// liar.
+    fn lying_p4_run(honest: [bool; 4]) -> (crate::MonitorReport, bool) {
+        let mut plan = ScenarioPlan::new("liar", 4, 1, 4);
+        plan.roles = vec![(Pid::new(4), Role::LyingShares { delta: 11 })];
+        let inputs: Vec<Option<bool>> = (0..4).map(|i| Some(i % 2 == 0)).collect();
+        let (procs, _) = plan.cluster_config().processes(&inputs);
+        let (watched, watch) = watched(procs, &inputs, honest.to_vec());
+
+        let mut sim = Simulation::new(watched, schedulers::uniform(20), plan.seed);
+        let outcome = sim.run_until_all_done(60_000_000);
+        assert!(outcome.all_done, "the watched table did not finish");
+
+        let liar = AbaEvent::Shunned {
+            process: Pid::new(4),
+        };
+        let shunned =
+            (sim.processes()).any(|w| w.inner().events().is_some_and(|log| log.contains(&liar)));
+        (watch.report(), shunned)
     }
 
     #[test]
-    fn watch_flags_decision_instability() {
-        let watch = DecisionWatch::new(&[Some(true), Some(false)], &[true, true]);
-        watch.observe(Pid::new(1), Some(true));
-        watch.observe(Pid::new(1), None); // a decision may never regress
-        let (_, total, violations) = watch.snapshot();
-        assert_eq!(total, 1);
-        assert_eq!(violations[0].invariant, "decision-stability");
+    fn a_shunned_liar_is_no_violation() {
+        let (report, shunned) = lying_p4_run([true, true, true, false]);
+        assert!(shunned, "the seed no longer gets the liar shunned");
+        assert!(report.ok(), "checker saw {:?}", report.violations);
+        assert!(report.checks > 0 && report.checks % 4 == 0);
     }
 
     #[test]
-    fn watch_ignores_corrupted_processes_and_split_inputs() {
-        // Split inputs: no unanimity pin. Pid 2 is corrupted: its
-        // (nonsense) reports must not count.
-        let watch = DecisionWatch::new(&[Some(true), Some(false)], &[true, false]);
-        watch.observe(Pid::new(1), Some(true));
-        watch.observe(Pid::new(2), Some(false));
-        watch.observe(Pid::new(2), None);
-        let (_, total, _) = watch.snapshot();
-        assert_eq!(total, 0);
+    fn the_runtime_adapter_reports_honest_pair_shuns() {
+        // The same run, but the checker is told p4 is honest: shunning
+        // it is now the violation the paper rules out.
+        let (report, shunned) = lying_p4_run([true; 4]);
+        assert!(shunned);
+        assert!(!report.ok());
+        for v in &report.violations {
+            assert_eq!(v.invariant, "honest-pair-shun");
+            assert!(v.detail.ends_with("shunned honest p4"), "{}", v.detail);
+            assert!(v.at_event > 0 && v.now == 0);
+        }
     }
 }

@@ -1,46 +1,41 @@
-//! A thread-per-process runtime over real loopback TCP sockets.
+//! The socket runtime: the shared worker loop over real loopback TCP.
 //!
-//! The furthest point on the "from simulator to system" path: the same
-//! sans-io [`Process`] state machines, now exchanging the canonical
-//! per-recipient frame bytes over a full TCP mesh
-//! ([`sba_net::tcp::loopback_mesh`]). Every batch a process emits is
-//! serialized with [`sba_net::tcp::write_frame`] — the exact encoding
-//! the byte-complexity experiments charge — shipped through the kernel,
-//! and decoded on the far side before entering
-//! [`Process::on_batch`]. [`ThreadedStats::bytes`] therefore reports
-//! *real* transport bytes (length prefix and sender header included),
-//! not an accounting fiction.
+//! The same sans-io [`Process`] state machines and the same worker loop
+//! as [`crate::threaded`] — this module only supplies the link. Every
+//! group a process emits for a peer is serialized with
+//! [`sba_net::tcp::write_frame`] — the canonical per-recipient frame
+//! encoding the byte-complexity experiments charge — shipped through
+//! the kernel over a full TCP mesh ([`sba_net::tcp::loopback_mesh`]),
+//! and decoded on the far side before entering [`Process::on_batch`].
+//! [`ThreadedStats::bytes`] therefore reports *real* transport bytes
+//! (length prefix and sender header included); a self-send skips the
+//! kernel but is charged the same framed size.
 //!
-//! Topology per process: one main thread running the state machine plus
-//! one reader thread per peer stream. Readers do nothing but decode
-//! frames and forward them to the main thread's channel, so a process
-//! that is slow to consume never deadlocks the mesh — the kernel socket
-//! buffers are always being drained.
+//! Topology per process: the worker thread plus one reader thread per
+//! peer stream. Readers do nothing but decode frames and forward them
+//! to the worker's inbox, so a process that is slow to consume never
+//! deadlocks the mesh — the kernel socket buffers are always being
+//! drained. A reader binds the sender to the *stream*: the paper's
+//! channels are authenticated, so a frame naming any pid but the
+//! stream's peer is dropped and counted, never delivered.
 //!
-//! Shutdown reuses the threaded runtime's quiescence protocol (see
-//! [`crate::threaded`]): a frame member is counted in flight from
-//! before its `write` until after the receiving state machine has
-//! processed it and dispatched the consequences, so
-//! `done == n && in_flight == 0` proves nothing is queued in any
-//! channel, socket buffer, or kernel buffer. At shutdown each endpoint
-//! closes its streams (waking its own readers and its peers'), joins
-//! its readers, and counts any undelivered members into
-//! [`ThreadedStats::dropped`].
+//! Shutdown is the shared quiescence protocol; at teardown each
+//! endpoint closes its streams (waking its own readers and its peers')
+//! and joins its readers, and what they had already forwarded is
+//! counted into [`ThreadedStats::dropped`].
 
-use std::sync::atomic::Ordering;
+use std::io::Read;
+use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
-use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use sba_net::tcp::{self, MeshEndpoint};
-use sba_net::{frame_len, FramedWire, Outbox, Pid};
+use sba_net::{frame_len, FramedWire, Pid};
 
-use crate::threaded::{BatchBuckets, RunShared, ThreadedStats};
+use crate::threaded::{drive, Gone, Group, Link, RunShared, ThreadedStats};
 use crate::{Process, SimMsg};
-
-/// How long the main thread parks in `recv_timeout` before re-checking
-/// the quiescence and deadline conditions.
-const POLL: Duration = Duration::from_millis(1);
 
 /// Runs each process on its own thread, connected to every peer by a
 /// real loopback TCP stream, until all report [`Process::done`] and
@@ -62,293 +57,141 @@ where
     M: SimMsg + FramedWire,
     P: Process<M> + 'static,
 {
-    let n = procs.len();
-    assert!(n >= 2, "socket runtime needs at least two processes");
-    let mesh = tcp::loopback_mesh(n)?;
-    let shared = Arc::new(RunShared::new());
-    let started = Instant::now();
-    let deadline = started + wall_limit;
-
-    let handles: Vec<_> = procs
-        .into_iter()
-        .zip(mesh)
-        .map(|(proc_, endpoint)| {
-            let shared = Arc::clone(&shared);
-            std::thread::spawn(move || worker(proc_, endpoint, shared, deadline))
+    assert!(
+        procs.len() >= 2,
+        "socket runtime needs at least two processes"
+    );
+    let mesh = tcp::loopback_mesh(procs.len())?;
+    // Every step that can fail comes before the first thread is spawned.
+    let streams = mesh
+        .iter()
+        .map(MeshEndpoint::clone_streams)
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let links = (mesh.into_iter().zip(streams))
+        .map(|(endpoint, streams)| {
+            move |shared: &Arc<RunShared>| TcpLink::open(endpoint, streams, shared)
         })
         .collect();
-
-    let procs: Vec<P> = handles
-        .into_iter()
-        .map(|h| h.join().expect("socket process thread panicked"))
-        .collect();
-    let stats = shared.stats(n, started.elapsed());
-    Ok((procs, stats))
+    Ok(drive(procs, links, wall_limit))
 }
 
-/// Drains the outbox: envelopes are grouped per destination (preserving
-/// per-destination order), each group serialized as one transport frame
-/// and written to the peer's stream — or forwarded through the local
-/// channel for self-sends, charged the same framed byte count a
-/// loopback write would cost.
-fn flush<M: SimMsg + FramedWire>(
-    out: &mut Outbox<M>,
-    outgoing: &mut BatchBuckets<M>,
-    scratch: &mut Vec<u8>,
-    endpoint: &MeshEndpoint,
-    loopback: &Sender<(Pid, Vec<M>)>,
+/// The TCP link: a group crosses the kernel as one transport frame.
+struct TcpLink<M> {
+    endpoint: MeshEndpoint,
+    /// This endpoint's own inbox, for self-sends.
+    loopback: Sender<Group<M>>,
+    scratch: Vec<u8>,
+    readers: Vec<JoinHandle<()>>,
+}
+
+impl<M: SimMsg + FramedWire> TcpLink<M> {
+    /// The endpoint's inbox and link, with one reader thread running
+    /// per peer stream (`streams[k]` is a handle to pid `k+1`'s).
+    fn open(
+        endpoint: MeshEndpoint,
+        streams: Vec<Option<TcpStream>>,
+        shared: &Arc<RunShared>,
+    ) -> (Receiver<Group<M>>, Self) {
+        let (loopback, inbox) = unbounded();
+        let readers = Pid::all(endpoint.n())
+            .zip(streams)
+            .filter_map(|(peer, stream)| {
+                let (stream, inbox, shared) = (stream?, loopback.clone(), Arc::clone(shared));
+                Some(std::thread::spawn(move || {
+                    read_peer(stream, peer, &inbox, &shared)
+                }))
+            })
+            .collect();
+        let link = TcpLink {
+            endpoint,
+            loopback,
+            scratch: Vec::new(),
+            readers,
+        };
+        (inbox, link)
+    }
+}
+
+impl<M: SimMsg + FramedWire> Link<M> for TcpLink<M> {
+    fn ship(&mut self, to: Pid, msgs: &mut Vec<M>) -> Result<u64, Gone> {
+        let me = self.endpoint.me();
+        if to == me {
+            // Charged what a loopback write of the frame would cost.
+            let bytes = (5 + frame_len(msgs)) as u64;
+            let sent = self.loopback.send((me, std::mem::take(msgs)));
+            sent.map(|()| bytes).map_err(|_| Gone)
+        } else {
+            tcp::write_frame(&mut self.endpoint.stream(to), me, msgs, &mut self.scratch)
+                .map(|bytes| bytes as u64)
+                // The peer tore its streams down (deadline shutdown).
+                .map_err(|_| Gone)
+        }
+    }
+
+    /// Closes every stream (wakes this endpoint's readers with EOF
+    /// *and* errors out any peer still writing to us) and joins the
+    /// readers.
+    fn close(&mut self) {
+        self.endpoint.shutdown_all();
+        for reader in self.readers.drain(..) {
+            let _ = reader.join();
+        }
+    }
+}
+
+/// A reader thread's body: forwards the frames arriving on `stream` —
+/// the mesh stream to `peer` — into `inbox` until clean EOF (the peer
+/// shut down at a frame boundary) or any stream error (deadline
+/// teardown). The sender of a frame is the stream it arrived on: a
+/// frame naming anyone else is a peer speaking as another process,
+/// which would void RB's quorum counting, so it is dropped and its
+/// members accounted lost (the writer counted them in flight).
+fn read_peer<M: FramedWire>(
+    mut stream: impl Read,
+    peer: Pid,
+    inbox: &Sender<Group<M>>,
     shared: &RunShared,
 ) {
-    let me = endpoint.me();
-    for env in out.drain_iter() {
-        shared.messages.fetch_add(1, Ordering::Relaxed);
-        outgoing.push(env.to, env.msg);
-    }
-    outgoing.deliver(|to, msgs| {
-        let k = msgs.len() as u64;
-        // In flight before the bytes leave, exactly as in the threaded
-        // runtime: the counter may never hit 0 with a frame mid-socket.
-        shared.in_flight.fetch_add(k, Ordering::SeqCst);
-        if to == me {
-            let bytes = (5 + frame_len(msgs)) as u64;
-            shared.bytes.fetch_add(bytes, Ordering::Relaxed);
-            if loopback.send((me, std::mem::take(msgs))).is_err() {
-                shared.in_flight.fetch_sub(k, Ordering::SeqCst);
-                shared.dropped.fetch_add(k, Ordering::Relaxed);
-            }
-        } else {
-            match tcp::write_frame(&mut endpoint.stream(to), me, msgs, scratch) {
-                Ok(bytes) => {
-                    shared.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-                }
-                Err(_) => {
-                    // The peer tore its streams down (deadline
-                    // shutdown): the frame is lost — account for it.
-                    shared.in_flight.fetch_sub(k, Ordering::SeqCst);
-                    shared.dropped.fetch_add(k, Ordering::Relaxed);
-                }
-            }
-        }
-    });
-}
-
-fn worker<M, P>(
-    mut proc_: P,
-    endpoint: MeshEndpoint,
-    shared: Arc<RunShared>,
-    deadline: Instant,
-) -> P
-where
-    M: SimMsg + FramedWire,
-    P: Process<M>,
-{
-    let me = endpoint.me();
-    let n = endpoint.n();
-    let (tx, rx) = unbounded::<(Pid, Vec<M>)>();
-
-    // One reader thread per peer stream: decode frames, forward the
-    // batches. A reader exits on clean EOF (the peer shut down at a
-    // frame boundary) or any stream error (deadline teardown).
-    let readers: Vec<_> = endpoint
-        .clone_streams()
-        .expect("stream clone failed")
-        .into_iter()
-        .flatten()
-        .map(|mut stream| {
-            let tx = tx.clone();
-            std::thread::spawn(move || {
-                while let Ok(Some((from, msgs))) = tcp::read_frame::<M>(&mut stream) {
-                    if tx.send((from, msgs)).is_err() {
-                        break;
-                    }
-                }
-            })
-        })
-        .collect();
-
-    let mut out = Outbox::new(me);
-    let mut inbox = BatchBuckets::new(n);
-    let mut outgoing = BatchBuckets::new(n);
-    let mut scratch = Vec::new();
-    let mut was_done = false;
-
-    proc_.on_start(&mut out);
-    flush(
-        &mut out,
-        &mut outgoing,
-        &mut scratch,
-        &endpoint,
-        &tx,
-        &shared,
-    );
-    shared.sync_done(&mut was_done, proc_.done());
-
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+    while let Ok(Some((from, msgs))) = tcp::read_frame::<M>(&mut stream) {
+        if from != peer {
+            shared.lose(msgs.len() as u64);
+        } else if inbox.send((peer, msgs)).is_err() {
             break;
         }
-        if shared.quiescent(n) || Instant::now() >= deadline {
-            shared.shutdown.store(true, Ordering::SeqCst);
-            break;
-        }
-        match rx.recv_timeout(POLL) {
-            Ok((from, msgs)) => {
-                let mut drained = msgs.len() as u64;
-                for m in msgs {
-                    inbox.push(from, m);
-                }
-                while let Ok((f, ms)) = rx.try_recv() {
-                    drained += ms.len() as u64;
-                    for m in ms {
-                        inbox.push(f, m);
-                    }
-                }
-                inbox.deliver(|from, msgs| {
-                    shared.batches.fetch_add(1, Ordering::Relaxed);
-                    proc_.on_batch(from, msgs, &mut out);
-                    flush(
-                        &mut out,
-                        &mut outgoing,
-                        &mut scratch,
-                        &endpoint,
-                        &tx,
-                        &shared,
-                    );
-                });
-                shared.sync_done(&mut was_done, proc_.done());
-                // Fully consumed only now — consequences are already
-                // counted in flight (see the threaded runtime).
-                shared.in_flight.fetch_sub(drained, Ordering::SeqCst);
-            }
-            Err(RecvTimeoutError::Timeout) => continue,
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
     }
-
-    // Teardown: close every stream (wakes this endpoint's readers with
-    // EOF *and* errors out any peer still writing to us), join the
-    // readers, then account whatever they had already forwarded.
-    endpoint.shutdown_all();
-    drop(tx);
-    for r in readers {
-        let _ = r.join();
-    }
-    let mut residue = 0u64;
-    while let Ok((_, ms)) = rx.try_recv() {
-        residue += ms.len() as u64;
-    }
-    if residue > 0 {
-        shared.dropped.fetch_add(residue, Ordering::Relaxed);
-        shared.in_flight.fetch_sub(residue, Ordering::SeqCst);
-    }
-    proc_
 }
 
 #[cfg(test)]
 mod tests {
+    //! The runtime's behaviour is covered by the link conformance suite
+    //! in [`crate::threaded`]; what is TCP-only is tested here.
+
+    use std::net::Shutdown;
+    use std::sync::atomic::Ordering;
+
     use super::*;
 
-    /// Every process greets every other; done after hearing from all.
-    struct Greeter {
-        me: Pid,
-        n: usize,
-        heard: std::collections::BTreeSet<Pid>,
-    }
-
-    impl Process<u64> for Greeter {
-        fn on_start(&mut self, out: &mut Outbox<u64>) {
-            for p in Pid::all(self.n) {
-                if p != self.me {
-                    out.send(p, u64::from(self.me.index()));
-                }
-            }
-        }
-        fn on_message(&mut self, from: Pid, _msg: u64, _out: &mut Outbox<u64>) {
-            self.heard.insert(from);
-        }
-        fn done(&self) -> bool {
-            self.heard.len() == self.n - 1
-        }
-    }
-
     #[test]
-    fn greeters_finish_over_real_sockets() {
-        let n = 5;
-        let procs: Vec<Greeter> = (1..=n)
-            .map(|i| Greeter {
-                me: Pid::new(i as u32),
-                n,
-                heard: Default::default(),
-            })
-            .collect();
-        let (procs, stats) = run(procs, Duration::from_secs(10)).unwrap();
-        assert!(stats.all_done, "sockets did not finish: {stats:?}");
-        assert!(procs.iter().all(|p| p.done()));
-        assert_eq!(stats.messages, (n * (n - 1)) as u64);
-        assert_eq!(stats.dropped, 0, "quiescent run drops nothing");
-        // Every greeting crossed the wire as its own frame: 4-byte
-        // length + pid byte + 4-byte member count + one 8-byte u64.
-        assert_eq!(stats.bytes, stats.messages * (4 + 1 + 4 + 8));
-    }
+    fn reader_drops_a_frame_that_names_another_sender() {
+        let mesh = tcp::loopback_mesh(2).unwrap();
+        let (p1, p2) = (Pid::new(1), Pid::new(2));
+        // p1 first speaks as p2 (three members), then as itself (two),
+        // then shuts its write half down at the frame boundary.
+        let mut to_p2 = mesh[0].stream(p2);
+        let mut scratch = Vec::new();
+        tcp::write_frame(&mut to_p2, p2, &[7u64, 8, 9], &mut scratch).unwrap();
+        tcp::write_frame(&mut to_p2, p1, &[1u64, 2], &mut scratch).unwrap();
+        to_p2.shutdown(Shutdown::Write).unwrap();
+        // The writer's worker loop counted all five in flight.
+        let shared = RunShared::default();
+        shared.in_flight.store(5, Ordering::SeqCst);
 
-    /// Echoes every received value back once; pid 1 seeds a broadcast
-    /// that includes itself, exercising the self-send loopback path.
-    struct EchoOnce {
-        me: Pid,
-        n: usize,
-        received: u64,
-    }
+        let (inbox, forwarded) = unbounded();
+        read_peer::<u64>(mesh[1].stream(p1), p1, &inbox, &shared);
 
-    impl Process<u64> for EchoOnce {
-        fn on_start(&mut self, out: &mut Outbox<u64>) {
-            if self.me == Pid::new(1) {
-                out.broadcast(Pid::all(self.n), 7);
-            }
-        }
-        fn on_message(&mut self, from: Pid, msg: u64, out: &mut Outbox<u64>) {
-            self.received += 1;
-            if from == Pid::new(1) && self.me != Pid::new(1) {
-                out.send(from, msg + 1);
-            }
-        }
-        fn done(&self) -> bool {
-            if self.me == Pid::new(1) {
-                self.received == self.n as u64
-            } else {
-                self.received == 1
-            }
-        }
-    }
-
-    #[test]
-    fn self_sends_ride_the_loopback_channel() {
-        let n = 4;
-        let procs: Vec<EchoOnce> = (1..=n)
-            .map(|i| EchoOnce {
-                me: Pid::new(i as u32),
-                n,
-                received: 0,
-            })
-            .collect();
-        let (procs, stats) = run(procs, Duration::from_secs(10)).unwrap();
-        assert!(stats.all_done, "echo mesh did not finish: {stats:?}");
-        // n broadcast deliveries (incl. self) + n-1 echoes back.
-        assert_eq!(stats.messages, (2 * n - 1) as u64);
-        assert_eq!(stats.dropped, 0);
-        assert_eq!(procs[0].received, n as u64);
-    }
-
-    #[test]
-    fn wall_limit_terminates_stuck_runs() {
-        /// Never done, never sends.
-        struct Stuck;
-        impl Process<u64> for Stuck {
-            fn on_start(&mut self, _out: &mut Outbox<u64>) {}
-            fn on_message(&mut self, _from: Pid, _msg: u64, _out: &mut Outbox<u64>) {}
-        }
-        let started = Instant::now();
-        let (_, stats) = run(vec![Stuck, Stuck], Duration::from_millis(100)).unwrap();
-        assert!(!stats.all_done);
-        assert!(started.elapsed() < Duration::from_secs(5));
+        assert_eq!(forwarded.try_recv(), Ok((p1, vec![1, 2])));
+        assert!(forwarded.try_recv().is_err(), "only the honest frame");
+        assert_eq!(shared.dropped.load(Ordering::Relaxed), 3);
+        assert_eq!(shared.in_flight.load(Ordering::SeqCst), 2);
     }
 }
