@@ -1,4 +1,5 @@
-//! The experiment harness: regenerates every table in EXPERIMENTS.md.
+//! The experiment harness: one table per quantitative claim of the
+//! paper, plus the perf, scaling, runtime and artifact gates.
 //!
 //! ```sh
 //! cargo run --release -p sba-bench --bin experiments -- all          # quick
@@ -9,8 +10,11 @@
 //! ```
 //!
 //! The paper (PODC 2008 theory paper) has no empirical tables or figures;
-//! each experiment here validates one of its *quantitative claims* — see
-//! DESIGN.md §3 for the claim-to-experiment mapping.
+//! each of `e1`–`e8` validates one of its *quantitative claims* (Theorem 1
+//! termination, rounds to decide, the Lemma 4 coin probabilities,
+//! polynomial message/bit complexity, the O(n²) shunning bound,
+//! Example 1, hiding, and the DMM ablation), named in the banner above
+//! each `e<N>_…` function and in the table it prints.
 //!
 //! `--json PATH` records the perf experiment (E9) as a machine-readable
 //! snapshot — the repo's perf trajectory file (`BENCH_<pr>.json`). In
@@ -23,14 +27,12 @@
 //! artifact — is run, recorded as a JSON artifact under `artifacts/`,
 //! and immediately replayed from that artifact — the harness exits
 //! nonzero if any replay diverges from its recording (the CI
-//! replay-smoke gate). `e12` drives the checkpoint/fork path: one run
-//! per scenario is checkpointed mid-flight, resumed (must reproduce the
-//! original tail digest), and forked under divergent seeds (every
-//! branch must still decide). `e14` hardens that into the *fork
-//! corpus*: every recorded `trial_*.json` artifact is checkpointed at
-//! each round boundary and forked under fresh seeds; a stalled branch,
-//! an unfaithful resume, or a monitor violation fails the run (the CI
-//! fork-conformance gate; `--json` writes the conformance table).
+//! replay-smoke gate). `e14` is the *fork corpus*: every recorded
+//! `trial_*.json` artifact is checkpointed at each round boundary,
+//! resumed (must reproduce the original tail digest) and forked under
+//! fresh seeds; a stalled branch, an unfaithful resume, or a monitor
+//! violation fails the run (the CI fork-conformance gate; `--json`
+//! writes the conformance table).
 //!
 //! `e13` is the n-sweep (PR 7's cap lift): the SCC unit workload — one
 //! moderated MW-SVSS share session — at n ∈ {7, 16, 31, 64, 128, 256}
@@ -61,10 +63,9 @@ use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sba::adversary::Fault;
 use sba::coin::{CoinEngine, CoinMsg};
 use sba::field::{Field, Gf101, Gf61};
-use sba::{Cluster, ClusterConfig, CoinMode, OracleCoin, Params, Pid};
+use sba::{Cluster, ClusterConfig, CoinMode, OracleCoin, Params, Pid, Role};
 use sba_bench::{loglog_slope, split_inputs, JsonSink, Stats};
 
 fn main() {
@@ -131,9 +132,6 @@ fn main() {
     }
     if run_all || which == "e11" {
         e11_scenario_zoo(full, json_path.as_deref());
-    }
-    if run_all || which == "e12" {
-        e12_fork(full);
     }
     if run_all || which == "e13" {
         e13_nsweep(full, json_path.as_deref(), ns_arg.as_deref());
@@ -269,61 +267,6 @@ fn e11_scenario_zoo(full: bool, json_path: Option<&str>) {
         eprintln!("REPLAY GATE FAILED: a replay diverged from its artifact");
         std::process::exit(1);
     }
-}
-
-// ---------------------------------------------------------------------
-// E12 - checkpoint/fork: resume fidelity + divergent-branch liveness
-// ---------------------------------------------------------------------
-fn e12_fork(full: bool) {
-    use sba::Zoo;
-    use sba_bench::trial::{fork, Trial};
-
-    println!("## E12 - checkpoint/fork: resume fidelity, branch liveness\n");
-    println!("Each scenario runs to a mid-protocol branch point and is");
-    println!("checkpointed. Resuming with the original schedule must reproduce");
-    println!("the original tail exactly; forking with divergent seeds yields");
-    println!("different schedules that must all still decide (almost-sure");
-    println!("termination does not depend on the adversary's coin flips).\n");
-    println!("| scenario | branch @events | resume | branches decided | distinct digests |");
-    println!("|----------|----------------|--------|------------------|------------------|");
-    let branch_seeds: &[u64] = if full {
-        &[101, 202, 303, 404]
-    } else {
-        &[101, 202]
-    };
-    for zoo in Zoo::ALL {
-        let trial = Trial::new(zoo, 7);
-        let report = fork(&trial, 2_000, branch_seeds);
-        assert!(
-            report.resume_faithful(),
-            "{}: resumed checkpoint diverged from the original run",
-            zoo.name()
-        );
-        let decided = report
-            .branches
-            .iter()
-            .filter(|b| b.report.terminated && b.report.agreement())
-            .count();
-        assert_eq!(
-            decided,
-            branch_seeds.len(),
-            "{}: a fork stalled",
-            zoo.name()
-        );
-        let mut digests: Vec<u64> = report.branches.iter().map(|b| b.digest).collect();
-        digests.push(report.original.digest);
-        digests.sort_unstable();
-        digests.dedup();
-        println!(
-            "| {} | {} | faithful | {}/{} | {} |",
-            zoo.name(),
-            report.branch_events,
-            decided,
-            branch_seeds.len(),
-            digests.len()
-        );
-    }
-    println!();
 }
 
 // ---------------------------------------------------------------------
@@ -1043,12 +986,12 @@ fn e1_termination(full: bool) {
     } else {
         &[(4, 1), (7, 2)]
     };
-    let faults: Vec<(&str, Option<Fault>)> = vec![
-        ("none", None),
-        ("silent", Some(Fault::Silent)),
-        ("crash@1500", Some(Fault::CrashAfter(1500))),
-        ("lying-shares", Some(Fault::LyingShares { delta: 5 })),
-        ("flipped-votes", Some(Fault::FlippedVotes)),
+    let faults: Vec<(&str, Role)> = vec![
+        ("none", Role::Honest),
+        ("silent", Role::Silent),
+        ("crash@1500", Role::Crash { after: 1500 }),
+        ("lying-shares", Role::LyingShares { delta: 5 }),
+        ("flipped-votes", Role::FlippedVotes),
     ];
     println!("| n | t | fault | terminated | agreement |");
     println!("|---|---|-------|-----------|-----------|");
@@ -1059,10 +1002,9 @@ fn e1_termination(full: bool) {
             let mut terminated = 0;
             let mut agreed = 0;
             for seed in 0..seeds {
-                let mut config = ClusterConfig::new(n, t).seed(seed * 31 + 7);
-                if let Some(f) = fault.clone() {
-                    config = config.fault(Pid::new(n as u32), f);
-                }
+                let config = ClusterConfig::new(n, t)
+                    .seed(seed * 31 + 7)
+                    .fault(Pid::new(n as u32), fault.clone());
                 let mut cluster = Cluster::new(config, &split_inputs(n));
                 let report = cluster.run(600_000_000);
                 if report.terminated {
@@ -1175,7 +1117,7 @@ fn e2_rounds(full: bool) {
                     .seed(seed * 19 + 7)
                     .mode(mode_of(seed))
                     .max_rounds(4000)
-                    .fault(Pid::new(n as u32), Fault::FlippedVotes);
+                    .fault(Pid::new(n as u32), Role::FlippedVotes);
                 let mut cluster = Cluster::new(config, &split_inputs(n));
                 let report = cluster.run(900_000_000);
                 assert!(report.terminated, "{label} n={n} seed={seed} stalled");
@@ -1371,7 +1313,7 @@ fn e5_shunning_bound(full: bool) {
         let (n, t) = (4usize, 1usize);
         let config = ClusterConfig::new(n, t)
             .seed(seed * 41 + 11)
-            .fault(Pid::new(n as u32), Fault::LyingShares { delta: 9 });
+            .fault(Pid::new(n as u32), Role::LyingShares { delta: 9 });
         let mut cluster = Cluster::new(config, &split_inputs(n));
         let report = cluster.run(900_000_000);
         let mut pairs = report.shun_pairs.clone();

@@ -7,17 +7,14 @@
 //! instance, Bracha RB guarantees all nonfaulty processes accept the same
 //! value, so "the value p broadcast for slot s" is well defined everywhere.
 //!
-//! # Slab indexing and retirement
+//! # Instance store and retirement
 //!
 //! A full protocol run drives *hundreds of thousands* of RB slots per
-//! process, and every delivered message routes through this mux — so the
-//! instance store is the hottest data structure in the stack. Four
-//! design rules keep it cache-friendly:
+//! process, and every delivered message routes through this mux. The
+//! instances live in an [`Interner`] keyed by `(origin, tag)` — its
+//! module docs explain the recycled slab, the retired store and the
+//! one-line fingerprint index. What is specific to RB:
 //!
-//! - **Slab indexing.** Live instances sit in a recycled slab whose size
-//!   tracks the *peak concurrently-live* count, not the total a run
-//!   creates — the state machines the hot path mutates stay
-//!   cache-resident.
 //! - **Flat entries.** A slab entry is the interning key plus one
 //!   [`Rb`], and an [`Rb`] is flat (see the `rb` module docs): two tallies
 //!   of a sender bitset, a value and a count, a few flags. `me` and the
@@ -26,26 +23,21 @@
 //!   through the caller's `wrap`. Creating, driving and recycling an
 //!   instance therefore allocates nothing unless senders contradict
 //!   each other.
-//! - **Retirement.** Bracha RB fixes the accepted value at acceptance:
-//!   once this process accepts, its `Ready` is already in flight to every
-//!   peer (the accept quorum `n−t` exceeds the amplification threshold
-//!   `t+1`), so the live state machine can never produce another send or
-//!   a different value. At accept the whole [`Rb`] machine is dropped for
-//!   a compact accepted-value record and its slab slot is recycled.
+//! - **Retirement at accept.** Bracha RB fixes the accepted value at
+//!   acceptance: once this process accepts, its `Ready` is already in
+//!   flight to every peer (the accept quorum `n−t` exceeds the
+//!   amplification threshold `t+1`), so the live state machine can never
+//!   produce another send or a different value. At accept the whole
+//!   [`Rb`] machine is retired for a compact accepted-value record.
 //!   **Late-joiner story:** peers that have not accepted yet still
 //!   terminate through ready amplification of the messages we already
 //!   sent — late `Echo`/`Ready` traffic addressed to a retired slot needs
 //!   no answer and is dropped, while local [`RbMux::accepted`] queries
-//!   are answered from the record. A retired slot can never be
-//!   resurrected: its interned id stays forever and points at the record.
-//! - **One-line interning.** The `(origin, tag) → slot` index stores one
-//!   `u64` per bucket (hash fingerprint + packed slot id) and is written
-//!   once at interning and once at retirement — never per message; see
-//!   [`SlotIndex`].
+//!   are answered from the record.
 
-use std::hash::{Hash, Hasher};
+use std::hash::Hash;
 
-use sba_net::{CodecError, FxHasher, Kinded, Pid, Reader, Wire};
+use sba_net::{CodecError, Interner, Kinded, Pid, Reader, Slot, Wire};
 
 use crate::{Params, Rb, RbMsg};
 
@@ -96,45 +88,6 @@ pub struct RbDelivery<T, P> {
     pub value: P,
 }
 
-/// Tag bit distinguishing live-slab indices from retired-store indices
-/// in the interning index's packed `u32` value.
-const RETIRED_BIT: u32 = 1 << 31;
-
-/// Packed-slot value reserved as the empty-bucket sentinel.
-const EMPTY_SLOT: u32 = u32::MAX;
-
-/// The `(origin, tag) → slot` interning index: insert-only open
-/// addressing with one `u64` per bucket — a 32-bit hash fingerprint and
-/// the packed slot id. Full keys live next to the instance state in the
-/// mux's live/retired stores and are compared only on fingerprint match,
-/// so the common probe touches exactly **one** index cache line (a
-/// general-purpose swiss table costs two: control bytes + the fat
-/// key/value entry). At ~2 × 10⁵ interned slots per process this is the
-/// single hottest table in the stack.
-#[derive(Clone, Debug)]
-struct SlotIndex {
-    /// `(fp << 32) | packed_slot`; low word [`EMPTY_SLOT`] marks empty.
-    buckets: Vec<u64>,
-    mask: usize,
-    len: usize,
-}
-
-impl SlotIndex {
-    fn new() -> Self {
-        SlotIndex {
-            buckets: vec![u64::MAX; 16],
-            mask: 15,
-            len: 0,
-        }
-    }
-}
-
-fn fx_hash<K: Hash>(key: &K) -> u64 {
-    let mut h = FxHasher::default();
-    key.hash(&mut h);
-    h.finish()
-}
-
 /// Manages all RB instances for one process.
 ///
 /// # Examples
@@ -153,17 +106,9 @@ fn fx_hash<K: Hash>(key: &K) -> u64 {
 pub struct RbMux<T, P> {
     me: Pid,
     params: Params,
-    /// `(origin, tag) →` packed slot: an index into `live` (running
-    /// instance) or, with [`RETIRED_BIT`] set, into `retired` (accepted
-    /// record). Written once at interning and once at retirement.
-    index: SlotIndex,
-    /// Live instances (with their interning keys), stored inline in a
-    /// slab whose freed entries are recycled.
-    live: Vec<((Pid, T), Rb<P>)>,
-    /// Recycled `live` indices.
-    free: Vec<u32>,
-    /// Keys and accepted values of retired instances, append-only.
-    retired: Vec<((Pid, T), P)>,
+    /// Live instances and accepted-value records, keyed by
+    /// `(origin, tag)`.
+    slots: Interner<(Pid, T), Rb<P>, P>,
 }
 
 impl<T, P> RbMux<T, P>
@@ -176,10 +121,7 @@ where
         RbMux {
             me,
             params,
-            index: SlotIndex::new(),
-            live: Vec::new(),
-            free: Vec::new(),
-            retired: Vec::new(),
+            slots: Interner::new(),
         }
     }
 
@@ -191,97 +133,6 @@ where
     /// System parameters.
     pub fn params(&self) -> Params {
         self.params
-    }
-
-    /// The interning key stored alongside slot `packed`'s state.
-    fn key_of(&self, packed: u32) -> &(Pid, T) {
-        if packed & RETIRED_BIT != 0 {
-            &self.retired[(packed & !RETIRED_BIT) as usize].0
-        } else {
-            &self.live[packed as usize].0
-        }
-    }
-
-    /// Probes the index for `key` under hash `h`. Returns the packed slot
-    /// on a hit, or the bucket position of the first empty slot on a miss.
-    fn probe(&self, h: u64, key: &(Pid, T)) -> Result<u32, usize> {
-        let fp = (h >> 32) as u32;
-        let mut at = h as usize & self.index.mask;
-        loop {
-            let bucket = self.index.buckets[at];
-            let slot = bucket as u32;
-            if slot == EMPTY_SLOT {
-                return Err(at);
-            }
-            if (bucket >> 32) as u32 == fp && self.key_of(slot) == key {
-                return Ok(slot);
-            }
-            at = (at + 1) & self.index.mask;
-        }
-    }
-
-    /// Doubles the index and reinserts every bucket (keys are re-hashed
-    /// from the slab stores).
-    fn grow_index(&mut self) {
-        let old = std::mem::replace(
-            &mut self.index.buckets,
-            vec![u64::MAX; (self.index.mask + 1) * 2],
-        );
-        self.index.mask = self.index.buckets.len() - 1;
-        for bucket in old {
-            if bucket as u32 == EMPTY_SLOT {
-                continue;
-            }
-            let h = fx_hash(self.key_of(bucket as u32));
-            let mut at = h as usize & self.index.mask;
-            while self.index.buckets[at] as u32 != EMPTY_SLOT {
-                at = (at + 1) & self.index.mask;
-            }
-            self.index.buckets[at] = (h >> 32) << 32 | u64::from(bucket as u32);
-        }
-    }
-
-    /// Interns `(origin, tag)`, creating a fresh live instance (in a
-    /// recycled slab slot when one is free) on first sight. Returns the
-    /// packed slot id.
-    fn slot(&mut self, origin: Pid, tag: T) -> u32 {
-        let key = (origin, tag);
-        let h = fx_hash(&key);
-        match self.probe(h, &key) {
-            Ok(slot) => slot,
-            Err(at) => {
-                let rb = Rb::new(origin);
-                let idx = if let Some(idx) = self.free.pop() {
-                    self.live[idx as usize] = (key, rb);
-                    idx
-                } else {
-                    assert!(self.live.len() < RETIRED_BIT as usize, "mux slab overflow");
-                    self.live.push((key, rb));
-                    (self.live.len() - 1) as u32
-                };
-                self.index.buckets[at] = (h >> 32) << 32 | u64::from(idx);
-                self.index.len += 1;
-                // Grow at 3/4 load; probing reads only one line per
-                // bucket, so clustering is cheap, but keep chains short.
-                if self.index.len * 4 > (self.index.mask + 1) * 3 {
-                    self.grow_index();
-                }
-                idx
-            }
-        }
-    }
-
-    /// Repoints `key`'s bucket from `old` to `new` (used at retirement;
-    /// packed slot ids are unique, so no key comparison is needed).
-    fn repoint(&mut self, h: u64, old: u32, new: u32) {
-        let mut at = h as usize & self.index.mask;
-        loop {
-            if self.index.buckets[at] as u32 == old {
-                self.index.buckets[at] = (h >> 32) << 32 | u64::from(new);
-                return;
-            }
-            at = (at + 1) & self.index.mask;
-        }
     }
 
     /// Reliably broadcasts `value` in slot `tag` (this process is origin),
@@ -301,14 +152,12 @@ where
         mut wrap: impl FnMut(MuxMsg<T, P>) -> M,
     ) {
         let me = self.me;
-        let idx = self.slot(me, tag);
         // A retired slot was accepted, which requires a prior start.
-        assert!(
-            idx & RETIRED_BIT == 0,
-            "RB slot started twice (slot already retired)"
-        );
-        self.live[idx as usize]
-            .1
+        let Slot::Live(idx) = self.slots.intern((me, tag), || Rb::new(me)) else {
+            panic!("RB slot started twice (slot already retired)");
+        };
+        self.slots
+            .live_mut(idx)
             .start_with(self.params, value, sends, |inner| {
                 wrap(MuxMsg {
                     tag,
@@ -367,50 +216,39 @@ where
     }
 
     /// The routing core shared by the single-message and batch paths.
-    /// `memo` caches the last probed `(origin, tag) → live slot`; it is
-    /// cleared when that slot retires (the packed id then points at the
-    /// retirement record, and the live index is recycled).
+    /// `memo` caches the last probed `(origin, tag) → slot`; it is
+    /// cleared when that slot retires (the live index is recycled).
     fn route_one<M>(
         &mut self,
         from: Pid,
         msg: MuxMsg<T, P>,
         sends: &mut Vec<(Pid, M)>,
         mut wrap: impl FnMut(MuxMsg<T, P>) -> M,
-        memo: &mut Option<((Pid, T), u32)>,
+        memo: &mut Option<((Pid, T), Slot)>,
     ) -> Option<RbDelivery<T, P>> {
         let MuxMsg { tag, origin, inner } = msg;
-        let idx = match memo {
-            Some((key, idx)) if *key == (origin, tag) => *idx,
+        let slot = match memo {
+            Some((key, slot)) if *key == (origin, tag) => *slot,
             _ => {
-                let idx = self.slot(origin, tag);
-                *memo = Some(((origin, tag), idx));
-                idx
+                let slot = self.slots.intern((origin, tag), || Rb::new(origin));
+                *memo = Some(((origin, tag), slot));
+                slot
             }
         };
-        if idx & RETIRED_BIT != 0 {
+        let Slot::Live(idx) = slot else {
             return None; // retired: late traffic needs no answer
-        }
-        let value = self.live[idx as usize].1.on_message_with(
-            self.params,
-            from,
-            inner,
-            sends,
-            |inner| wrap(MuxMsg { tag, origin, inner }),
-        )?;
+        };
+        let value =
+            self.slots
+                .live_mut(idx)
+                .on_message_with(self.params, from, inner, sends, |inner| {
+                    wrap(MuxMsg { tag, origin, inner })
+                })?;
         // Retire: acceptance is final, our ready is already in flight to
-        // everyone — drop the whole state machine, keep only the value,
-        // and recycle the live slot. The index entry is rewritten exactly
-        // once per instance (here), never per message.
-        assert!(
-            (self.retired.len() as u32) < !RETIRED_BIT,
-            "mux retired-store overflow"
-        );
-        let record = RETIRED_BIT | self.retired.len() as u32;
-        self.retired.push(((origin, tag), value.clone()));
-        // The accepted machine already shrank its tallies (see `Rb`); the
-        // husk stays in the slot until `slot()` recycles it.
-        self.free.push(idx);
-        self.repoint(fx_hash(&(origin, tag)), idx, record);
+        // everyone — keep only the value. The accepted machine already
+        // shrank its tallies (see `Rb`), so the husk left in the slab
+        // until it is recycled is small.
+        self.slots.retire(idx, value.clone());
         *memo = None; // the cached live index just became a record
         Some(RbDelivery { origin, tag, value })
     }
@@ -430,32 +268,29 @@ where
     /// accepted already (answered from the retirement record once the
     /// instance is retired).
     pub fn accepted(&self, origin: Pid, tag: &T) -> Option<&P> {
-        let key = (origin, *tag);
-        let idx = self.probe(fx_hash(&key), &key).ok()?;
-        if idx & RETIRED_BIT != 0 {
-            Some(&self.retired[(idx & !RETIRED_BIT) as usize].1)
-        } else {
+        match self.slots.probe(&(origin, *tag))? {
+            Slot::Retired(idx) => Some(self.slots.retired(idx)),
             // Live instances never hold an accepted value: acceptance
             // retires the slot in the same call.
-            None
+            Slot::Live(_) => None,
         }
     }
 
     /// Number of live (not yet accepted) RB instances — the working-set
     /// metric for memory accounting tests.
     pub fn instance_count(&self) -> usize {
-        self.live.len() - self.free.len()
+        self.slots.live_count()
     }
 
     /// High-water mark of concurrently live instances (slab capacity is
     /// never shrunk, so this is exactly the peak working set).
     pub fn live_peak(&self) -> usize {
-        self.live.len()
+        self.slots.live_peak()
     }
 
     /// Number of retired (accepted and reclaimed) instances.
     pub fn retired_count(&self) -> usize {
-        self.retired.len()
+        self.slots.retired_count()
     }
 }
 

@@ -1,15 +1,12 @@
 //! The per-process SCC engine.
 //!
-//! # Dense session interning and retirement
+//! # Session store and retirement
 //!
 //! Every delivered coin message routes into per-session state keyed by
-//! the session tag. PR 4 kept that state in a `FastMap<u64, CoinSession>`
-//! and probed it several times per delivered message (once per absorbed
-//! event and ~6 times per `pump` pass). Since PR 5 the sessions live in
-//! a recycled slab behind a one-`u64`-per-bucket fingerprint index, in
-//! the style of `RbMux` (crates/broadcast/src/mux.rs): the tag is
-//! interned once per delivery batch, and every subsequent access is a
-//! direct slab index.
+//! the session tag. The sessions live in an [`Interner`] (its module
+//! docs explain the recycled slab, the retired store and the fingerprint
+//! index): the tag is interned once per delivery batch, and every
+//! subsequent access is a direct slab index.
 //!
 //! **Retirement.** A coin session's input space is finite: `2n` RB slot
 //! deliveries (each RB slot delivers exactly once), `n²` SVSS share
@@ -27,20 +24,20 @@
 //! the gate simply never fires and the session stays live — retirement
 //! is a memory optimization, never a behavior change.
 //!
-//! [`CoinEngine::set_dense_sessions`]`(false)` keeps the PR 4 map (no
-//! interning, no retirement) as the reference mode;
-//! `crates/coin/tests/coin_adversarial.rs` pins both modes to identical
-//! event streams and message traces through the full adversarial sweep.
+//! [`CoinEngine::set_dense_sessions`]`(false)` keeps a plain
+//! `FastMap<u64, CoinSession>` (a hash probe per access, no retirement)
+//! as the reference mode; `crates/coin/tests/coin_adversarial.rs` pins
+//! both modes to identical event streams and message traces through the
+//! full adversarial sweep.
 
 use std::collections::BTreeSet;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sba_broadcast::{MuxMsg, Params, RbDelivery, RbMux};
 use sba_field::{Domain, Field};
-use sba_net::{FastMap, FxHasher, Pid, ProcessSet, SvssId, Unpacked};
+use sba_net::{FastMap, Interner, Pid, ProcessSet, Slot, SvssId, Unpacked};
 use sba_svss::{Reconstructed, SvssEngine, SvssEvent, SvssMsg};
 
 use crate::messages::{coin_mux_of_parts, wire_of_coin_mux};
@@ -113,158 +110,17 @@ impl CoinSession {
 // so reconstructed values are erased to their canonical u64 form.
 type Gf64Erased = u64;
 
-/// Tag bit distinguishing live-slab indices from retired-store indices in
-/// the session index's packed `u32` value (mirrors `RbMux`).
-const RETIRED_BIT: u32 = 1 << 31;
-
-/// Packed-slot value reserved as the empty-bucket sentinel.
-const EMPTY_SLOT: u32 = u32::MAX;
-
 /// Slot marker returned for map-mode sessions (no dense index exists).
 const NO_SLOT: u32 = u32::MAX;
 
-fn fx_hash(tag: u64) -> u64 {
-    let mut h = FxHasher::default();
-    tag.hash(&mut h);
-    h.finish()
-}
-
-/// The dense store: `tag → slot` interning index (one `u64` per bucket:
-/// 32-bit fingerprint + packed slot id) over a recycled live slab and an
-/// append-only retired store.
-#[derive(Clone, Debug, Default)]
-struct DenseSessions {
-    /// `(fp << 32) | packed_slot`; low word [`EMPTY_SLOT`] marks empty.
-    buckets: Vec<u64>,
-    mask: usize,
-    interned: usize,
-    /// Live sessions (with their tags); freed entries are recycled, so
-    /// the slab size tracks the peak concurrently-live session count.
-    live: Vec<(u64, CoinSession)>,
-    /// Recycled `live` indices.
-    free: Vec<u32>,
-    /// Tags and coin values of retired sessions, append-only.
-    retired: Vec<(u64, bool)>,
-}
-
-impl DenseSessions {
-    fn new() -> Self {
-        DenseSessions {
-            buckets: vec![u64::MAX; 16],
-            mask: 15,
-            interned: 0,
-            live: Vec::new(),
-            free: Vec::new(),
-            retired: Vec::new(),
-        }
-    }
-
-    /// The tag stored alongside slot `packed`'s state.
-    fn tag_of(&self, packed: u32) -> u64 {
-        if packed & RETIRED_BIT != 0 {
-            self.retired[(packed & !RETIRED_BIT) as usize].0
-        } else {
-            self.live[packed as usize].0
-        }
-    }
-
-    /// Probes for `tag` under hash `h`. Returns the packed slot on a hit,
-    /// or the bucket position of the first empty slot on a miss.
-    fn probe(&self, h: u64, tag: u64) -> Result<u32, usize> {
-        let fp = (h >> 32) as u32;
-        let mut at = h as usize & self.mask;
-        loop {
-            let bucket = self.buckets[at];
-            let slot = bucket as u32;
-            if slot == EMPTY_SLOT {
-                return Err(at);
-            }
-            if (bucket >> 32) as u32 == fp && self.tag_of(slot) == tag {
-                return Ok(slot);
-            }
-            at = (at + 1) & self.mask;
-        }
-    }
-
-    /// Doubles the index and reinserts every bucket.
-    fn grow(&mut self) {
-        let old = std::mem::replace(&mut self.buckets, vec![u64::MAX; (self.mask + 1) * 2]);
-        self.mask = self.buckets.len() - 1;
-        for bucket in old {
-            if bucket as u32 == EMPTY_SLOT {
-                continue;
-            }
-            let h = fx_hash(self.tag_of(bucket as u32));
-            let mut at = h as usize & self.mask;
-            while self.buckets[at] as u32 != EMPTY_SLOT {
-                at = (at + 1) & self.mask;
-            }
-            self.buckets[at] = (h >> 32) << 32 | u64::from(bucket as u32);
-        }
-    }
-
-    /// Interns `tag`, creating a fresh live session (in a recycled slab
-    /// slot when one is free) on first sight. Returns the packed slot.
-    fn intern(&mut self, tag: u64) -> u32 {
-        let h = fx_hash(tag);
-        match self.probe(h, tag) {
-            Ok(slot) => slot,
-            Err(at) => {
-                let idx = if let Some(idx) = self.free.pop() {
-                    self.live[idx as usize] = (tag, CoinSession::default());
-                    idx
-                } else {
-                    assert!(
-                        self.live.len() < RETIRED_BIT as usize,
-                        "coin session slab overflow"
-                    );
-                    self.live.push((tag, CoinSession::default()));
-                    (self.live.len() - 1) as u32
-                };
-                self.buckets[at] = (h >> 32) << 32 | u64::from(idx);
-                self.interned += 1;
-                if self.interned * 4 > (self.mask + 1) * 3 {
-                    self.grow();
-                }
-                idx
-            }
-        }
-    }
-
-    /// Retires live slot `idx`: keeps only `(tag, value)`, recycles the
-    /// slab slot, and repoints the tag's bucket at the record.
-    fn retire(&mut self, idx: u32) {
-        let (tag, session) = &mut self.live[idx as usize];
-        let tag = *tag;
-        let value = session.output.expect("retire requires an emitted value");
-        // Drop the whole state machine; the husk stays until recycled.
-        *session = CoinSession::default();
-        assert!(
-            (self.retired.len() as u32) < !RETIRED_BIT,
-            "coin retired-store overflow"
-        );
-        let record = RETIRED_BIT | self.retired.len() as u32;
-        self.retired.push((tag, value));
-        self.free.push(idx);
-        let h = fx_hash(tag);
-        let mut at = h as usize & self.mask;
-        loop {
-            if self.buckets[at] as u32 == idx {
-                self.buckets[at] = (h >> 32) << 32 | u64::from(record);
-                return;
-            }
-            at = (at + 1) & self.mask;
-        }
-    }
-}
-
-/// The session store: the PR 4 reference map, or the dense slab.
+/// The session store: the reference map, or the interned slab.
 #[derive(Clone, Debug)]
 enum Sessions {
-    /// Reference mode: plain hash map, no retirement (PR 4 semantics).
+    /// Reference mode: plain hash map, no retirement.
     Map(FastMap<u64, CoinSession>),
-    /// Dense interned slab with retirement (the default).
-    Dense(DenseSessions),
+    /// Interned slab with retirement (the default); a retired session's
+    /// record is its coin value.
+    Dense(Interner<u64, CoinSession, bool>),
 }
 
 impl Sessions {
@@ -273,14 +129,10 @@ impl Sessions {
     fn live_mut(&mut self, tag: u64) -> Option<(u32, &mut CoinSession)> {
         match self {
             Sessions::Map(map) => Some((NO_SLOT, map.entry(tag).or_default())),
-            Sessions::Dense(d) => {
-                let slot = d.intern(tag);
-                if slot & RETIRED_BIT != 0 {
-                    None
-                } else {
-                    Some((slot, &mut d.live[slot as usize].1))
-                }
-            }
+            Sessions::Dense(d) => match d.intern(tag, CoinSession::default) {
+                Slot::Live(idx) => Some((idx, d.live_mut(idx))),
+                Slot::Retired(_) => None,
+            },
         }
     }
 
@@ -289,12 +141,9 @@ impl Sessions {
     fn output(&self, tag: u64) -> Option<bool> {
         match self {
             Sessions::Map(map) => map.get(&tag).and_then(|s| s.output),
-            Sessions::Dense(d) => match d.probe(fx_hash(tag), tag) {
-                Ok(slot) if slot & RETIRED_BIT != 0 => {
-                    Some(d.retired[(slot & !RETIRED_BIT) as usize].1)
-                }
-                Ok(slot) => d.live[slot as usize].1.output,
-                Err(_) => None,
+            Sessions::Dense(d) => match d.probe(&tag)? {
+                Slot::Live(idx) => d.live(idx).output,
+                Slot::Retired(idx) => Some(*d.retired(idx)),
             },
         }
     }
@@ -303,7 +152,7 @@ impl Sessions {
     fn stats(&self) -> (usize, usize, usize) {
         match self {
             Sessions::Map(map) => (map.len(), map.len(), 0),
-            Sessions::Dense(d) => (d.live.len() - d.free.len(), d.live.len(), d.retired.len()),
+            Sessions::Dense(d) => (d.live_count(), d.live_peak(), d.retired_count()),
         }
     }
 }
@@ -352,7 +201,7 @@ impl<F: Field> CoinEngine<F> {
             rng: StdRng::seed_from_u64(seed ^ 0xC014),
             svss: SvssEngine::with_domain(me, params, seed ^ 0x5C0_FFEE, domain),
             mux: RbMux::new(me, params),
-            sessions: Sessions::Dense(DenseSessions::new()),
+            sessions: Sessions::Dense(Interner::new()),
             events: Vec::new(),
             rb_run: Vec::new(),
             rb_deliveries: Vec::new(),
@@ -374,7 +223,7 @@ impl<F: Field> CoinEngine<F> {
     }
 
     /// Switches between the dense interned session slab (default, with
-    /// retirement) and the PR 4 reference map (no retirement). The
+    /// retirement) and the reference map (no retirement). The
     /// equivalence suite pins both modes bit-identical.
     ///
     /// # Panics
@@ -387,7 +236,7 @@ impl<F: Field> CoinEngine<F> {
             "set_dense_sessions must precede the first session"
         );
         self.sessions = if enabled {
-            Sessions::Dense(DenseSessions::new())
+            Sessions::Dense(Interner::new())
         } else {
             Sessions::Map(FastMap::default())
         };
@@ -556,7 +405,10 @@ impl<F: Field> CoinEngine<F> {
                 Sessions::Map(_) => NO_SLOT,
                 // The absorb interned the tag; a retired hit is
                 // impossible here (absorb drops retired-tag events).
-                Sessions::Dense(d) => d.probe(fx_hash(tag), tag).expect("absorbed tags interned"),
+                Sessions::Dense(d) => match d.probe(&tag) {
+                    Some(Slot::Live(idx)) => idx,
+                    _ => unreachable!("absorbed tags are interned and live"),
+                },
             };
             self.touch(tag, slot);
         }
@@ -573,7 +425,7 @@ impl<F: Field> CoinEngine<F> {
                 while bits != 0 {
                     let b = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    tags.push(d.live[w * 64 + b].0);
+                    tags.push(*d.key_of_live((w * 64 + b) as u32));
                 }
                 *word = 0;
             }
@@ -613,9 +465,11 @@ impl<F: Field> CoinEngine<F> {
             pumped.sort_unstable();
             pumped.dedup();
             for &tag in &pumped {
-                if let Ok(slot) = d.probe(fx_hash(tag), tag) {
-                    if slot & RETIRED_BIT == 0 && d.live[slot as usize].1.fully_consumed(n, t) {
-                        d.retire(slot);
+                if let Some(Slot::Live(idx)) = d.probe(&tag) {
+                    if d.live(idx).fully_consumed(n, t) {
+                        // Drop the whole state machine, keep the value.
+                        let value = std::mem::take(d.live_mut(idx)).output;
+                        d.retire(idx, value.expect("fully consumed sessions have flipped"));
                     }
                 }
             }
@@ -715,7 +569,7 @@ impl<F: Field> CoinEngine<F> {
             () => {
                 match &mut self.sessions {
                     Sessions::Map(map) => map.get_mut(&tag).expect("interned above"),
-                    Sessions::Dense(d) => &mut d.live[slot as usize].1,
+                    Sessions::Dense(d) => d.live_mut(slot),
                 }
             };
         }

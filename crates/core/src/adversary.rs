@@ -10,42 +10,6 @@ use sba_sim::{FnScheduler, Scheduler, Tamper};
 
 use crate::cluster::Msg;
 
-/// Fault models assignable to cluster processes.
-#[derive(Clone, Debug)]
-pub enum Fault {
-    /// Never sends anything (fail-silent).
-    Silent,
-    /// Honest until it has handled this many deliveries, then dead.
-    CrashAfter(u64),
-    /// Honest until it has handled `after` deliveries, down (missing,
-    /// but buffering, every delivery) for the next `down_for`, then
-    /// recovered: the missed backlog is replayed — catch-up from peers —
-    /// and the process runs honestly to its own decision.
-    CrashRecover {
-        /// Deliveries handled before the crash.
-        after: u64,
-        /// Deliveries missed while down.
-        down_for: u64,
-    },
-    /// Runs the honest protocol but forges every secret-sharing
-    /// reconstruction point it broadcasts, shifting it by `delta`. This is
-    /// the paper's Example-1-style attack, repeated forever: each coin
-    /// session it corrupts costs it a new shun pair (experiment E5).
-    LyingShares {
-        /// Additive forgery offset.
-        delta: u64,
-    },
-    /// Runs the honest protocol but flips every vote-layer bit it
-    /// originates (reports, candidates, votes, decide gossip).
-    FlippedVotes,
-    /// Runs the honest protocol but **equivocates**: tells half the
-    /// network one vote-layer bit and the other half its negation
-    /// (recipient-dependent tampering — the canonical Byzantine
-    /// behaviour reliable broadcast exists to defeat; see
-    /// [`equivocating_vote_tamper`]).
-    Equivocate,
-}
-
 /// Tamper: shift every SVSS reconstruction point this process originates
 /// by `delta`.
 pub fn lying_share_tamper(
@@ -131,9 +95,8 @@ pub fn equivocating_vote_tamper() -> impl FnMut(Pid, &Msg) -> Tamper<Msg> + Send
 
 /// Scheduler: delays the vote-layer traffic of `victims` by `factor`
 /// while coin traffic flows freely — the "reveal the coin early, then let
-/// the slow votes land" schedule discussed in DESIGN.md (the rushing
-/// adversary that voids a round's progress guarantee without violating
-/// safety).
+/// the slow votes land" schedule of a rushing adversary, which voids a
+/// round's progress guarantee without violating safety.
 pub fn coin_steer_scheduler(victims: Vec<Pid>, factor: u64) -> Box<dyn Scheduler<Msg>> {
     assert!(factor > 0, "factor must be positive");
     Box::new(FnScheduler::new(

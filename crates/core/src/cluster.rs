@@ -8,7 +8,8 @@ use sba_sim::{
     schedulers, CrashProcess, Metrics, Process, Scheduler, SilentProcess, Simulation, TamperProcess,
 };
 
-use crate::adversary::{self, Fault};
+use crate::adversary;
+use crate::scenario::Role;
 
 /// The cluster's wire message type (the full stack over `GF(2^61−1)`).
 pub type Msg = AbaMsg<Gf61>;
@@ -23,7 +24,7 @@ pub struct ClusterConfig {
     max_rounds: u32,
     max_delay: u64,
     detection: bool,
-    faults: Vec<(Pid, Fault)>,
+    faults: Vec<(Pid, Role)>,
 }
 
 impl ClusterConfig {
@@ -72,9 +73,12 @@ impl ClusterConfig {
         self
     }
 
-    /// Corrupts process `p` with the given fault.
-    pub fn fault(mut self, p: Pid, fault: Fault) -> Self {
-        self.faults.push((p, fault));
+    /// Corrupts process `p` with the given role ([`Role::Honest`]
+    /// leaves it honest).
+    pub fn fault(mut self, p: Pid, role: Role) -> Self {
+        if role != Role::Honest {
+            self.faults.push((p, role));
+        }
         self
     }
 
@@ -119,11 +123,11 @@ impl ClusterConfig {
         let procs = (1..=self.n)
             .map(|i| {
                 let pid = Pid::new(i as u32);
-                let fault = self
+                let role = self
                     .faults
                     .iter()
                     .find(|(p, _)| *p == pid)
-                    .map(|(_, f)| f.clone());
+                    .map_or(Role::Honest, |(_, role)| role.clone());
                 let mut aba_config = AbaConfig::scc(params, self.seed ^ ((i as u64) << 32));
                 aba_config.mode = self.mode;
                 aba_config.max_rounds = self.max_rounds;
@@ -134,30 +138,10 @@ impl ClusterConfig {
                     None => vec![],
                 };
                 let process = AbaProcess::new(node, proposals);
-                match fault {
-                    None => {
-                        honest.push(pid);
-                        ClusterProcess::Honest(process)
-                    }
-                    Some(Fault::Silent) => ClusterProcess::Silent(SilentProcess),
-                    Some(Fault::CrashAfter(k)) => {
-                        ClusterProcess::Crash(CrashProcess::new(process, k))
-                    }
-                    Some(Fault::CrashRecover { after, down_for }) => ClusterProcess::Recovering(
-                        CrashProcess::with_recovery(process, after, down_for),
-                    ),
-                    Some(Fault::LyingShares { delta }) => ClusterProcess::Byzantine(
-                        TamperProcess::new(process, adversary::lying_share_tamper(delta)),
-                    ),
-                    Some(Fault::FlippedVotes) => ClusterProcess::Byzantine(TamperProcess::new(
-                        process,
-                        adversary::vote_flip_tamper(),
-                    )),
-                    Some(Fault::Equivocate) => ClusterProcess::Byzantine(TamperProcess::new(
-                        process,
-                        adversary::equivocating_vote_tamper(),
-                    )),
+                if role == Role::Honest {
+                    honest.push(pid);
                 }
+                ClusterProcess::with_role(process, role)
             })
             .collect();
         (procs, honest)
@@ -185,6 +169,31 @@ pub enum ClusterProcess {
 }
 
 impl ClusterProcess {
+    /// Wraps the honest state machine `process` in the behaviour `role`
+    /// names.
+    pub fn with_role(process: AbaProcess<Gf61>, role: Role) -> Self {
+        match role {
+            Role::Honest => ClusterProcess::Honest(process),
+            Role::Silent => ClusterProcess::Silent(SilentProcess),
+            Role::Crash { after } => ClusterProcess::Crash(CrashProcess::new(process, after)),
+            Role::CrashRecover { after, down_for } => {
+                ClusterProcess::Recovering(CrashProcess::with_recovery(process, after, down_for))
+            }
+            Role::LyingShares { delta } => ClusterProcess::Byzantine(TamperProcess::new(
+                process,
+                adversary::lying_share_tamper(delta),
+            )),
+            Role::FlippedVotes => ClusterProcess::Byzantine(TamperProcess::new(
+                process,
+                adversary::vote_flip_tamper(),
+            )),
+            Role::Equivocating => ClusterProcess::Byzantine(TamperProcess::new(
+                process,
+                adversary::equivocating_vote_tamper(),
+            )),
+        }
+    }
+
     /// The underlying node, when one exists (silent processes have none).
     pub fn node(&self) -> Option<&AbaNode<Gf61>> {
         match self {
@@ -402,7 +411,7 @@ impl Cluster {
         self.monitor.as_ref().map(|m| m.report())
     }
 
-    /// Corrupts process `p` **mid-run** with `fault`, keeping its
+    /// Corrupts process `p` **mid-run** with `role`, keeping its
     /// accumulated protocol state: an *adaptive* adversary that picks
     /// its victim after watching the run (the timed `Corrupt` action of
     /// a [`ScenarioPlan`](crate::ScenarioPlan)). The process drops out
@@ -411,10 +420,11 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if `p` is not currently honest (corrupting a corrupted
-    /// process has no sensible semantics — use [`Cluster::crash`] to
-    /// re-crash a crash-recover process).
-    pub fn corrupt(&mut self, p: Pid, fault: Fault) {
+    /// Panics if `role` is [`Role::Honest`], or if `p` is not currently
+    /// honest (corrupting a corrupted process has no sensible semantics
+    /// — use [`Cluster::crash`] to re-crash a crash-recover process).
+    pub fn corrupt(&mut self, p: Pid, role: Role) {
+        assert!(role != Role::Honest, "Corrupt requires a non-honest role");
         let slot = self.sim.process_mut(p);
         assert!(
             matches!(slot, ClusterProcess::Honest(_)),
@@ -424,25 +434,7 @@ impl Cluster {
         let ClusterProcess::Honest(process) = taken else {
             unreachable!("asserted honest above");
         };
-        *self.sim.process_mut(p) = match fault {
-            Fault::Silent => ClusterProcess::Silent(SilentProcess),
-            Fault::CrashAfter(k) => ClusterProcess::Crash(CrashProcess::new(process, k)),
-            Fault::CrashRecover { after, down_for } => {
-                ClusterProcess::Recovering(CrashProcess::with_recovery(process, after, down_for))
-            }
-            Fault::LyingShares { delta } => ClusterProcess::Byzantine(TamperProcess::new(
-                process,
-                adversary::lying_share_tamper(delta),
-            )),
-            Fault::FlippedVotes => ClusterProcess::Byzantine(TamperProcess::new(
-                process,
-                adversary::vote_flip_tamper(),
-            )),
-            Fault::Equivocate => ClusterProcess::Byzantine(TamperProcess::new(
-                process,
-                adversary::equivocating_vote_tamper(),
-            )),
-        };
+        *self.sim.process_mut(p) = ClusterProcess::with_role(process, role);
         // Crash-recover keeps the process in the honest (omission-fault)
         // set; everything else removes it.
         if !self.sim.process(p).is_honest() {
@@ -639,8 +631,8 @@ mod tests {
     #[should_panic(expected = "more corrupted processes than t")]
     fn rejects_too_many_faults() {
         let config = ClusterConfig::new(4, 1)
-            .fault(Pid::new(3), Fault::Silent)
-            .fault(Pid::new(4), Fault::Silent);
+            .fault(Pid::new(3), Role::Silent)
+            .fault(Pid::new(4), Role::Silent);
         let _ = Cluster::new(config, &[Some(true); 4]);
     }
 

@@ -29,7 +29,6 @@
 use sba_net::Pid;
 use sba_sim::{schedulers, Scheduler, Simulation};
 
-use crate::adversary::Fault;
 use crate::cluster::{ClusterProcess, Msg};
 use crate::{Cluster, ClusterCheckpoint, ClusterConfig, ClusterReport, CoinMode, OracleCoin};
 
@@ -49,44 +48,36 @@ pub enum Role {
         /// Deliveries handled before the crash.
         after: u64,
     },
-    /// Honest, down for a bounded outage, then recovered via backlog
-    /// replay ([`Fault::CrashRecover`]).
+    /// Honest until it has handled `after` deliveries, down (missing,
+    /// but buffering, every delivery) for the next `down_for`, then
+    /// recovered: the missed backlog is replayed — catch-up from peers —
+    /// and the process runs honestly to its own decision.
     CrashRecover {
         /// Deliveries handled before the crash.
         after: u64,
         /// Deliveries missed while down.
         down_for: u64,
     },
-    /// Forges every SVSS reconstruction point it broadcasts, shifted by
-    /// `delta` ([`Fault::LyingShares`]).
+    /// Runs the honest protocol but forges every secret-sharing
+    /// reconstruction point it broadcasts, shifting it by `delta`. This is
+    /// the paper's Example-1-style attack, repeated forever: each coin
+    /// session it corrupts costs it a new shun pair (experiment E5).
     LyingShares {
         /// Additive forgery offset.
         delta: u64,
     },
-    /// Flips every vote-layer bit it originates ([`Fault::FlippedVotes`]).
+    /// Runs the honest protocol but flips every vote-layer bit it
+    /// originates (reports, candidates, votes, decide gossip).
     FlippedVotes,
-    /// Tells half the network one vote-layer bit and the other half its
-    /// negation ([`Fault::Equivocate`]).
+    /// Runs the honest protocol but **equivocates**: tells half the
+    /// network one vote-layer bit and the other half its negation
+    /// (recipient-dependent tampering — the canonical Byzantine
+    /// behaviour reliable broadcast exists to defeat; see
+    /// [`equivocating_vote_tamper`](crate::adversary::equivocating_vote_tamper)).
     Equivocating,
 }
 
 impl Role {
-    /// The cluster fault implementing this role (`None` for honest).
-    pub fn fault(&self) -> Option<Fault> {
-        match self {
-            Role::Honest => None,
-            Role::Silent => Some(Fault::Silent),
-            Role::Crash { after } => Some(Fault::CrashAfter(*after)),
-            Role::CrashRecover { after, down_for } => Some(Fault::CrashRecover {
-                after: *after,
-                down_for: *down_for,
-            }),
-            Role::LyingShares { delta } => Some(Fault::LyingShares { delta: *delta }),
-            Role::FlippedVotes => Some(Fault::FlippedVotes),
-            Role::Equivocating => Some(Fault::Equivocate),
-        }
-    }
-
     fn kind(&self) -> u64 {
         match self {
             Role::Honest => 0,
@@ -371,9 +362,7 @@ impl ScenarioPlan {
             config = config.mode(CoinMode::Oracle(OracleCoin::new(seed, 0)));
         }
         for (p, role) in &self.roles {
-            if let Some(fault) = role.fault() {
-                config = config.fault(*p, fault);
-            }
+            config = config.fault(*p, role.clone());
         }
         config
     }
@@ -855,10 +844,7 @@ impl PlanRun {
                 applied += 1;
                 match ev.action {
                     Action::HealPartitions => self.cluster.sim_mut().heal_partitions(),
-                    Action::Corrupt { p, role } => {
-                        let fault = role.fault().expect("Corrupt requires a non-honest role");
-                        self.cluster.corrupt(p, fault);
-                    }
+                    Action::Corrupt { p, role } => self.cluster.corrupt(p, role),
                     Action::Crash { p, down_for } => self.cluster.crash(p, down_for),
                 }
             } else {
@@ -994,7 +980,7 @@ pub enum Zoo {
     /// ([`schedulers::healed_partition`]).
     HealedPartition,
     /// One process crashes mid-protocol, misses a stretch of deliveries,
-    /// then recovers and catches up ([`Fault::CrashRecover`]).
+    /// then recovers and catches up ([`Role::CrashRecover`]).
     CrashRecover,
     /// Lossy links with bounded retransmission
     /// ([`schedulers::loss_retransmit`]).

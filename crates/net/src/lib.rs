@@ -27,6 +27,7 @@
 mod codec;
 mod envelope;
 mod fasthash;
+mod interner;
 mod kind;
 mod pid;
 mod session;
@@ -36,6 +37,7 @@ mod wire;
 pub use codec::{get_field, put_field, CodecError, FramedWire, Reader, Wire};
 pub use envelope::{Envelope, Outbox};
 pub use fasthash::{FastMap, FastSet, FxHasher};
+pub use interner::{Interner, Slot};
 pub use kind::Kinded;
 pub use pid::{Pid, ProcessSet, ProcessSetIter, MAX_N};
 pub use session::{MwId, SessionKey, SvssId};

@@ -29,11 +29,16 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 
 use crate::{decode_frame, encode_frame, FramedWire, Pid, Reader, MAX_N};
 
-/// Upper bound on one transport frame's payload, protecting the reader
-/// from allocating on a corrupt or hostile length prefix. Generous: the
-/// largest legitimate per-recipient batch in the n=256 sweep is a few
-/// hundred kilobytes.
+/// Upper bound on one transport frame's payload, rejecting a corrupt or
+/// hostile length prefix outright. Generous: the largest legitimate
+/// per-recipient batch in the n=256 sweep is a few hundred kilobytes.
 pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
+
+/// How far [`read_payload`] sizes its buffer ahead of the bytes that
+/// have actually arrived: a length prefix is only a claim, so a peer
+/// that declares [`MAX_FRAME_PAYLOAD`] and stalls costs this much, not
+/// 64 MiB. Ordinary frames are smaller and still take one allocation.
+const READ_CHUNK: usize = 64 << 10;
 
 /// Writes one transport frame carrying `msgs` from `from`; returns the
 /// total bytes written (header + payload).
@@ -70,18 +75,30 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) if filled == 0 => return Ok(false),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "stream ended mid-frame",
-                ))
-            }
+            Ok(0) => return Err(mid_frame_eof()),
             Ok(k) => filled += k,
             Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
             Err(e) => return Err(e),
         }
     }
     Ok(true)
+}
+
+/// Reads a `len`-byte payload into `payload` (cleared first), growing it
+/// at most [`READ_CHUNK`] beyond what the stream has delivered. Not part
+/// of the transport API — public so the transport tests can observe the
+/// buffer a failed read leaves behind.
+#[doc(hidden)]
+pub fn read_payload(r: &mut impl Read, len: usize, payload: &mut Vec<u8>) -> io::Result<()> {
+    payload.clear();
+    while payload.len() < len {
+        let filled = payload.len();
+        payload.resize(filled + (len - filled).min(READ_CHUNK), 0);
+        if !read_full(r, &mut payload[filled..])? {
+            return Err(mid_frame_eof());
+        }
+    }
+    Ok(())
 }
 
 /// Reads one transport frame; `Ok(None)` on clean end-of-stream (the
@@ -102,13 +119,8 @@ pub fn read_frame<T: FramedWire>(r: &mut impl Read) -> io::Result<Option<(Pid, V
     if len == 0 || len > MAX_FRAME_PAYLOAD {
         return Err(invalid("frame length out of range"));
     }
-    let mut payload = vec![0u8; len];
-    if !read_full(r, &mut payload)? {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            "stream ended mid-frame",
-        ));
-    }
+    let mut payload = Vec::new();
+    read_payload(r, len, &mut payload)?;
     let from_byte = payload[0] as usize;
     if from_byte as u32 >= MAX_N {
         return Err(invalid("sender pid out of range"));
@@ -120,6 +132,10 @@ pub fn read_frame<T: FramedWire>(r: &mut impl Read) -> io::Result<Option<(Pid, V
         return Err(invalid("trailing bytes after frame"));
     }
     Ok(Some((from, msgs)))
+}
+
+fn mid_frame_eof() -> io::Error {
+    io::Error::new(io::ErrorKind::UnexpectedEof, "stream ended mid-frame")
 }
 
 fn invalid(msg: &str) -> io::Error {

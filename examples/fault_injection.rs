@@ -67,7 +67,7 @@ fn main() {
 
     // Compound plans are one literal too: a partition that would outlive
     // the run, healed by a timed event, then a crash once voting reaches
-    // round 2 — things the static `Fault` API could not express.
+    // round 2 — things a per-process role alone cannot express.
     run(ScenarioPlan {
         layers: vec![SchedLayer::WindowPartition {
             group_a: vec![Pid::new(1), Pid::new(2)],

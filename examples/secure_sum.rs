@@ -9,7 +9,7 @@
 //! classic BKR/ACS pattern), reconstruct exactly that subset, and output
 //! the sum.
 //!
-//! Two honest caveats, recorded in DESIGN.md:
+//! Two honest caveats:
 //! - reconstruction here reveals each included input (inputs are private
 //!   only *until* the subset is fixed — "commit-then-open", not full MPC;
 //!   private aggregation needs share-level linear reconstruction, which

@@ -1,27 +1,25 @@
 //! Cross-crate integration: the full agreement stack under fault
 //! injection, adversarial scheduling, and on both runtimes.
 
-use sba::adversary::Fault;
-use sba::{Cluster, ClusterConfig, Pid};
+use sba::{Cluster, ClusterConfig, Pid, Role};
 
 fn inputs_split(n: usize) -> Vec<Option<bool>> {
     (0..n).map(|i| Some(i % 2 == 0)).collect()
 }
 
 fn assert_agreement_under_every_fault_model(seeds: &[u64]) {
-    let faults: Vec<(&str, Option<Fault>)> = vec![
-        ("no fault", None),
-        ("silent", Some(Fault::Silent)),
-        ("crash", Some(Fault::CrashAfter(1500))),
-        ("lying shares", Some(Fault::LyingShares { delta: 3 })),
-        ("flipped votes", Some(Fault::FlippedVotes)),
+    let faults: Vec<(&str, Role)> = vec![
+        ("no fault", Role::Honest),
+        ("silent", Role::Silent),
+        ("crash", Role::Crash { after: 1500 }),
+        ("lying shares", Role::LyingShares { delta: 3 }),
+        ("flipped votes", Role::FlippedVotes),
     ];
     for (label, fault) in faults {
         for &seed in seeds {
-            let mut config = ClusterConfig::new(4, 1).seed(seed);
-            if let Some(f) = fault.clone() {
-                config = config.fault(Pid::new(4), f);
-            }
+            let config = ClusterConfig::new(4, 1)
+                .seed(seed)
+                .fault(Pid::new(4), fault.clone());
             let mut cluster = Cluster::new(config, &inputs_split(4));
             let report = cluster.run(60_000_000);
             assert!(report.terminated, "{label} seed {seed}: no termination");
@@ -54,7 +52,7 @@ fn validity_with_byzantine_voter() {
     for bit in [true, false] {
         let config = ClusterConfig::new(4, 1)
             .seed(9)
-            .fault(Pid::new(2), Fault::FlippedVotes);
+            .fault(Pid::new(2), Role::FlippedVotes);
         let inputs: Vec<Option<bool>> = vec![Some(bit); 4];
         let mut cluster = Cluster::new(config, &inputs);
         let report = cluster.run(60_000_000);
@@ -73,7 +71,7 @@ fn lying_share_adversary_is_shunned_within_bound() {
     let t = 1;
     let config = ClusterConfig::new(n, t)
         .seed(4)
-        .fault(Pid::new(4), Fault::LyingShares { delta: 11 });
+        .fault(Pid::new(4), Role::LyingShares { delta: 11 });
     let mut cluster = Cluster::new(config, &inputs_split(n));
     let report = cluster.run(60_000_000);
     assert!(report.terminated && report.agreement());
@@ -103,8 +101,8 @@ fn skewed_scheduler_agreement() {
     }
 }
 
-/// The coin-steering scheduler (rushing adversary from DESIGN.md) delays
-/// victims' votes until after coin reveal; safety and termination hold.
+/// The coin-steering scheduler (a rushing adversary) delays victims'
+/// votes until after coin reveal; safety and termination hold.
 #[test]
 fn coin_steer_scheduler_agreement() {
     use sba::adversary::coin_steer_scheduler;
@@ -192,8 +190,8 @@ fn n7_with_two_byzantine_faults() {
     let config = ClusterConfig::new(7, 2)
         .seed(3)
         .mode(CoinMode::Oracle(OracleCoin::new(9, 0)))
-        .fault(Pid::new(6), Fault::Silent)
-        .fault(Pid::new(7), Fault::FlippedVotes);
+        .fault(Pid::new(6), Role::Silent)
+        .fault(Pid::new(7), Role::FlippedVotes);
     let mut cluster = Cluster::new(config, &inputs_split(7));
     let report = cluster.run(80_000_000);
     assert!(report.terminated, "two-fault run must terminate");

@@ -3,8 +3,7 @@
 //! hold for every generated case.
 
 use proptest::prelude::*;
-use sba::adversary::Fault;
-use sba::{Cluster, ClusterConfig, Pid};
+use sba::{Cluster, ClusterConfig, Pid, Role};
 
 proptest! {
     // Each case is a full multi-process protocol run; keep the count
@@ -49,10 +48,10 @@ proptest! {
         fault_kind in 0u8..4,
     ) {
         let fault = match fault_kind {
-            0 => Fault::Silent,
-            1 => Fault::CrashAfter(seed % 3000),
-            2 => Fault::LyingShares { delta: 1 + seed % 11 },
-            _ => Fault::FlippedVotes,
+            0 => Role::Silent,
+            1 => Role::Crash { after: seed % 3000 },
+            2 => Role::LyingShares { delta: 1 + seed % 11 },
+            _ => Role::FlippedVotes,
         };
         let config = ClusterConfig::new(4, 1)
             .seed(seed)

@@ -5,8 +5,7 @@
 //! slab (PR 5) — including under an adversary that floods duplicates at
 //! sessions that already retired.
 
-use sba::adversary::Fault;
-use sba::{Cluster, ClusterConfig};
+use sba::{Cluster, ClusterConfig, Role};
 
 #[test]
 fn rb_instances_retire_during_full_scc_run() {
@@ -100,7 +99,7 @@ fn coin_sessions_retire_during_full_scc_run() {
 fn duplicate_flood_cannot_resurrect_retired_sessions() {
     let config = ClusterConfig::new(4, 1)
         .seed(7)
-        .fault(sba::Pid::new(4), Fault::LyingShares { delta: 5 });
+        .fault(sba::Pid::new(4), Role::LyingShares { delta: 5 });
     let inputs: Vec<Option<bool>> = (0..4).map(|i| Some(i % 2 == 0)).collect();
     let mut cluster = Cluster::new(config, &inputs);
     let report = cluster.run(100_000_000);

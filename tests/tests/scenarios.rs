@@ -9,9 +9,8 @@
 //! altered the schedule — which may be fine, but must be a conscious
 //! re-pin, not drift.
 
-use sba::adversary::Fault;
 use sba::sim::schedulers;
-use sba::{Cluster, ClusterConfig, ClusterReport, Pid, PlanCoin, ScenarioPlan, Zoo};
+use sba::{Cluster, ClusterConfig, ClusterReport, Pid, PlanCoin, Role, ScenarioPlan, Zoo};
 use sba_bench::trial::{self, Trial};
 
 /// The pinned tier-1 seed (matches the e11 artifact sweep).
@@ -205,7 +204,7 @@ fn legacy_cluster(zoo: Zoo, n: usize, t: usize, seed: u64) -> Cluster {
     if zoo == Zoo::CrashRecover {
         config = config.fault(
             Pid::new(n as u32),
-            Fault::CrashRecover {
+            Role::CrashRecover {
                 after: 300,
                 down_for: 500,
             },
