@@ -130,6 +130,8 @@ pub struct AbaNode<F: Field> {
     vote_deliveries: Vec<sba_broadcast::RbDelivery<VoteSlot, VoteValue>>,
     coin_batch: Vec<sba_coin::CoinMsg<F>>,
     touched: Vec<u32>,
+    /// Reusable one-member batch for [`AbaNode::on_message`].
+    one: Vec<AbaMsg<F>>,
 }
 
 fn coin_tag(instance: u32, round: u32) -> u64 {
@@ -161,6 +163,7 @@ impl<F: Field> AbaNode<F> {
             vote_deliveries: Vec::new(),
             coin_batch: Vec::new(),
             touched: Vec::new(),
+            one: Vec::new(),
         }
     }
 
@@ -354,31 +357,12 @@ impl<F: Field> AbaNode<F> {
         self.touched = touched;
     }
 
-    /// Feeds one delivered message.
+    /// Feeds one delivered message: a one-member [`AbaNode::on_batch`].
     pub fn on_message(&mut self, from: Pid, msg: AbaMsg<F>, sends: &mut Vec<(Pid, AbaMsg<F>)>) {
-        match msg {
-            AbaMsg::Vote(m) => {
-                let delivery = self.mux.on_message_with(from, m, sends, AbaMsg::Vote);
-                if let Some(d) = delivery {
-                    let instance = self.record_vote_delivery(d);
-                    self.advance(instance, sends);
-                }
-            }
-            AbaMsg::Coin(m) => {
-                if let Some(coin) = self.coin.as_mut() {
-                    coin.on_message(from, m, &mut self.coin_scratch);
-                    sends.extend(
-                        self.coin_scratch
-                            .drain(..)
-                            .map(|(to, m)| (to, AbaMsg::Coin(m))),
-                    );
-                    let flips = self.absorb_coin_events();
-                    for instance in flips {
-                        self.advance(instance, sends);
-                    }
-                }
-            }
-        }
+        let mut one = std::mem::take(&mut self.one);
+        one.push(msg);
+        self.on_batch(from, &mut one, sends);
+        self.one = one;
     }
 
     fn absorb_coin_events(&mut self) -> Vec<u32> {

@@ -7,6 +7,7 @@
 //! cargo run --release -p sba-bench --bin experiments -- e3          # one table
 //! cargo run --release -p sba-bench --bin experiments -- e9 --full --json BENCH_3.json
 //! cargo run --release -p sba-bench --bin experiments -- compare BENCH_2.json BENCH_3.json
+//! cargo run --release -p sba-bench --bin experiments -- --help       # the names
 //! ```
 //!
 //! The paper (PODC 2008 theory paper) has no empirical tables or figures;
@@ -42,7 +43,7 @@
 //! `scc_n<N>.{messages,wall_seconds,deal_bytes,...}`, so one file can
 //! carry both the e9 trajectory and the scaling curve. `e10 --json
 //! PATH` merges the system runtimes' rows the same way, as
-//! `runtime_<kind>_<scenario>_n<N>.{wall_seconds,messages,batches,bytes,dropped}`.
+//! `runtime_<kind>_<scenario>_n<N>.{wall_seconds,messages,batches,bytes,dropped,dead_links}`.
 //!
 //! `compare OLD NEW [--key K] [--max-ratio R]` diffs two snapshots and
 //! exits nonzero when `K` (default `scc_larger_system.wall_seconds`)
@@ -68,76 +69,86 @@ use sba::field::{Field, Gf101, Gf61};
 use sba::{Cluster, ClusterConfig, CoinMode, OracleCoin, Params, Pid, Role};
 use sba_bench::{loglog_slope, split_inputs, JsonSink, Stats};
 
+/// The options an experiment may read.
+struct Args {
+    full: bool,
+    json: Option<String>,
+    ns: Option<String>,
+}
+
+/// An experiment's name and entry point.
+type Experiment = (&'static str, fn(&Args));
+
+/// Every experiment by name, in the order `all` runs them.
+const EXPERIMENTS: [Experiment; 13] = [
+    ("e1", |a| e1_termination(a.full)),
+    ("e2", |a| e2_rounds(a.full)),
+    ("e3", |a| e3_coin_probabilities(a.full)),
+    ("e4", |a| e4_complexity(a.full)),
+    ("e5", |a| e5_shunning_bound(a.full)),
+    ("e6", |_| e6_example1()),
+    ("e7", |a| e7_hiding(a.full)),
+    ("e8", |a| e8_ablation(a.full)),
+    ("e9", |a| e9_perf(a.full, a.json.as_deref())),
+    ("e10", |a| e10_threaded(a.full, a.json.as_deref())),
+    ("e11", |a| e11_scenario_zoo(a.full, a.json.as_deref())),
+    ("e13", |a| {
+        e13_nsweep(a.full, a.json.as_deref(), a.ns.as_deref())
+    }),
+    ("e14", |a| e14_fork_corpus(a.full, a.json.as_deref())),
+];
+
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|&(name, _)| name).collect();
+    format!(
+        "usage: experiments [NAME] [--full] [--json FILE] [--ns N,N,...]\n\
+         \x20      experiments compare OLD NEW [--key K] [--max-ratio R]\n\
+         NAME: all (the default) {}\n",
+        names.join(" ")
+    )
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        print!("{}", usage());
+        return;
+    }
     if args.first().map(String::as_str) == Some("compare") {
         compare_snapshots(&args[1..]);
         return;
     }
-    let full = args.iter().any(|a| a == "--full");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let ns_arg = args
-        .iter()
-        .position(|a| a == "--ns")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let value_of = |flag: &str| {
+        let at = args.iter().position(|a| a == flag)?;
+        args.get(at + 1).cloned()
+    };
+    let opts = Args {
+        full: args.iter().any(|a| a == "--full"),
+        json: value_of("--json"),
+        ns: value_of("--ns"),
+    };
     let which = args
         .iter()
-        .find(|a| {
-            !a.starts_with("--")
-                && Some(a.as_str()) != json_path.as_deref()
-                && Some(a.as_str()) != ns_arg.as_deref()
-        })
         .map(String::as_str)
+        .find(|&a| {
+            !a.starts_with("--") && Some(a) != opts.json.as_deref() && Some(a) != opts.ns.as_deref()
+        })
         .unwrap_or("all");
-    let run_all = which == "all";
-
+    let selected: Vec<fn(&Args)> = EXPERIMENTS
+        .iter()
+        .filter(|&&(name, _)| which == "all" || which == name)
+        .map(|&(_, run)| run)
+        .collect();
+    if selected.is_empty() {
+        eprint!("experiments: no experiment named `{which}`\n{}", usage());
+        std::process::exit(2);
+    }
     println!(
         "# sba experiments ({} mode)\n",
-        if full { "full" } else { "quick" }
+        if opts.full { "full" } else { "quick" }
     );
-    if run_all || which == "e1" {
-        e1_termination(full);
-    }
-    if run_all || which == "e2" {
-        e2_rounds(full);
-    }
-    if run_all || which == "e3" {
-        e3_coin_probabilities(full);
-    }
-    if run_all || which == "e4" {
-        e4_complexity(full);
-    }
-    if run_all || which == "e5" {
-        e5_shunning_bound(full);
-    }
-    if run_all || which == "e6" {
-        e6_example1();
-    }
-    if run_all || which == "e7" {
-        e7_hiding(full);
-    }
-    if run_all || which == "e8" {
-        e8_ablation(full);
-    }
-    if run_all || which == "e9" {
-        e9_perf(full, json_path.as_deref());
-    }
-    if run_all || which == "e10" {
-        e10_threaded(full, json_path.as_deref());
-    }
-    if run_all || which == "e11" {
-        e11_scenario_zoo(full, json_path.as_deref());
-    }
-    if run_all || which == "e13" {
-        e13_nsweep(full, json_path.as_deref(), ns_arg.as_deref());
-    }
-    if run_all || which == "e14" {
-        e14_fork_corpus(full, json_path.as_deref());
+    for run in selected {
+        run(&opts);
     }
 }
 
@@ -1655,6 +1666,7 @@ fn e10_threaded(full: bool, json_path: Option<&str>) {
                 None => true,
             };
             let ok = report.stats.all_done
+                && report.stats.dead_links == 0
                 && report.ok()
                 && report.all_decided()
                 && report.agreement()
@@ -1681,10 +1693,11 @@ fn e10_threaded(full: bool, json_path: Option<&str>) {
             );
             assert!(
                 ok,
-                "{} {} failed: all_done={} violations={} decisions={:?}",
+                "{} {} failed: all_done={} dead_links={} violations={} decisions={:?}",
                 kind.name(),
                 row.plan.name,
                 report.stats.all_done,
+                report.stats.dead_links,
                 report.violations_total,
                 report.decisions
             );
@@ -1695,6 +1708,7 @@ fn e10_threaded(full: bool, json_path: Option<&str>) {
                 ("batches", report.stats.batches as f64),
                 ("bytes", report.stats.bytes as f64),
                 ("dropped", report.stats.dropped as f64),
+                ("dead_links", report.stats.dead_links as f64),
             ] {
                 sink_rows.push((format!("{key}.{name}"), v));
             }

@@ -22,13 +22,9 @@
 //! and stray SVSS events for a retired tag are discarded here. In
 //! adversarial runs where a Byzantine process withholds its broadcasts,
 //! the gate simply never fires and the session stays live — retirement
-//! is a memory optimization, never a behavior change.
-//!
-//! [`CoinEngine::set_dense_sessions`]`(false)` keeps a plain
-//! `FastMap<u64, CoinSession>` (a hash probe per access, no retirement)
-//! as the reference mode; `crates/coin/tests/coin_adversarial.rs` pins
-//! both modes to identical event streams and message traces through the
-//! full adversarial sweep.
+//! is a memory optimization, never a behavior change:
+//! `crates/coin/tests/coin_adversarial.rs` pins the event streams of an
+//! adversarial sweep recorded from a store that never retired.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -106,56 +102,10 @@ impl CoinSession {
     }
 }
 
-// The session state must not be generic over F (it lives in a plain map),
-// so reconstructed values are erased to their canonical u64 form.
+// The session state is not generic over F: reconstructed values are
+// only ever summed modulo `F::MODULUS`, so they are kept in their
+// canonical u64 form.
 type Gf64Erased = u64;
-
-/// Slot marker returned for map-mode sessions (no dense index exists).
-const NO_SLOT: u32 = u32::MAX;
-
-/// The session store: the reference map, or the interned slab.
-#[derive(Clone, Debug)]
-enum Sessions {
-    /// Reference mode: plain hash map, no retirement.
-    Map(FastMap<u64, CoinSession>),
-    /// Interned slab with retirement (the default); a retired session's
-    /// record is its coin value.
-    Dense(Interner<u64, CoinSession, bool>),
-}
-
-impl Sessions {
-    /// Interns `tag` and returns its live session plus (in dense mode)
-    /// its slab index, or `None` if the session is retired.
-    fn live_mut(&mut self, tag: u64) -> Option<(u32, &mut CoinSession)> {
-        match self {
-            Sessions::Map(map) => Some((NO_SLOT, map.entry(tag).or_default())),
-            Sessions::Dense(d) => match d.intern(tag, CoinSession::default) {
-                Slot::Live(idx) => Some((idx, d.live_mut(idx))),
-                Slot::Retired(_) => None,
-            },
-        }
-    }
-
-    /// The coin output of session `tag`, if flipped (answered from the
-    /// retirement record once the session is retired).
-    fn output(&self, tag: u64) -> Option<bool> {
-        match self {
-            Sessions::Map(map) => map.get(&tag).and_then(|s| s.output),
-            Sessions::Dense(d) => match d.probe(&tag)? {
-                Slot::Live(idx) => d.live(idx).output,
-                Slot::Retired(idx) => Some(*d.retired(idx)),
-            },
-        }
-    }
-
-    /// `(live, peak, retired)` session counts (memory accounting).
-    fn stats(&self) -> (usize, usize, usize) {
-        match self {
-            Sessions::Map(map) => (map.len(), map.len(), 0),
-            Sessions::Dense(d) => (d.live_count(), d.live_peak(), d.retired_count()),
-        }
-    }
-}
 
 /// The shunning common coin for one process.
 ///
@@ -170,7 +120,8 @@ pub struct CoinEngine<F: Field> {
     rng: StdRng,
     svss: SvssEngine<F>,
     mux: RbMux<CoinSlot, ProcessSet>,
-    sessions: Sessions,
+    /// The session store; a retired session's record is its coin value.
+    sessions: Interner<u64, CoinSession, bool>,
     events: Vec<CoinEvent>,
     /// Reusable batch-routing buffers for [`CoinEngine::on_batch`]
     /// (capacity survives across deliveries; allocation-free steady
@@ -179,14 +130,15 @@ pub struct CoinEngine<F: Field> {
     rb_run: Vec<MuxMsg<CoinSlot, ProcessSet>>,
     rb_deliveries: Vec<RbDelivery<CoinSlot, ProcessSet>>,
     svss_batch: Vec<SvssMsg<F>>,
-    /// Dense-mode touched-session bitset (one bit per live slab slot):
-    /// the per-batch session pump marks slots here instead of pushing and
+    /// Reusable one-member batch for [`CoinEngine::on_message`].
+    one: Vec<CoinMsg<F>>,
+    /// Touched-session bitset (one bit per live slab slot): the
+    /// per-batch session pump marks slots here instead of pushing and
     /// re-sorting tags, so a batch touches each session's bit once.
     touched_bits: Vec<u64>,
-    /// Map-mode touched-tag scratch, and (both modes) the per-batch list
-    /// of tags to pump, in ascending order.
+    /// Reusable per-batch list of tags to pump, in ascending order.
     touched_tags: Vec<u64>,
-    /// Tags pumped since the last retirement sweep (dense mode).
+    /// Tags pumped since the last retirement sweep.
     pumped: Vec<u64>,
 }
 
@@ -201,11 +153,12 @@ impl<F: Field> CoinEngine<F> {
             rng: StdRng::seed_from_u64(seed ^ 0xC014),
             svss: SvssEngine::with_domain(me, params, seed ^ 0x5C0_FFEE, domain),
             mux: RbMux::new(me, params),
-            sessions: Sessions::Dense(Interner::new()),
+            sessions: Interner::new(),
             events: Vec::new(),
             rb_run: Vec::new(),
             rb_deliveries: Vec::new(),
             svss_batch: Vec::new(),
+            one: Vec::new(),
             touched_bits: Vec::new(),
             touched_tags: Vec::new(),
             pumped: Vec::new(),
@@ -222,34 +175,27 @@ impl<F: Field> CoinEngine<F> {
         self.params
     }
 
-    /// Switches between the dense interned session slab (default, with
-    /// retirement) and the reference map (no retirement). The
-    /// equivalence suite pins both modes bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any session already exists.
-    pub fn set_dense_sessions(&mut self, enabled: bool) {
-        let (live, _, retired) = self.sessions.stats();
-        assert!(
-            live == 0 && retired == 0,
-            "set_dense_sessions must precede the first session"
-        );
-        self.sessions = if enabled {
-            Sessions::Dense(Interner::new())
-        } else {
-            Sessions::Map(FastMap::default())
-        };
-    }
-
     /// Drains accumulated events.
     pub fn take_events(&mut self) -> Vec<CoinEvent> {
         std::mem::take(&mut self.events)
     }
 
-    /// The coin output of session `tag`, if flipped.
+    /// The coin output of session `tag`, if flipped (answered from the
+    /// retirement record once the session is retired).
     pub fn output(&self, tag: u64) -> Option<bool> {
-        self.sessions.output(tag)
+        match self.sessions.probe(&tag)? {
+            Slot::Live(idx) => self.sessions.live(idx).output,
+            Slot::Retired(idx) => Some(*self.sessions.retired(idx)),
+        }
+    }
+
+    /// Interns `tag`: its slab index, or `None` if the session is
+    /// retired.
+    fn live_slot(&mut self, tag: u64) -> Option<u32> {
+        match self.sessions.intern(tag, CoinSession::default) {
+            Slot::Live(idx) => Some(idx),
+            Slot::Retired(_) => None,
+        }
     }
 
     /// Read access to the underlying SVSS engine (for experiments).
@@ -267,11 +213,10 @@ impl<F: Field> CoinEngine<F> {
         )
     }
 
-    /// `(live, peak, retired)` coin-session counts (memory accounting;
-    /// the reference map never retires, so there `peak == live` and
-    /// `retired == 0`).
+    /// `(live, peak, retired)` coin-session counts (memory accounting).
     pub fn session_stats(&self) -> (usize, usize, usize) {
-        self.sessions.stats()
+        let s = &self.sessions;
+        (s.live_count(), s.live_peak(), s.retired_count())
     }
 
     /// Disables shunning detection (experiment E8 ablation).
@@ -284,15 +229,14 @@ impl<F: Field> CoinEngine<F> {
     /// Every nonfaulty process must call this for the session to
     /// terminate.
     pub fn start(&mut self, tag: u64, sends: &mut Vec<(Pid, CoinMsg<F>)>) {
-        {
-            let Some((_, session)) = self.sessions.live_mut(tag) else {
-                return; // retired: the session already ran to completion
-            };
-            if session.started {
-                return;
-            }
-            session.started = true;
+        let Some(slot) = self.live_slot(tag) else {
+            return; // retired: the session already ran to completion
+        };
+        let session = self.sessions.live_mut(slot);
+        if session.started {
+            return;
         }
+        session.started = true;
         for target in Pid::all(self.params.n()) {
             let secret = F::random(&mut self.rng);
             // The SVSS engine emits the shared flat wire type: its sends
@@ -308,49 +252,23 @@ impl<F: Field> CoinEngine<F> {
     /// layer calls this only after locking its vote for the round, so the
     /// adversary cannot learn the coin before honest votes are cast.
     pub fn enable_reconstruct(&mut self, tag: u64, sends: &mut Vec<(Pid, CoinMsg<F>)>) {
-        let enable = match self.sessions.live_mut(tag) {
-            None => false, // retired: reconstruction already resolved
-            Some((_, session)) => {
-                let first = !session.recon_enabled;
-                session.recon_enabled = true;
-                first
-            }
+        let Some(slot) = self.live_slot(tag) else {
+            return; // retired: reconstruction already resolved
         };
-        if enable {
+        let session = self.sessions.live_mut(slot);
+        if !session.recon_enabled {
+            session.recon_enabled = true;
             self.pump(tag, sends);
             self.sweep_retirements();
         }
     }
 
-    /// Feeds one delivered message.
+    /// Feeds one delivered message: a one-member [`CoinEngine::on_batch`].
     pub fn on_message(&mut self, from: Pid, msg: CoinMsg<F>, sends: &mut Vec<(Pid, CoinMsg<F>)>) {
-        if msg.wire_kind().is_coin_rb() {
-            let Unpacked::CoinRb {
-                slot,
-                origin,
-                step,
-                set,
-            } = msg.unpack()
-            else {
-                unreachable!("coin RB kinds unpack as CoinRb");
-            };
-            let m = coin_mux_of_parts(slot, origin, step, set);
-            let delivery = self.mux.on_message_with(from, m, sends, wire_of_coin_mux);
-            if let Some(d) = delivery {
-                if let Some((tag, _)) = self.absorb_coin_delivery(d) {
-                    self.pump(tag, sends);
-                }
-            }
-        } else {
-            // SVSS traffic shares the flat wire type: feed it through and
-            // let the nested engine push its sends directly into ours.
-            self.svss.on_message(from, msg, sends);
-            let tags = self.absorb_svss_events();
-            for tag in tags {
-                self.pump(tag, sends);
-            }
-        }
-        self.sweep_retirements();
+        let mut one = std::mem::take(&mut self.one);
+        one.push(msg);
+        self.on_batch(from, &mut one, sends);
+        self.one = one;
     }
 
     /// Feeds a whole same-sender delivery batch (drained from `msgs`):
@@ -396,21 +314,17 @@ impl<F: Field> CoinEngine<F> {
             &mut deliveries,
         );
         for d in deliveries.drain(..) {
-            if let Some((tag, slot)) = self.absorb_coin_delivery(d) {
-                self.touch(tag, slot);
+            if let Some(slot) = self.absorb_coin_delivery(d) {
+                self.touch(slot);
             }
         }
         for tag in self.absorb_svss_events() {
-            let slot = match &self.sessions {
-                Sessions::Map(_) => NO_SLOT,
-                // The absorb interned the tag; a retired hit is
-                // impossible here (absorb drops retired-tag events).
-                Sessions::Dense(d) => match d.probe(&tag) {
-                    Some(Slot::Live(idx)) => idx,
-                    _ => unreachable!("absorbed tags are interned and live"),
-                },
+            // The absorb interned the tag; a retired hit is impossible
+            // here (absorb drops retired-tag events).
+            let Some(Slot::Live(slot)) = self.sessions.probe(&tag) else {
+                unreachable!("absorbed tags are interned and live");
             };
-            self.touch(tag, slot);
+            self.touch(slot);
         }
         // `pump` recurses into sessions its own outputs touch, so the
         // scratch must be released before pumping.
@@ -418,22 +332,19 @@ impl<F: Field> CoinEngine<F> {
         self.rb_run = rb_run;
         self.rb_deliveries = deliveries;
         let mut tags = std::mem::take(&mut self.touched_tags);
-        if let Sessions::Dense(d) = &self.sessions {
-            debug_assert!(tags.is_empty());
-            for (w, word) in self.touched_bits.iter_mut().enumerate() {
-                let mut bits = *word;
-                while bits != 0 {
-                    let b = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    tags.push(*d.key_of_live((w * 64 + b) as u32));
-                }
-                *word = 0;
+        debug_assert!(tags.is_empty());
+        for (w, word) in self.touched_bits.iter_mut().enumerate() {
+            let mut bits = *word;
+            while bits != 0 {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                tags.push(*self.sessions.key_of_live((w * 64 + b) as u32));
             }
+            *word = 0;
         }
-        // Pump in ascending tag order — the same order the map-mode
-        // sort+dedup produces, so both modes advance sessions alike.
+        // Pump in ascending tag order, whatever slab slots the sessions
+        // landed in.
         tags.sort_unstable();
-        tags.dedup();
         for tag in &tags {
             self.pump(*tag, sends);
         }
@@ -443,50 +354,44 @@ impl<F: Field> CoinEngine<F> {
     }
 
     /// Marks a touched session for the end-of-batch pump.
-    fn touch(&mut self, tag: u64, slot: u32) {
-        if matches!(self.sessions, Sessions::Dense(_)) {
-            let (w, b) = ((slot / 64) as usize, slot % 64);
-            if w >= self.touched_bits.len() {
-                self.touched_bits.resize(w + 1, 0);
-            }
-            self.touched_bits[w] |= 1u64 << b;
-        } else {
-            self.touched_tags.push(tag);
+    fn touch(&mut self, slot: u32) {
+        let (w, b) = ((slot / 64) as usize, slot % 64);
+        if w >= self.touched_bits.len() {
+            self.touched_bits.resize(w + 1, 0);
         }
+        self.touched_bits[w] |= 1u64 << b;
     }
 
     /// Retires every session pumped since the last sweep whose input
-    /// space is fully consumed (dense mode; see the module docs). Called
-    /// at the end of every public entry point, after all pumps settle.
+    /// space is fully consumed (see the module docs). Called at the end
+    /// of every public entry point, after all pumps settle.
     fn sweep_retirements(&mut self) {
+        let (n, t) = (self.params.n(), self.params.t());
         let mut pumped = std::mem::take(&mut self.pumped);
-        if let Sessions::Dense(d) = &mut self.sessions {
-            let (n, t) = (self.params.n(), self.params.t());
-            pumped.sort_unstable();
-            pumped.dedup();
-            for &tag in &pumped {
-                if let Some(Slot::Live(idx)) = d.probe(&tag) {
-                    if d.live(idx).fully_consumed(n, t) {
-                        // Drop the whole state machine, keep the value.
-                        let value = std::mem::take(d.live_mut(idx)).output;
-                        d.retire(idx, value.expect("fully consumed sessions have flipped"));
-                    }
+        pumped.sort_unstable();
+        pumped.dedup();
+        for tag in pumped.drain(..) {
+            if let Some(Slot::Live(idx)) = self.sessions.probe(&tag) {
+                if self.sessions.live(idx).fully_consumed(n, t) {
+                    // Drop the whole state machine, keep the value.
+                    let value = std::mem::take(self.sessions.live_mut(idx)).output;
+                    self.sessions
+                        .retire(idx, value.expect("fully consumed sessions have flipped"));
                 }
             }
         }
-        pumped.clear();
         self.pumped = pumped;
     }
 
     /// Records one accepted coin-slot broadcast into its session; returns
-    /// the touched session tag and dense slot (or `None` for forged
-    /// origins and retired sessions).
-    fn absorb_coin_delivery(&mut self, d: RbDelivery<CoinSlot, ProcessSet>) -> Option<(u64, u32)> {
+    /// the touched session's slab slot (or `None` for forged origins and
+    /// retired sessions).
+    fn absorb_coin_delivery(&mut self, d: RbDelivery<CoinSlot, ProcessSet>) -> Option<u32> {
         if d.origin.index() as usize > self.params.n() {
             return None; // forged origin: no such process
         }
-        let tag = d.tag.coin_tag();
-        let (slot, session) = self.sessions.live_mut(tag)?;
+        let slot = self.live_slot(d.tag.coin_tag())?;
+        let session = self.sessions.live_mut(slot);
         match d.tag {
             CoinSlot::Attach(_) => {
                 // |T_j| must be exactly t+1; malformed sets are
@@ -499,7 +404,7 @@ impl<F: Field> CoinEngine<F> {
                 session.supports.push((d.origin, d.value));
             }
         }
-        Some((tag, slot))
+        Some(slot)
     }
 
     /// Pulls SVSS events into coin-session state; returns affected tags.
@@ -514,9 +419,10 @@ impl<F: Field> CoinEngine<F> {
                     if coin_svss_id(tag, dealer, target) != sid {
                         continue;
                     }
-                    let Some((_, session)) = self.sessions.live_mut(tag) else {
+                    let Some(slot) = self.live_slot(tag) else {
                         continue; // retired: the session already ran
                     };
+                    let session = self.sessions.live_mut(slot);
                     session.completed_shares.insert(sid);
                     if target == self.me && !session.my_dealers.contains(&sid.dealer()) {
                         session.my_dealers.push(sid.dealer());
@@ -528,14 +434,14 @@ impl<F: Field> CoinEngine<F> {
                     if coin_svss_id(tag, dealer, target) != sid {
                         continue;
                     }
-                    let Some((_, session)) = self.sessions.live_mut(tag) else {
+                    let Some(slot) = self.live_slot(tag) else {
                         continue; // retired: reconstruction already done
                     };
                     let erased = match value {
                         Reconstructed::Value(v) => Reconstructed::Value(v.as_u64()),
                         Reconstructed::Bottom => Reconstructed::Bottom,
                     };
-                    session.outputs.insert(sid, erased);
+                    self.sessions.live_mut(slot).outputs.insert(sid, erased);
                     tags.push(tag);
                 }
                 SvssEvent::Shunned { process, .. } => {
@@ -550,33 +456,21 @@ impl<F: Field> CoinEngine<F> {
     }
 
     /// Monotone advancement of one coin session. A retired tag is inert.
-    ///
-    /// Every step block re-resolves the session through the store — in
-    /// dense mode that is a direct slab index (resolved once, below), in
-    /// map mode a hash probe, exactly the cost this store exists to cut.
     fn pump(&mut self, tag: u64, sends: &mut Vec<(Pid, CoinMsg<F>)>) {
         let n = self.params.n();
         let t = self.params.t();
         let quorum = self.params.quorum();
-        let Some((slot, _)) = self.sessions.live_mut(tag) else {
+        // Every step block re-borrows the session by its slab index. The
+        // slot stays valid for the whole pump (sessions retire only in
+        // `sweep_retirements`, after all pumps).
+        let Some(slot) = self.live_slot(tag) else {
             return; // retired: provably inert
         };
         self.pumped.push(tag);
-        // Direct-index accessor for the step blocks: no hash probe in
-        // dense mode. The slot stays valid for the whole pump (sessions
-        // retire only in `sweep_retirements`, after all pumps).
-        macro_rules! session {
-            () => {
-                match &mut self.sessions {
-                    Sessions::Map(map) => map.get_mut(&tag).expect("interned above"),
-                    Sessions::Dense(d) => d.live_mut(slot),
-                }
-            };
-        }
 
         // Step 2: attach after t+1 dealers completed secrets for me.
         {
-            let session = session!();
+            let session = self.sessions.live_mut(slot);
             if !session.attach_broadcast && session.my_dealers.len() > t {
                 session.attach_broadcast = true;
                 let t_set: ProcessSet = session.my_dealers.iter().take(t + 1).copied().collect();
@@ -587,7 +481,7 @@ impl<F: Field> CoinEngine<F> {
 
         // Step 3: acceptance.
         {
-            let session = session!();
+            let session = self.sessions.live_mut(slot);
             let mut newly: Vec<Pid> = Vec::new();
             for (&j, t_j) in &session.t_sets {
                 if session.accepted.contains(j) {
@@ -607,7 +501,7 @@ impl<F: Field> CoinEngine<F> {
 
         // Step 4: support broadcast at quorum.
         {
-            let session = session!();
+            let session = self.sessions.live_mut(slot);
             if !session.support_broadcast && session.accepted.len() >= quorum {
                 session.support_broadcast = true;
                 let snapshot = session.accepted;
@@ -618,7 +512,7 @@ impl<F: Field> CoinEngine<F> {
 
         // Step 5: validate supports; fix B at n−t validated.
         {
-            let session = session!();
+            let session = self.sessions.live_mut(slot);
             let accepted = session.accepted;
             for (l, s_l) in &session.supports {
                 if !session.validated.contains(*l) && s_l.is_subset(&accepted) {
@@ -643,7 +537,7 @@ impl<F: Field> CoinEngine<F> {
         {
             let mut to_recon: Vec<SvssId> = Vec::new();
             {
-                let session = session!();
+                let session = self.sessions.live_mut(slot);
                 if session.recon_enabled {
                     for j in session.accepted.iter() {
                         if let Some(t_j) = session.t_sets.get(&j) {
@@ -671,7 +565,7 @@ impl<F: Field> CoinEngine<F> {
 
         // Step 7: output once every B-member's value is known.
         {
-            let session = session!();
+            let session = self.sessions.live_mut(slot);
             if session.output.is_none() && session.recon_enabled {
                 if let Some(b) = session.b_set {
                     let mut zero_seen = false;

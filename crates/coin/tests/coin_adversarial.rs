@@ -7,7 +7,7 @@ use rand::{Rng, SeedableRng};
 use sba_broadcast::Params;
 use sba_coin::{CoinEngine, CoinMsg};
 use sba_field::{Field, Gf61};
-use sba_net::{Pid, ProcessSet, RbStep, SvssRbValue, Unpacked, WireKind};
+use sba_net::{Kinded, Pid, ProcessSet, RbStep, SvssRbValue, Unpacked, WireKind};
 
 type Msg = CoinMsg<Gf61>;
 
@@ -26,31 +26,25 @@ struct Net {
     rng: StdRng,
     tampers: Vec<Option<TamperFn>>,
     shuns: Vec<(Pid, Pid)>,
-    /// Every event each engine reported, in order (the equivalence pin).
+    /// Every event each engine reported, in order (the golden pin).
     events: Vec<Vec<sba_coin::CoinEvent>>,
+    /// `(count, fold)` over every delivery's `(from, to, kind)`, in order.
+    delivered: (u64, u64),
 }
 
 impl Net {
     fn new(params: Params, seed: u64) -> Self {
-        Net::with_mode(params, seed, true)
-    }
-
-    /// `dense = false` selects the PR 4 reference session map.
-    fn with_mode(params: Params, seed: u64, dense: bool) -> Self {
         Net {
             params,
             engines: Pid::all(params.n())
-                .map(|p| {
-                    let mut e = CoinEngine::new(p, params, seed ^ (u64::from(p.index()) << 40));
-                    e.set_dense_sessions(dense);
-                    e
-                })
+                .map(|p| CoinEngine::new(p, params, seed ^ (u64::from(p.index()) << 40)))
                 .collect(),
             queue: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             tampers: (0..params.n()).map(|_| None).collect(),
             shuns: Vec::new(),
             events: (0..params.n()).map(|_| Vec::new()).collect(),
+            delivered: (0, 0),
         }
     }
 
@@ -87,6 +81,11 @@ impl Net {
         while !self.queue.is_empty() {
             let k = self.rng.gen_range(0..self.queue.len());
             let (from, to, msg) = self.queue.swap_remove(k);
+            // One FxHash-style step (rotate, xor, multiply) per field.
+            let step = |h: u64, v: u64| (h.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+            let h = step(step(self.delivered.1, from.as_u64()), to.as_u64());
+            let h = msg.kind().bytes().fold(h, |h, b| step(h, u64::from(b)));
+            self.delivered = (self.delivered.0 + 1, h);
             self.drive(to, |e, s| e.on_message(from, msg, s));
         }
     }
@@ -106,26 +105,7 @@ fn forger_is_shunned_or_coin_is_common() {
     let params = Params::new(4, 1).unwrap();
     let mut net = Net::new(params, 23);
     let liar = Pid::new(4);
-    net.tampers[3] = Some(Box::new(|_to, msg| {
-        if msg.wire_kind() != WireKind::MwReconInit {
-            return Tamper::Keep;
-        }
-        let Unpacked::Rb {
-            slot,
-            origin,
-            value: SvssRbValue::Value(v),
-            ..
-        } = msg.clone().unpack()
-        else {
-            return Tamper::Keep;
-        };
-        Tamper::Replace(vec![CoinMsg::rb(
-            slot,
-            origin,
-            RbStep::Init,
-            SvssRbValue::Value(v + Gf61::from_u64(5)),
-        )])
-    }));
+    net.tampers[3] = Some(forger_tamper());
     for tag in 1..=3u64 {
         net.flip_all(tag);
         let outs = net.outputs(tag);
@@ -182,9 +162,8 @@ fn malformed_attach_sets_ignored() {
     );
 }
 
-/// The reconstruct-point forger used by the equivalence sweep (the same
-/// attack as [`forger_is_shunned_or_coin_is_common`], built twice so two
-/// meshes can run it in lockstep).
+/// The reconstruct-point forger: shifts every `MwReconInit` value it
+/// originates by 5.
 fn forger_tamper() -> TamperFn {
     Box::new(|_to, msg| {
         if msg.wire_kind() != WireKind::MwReconInit {
@@ -208,75 +187,54 @@ fn forger_tamper() -> TamperFn {
     })
 }
 
-/// Drives two meshes through one coin session under ONE shared schedule
-/// RNG, asserting after every delivery that their queues evolved
-/// identically (same length, same chosen entry).
-fn lockstep_flip(a: &mut Net, b: &mut Net, tag: u64, schedule_seed: u64) {
-    let n = a.params.n();
-    for p in Pid::all(n) {
-        a.drive(p, |e, s| e.start(tag, s));
-        b.drive(p, |e, s| e.start(tag, s));
-        a.drive(p, |e, s| e.enable_reconstruct(tag, s));
-        b.drive(p, |e, s| e.enable_reconstruct(tag, s));
-    }
-    let mut rng = StdRng::seed_from_u64(schedule_seed);
-    let mut step = 0u64;
-    while !a.queue.is_empty() || !b.queue.is_empty() {
-        assert_eq!(
-            a.queue.len(),
-            b.queue.len(),
-            "tag {tag} step {step}: queue lengths diverged"
-        );
-        let k = rng.gen_range(0..a.queue.len());
-        let (fa, ta, ma) = a.queue.swap_remove(k);
-        let (fb, tb, mb) = b.queue.swap_remove(k);
-        assert_eq!(
-            (fa, ta, &ma),
-            (fb, tb, &mb),
-            "tag {tag} step {step}: queued message diverged"
-        );
-        a.drive(ta, |e, s| e.on_message(fa, ma, s));
-        b.drive(tb, |e, s| e.on_message(fb, mb, s));
-        step += 1;
-    }
-}
-
-/// PR 5 equivalence wall: the dense interned session slab (with
-/// retirement) and the PR 4 reference map are **bit-identical** through
-/// the full adversarial sweep — same message trace delivery for
-/// delivery, same per-process `CoinEvent` streams, same outputs, same
-/// shun pairs — while the dense mode actually retires the sessions the
-/// sweep completes (the mirror of `tests/tests/batching.rs` for the
-/// session store).
+/// The adversarial sweep against recorded runs: under the forger, on a
+/// pinned schedule, every process reports the recorded `CoinEvent`
+/// stream, the recorded shun pairs and the recorded outputs, and the
+/// session store retires what the sweep completes. The pins were
+/// recorded at the last commit that carried a reference session map
+/// (plain hash map, no retirement), where map and slab were asserted to
+/// produce exactly these streams in lockstep, delivery for delivery;
+/// the slab itself is model-checked in `sba_net`'s `interner_model.rs`.
 #[test]
-fn dense_sessions_match_reference_map_through_adversarial_sweep() {
+fn adversarial_sweep_matches_recorded_streams() {
+    use sba_coin::CoinEvent::{Flipped, Shunned};
     let params = Params::new(4, 1).unwrap();
-    let mut dense = Net::with_mode(params, 23, true);
-    let mut map = Net::with_mode(params, 23, false);
-    // The same forging adversary corrupts both meshes.
-    dense.tampers[3] = Some(forger_tamper());
-    map.tampers[3] = Some(forger_tamper());
-    for tag in 1..=3u64 {
-        lockstep_flip(&mut dense, &mut map, tag, 0xE0_0123 ^ tag);
-        assert_eq!(dense.outputs(tag), map.outputs(tag), "tag {tag}");
+    let mut net = Net::new(params, 23);
+    let liar = Pid::new(4);
+    net.tampers[3] = Some(forger_tamper());
+    for (tag, value) in [(1u64, true), (2, true), (3, false)] {
+        net.rng = StdRng::seed_from_u64(0xE0_0123 ^ tag);
+        net.flip_all(tag);
+        assert_eq!(net.outputs(tag), [Some(value); 4], "tag {tag}");
     }
-    assert_eq!(dense.events, map.events, "event streams diverged");
-    assert_eq!(dense.shuns, map.shuns, "shun pairs diverged");
-    for p in Pid::all(4) {
-        let e_dense = &dense.engines[(p.index() - 1) as usize];
-        let e_map = &map.engines[(p.index() - 1) as usize];
-        // RB-layer accounting is store-independent.
-        assert_eq!(e_dense.rb_instance_stats(), e_map.rb_instance_stats());
-        let (live_d, peak_d, retired_d) = e_dense.session_stats();
-        let (live_m, _, retired_m) = e_map.session_stats();
-        // The map keeps every session forever; the slab retires the
-        // fully-drained ones and recycles their slots.
-        assert_eq!(retired_m, 0);
-        assert_eq!(live_d + retired_d, live_m, "{p}: sessions lost");
+    let flips = [(1, true), (2, true), (3, false)].map(|(tag, value)| Flipped { tag, value });
+    let honest = [&[Shunned { process: liar }][..], &flips].concat();
+    assert_eq!(
+        net.events,
+        [&honest[..], &honest, &honest, &flips],
+        "event streams moved"
+    );
+    assert_eq!(
+        net.shuns,
+        [2, 3, 1].map(|p| (Pid::new(p), liar)),
+        "shun pairs moved"
+    );
+    assert_eq!(
+        net.delivered,
+        (405_988, 0x1cb3_1eaa_d6c9_4685),
+        "delivery trace moved"
+    );
+    for (p, rb_peak) in Pid::all(4).zip([1251, 1282, 1275, 1268]) {
+        let engine = &net.engines[(p.index() - 1) as usize];
+        assert_eq!(engine.rb_instance_stats(), (0, rb_peak, 10_852), "{p}");
+        let (live, peak, retired) = engine.session_stats();
+        // The slab retires the fully-drained sessions and recycles
+        // their slots; none of the three opened is lost.
+        assert_eq!(live + retired, 3, "{p}: sessions lost");
         assert!(
-            retired_d >= 1,
+            retired >= 1,
             "{p}: a fully drained honest sweep must retire sessions \
-             (live={live_d} peak={peak_d} retired={retired_d})"
+             (live={live} peak={peak} retired={retired})"
         );
     }
 }

@@ -26,8 +26,7 @@ pub struct Metrics {
     /// Self-addressed envelopes (delivered immediately, not scheduled).
     pub self_deliveries: u64,
     /// Self-delivery generations: one per `on_batch` callback on the
-    /// self-delivery path (each generation carries ≥ 1 messages). Counted
-    /// identically in both queue layouts.
+    /// self-delivery path (each generation carries ≥ 1 messages).
     pub self_delivery_batches: u64,
     /// Per message-kind `(messages, bytes)` sent.
     pub per_kind: FastMap<&'static str, (u64, u64)>,

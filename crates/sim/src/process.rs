@@ -34,12 +34,13 @@ pub trait Process<M>: Send {
     /// `msgs` completely; whatever they leave behind is discarded.
     ///
     /// The default forwards member-by-member to [`Process::on_message`],
-    /// which is always correct. Protocol engines override this to
-    /// amortize per-delivery work (routing-table probes, monotone
-    /// advance/pump fixpoints, event absorption) across the batch; such
-    /// overrides must produce the same final state and the same *set* of
-    /// sends as the member-by-member default — only the ordering of sends
-    /// within the batch may differ (any ordering is a legal asynchronous
+    /// which is always correct. Protocol engines implement this one
+    /// handler, amortizing per-delivery work (routing-table probes,
+    /// monotone advance/pump fixpoints, event absorption) across the
+    /// batch, and their `on_message` *is* the one-member batch. A batch
+    /// must produce the same final state and the same *set* of sends as
+    /// its members fed one at a time — only the ordering of sends within
+    /// the batch may differ (any ordering is a legal asynchronous
     /// schedule).
     fn on_batch(&mut self, from: Pid, msgs: &mut Vec<M>, out: &mut Outbox<M>) {
         for msg in msgs.drain(..) {

@@ -17,42 +17,31 @@
 //! so it can no longer interleave two same-event messages to the same
 //! recipient with third-party traffic. Any batched schedule is still a
 //! legal asynchronous schedule, so protocol correctness properties are
-//! unaffected; tests that need the old granularity can turn batching off
-//! with [`Simulation::set_batching`].
+//! unaffected.
 //!
-//! **Order equivalence.** With batching off, the simulator makes the
-//! *same scheduling decisions* (one delay draw and one `seq` per group)
-//! but stores each member as its own queue entry and reassembles the
-//! group at pop time. The two modes therefore produce **bit-identical
-//! runs** — same RNG stream, same delivery events, same decisions — and
-//! differ only in queue memory layout, which is exactly the machinery
-//! the batch rework replaced (`tests/tests/batching.rs` pins full-stack
-//! runs across both layouts).
+//! **Order.** A batch is delivered at its `(at, seq)`: `at` from the
+//! group's one delay draw, `seq` in scheduling order. The calendar queue
+//! below is the only queue layout; this module's tests check it pop for
+//! pop against a binary heap keyed `(at, seq)`, and
+//! `tests/tests/batching.rs` pins full-stack delivery logs recorded
+//! while a per-message reference queue still existed beside it.
 //!
-//! # Batched self-delivery (PR 5)
+//! # Batched self-delivery
 //!
 //! Self-addressed sends model local computation and bypass the
-//! scheduler. Since PR 5 they are delivered in **generations**: all
-//! self-sends a process queues while handling one callback form one
-//! generation, delivered in a single [`Process::on_batch`] call (a full
-//! n=7 run makes ~10⁷ self-deliveries; the per-message `on_message`
-//! path cost one engine entry and one scheduling pass *per message*).
-//! Network sends are scheduled **once per event**: the triggering
-//! callback and its whole self-delivery fixpoint are one atomic local
-//! step, and everything it sends shares one per-recipient grouping pass
-//! (one delay draw per recipient). A generation is an atomic local
-//! step, so this is still a legal model of local computation. The two
-//! queue layouts mirror the network queue's split:
-//! batched mode chains the generation's payloads through one recycled
-//! buffer; the [`Simulation::set_batching`] reference mode keeps the
-//! old per-message envelope queue and reassembles the generation at
-//! delivery time — bit-identical runs, different memory layout
-//! (`tests/tests/batching.rs` pins this too, and the
-//! [`Metrics::self_delivery_batches`] gauge counts generations in both).
+//! scheduler. They are delivered in **generations**: all self-sends a
+//! process queues while handling one callback form one generation,
+//! delivered in a single [`Process::on_batch`] call (a full n=7 run
+//! makes ~10⁷ self-deliveries). Network sends are scheduled **once per
+//! event**: the triggering callback and its whole self-delivery fixpoint
+//! are one atomic local step, and everything it sends shares one
+//! per-recipient grouping pass (one delay draw per recipient). A
+//! generation is an atomic local step, so this is still a legal model of
+//! local computation. The generation's payloads ride one recycled
+//! buffer, and [`Metrics::self_delivery_batches`] counts generations.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -67,9 +56,6 @@ use crate::{Metrics, Observer, Process, Scheduler, SimMsg};
 struct OverflowBatch<M> {
     at: u64,
     seq: u64,
-    /// Member index within the batch's group (0 in batched mode):
-    /// breaks heap ties so reference-mode members migrate in order.
-    sub: u32,
     sent: u64,
     from: Pid,
     to: Pid,
@@ -78,7 +64,7 @@ struct OverflowBatch<M> {
 
 impl<M> PartialEq for OverflowBatch<M> {
     fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq, self.sub) == (other.at, other.seq, other.sub)
+        (self.at, self.seq) == (other.at, other.seq)
     }
 }
 impl<M> Eq for OverflowBatch<M> {}
@@ -89,7 +75,7 @@ impl<M> PartialOrd for OverflowBatch<M> {
 }
 impl<M> Ord for OverflowBatch<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq, self.sub).cmp(&(other.at, other.seq, other.sub))
+        (self.at, self.seq).cmp(&(other.at, other.seq))
     }
 }
 
@@ -133,15 +119,11 @@ struct PaySlot<M> {
 /// A popped batch header (payloads are drained into the caller's scratch).
 struct PoppedBatch {
     at: u64,
-    seq: u64,
     sent: u64,
     from: Pid,
     to: Pid,
     /// Member (message) count.
     len: u32,
-    /// Queue entries merged into this event (> 1 only in the
-    /// per-message reference layout).
-    entries: u32,
 }
 
 /// The pending-delivery queue: a calendar queue over two slab arenas —
@@ -278,12 +260,10 @@ impl<M> EventQueue<M> {
         self.ring_len += 1;
     }
 
-    #[allow(clippy::too_many_arguments)] // a batch header is just wide
     fn push(
         &mut self,
         at: u64,
         seq: u64,
-        sub: u32,
         sent: u64,
         from: Pid,
         to: Pid,
@@ -297,7 +277,6 @@ impl<M> EventQueue<M> {
             self.overflow.push(Reverse(OverflowBatch {
                 at,
                 seq,
-                sub,
                 sent,
                 from,
                 to,
@@ -332,15 +311,21 @@ impl<M> EventQueue<M> {
         let e = &self.entries[head as usize];
         let popped = PoppedBatch {
             at: e.at,
-            seq: e.seq,
             sent: e.sent,
             from: e.from,
             to: e.to,
             len: e.len,
-            entries: 1,
         };
         let mut p = e.head;
         let next_entry = e.next;
+        // Checked in release builds too. The queue holds ~10⁶ entries at
+        // the peak of a full run, so an entry is cold when its turn
+        // comes; this read pulls the next one to pop into cache a whole
+        // delivery ahead (−10 % `op_s` on the queue-bound n=97 workload).
+        assert!(
+            next_entry == NIL || self.entries[next_entry as usize].seq > e.seq,
+            "a bucket is FIFO in seq"
+        );
         while p != NIL {
             let slot = &mut self.pay[p as usize];
             scratch.push(slot.msg.take().expect("queued slots hold a message"));
@@ -372,27 +357,8 @@ impl<M> EventQueue<M> {
             self.migrate();
         }
         loop {
-            if let Some(mut b) = self.pop_bucket(scratch) {
+            if let Some(b) = self.pop_bucket(scratch) {
                 self.len -= 1;
-                // Reference (unbatched-layout) mode stores one entry per
-                // member, all stamped with their group's seq; reassemble
-                // them here so both layouts produce identical delivery
-                // events. Batched entries never share a seq, so this
-                // loop is a no-op for them.
-                loop {
-                    let head = self.ring[(self.cursor % CALENDAR_WINDOW) as usize].0;
-                    if head == NIL {
-                        break;
-                    }
-                    let e = &self.entries[head as usize];
-                    if (e.at, e.seq, e.from, e.to) != (b.at, b.seq, b.from, b.to) {
-                        break;
-                    }
-                    let tail = self.pop_bucket(scratch).expect("head checked");
-                    self.len -= 1;
-                    b.len += tail.len;
-                    b.entries += tail.entries;
-                }
                 return Some(b);
             }
             self.cursor += 1;
@@ -470,7 +436,6 @@ pub struct Simulation<M, P = Box<dyn Process<M>>> {
     now: u64,
     seq: u64,
     started: bool,
-    batching: bool,
     trace: Option<(usize, std::collections::VecDeque<TraceEntry>)>,
     /// Running fold over every delivered network message when enabled
     /// ([`Simulation::enable_digest`]); `None` keeps the hot path free of
@@ -481,13 +446,9 @@ pub struct Simulation<M, P = Box<dyn Process<M>>> {
     observer: Option<Box<dyn Observer<P>>>,
     /// Reusable per-delivery outbox (capacity survives across events).
     outbox: Outbox<M>,
-    /// Reusable self-delivery generation buffer (batched layout): the
-    /// generation currently being delivered or collected.
+    /// Reusable self-delivery generation buffer: the generation
+    /// currently being delivered or collected.
     local_gen: Vec<M>,
-    /// Reference-layout self-delivery queue (`set_batching(false)`): one
-    /// fat envelope per message, reassembled into a generation at
-    /// delivery time — the per-message layout the batched path replaced.
-    local_ref: VecDeque<Envelope<M>>,
     /// Network sends of the event being dispatched, held until its
     /// self-delivery fixpoint completes (one scheduling pass per event).
     held: Vec<Envelope<M>>,
@@ -518,13 +479,11 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
             now: 0,
             seq: 0,
             started: false,
-            batching: true,
             trace: None,
             digest: None,
             observer: None,
             outbox: Outbox::new(Pid::new(1)),
             local_gen: Vec::new(),
-            local_ref: VecDeque::new(),
             held: Vec::new(),
             open: Vec::new(),
             group_bufs: Vec::new(),
@@ -532,21 +491,6 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
             inflight_msgs: 0,
             inflight_batches: 0,
         }
-    }
-
-    /// Enables or disables the batched queue layouts (on by default).
-    /// With batching off, every network group member becomes its own
-    /// queue entry and every self-delivery generation is stored as
-    /// per-message envelopes — same scheduler draws, same delivery
-    /// order, same callbacks, fatter queues. This is the reference mode
-    /// the order-equivalence tests compare against.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation has already started.
-    pub fn set_batching(&mut self, enabled: bool) {
-        assert!(!self.started, "set_batching must precede the first event");
-        self.batching = enabled;
     }
 
     /// Enables delivery tracing with a bounded ring buffer of `capacity`
@@ -678,23 +622,13 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
     }
 
     /// Splits one drained outbox: self-sends join the next self-delivery
-    /// generation (`local` in the batched layout, the envelope queue in
-    /// the reference layout); network sends accumulate in `held` until
+    /// generation (`local`); network sends accumulate in `held` until
     /// [`Simulation::schedule_held`] schedules the whole event's output
     /// in one pass.
-    fn split_outbox(
-        &mut self,
-        out: &mut Outbox<M>,
-        local: &mut Vec<M>,
-        held: &mut Vec<Envelope<M>>,
-    ) {
+    fn split_outbox(out: &mut Outbox<M>, local: &mut Vec<M>, held: &mut Vec<Envelope<M>>) {
         for env in out.drain_iter() {
             if env.to == env.from {
-                if self.batching {
-                    local.push(env.msg);
-                } else {
-                    self.local_ref.push_back(env);
-                }
+                local.push(env.msg);
             } else {
                 held.push(env);
             }
@@ -716,10 +650,7 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
             // Wire bytes are charged in frame form: each message pays
             // its key-delta cost against the previous message in its
             // per-recipient group (`None` = frame head pays the full
-            // header). Charging happens before the batched/reference
-            // queue-layout split below, so `set_batching(false)` prices
-            // the traffic identically and the bit-identity suites keep
-            // covering both layouts.
+            // header).
             match open.iter_mut().find(|g| g.to == env.to) {
                 Some(g) => {
                     self.metrics
@@ -742,34 +673,11 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
         }
         for g in open.iter_mut() {
             self.seq += 1;
-            if self.batching {
-                let k = g.msgs.len() as u64;
-                self.queue
-                    .push(g.at, self.seq, 0, self.now, from, g.to, g.msgs.drain(..));
-                self.metrics.batches_sent += 1;
-                self.inflight_msgs += k;
-                self.inflight_batches += 1;
-            } else {
-                // Reference (unbatched-layout) mode: same delay draw,
-                // same group seq, but one singleton entry per member —
-                // the pop path reassembles them, so the delivered
-                // schedule is identical and only the queue layout
-                // differs.
-                for (sub, msg) in g.msgs.drain(..).enumerate() {
-                    self.queue.push(
-                        g.at,
-                        self.seq,
-                        sub as u32,
-                        self.now,
-                        from,
-                        g.to,
-                        std::iter::once(msg),
-                    );
-                    self.metrics.batches_sent += 1;
-                    self.inflight_msgs += 1;
-                    self.inflight_batches += 1;
-                }
-            }
+            self.inflight_msgs += g.msgs.len() as u64;
+            self.inflight_batches += 1;
+            self.metrics.batches_sent += 1;
+            self.queue
+                .push(g.at, self.seq, self.now, from, g.to, g.msgs.drain(..));
         }
         self.note_inflight();
         for g in open.drain(..) {
@@ -800,27 +708,15 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
         let mut held = std::mem::take(&mut self.held);
         debug_assert!(gen.is_empty(), "generation buffer leaked");
         debug_assert!(held.is_empty(), "held-send buffer leaked");
-        self.split_outbox(out, &mut gen, &mut held);
-        loop {
-            if !self.batching {
-                // Reference layout: reassemble the generation from the
-                // per-message envelope queue (same members, same order).
-                debug_assert!(gen.is_empty());
-                while let Some(env) = self.local_ref.pop_front() {
-                    debug_assert_eq!(env.to, me, "self-sends target their sender");
-                    gen.push(env.msg);
-                }
-            }
-            if gen.is_empty() {
-                break;
-            }
+        Self::split_outbox(out, &mut gen, &mut held);
+        while !gen.is_empty() {
             self.metrics.self_deliveries += gen.len() as u64;
             self.metrics.self_delivery_batches += 1;
             let idx = (me.index() - 1) as usize;
             out.reset(me);
             self.procs[idx].on_batch(me, &mut gen, out);
             gen.clear(); // the contract says drained; be defensive
-            self.split_outbox(out, &mut gen, &mut held);
+            Self::split_outbox(out, &mut gen, &mut held);
         }
         self.schedule_held(me, &mut held);
         self.local_gen = gen;
@@ -857,7 +753,7 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
             return false;
         };
         self.inflight_msgs -= u64::from(b.len);
-        self.inflight_batches -= u64::from(b.entries);
+        self.inflight_batches -= 1;
         self.now = b.at;
         self.metrics.virtual_time = self.now;
         self.metrics.events += 1;
@@ -1005,7 +901,7 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
     where
         P: crate::Checkpoint,
     {
-        debug_assert!(self.local_ref.is_empty(), "checkpoint mid-dispatch");
+        debug_assert!(self.local_gen.is_empty(), "checkpoint mid-dispatch");
         debug_assert!(self.held.is_empty(), "checkpoint mid-dispatch");
         Simulation {
             procs: self.procs.iter().map(crate::Checkpoint::snapshot).collect(),
@@ -1019,7 +915,6 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
             now: self.now,
             seq: self.seq,
             started: self.started,
-            batching: self.batching,
             trace: self.trace.clone(),
             digest: self.digest,
             observer: self.observer.as_ref().map(|o| {
@@ -1028,7 +923,6 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
             }),
             outbox: Outbox::new(Pid::new(1)),
             local_gen: Vec::new(),
-            local_ref: VecDeque::new(),
             held: Vec::new(),
             open: Vec::new(),
             group_bufs: Vec::new(),
@@ -1136,8 +1030,7 @@ mod tests {
     }
 
     /// All self-sends queued while handling one callback form ONE
-    /// generation: one `on_batch` call, one scheduling pass — and the
-    /// reference layout produces the identical generation structure.
+    /// generation: one `on_batch` call, one scheduling pass.
     #[test]
     fn self_sends_coalesce_into_generations() {
         /// Fans `width` self-sends per generation, `depth` generations
@@ -1158,17 +1051,14 @@ mod tests {
                 }
             }
         }
-        for batching in [true, false] {
-            let procs: Vec<Box<dyn Process<u64>>> = vec![Box::new(Fan { width: 4, depth: 3 })];
-            let mut sim = Simulation::new(procs, schedulers::uniform(10), 1);
-            sim.set_batching(batching);
-            sim.run_to_quiescence(100);
-            let m = sim.metrics();
-            // Generation 1: the 4 initial sends. Each delivered message
-            // spawns a follow-up until depth 3: generations of 4, 4, 4.
-            assert_eq!(m.self_deliveries, 12, "batching={batching}");
-            assert_eq!(m.self_delivery_batches, 3, "batching={batching}");
-        }
+        let procs: Vec<Box<dyn Process<u64>>> = vec![Box::new(Fan { width: 4, depth: 3 })];
+        let mut sim = Simulation::new(procs, schedulers::uniform(10), 1);
+        sim.run_to_quiescence(100);
+        let m = sim.metrics();
+        // Generation 1: the 4 initial sends. Each delivered message
+        // spawns a follow-up until depth 3: generations of 4, 4, 4.
+        assert_eq!(m.self_deliveries, 12);
+        assert_eq!(m.self_delivery_batches, 3);
     }
 
     #[test]
@@ -1204,26 +1094,6 @@ mod tests {
         assert!(m.inflight_peak_bytes > 0);
     }
 
-    /// The reference layout queues singleton entries (20 of them) but
-    /// reassembles groups at pop time, so the delivered *events* match
-    /// the batched mode exactly (pinned in full by
-    /// `tests/tests/batching.rs`; this is the unit-level smoke check).
-    #[test]
-    fn unbatched_layout_delivers_identical_events() {
-        let mut sim = Simulation::new(pingers(2, 10), schedulers::fifo(), 3);
-        sim.set_batching(false);
-        sim.run_to_quiescence(100);
-        let m = sim.metrics();
-        assert_eq!(m.messages_delivered, 20);
-        assert_eq!(m.batches_sent, 20, "one queue entry per message");
-        assert_eq!(m.events, 2, "but the same two delivery events");
-        assert_eq!(m.inflight_peak_msgs, 20);
-        assert_eq!(
-            m.inflight_peak_batches, 20,
-            "reference layout counts every singleton entry"
-        );
-    }
-
     #[test]
     #[should_panic(expected = "unknown process")]
     fn unknown_recipient_panics() {
@@ -1237,6 +1107,91 @@ mod tests {
         let procs: Vec<Box<dyn Process<u64>>> = vec![Box::new(Bad)];
         let mut sim = Simulation::new(procs, schedulers::uniform(10), 1);
         sim.run_to_quiescence(10);
+    }
+}
+
+/// The calendar queue against the structure it stands in for: a binary
+/// heap keyed `(at, seq)`.
+#[cfg(test)]
+mod queue_model {
+    use proptest::prelude::*;
+
+    use super::*;
+
+    /// `(at, seq, sent, from, to, members in order)` of one batch; the
+    /// queue does not hand `seq` back, so the members carry it.
+    type Batch = (u64, u64, u64, Pid, Pid, Vec<u64>);
+
+    struct Model {
+        queue: EventQueue<u64>,
+        heap: BinaryHeap<Reverse<Batch>>,
+        /// Delivery time of the last pop: pushes never go behind it.
+        now: u64,
+        seq: u64,
+    }
+
+    impl Model {
+        fn push(&mut self, delay: u64, from: Pid, to: Pid, k: u64) {
+            self.seq += 1;
+            let (at, seq, sent) = (self.now + delay, self.seq, self.now);
+            let members: Vec<u64> = (0..k).map(|i| seq * 8 + i).collect();
+            self.queue
+                .push(at, seq, sent, from, to, members.iter().copied());
+            self.heap.push(Reverse((at, seq, sent, from, to, members)));
+            assert_eq!(self.queue.len, self.heap.len());
+        }
+
+        /// Pops both and compares; `false` once both are empty.
+        fn pop(&mut self) -> bool {
+            let mut members = Vec::new();
+            let got = self.queue.pop(&mut members).map(|b| {
+                assert_eq!(b.len as usize, members.len());
+                (b.at, members[0] / 8, b.sent, b.from, b.to, members)
+            });
+            let want = self.heap.pop().map(|Reverse(batch)| batch);
+            assert_eq!(got, want);
+            assert_eq!(self.queue.len, self.heap.len());
+            assert_eq!(self.queue.is_empty(), self.heap.is_empty());
+            self.now = want.as_ref().map_or(self.now, |batch| batch.0);
+            want.is_some()
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 64, max_shrink_iters: 256 })]
+
+        /// Random pushes — same-tick, in-window, at the window's edge
+        /// and far beyond it, so buckets, the overflow heap, `migrate`
+        /// and the cursor jump all run — interleaved with pops, then
+        /// drained: every pop is the heap's, member for member, and the
+        /// two run empty together.
+        #[test]
+        fn event_queue_pops_like_a_binary_heap(
+            ops in proptest::collection::vec(
+                (0..3u8, 0..4u8, 0..3 * CALENDAR_WINDOW, 1..5u32, 1..5u32, 1..4u64),
+                0..400,
+            ),
+        ) {
+            let mut m = Model {
+                queue: EventQueue::new(),
+                heap: BinaryHeap::new(),
+                now: 0,
+                seq: 0,
+            };
+            for (op, range, raw, from, to, k) in ops {
+                if op == 0 {
+                    m.pop();
+                    continue;
+                }
+                let delay = match range {
+                    0 | 1 => raw % 8,
+                    2 => CALENDAR_WINDOW - 4 + raw % 8,
+                    _ => raw,
+                };
+                m.push(delay, Pid::new(from), Pid::new(to), k);
+            }
+            while m.pop() {}
+        }
     }
 }
 

@@ -22,10 +22,13 @@
 //! Shutdown is the shared quiescence protocol; at teardown each
 //! endpoint closes its streams (waking its own readers and its peers')
 //! and joins its readers, and what they had already forwarded is
-//! counted into [`ThreadedStats::dropped`].
+//! counted into [`ThreadedStats::dropped`]. A reader that meets a
+//! malformed frame stops for good and is counted in
+//! [`ThreadedStats::dead_links`].
 
-use std::io::Read;
+use std::io::{ErrorKind, Read};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -141,22 +144,32 @@ impl<M: SimMsg + FramedWire> Link<M> for TcpLink<M> {
 
 /// A reader thread's body: forwards the frames arriving on `stream` —
 /// the mesh stream to `peer` — into `inbox` until clean EOF (the peer
-/// shut down at a frame boundary) or any stream error (deadline
-/// teardown). The sender of a frame is the stream it arrived on: a
-/// frame naming anyone else is a peer speaking as another process,
-/// which would void RB's quorum counting, so it is dropped and its
-/// members accounted lost (the writer counted them in flight).
+/// shut down at a frame boundary), a stream error (deadline teardown)
+/// or a malformed frame, after which the stream has no frame boundary
+/// left to resume at: the link is dead, and counted. The sender of a
+/// frame is the stream it arrived on: a frame naming anyone else is a
+/// peer speaking as another process, which would void RB's quorum
+/// counting, so it is dropped and its members accounted lost (the
+/// writer counted them in flight).
 fn read_peer<M: FramedWire>(
     mut stream: impl Read,
     peer: Pid,
     inbox: &Sender<Group<M>>,
     shared: &RunShared,
 ) {
-    while let Ok(Some((from, msgs))) = tcp::read_frame::<M>(&mut stream) {
-        if from != peer {
-            shared.lose(msgs.len() as u64);
-        } else if inbox.send((peer, msgs)).is_err() {
-            break;
+    loop {
+        match tcp::read_frame::<M>(&mut stream) {
+            Ok(Some((from, msgs))) if from != peer => shared.lose(msgs.len() as u64),
+            Ok(Some((_, msgs))) => {
+                if inbox.send((peer, msgs)).is_err() {
+                    return;
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                shared.dead_links.fetch_add(1, Ordering::Relaxed);
+                return;
+            }
+            Ok(None) | Err(_) => return,
         }
     }
 }
@@ -166,8 +179,8 @@ mod tests {
     //! The runtime's behaviour is covered by the link conformance suite
     //! in [`crate::threaded`]; what is TCP-only is tested here.
 
+    use std::io::Write;
     use std::net::Shutdown;
-    use std::sync::atomic::Ordering;
 
     use super::*;
 
@@ -193,5 +206,30 @@ mod tests {
         assert!(forwarded.try_recv().is_err(), "only the honest frame");
         assert_eq!(shared.dropped.load(Ordering::Relaxed), 3);
         assert_eq!(shared.in_flight.load(Ordering::SeqCst), 2);
+        assert_eq!(
+            shared.dead_links.load(Ordering::Relaxed),
+            0,
+            "EOF is teardown"
+        );
+    }
+
+    #[test]
+    fn reader_counts_the_link_a_malformed_frame_kills() {
+        let mesh = tcp::loopback_mesh(2).unwrap();
+        let (p1, p2) = (Pid::new(1), Pid::new(2));
+        // One good frame, then bytes that are no frame: a length prefix
+        // far over the transport cap.
+        let mut to_p2 = mesh[0].stream(p2);
+        tcp::write_frame(&mut to_p2, p1, &[1u64, 2], &mut Vec::new()).unwrap();
+        to_p2.write_all(&[0xff; 9]).unwrap();
+        to_p2.shutdown(Shutdown::Write).unwrap();
+        let shared = RunShared::default();
+
+        let (inbox, forwarded) = unbounded();
+        read_peer::<u64>(mesh[1].stream(p1), p1, &inbox, &shared);
+
+        assert_eq!(forwarded.try_recv(), Ok((p1, vec![1, 2])));
+        assert!(forwarded.try_recv().is_err(), "nothing after the garbage");
+        assert_eq!(shared.dead_links.load(Ordering::Relaxed), 1);
     }
 }

@@ -60,6 +60,11 @@ pub struct ThreadedStats {
     /// their stream's peer, and queue residue at the wall-clock limit.
     /// Always 0 for an honest run that ends in quiescence.
     pub dropped: u64,
+    /// Socket links whose reader stopped on a malformed frame (bad
+    /// length, sender byte, encoding or trailing bytes): nothing that
+    /// peer sends afterwards arrives. EOF and stream errors are
+    /// teardown and not counted. Always 0 over honest peers.
+    pub dead_links: u64,
     /// Whether every process reported done before the wall-clock limit.
     pub all_done: bool,
     /// Wall-clock duration of the run.
@@ -82,6 +87,7 @@ pub(crate) struct RunShared {
     batches: AtomicU64,
     bytes: AtomicU64,
     pub dropped: AtomicU64,
+    pub dead_links: AtomicU64,
     /// Set once by whichever thread first observes quiescence or the
     /// deadline; every thread exits promptly once it is up.
     shutdown: AtomicBool,
@@ -127,6 +133,7 @@ impl RunShared {
             batches: self.batches.load(Ordering::Relaxed),
             bytes: self.bytes.load(Ordering::Relaxed),
             dropped: self.dropped.load(Ordering::Relaxed) + residue,
+            dead_links: self.dead_links.load(Ordering::Relaxed),
             all_done: self.done.load(Ordering::SeqCst) == n,
             elapsed,
         }

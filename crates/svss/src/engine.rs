@@ -98,6 +98,8 @@ pub struct SvssEngine<F: Field> {
     /// state).
     rb_run: Vec<MuxMsg<SvssSlot, SvssRbValue<F>>>,
     rb_deliveries: Vec<RbDelivery<SvssSlot, SvssRbValue<F>>>,
+    /// Reusable one-member batch for [`SvssEngine::on_message`].
+    one: Vec<SvssMsg<F>>,
     /// Reusable buffer for one MW machine step's outputs (see
     /// [`SvssEngine::drive_mw`]).
     mw_outs: Vec<MwOut<F>>,
@@ -136,6 +138,7 @@ impl<F: Field> SvssEngine<F> {
             events: Vec::new(),
             rb_run: Vec::new(),
             rb_deliveries: Vec::new(),
+            one: Vec::new(),
             mw_outs: Vec::new(),
         }
     }
@@ -300,10 +303,13 @@ impl<F: Field> SvssEngine<F> {
     // Message handling
     // ------------------------------------------------------------------
 
-    /// Feeds one delivered network message.
+    /// Feeds one delivered network message: a one-member
+    /// [`SvssEngine::on_batch`].
     pub fn on_message(&mut self, from: Pid, msg: SvssMsg<F>, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
-        self.ingest(from, msg, sends);
-        self.finish(sends);
+        let mut one = std::mem::take(&mut self.one);
+        one.push(msg);
+        self.on_batch(from, &mut one, sends);
+        self.one = one;
     }
 
     /// Feeds a whole same-sender delivery batch (drained from `msgs`),
@@ -364,25 +370,6 @@ impl<F: Field> SvssEngine<F> {
             .on_batch_with(from, run.drain(..), sends, wire_of_mux, deliveries);
         for d in deliveries.drain(..) {
             self.handle_rb_delivery(d, sends);
-        }
-    }
-
-    fn ingest(&mut self, from: Pid, msg: SvssMsg<F>, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
-        match msg.unpack() {
-            Unpacked::Rb {
-                slot,
-                origin,
-                step,
-                value,
-            } => {
-                let m = mux_of_parts(slot, origin, step, value);
-                let delivery = self.mux.on_message_with(from, m, sends, wire_of_mux);
-                if let Some(d) = delivery {
-                    self.handle_rb_delivery(d, sends);
-                }
-            }
-            Unpacked::Priv(p) => self.route(from, Inner::Priv(p), sends),
-            Unpacked::CoinRb { .. } => {} // foreign layer: inert (see on_batch)
         }
     }
 
