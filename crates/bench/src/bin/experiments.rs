@@ -964,6 +964,23 @@ fn e9_perf(full: bool, json_path: Option<&str>) {
         );
         sink.put_num("scc_larger_system.deal_msgs", deal_msgs as f64);
         sink.put_num("scc_larger_system.deal_bytes", deal_bytes as f64);
+        // Vector RB's amortisation, as work counters: the SVSS-stack RB
+        // instances the processes started (one per step that broadcast
+        // anything) and the slot values those carried. Seed-pinned and
+        // hardware-independent, like `messages`.
+        let (mut rb_instances, mut rb_members) = (0, 0);
+        for &pid in cluster.honest() {
+            let node = cluster.sim().process(pid).node();
+            let svss = node.and_then(|n| n.coin()).expect("SCC mode").svss();
+            rb_instances += svss.rb_started_instances();
+            rb_members += svss.rb_started_members();
+        }
+        println!(
+            "SVSS RB: {rb_members} slot values in {rb_instances} instances ({:.1} per instance)\n",
+            rb_members as f64 / rb_instances.max(1) as f64
+        );
+        sink.put_num("scc_larger_system.rb_instances", rb_instances as f64);
+        sink.put_num("scc_larger_system.rb_members", rb_members as f64);
         sink.put_num(
             "scc_larger_system.self_delivery_batches",
             m.self_delivery_batches as f64,

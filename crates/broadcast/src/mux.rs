@@ -1,11 +1,21 @@
 //! Multiplexing many RB instances over one channel.
 //!
-//! Every reliable broadcast in the stack is identified by `(origin, tag)`:
-//! who is broadcasting, and which protocol slot the broadcast fills (an
-//! `ack` in MW-SVSS session X, a vote in agreement round Y, …). One RB
-//! instance per slot makes slot-level equivocation impossible: within an
-//! instance, Bracha RB guarantees all nonfaulty processes accept the same
-//! value, so "the value p broadcast for slot s" is well defined everywhere.
+//! An RB instance is identified by `(origin, tag)`: who is broadcasting,
+//! and what the instance carries. Within an instance, Bracha RB
+//! guarantees all nonfaulty processes accept the same value — what this
+//! mux provides is agreement *per instance*. Where a layer gives every
+//! protocol slot an instance of its own (a vote in agreement round Y,
+//! the coin's attach and support sets: `tag` is the slot), that is also
+//! agreement per slot: "the value p broadcast for slot s" is well
+//! defined everywhere. The SVSS engine does not: an origin's step
+//! broadcasts many slots at once, so it carries them in **one** instance
+//! per step (a *vector*; a lone value still takes a scalar instance
+//! here, `tag` = slot), and since a faulty origin may then put one slot
+//! into several instances, slot-level agreement needs one rule more —
+//! echo at most one instance per `(origin, slot)`. The rule, its
+//! quorum-intersection arithmetic and the vector instances themselves
+//! live with that engine (`sba_svss::engine`'s module docs); this mux,
+//! [`Rb`] and its tallies are as the paper's Appendix A has them.
 //!
 //! # Instance store and retirement
 //!

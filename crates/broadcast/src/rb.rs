@@ -13,7 +13,7 @@
 //! contradicts another, an instance owns no heap memory beyond what a
 //! value `P` itself may hold.
 
-use sba_net::{CodecError, Kinded, Pid, Reader, Wire};
+use sba_net::{CodecError, Kinded, Pid, RbStep, Reader, Wire};
 
 use crate::wrb::Tally;
 use crate::{Params, Wrb, WrbMsg};
@@ -25,6 +25,27 @@ pub enum RbMsg<P> {
     Wrb(WrbMsg<P>),
     /// `(r, 3)` — "I know the WRB outcome is r".
     Ready(P),
+}
+
+impl<P> RbMsg<P> {
+    /// The message of protocol step `step` carrying `payload`.
+    pub fn of_step(step: RbStep, payload: P) -> Self {
+        match step {
+            RbStep::Init => RbMsg::Wrb(WrbMsg::Init(payload)),
+            RbStep::Echo => RbMsg::Wrb(WrbMsg::Echo(payload)),
+            RbStep::Ready => RbMsg::Ready(payload),
+        }
+    }
+
+    /// The protocol step and the payload it carries (the flat wire
+    /// formats store the two apart).
+    pub fn into_step(self) -> (RbStep, P) {
+        match self {
+            RbMsg::Wrb(WrbMsg::Init(p)) => (RbStep::Init, p),
+            RbMsg::Wrb(WrbMsg::Echo(p)) => (RbStep::Echo, p),
+            RbMsg::Ready(p) => (RbStep::Ready, p),
+        }
+    }
 }
 
 impl<P: Wire> Wire for RbMsg<P> {
@@ -114,7 +135,7 @@ impl<P: Clone + Eq> Rb<P> {
 
     /// [`Rb::start`], with each outgoing message passed through `wrap`
     /// on its way into the enclosing layer's send list.
-    pub(crate) fn start_with<M>(
+    pub fn start_with<M>(
         &mut self,
         params: Params,
         value: P,
@@ -139,7 +160,7 @@ impl<P: Clone + Eq> Rb<P> {
 
     /// [`Rb::on_message`], with each outgoing message passed through
     /// `wrap` on its way into the enclosing layer's send list.
-    pub(crate) fn on_message_with<M>(
+    pub fn on_message_with<M>(
         &mut self,
         params: Params,
         from: Pid,

@@ -237,6 +237,9 @@ impl<F: Field> CoinEngine<F> {
             return;
         }
         session.started = true;
+        // One coin entry point is one step of this process: everything
+        // the SVSS layer broadcasts under it leaves as one vector.
+        self.svss.begin_step();
         for target in Pid::all(self.params.n()) {
             let secret = F::random(&mut self.rng);
             // The SVSS engine emits the shared flat wire type: its sends
@@ -245,6 +248,7 @@ impl<F: Field> CoinEngine<F> {
                 .share(coin_svss_id(tag, self.me, target), secret, sends);
         }
         self.pump(tag, sends);
+        self.svss.end_step(sends);
         self.sweep_retirements();
     }
 
@@ -258,7 +262,9 @@ impl<F: Field> CoinEngine<F> {
         let session = self.sessions.live_mut(slot);
         if !session.recon_enabled {
             session.recon_enabled = true;
+            self.svss.begin_step();
             self.pump(tag, sends);
+            self.svss.end_step(sends);
             self.sweep_retirements();
         }
     }
@@ -303,6 +309,7 @@ impl<F: Field> CoinEngine<F> {
                 svss_batch.push(msg);
             }
         }
+        self.svss.begin_step();
         if !svss_batch.is_empty() {
             self.svss.on_batch(from, &mut svss_batch, sends);
         }
@@ -350,6 +357,7 @@ impl<F: Field> CoinEngine<F> {
         }
         tags.clear();
         self.touched_tags = tags;
+        self.svss.end_step(sends);
         self.sweep_retirements();
     }
 

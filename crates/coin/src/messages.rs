@@ -8,7 +8,7 @@
 //! wrapper nesting, no per-layer heap node, and wrapping SVSS traffic
 //! into the coin layer is the identity function.
 
-use sba_broadcast::{MuxMsg, RbMsg, WrbMsg};
+use sba_broadcast::{MuxMsg, RbMsg};
 use sba_field::Field;
 use sba_net::{Pid, ProcessSet, RbStep, SvssId};
 
@@ -40,11 +40,7 @@ pub fn decode_coin_svss_id(id: SvssId) -> (u64, Pid, Pid) {
 /// Flattens a routed coin-mux message into the packed wire form (the RB
 /// mux's `wrap` hook for the coin layer).
 pub fn wire_of_coin_mux<F: Field>(m: MuxMsg<CoinSlot, ProcessSet>) -> CoinMsg<F> {
-    let (step, set) = match m.inner {
-        RbMsg::Wrb(WrbMsg::Init(s)) => (RbStep::Init, s),
-        RbMsg::Wrb(WrbMsg::Echo(s)) => (RbStep::Echo, s),
-        RbMsg::Ready(s) => (RbStep::Ready, s),
-    };
+    let (step, set) = m.inner.into_step();
     CoinMsg::coin_rb(m.tag, m.origin, step, set)
 }
 
@@ -56,15 +52,10 @@ pub fn coin_mux_of_parts(
     step: RbStep,
     set: ProcessSet,
 ) -> MuxMsg<CoinSlot, ProcessSet> {
-    let inner = match step {
-        RbStep::Init => RbMsg::Wrb(WrbMsg::Init(set)),
-        RbStep::Echo => RbMsg::Wrb(WrbMsg::Echo(set)),
-        RbStep::Ready => RbMsg::Ready(set),
-    };
     MuxMsg {
         tag: slot,
         origin,
-        inner,
+        inner: RbMsg::of_step(step, set),
     }
 }
 

@@ -3,15 +3,16 @@
 
 use sba_aba::{AbaMsg, VoteSlot, VoteValue};
 use sba_broadcast::{MuxMsg, RbMsg, WrbMsg};
-use sba_coin::CoinMsg;
 use sba_field::{Field, Gf61};
-use sba_net::{Envelope, Pid, RbStep, SvssRbValue, Unpacked, WireKind};
+use sba_net::{Envelope, Pid};
 use sba_sim::{FnScheduler, Scheduler, Tamper};
+use sba_svss::forge_recon_points;
 
 use crate::cluster::Msg;
 
 /// Tamper: shift every SVSS reconstruction point this process originates
-/// by `delta`.
+/// by `delta`, whether it leaves as a scalar init or as a member of a
+/// vector init.
 pub fn lying_share_tamper(
     delta: u64,
 ) -> impl FnMut(Pid, &Msg) -> Tamper<Msg> + Send + Clone + 'static {
@@ -19,24 +20,8 @@ pub fn lying_share_tamper(
         let AbaMsg::Coin(coin) = msg else {
             return Tamper::Keep;
         };
-        if coin.wire_kind() != WireKind::MwReconInit {
-            return Tamper::Keep;
-        }
-        let Unpacked::Rb {
-            slot,
-            origin,
-            value: SvssRbValue::Value(v),
-            ..
-        } = coin.clone().unpack()
-        else {
-            return Tamper::Keep;
-        };
-        Tamper::Replace(vec![AbaMsg::Coin(CoinMsg::rb(
-            slot,
-            origin,
-            RbStep::Init,
-            SvssRbValue::Value(v + Gf61::from_u64(delta)),
-        ))])
+        forge_recon_points(coin, |_| Some(Gf61::from_u64(delta)))
+            .map_or(Tamper::Keep, |m| Tamper::Replace(vec![AbaMsg::Coin(m)]))
     }
 }
 

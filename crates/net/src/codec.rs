@@ -16,6 +16,16 @@ use sba_field::Field;
 
 use crate::Pid;
 
+/// The buffer a sequence decoder starts from when a length prefix
+/// claims `claimed` elements. Decoders bound the claim by the bytes that
+/// remain, but an element is wider in memory than its shortest encoding
+/// (a 64 MiB frame claiming 64 M thirty-two-byte messages would reserve
+/// 2 GiB before its first member failed to decode), so the prefix buys
+/// a small reservation and `push` grows with what really decodes.
+pub(crate) fn reserve_decoded<T>(claimed: usize) -> Vec<T> {
+    Vec::with_capacity(claimed.min(1024))
+}
+
 /// Error produced when decoding malformed bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CodecError {
@@ -257,11 +267,12 @@ impl<T: Wire> Wire for Vec<T> {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         let len = u32::decode(r)? as usize;
-        // Each element takes at least one byte; bound before allocating.
+        // Each element takes at least one byte: a count past the input
+        // is a lie.
         if len > r.remaining() {
             return Err(CodecError::Invalid);
         }
-        let mut out = Vec::with_capacity(len);
+        let mut out = reserve_decoded(len);
         for _ in 0..len {
             out.push(T::decode(r)?);
         }
@@ -427,6 +438,22 @@ mod tests {
         assert_eq!(back, v);
         assert_eq!(r.remaining(), 0, "trailing bytes");
         assert_eq!(v.wire_len(), bytes.len());
+    }
+
+    /// A length prefix the input could just about back (one byte per
+    /// element) buys a bounded reservation, not `len × size_of::<T>()`;
+    /// a long sequence that really is there still decodes.
+    #[test]
+    fn vec_decode_does_not_reserve_on_the_peers_word() {
+        assert_eq!(reserve_decoded::<[u64; 4]>(64 << 20).capacity(), 1024);
+        assert_eq!(reserve_decoded::<u64>(3).capacity(), 3);
+        // 4 MiB claiming 4 Mi eight-byte elements: fails at the first
+        // element that is not there, having reserved 8 KiB, not 32 MiB.
+        let mut lie = ((4u32 << 20).to_le_bytes()).to_vec();
+        lie.resize(4 + (4 << 20), 0);
+        let mut r = Reader::new(&lie);
+        assert_eq!(Vec::<u64>::decode(&mut r), Err(CodecError::UnexpectedEnd));
+        round_trip((0..5_000u32).collect::<Vec<u32>>());
     }
 
     #[test]

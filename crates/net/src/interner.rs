@@ -112,11 +112,12 @@ impl<K: Copy + Eq + Hash, L, R> Default for Interner<K, L, R> {
 }
 
 impl<K: Copy + Eq + Hash, L, R> Interner<K, L, R> {
-    /// An empty store.
+    /// An empty store. It owns no heap memory until the first key is
+    /// interned (a process builds several stores it may never use).
     pub fn new() -> Self {
         Interner {
-            buckets: vec![u64::MAX; 16],
-            mask: 15,
+            buckets: Vec::new(),
+            mask: 0,
             interned: 0,
             live: Vec::new(),
             free: Vec::new(),
@@ -138,7 +139,10 @@ impl<K: Copy + Eq + Hash, L, R> Interner<K, L, R> {
         let fp = (h >> 32) as u32;
         let mut at = h as usize & self.mask;
         loop {
-            let bucket = self.buckets[at];
+            // Only the index of a store that never interned is empty.
+            let Some(&bucket) = self.buckets.get(at) else {
+                return Err(at);
+            };
             let packed = bucket as u32;
             if packed == EMPTY_SLOT {
                 return Err(at);
@@ -184,7 +188,12 @@ impl<K: Copy + Eq + Hash, L, R> Interner<K, L, R> {
         let h = fx_hash(&key);
         match self.find(h, &key) {
             Ok(packed) => Slot::unpack(packed),
-            Err(at) => {
+            Err(mut at) => {
+                if self.buckets.is_empty() {
+                    self.buckets = vec![u64::MAX; 16];
+                    self.mask = 15;
+                    at = h as usize & self.mask;
+                }
                 let idx = if let Some(idx) = self.free.pop() {
                     self.live[idx as usize] = (key, init());
                     idx

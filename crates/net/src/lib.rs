@@ -42,7 +42,7 @@ pub use kind::Kinded;
 pub use pid::{Pid, ProcessSet, ProcessSetIter, MAX_N};
 pub use session::{MwId, SessionKey, SvssId};
 pub use wire::{
-    decode_frame, encode_frame, frame_len, CoinSlot, GsetsBody, MwDealBody, RbStep, RowsBody,
-    SlotKind, SlotView, SvssPriv, SvssRbValue, SvssSlot, Unpacked, WireKind, WireMsg,
+    decode_frame, encode_frame, frame_len, CoinSlot, GsetsBody, MwDealBody, RbStep, RbVector,
+    RowsBody, SlotKind, SlotView, SvssPriv, SvssRbValue, SvssSlot, Unpacked, WireKind, WireMsg,
     WIRE_KIND_COUNT,
 };

@@ -29,6 +29,8 @@
 //! construction invariant (constructors assert it, `decode` enforces it),
 //! which is what makes [`WireMsg::unpack`] total.
 
+use std::sync::Arc;
+
 use sba_field::Field;
 
 use crate::{
@@ -115,10 +117,13 @@ pub enum WireKind {
     SupportInit = 25,
     SupportEcho = 26,
     SupportReady = 27,
+    VecInit = 28,
+    VecEcho = 29,
+    VecReady = 30,
 }
 
 /// Number of [`WireKind`] values (discriminants are `0..COUNT`).
-pub const WIRE_KIND_COUNT: u8 = 28;
+pub const WIRE_KIND_COUNT: u8 = 31;
 
 impl WireKind {
     /// Decodes a discriminant byte.
@@ -154,7 +159,10 @@ impl WireKind {
                 24 => WireKind::AttachReady,
                 25 => WireKind::SupportInit,
                 26 => WireKind::SupportEcho,
-                _ => WireKind::SupportReady,
+                27 => WireKind::SupportReady,
+                28 => WireKind::VecInit,
+                29 => WireKind::VecEcho,
+                _ => WireKind::VecReady,
             })
         } else {
             None
@@ -195,12 +203,24 @@ impl WireKind {
 
     /// Whether this is coin-layer RB traffic (attach/support slots).
     pub fn is_coin_rb(self) -> bool {
-        self as u8 >= 22
+        (22..28).contains(&(self as u8))
+    }
+
+    /// Whether this is a vector broadcast of the SVSS stack (one Bracha
+    /// instance carrying several slots' values, see [`RbVector`]).
+    pub fn is_vector(self) -> bool {
+        self as u8 >= 28
     }
 
     /// Whether this is a private point-to-point message.
     pub fn is_priv(self) -> bool {
         (self as u8) < 4
+    }
+
+    /// Whether the kind spells the `aux` byte (the `MwRecon`
+    /// polynomial index).
+    fn has_aux(self) -> bool {
+        (16..19).contains(&(self as u8))
     }
 
     fn rb(slot: SlotKind, step: RbStep) -> WireKind {
@@ -571,6 +591,100 @@ impl CompactSet {
     }
 }
 
+/// The member list of a *vector broadcast*: the `(slot, value)` pairs one
+/// origin issued in one step, carried by a single Bracha instance keyed
+/// `(origin, seq)` and delivered member by member when it is accepted
+/// (the rule is in the SVSS engine's module docs).
+///
+/// One thin shared pointer: the list is built once by its origin (once
+/// per decoded frame member off a socket) and shared by refcount through
+/// the init/echo/ready fan-out, the RB tallies and the simulator's queue,
+/// so [`WireMsg`] keeps its pinned size and comparing two copies of one
+/// list is a pointer compare. Members are held in their packed scalar
+/// `Init` form, strictly ascending by slot — which makes the encoding
+/// canonical and a repeated slot unrepresentable — and there are always
+/// at least two: a lone value travels as the scalar message it always
+/// was.
+#[derive(Clone, Debug)]
+pub struct RbVector<F>(Arc<VectorBody<F>>);
+
+#[derive(Debug)]
+struct VectorBody<F> {
+    members: Vec<WireMsg<F>>,
+    /// Encoded length of the member list, fixed at construction: the
+    /// simulator prices every copy of every relay, and must not walk
+    /// the list.
+    wire_len: usize,
+}
+
+impl<F: PartialEq> PartialEq for RbVector<F> {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0) || self.0.members == other.0.members
+    }
+}
+
+impl<F: Eq> Eq for RbVector<F> {}
+
+impl<F: Field> RbVector<F> {
+    /// The vector `origin` broadcasts for `members`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there are at least two members in strictly
+    /// ascending slot order, or if a value does not fit its slot family
+    /// (see [`WireMsg::rb`]).
+    pub fn new(origin: Pid, members: impl IntoIterator<Item = (SvssSlot, SvssRbValue<F>)>) -> Self {
+        let pack = |(slot, value)| WireMsg::rb(slot, origin, RbStep::Init, value);
+        Self::from_members(members.into_iter().map(pack).collect())
+            .expect("a vector holds two or more members, strictly ascending by slot")
+    }
+
+    /// Seals a list of packed scalar inits of one origin.
+    fn from_members(members: Vec<WireMsg<F>>) -> Result<Self, CodecError> {
+        let ascending = members.windows(2).all(|w| w[0].rb_slot() < w[1].rb_slot());
+        if members.len() < 2 || !ascending {
+            return Err(CodecError::Invalid);
+        }
+        let (mut wire_len, mut prev) = (4, None);
+        for m in &members {
+            wire_len += m.vector_member_len(prev);
+            prev = Some(m);
+        }
+        Ok(RbVector(Arc::new(VectorBody { members, wire_len })))
+    }
+
+    /// The members' slots, ascending.
+    pub fn slots(&self) -> impl Iterator<Item = SvssSlot> + '_ {
+        self.0.members.iter().filter_map(WireMsg::rb_slot)
+    }
+
+    /// The members in vector order (values are cloned out of the shared
+    /// list).
+    pub fn iter(&self) -> impl Iterator<Item = (SvssSlot, SvssRbValue<F>)> + '_ {
+        self.0.members.iter().map(|m| match m.clone().unpack() {
+            Unpacked::Rb { slot, value, .. } => (slot, value),
+            _ => unreachable!("vector members are scalar SVSS inits by construction"),
+        })
+    }
+
+    /// Decodes the member list of a vector whose header named `origin`
+    /// (packed). Rejects what the constructor cannot build: fewer than
+    /// two members, or slots not strictly ascending.
+    fn decode(r: &mut Reader<'_>, origin: u8) -> Result<Self, CodecError> {
+        let len = u32::decode(r)? as usize;
+        // Each member takes at least one byte; bound before reserving.
+        if len > r.remaining() {
+            return Err(CodecError::Invalid);
+        }
+        let mut members: Vec<WireMsg<F>> = crate::codec::reserve_decoded(len);
+        for _ in 0..len {
+            let m = WireMsg::decode_vector_member(r, members.last(), origin)?;
+            members.push(m);
+        }
+        Self::from_members(members)
+    }
+}
+
 /// The payload slot of a [`WireMsg`]: exactly one variant is legal per
 /// [`WireKind`] (a construction invariant, enforced on decode).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -581,6 +695,7 @@ enum Body<F> {
     Gsets(Box<GsetsBody>),
     Deal(Box<MwDealBody<F>>),
     Rows(Box<RowsBody<F>>),
+    Vector(RbVector<F>),
 }
 
 /// One SVSS/coin-stack wire message in flat packed form: a 16-byte
@@ -612,6 +727,18 @@ pub enum Unpacked<F> {
         step: RbStep,
         /// The carried value.
         value: SvssRbValue<F>,
+    },
+    /// A vector reliable-broadcast message of the SVSS stack: one step
+    /// of the Bracha instance `(origin, seq)`.
+    RbVector {
+        /// The broadcasting process (RB dealer).
+        origin: Pid,
+        /// The origin's sequence number for this vector.
+        seq: u32,
+        /// The RB protocol step.
+        step: RbStep,
+        /// The carried member list.
+        members: RbVector<F>,
     },
     /// A coin-layer reliable-broadcast message.
     CoinRb {
@@ -731,6 +858,24 @@ impl<F: Field> WireMsg<F> {
         }
     }
 
+    /// Wraps one step of the vector broadcast `(origin, seq)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin` exceeds the packed pid cap of [`crate::MAX_N`].
+    pub fn rb_vector(origin: Pid, seq: u32, step: RbStep, members: RbVector<F>) -> Self {
+        WireMsg {
+            key: WireKey {
+                tag: u64::from(seq),
+                p: [0; 5],
+                aux: 0,
+                kind: WireKind::from_byte(28 + step as u8).expect("in range"),
+                origin: pack_pid(origin),
+            },
+            body: Body::Vector(members),
+        }
+    }
+
     /// The flat discriminant — the allocation-free peek for filters,
     /// schedulers, and tamper functions.
     #[inline]
@@ -747,6 +892,61 @@ impl<F: Field> WireMsg<F> {
         } else {
             Some(unpack_pid(self.key.origin))
         }
+    }
+
+    /// The adversary's handle on what a process *originates*: if this is
+    /// an SVSS broadcast init — scalar, or a vector of them (a value
+    /// rides a vector whenever its origin broadcast anything else in the
+    /// same step) — offers every value it carries to `f` and returns the
+    /// message with the values `f` replaced. `None` when this is no such
+    /// init or `f` replaced nothing.
+    pub fn rewrite_inits(
+        &self,
+        mut f: impl FnMut(SvssSlot, &SvssRbValue<F>) -> Option<SvssRbValue<F>>,
+    ) -> Option<Self> {
+        let kind = self.key.kind;
+        if kind.rb_step() != Some(RbStep::Init) || kind.is_coin_rb() {
+            return None;
+        }
+        match self.clone().unpack() {
+            Unpacked::Rb {
+                slot,
+                origin,
+                value,
+                ..
+            } => Some(WireMsg::rb(slot, origin, RbStep::Init, f(slot, &value)?)),
+            Unpacked::RbVector {
+                origin,
+                seq,
+                members,
+                ..
+            } => {
+                let mut replaced = false;
+                let members: Vec<_> = members
+                    .iter()
+                    .map(|(slot, value)| match f(slot, &value) {
+                        Some(forged) => {
+                            replaced = true;
+                            (slot, forged)
+                        }
+                        None => (slot, value),
+                    })
+                    .collect();
+                let forged = || RbVector::new(origin, members);
+                replaced.then(|| WireMsg::rb_vector(origin, seq, RbStep::Init, forged()))
+            }
+            _ => None,
+        }
+    }
+
+    /// The RB slot, for scalar SVSS-RB kinds.
+    fn rb_slot(&self) -> Option<SvssSlot> {
+        Some(SvssSlot {
+            tag: self.key.tag,
+            p: self.key.p,
+            aux: self.key.aux,
+            kind: self.key.kind.slot_kind()?,
+        })
     }
 
     /// Decomposes into the structured form (total: the kind/body
@@ -794,6 +994,17 @@ impl<F: Field> WireMsg<F> {
                 set: set.expand(),
             };
         }
+        if kind.is_vector() {
+            let Body::Vector(members) = body else {
+                unreachable!("vector kinds carry member lists by construction")
+            };
+            return Unpacked::RbVector {
+                origin,
+                seq: key.tag as u32,
+                step,
+                members,
+            };
+        }
         let slot = SvssSlot {
             tag: key.tag,
             p: key.p,
@@ -805,8 +1016,8 @@ impl<F: Field> WireMsg<F> {
             Body::Set(s) => SvssRbValue::Set(s.expand()),
             Body::Value(v) => SvssRbValue::Value(v),
             Body::Gsets(b) => SvssRbValue::Gsets(b),
-            Body::Deal(_) | Body::Rows(_) => {
-                unreachable!("private bodies never ride RB kinds")
+            Body::Deal(_) | Body::Rows(_) | Body::Vector(_) => {
+                unreachable!("private and vector bodies never ride scalar RB kinds")
             }
         };
         Unpacked::Rb {
@@ -864,12 +1075,7 @@ fn get_field_vec<F: Field>(r: &mut Reader<'_>) -> Result<Vec<F>, CodecError> {
 fn p_width(kind: WireKind) -> usize {
     match kind {
         WireKind::Rows | WireKind::GsetsInit | WireKind::GsetsEcho | WireKind::GsetsReady => 1,
-        WireKind::AttachInit
-        | WireKind::AttachEcho
-        | WireKind::AttachReady
-        | WireKind::SupportInit
-        | WireKind::SupportEcho
-        | WireKind::SupportReady => 0,
+        k if k.is_coin_rb() || k.is_vector() => 0,
         _ => 5,
     }
 }
@@ -947,12 +1153,26 @@ impl<F: Field> WireMsg<F> {
     /// origin bytes and the body. Shared by the standalone and framed
     /// encodings, which differ only in how they spell the header.
     fn encode_tail(&self, buf: &mut Vec<u8>) {
-        let key = &self.key;
-        match key.kind {
-            WireKind::MwDeal => {
-                let Body::Deal(d) = &self.body else {
-                    unreachable!()
-                };
+        let kind = self.key.kind;
+        if kind.has_aux() {
+            buf.push(self.key.aux);
+        }
+        if !kind.is_priv() {
+            buf.push(self.key.origin);
+        }
+        self.encode_body(buf);
+    }
+
+    fn encode_body(&self, buf: &mut Vec<u8>) {
+        match &self.body {
+            Body::Unit => {}
+            Body::Set(s) => s.expand().encode(buf),
+            Body::Value(v) => put_field(*v, buf),
+            Body::Gsets(b) => {
+                b.g.encode(buf);
+                put_members(&b.members, buf);
+            }
+            Body::Deal(d) => {
                 put_field_vec(&d.others, buf);
                 put_field_vec(&d.monitor_poly, buf);
                 // Presence flag and length share one byte: 0 = absent,
@@ -971,71 +1191,34 @@ impl<F: Field> WireMsg<F> {
                     }
                 }
             }
-            WireKind::MwPoint | WireKind::MwMval => {
-                let Body::Value(v) = &self.body else {
-                    unreachable!()
-                };
-                put_field(*v, buf);
-            }
-            WireKind::Rows => {
-                let Body::Rows(rows) = &self.body else {
-                    unreachable!()
-                };
+            Body::Rows(rows) => {
                 put_field_vec(&rows.g, buf);
                 put_field_vec(&rows.h, buf);
             }
-            WireKind::MwAckInit
-            | WireKind::MwAckEcho
-            | WireKind::MwAckReady
-            | WireKind::MwOkInit
-            | WireKind::MwOkEcho
-            | WireKind::MwOkReady => {
-                buf.push(key.origin);
-            }
-            WireKind::MwLInit
-            | WireKind::MwLEcho
-            | WireKind::MwLReady
-            | WireKind::MwMInit
-            | WireKind::MwMEcho
-            | WireKind::MwMReady => {
-                buf.push(key.origin);
-                let Body::Set(s) = &self.body else {
-                    unreachable!()
-                };
-                s.expand().encode(buf);
-            }
-            WireKind::MwReconInit | WireKind::MwReconEcho | WireKind::MwReconReady => {
-                buf.push(key.aux);
-                buf.push(key.origin);
-                let Body::Value(v) = &self.body else {
-                    unreachable!()
-                };
-                put_field(*v, buf);
-            }
-            WireKind::GsetsInit | WireKind::GsetsEcho | WireKind::GsetsReady => {
-                buf.push(key.origin);
-                let Body::Gsets(b) = &self.body else {
-                    unreachable!()
-                };
-                b.g.encode(buf);
-                put_members(&b.members, buf);
-            }
-            WireKind::AttachInit
-            | WireKind::AttachEcho
-            | WireKind::AttachReady
-            | WireKind::SupportInit
-            | WireKind::SupportEcho
-            | WireKind::SupportReady => {
-                buf.push(key.origin);
-                let Body::Set(s) = &self.body else {
-                    unreachable!()
-                };
-                s.expand().encode(buf);
+            Body::Vector(v) => {
+                (v.0.members.len() as u32).encode(buf);
+                let mut prev = None;
+                for m in &v.0.members {
+                    m.encode_vector_member(prev, buf);
+                    prev = Some(m);
+                }
             }
         }
     }
 
     fn decode_tail(r: &mut Reader<'_>, key: &mut WireKey) -> Result<Body<F>, CodecError> {
+        if key.kind.has_aux() {
+            key.aux = r.byte()?;
+        }
+        if !key.kind.is_priv() {
+            key.origin = r.byte()?;
+        }
+        Self::decode_body(r, key)
+    }
+
+    /// The body `key.kind` prescribes (one shape per kind: that is what
+    /// keeps the kind/body agreement a decode-time invariant).
+    fn decode_body(r: &mut Reader<'_>, key: &WireKey) -> Result<Body<F>, CodecError> {
         let body = match key.kind {
             WireKind::MwDeal => {
                 let others = get_field_vec(r)?;
@@ -1060,58 +1243,48 @@ impl<F: Field> WireMsg<F> {
                     moderator_poly,
                 }))
             }
-            WireKind::MwPoint | WireKind::MwMval => Body::Value(get_field(r)?),
             WireKind::Rows => {
                 let g = get_field_vec(r)?;
                 let h = get_field_vec(r)?;
                 Body::Rows(Box::new(RowsBody { g, h }))
             }
+            WireKind::MwPoint
+            | WireKind::MwMval
+            | WireKind::MwReconInit
+            | WireKind::MwReconEcho
+            | WireKind::MwReconReady => Body::Value(get_field(r)?),
             WireKind::MwAckInit
             | WireKind::MwAckEcho
             | WireKind::MwAckReady
             | WireKind::MwOkInit
             | WireKind::MwOkEcho
-            | WireKind::MwOkReady => {
-                key.origin = r.byte()?;
-                Body::Unit
-            }
-            WireKind::MwLInit
-            | WireKind::MwLEcho
-            | WireKind::MwLReady
-            | WireKind::MwMInit
-            | WireKind::MwMEcho
-            | WireKind::MwMReady => {
-                key.origin = r.byte()?;
-                Body::Set(CompactSet::pack(ProcessSet::decode(r)?))
-            }
-            WireKind::MwReconInit | WireKind::MwReconEcho | WireKind::MwReconReady => {
-                key.aux = r.byte()?;
-                key.origin = r.byte()?;
-                Body::Value(get_field(r)?)
-            }
+            | WireKind::MwOkReady => Body::Unit,
             WireKind::GsetsInit | WireKind::GsetsEcho | WireKind::GsetsReady => {
-                key.origin = r.byte()?;
                 Body::Gsets(Box::new(GsetsBody {
                     g: ProcessSet::decode(r)?,
                     members: get_members(r)?,
                 }))
             }
-            WireKind::AttachInit
-            | WireKind::AttachEcho
-            | WireKind::AttachReady
-            | WireKind::SupportInit
-            | WireKind::SupportEcho
-            | WireKind::SupportReady => {
-                key.origin = r.byte()?;
-                Body::Set(CompactSet::pack(ProcessSet::decode(r)?))
+            WireKind::VecInit | WireKind::VecEcho | WireKind::VecReady => {
+                if key.tag > u64::from(u32::MAX) {
+                    return Err(CodecError::Invalid);
+                }
+                Body::Vector(RbVector::decode(r, key.origin)?)
             }
+            // `L_j`, `M`, and the coin's attach / support sets.
+            _ => Body::Set(CompactSet::pack(ProcessSet::decode(r)?)),
         };
         Ok(body)
     }
 
     /// Byte length of [`WireMsg::encode_tail`], computed arithmetically.
     fn tail_len(&self) -> usize {
-        let body = match &self.body {
+        let kind = self.key.kind;
+        usize::from(kind.has_aux()) + usize::from(!kind.is_priv()) + self.body_len()
+    }
+
+    fn body_len(&self) -> usize {
+        match &self.body {
             Body::Unit => 0,
             Body::Set(s) => s.expand().encoded_len(),
             Body::Value(_) => 8,
@@ -1123,13 +1296,99 @@ impl<F: Field> WireMsg<F> {
                     + d.moderator_poly.as_ref().map_or(0, |p| 8 * p.len())
             }
             Body::Rows(rows) => field_vec_len(&rows.g) + field_vec_len(&rows.h),
+            Body::Vector(v) => v.0.wire_len,
+        }
+    }
+
+    /// How much of a vector member's header its predecessor spells
+    /// already: whether the tag repeats, and how many leading p-bytes
+    /// do. Members ascend by slot — `(tag, p, aux, family)` — so
+    /// neighbours are the sessions closest to each other and the shared
+    /// prefix is long.
+    fn member_delta(&self, prev: Option<&Self>) -> (bool, usize) {
+        let Some(q) = prev else {
+            return (false, 0);
         };
-        let fixed = match self.key.kind {
-            WireKind::MwDeal | WireKind::MwPoint | WireKind::MwMval | WireKind::Rows => 0,
-            WireKind::MwReconInit | WireKind::MwReconEcho | WireKind::MwReconReady => 2,
-            _ => 1, // every other kind carries the one-byte origin
+        let pw = p_width(self.key.kind);
+        let differ = |k: &usize| q.key.p[*k] != self.key.p[*k];
+        (
+            q.key.tag == self.key.tag,
+            (0..pw).find(differ).unwrap_or(pw),
+        )
+    }
+
+    /// Appends this scalar SVSS init as a member of its origin's vector:
+    /// a head byte (slot family, tag-repeats flag, shared p-prefix
+    /// length), the header fields the predecessor does not spell, and
+    /// the body. The origin is the vector's and is not repeated. The
+    /// encoder always takes the longest prefix and
+    /// [`WireMsg::decode_vector_member`] refuses anything shorter, so
+    /// the member form is canonical.
+    fn encode_vector_member(&self, prev: Option<&Self>, buf: &mut Vec<u8>) {
+        let kind = self.key.kind;
+        let slot = kind.slot_kind().expect("members are SVSS RB");
+        let (same_tag, shared) = self.member_delta(prev);
+        buf.push(slot as u8 | u8::from(same_tag) << 3 | (shared as u8) << 4);
+        if !same_tag {
+            self.key.tag.encode(buf);
+        }
+        buf.extend_from_slice(&self.key.p[shared..p_width(kind)]);
+        if kind.has_aux() {
+            buf.push(self.key.aux);
+        }
+        self.encode_body(buf);
+    }
+
+    /// Exact byte length of [`WireMsg::encode_vector_member`].
+    fn vector_member_len(&self, prev: Option<&Self>) -> usize {
+        let (same_tag, shared) = self.member_delta(prev);
+        1 + if same_tag { 0 } else { 8 } + p_width(self.key.kind) - shared
+            + usize::from(self.key.kind.has_aux())
+            + self.body_len()
+    }
+
+    /// Decodes one member of `origin`'s vector against its predecessor.
+    fn decode_vector_member(
+        r: &mut Reader<'_>,
+        prev: Option<&Self>,
+        origin: u8,
+    ) -> Result<Self, CodecError> {
+        let head = r.byte()?;
+        // The scalar init kind of slot family `head & 7` (families 6 and
+        // 7 would land on the coin's kinds, which have no slot family).
+        let kind = WireKind::from_byte(4 + (head & 7) * 3)
+            .filter(|k| k.slot_kind().is_some())
+            .ok_or(CodecError::Invalid)?;
+        let (same_tag, shared) = (head & 8 != 0, usize::from(head >> 4));
+        let pw = p_width(kind);
+        if shared > pw || (prev.is_none() && (same_tag || shared > 0)) {
+            return Err(CodecError::Invalid);
+        }
+        let (prev_tag, prev_p) = prev.map_or((None, [0; 5]), |q| (Some(q.key.tag), q.key.p));
+        let mut key = WireKey {
+            tag: 0,
+            p: [0; 5],
+            aux: 0,
+            kind,
+            origin,
         };
-        fixed + body
+        key.tag = match prev_tag {
+            Some(tag) if same_tag => tag,
+            _ => u64::decode(r)?,
+        };
+        key.p[..shared].copy_from_slice(&prev_p[..shared]);
+        key.p[shared..pw].copy_from_slice(r.take(pw - shared)?);
+        // Non-minimal: the flag, or a longer prefix, was available.
+        if (!same_tag && prev_tag == Some(key.tag))
+            || (shared < pw && prev.is_some() && prev_p[shared] == key.p[shared])
+        {
+            return Err(CodecError::Invalid);
+        }
+        if kind.has_aux() {
+            key.aux = r.byte()?;
+        }
+        let body = Self::decode_body(r, &key)?;
+        Ok(WireMsg { key, body })
     }
 
     /// Whether `prev` lets the frame form elide the tag and/or p-bytes.
@@ -1277,7 +1536,7 @@ pub fn decode_frame<T: crate::FramedWire>(r: &mut Reader<'_>) -> Result<Vec<T>, 
     if len > r.remaining() {
         return Err(CodecError::Invalid);
     }
-    let mut out: Vec<T> = Vec::with_capacity(len);
+    let mut out: Vec<T> = crate::codec::reserve_decoded(len);
     for _ in 0..len {
         let m = T::decode_framed_member(r, out.last())?;
         out.push(m);
@@ -1318,6 +1577,24 @@ mod tests {
             Pid::new(3),
             Pid::new(2),
         )
+    }
+
+    /// A three-member vector of `origin`: an ack, an `L` set and a
+    /// reconstruct point, ascending by slot.
+    fn vector(origin: Pid) -> RbVector<Gf61> {
+        let mut members = vec![
+            (SvssSlot::mw_ack(mw_id()), SvssRbValue::Unit),
+            (
+                SvssSlot::mw_l(mw_id()),
+                SvssRbValue::Set(Pid::all(3).collect()),
+            ),
+            (
+                SvssSlot::mw_recon(mw_id(), Pid::new(4)),
+                SvssRbValue::Value(Gf61::from_u64(7)),
+            ),
+        ];
+        members.sort_unstable_by_key(|m| m.0);
+        RbVector::new(origin, members)
     }
 
     #[test]
@@ -1386,6 +1663,7 @@ mod tests {
                 RbStep::Ready,
                 Pid::all(3).collect(),
             ),
+            WireMsg::rb_vector(Pid::new(2), 7, RbStep::Echo, vector(Pid::new(2))),
         ];
         for msg in cases {
             let back = match msg.clone().unpack() {
@@ -1402,6 +1680,12 @@ mod tests {
                     step,
                     set,
                 } => WireMsg::coin_rb(slot, origin, step, set),
+                Unpacked::RbVector {
+                    origin,
+                    seq,
+                    step,
+                    members,
+                } => WireMsg::rb_vector(origin, seq, step, members),
             };
             assert_eq!(back, msg);
         }
@@ -1469,6 +1753,7 @@ mod tests {
                 RbStep::Init,
                 Pid::all(2).collect(),
             ),
+            WireMsg::rb_vector(Pid::new(3), 1, RbStep::Init, vector(Pid::new(3))),
         ];
         for msg in msgs {
             let bytes = msg.encoded();
@@ -1500,6 +1785,125 @@ mod tests {
             value: Gf61::from_u64(0),
         });
         assert_eq!(msg.kind(), "mw/point");
+    }
+
+    #[test]
+    fn vector_kinds_keep_the_rb_labels_and_the_pinned_size() {
+        for (step, label) in [
+            (RbStep::Init, "rb/init"),
+            (RbStep::Echo, "rb/echo"),
+            (RbStep::Ready, "rb/ready"),
+        ] {
+            let msg = WireMsg::rb_vector(Pid::new(1), 9, step, vector(Pid::new(1)));
+            assert_eq!(msg.kind(), label);
+            assert!(msg.wire_kind().is_vector() && !msg.wire_kind().is_coin_rb());
+            assert_eq!(msg.wire_kind().rb_step(), Some(step));
+            assert_eq!(msg.origin(), Some(Pid::new(1)));
+        }
+        assert_eq!(std::mem::size_of::<RbVector<Gf61>>(), 8);
+    }
+
+    /// Copies of one list compare by pointer; a decoded duplicate
+    /// compares equal by content.
+    #[test]
+    fn vector_equality_is_by_pointer_then_by_content() {
+        let v = vector(Pid::new(2));
+        assert_eq!(v, v.clone());
+        assert_eq!(v, vector(Pid::new(2)));
+        assert_ne!(v, vector(Pid::new(3)));
+        let slots: Vec<SvssSlot> = v.slots().collect();
+        assert_eq!(slots.len(), 3);
+        assert!(slots.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(v.iter().map(|m| m.0).collect::<Vec<_>>(), slots);
+    }
+
+    #[test]
+    #[should_panic(expected = "two or more members")]
+    fn one_member_vector_rejected_at_construction() {
+        let _ = RbVector::<Gf61>::new(
+            Pid::new(1),
+            [(SvssSlot::mw_ack(mw_id()), SvssRbValue::Unit)],
+        );
+    }
+
+    /// The standalone encoding of a vector init of `origin` with sequence
+    /// number 1, whose member list claims `claimed` members and then
+    /// holds `members` in their vector-member form.
+    fn vector_bytes(origin: Pid, claimed: u32, members: &[WireMsg<Gf61>]) -> Vec<u8> {
+        let mut buf = vec![WireKind::VecInit as u8];
+        1u64.encode(&mut buf);
+        buf.push(pack_pid(origin));
+        claimed.encode(&mut buf);
+        let mut prev = None;
+        for m in members {
+            m.encode_vector_member(prev, &mut buf);
+            prev = Some(m);
+        }
+        buf
+    }
+
+    /// What the vector decoder refuses: every non-canonical or
+    /// ill-formed member list is `Invalid`, not a panic and not a
+    /// second spelling of something the scalar kinds already say. (A
+    /// member whose value does not fit its slot family, one of another
+    /// origin, a relay step or a nested vector cannot be spelled at all:
+    /// the head byte names one of the six slot families and nothing
+    /// else, and the family fixes how the body is read.)
+    #[test]
+    fn malformed_vectors_rejected() {
+        let o = Pid::new(2);
+        let init = |slot| WireMsg::<Gf61>::rb(slot, o, RbStep::Init, SvssRbValue::Unit);
+        let (ack, ok) = (
+            init(SvssSlot::mw_ack(mw_id())),
+            init(SvssSlot::mw_ok(mw_id())),
+        );
+        let decode = |bytes: &[u8]| WireMsg::<Gf61>::decode(&mut Reader::new(bytes));
+        // The well-formed control decodes; its second member is one head
+        // byte (same tag, all five p-bytes shared).
+        let good = vector_bytes(o, 2, &[ack.clone(), ok.clone()]);
+        assert_eq!(good.len(), 1 + 8 + 1 + 4 + (1 + 8 + 5) + 1);
+        assert!(matches!(
+            decode(&good).map(WireMsg::unpack),
+            Ok(Unpacked::RbVector { seq: 1, .. })
+        ));
+        let edit = |at: usize, byte: u8| {
+            let mut bytes = good.clone();
+            bytes[at] = byte;
+            bytes
+        };
+        let (first, second) = (14, good.len() - 1);
+        let mut spelled_tag = good[..second].to_vec();
+        spelled_tag.push(SlotKind::MwOk as u8 | 5 << 4);
+        spelled_tag.extend_from_slice(&good[first + 1..first + 9]);
+        let mut short_prefix = good[..second].to_vec();
+        short_prefix.push(SlotKind::MwOk as u8 | 1 << 3 | 4 << 4);
+        short_prefix.push(good[first + 13]);
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            ("empty", vector_bytes(o, 0, &[])),
+            ("one member", vector_bytes(o, 1, std::slice::from_ref(&ack))),
+            (
+                "repeated slot",
+                vector_bytes(o, 2, &[ack.clone(), ack.clone()]),
+            ),
+            ("descending", vector_bytes(o, 2, &[ok.clone(), ack.clone()])),
+            (
+                "count past the input",
+                vector_bytes(o, u32::MAX, &[ack, ok]),
+            ),
+            ("no such slot family", edit(second, 6 | 1 << 3 | 5 << 4)),
+            (
+                "prefix longer than the header",
+                edit(second, 3 | 1 << 3 | 6 << 4),
+            ),
+            ("first member elides", edit(first, 1 << 3)),
+            ("tag spelled though it repeats", spelled_tag),
+            ("prefix shorter than it could be", short_prefix),
+            // A sequence number past `u32` is refused before the list.
+            ("sequence number too wide", edit(5, 1)),
+        ];
+        for (what, bytes) in cases {
+            assert_eq!(decode(&bytes), Err(CodecError::Invalid), "{what}");
+        }
     }
 
     #[test]

@@ -1,25 +1,95 @@
-//! The per-process SVSS engine: RB mux + DMM + all MW/SVSS machines.
+//! The per-process SVSS engine: reliable broadcast + DMM + all MW/SVSS
+//! machines.
 //!
 //! The engine is the deployable unit of this crate: it owns every
 //! sub-machine of one process and exposes a message-in/messages-out
 //! interface plus an event stream. Layering inside (paper §2–§4):
 //!
 //! ```text
-//! incoming ──► RbMux (relays always run) ──► DMM filter ──► MW / SVSS machines
-//!                                   │  rules 2+3 (detection) fire
-//!                                   └─ before the delay/discard verdict
+//!               ┌ scalar (origin, slot) ─ RbMux ───┐ one delivery
+//! incoming ─► RB┤                                  ├─► per slot ─► DMM filter ─► MW / SVSS machines
+//!               └ vector (origin, seq) ─ Rb, split ┘        │ rules 2+3 (detection) fire
+//!                 (relays always run)                       └─ before the delay/discard verdict
+//!
+//! MW / SVSS machines ─► broadcasts ─► open vector ─(own step boundary)─► one Bracha instance
 //! ```
+//!
+//! # Vector RB: one Bracha instance per (origin, step)
+//!
+//! The paper's RB (Appendix A) costs `n + 2n²` messages per instance,
+//! and the thousands of MW-SVSS sessions of one coin round each
+//! broadcast their `ack` / `L` / `M` / `OK` / reconstruct slots from the
+//! same origin in the same step. So the unit of broadcast here is the
+//! origin's **step**, not the slot: whatever one step of this process
+//! broadcasts leaves as *one* Bracha instance keyed `(origin, seq)`,
+//! whose payload is the list of `(slot, value)` members
+//! ([`sba_net::RbVector`]); acceptance delivers the members one by one,
+//! in vector order, down the path a scalar acceptance takes. A step that
+//! broadcasts a single value sends the scalar message it always did —
+//! same wire kind, same bytes, same `(origin, slot)` instance in the
+//! `RbMux` — so only steps that really issue two or more broadcasts
+//! pay for a shared payload (the amortisation of Wang, arXiv:1507.06165,
+//! and the batching argument of VABA, arXiv:1811.01332). The mechanism —
+//! the two instance stores, the open vector, the record below — is the
+//! `rb` module's `SvssRb`; this engine decides where a step ends.
+//!
+//! **Who closes a vector, and when.** Its origin, at its *own step
+//! boundary*: the end of the outermost entry point — `share`,
+//! `reconstruct`, `mw_*`, `on_batch` — after the DMM rescan that ends
+//! every entry point, or the [`SvssEngine::end_step`] of an enclosing
+//! layer that held several entry points together as one step (the coin's
+//! `start` shares `n` secrets; its `on_batch` pumps every touched
+//! session). Never on a receipt, never on a timer, never waiting for
+//! anything. That is why the rule adds no dependency the asynchronous
+//! model forbids: a step is a process's atomic reaction to one delivery
+//! or one local command, everything it sends leaves together when it
+//! ends, and a vector holds only what that step itself produced —
+//! nothing is held back for a later step, and no step waits for another
+//! process. Coalescing a step's broadcasts changes how many instances
+//! carry them, not when they leave.
+//!
+//! **Echo once per slot.** With one instance per slot, "the value `p`
+//! broadcast for slot `s`" is well defined because an instance accepts
+//! one value. A faulty origin can now put one slot into several
+//! instances — two vectors, or a scalar and a vector — with different
+//! values, so the paper's WRB rule "echo the first `(s, 1)` of an
+//! instance" is lifted to slots: a process echoes an init, scalar or
+//! vector, only if it has echoed **no other** instance of that origin
+//! containing any of its slots (the `claims` record). Then two
+//! instances of one origin that share a slot are never both accepted,
+//! anywhere. Acceptance of an instance at any process takes `n − t`
+//! readies, at least `n − 2t ≥ t + 1` of them from nonfaulty processes;
+//! the first nonfaulty ready was sent on WRB acceptance, i.e. on
+//! `n − t` echoes, at least `n − 2t` of them nonfaulty. Were two
+//! instances sharing a slot both accepted, their nonfaulty echoers —
+//! disjoint, by the rule — would number `2(n − 2t) ≤ n − t`, i.e.
+//! `n ≤ 3t`. So per `(origin, slot)` at most one instance ever delivers:
+//! no process delivers a slot twice and no two deliver different values.
+//! Totality is untouched, because acceptance is not gated by the record:
+//! an instance one nonfaulty process accepts, all accept (ready
+//! amplification), and each delivers every member. The record is
+//! written when an init arrives and when the own vector closes — never
+//! on the `n²` echo/ready path — and, like the scalar mux's retired
+//! store, holds one entry per `(origin, slot)`; an accepted vector
+//! instance itself retires to a unit record.
+//!
+//! **Non-goal.** The member list is echoed and readied in full. The
+//! hash-, Merkle- or erasure-coded broadcasts of the computational
+//! literature (the acss-rs slice in SNIPPETS.md echoes a Merkle root
+//! and a shard) shrink those relays by leaning on a collision-resistant
+//! hash; this paper's setting is information-theoretic — an unbounded
+//! adversary — so no digest can stand in for the payload.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sba_broadcast::{MuxMsg, Params, RbDelivery, RbMux};
+use sba_broadcast::{Params, RbDelivery};
 use sba_field::{Domain, Field};
 use sba_net::{FastMap, MwId, Pid, ProcessSet, SlotView, SvssId, Unpacked};
 
-use crate::messages::{mux_of_parts, wire_of_mux};
+use crate::rb::SvssRb;
 use crate::{
     Dmm, Mw, MwIn, MwOut, Reconstructed, SessionKey, Svss, SvssCtx, SvssMsg, SvssOut, SvssPriv,
     SvssRbValue, SvssSlot, Verdict,
@@ -81,7 +151,14 @@ pub struct SvssEngine<F: Field> {
     rng: StdRng,
     /// The instance-wide evaluation domain, shared with every machine.
     domain: Arc<Domain<F>>,
-    mux: RbMux<SvssSlot, SvssRbValue<F>>,
+    /// Reliable broadcast: the scalar and vector instances, the open
+    /// vector, the echo-once-per-slot record.
+    rb: SvssRb<F>,
+    /// Set while an enclosing layer holds several entry points together
+    /// as one step ([`SvssEngine::begin_step`]).
+    held: bool,
+    /// Slot values RB has delivered to this process, whoever's.
+    rb_delivered: u64,
     dmm: Dmm<F>,
     /// MW machines, boxed: [`Mw`] is ~400 B, and an inline-value table
     /// with thousands of live machines would drag a cache line per probe
@@ -93,16 +170,15 @@ pub struct SvssEngine<F: Field> {
     pending: Vec<(Pid, Inner<F>)>,
     pending_version: u64,
     events: Vec<SvssEvent<F>>,
-    /// Reusable batch-routing buffers for [`SvssEngine::on_batch`]
-    /// (capacity survives across deliveries; allocation-free steady
-    /// state).
-    rb_run: Vec<MuxMsg<SvssSlot, SvssRbValue<F>>>,
+    /// Reusable acceptance buffer for [`SvssEngine::on_batch`] (capacity
+    /// survives across deliveries; allocation-free steady state).
     rb_deliveries: Vec<RbDelivery<SvssSlot, SvssRbValue<F>>>,
     /// Reusable one-member batch for [`SvssEngine::on_message`].
     one: Vec<SvssMsg<F>>,
-    /// Reusable buffer for one MW machine step's outputs (see
+    /// Reusable buffers for one MW / SVSS machine step's outputs (see
     /// [`SvssEngine::drive_mw`]).
     mw_outs: Vec<MwOut<F>>,
+    svss_outs: Vec<SvssOut<F>>,
 }
 
 impl<F: Field> SvssEngine<F> {
@@ -127,7 +203,9 @@ impl<F: Field> SvssEngine<F> {
             params,
             rng: StdRng::seed_from_u64(seed ^ 0x5755_5353),
             domain,
-            mux: RbMux::new(me, params),
+            rb: SvssRb::new(me, params),
+            held: false,
+            rb_delivered: 0,
             dmm: Dmm::new(me, params.n()),
             mw: FastMap::default(),
             svss: FastMap::default(),
@@ -136,10 +214,10 @@ impl<F: Field> SvssEngine<F> {
             pending: Vec::new(),
             pending_version: 0,
             events: Vec::new(),
-            rb_run: Vec::new(),
             rb_deliveries: Vec::new(),
             one: Vec::new(),
             mw_outs: Vec::new(),
+            svss_outs: Vec::new(),
         }
     }
 
@@ -194,19 +272,41 @@ impl<F: Field> SvssEngine<F> {
         self.mw.len()
     }
 
-    /// Live (not yet accepted) RB instances in this engine's mux.
+    /// Live (not yet accepted) RB instances, scalar and vector.
     pub fn rb_live_instances(&self) -> usize {
-        self.mux.instance_count()
+        self.rb.live_instances()
     }
 
-    /// Peak concurrently-live RB instances (the mux working set).
+    /// Peak concurrently-live RB instances (the working set; the two
+    /// stores' peaks, summed).
     pub fn rb_live_peak(&self) -> usize {
-        self.mux.live_peak()
+        self.rb.live_peak()
     }
 
     /// Retired (accepted and reclaimed) RB instances.
     pub fn rb_retired_instances(&self) -> usize {
-        self.mux.retired_count()
+        self.rb.retired_instances()
+    }
+
+    /// RB instances this process has started as origin: one per step
+    /// that broadcast anything.
+    pub fn rb_started_instances(&self) -> u64 {
+        self.rb.started().0
+    }
+
+    /// Slot values those instances carried; over
+    /// [`SvssEngine::rb_started_instances`], the amortisation factor of
+    /// vector RB.
+    pub fn rb_started_members(&self) -> u64 {
+        self.rb.started().1
+    }
+
+    /// Slot values RB has delivered to this process, from every origin.
+    /// Once an honest run is quiescent this equals the sum of every
+    /// process's [`SvssEngine::rb_started_members`]: each value an
+    /// origin handed to RB arrives exactly once, whatever it rode in.
+    pub fn rb_delivered_members(&self) -> u64 {
+        self.rb_delivered
     }
 
     /// Number of DMM-delayed messages currently buffered. In honest runs
@@ -227,42 +327,34 @@ impl<F: Field> SvssEngine<F> {
     pub fn share(&mut self, id: SvssId, secret: F, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
         assert_eq!(self.me, id.dealer(), "only the dealer may share");
         self.dmm.session_started(SessionKey::Svss(id));
-        let n = self.params.n();
-        let t = self.params.t();
-        let domain = Arc::clone(&self.domain);
-        let machine = self
-            .svss
-            .entry(id)
-            .or_insert_with(|| Svss::new(id, self.me, n, t, domain));
-        let ctx = SvssCtx {
-            mw_completed: &self.mw_completed,
-            mw_outputs: &self.mw_outputs,
-        };
-        let mut outs = Vec::new();
-        machine.start_share(secret, &mut self.rng, &ctx, &mut outs);
-        self.handle_svss_outs(id, outs, sends);
+        self.drive_svss(id, sends, |m, rng, ctx, outs| {
+            m.start_share(secret, rng, ctx, outs)
+        });
         self.finish(sends);
     }
 
     /// Invokes protocol `R` for session `id` (begins once `S` completes).
     pub fn reconstruct(&mut self, id: SvssId, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
         self.dmm.session_started(SessionKey::Svss(id));
-        let n = self.params.n();
-        let t = self.params.t();
-        let me = self.me;
-        let domain = Arc::clone(&self.domain);
-        let machine = self
-            .svss
-            .entry(id)
-            .or_insert_with(|| Svss::new(id, me, n, t, domain));
-        let ctx = SvssCtx {
-            mw_completed: &self.mw_completed,
-            mw_outputs: &self.mw_outputs,
-        };
-        let mut outs = Vec::new();
-        machine.start_reconstruct(&ctx, &mut outs);
-        self.handle_svss_outs(id, outs, sends);
+        self.drive_svss(id, sends, |m, _, ctx, outs| m.start_reconstruct(ctx, outs));
         self.finish(sends);
+    }
+
+    /// Holds the entry points that follow together as **one step** of
+    /// this process: what they broadcast stays in the open vector until
+    /// [`SvssEngine::end_step`] closes it. For an enclosing layer whose
+    /// own step makes several calls (the coin's `start` shares `n`
+    /// secrets); a bare entry point is a step of its own.
+    pub fn begin_step(&mut self) {
+        debug_assert!(!self.held, "steps do not nest");
+        self.held = true;
+    }
+
+    /// Ends the step [`SvssEngine::begin_step`] opened and closes its
+    /// vector.
+    pub fn end_step(&mut self, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
+        self.held = false;
+        self.rb.close(sends);
     }
 
     /// Invokes a standalone MW-SVSS share as its dealer.
@@ -328,9 +420,7 @@ impl<F: Field> SvssEngine<F> {
         msgs: &mut Vec<SvssMsg<F>>,
         sends: &mut Vec<(Pid, SvssMsg<F>)>,
     ) {
-        let mut run: Vec<MuxMsg<SvssSlot, SvssRbValue<F>>> = std::mem::take(&mut self.rb_run);
-        let mut deliveries: Vec<RbDelivery<SvssSlot, SvssRbValue<F>>> =
-            std::mem::take(&mut self.rb_deliveries);
+        let mut deliveries = std::mem::take(&mut self.rb_deliveries);
         for msg in msgs.drain(..) {
             match msg.unpack() {
                 Unpacked::Rb {
@@ -338,9 +428,19 @@ impl<F: Field> SvssEngine<F> {
                     origin,
                     step,
                     value,
-                } => run.push(mux_of_parts(slot, origin, step, value)),
+                } => self.rb.on_scalar(from, slot, origin, step, value),
+                Unpacked::RbVector {
+                    origin,
+                    seq,
+                    step,
+                    members,
+                } => {
+                    let instance = (origin, seq);
+                    self.rb
+                        .on_vector(from, instance, step, members, sends, &mut deliveries)
+                }
                 Unpacked::Priv(p) => {
-                    self.flush_rb_run(from, &mut run, &mut deliveries, sends);
+                    self.deliver_rb(from, &mut deliveries, sends);
                     self.route(from, Inner::Priv(p), sends);
                 }
                 // Coin-layer RB traffic is routed by the coin engine; a
@@ -348,26 +448,23 @@ impl<F: Field> SvssEngine<F> {
                 Unpacked::CoinRb { .. } => {}
             }
         }
-        self.flush_rb_run(from, &mut run, &mut deliveries, sends);
-        self.rb_run = run;
+        self.deliver_rb(from, &mut deliveries, sends);
         self.rb_deliveries = deliveries;
         self.finish(sends);
     }
 
-    /// Routes the buffered RB members through the mux (batch path), then
-    /// handles the resulting acceptances in order.
-    fn flush_rb_run(
+    /// Lets RB finish routing what the batch has brought so far (the
+    /// scalar members ride the mux's batch path), then hands every
+    /// acceptance — a scalar instance's value, a vector instance's
+    /// members in vector order — to the layers above, one slot at a
+    /// time.
+    fn deliver_rb(
         &mut self,
         from: Pid,
-        run: &mut Vec<MuxMsg<SvssSlot, SvssRbValue<F>>>,
         deliveries: &mut Vec<RbDelivery<SvssSlot, SvssRbValue<F>>>,
         sends: &mut Vec<(Pid, SvssMsg<F>)>,
     ) {
-        if run.is_empty() {
-            return;
-        }
-        self.mux
-            .on_batch_with(from, run.drain(..), sends, wire_of_mux, deliveries);
+        self.rb.flush(from, sends, deliveries);
         for d in deliveries.drain(..) {
             self.handle_rb_delivery(d, sends);
         }
@@ -381,6 +478,7 @@ impl<F: Field> SvssEngine<F> {
         if !self.valid_pid(d.origin) {
             return; // forged origin: no such process
         }
+        self.rb_delivered += 1;
         // DMM rules 2/3: detection fires on every reconstruct
         // broadcast, before (and regardless of) the verdict.
         if let (SlotView::MwRecon(mw, poly), SvssRbValue::Value(v)) = (d.tag.view(), &d.value) {
@@ -464,22 +562,10 @@ impl<F: Field> SvssEngine<F> {
                 ),
                 SvssPriv::Rows { session, rows } => {
                     self.dmm.session_started(SessionKey::Svss(session));
-                    let n = self.params.n();
-                    let t = self.params.t();
-                    let me = self.me;
-                    let domain = Arc::clone(&self.domain);
-                    let machine = self
-                        .svss
-                        .entry(session)
-                        .or_insert_with(|| Svss::new(session, me, n, t, domain));
-                    let ctx = SvssCtx {
-                        mw_completed: &self.mw_completed,
-                        mw_outputs: &self.mw_outputs,
-                    };
-                    let mut outs = Vec::new();
                     let crate::RowsBody { g, h } = *rows;
-                    machine.on_rows(sender, g, h, &ctx, &mut outs);
-                    self.handle_svss_outs(session, outs, sends);
+                    self.drive_svss(session, sends, |m, _, ctx, outs| {
+                        m.on_rows(sender, g, h, ctx, outs)
+                    });
                 }
             },
             Inner::Deliv {
@@ -510,22 +596,10 @@ impl<F: Field> SvssEngine<F> {
                 ),
                 (SlotView::Gsets(session), SvssRbValue::Gsets(body)) => {
                     self.dmm.session_started(SessionKey::Svss(session));
-                    let n = self.params.n();
-                    let t = self.params.t();
-                    let me = self.me;
-                    let domain = Arc::clone(&self.domain);
-                    let machine = self
-                        .svss
-                        .entry(session)
-                        .or_insert_with(|| Svss::new(session, me, n, t, domain));
-                    let ctx = SvssCtx {
-                        mw_completed: &self.mw_completed,
-                        mw_outputs: &self.mw_outputs,
-                    };
-                    let mut outs = Vec::new();
                     let crate::GsetsBody { g, members } = *body;
-                    machine.on_gsets(origin, g, members, &ctx, &mut outs);
-                    self.handle_svss_outs(session, outs, sends);
+                    self.drive_svss(session, sends, |m, _, ctx, outs| {
+                        m.on_gsets(origin, g, members, ctx, outs)
+                    });
                 }
                 _ => {} // slot/payload mismatch: malformed, ignore
             },
@@ -558,6 +632,29 @@ impl<F: Field> SvssEngine<F> {
         self.mw_outs = outs;
     }
 
+    /// [`SvssEngine::drive_mw`] for SVSS machine `sid`: one step, with
+    /// the MW results it may read, and what it emits handled.
+    fn drive_svss(
+        &mut self,
+        sid: SvssId,
+        sends: &mut Vec<(Pid, SvssMsg<F>)>,
+        step: impl FnOnce(&mut Svss<F>, &mut StdRng, &SvssCtx<'_, F>, &mut Vec<SvssOut<F>>),
+    ) {
+        let mut outs = std::mem::take(&mut self.svss_outs);
+        let (me, params, domain) = (self.me, self.params, &self.domain);
+        let machine = self
+            .svss
+            .entry(sid)
+            .or_insert_with(|| Svss::new(sid, me, params.n(), params.t(), Arc::clone(domain)));
+        let ctx = SvssCtx {
+            mw_completed: &self.mw_completed,
+            mw_outputs: &self.mw_outputs,
+        };
+        step(machine, &mut self.rng, &ctx, &mut outs);
+        self.handle_svss_outs(sid, &mut outs, sends);
+        self.svss_outs = outs;
+    }
+
     fn feed_mw(&mut self, id: MwId, input: MwIn<F>, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
         if self.mw_outputs.contains_key(&id) {
             return; // session finished here; late traffic is dead
@@ -582,9 +679,7 @@ impl<F: Field> SvssEngine<F> {
         for o in outs.drain(..) {
             match o {
                 MwOut::Send(to, p) => sends.push((to, SvssMsg::private(p))),
-                MwOut::Broadcast(slot, value) => {
-                    self.mux.broadcast_with(slot, value, sends, wire_of_mux);
-                }
+                MwOut::Broadcast(slot, value) => self.rb.broadcast(slot, value, sends.len()),
                 MwOut::RegisterAck {
                     broadcaster,
                     poly,
@@ -598,7 +693,7 @@ impl<F: Field> SvssEngine<F> {
                 MwOut::ShareCompleted => {
                     self.mw_completed.insert(id);
                     if self.svss.contains_key(&id.parent()) {
-                        self.advance_svss(id.parent(), sends);
+                        self.drive_svss(id.parent(), sends, |m, _, ctx, outs| m.advance(ctx, outs));
                     } else {
                         self.events.push(SvssEvent::MwShareCompleted(id));
                     }
@@ -615,7 +710,7 @@ impl<F: Field> SvssEngine<F> {
                     self.mw.remove(&id);
                     self.dmm.prune_recon_log(id);
                     if self.svss.contains_key(&id.parent()) {
-                        self.advance_svss(id.parent(), sends);
+                        self.drive_svss(id.parent(), sends, |m, _, ctx, outs| m.advance(ctx, outs));
                     } else {
                         self.events.push(SvssEvent::MwReconstructed(id, v));
                     }
@@ -624,31 +719,16 @@ impl<F: Field> SvssEngine<F> {
         }
     }
 
-    fn advance_svss(&mut self, sid: SvssId, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
-        let Some(machine) = self.svss.get_mut(&sid) else {
-            return;
-        };
-        let ctx = SvssCtx {
-            mw_completed: &self.mw_completed,
-            mw_outputs: &self.mw_outputs,
-        };
-        let mut outs = Vec::new();
-        machine.advance(&ctx, &mut outs);
-        self.handle_svss_outs(sid, outs, sends);
-    }
-
     fn handle_svss_outs(
         &mut self,
         sid: SvssId,
-        outs: Vec<SvssOut<F>>,
+        outs: &mut Vec<SvssOut<F>>,
         sends: &mut Vec<(Pid, SvssMsg<F>)>,
     ) {
-        for o in outs {
+        for o in outs.drain(..) {
             match o {
                 SvssOut::Send(to, p) => sends.push((to, SvssMsg::private(p))),
-                SvssOut::Broadcast(slot, value) => {
-                    self.mux.broadcast_with(slot, value, sends, wire_of_mux);
-                }
+                SvssOut::Broadcast(slot, value) => self.rb.broadcast(slot, value, sends.len()),
                 SvssOut::StartMwShare { mw, secret } => {
                     self.drive_mw(mw, sends, |m, rng, outs| m.start_share(secret, rng, outs));
                 }
@@ -667,10 +747,12 @@ impl<F: Field> SvssEngine<F> {
         }
     }
 
-    /// Re-examines buffered messages until a fixpoint, then reports new
-    /// shun events. The rescan is skipped entirely unless some verdict
-    /// could have changed since the last pass (DMM version gate) — this
-    /// keeps per-message cost flat even with a large delay buffer.
+    /// The end of every outermost entry point: re-examines buffered
+    /// messages until a fixpoint, reports new shun events, and — unless
+    /// an enclosing layer holds the step open — closes the vector. The
+    /// rescan is skipped entirely unless some verdict could have changed
+    /// since the last pass (DMM version gate) — this keeps per-message
+    /// cost flat even with a large delay buffer.
     fn finish(&mut self, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
         while self.dmm.version() != self.pending_version && !self.pending.is_empty() {
             self.pending_version = self.dmm.version();
@@ -686,6 +768,9 @@ impl<F: Field> SvssEngine<F> {
         self.pending_version = self.dmm.version();
         for (process, session) in self.dmm.take_new_shuns() {
             self.events.push(SvssEvent::Shunned { process, session });
+        }
+        if !self.held {
+            self.rb.close(sends);
         }
     }
 

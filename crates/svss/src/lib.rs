@@ -53,12 +53,14 @@ mod engine;
 pub mod harness;
 mod messages;
 mod mw;
+mod rb;
 mod svss;
 
 pub use dmm::{Dmm, SessionKey, Verdict};
 pub use engine::{SvssEngine, SvssEvent};
 pub use messages::{
-    GsetsBody, MwDealBody, Reconstructed, RowsBody, SvssMsg, SvssPriv, SvssRbValue, SvssSlot,
+    forge_recon_points, GsetsBody, MwDealBody, Reconstructed, RowsBody, SvssMsg, SvssPriv,
+    SvssRbValue, SvssSlot,
 };
 pub use mw::{Mw, MwIn, MwOut};
 pub use svss::{pair_mw_ids, Svss, SvssCtx, SvssOut};

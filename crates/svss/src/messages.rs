@@ -15,9 +15,9 @@
 //! the conversions between the structured forms the state machines use
 //! (`MuxMsg`, [`SvssPriv`]) and the flat form.
 
-use sba_broadcast::{MuxMsg, RbMsg, WrbMsg};
+use sba_broadcast::{MuxMsg, RbMsg};
 use sba_field::Field;
-use sba_net::RbStep;
+use sba_net::{Pid, RbStep, RbVector, SlotView};
 
 pub use sba_net::{GsetsBody, MwDealBody, RowsBody, SvssPriv, SvssRbValue, SvssSlot};
 
@@ -53,11 +53,7 @@ impl<F: Field> Reconstructed<F> {
 /// Flattens a routed mux message into the packed wire form (the RB mux's
 /// `wrap` hook). Moves fields; allocation-free.
 pub fn wire_of_mux<F: Field>(m: MuxMsg<SvssSlot, SvssRbValue<F>>) -> SvssMsg<F> {
-    let (step, value) = match m.inner {
-        RbMsg::Wrb(WrbMsg::Init(v)) => (RbStep::Init, v),
-        RbMsg::Wrb(WrbMsg::Echo(v)) => (RbStep::Echo, v),
-        RbMsg::Ready(v) => (RbStep::Ready, v),
-    };
+    let (step, value) = m.inner.into_step();
     SvssMsg::rb(m.tag, m.origin, step, value)
 }
 
@@ -65,20 +61,39 @@ pub fn wire_of_mux<F: Field>(m: MuxMsg<SvssSlot, SvssRbValue<F>>) -> SvssMsg<F> 
 /// [`wire_of_mux`], used on the delivery path).
 pub fn mux_of_parts<F: Field>(
     slot: SvssSlot,
-    origin: sba_net::Pid,
+    origin: Pid,
     step: RbStep,
     value: SvssRbValue<F>,
 ) -> MuxMsg<SvssSlot, SvssRbValue<F>> {
-    let inner = match step {
-        RbStep::Init => RbMsg::Wrb(WrbMsg::Init(value)),
-        RbStep::Echo => RbMsg::Wrb(WrbMsg::Echo(value)),
-        RbStep::Ready => RbMsg::Ready(value),
-    };
     MuxMsg {
         tag: slot,
         origin,
-        inner,
+        inner: RbMsg::of_step(step, value),
     }
+}
+
+/// The lying-share attack on one outgoing message: every reconstruct
+/// point the message originates — a scalar init, or members of a vector
+/// init — moved by `shift(poly)` (`None` leaves that point honest).
+/// `None` if the message carries no point that `shift` moved.
+pub fn forge_recon_points<F: Field>(
+    msg: &SvssMsg<F>,
+    mut shift: impl FnMut(Pid) -> Option<F>,
+) -> Option<SvssMsg<F>> {
+    msg.rewrite_inits(|slot, value| match (slot.view(), value) {
+        (SlotView::MwRecon(_, poly), SvssRbValue::Value(v)) => {
+            Some(SvssRbValue::Value(*v + shift(poly)?))
+        }
+        _ => None,
+    })
+}
+
+/// Flattens one step of the vector instance `(origin, seq)` into the
+/// packed wire form (that instance's `wrap` hook). The member list moves
+/// as the shared pointer it is.
+pub fn wire_of_vector<F: Field>(origin: Pid, seq: u32, m: RbMsg<RbVector<F>>) -> SvssMsg<F> {
+    let (step, members) = m.into_step();
+    SvssMsg::rb_vector(origin, seq, step, members)
 }
 
 #[cfg(test)]
@@ -103,7 +118,7 @@ mod tests {
         let m = MuxMsg {
             tag: SvssSlot::mw_recon(mw_id(), Pid::new(4)),
             origin: Pid::new(2),
-            inner: RbMsg::Wrb(WrbMsg::Init(SvssRbValue::Value(f(7)))),
+            inner: RbMsg::of_step(RbStep::Init, SvssRbValue::Value(f(7))),
         };
         let flat = wire_of_mux(m.clone());
         let Unpacked::Rb {

@@ -4,11 +4,19 @@
 
 use sba_broadcast::Params;
 use sba_field::{Field, Gf61};
-use sba_net::{MwId, Pid, ProcessSet, RbStep, SlotKind, SvssId, Unpacked, WireKind};
+use sba_net::{MwId, Pid, ProcessSet, SlotKind, SvssId};
 use sba_svss::harness::{SvssNet, Tamper};
 use sba_svss::{
-    GsetsBody, MwDealBody, Reconstructed, RowsBody, SvssEvent, SvssMsg, SvssPriv, SvssRbValue,
+    forge_recon_points, GsetsBody, MwDealBody, Reconstructed, RowsBody, SvssEvent, SvssMsg,
+    SvssPriv, SvssRbValue,
 };
+
+/// Tamper step: every value of slot family `kind` this init message
+/// originates (scalar, or inside a vector) replaced by `forged`.
+fn forge(msg: &SvssMsg<Gf61>, kind: SlotKind, forged: &SvssRbValue<Gf61>) -> Tamper<Gf61> {
+    msg.rewrite_inits(|slot, _| (slot.kind() == kind).then(|| forged.clone()))
+        .map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
+}
 
 fn f(v: u64) -> Gf61 {
     Gf61::from_u64(v)
@@ -23,20 +31,9 @@ fn forged_m_set_blocks_completion_only() {
     let mut net = SvssNet::<Gf61>::new(params, 3);
     let id = MwId::standalone(1, Pid::new(1), Pid::new(2));
     // Moderator p2 replaces its M broadcast with a singleton set.
-    net.set_tamper(Pid::new(2), |_to, msg| {
-        if msg.wire_kind() != WireKind::MwMInit {
-            return Tamper::Keep;
-        }
-        let Unpacked::Rb { slot, origin, .. } = msg.clone().unpack() else {
-            return Tamper::Keep;
-        };
-        let forged: ProcessSet = [Pid::new(3)].into_iter().collect();
-        Tamper::Replace(vec![SvssMsg::rb(
-            slot,
-            origin,
-            RbStep::Init,
-            SvssRbValue::Set(forged),
-        )])
+    let forged = SvssRbValue::Set([Pid::new(3)].into_iter().collect());
+    net.set_tamper(Pid::new(2), move |_to, msg| {
+        forge(msg, SlotKind::MwM, &forged)
     });
     net.mw_share(id, f(5));
     net.mw_set_moderator_input(id, f(5));
@@ -65,27 +62,17 @@ fn invalid_gsets_are_ignored() {
     let params = Params::new(4, 1).unwrap();
     let mut net = SvssNet::<Gf61>::new(params, 5);
     let sid = SvssId::new(1, Pid::new(1));
-    net.set_tamper(Pid::new(1), |_to, msg| {
-        if msg.wire_kind() != WireKind::GsetsInit {
-            return Tamper::Keep;
-        }
-        let Unpacked::Rb { slot, origin, .. } = msg.clone().unpack() else {
-            return Tamper::Keep;
-        };
-        // Broadcast G sets without self-inclusion.
-        let g: ProcessSet = Pid::all(3).collect();
-        let members: Vec<(Pid, ProcessSet)> = Pid::all(3)
-            .map(|j| {
-                let others: ProcessSet = Pid::all(4).filter(|&l| l != j).collect();
-                (j, others)
-            })
-            .collect();
-        Tamper::Replace(vec![SvssMsg::rb(
-            slot,
-            origin,
-            RbStep::Init,
-            SvssRbValue::Gsets(Box::new(GsetsBody { g, members })),
-        )])
+    // Broadcast G sets without self-inclusion.
+    let g: ProcessSet = Pid::all(3).collect();
+    let members: Vec<(Pid, ProcessSet)> = Pid::all(3)
+        .map(|j| {
+            let others: ProcessSet = Pid::all(4).filter(|&l| l != j).collect();
+            (j, others)
+        })
+        .collect();
+    let forged = SvssRbValue::Gsets(Box::new(GsetsBody { g, members }));
+    net.set_tamper(Pid::new(1), move |_to, msg| {
+        forge(msg, SlotKind::Gsets, &forged)
     });
     net.share(sid, f(9));
     net.run();
@@ -174,25 +161,7 @@ fn repeated_attacks_saturate_shun_pairs() {
     let mut net = SvssNet::<Gf61>::new(params, 13);
     let liar = Pid::new(4);
     net.set_tamper(liar, |_to, msg| {
-        if msg.wire_kind() != WireKind::MwReconInit {
-            return Tamper::Keep;
-        }
-        let Unpacked::Rb {
-            slot,
-            origin,
-            value: SvssRbValue::Value(v),
-            ..
-        } = msg.clone().unpack()
-        else {
-            return Tamper::Keep;
-        };
-        debug_assert_eq!(slot.kind(), SlotKind::MwRecon);
-        Tamper::Replace(vec![SvssMsg::rb(
-            slot,
-            origin,
-            RbStep::Init,
-            SvssRbValue::Value(v + Gf61::from_u64(2)),
-        )])
+        forge_recon_points(msg, |_| Some(f(2))).map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
     });
     for session in 1..=5u64 {
         let id = MwId::standalone(session, Pid::new(1), Pid::new(2));

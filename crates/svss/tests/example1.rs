@@ -19,17 +19,19 @@
 
 use sba_broadcast::Params;
 use sba_field::{Field, Gf61};
-use sba_net::{MwId, Pid, RbStep, SlotView, SvssRbValue, Unpacked, WireKind};
+use sba_net::{MwId, Pid, WireKind};
 use sba_svss::harness::{SvssNet, Tamper};
-use sba_svss::{Reconstructed, SvssMsg};
+use sba_svss::{forge_recon_points, Reconstructed, SvssMsg};
 
 fn f(v: u64) -> Gf61 {
     Gf61::from_u64(v)
 }
 
-/// Is this a Ready message of a reconstruct slot originated by `origin`?
+/// Is this a Ready message of `origin`'s reconstruct points? (Its `n`
+/// points leave in one step, so they ride one vector — the only vector
+/// `origin` broadcasts in the reconstruct phase.)
 fn is_recon_ready_from(msg: &SvssMsg<Gf61>, origin: Pid) -> bool {
-    msg.wire_kind() == WireKind::MwReconReady && msg.origin() == Some(origin)
+    msg.wire_kind() == WireKind::VecReady && msg.origin() == Some(origin)
 }
 
 #[test]
@@ -44,32 +46,12 @@ fn example_1_divergent_outputs_then_shunning() {
     // p2: honest share; forged reconstruct points for f_1 (+2δ) and
     // f_2 (+δ); honest point for f_3.
     net.set_tamper(p2, move |_to, msg| {
-        if msg.wire_kind() != WireKind::MwReconInit {
-            return Tamper::Keep;
-        }
-        let Unpacked::Rb {
-            slot,
-            origin,
-            value: SvssRbValue::Value(v),
-            ..
-        } = msg.clone().unpack()
-        else {
-            return Tamper::Keep;
+        let shift = |poly: Pid| match poly.index() {
+            1 => Some(f(2 * delta)),
+            2 => Some(f(delta)),
+            _ => None,
         };
-        let SlotView::MwRecon(_, poly) = slot.view() else {
-            return Tamper::Keep;
-        };
-        let shift = match poly.index() {
-            1 => 2 * delta,
-            2 => delta,
-            _ => return Tamper::Keep,
-        };
-        Tamper::Replace(vec![SvssMsg::rb(
-            slot,
-            origin,
-            RbStep::Init,
-            SvssRbValue::Value(v + Gf61::from_u64(shift)),
-        )])
+        forge_recon_points(msg, shift).map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
     });
 
     net.mw_share(id, secret);

@@ -89,25 +89,8 @@ fn mismatched_moderator_blocks_completion() {
 /// Installs the "+delta on every reconstruct point" tamper on `liar`.
 fn tamper_recon_points(net: &mut SvssNet<Gf61>, liar: Pid, delta: u64) {
     net.set_tamper(liar, move |_to, msg| {
-        use sba_net::{RbStep, SvssRbValue, Unpacked, WireKind};
-        if msg.wire_kind() != WireKind::MwReconInit {
-            return Tamper::Keep;
-        }
-        let Unpacked::Rb {
-            slot,
-            origin,
-            value: SvssRbValue::Value(v),
-            ..
-        } = msg.clone().unpack()
-        else {
-            return Tamper::Keep;
-        };
-        Tamper::Replace(vec![SvssMsg::rb(
-            slot,
-            origin,
-            RbStep::Init,
-            SvssRbValue::Value(v + Gf61::from_u64(delta)),
-        )])
+        sba_svss::forge_recon_points(msg, |_| Some(f(delta)))
+            .map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
     });
 }
 

@@ -6,8 +6,8 @@
 use proptest::prelude::*;
 use sba_field::{Field, Gf61};
 use sba_net::{
-    CodecError, CoinSlot, GsetsBody, MwDealBody, MwId, Pid, ProcessSet, RbStep, Reader, RowsBody,
-    SvssId, SvssPriv, SvssRbValue, SvssSlot, Wire, WireKind, WireMsg, WIRE_KIND_COUNT,
+    CodecError, CoinSlot, GsetsBody, MwDealBody, MwId, Pid, ProcessSet, RbStep, RbVector, Reader,
+    RowsBody, SvssId, SvssPriv, SvssRbValue, SvssSlot, Wire, WireKind, WireMsg, WIRE_KIND_COUNT,
 };
 use sba_svss::SvssMsg;
 
@@ -72,35 +72,18 @@ fn svss_priv() -> impl Strategy<Value = SvssPriv<Gf61>> {
     ]
 }
 
-/// A well-formed RB message of every slot family (the payload shape is
-/// fixed per family by the flat format).
-fn svss_rb() -> impl Strategy<Value = SvssMsg<Gf61>> {
+/// A slot of every family with a value of the shape the flat format
+/// fixes for it.
+fn slot_value() -> impl Strategy<Value = (SvssSlot, SvssRbValue<Gf61>)> {
     prop_oneof![
-        (mw_id(), pid(), rb_step()).prop_map(|(m, o, s)| SvssMsg::rb(
-            SvssSlot::mw_ack(m),
-            o,
-            s,
-            SvssRbValue::Unit
-        )),
-        (mw_id(), pid(), rb_step()).prop_map(|(m, o, s)| SvssMsg::rb(
-            SvssSlot::mw_ok(m),
-            o,
-            s,
-            SvssRbValue::Unit
-        )),
-        (mw_id(), pid(), rb_step(), pid_set()).prop_map(|(m, o, s, set)| {
-            SvssMsg::rb(SvssSlot::mw_l(m), o, s, SvssRbValue::Set(set))
-        }),
-        (mw_id(), pid(), rb_step(), pid_set()).prop_map(|(m, o, s, set)| {
-            SvssMsg::rb(SvssSlot::mw_m(m), o, s, SvssRbValue::Set(set))
-        }),
-        (mw_id(), pid(), pid(), rb_step(), field_el()).prop_map(|(m, poly, o, s, v)| {
-            SvssMsg::rb(SvssSlot::mw_recon(m, poly), o, s, SvssRbValue::Value(v))
-        }),
+        mw_id().prop_map(|m| (SvssSlot::mw_ack(m), SvssRbValue::Unit)),
+        mw_id().prop_map(|m| (SvssSlot::mw_ok(m), SvssRbValue::Unit)),
+        (mw_id(), pid_set()).prop_map(|(m, set)| (SvssSlot::mw_l(m), SvssRbValue::Set(set))),
+        (mw_id(), pid_set()).prop_map(|(m, set)| (SvssSlot::mw_m(m), SvssRbValue::Set(set))),
+        (mw_id(), pid(), field_el())
+            .prop_map(|(m, poly, v)| (SvssSlot::mw_recon(m, poly), SvssRbValue::Value(v))),
         (
             svss_id(),
-            pid(),
-            rb_step(),
             pid_set(),
             // The member table encodes as an adaptive keyset plus one
             // set per key, so keys must be unique and ascending — the
@@ -116,15 +99,38 @@ fn svss_rb() -> impl Strategy<Value = SvssMsg<Gf61>> {
                         .collect::<Vec<_>>()
                 })
         )
-            .prop_map(|(sid, o, s, g, members)| {
-                SvssMsg::rb(
-                    SvssSlot::gsets(sid),
-                    o,
-                    s,
-                    SvssRbValue::Gsets(Box::new(GsetsBody { g, members })),
-                )
+            .prop_map(|(sid, g, members)| {
+                let body = Box::new(GsetsBody { g, members });
+                (SvssSlot::gsets(sid), SvssRbValue::Gsets(body))
             }),
     ]
+}
+
+/// A well-formed scalar RB message of every slot family.
+fn svss_rb() -> impl Strategy<Value = SvssMsg<Gf61>> {
+    (slot_value(), pid(), rb_step()).prop_map(|((slot, v), o, s)| SvssMsg::rb(slot, o, s, v))
+}
+
+/// A well-formed vector RB message: two to eight members of any mix of
+/// families, sessions close together (shared header prefixes) or far
+/// apart.
+fn rb_vector() -> impl Strategy<Value = SvssMsg<Gf61>> {
+    (
+        proptest::collection::vec(slot_value(), 0..6),
+        mw_id(),
+        pid(),
+        any::<u32>(),
+        rb_step(),
+    )
+        .prop_map(|(mut members, m, o, seq, s)| {
+            // Two members that always differ keep the list long enough
+            // once repeated slots are dropped.
+            members.push((SvssSlot::mw_ack(m), SvssRbValue::Unit));
+            members.push((SvssSlot::mw_ok(m), SvssRbValue::Unit));
+            members.sort_by_key(|m| m.0);
+            members.dedup_by_key(|m| m.0);
+            SvssMsg::rb_vector(o, seq, s, RbVector::new(o, members))
+        })
 }
 
 fn coin_rb() -> impl Strategy<Value = SvssMsg<Gf61>> {
@@ -141,7 +147,12 @@ fn coin_rb() -> impl Strategy<Value = SvssMsg<Gf61>> {
 }
 
 fn any_msg() -> impl Strategy<Value = SvssMsg<Gf61>> {
-    prop_oneof![svss_priv().prop_map(SvssMsg::private), svss_rb(), coin_rb()]
+    prop_oneof![
+        svss_priv().prop_map(SvssMsg::private),
+        svss_rb(),
+        rb_vector(),
+        coin_rb()
+    ]
 }
 
 /// One deterministic representative per [`WireKind`] — the exhaustiveness
@@ -209,6 +220,15 @@ fn representative(kind: WireKind) -> SvssMsg<Gf61> {
         }
         WireKind::SupportInit | WireKind::SupportEcho | WireKind::SupportReady => {
             SvssMsg::coin_rb(CoinSlot::Support(9), origin, step, set)
+        }
+        WireKind::VecInit | WireKind::VecEcho | WireKind::VecReady => {
+            let members = [
+                (SvssSlot::mw_ack(mw), SvssRbValue::Unit),
+                (SvssSlot::mw_l(mw), SvssRbValue::Set(set)),
+                (SvssSlot::mw_recon(mw, Pid::new(2)), SvssRbValue::Value(f)),
+                (SvssSlot::mw_recon(mw, Pid::new(3)), SvssRbValue::Value(f)),
+            ];
+            SvssMsg::rb_vector(origin, 9, step, RbVector::new(origin, members))
         }
     }
 }
@@ -469,6 +489,12 @@ proptest! {
             Unpacked::CoinRb { slot, origin, step, set } => {
                 SvssMsg::coin_rb(slot, origin, step, set)
             }
+            Unpacked::RbVector { origin, seq, step, members } => {
+                // Rebuilt from its members, not handed back as the
+                // same pointer.
+                let rebuilt = RbVector::new(origin, members.iter());
+                SvssMsg::rb_vector(origin, seq, step, rebuilt)
+            }
         };
         prop_assert_eq!(back, msg);
     }
@@ -482,6 +508,36 @@ proptest! {
             let re = msg.encoded();
             let mut r2 = Reader::new(&re);
             prop_assert!(SvssMsg::<Gf61>::decode(&mut r2).is_ok());
+        }
+    }
+
+    /// Byte soup behind each of the three vector discriminants, and a
+    /// well-formed vector with one byte overwritten: the decoder never
+    /// panics, never reports more members than bytes arrived, and
+    /// whatever it accepts is canonical — it re-encodes to exactly the
+    /// bytes it consumed.
+    #[test]
+    fn vector_decoder_never_panics(
+        kind in 28u8..=30,
+        soup in proptest::collection::vec(any::<u8>(), 0..256),
+        msg in rb_vector(),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let mut mutated = msg.encoded();
+        let at = at % mutated.len();
+        mutated[at] = byte;
+        let mut forced = vec![kind];
+        forced.extend_from_slice(&soup);
+        for bytes in [forced, mutated] {
+            let mut r = Reader::new(&bytes);
+            if let Ok(msg) = SvssMsg::<Gf61>::decode(&mut r) {
+                let consumed = bytes.len() - r.remaining();
+                prop_assert_eq!(msg.encoded(), &bytes[..consumed]);
+                if let sba_net::Unpacked::RbVector { members, .. } = msg.unpack() {
+                    prop_assert!((2..=consumed).contains(&members.slots().count()));
+                }
+            }
         }
     }
 

@@ -7,9 +7,8 @@
 //! ```
 
 use sba::field::{Field, Gf61};
-use sba::net::{RbStep, Unpacked, WireKind};
+use sba::svss::forge_recon_points;
 use sba::svss::harness::{SvssNet, Tamper};
-use sba::svss::{SvssMsg, SvssRbValue};
 use sba::{Params, Pid, SvssId};
 
 fn main() {
@@ -37,24 +36,8 @@ fn main() {
     println!("\nnow p4 forges every reconstruction point it broadcasts ...");
     let mut net = SvssNet::<Gf61>::new(params, 2);
     net.set_tamper(Pid::new(4), |_to, msg| {
-        if msg.wire_kind() != WireKind::MwReconInit {
-            return Tamper::Keep;
-        }
-        let Unpacked::Rb {
-            slot,
-            origin,
-            value: SvssRbValue::Value(v),
-            ..
-        } = msg.clone().unpack()
-        else {
-            return Tamper::Keep;
-        };
-        Tamper::Replace(vec![SvssMsg::rb(
-            slot,
-            origin,
-            RbStep::Init,
-            SvssRbValue::Value(v + Gf61::from_u64(1)),
-        )])
+        forge_recon_points(msg, |_| Some(Gf61::from_u64(1)))
+            .map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
     });
     let session = SvssId::new(1, Pid::new(1));
     net.share(session, secret);

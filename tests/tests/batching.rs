@@ -127,9 +127,13 @@ fn recorded_run(seed: u64) -> (Vec<Record>, RunPin) {
 /// the recorded per-message sequence (network batches AND self-delivery
 /// generations, which ride the log with `from == to`), reach the
 /// recorded decisions, and end with the recorded message count,
-/// generation structure and virtual time. The pins were recorded at the
-/// last commit that carried the per-message reference queue, where both
-/// layouts were asserted to produce exactly these runs.
+/// generation structure and virtual time. The virtual times, the
+/// generation counts and the decisions were recorded at the last commit
+/// that carried the per-message reference queue, where both layouts
+/// were asserted to produce exactly these runs; the delivery log and the
+/// message counts were re-recorded when vector RB (PR 24) put a step's
+/// broadcasts into one instance — the same runs, tick for tick and
+/// generation for generation, with a seventh of the messages.
 #[test]
 fn delivery_order_matches_recorded_runs() {
     let pin = |deliveries, log_fold, decision, messages_sent, virtual_time, selfs, gens| RunPin {
@@ -145,36 +149,36 @@ fn delivery_order_matches_recorded_runs() {
         (
             3u64,
             pin(
-                172_705,
-                0x8538_a4f3_5f6b_1979,
+                24_617,
+                0x27f5_566d_49f5_e55a,
                 false,
-                142_423,
+                20_113,
                 132,
-                47_469,
+                6_699,
                 1_936,
             ),
         ),
         (
             11,
             pin(
-                361_685,
-                0x294a_a6bd_fe75_570a,
+                43_330,
+                0x560a_305d_ea33_de28,
                 false,
-                283_494,
+                33_993,
                 365,
-                94_498,
+                11_331,
                 3_891,
             ),
         ),
         (
             42,
             pin(
-                175_871,
-                0x192f_7bbb_46e2_dda8,
+                25_100,
+                0xfa54_d85d_c1a6_a058,
                 true,
-                144_414,
+                20_310,
                 130,
-                48_146,
+                6_778,
                 1_983,
             ),
         ),

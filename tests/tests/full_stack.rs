@@ -87,6 +87,9 @@ fn lying_share_adversary_is_shunned_within_bound() {
     for (_, shunned) in &pairs {
         assert_eq!(*shunned, Pid::new(4), "honest process shunned: {pairs:?}");
     }
+    // ...and the liar is caught: its reconstruct points leave inside
+    // vector inits, and the tamper must reach them there.
+    assert!(!pairs.is_empty(), "forged points went undetected");
 }
 
 /// Adversarial link-skewed scheduling cannot break agreement.

@@ -24,12 +24,13 @@ fn rb_instances_retire_during_full_scc_run() {
             .expect("honest processes have nodes");
         let (live, peak, retired) = node.rb_instance_stats();
         println!("{pid}: live={live} peak={peak} retired={retired}");
-        // The run creates tens of thousands of RB instances; retirement
+        // The run creates hundreds of RB instances (one per origin
+        // step, carrying tens of thousands of slot values); retirement
         // must reclaim the overwhelming majority. Without it, `live`
         // equals `live + retired` (everything stays resident forever).
         assert!(
-            retired > 5_000,
-            "{pid}: expected a full run to retire >5k instances, got {retired}"
+            retired > 300,
+            "{pid}: expected a full run to retire >300 instances, got {retired}"
         );
         assert!(
             live < retired / 2,
