@@ -1,354 +1,148 @@
 //! Wire messages for the agreement layer.
+//!
+//! The vote layer shares the **flat packed wire format** with the coin
+//! and the SVSS stack ([`sba_net::WireMsg`]): a report, candidate, vote
+//! or decide broadcast is one more [`sba_net::WireKind`] family, its
+//! `(instance, round)` the session tag, its phase a p-byte and its value
+//! the aux byte. So `AbaMsg`, `CoinMsg` and `SvssMsg` are one type: the
+//! coin's traffic joins the agreement layer's send list unwrapped, and
+//! one decoder (with its canonical-form checks) covers every layer.
 
 use sba_broadcast::MuxMsg;
-use sba_coin::CoinMsg;
 use sba_field::Field;
-use sba_net::{CodecError, Kinded, Reader, Wire};
 
-/// RB slots of the vote layer. All slots carry the ABA instance id, so one
-/// node can run many agreement instances (e.g. one per log slot) over a
-/// single shunning domain.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum VoteSlot {
-    /// Phase `A` (report) of a round.
-    Report {
-        /// The agreement instance.
-        instance: u32,
-        /// The round.
-        round: u32,
-    },
-    /// Phase `B` (candidate) of a round.
-    Candidate {
-        /// The agreement instance.
-        instance: u32,
-        /// The round.
-        round: u32,
-    },
-    /// Phase `C` (vote) of a round.
-    Vote {
-        /// The agreement instance.
-        instance: u32,
-        /// The round.
-        round: u32,
-    },
-    /// The decide gossip (one slot per instance per process).
-    Decide {
-        /// The agreement instance.
-        instance: u32,
-    },
-}
+pub use sba_net::{VoteSlot, VoteValue};
 
-impl VoteSlot {
-    /// The agreement instance this slot belongs to.
-    pub fn instance(self) -> u32 {
-        match self {
-            VoteSlot::Report { instance, .. }
-            | VoteSlot::Candidate { instance, .. }
-            | VoteSlot::Vote { instance, .. }
-            | VoteSlot::Decide { instance } => instance,
-        }
-    }
-}
+/// The agreement layer's wire message: the shared flat format (vote-slot
+/// reliable broadcasts plus all coin and SVSS traffic).
+pub type AbaMsg<F> = sba_net::WireMsg<F>;
 
-impl Wire for VoteSlot {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            VoteSlot::Report { instance, round } => {
-                buf.push(0);
-                instance.encode(buf);
-                round.encode(buf);
-            }
-            VoteSlot::Candidate { instance, round } => {
-                buf.push(1);
-                instance.encode(buf);
-                round.encode(buf);
-            }
-            VoteSlot::Vote { instance, round } => {
-                buf.push(2);
-                instance.encode(buf);
-                round.encode(buf);
-            }
-            VoteSlot::Decide { instance } => {
-                buf.push(3);
-                instance.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.byte()? {
-            0 => Ok(VoteSlot::Report {
-                instance: u32::decode(r)?,
-                round: u32::decode(r)?,
-            }),
-            1 => Ok(VoteSlot::Candidate {
-                instance: u32::decode(r)?,
-                round: u32::decode(r)?,
-            }),
-            2 => Ok(VoteSlot::Vote {
-                instance: u32::decode(r)?,
-                round: u32::decode(r)?,
-            }),
-            3 => Ok(VoteSlot::Decide {
-                instance: u32::decode(r)?,
-            }),
-            d => Err(CodecError::BadDiscriminant(d)),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            VoteSlot::Decide { .. } => 5,
-            _ => 9,
-        }
-    }
-}
-
-/// Values carried in vote slots: a bit (`A`/`B`/decide) or an optional bit
-/// (`C`, where `None` is the vote `⊥`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum VoteValue {
-    /// A report/candidate/decide bit.
-    Bit(bool),
-    /// A vote: `Some(bit)` or `None` for `⊥`.
-    MaybeBit(Option<bool>),
-}
-
-impl Wire for VoteValue {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            VoteValue::Bit(b) => {
-                buf.push(0);
-                b.encode(buf);
-            }
-            VoteValue::MaybeBit(m) => {
-                buf.push(1);
-                m.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.byte()? {
-            0 => Ok(VoteValue::Bit(bool::decode(r)?)),
-            1 => Ok(VoteValue::MaybeBit(Option::decode(r)?)),
-            d => Err(CodecError::BadDiscriminant(d)),
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            VoteValue::Bit(_) => 2,
-            VoteValue::MaybeBit(m) => 1 + m.encoded_len(),
-        }
-    }
-}
-
-/// The full agreement-layer wire message.
-///
-/// The coin variant is **inline** since PR 4: the flat packed
-/// [`CoinMsg`] is 32 bytes, so the enum fits the wire-size pins without
-/// a heap node — which matters because coin traffic dominates a run
-/// (~95 % of the 1.6 × 10⁷ messages of the n=7 benchmark) and the old
-/// `Box` cost one allocation per clone on every broadcast fan-out hop.
-///
-/// On the wire, coin messages are encoded bare (their flat `WireKind`
-/// byte is < [`sba_net::WIRE_KIND_COUNT`]); vote messages are framed by
-/// the reserved discriminant byte [`VOTE_FRAME`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum AbaMsg<F> {
-    /// Vote-layer RB traffic.
-    Vote(MuxMsg<VoteSlot, VoteValue>),
-    /// Coin-layer traffic (SCC mode only).
-    Coin(CoinMsg<F>),
-}
-
-/// The frame byte that distinguishes vote-layer messages from the flat
-/// coin/SVSS kinds (which occupy the low discriminant range).
-pub const VOTE_FRAME: u8 = 0xff;
-
-impl<F: Field> Wire for AbaMsg<F> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            AbaMsg::Vote(m) => {
-                buf.push(VOTE_FRAME);
-                m.encode(buf);
-            }
-            AbaMsg::Coin(m) => m.encode(buf),
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        // Peek the leading byte: the reserved vote frame, or a flat
-        // coin-layer kind (whose decoder re-reads and validates it).
-        let mut probe = *r;
-        if probe.byte()? == VOTE_FRAME {
-            let _ = r.byte();
-            Ok(AbaMsg::Vote(MuxMsg::decode(r)?))
-        } else {
-            Ok(AbaMsg::Coin(CoinMsg::decode(r)?))
-        }
-    }
-
-    fn encoded_len(&self) -> usize {
-        match self {
-            AbaMsg::Vote(m) => 1 + m.encoded_len(),
-            AbaMsg::Coin(m) => m.encoded_len(),
-        }
-    }
-
-    /// Coin messages ride the coin layer's key-delta frame form when
-    /// the preceding frame member is also a coin message; votes (and a
-    /// coin after a vote) pay the one-byte frame prelude with nothing
-    /// elided.
-    fn framed_wire_len(&self, prev: Option<&Self>) -> usize {
-        match self {
-            AbaMsg::Coin(m) => m.framed_wire_len(match prev {
-                Some(AbaMsg::Coin(q)) => Some(q),
-                _ => None,
-            }),
-            AbaMsg::Vote(_) => 1 + self.encoded_len(),
-        }
-    }
-}
-
-impl<F: Field> sba_net::FramedWire for AbaMsg<F> {
-    /// The frame-member form matching [`Wire::framed_wire_len`]: coin
-    /// messages ride the [`WireMsg`](sba_net::WireMsg) key-delta member
-    /// encoding (eliding against a coin predecessor); vote messages
-    /// spend [`VOTE_FRAME`] in the prelude position — unambiguous, as a
-    /// coin member's prelude byte is at most 3 — followed by their full
-    /// standalone encoding.
-    fn encode_framed_member(&self, prev: Option<&Self>, buf: &mut Vec<u8>) {
-        match self {
-            AbaMsg::Coin(m) => m.encode_framed(
-                match prev {
-                    Some(AbaMsg::Coin(q)) => Some(q),
-                    _ => None,
-                },
-                buf,
-            ),
-            AbaMsg::Vote(_) => {
-                buf.push(VOTE_FRAME);
-                self.encode(buf);
-            }
-        }
-    }
-
-    fn decode_framed_member(r: &mut Reader<'_>, prev: Option<&Self>) -> Result<Self, CodecError> {
-        let mut probe = *r;
-        if probe.byte()? == VOTE_FRAME {
-            let _ = r.byte();
-            let b = r.byte()?;
-            if b != VOTE_FRAME {
-                // A vote member is the frame byte plus the standalone
-                // encoding, which repeats it; anything else is a
-                // non-canonical spelling.
-                return Err(CodecError::BadDiscriminant(b));
-            }
-            Ok(AbaMsg::Vote(MuxMsg::decode(r)?))
-        } else {
-            let inner = sba_net::WireMsg::decode_framed(
-                r,
-                match prev {
-                    Some(AbaMsg::Coin(q)) => Some(q),
-                    _ => None,
-                },
-            )?;
-            Ok(AbaMsg::Coin(inner))
-        }
-    }
-}
-
-impl<F> Kinded for AbaMsg<F> {
-    fn kind(&self) -> &'static str {
-        match self {
-            AbaMsg::Vote(m) => match m.tag {
-                VoteSlot::Report { .. } => "aba/report",
-                VoteSlot::Candidate { .. } => "aba/candidate",
-                VoteSlot::Vote { .. } => "aba/vote",
-                VoteSlot::Decide { .. } => "aba/decide",
-            },
-            AbaMsg::Coin(m) => m.kind(),
-        }
-    }
+/// Flattens a routed vote-mux message into the packed wire form (the RB
+/// mux's `wrap` hook for the vote layer).
+pub(crate) fn wire_of_vote_mux<F: Field>(m: MuxMsg<VoteSlot, VoteValue>) -> AbaMsg<F> {
+    let (step, value) = m.inner.into_step();
+    AbaMsg::vote_rb(m.tag, m.origin, step, value)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sba_broadcast::RbMsg;
     use sba_field::Gf61;
-    use sba_net::Pid;
+    use sba_net::{
+        decode_frame, encode_frame, frame_len, CoinSlot, Kinded, Pid, ProcessSet, RbStep, Reader,
+        Unpacked, Wire,
+    };
 
-    fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(v: T) {
-        let bytes = v.encoded();
-        assert_eq!(v.encoded_len(), bytes.len(), "encoded_len mismatch");
+    /// A vote of `value` in `slot` survives encode → decode → unpack.
+    fn round_trip(slot: VoteSlot, value: VoteValue) {
+        let msg: AbaMsg<Gf61> = AbaMsg::vote_rb(slot, Pid::new(3), RbStep::Echo, value);
+        let bytes = msg.encoded();
+        assert_eq!(msg.encoded_len(), bytes.len(), "encoded_len mismatch");
         let mut r = Reader::new(&bytes);
-        assert_eq!(T::decode(&mut r).unwrap(), v);
+        let back = AbaMsg::<Gf61>::decode(&mut r).unwrap();
         assert_eq!(r.remaining(), 0);
+        assert!(matches!(
+            back.unpack(),
+            Unpacked::VoteRb { slot: s, value: v, .. } if s == slot && v == value
+        ));
     }
 
     #[test]
     fn slots_round_trip() {
-        round_trip(VoteSlot::Report {
-            instance: 1,
-            round: 2,
-        });
-        round_trip(VoteSlot::Candidate {
-            instance: 0,
-            round: u32::MAX,
-        });
-        round_trip(VoteSlot::Vote {
-            instance: 9,
-            round: 3,
-        });
-        round_trip(VoteSlot::Decide { instance: 4 });
+        let bit = VoteValue::Bit(true);
+        round_trip(
+            VoteSlot::Report {
+                instance: 1,
+                round: 2,
+            },
+            bit,
+        );
+        round_trip(
+            VoteSlot::Candidate {
+                instance: 0,
+                round: u32::MAX,
+            },
+            bit,
+        );
+        round_trip(
+            VoteSlot::Vote {
+                instance: u32::MAX,
+                round: 3,
+            },
+            VoteValue::MaybeBit(Some(true)),
+        );
+        round_trip(VoteSlot::Decide { instance: 4 }, bit);
     }
 
     #[test]
     fn values_round_trip() {
-        round_trip(VoteValue::Bit(true));
-        round_trip(VoteValue::MaybeBit(None));
-        round_trip(VoteValue::MaybeBit(Some(false)));
+        let report = VoteSlot::Report {
+            instance: 9,
+            round: 1,
+        };
+        let vote = VoteSlot::Vote {
+            instance: 9,
+            round: 1,
+        };
+        for b in [false, true] {
+            round_trip(report, VoteValue::Bit(b));
+            round_trip(vote, VoteValue::MaybeBit(Some(b)));
+        }
+        round_trip(vote, VoteValue::MaybeBit(None));
     }
 
     #[test]
     fn messages_round_trip_and_kinds() {
-        let msg: AbaMsg<Gf61> = AbaMsg::Vote(MuxMsg {
+        let m = MuxMsg {
             tag: VoteSlot::Vote {
                 instance: 1,
                 round: 7,
             },
             origin: Pid::new(2),
-            inner: sba_broadcast::RbMsg::Ready(VoteValue::MaybeBit(None)),
-        });
-        round_trip(msg.clone());
+            inner: RbMsg::Ready(VoteValue::MaybeBit(None)),
+        };
+        let msg: AbaMsg<Gf61> = wire_of_vote_mux(m.clone());
         assert_eq!(msg.kind(), "aba/vote");
+        let bytes = msg.encoded();
+        // kind + tag + phase + value + origin.
+        assert_eq!((msg.encoded_len(), bytes.len()), (12, 12));
+        assert_eq!(AbaMsg::decode(&mut Reader::new(&bytes)).unwrap(), msg);
+        let Unpacked::VoteRb {
+            slot,
+            origin,
+            step,
+            value,
+        } = msg.unpack()
+        else {
+            panic!("vote kinds unpack as VoteRb");
+        };
+        assert_eq!(
+            MuxMsg {
+                tag: slot,
+                origin,
+                inner: RbMsg::of_step(step, value),
+            },
+            m
+        );
     }
 
     #[test]
     fn mixed_frames_round_trip_at_the_charged_length() {
-        use sba_net::{
-            decode_frame, encode_frame, frame_len, CoinSlot, ProcessSet, RbStep, WireMsg,
-        };
-
         let coin = |origin: u32| -> AbaMsg<Gf61> {
             let mut set = ProcessSet::new();
             set.insert(Pid::new(origin));
-            AbaMsg::Coin(WireMsg::coin_rb(
-                CoinSlot::Support(5),
-                Pid::new(origin),
-                RbStep::Ready,
-                set,
-            ))
+            AbaMsg::coin_rb(CoinSlot::Support(5), Pid::new(origin), RbStep::Ready, set)
         };
-        let vote = AbaMsg::<Gf61>::Vote(MuxMsg {
-            tag: VoteSlot::Report {
+        let vote = |origin: u32| -> AbaMsg<Gf61> {
+            let slot = VoteSlot::Report {
                 instance: 0,
                 round: 3,
-            },
-            origin: Pid::new(1),
-            inner: sba_broadcast::RbMsg::Ready(VoteValue::Bit(true)),
-        });
-        // Adjacent coins elide; the vote interrupts the elision chain.
-        let batch = vec![coin(1), coin(2), vote.clone(), coin(2), vote];
+            };
+            AbaMsg::vote_rb(slot, Pid::new(origin), RbStep::Ready, VoteValue::Bit(true))
+        };
+        // Adjacent coins elide against each other, adjacent votes too.
+        let batch = vec![coin(1), coin(2), vote(1), vote(2), coin(2), vote(1)];
 
         let mut buf = Vec::new();
         encode_frame(&batch, &mut buf);
@@ -363,6 +157,9 @@ mod tests {
             })
             .sum();
         assert_eq!(buf.len(), 4 + charged, "member lengths disagree");
+        // A vote after a vote of the same round spells only the prelude,
+        // kind, value and origin bytes.
+        assert_eq!(vote(2).framed_wire_len(Some(&vote(1))), 4);
 
         let mut r = Reader::new(&buf);
         let got: Vec<AbaMsg<Gf61>> = decode_frame(&mut r).unwrap();

@@ -2,12 +2,13 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use sba_broadcast::{Params, RbMux};
+use sba_broadcast::{MuxMsg, Params, RbDelivery, RbMsg, RbMux};
 use sba_coin::oracle::{Flip, OracleCoin};
 use sba_coin::{CoinEngine, CoinEvent};
 use sba_field::Field;
-use sba_net::{Pid, Wire};
+use sba_net::{Pid, Unpacked, Wire};
 
+use crate::messages::wire_of_vote_mux;
 use crate::{AbaMsg, RoundOutcome, RoundState, VoteSlot, VoteValue};
 
 /// Which common-coin construction drives liveness.
@@ -34,6 +35,7 @@ pub struct AbaConfig {
     pub mode: CoinMode,
     /// Stop advancing past this round (keeps diverging baselines bounded
     /// in experiments; the SCC protocol never needs it in practice).
+    /// Must stay below `2^24` (coin tags pack the round into 24 bits).
     pub max_rounds: u32,
     /// Whether the DMM's detection/shunning machinery is active
     /// (disable only for the E8 ablation).
@@ -121,14 +123,13 @@ pub struct AbaNode<F: Field> {
     mux: RbMux<VoteSlot, VoteValue>,
     instances: HashMap<u32, Instance>,
     events: Vec<AbaEvent>,
-    /// Reusable buffer for the coin engine's sends (the dominant message
-    /// class; drained into the caller's send list on every delivery).
-    coin_scratch: Vec<(Pid, sba_coin::CoinMsg<F>)>,
     /// Reusable batch-routing buffers for [`AbaNode::on_batch`]
-    /// (capacity survives across deliveries).
-    vote_run: Vec<sba_broadcast::MuxMsg<VoteSlot, VoteValue>>,
-    vote_deliveries: Vec<sba_broadcast::RbDelivery<VoteSlot, VoteValue>>,
-    coin_batch: Vec<sba_coin::CoinMsg<F>>,
+    /// (capacity survives across deliveries). The coin engine shares
+    /// the flat wire type, so its sends go straight into the caller's
+    /// list — no rewrap buffer.
+    vote_run: Vec<MuxMsg<VoteSlot, VoteValue>>,
+    vote_deliveries: Vec<RbDelivery<VoteSlot, VoteValue>>,
+    coin_batch: Vec<AbaMsg<F>>,
     touched: Vec<u32>,
     /// Reusable one-member batch for [`AbaNode::on_message`].
     one: Vec<AbaMsg<F>>,
@@ -140,7 +141,18 @@ fn coin_tag(instance: u32, round: u32) -> u64 {
 
 impl<F: Field> AbaNode<F> {
     /// Creates the node for process `me`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config.max_rounds` is `2^24` or more (see
+    /// [`AbaConfig::max_rounds`]).
     pub fn new(me: Pid, config: AbaConfig) -> Self {
+        // Round 2^24 of one instance would name round 0 of the next.
+        assert!(
+            config.max_rounds < 1 << 24,
+            "max_rounds {} would alias coin tags (must be below 2^24)",
+            config.max_rounds
+        );
         let coin = match config.mode {
             CoinMode::Scc => {
                 let mut c = CoinEngine::new(me, config.params, config.seed);
@@ -158,7 +170,6 @@ impl<F: Field> AbaNode<F> {
             mux: RbMux::new(me, config.params),
             instances: HashMap::new(),
             events: Vec::new(),
-            coin_scratch: Vec::new(),
             vote_run: Vec::new(),
             vote_deliveries: Vec::new(),
             coin_batch: Vec::new(),
@@ -266,9 +277,7 @@ impl<F: Field> AbaNode<F> {
                 .or_default();
             if !state.coin_started {
                 state.coin_started = true;
-                let mut coin_sends = Vec::new();
-                coin.start(coin_tag(instance, round), &mut coin_sends);
-                sends.extend(coin_sends.into_iter().map(|(to, m)| (to, AbaMsg::Coin(m))));
+                coin.start(coin_tag(instance, round), sends);
             }
         }
     }
@@ -279,14 +288,18 @@ impl<F: Field> AbaNode<F> {
         value: VoteValue,
         sends: &mut Vec<(Pid, AbaMsg<F>)>,
     ) {
-        self.mux.broadcast_with(slot, value, sends, AbaMsg::Vote);
+        self.mux
+            .broadcast_with(slot, value, sends, wire_of_vote_mux);
     }
 
     /// Records one accepted vote-layer broadcast into its instance's
     /// round state; returns the touched instance.
-    fn record_vote_delivery(&mut self, d: sba_broadcast::RbDelivery<VoteSlot, VoteValue>) -> u32 {
+    fn record_vote_delivery(&mut self, d: RbDelivery<VoteSlot, VoteValue>) -> u32 {
         let instance = d.tag.instance();
         let inst = self.instances.entry(instance).or_insert_with(Instance::new);
+        // The flat wire fixes each phase's value shape (`WireMsg::vote_rb`
+        // refuses any other pairing, decode rejects it), so every
+        // delivery is one of these four.
         match (d.tag, d.value) {
             (VoteSlot::Report { round, .. }, VoteValue::Bit(v)) => {
                 inst.rounds.entry(round).or_default().deliver_a(d.origin, v);
@@ -300,13 +313,13 @@ impl<F: Field> AbaNode<F> {
             (VoteSlot::Decide { .. }, VoteValue::Bit(v)) => {
                 inst.decides.entry(d.origin).or_insert(v);
             }
-            _ => {} // slot/payload mismatch: ignore
+            (slot, value) => unreachable!("{slot:?} cannot carry {value:?}"),
         }
         instance
     }
 
     /// Feeds a whole same-sender delivery batch (drained from `msgs`):
-    /// vote members route through the mux's batch path, coin members
+    /// vote members route through the mux's batch path, everything else
     /// through the coin engine's, and the per-instance `advance` fixpoint
     /// runs **once per touched instance** instead of once per message.
     pub fn on_batch(
@@ -318,26 +331,40 @@ impl<F: Field> AbaNode<F> {
         let mut votes = std::mem::take(&mut self.vote_run);
         let mut coins = std::mem::take(&mut self.coin_batch);
         for msg in msgs.drain(..) {
-            match msg {
-                AbaMsg::Vote(m) => votes.push(m),
-                AbaMsg::Coin(m) => coins.push(m),
+            if msg.wire_kind().is_vote_rb() {
+                let Unpacked::VoteRb {
+                    slot,
+                    origin,
+                    step,
+                    value,
+                } = msg.unpack()
+                else {
+                    unreachable!("vote RB kinds unpack as VoteRb");
+                };
+                votes.push(MuxMsg {
+                    tag: slot,
+                    origin,
+                    inner: RbMsg::of_step(step, value),
+                });
+            } else {
+                coins.push(msg);
             }
         }
         let mut deliveries = std::mem::take(&mut self.vote_deliveries);
-        self.mux
-            .on_batch_with(from, votes.drain(..), sends, AbaMsg::Vote, &mut deliveries);
+        self.mux.on_batch_with(
+            from,
+            votes.drain(..),
+            sends,
+            wire_of_vote_mux,
+            &mut deliveries,
+        );
         let mut touched = std::mem::take(&mut self.touched);
         for d in deliveries.drain(..) {
             touched.push(self.record_vote_delivery(d));
         }
         if !coins.is_empty() {
             if let Some(coin) = self.coin.as_mut() {
-                coin.on_batch(from, &mut coins, &mut self.coin_scratch);
-                sends.extend(
-                    self.coin_scratch
-                        .drain(..)
-                        .map(|(to, m)| (to, AbaMsg::Coin(m))),
-                );
+                coin.on_batch(from, &mut coins, sends);
             } else {
                 coins.clear(); // no coin engine in this mode: inert
             }
@@ -505,9 +532,7 @@ impl<F: Field> AbaNode<F> {
         if enable_coin {
             // Vote locked: the adversary may now learn the coin.
             if let Some(coin) = self.coin.as_mut() {
-                let mut coin_sends = Vec::new();
-                coin.enable_reconstruct(coin_tag(instance, round), &mut coin_sends);
-                sends.extend(coin_sends.into_iter().map(|(to, m)| (to, AbaMsg::Coin(m))));
+                coin.enable_reconstruct(coin_tag(instance, round), sends);
                 let flips = self.absorb_coin_events();
                 for other in flips {
                     if other != instance {
@@ -715,6 +740,7 @@ impl<F: Field> AbaProcess<F> {
 mod tests {
     use super::*;
     use sba_field::Gf61;
+    use sba_net::Kinded;
 
     fn config() -> AbaConfig {
         AbaConfig::scc(sba_broadcast::Params::new(4, 1).unwrap(), 7)
@@ -762,8 +788,16 @@ mod tests {
         node.propose(0, true, &mut sends);
         assert_eq!(node.current_round(0), 1);
         // The fan-out contains both the report RB and the coin's sharing.
-        assert!(sends.iter().any(|(_, m)| matches!(m, AbaMsg::Vote(_))));
-        assert!(sends.iter().any(|(_, m)| matches!(m, AbaMsg::Coin(_))));
+        assert!(sends.iter().any(|(_, m)| m.kind() == "aba/report"));
+        assert!(sends.iter().any(|(_, m)| !m.wire_kind().is_vote_rb()));
+    }
+
+    #[test]
+    #[should_panic(expected = "would alias coin tags")]
+    fn max_rounds_past_the_coin_tag_packing_rejected() {
+        let mut c = config();
+        c.max_rounds = 1 << 24;
+        let _: AbaNode<Gf61> = AbaNode::new(Pid::new(1), c);
     }
 
     #[test]

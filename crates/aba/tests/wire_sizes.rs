@@ -4,18 +4,16 @@
 //! message type is ~1 MB of queue population. PR 3 boxed the rare large
 //! variants; PR 4 flattened the nested coin/SVSS enum tree into the
 //! packed `WireMsg` (`{16-byte key, 16-byte body}`), which shrank
-//! `CoinMsg` 56 → 32 B and let `AbaMsg` carry it **inline** (the vote
-//! variant niches into the flat `WireKind` byte, so the whole agreement
-//! message is 32 B with no heap node behind it — the old `Box` cost an
-//! allocation per broadcast-fan-out clone).
+//! `CoinMsg` 56 → 32 B; PR 25 moved the vote layer onto the same flat
+//! form, so `AbaMsg`, `CoinMsg` and `SvssMsg` are one 32-byte type with
+//! no heap node behind a vote or a coin message.
 //!
 //! These `const` asserts fail the *build* if a refactor regresses that —
 //! the `static_assert` of Rust. If one fires, re-box or re-pack the
 //! variant that grew (or consciously raise the pin and re-measure
 //! `BENCH_<pr>.json`).
 
-use sba_aba::{AbaMsg, VoteSlot, VoteValue};
-use sba_broadcast::{MuxMsg, RbMsg};
+use sba_aba::AbaMsg;
 use sba_coin::CoinMsg;
 use sba_field::Gf61;
 use sba_net::{Envelope, MwId, SvssId, SvssSlot};
@@ -30,8 +28,9 @@ use std::mem::size_of;
 const _: () = assert!(size_of::<CoinMsg<Gf61>>() == 32);
 const _: () = assert!(size_of::<SvssMsg<Gf61>>() == 32);
 
-// The top-level agreement message carries the coin message inline and
-// still fits the same 32 bytes (Vote niches into the WireKind byte).
+// The top-level agreement message is the same flat type (a vote is a
+// bodiless key: tag, phase p-byte, value aux byte), so it fits the same
+// 32 bytes.
 const _: () = assert!(size_of::<AbaMsg<Gf61>>() <= 32);
 
 // What rides in the simulator's payload arena per in-flight message
@@ -53,10 +52,6 @@ const _: () = assert!(size_of::<SvssRbValue<Gf61>>() <= 40);
 const _: () = assert!(size_of::<MwId>() == 16);
 const _: () = assert!(size_of::<SvssId>() == 16);
 const _: () = assert!(size_of::<SvssSlot>() == 16);
-
-// The vote-layer fast path: a whole vote RB step in under 24 bytes.
-const _: () = assert!(size_of::<MuxMsg<VoteSlot, VoteValue>>() <= 24);
-const _: () = assert!(size_of::<RbMsg<VoteValue>>() <= 8);
 
 /// PR 5's MwDeal word-complexity diet, pinned at the n=7/t=2 benchmark
 /// shape: the recipient's own value is omitted (6 `others`, not 7
@@ -154,6 +149,55 @@ fn set_and_frame_encodings_pinned() {
     // 7 member sets × 8 (each a sparse 7-member set).
     assert_eq!(gsets.encoded_len(), 11 + 8 + 8 + 7 * 8);
     assert_eq!(gsets.encoded().len(), 11 + 8 + 8 + 7 * 8);
+}
+
+/// PR 25's flat vote encoding. The nested form it replaced spelled a
+/// vote as a frame byte, a discriminated `VoteSlot` (9 B; 5 for a
+/// decide), a 4-byte origin pid, one or two `RbMsg`/`WrbMsg`
+/// discriminants and a discriminated value (2–3 B): 17–19 B standalone
+/// for the round phases, 13–14 for a decide, one more framed, with
+/// nothing elided against a neighbour. Now the
+/// slot is the key's tag plus a phase p-byte, the value the aux byte and
+/// the origin one packed byte — 12 B for every phase and step — and the
+/// key-delta frame form elides tag and phase against a same-round
+/// neighbour, which is most of an n² echo/ready fan-in.
+#[test]
+fn vote_encoding_pinned() {
+    use sba_aba::{VoteSlot, VoteValue};
+    use sba_net::{Pid, RbStep, Wire};
+    let vote = |origin: u32, slot, value| {
+        AbaMsg::<Gf61>::vote_rb(slot, Pid::new(origin), RbStep::Echo, value)
+    };
+    let report = VoteSlot::Report {
+        instance: 3,
+        round: 2,
+    };
+    let bottom = VoteSlot::Vote {
+        instance: 3,
+        round: 2,
+    };
+    let decide = VoteSlot::Decide { instance: 3 };
+    for m in [
+        vote(1, report, VoteValue::Bit(true)),
+        vote(1, bottom, VoteValue::MaybeBit(None)),
+        vote(1, decide, VoteValue::Bit(false)),
+    ] {
+        // kind 1 + tag 8 + phase 1 + value 1 + origin 1.
+        assert_eq!(m.encoded_len(), 12);
+        assert_eq!(m.encoded().len(), 12);
+        assert_eq!(m.framed_len(None), 1 + 12);
+    }
+    // Same round and phase: the prelude, kind, value and origin remain.
+    let prev = vote(1, report, VoteValue::Bit(true));
+    assert_eq!(
+        vote(2, report, VoteValue::Bit(false)).framed_len(Some(&prev)),
+        4
+    );
+    // Same round, another phase: the tag still elides.
+    assert_eq!(
+        vote(2, bottom, VoteValue::MaybeBit(None)).framed_len(Some(&prev)),
+        5
+    );
 }
 
 /// The queue arenas' per-slot footprint: one batch entry per

@@ -1,10 +1,9 @@
 //! Canned Byzantine behaviours and adversarial schedulers for the full
 //! stack, used by the fault-injection tests and the experiment harness.
 
-use sba_aba::{AbaMsg, VoteSlot, VoteValue};
-use sba_broadcast::{MuxMsg, RbMsg, WrbMsg};
+use sba_aba::VoteValue;
 use sba_field::{Field, Gf61};
-use sba_net::{Envelope, Pid};
+use sba_net::{Envelope, Kinded, Pid, RbStep, Unpacked, WireKind};
 use sba_sim::{FnScheduler, Scheduler, Tamper};
 use sba_svss::forge_recon_points;
 
@@ -17,34 +16,37 @@ pub fn lying_share_tamper(
     delta: u64,
 ) -> impl FnMut(Pid, &Msg) -> Tamper<Msg> + Send + Clone + 'static {
     move |_to, msg| {
-        let AbaMsg::Coin(coin) = msg else {
-            return Tamper::Keep;
-        };
-        forge_recon_points(coin, |_| Some(Gf61::from_u64(delta)))
-            .map_or(Tamper::Keep, |m| Tamper::Replace(vec![AbaMsg::Coin(m)]))
+        forge_recon_points(msg, |_| Some(Gf61::from_u64(delta)))
+            .map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
     }
+}
+
+/// The vote-flip lie on one outgoing message: a vote-layer init with its
+/// bit negated (`⊥` becomes 1). Relays (echo/ready) and every other
+/// layer's traffic stay honest: `None`.
+fn flip_vote_init(msg: &Msg) -> Option<Msg> {
+    if msg.wire_kind() != WireKind::VoteInit {
+        return None;
+    }
+    let Unpacked::VoteRb {
+        slot,
+        origin,
+        value,
+        ..
+    } = msg.clone().unpack()
+    else {
+        unreachable!("vote RB kinds unpack as VoteRb");
+    };
+    let flipped = match value {
+        VoteValue::Bit(b) => VoteValue::Bit(!b),
+        VoteValue::MaybeBit(b) => VoteValue::MaybeBit(Some(!b.unwrap_or(false))),
+    };
+    Some(Msg::vote_rb(slot, origin, RbStep::Init, flipped))
 }
 
 /// Tamper: flip every vote-layer bit this process originates.
 pub fn vote_flip_tamper() -> impl FnMut(Pid, &Msg) -> Tamper<Msg> + Send + Clone + 'static {
-    move |_to, msg| {
-        let AbaMsg::Vote(m) = msg else {
-            return Tamper::Keep;
-        };
-        let RbMsg::Wrb(WrbMsg::Init(value)) = &m.inner else {
-            return Tamper::Keep;
-        };
-        let flipped = match value {
-            VoteValue::Bit(b) => VoteValue::Bit(!b),
-            VoteValue::MaybeBit(Some(b)) => VoteValue::MaybeBit(Some(!b)),
-            VoteValue::MaybeBit(None) => VoteValue::MaybeBit(Some(true)),
-        };
-        Tamper::Replace(vec![AbaMsg::Vote(MuxMsg {
-            tag: m.tag,
-            origin: m.origin,
-            inner: RbMsg::Wrb(WrbMsg::Init(flipped)),
-        })])
-    }
+    move |_to, msg| flip_vote_init(msg).map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
 }
 
 /// Tamper: equivocate on every vote-layer value this process originates —
@@ -56,25 +58,10 @@ pub fn vote_flip_tamper() -> impl FnMut(Pid, &Msg) -> Tamper<Msg> + Send + Clone
 /// equivocator merely fails to get some slots accepted and earns shuns).
 pub fn equivocating_vote_tamper() -> impl FnMut(Pid, &Msg) -> Tamper<Msg> + Send + Clone + 'static {
     move |to, msg| {
-        let AbaMsg::Vote(m) = msg else {
-            return Tamper::Keep;
-        };
-        let RbMsg::Wrb(WrbMsg::Init(value)) = &m.inner else {
-            return Tamper::Keep;
-        };
         if to.index() % 2 == 1 {
             return Tamper::Keep; // odd recipients hear the honest value
         }
-        let flipped = match value {
-            VoteValue::Bit(b) => VoteValue::Bit(!b),
-            VoteValue::MaybeBit(Some(b)) => VoteValue::MaybeBit(Some(!b)),
-            VoteValue::MaybeBit(None) => VoteValue::MaybeBit(Some(true)),
-        };
-        Tamper::Replace(vec![AbaMsg::Vote(MuxMsg {
-            tag: m.tag,
-            origin: m.origin,
-            inner: RbMsg::Wrb(WrbMsg::Init(flipped)),
-        })])
+        flip_vote_init(msg).map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
     }
 }
 
@@ -88,13 +75,8 @@ pub fn coin_steer_scheduler(victims: Vec<Pid>, factor: u64) -> Box<dyn Scheduler
         move |env: &Envelope<Msg>, now: u64, rng: &mut rand::rngs::StdRng| {
             use rand::Rng;
             let base = now + rng.gen_range(1..=4u64);
-            let is_vote = matches!(
-                &env.msg,
-                AbaMsg::Vote(MuxMsg {
-                    tag: VoteSlot::Vote { .. } | VoteSlot::Candidate { .. },
-                    ..
-                })
-            );
+            // Every RB step of a vote carries its phase's label.
+            let is_vote = matches!(env.msg.kind(), "aba/vote" | "aba/candidate");
             if is_vote && victims.contains(&env.from) {
                 base + factor
             } else {
@@ -107,75 +89,59 @@ pub fn coin_steer_scheduler(victims: Vec<Pid>, factor: u64) -> Box<dyn Scheduler
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sba_aba::VoteSlot;
+
+    fn report(origin: u32, step: RbStep, bit: bool) -> Msg {
+        let slot = VoteSlot::Report {
+            instance: 0,
+            round: 1,
+        };
+        Msg::vote_rb(slot, Pid::new(origin), step, VoteValue::Bit(bit))
+    }
 
     #[test]
     fn vote_flip_flips_init_only() {
         let mut tamper = vote_flip_tamper();
-        let init: Msg = AbaMsg::Vote(MuxMsg {
-            tag: VoteSlot::Report {
-                instance: 0,
-                round: 1,
-            },
-            origin: Pid::new(1),
-            inner: RbMsg::Wrb(WrbMsg::Init(VoteValue::Bit(true))),
-        });
-        match tamper(Pid::new(2), &init) {
-            Tamper::Replace(v) => {
-                assert!(matches!(
-                    &v[0],
-                    AbaMsg::Vote(MuxMsg {
-                        inner: RbMsg::Wrb(WrbMsg::Init(VoteValue::Bit(false))),
-                        ..
-                    })
-                ));
-            }
+        match tamper(Pid::new(2), &report(1, RbStep::Init, true)) {
+            Tamper::Replace(v) => assert_eq!(v, vec![report(1, RbStep::Init, false)]),
             _ => panic!("Init must be flipped"),
         }
+        // A ⊥ vote becomes a 1.
+        let slot = VoteSlot::Vote {
+            instance: 0,
+            round: 1,
+        };
+        let bottom = Msg::vote_rb(slot, Pid::new(1), RbStep::Init, VoteValue::MaybeBit(None));
+        match tamper(Pid::new(2), &bottom) {
+            Tamper::Replace(v) => assert_eq!(
+                v,
+                vec![Msg::vote_rb(
+                    slot,
+                    Pid::new(1),
+                    RbStep::Init,
+                    VoteValue::MaybeBit(Some(true))
+                )]
+            ),
+            _ => panic!("a ⊥ Init must be flipped"),
+        }
         // Relays (echo/ready) stay honest: RB correctness still holds.
-        let echo: Msg = AbaMsg::Vote(MuxMsg {
-            tag: VoteSlot::Report {
-                instance: 0,
-                round: 1,
-            },
-            origin: Pid::new(3),
-            inner: RbMsg::Wrb(WrbMsg::Echo(VoteValue::Bit(true))),
-        });
+        let echo = report(3, RbStep::Echo, true);
         assert!(matches!(tamper(Pid::new(2), &echo), Tamper::Keep));
     }
 
     #[test]
     fn equivocation_differs_per_recipient() {
         let mut tamper = equivocating_vote_tamper();
-        let init: Msg = AbaMsg::Vote(MuxMsg {
-            tag: VoteSlot::Report {
-                instance: 0,
-                round: 1,
-            },
-            origin: Pid::new(1),
-            inner: RbMsg::Wrb(WrbMsg::Init(VoteValue::Bit(true))),
-        });
+        let init = report(1, RbStep::Init, true);
         // Even recipients get the flipped bit...
         match tamper(Pid::new(2), &init) {
-            Tamper::Replace(v) => assert!(matches!(
-                &v[0],
-                AbaMsg::Vote(MuxMsg {
-                    inner: RbMsg::Wrb(WrbMsg::Init(VoteValue::Bit(false))),
-                    ..
-                })
-            )),
+            Tamper::Replace(v) => assert_eq!(v, vec![report(1, RbStep::Init, false)]),
             _ => panic!("even recipient must see the flipped value"),
         }
         // ...odd recipients the honest one: two versions of one Init.
         assert!(matches!(tamper(Pid::new(3), &init), Tamper::Keep));
         // Relays stay honest either way.
-        let echo: Msg = AbaMsg::Vote(MuxMsg {
-            tag: VoteSlot::Report {
-                instance: 0,
-                round: 1,
-            },
-            origin: Pid::new(3),
-            inner: RbMsg::Wrb(WrbMsg::Echo(VoteValue::Bit(true))),
-        });
+        let echo = report(3, RbStep::Echo, true);
         assert!(matches!(tamper(Pid::new(2), &echo), Tamper::Keep));
     }
 }

@@ -61,7 +61,9 @@ impl ClusterConfig {
         self
     }
 
-    /// Caps the number of voting rounds (for diverging baselines).
+    /// Caps the number of voting rounds (for diverging baselines). The
+    /// cap must stay below `2^24`: building the cluster panics otherwise
+    /// (see [`AbaConfig::max_rounds`]).
     pub fn max_rounds(mut self, max_rounds: u32) -> Self {
         self.max_rounds = max_rounds;
         self

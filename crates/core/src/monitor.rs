@@ -70,7 +70,7 @@ pub struct MonitorReport {
     /// Total violations observed (including any beyond the recording
     /// cap).
     pub violations_total: u64,
-    /// The first [`MAX_RECORDED`] violations, verbatim.
+    /// The first violations, verbatim, up to a fixed recording cap.
     pub violations: Vec<MonitorViolation>,
     /// `(round, event counter)` at the first honest entry into each
     /// voting round — the round-boundary map the fork-corpus harness

@@ -374,16 +374,9 @@ impl ScenarioPlan {
     ///
     /// Same conditions as [`ScenarioPlan::build`].
     pub fn build_with_inputs(&self, inputs: &[Option<bool>]) -> PlanRun {
-        assert!(!self.layers.is_empty(), "a plan needs >= 1 scheduler layer");
         let config = self.cluster_config();
-        // A single layer is built bare so the constructed scheduler —
-        // and therefore the whole run — is bit-identical to the legacy
-        // non-layered construction.
-        let scheduler = if self.layers.len() == 1 {
-            self.layers[0].build()
-        } else {
-            schedulers::layered(self.layers.iter().map(SchedLayer::build).collect())
-        };
+        // A one-layer stack is bit-identical to the bare layer.
+        let scheduler = schedulers::layered(self.layers.iter().map(SchedLayer::build).collect());
         let mut cluster = Cluster::with_scheduler(config, inputs, scheduler);
         cluster.sim_mut().enable_digest();
         if self.monitor {

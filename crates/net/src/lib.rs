@@ -43,6 +43,6 @@ pub use pid::{Pid, ProcessSet, ProcessSetIter, MAX_N};
 pub use session::{MwId, SessionKey, SvssId};
 pub use wire::{
     decode_frame, encode_frame, frame_len, CoinSlot, GsetsBody, MwDealBody, RbStep, RbVector,
-    RowsBody, SlotKind, SlotView, SvssPriv, SvssRbValue, SvssSlot, Unpacked, WireKind, WireMsg,
-    WIRE_KIND_COUNT,
+    RowsBody, SlotKind, SlotView, SvssPriv, SvssRbValue, SvssSlot, Unpacked, VoteSlot, VoteValue,
+    WireKind, WireMsg, WIRE_KIND_COUNT,
 };

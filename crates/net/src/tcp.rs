@@ -2,8 +2,7 @@
 //!
 //! This is the socket half of the "from simulator to system" path: the
 //! same canonical frame bytes the simulator charges
-//! ([`encode_frame`](crate::encode_frame) /
-//! [`decode_frame`](crate::decode_frame)) shipped over real loopback TCP
+//! ([`encode_frame`] / [`decode_frame`]) shipped over real loopback TCP
 //! streams, so protocol processes in different OS threads — or different
 //! OS processes entirely — exchange exactly the bytes the byte-complexity
 //! experiments account for.

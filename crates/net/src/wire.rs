@@ -1,4 +1,5 @@
-//! The flat wire format of the SVSS/coin stack.
+//! The flat wire format of the whole stack: SVSS, coin and agreement
+//! votes.
 //!
 //! PR 3 left the coin-layer message as a *triple-nested* enum tree
 //! (`CoinMsg::Svss(SvssMsg::Rb(MuxMsg { .. RbMsg::Wrb(WrbMsg::Init(..)) }))`),
@@ -7,21 +8,24 @@
 //! With ~10⁶ envelopes in flight in a full n=7 run, that nesting was the
 //! single largest block of cold memory in the process.
 //!
-//! This module flattens the whole SVSS/coin message surface into one
+//! This module flattens every layer's message surface into one
 //! **[`WireKind`] discriminant** and a fixed 16-byte routing header
 //! ([`WireKey`]): a [`WireMsg`] is `{ key, body }` — 32 bytes total for
 //! `F = Gf61`, pinned by `crates/aba/tests/wire_sizes.rs`. The RB step
 //! (init/echo/ready), the protocol slot, and the session identifiers are
 //! all packed into the key; the body holds only the payload (boxed when
 //! large and rare, and stored compactly when a full `MAX_N`-wide
-//! `ProcessSet` would not fit the slot — see [`CompactSet`]).
+//! `ProcessSet` would not fit the slot — see [`CompactSet`]). A vote
+//! needs no body at all: its `(instance, round)` is the session tag, its
+//! phase one p-byte and its value the aux byte.
 //!
 //! Layering note: the *protocol* crates still reason in their own terms —
 //! `sba-broadcast`'s mux routes `MuxMsg { tag, origin, inner }`, the SVSS
-//! engine matches on [`SvssSlot`]/[`SvssRbValue`] pairs — but those forms
-//! now exist only transiently on the stack. [`WireMsg::unpack`] and the
-//! constructors convert between the dense wire form and the structured
-//! form by moving fields (no allocation).
+//! engine matches on [`SvssSlot`]/[`SvssRbValue`] pairs, the agreement
+//! node on [`VoteSlot`]/[`VoteValue`] pairs — but those forms exist only
+//! transiently on the stack. [`WireMsg::unpack`] and the constructors
+//! convert between the dense wire form and the structured form by moving
+//! fields (no allocation).
 //!
 //! A safe-Rust subtlety: the body enum carries its own (redundant)
 //! discriminant, but that byte lives inside the body's 16-byte slot, so
@@ -82,9 +86,10 @@ pub enum SlotKind {
     Gsets = 5,
 }
 
-/// The single flat discriminant of the SVSS/coin wire surface: every
-/// private message class and every `(slot family, RB step)` pair has its
-/// own kind. One byte on the wire, one byte in [`WireKey`].
+/// The single flat discriminant of the wire surface: every private
+/// message class and every `(slot family, RB step)` pair has its own
+/// kind (the vote layer's four phases share one family, told apart by
+/// a p-byte). One byte on the wire, one byte in the packed key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[repr(u8)]
 #[allow(missing_docs)] // the pattern is uniform; see the module docs
@@ -120,10 +125,13 @@ pub enum WireKind {
     VecInit = 28,
     VecEcho = 29,
     VecReady = 30,
+    VoteInit = 31,
+    VoteEcho = 32,
+    VoteReady = 33,
 }
 
 /// Number of [`WireKind`] values (discriminants are `0..COUNT`).
-pub const WIRE_KIND_COUNT: u8 = 31;
+pub const WIRE_KIND_COUNT: u8 = 34;
 
 impl WireKind {
     /// Decodes a discriminant byte.
@@ -162,7 +170,10 @@ impl WireKind {
                 27 => WireKind::SupportReady,
                 28 => WireKind::VecInit,
                 29 => WireKind::VecEcho,
-                _ => WireKind::VecReady,
+                30 => WireKind::VecReady,
+                31 => WireKind::VoteInit,
+                32 => WireKind::VoteEcho,
+                _ => WireKind::VoteReady,
             })
         } else {
             None
@@ -209,7 +220,12 @@ impl WireKind {
     /// Whether this is a vector broadcast of the SVSS stack (one Bracha
     /// instance carrying several slots' values, see [`RbVector`]).
     pub fn is_vector(self) -> bool {
-        self as u8 >= 28
+        (28..31).contains(&(self as u8))
+    }
+
+    /// Whether this is agreement-layer RB traffic (a [`VoteSlot`]).
+    pub fn is_vote_rb(self) -> bool {
+        (31..WIRE_KIND_COUNT).contains(&(self as u8))
     }
 
     /// Whether this is a private point-to-point message.
@@ -218,9 +234,9 @@ impl WireKind {
     }
 
     /// Whether the kind spells the `aux` byte (the `MwRecon`
-    /// polynomial index).
+    /// polynomial index, or a vote's value).
     fn has_aux(self) -> bool {
-        (16..19).contains(&(self as u8))
+        (16..19).contains(&(self as u8)) || self.is_vote_rb()
     }
 
     fn rb(slot: SlotKind, step: RbStep) -> WireKind {
@@ -420,6 +436,116 @@ impl CoinSlot {
     pub fn coin_tag(self) -> u64 {
         match self {
             CoinSlot::Attach(t) | CoinSlot::Support(t) => t,
+        }
+    }
+}
+
+/// RB slots of the vote layer (paper §5). All slots carry the ABA
+/// instance id, so one node can run many agreement instances (e.g. one
+/// per log slot) over a single shunning domain.
+///
+/// On the wire `(instance, round)` is the session tag and the phase is
+/// one p-byte (`Report` 0 … `Decide` 3, whose round is 0).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum VoteSlot {
+    /// Phase `A` (report) of a round.
+    Report {
+        /// The agreement instance.
+        instance: u32,
+        /// The round.
+        round: u32,
+    },
+    /// Phase `B` (candidate) of a round.
+    Candidate {
+        /// The agreement instance.
+        instance: u32,
+        /// The round.
+        round: u32,
+    },
+    /// Phase `C` (vote) of a round.
+    Vote {
+        /// The agreement instance.
+        instance: u32,
+        /// The round.
+        round: u32,
+    },
+    /// The decide gossip (one slot per instance per process).
+    Decide {
+        /// The agreement instance.
+        instance: u32,
+    },
+}
+
+/// The `Kinded` labels of the vote phases, indexed by phase byte.
+const VOTE_LABELS: [&str; 4] = ["aba/report", "aba/candidate", "aba/vote", "aba/decide"];
+/// The phase byte of `VoteSlot::Vote`, the one phase whose value may be `⊥`.
+const VOTE_PHASE: u8 = 2;
+
+impl VoteSlot {
+    /// The agreement instance this slot belongs to.
+    pub fn instance(self) -> u32 {
+        match self {
+            VoteSlot::Report { instance, .. }
+            | VoteSlot::Candidate { instance, .. }
+            | VoteSlot::Vote { instance, .. }
+            | VoteSlot::Decide { instance } => instance,
+        }
+    }
+
+    /// `(session tag, phase byte)`.
+    fn pack(self) -> (u64, u8) {
+        let (instance, round, phase) = match self {
+            VoteSlot::Report { instance, round } => (instance, round, 0),
+            VoteSlot::Candidate { instance, round } => (instance, round, 1),
+            VoteSlot::Vote { instance, round } => (instance, round, VOTE_PHASE),
+            VoteSlot::Decide { instance } => (instance, 0, 3),
+        };
+        (u64::from(instance) << 32 | u64::from(round), phase)
+    }
+
+    /// The inverse of [`VoteSlot::pack`]; `None` for a phase byte out of
+    /// range or a decide that names a round.
+    fn unpack(tag: u64, phase: u8) -> Option<Self> {
+        let (instance, round) = ((tag >> 32) as u32, tag as u32);
+        match phase {
+            0 => Some(VoteSlot::Report { instance, round }),
+            1 => Some(VoteSlot::Candidate { instance, round }),
+            VOTE_PHASE => Some(VoteSlot::Vote { instance, round }),
+            3 if round == 0 => Some(VoteSlot::Decide { instance }),
+            _ => None,
+        }
+    }
+}
+
+/// Values carried in vote slots: a bit (`A`/`B`/decide) or an optional
+/// bit (`C`, where `None` is the vote `⊥`). The phase fixes the shape,
+/// and the flat format has no spelling for any other pairing.
+///
+/// On the wire the value is the aux byte: the bit, or 2 for `⊥`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum VoteValue {
+    /// A report/candidate/decide bit.
+    Bit(bool),
+    /// A vote: `Some(bit)` or `None` for `⊥`.
+    MaybeBit(Option<bool>),
+}
+
+impl VoteValue {
+    fn pack(self) -> u8 {
+        match self {
+            VoteValue::Bit(b) | VoteValue::MaybeBit(Some(b)) => u8::from(b),
+            VoteValue::MaybeBit(None) => 2,
+        }
+    }
+
+    /// The value byte `b` read in a slot of phase `phase`; `None` where
+    /// that phase cannot carry it.
+    fn unpack(phase: u8, b: u8) -> Option<Self> {
+        match (phase == VOTE_PHASE, b) {
+            (false, 0 | 1) => Some(VoteValue::Bit(b == 1)),
+            (true, 0 | 1) => Some(VoteValue::MaybeBit(Some(b == 1))),
+            (true, 2) => Some(VoteValue::MaybeBit(None)),
+            _ => None,
         }
     }
 }
@@ -698,14 +824,15 @@ enum Body<F> {
     Vector(RbVector<F>),
 }
 
-/// One SVSS/coin-stack wire message in flat packed form: a 16-byte
-/// [`WireKey`] plus a 16-byte payload slot — 32 bytes for `F = Gf61`,
-/// pinned in `crates/aba/tests/wire_sizes.rs`.
+/// One wire message of the stack in flat packed form: a 16-byte routing
+/// key plus a 16-byte payload slot — 32 bytes for `F = Gf61`, pinned in
+/// `crates/aba/tests/wire_sizes.rs`.
 ///
-/// Construct with [`WireMsg::private`], [`WireMsg::rb`], or
-/// [`WireMsg::coin_rb`]; decompose with [`WireMsg::unpack`] (total — the
-/// kind/body agreement is a construction invariant). [`WireMsg::wire_kind`]
-/// is the allocation-free peek for filters and tamper functions.
+/// Construct with [`WireMsg::private`], [`WireMsg::rb`],
+/// [`WireMsg::rb_vector`], [`WireMsg::coin_rb`] or [`WireMsg::vote_rb`];
+/// decompose with [`WireMsg::unpack`] (total — the kind/body agreement
+/// is a construction invariant). [`WireMsg::wire_kind`] is the
+/// allocation-free peek for filters and tamper functions.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WireMsg<F> {
     key: WireKey,
@@ -750,6 +877,17 @@ pub enum Unpacked<F> {
         step: RbStep,
         /// The carried attach/support set.
         set: ProcessSet,
+    },
+    /// An agreement-layer reliable-broadcast message.
+    VoteRb {
+        /// The RB slot.
+        slot: VoteSlot,
+        /// The broadcasting process (RB dealer).
+        origin: Pid,
+        /// The RB protocol step.
+        step: RbStep,
+        /// The carried value (of the shape the slot's phase fixes).
+        value: VoteValue,
     },
 }
 
@@ -876,6 +1014,33 @@ impl<F: Field> WireMsg<F> {
         }
     }
 
+    /// Wraps an agreement-layer RB message.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value`'s shape is not the one `slot`'s phase fixes (a
+    /// `⊥` or `MaybeBit` outside the vote phase, a plain `Bit` inside
+    /// it), or if `origin` exceeds the packed pid cap of
+    /// [`crate::MAX_N`].
+    pub fn vote_rb(slot: VoteSlot, origin: Pid, step: RbStep, value: VoteValue) -> Self {
+        let (tag, phase) = slot.pack();
+        let aux = value.pack();
+        assert!(
+            VoteValue::unpack(phase, aux) == Some(value),
+            "vote slot {slot:?} cannot carry {value:?}"
+        );
+        WireMsg {
+            key: WireKey {
+                tag,
+                p: [phase, 0, 0, 0, 0],
+                aux,
+                kind: WireKind::from_byte(31 + step as u8).expect("in range"),
+                origin: pack_pid(origin),
+            },
+            body: Body::Unit,
+        }
+    }
+
     /// The flat discriminant — the allocation-free peek for filters,
     /// schedulers, and tamper functions.
     #[inline]
@@ -905,7 +1070,7 @@ impl<F: Field> WireMsg<F> {
         mut f: impl FnMut(SvssSlot, &SvssRbValue<F>) -> Option<SvssRbValue<F>>,
     ) -> Option<Self> {
         let kind = self.key.kind;
-        if kind.rb_step() != Some(RbStep::Init) || kind.is_coin_rb() {
+        if kind.rb_step() != Some(RbStep::Init) || kind.is_coin_rb() || kind.is_vote_rb() {
             return None;
         }
         match self.clone().unpack() {
@@ -978,6 +1143,15 @@ impl<F: Field> WireMsg<F> {
         }
         let step = kind.rb_step().expect("non-priv kinds are RB kinds");
         let origin = unpack_pid(key.origin);
+        if kind.is_vote_rb() {
+            let phase = key.p[0];
+            return Unpacked::VoteRb {
+                slot: VoteSlot::unpack(key.tag, phase).expect("checked at construction"),
+                origin,
+                step,
+                value: VoteValue::unpack(phase, key.aux).expect("checked at construction"),
+            };
+        }
         if kind.is_coin_rb() {
             let slot = if (kind as u8) < 25 {
                 CoinSlot::Attach(key.tag)
@@ -1075,6 +1249,7 @@ fn get_field_vec<F: Field>(r: &mut Reader<'_>) -> Result<Vec<F>, CodecError> {
 fn p_width(kind: WireKind) -> usize {
     match kind {
         WireKind::Rows | WireKind::GsetsInit | WireKind::GsetsEcho | WireKind::GsetsReady => 1,
+        k if k.is_vote_rb() => 1,
         k if k.is_coin_rb() || k.is_vector() => 0,
         _ => 5,
     }
@@ -1270,6 +1445,17 @@ impl<F: Field> WireMsg<F> {
                     return Err(CodecError::Invalid);
                 }
                 Body::Vector(RbVector::decode(r, key.origin)?)
+            }
+            // The phase p-byte, a decide's empty round and the value's
+            // shape are what a vote key can get wrong.
+            WireKind::VoteInit | WireKind::VoteEcho | WireKind::VoteReady => {
+                let phase = key.p[0];
+                if VoteSlot::unpack(key.tag, phase).is_none()
+                    || VoteValue::unpack(phase, key.aux).is_none()
+                {
+                    return Err(CodecError::Invalid);
+                }
+                Body::Unit
             }
             // `L_j`, `M`, and the coin's attach / support sets.
             _ => Body::Set(CompactSet::pack(ProcessSet::decode(r)?)),
@@ -1555,6 +1741,8 @@ impl<F> Kinded for WireMsg<F> {
             WireKind::SupportInit | WireKind::SupportEcho | WireKind::SupportReady => {
                 "coin/support"
             }
+            // Every RB step of a vote carries its phase's label.
+            k if k.is_vote_rb() => VOTE_LABELS[usize::from(self.key.p[0])],
             k => match k.rb_step().expect("RB kind") {
                 RbStep::Init => "rb/init",
                 RbStep::Echo => "rb/echo",
@@ -1664,6 +1852,21 @@ mod tests {
                 Pid::all(3).collect(),
             ),
             WireMsg::rb_vector(Pid::new(2), 7, RbStep::Echo, vector(Pid::new(2))),
+            WireMsg::vote_rb(
+                VoteSlot::Vote {
+                    instance: u32::MAX,
+                    round: 3,
+                },
+                Pid::new(5),
+                RbStep::Ready,
+                VoteValue::MaybeBit(None),
+            ),
+            WireMsg::vote_rb(
+                VoteSlot::Decide { instance: 2 },
+                Pid::new(1),
+                RbStep::Init,
+                VoteValue::Bit(true),
+            ),
         ];
         for msg in cases {
             let back = match msg.clone().unpack() {
@@ -1686,8 +1889,38 @@ mod tests {
                     step,
                     members,
                 } => WireMsg::rb_vector(origin, seq, step, members),
+                Unpacked::VoteRb {
+                    slot,
+                    origin,
+                    step,
+                    value,
+                } => WireMsg::vote_rb(slot, origin, step, value),
             };
             assert_eq!(back, msg);
+        }
+    }
+
+    /// A phase fixes its value's shape: no bare bit in the vote phase,
+    /// no `⊥` (or `MaybeBit` at all) outside it.
+    #[test]
+    fn mismatched_vote_payloads_rejected() {
+        let report = VoteSlot::Report {
+            instance: 0,
+            round: 1,
+        };
+        let vote = VoteSlot::Vote {
+            instance: 0,
+            round: 1,
+        };
+        for (slot, value) in [
+            (report, VoteValue::MaybeBit(None)),
+            (report, VoteValue::MaybeBit(Some(true))),
+            (vote, VoteValue::Bit(false)),
+        ] {
+            let built = std::panic::catch_unwind(|| {
+                WireMsg::<Gf61>::vote_rb(slot, Pid::new(1), RbStep::Init, value)
+            });
+            assert!(built.is_err(), "{slot:?} carried {value:?}");
         }
     }
 
@@ -1785,6 +2018,46 @@ mod tests {
             value: Gf61::from_u64(0),
         });
         assert_eq!(msg.kind(), "mw/point");
+        // A vote's label is its phase's, whatever the RB step.
+        for (slot, value, label) in [
+            (
+                VoteSlot::Report {
+                    instance: 1,
+                    round: 2,
+                },
+                VoteValue::Bit(true),
+                "aba/report",
+            ),
+            (
+                VoteSlot::Candidate {
+                    instance: 1,
+                    round: 2,
+                },
+                VoteValue::Bit(false),
+                "aba/candidate",
+            ),
+            (
+                VoteSlot::Vote {
+                    instance: 1,
+                    round: 2,
+                },
+                VoteValue::MaybeBit(None),
+                "aba/vote",
+            ),
+            (
+                VoteSlot::Decide { instance: 1 },
+                VoteValue::Bit(true),
+                "aba/decide",
+            ),
+        ] {
+            for step in [RbStep::Init, RbStep::Echo, RbStep::Ready] {
+                let msg: WireMsg<Gf61> = WireMsg::vote_rb(slot, Pid::new(3), step, value);
+                assert_eq!(msg.kind(), label);
+                assert!(msg.wire_kind().is_vote_rb());
+                assert_eq!(msg.wire_kind().rb_step(), Some(step));
+                assert_eq!(msg.origin(), Some(Pid::new(3)));
+            }
+        }
     }
 
     #[test]

@@ -443,9 +443,9 @@ impl<F: Field> SvssEngine<F> {
                     self.deliver_rb(from, &mut deliveries, sends);
                     self.route(from, Inner::Priv(p), sends);
                 }
-                // Coin-layer RB traffic is routed by the coin engine; a
-                // copy reaching a bare SVSS engine is foreign and inert.
-                Unpacked::CoinRb { .. } => {}
+                // Coin and vote RB traffic is routed by the layers above;
+                // a copy reaching a bare SVSS engine is foreign and inert.
+                Unpacked::CoinRb { .. } | Unpacked::VoteRb { .. } => {}
             }
         }
         self.deliver_rb(from, &mut deliveries, sends);

@@ -1,13 +1,14 @@
-//! Wire-format fuzzing for the full flat message surface: random
-//! well-formed messages of **every** `WireKind` round-trip; truncated and
-//! foreign-discriminant inputs are rejected; random bytes never panic the
-//! decoder.
+//! Wire-format fuzzing for the full flat message surface — SVSS, coin
+//! and agreement votes: random well-formed messages of **every**
+//! `WireKind` round-trip; truncated, foreign-discriminant and
+//! mis-shaped inputs are rejected; random bytes never panic the decoder.
 
 use proptest::prelude::*;
 use sba_field::{Field, Gf61};
 use sba_net::{
     CodecError, CoinSlot, GsetsBody, MwDealBody, MwId, Pid, ProcessSet, RbStep, RbVector, Reader,
-    RowsBody, SvssId, SvssPriv, SvssRbValue, SvssSlot, Wire, WireKind, WireMsg, WIRE_KIND_COUNT,
+    RowsBody, SvssId, SvssPriv, SvssRbValue, SvssSlot, VoteSlot, VoteValue, Wire, WireKind,
+    WireMsg, WIRE_KIND_COUNT,
 };
 use sba_svss::SvssMsg;
 
@@ -146,12 +147,30 @@ fn coin_rb() -> impl Strategy<Value = SvssMsg<Gf61>> {
         .prop_map(|(slot, o, s, set)| SvssMsg::coin_rb(slot, o, s, set))
 }
 
+/// A well-formed vote-layer RB message: every phase, with a value of
+/// the shape the phase fixes.
+fn vote_rb() -> impl Strategy<Value = SvssMsg<Gf61>> {
+    let bit = || any::<bool>().prop_map(VoteValue::Bit);
+    let maybe = proptest::option::of(any::<bool>()).prop_map(VoteValue::MaybeBit);
+    let slot_value = prop_oneof![
+        (any::<u32>(), any::<u32>(), bit())
+            .prop_map(|(instance, round, v)| (VoteSlot::Report { instance, round }, v)),
+        (any::<u32>(), any::<u32>(), bit())
+            .prop_map(|(instance, round, v)| (VoteSlot::Candidate { instance, round }, v)),
+        (any::<u32>(), any::<u32>(), maybe)
+            .prop_map(|(instance, round, v)| (VoteSlot::Vote { instance, round }, v)),
+        (any::<u32>(), bit()).prop_map(|(instance, v)| (VoteSlot::Decide { instance }, v)),
+    ];
+    (slot_value, pid(), rb_step()).prop_map(|((slot, v), o, s)| SvssMsg::vote_rb(slot, o, s, v))
+}
+
 fn any_msg() -> impl Strategy<Value = SvssMsg<Gf61>> {
     prop_oneof![
         svss_priv().prop_map(SvssMsg::private),
         svss_rb(),
         rb_vector(),
-        coin_rb()
+        coin_rb(),
+        vote_rb()
     ]
 }
 
@@ -229,6 +248,13 @@ fn representative(kind: WireKind) -> SvssMsg<Gf61> {
                 (SvssSlot::mw_recon(mw, Pid::new(3)), SvssRbValue::Value(f)),
             ];
             SvssMsg::rb_vector(origin, 9, step, RbVector::new(origin, members))
+        }
+        WireKind::VoteInit | WireKind::VoteEcho | WireKind::VoteReady => {
+            let slot = VoteSlot::Vote {
+                instance: 7,
+                round: 2,
+            };
+            SvssMsg::vote_rb(slot, origin, step, VoteValue::MaybeBit(None))
         }
     }
 }
@@ -449,6 +475,60 @@ fn non_minimal_frames_rejected() {
     );
 }
 
+/// A vote key has three fields a hostile sender can get wrong — the
+/// phase byte, the value byte (`⊥` only in the vote phase) and a
+/// decide's round, which must be 0 — and each is `Invalid`, never a
+/// panic and never a vote of another shape.
+#[test]
+fn malformed_votes_rejected() {
+    let decode = |bytes: &[u8]| SvssMsg::<Gf61>::decode(&mut Reader::new(bytes));
+    let vote = |slot, value| SvssMsg::<Gf61>::vote_rb(slot, Pid::new(2), RbStep::Echo, value);
+    let (report, ballot, decide) = (
+        VoteSlot::Report {
+            instance: 1,
+            round: 4,
+        },
+        VoteSlot::Vote {
+            instance: 1,
+            round: 4,
+        },
+        VoteSlot::Decide { instance: 1 },
+    );
+    // [kind][tag: 8][phase][value][origin]
+    let (phase_at, value_at) = (9, 10);
+    for (msg, max_value) in [
+        (vote(report, VoteValue::Bit(true)), 1),
+        (vote(ballot, VoteValue::MaybeBit(None)), 2),
+        (vote(decide, VoteValue::Bit(false)), 1),
+    ] {
+        let good = msg.encoded();
+        assert_eq!(good.len(), 12);
+        assert_eq!(decode(&good), Ok(msg.clone()));
+        for b in 0..=255u8 {
+            let mut bytes = good.clone();
+            bytes[value_at] = b;
+            assert_eq!(
+                decode(&bytes).is_ok(),
+                b <= max_value,
+                "value byte {b} in {msg:?}"
+            );
+        }
+    }
+    let mut bytes = vote(report, VoteValue::Bit(true)).encoded();
+    for phase in 4..=255u8 {
+        bytes[phase_at] = phase;
+        assert_eq!(decode(&bytes), Err(CodecError::Invalid), "phase {phase}");
+    }
+    // A report carrying ⊥: the vote-phase value byte under a report.
+    let mut bytes = vote(ballot, VoteValue::MaybeBit(None)).encoded();
+    bytes[phase_at] = 0;
+    assert_eq!(decode(&bytes), Err(CodecError::Invalid));
+    // A decide that names a round.
+    let mut bytes = vote(report, VoteValue::Bit(true)).encoded();
+    bytes[phase_at] = 3;
+    assert_eq!(decode(&bytes), Err(CodecError::Invalid));
+}
+
 /// Discriminant bytes outside the kind table are foreign and rejected
 /// with `BadDiscriminant`.
 #[test]
@@ -494,6 +574,9 @@ proptest! {
                 // same pointer.
                 let rebuilt = RbVector::new(origin, members.iter());
                 SvssMsg::rb_vector(origin, seq, step, rebuilt)
+            }
+            Unpacked::VoteRb { slot, origin, step, value } => {
+                SvssMsg::vote_rb(slot, origin, step, value)
             }
         };
         prop_assert_eq!(back, msg);
@@ -567,6 +650,39 @@ proptest! {
                 prop_assert!(sba_net::decode_frame::<WireMsg<Gf61>>(&mut r).is_err(),
                     "frame truncated to {} of {} bytes decoded", cut, buf.len());
             }
+        }
+    }
+
+    /// Frame soup: a well-formed frame that mixes vote, coin and SVSS
+    /// members (so members elide against neighbours of other layers)
+    /// with one byte overwritten. The decoder never panics, and whatever
+    /// it accepts is canonical — it re-encodes to exactly the bytes it
+    /// consumed.
+    #[test]
+    fn mixed_frame_soup_never_panics(
+        votes in proptest::collection::vec(vote_rb(), 1..4),
+        coins in proptest::collection::vec(coin_rb(), 1..3),
+        svss in proptest::collection::vec(prop_oneof![svss_rb(), rb_vector()], 1..3),
+        order in any::<u64>(),
+        at in any::<usize>(),
+        byte in any::<u8>(),
+    ) {
+        let mut msgs: Vec<SvssMsg<Gf61>> = votes.into_iter().chain(coins).chain(svss).collect();
+        let len = msgs.len();
+        msgs.rotate_left(order as usize % len);
+        msgs.swap(0, (order >> 32) as usize % len);
+        let mut frame = Vec::new();
+        sba_net::encode_frame(&msgs, &mut frame);
+        let mut r = Reader::new(&frame);
+        prop_assert_eq!(sba_net::decode_frame::<WireMsg<Gf61>>(&mut r).unwrap(), msgs);
+        let at = at % frame.len();
+        frame[at] = byte;
+        let mut r = Reader::new(&frame);
+        if let Ok(got) = sba_net::decode_frame::<WireMsg<Gf61>>(&mut r) {
+            let consumed = frame.len() - r.remaining();
+            let mut re = Vec::new();
+            sba_net::encode_frame(&got, &mut re);
+            prop_assert_eq!(&re[..], &frame[..consumed]);
         }
     }
 

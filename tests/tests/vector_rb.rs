@@ -56,10 +56,9 @@ impl Process<Msg> for Tap {
         if from == self.me {
             let mut tally = self.tally.lock().expect("single-threaded");
             for msg in msgs.iter() {
-                let AbaMsg::Coin(m) = msg else { continue };
-                // Visits every value a scalar or vector init carries;
-                // replaces none.
-                m.rewrite_inits(|slot, value| {
+                // Visits every value a scalar or vector SVSS init
+                // carries; replaces none.
+                msg.rewrite_inits(|slot, value| {
                     let scalar = SvssMsg::rb(slot, self.me, RbStep::Init, value.clone());
                     let hash = scalar
                         .encoded()
