@@ -438,7 +438,8 @@ fn e13_nsweep(full: bool, json_path: Option<&str>, ns_arg: Option<&str>) {
     println!("## E13 - n-sweep: SCC unit workload up to MAX_N = {}\n", {
         sba::net::MAX_N
     });
-    println!("The full SCC agreement is degree-7 polynomial in n — infeasible far");
+    println!("The full SCC agreement is a high-degree polynomial in n (its exact");
+    println!("degree is unmeasured until the coin_n<N> curve lands) — infeasible far");
     println!("beyond n = 7 — so the sweep runs the coin's *unit* workload: one");
     println!("moderated MW-SVSS share session (dealer p1, moderator p2, fixed");
     println!("seed) under the batched simulator with a uniform adversary. That is");
@@ -1318,8 +1319,10 @@ fn e4_complexity(full: bool) {
         "\nlog-log slope (messages vs n): **{:.2}** - polynomial, not exponential.",
         loglog_slope(&pts)
     );
-    println!("(Structural count: n^2 SVSS sessions x ~2n^2 MW invocations x ~3n RB");
-    println!("slots x ~3n^2 RB messages => degree 7; the measured slope matches.");
+    println!("(The degree is unmeasured: the old structural count - n^2 SVSS sessions");
+    println!("x ~2n^2 MW invocations x ~3n RB slots x ~3n^2 RB messages => degree 7 -");
+    println!("priced one Bracha instance per slot, and vector RB now carries a whole");
+    println!("step per instance; the coin_n<N> curve is what will measure it.");
     println!("Polynomial with a large exponent is exactly what the paper promises -");
     println!("its contribution is almost-sure termination at polynomial cost, not a");
     println!("low-degree protocol.)\n");

@@ -17,6 +17,16 @@
 //! live with that engine (`sba_svss::engine`'s module docs); this mux,
 //! [`Rb`] and its tallies are as the paper's Appendix A has them.
 //!
+//! # Routing form, not wire form
+//!
+//! [`MuxMsg`], and the [`RbMsg`]/[`WrbMsg`] step inside it, are in-memory
+//! routing forms with no encoding of their own. Every layer flattens them
+//! into the stack's one wire message, `sba_net::WireMsg`, through the
+//! `wrap` hook of [`RbMux::broadcast_with`] and
+//! [`RbMux::on_message_with`], and rebuilds them from the unpacked parts
+//! on delivery. A new slot family reaches the wire as a new row of that
+//! format's kind table, not as a codec here.
+//!
 //! # Instance store and retirement
 //!
 //! A full protocol run drives *hundreds of thousands* of RB slots per
@@ -47,11 +57,12 @@
 
 use std::hash::Hash;
 
-use sba_net::{CodecError, Interner, Kinded, Pid, Reader, Slot, Wire};
+use sba_net::{Interner, Pid, Slot};
 
 use crate::{Params, Rb, RbMsg};
 
-/// A routed RB message: which instance it belongs to, plus the inner step.
+/// A routed RB message: which instance it belongs to, plus the inner step
+/// (an in-memory form; see the module docs for how it travels).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MuxMsg<T, P> {
     /// Slot tag chosen by the broadcasting layer.
@@ -60,30 +71,6 @@ pub struct MuxMsg<T, P> {
     pub origin: Pid,
     /// The RB protocol step.
     pub inner: RbMsg<P>,
-}
-
-impl<T: Wire, P: Wire> Wire for MuxMsg<T, P> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.tag.encode(buf);
-        self.origin.encode(buf);
-        self.inner.encode(buf);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(MuxMsg {
-            tag: T::decode(r)?,
-            origin: Pid::decode(r)?,
-            inner: RbMsg::decode(r)?,
-        })
-    }
-    fn encoded_len(&self) -> usize {
-        self.tag.encoded_len() + 4 + self.inner.encoded_len()
-    }
-}
-
-impl<T, P> Kinded for MuxMsg<T, P> {
-    fn kind(&self) -> &'static str {
-        self.inner.kind()
-    }
 }
 
 /// A delivery produced by the mux: `origin` reliably broadcast `value`
@@ -539,17 +526,5 @@ mod tests {
         assert_eq!(seq_deliveries, bat_deliveries);
         assert_eq!(seq.instance_count(), bat.instance_count());
         assert_eq!(seq.retired_count(), bat.retired_count());
-    }
-
-    #[test]
-    fn wire_round_trip() {
-        let msg = MuxMsg {
-            tag: 7u32,
-            origin: Pid::new(2),
-            inner: RbMsg::Ready(5u64),
-        };
-        let bytes = msg.encoded();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(MuxMsg::<u32, u64>::decode(&mut r).unwrap(), msg);
     }
 }

@@ -13,12 +13,13 @@
 //! contradicts another, an instance owns no heap memory beyond what a
 //! value `P` itself may hold.
 
-use sba_net::{CodecError, Kinded, Pid, RbStep, Reader, Wire};
+use sba_net::{Pid, RbStep};
 
 use crate::wrb::Tally;
 use crate::{Params, Wrb, WrbMsg};
 
-/// RB wire messages: the embedded WRB exchange plus type-3 `Ready`.
+/// RB protocol messages: the embedded WRB exchange plus type-3 `Ready`
+/// (a routing form; the wire carries them as `sba_net::WireMsg`).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RbMsg<P> {
     /// Types 1 and 2 (the WRB sub-protocol).
@@ -38,49 +39,12 @@ impl<P> RbMsg<P> {
     }
 
     /// The protocol step and the payload it carries (the flat wire
-    /// formats store the two apart).
+    /// format stores the two apart).
     pub fn into_step(self) -> (RbStep, P) {
         match self {
             RbMsg::Wrb(WrbMsg::Init(p)) => (RbStep::Init, p),
             RbMsg::Wrb(WrbMsg::Echo(p)) => (RbStep::Echo, p),
             RbMsg::Ready(p) => (RbStep::Ready, p),
-        }
-    }
-}
-
-impl<P: Wire> Wire for RbMsg<P> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            RbMsg::Wrb(m) => {
-                buf.push(0);
-                m.encode(buf);
-            }
-            RbMsg::Ready(p) => {
-                buf.push(3);
-                p.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.byte()? {
-            0 => Ok(RbMsg::Wrb(WrbMsg::decode(r)?)),
-            3 => Ok(RbMsg::Ready(P::decode(r)?)),
-            d => Err(CodecError::BadDiscriminant(d)),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            RbMsg::Wrb(m) => 1 + m.encoded_len(),
-            RbMsg::Ready(p) => 1 + p.encoded_len(),
-        }
-    }
-}
-
-impl<P> Kinded for RbMsg<P> {
-    fn kind(&self) -> &'static str {
-        match self {
-            RbMsg::Wrb(m) => m.kind(),
-            RbMsg::Ready(_) => "rb/ready",
         }
     }
 }
@@ -344,24 +308,5 @@ mod tests {
             p2.on_message(params, Pid::new(3), RbMsg::Ready(9), &mut out);
             assert!(out.is_empty());
         }
-    }
-
-    #[test]
-    fn wire_round_trip() {
-        for msg in [
-            RbMsg::Wrb(WrbMsg::Init(1u64)),
-            RbMsg::Wrb(WrbMsg::Echo(2u64)),
-            RbMsg::Ready(3u64),
-        ] {
-            let bytes = msg.encoded();
-            let mut r = Reader::new(&bytes);
-            assert_eq!(RbMsg::<u64>::decode(&mut r).unwrap(), msg);
-        }
-    }
-
-    #[test]
-    fn kinds_are_labelled() {
-        assert_eq!(RbMsg::Wrb(WrbMsg::Init(1u64)).kind(), "rb/init");
-        assert_eq!(RbMsg::Ready(1u64).kind(), "rb/ready");
     }
 }

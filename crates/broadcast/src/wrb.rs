@@ -3,7 +3,7 @@
 //! This module also owns [`Tally`], the vote counter behind both the
 //! echo step here and the ready step of [`crate::Rb`].
 
-use sba_net::{CodecError, Kinded, Pid, ProcessSet, Reader, Wire};
+use sba_net::{Pid, ProcessSet};
 
 use crate::Params;
 
@@ -81,7 +81,7 @@ impl<P: Eq> Tally<P> {
     }
 }
 
-/// WRB wire messages. Type-1 carries the dealer's value; type-2 is the
+/// WRB protocol messages. Type-1 carries the dealer's value; type-2 is the
 /// echo each process sends the first time it hears the dealer.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WrbMsg<P> {
@@ -89,42 +89,6 @@ pub enum WrbMsg<P> {
     Init(P),
     /// `(r, 2)` — echo of the value received from the dealer.
     Echo(P),
-}
-
-impl<P: Wire> Wire for WrbMsg<P> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            WrbMsg::Init(p) => {
-                buf.push(1);
-                p.encode(buf);
-            }
-            WrbMsg::Echo(p) => {
-                buf.push(2);
-                p.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.byte()? {
-            1 => Ok(WrbMsg::Init(P::decode(r)?)),
-            2 => Ok(WrbMsg::Echo(P::decode(r)?)),
-            d => Err(CodecError::BadDiscriminant(d)),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        match self {
-            WrbMsg::Init(p) | WrbMsg::Echo(p) => 1 + p.encoded_len(),
-        }
-    }
-}
-
-impl<P> Kinded for WrbMsg<P> {
-    fn kind(&self) -> &'static str {
-        match self {
-            WrbMsg::Init(_) => "rb/init",
-            WrbMsg::Echo(_) => "rb/echo",
-        }
-    }
 }
 
 /// One Weak Reliable Broadcast instance (one dealer, one slot).
@@ -421,16 +385,5 @@ mod tests {
         let mut out = Vec::new();
         p2.on_message(params, Pid::new(3), WrbMsg::Init(5), &mut out);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn wire_round_trip() {
-        for msg in [WrbMsg::Init(42u64), WrbMsg::Echo(7u64)] {
-            let bytes = msg.encoded();
-            let mut r = Reader::new(&bytes);
-            assert_eq!(WrbMsg::<u64>::decode(&mut r).unwrap(), msg);
-        }
-        let mut r = Reader::new(&[9]);
-        assert!(WrbMsg::<u64>::decode(&mut r).is_err());
     }
 }

@@ -281,7 +281,7 @@ pub enum PlanCoin {
     /// The paper's shunning common coin (the default).
     Scc,
     /// A perfect oracle coin with its own seed — for large-`n` sweeps
-    /// where the degree-7 SCC dominates runtime.
+    /// where the SCC's high-degree polynomial cost dominates runtime.
     Oracle {
         /// Oracle seed.
         seed: u64,

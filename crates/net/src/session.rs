@@ -6,7 +6,7 @@
 //! counters so that higher layers (common coin, agreement rounds) can mint
 //! globally unique, self-describing sessions without coordination.
 
-use crate::{CodecError, Pid, Reader, Wire};
+use crate::Pid;
 
 /// Identifier of one SVSS invocation: the paper's `(c, i)`.
 ///
@@ -46,22 +46,6 @@ impl SvssId {
     }
 }
 
-impl Wire for SvssId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.tag.encode(buf);
-        self.dealer.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        12
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(SvssId {
-            tag: u64::decode(r)?,
-            dealer: Pid::decode(r)?,
-        })
-    }
-}
-
 /// Identifier of one MW-SVSS invocation.
 ///
 /// Standalone MW-SVSS sessions use [`MwId::standalone`]. Inside an SVSS
@@ -87,8 +71,9 @@ impl Wire for SvssId {
 /// indices and the parent dealer are stored as single excess-one bytes
 /// (`index − 1`, so indices `1..=256` fit in a `u8`). Process indices
 /// are therefore capped at [`MwId::MAX_INDEX`] = [`crate::MAX_N`], the
-/// same cap that bounds `ProcessSet` and the `Domain` tables. The wire
-/// encoding is unchanged (full `u32` pids).
+/// same cap that bounds `ProcessSet` and the `Domain` tables. An `MwId`
+/// has no encoding of its own: on the wire it is the parent tag and
+/// these five bytes, packed into a [`WireMsg`](crate::WireMsg)'s key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MwId {
     parent_tag: u64,
@@ -182,32 +167,6 @@ impl MwId {
     }
 }
 
-impl Wire for MwId {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.parent().encode(buf);
-        self.dealer().encode(buf);
-        self.moderator().encode(buf);
-        self.row().encode(buf);
-        self.col().encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        28
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let parent = SvssId::decode(r)?;
-        let dealer = Pid::decode(r)?;
-        let moderator = Pid::decode(r)?;
-        let row = Pid::decode(r)?;
-        let col = Pid::decode(r)?;
-        for p in [parent.dealer(), dealer, moderator, row, col] {
-            if p.index() > Self::MAX_INDEX {
-                return Err(CodecError::Invalid); // beyond the packed cap
-            }
-        }
-        Ok(MwId::nested(parent, dealer, moderator, row, col))
-    }
-}
-
 /// A VSS session at the granularity the DMM orders sessions by: either a
 /// whole SVSS session or a single MW-SVSS invocation. (Every MW
 /// invocation is a VSS session of its own for the paper's `→_i`
@@ -225,14 +184,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn svss_id_round_trip() {
-        let sid = SvssId::new(u64::MAX, Pid::new(9));
-        let bytes = sid.encoded();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(SvssId::decode(&mut r).unwrap(), sid);
-    }
-
-    #[test]
     fn mw_id_round_trip_and_accessors() {
         let parent = SvssId::new(3, Pid::new(1));
         let id = MwId::nested(parent, Pid::new(2), Pid::new(4), Pid::new(4), Pid::new(2));
@@ -241,9 +192,6 @@ mod tests {
         assert_eq!(id.moderator(), Pid::new(4));
         assert_eq!(id.row(), Pid::new(4));
         assert_eq!(id.col(), Pid::new(2));
-        let bytes = id.encoded();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(MwId::decode(&mut r).unwrap(), id);
     }
 
     #[test]
@@ -270,9 +218,6 @@ mod tests {
         let id = MwId::standalone(1, top, Pid::new(1));
         assert_eq!(id.dealer(), top);
         assert_eq!(id.parent().dealer(), top);
-        let bytes = id.encoded();
-        let mut r = Reader::new(&bytes);
-        assert_eq!(MwId::decode(&mut r).unwrap(), id);
     }
 
     #[test]

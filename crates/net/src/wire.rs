@@ -1,31 +1,39 @@
-//! The flat wire format of the whole stack: SVSS, coin and agreement
-//! votes.
+//! The flat wire format of the whole stack — SVSS, coin and agreement
+//! votes — and the only codec its messages have.
 //!
-//! PR 3 left the coin-layer message as a *triple-nested* enum tree
-//! (`CoinMsg::Svss(SvssMsg::Rb(MuxMsg { .. RbMsg::Wrb(WrbMsg::Init(..)) }))`),
-//! which cost three discriminant words of padding in memory (56 B per
-//! queued coin message) and a discriminant byte per layer on the wire.
-//! With ~10⁶ envelopes in flight in a full n=7 run, that nesting was the
-//! single largest block of cold memory in the process.
+//! Every message a process sends is one [`WireMsg`]: a [`WireKind`]
+//! discriminant packed into a fixed 16-byte routing header ([`WireKey`])
+//! plus a 16-byte payload slot — 32 bytes total for `F = Gf61`, pinned
+//! by `crates/aba/tests/wire_sizes.rs`. The RB step (init/echo/ready),
+//! the protocol slot, and the session identifiers are all packed into
+//! the key; the body holds only the payload (boxed when large and rare,
+//! and stored compactly when a full `MAX_N`-wide `ProcessSet` would not
+//! fit the slot — see [`CompactSet`]). A vote needs no body at all: its
+//! `(instance, round)` is the session tag, its phase one p-byte and its
+//! value the aux byte.
 //!
-//! This module flattens every layer's message surface into one
-//! **[`WireKind`] discriminant** and a fixed 16-byte routing header
-//! ([`WireKey`]): a [`WireMsg`] is `{ key, body }` — 32 bytes total for
-//! `F = Gf61`, pinned by `crates/aba/tests/wire_sizes.rs`. The RB step
-//! (init/echo/ready), the protocol slot, and the session identifiers are
-//! all packed into the key; the body holds only the payload (boxed when
-//! large and rare, and stored compactly when a full `MAX_N`-wide
-//! `ProcessSet` would not fit the slot — see [`CompactSet`]). A vote
-//! needs no body at all: its `(instance, round)` is the session tag, its
-//! phase one p-byte and its value the aux byte.
+//! # The kind table
 //!
-//! Layering note: the *protocol* crates still reason in their own terms —
-//! `sba-broadcast`'s mux routes `MuxMsg { tag, origin, inner }`, the SVSS
-//! engine matches on [`SvssSlot`]/[`SvssRbValue`] pairs, the agreement
-//! node on [`VoteSlot`]/[`VoteValue`] pairs — but those forms exist only
-//! transiently on the stack. [`WireMsg::unpack`] and the constructors
-//! convert between the dense wire form and the structured form by moving
-//! fields (no allocation).
+//! The paper's RB (Appendix A) has three message types and the stack
+//! broadcasts over a fixed set of slot families, so the wire surface is
+//! one *family × RB step* table plus four private message classes. The
+//! `wire_kinds!` invocation below spells it once, declaring [`WireKind`]
+//! and its table [`KINDS`] from one row per kind: RB family and step,
+//! metrics label, p-byte width, aux byte, and body shape. Every question
+//! the codec or an engine asks of a kind is answered by that row, and
+//! the constructors find their kind from `(family, step)` through the
+//! table's inverse. A new kind is a new row.
+//!
+//! # Routing forms
+//!
+//! The protocol crates reason in their own terms: `sba-broadcast`'s mux
+//! routes `MuxMsg { tag, origin, inner }` (an `RbMsg`/`WrbMsg` inside),
+//! the SVSS engine matches on [`SvssSlot`]/[`SvssRbValue`] pairs, the
+//! agreement node on [`VoteSlot`]/[`VoteValue`] pairs. Those are
+//! in-memory routing forms with no encoding of their own: they exist
+//! transiently on the stack, and [`WireMsg::unpack`] and the
+//! constructors convert between them and the wire form by moving fields
+//! (no allocation).
 //!
 //! A safe-Rust subtlety: the body enum carries its own (redundant)
 //! discriminant, but that byte lives inside the body's 16-byte slot, so
@@ -57,16 +65,6 @@ pub enum RbStep {
     Ready = 2,
 }
 
-impl RbStep {
-    fn from_offset(o: u8) -> RbStep {
-        match o {
-            0 => RbStep::Init,
-            1 => RbStep::Echo,
-            _ => RbStep::Ready,
-        }
-    }
-}
-
 /// Which RB slot family a [`SvssSlot`] names (the SVSS stack's six
 /// broadcast classes, paper §3–§4).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -86,161 +84,234 @@ pub enum SlotKind {
     Gsets = 5,
 }
 
-/// The single flat discriminant of the wire surface: every private
-/// message class and every `(slot family, RB step)` pair has its own
-/// kind (the vote layer's four phases share one family, told apart by
-/// a p-byte). One byte on the wire, one byte in the packed key.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(u8)]
-#[allow(missing_docs)] // the pattern is uniform; see the module docs
-pub enum WireKind {
-    MwDeal = 0,
-    MwPoint = 1,
-    MwMval = 2,
-    Rows = 3,
-    MwAckInit = 4,
-    MwAckEcho = 5,
-    MwAckReady = 6,
-    MwLInit = 7,
-    MwLEcho = 8,
-    MwLReady = 9,
-    MwMInit = 10,
-    MwMEcho = 11,
-    MwMReady = 12,
-    MwOkInit = 13,
-    MwOkEcho = 14,
-    MwOkReady = 15,
-    MwReconInit = 16,
-    MwReconEcho = 17,
-    MwReconReady = 18,
-    GsetsInit = 19,
-    GsetsEcho = 20,
-    GsetsReady = 21,
-    AttachInit = 22,
-    AttachEcho = 23,
-    AttachReady = 24,
-    SupportInit = 25,
-    SupportEcho = 26,
-    SupportReady = 27,
-    VecInit = 28,
-    VecEcho = 29,
-    VecReady = 30,
-    VoteInit = 31,
-    VoteEcho = 32,
-    VoteReady = 33,
+/// Declares [`WireKind`] and its table from one list of rows, in wire-byte
+/// order, so that each kind is spelled exactly once.
+macro_rules! wire_kinds {
+    ($($kind:ident: $rb:expr, $label:literal, $p_width:literal, $aux:literal, $body:ident;)*) => {
+        /// The single flat discriminant of the wire surface: every private
+        /// message class and every `(slot family, RB step)` pair has its
+        /// own kind (the vote layer's four phases share one family, told
+        /// apart by a p-byte). One byte on the wire, one byte in the packed
+        /// key: the kind's row in the kind table.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        #[repr(u8)]
+        #[allow(missing_docs)] // the pattern is uniform; see the module docs
+        pub enum WireKind {
+            $($kind,)*
+        }
+
+        /// The kind table: row `k` is the kind whose wire byte is `k`.
+        const KINDS: [KindRow; WIRE_KIND_COUNT as usize] = {
+            use Family::{Attach, Slot, Support, Vector, Vote};
+            use RbStep::{Echo, Init, Ready};
+            use SlotKind::{Gsets, MwAck, MwL, MwM, MwOk, MwRecon};
+            [$(KindRow {
+                kind: WireKind::$kind,
+                rb: $rb,
+                label: $label,
+                p_width: $p_width,
+                aux: $aux,
+                body: Shape::$body,
+            },)*]
+        };
+    };
+}
+
+wire_kinds! {
+    // kind        RB family and step             label           p  aux    body
+    MwDeal:        None,                          "mw/deal",      5, false, Deal;
+    MwPoint:       None,                          "mw/point",     5, false, Value;
+    MwMval:        None,                          "mw/mval",      5, false, Value;
+    Rows:          None,                          "svss/rows",    1, false, Rows;
+    MwAckInit:     Some((Slot(MwAck), Init)),     "rb/init",      5, false, Unit;
+    MwAckEcho:     Some((Slot(MwAck), Echo)),     "rb/echo",      5, false, Unit;
+    MwAckReady:    Some((Slot(MwAck), Ready)),    "rb/ready",     5, false, Unit;
+    MwLInit:       Some((Slot(MwL), Init)),       "rb/init",      5, false, Set;
+    MwLEcho:       Some((Slot(MwL), Echo)),       "rb/echo",      5, false, Set;
+    MwLReady:      Some((Slot(MwL), Ready)),      "rb/ready",     5, false, Set;
+    MwMInit:       Some((Slot(MwM), Init)),       "rb/init",      5, false, Set;
+    MwMEcho:       Some((Slot(MwM), Echo)),       "rb/echo",      5, false, Set;
+    MwMReady:      Some((Slot(MwM), Ready)),      "rb/ready",     5, false, Set;
+    MwOkInit:      Some((Slot(MwOk), Init)),      "rb/init",      5, false, Unit;
+    MwOkEcho:      Some((Slot(MwOk), Echo)),      "rb/echo",      5, false, Unit;
+    MwOkReady:     Some((Slot(MwOk), Ready)),     "rb/ready",     5, false, Unit;
+    MwReconInit:   Some((Slot(MwRecon), Init)),   "rb/init",      5, true,  Value;
+    MwReconEcho:   Some((Slot(MwRecon), Echo)),   "rb/echo",      5, true,  Value;
+    MwReconReady:  Some((Slot(MwRecon), Ready)),  "rb/ready",     5, true,  Value;
+    GsetsInit:     Some((Slot(Gsets), Init)),     "rb/init",      1, false, Gsets;
+    GsetsEcho:     Some((Slot(Gsets), Echo)),     "rb/echo",      1, false, Gsets;
+    GsetsReady:    Some((Slot(Gsets), Ready)),    "rb/ready",     1, false, Gsets;
+    AttachInit:    Some((Attach, Init)),          "coin/attach",  0, false, Set;
+    AttachEcho:    Some((Attach, Echo)),          "coin/attach",  0, false, Set;
+    AttachReady:   Some((Attach, Ready)),         "coin/attach",  0, false, Set;
+    SupportInit:   Some((Support, Init)),         "coin/support", 0, false, Set;
+    SupportEcho:   Some((Support, Echo)),         "coin/support", 0, false, Set;
+    SupportReady:  Some((Support, Ready)),        "coin/support", 0, false, Set;
+    VecInit:       Some((Vector, Init)),          "rb/init",      0, false, Vector;
+    VecEcho:       Some((Vector, Echo)),          "rb/echo",      0, false, Vector;
+    VecReady:      Some((Vector, Ready)),         "rb/ready",     0, false, Vector;
+    VoteInit:      Some((Vote, Init)),            "",             1, true,  Vote;
+    VoteEcho:      Some((Vote, Echo)),            "",             1, true,  Vote;
+    VoteReady:     Some((Vote, Ready)),           "",             1, true,  Vote;
 }
 
 /// Number of [`WireKind`] values (discriminants are `0..COUNT`).
 pub const WIRE_KIND_COUNT: u8 = 34;
 
+/// One row of the kind table: everything a [`WireKind`] is.
+#[derive(Clone, Copy, Debug)]
+struct KindRow {
+    kind: WireKind,
+    /// The RB family and step; `None` for a private kind.
+    rb: Option<(Family, RbStep)>,
+    /// The [`Kinded`] label; empty for votes, labelled by phase.
+    label: &'static str,
+    /// Width of the packed-pid slot prefix after the session tag, the
+    /// only header field whose width varies by kind: a standalone
+    /// encoding is `[kind][tag: 8 LE][p-bytes: p_width]` and the tail.
+    p_width: u8,
+    /// Whether the tail spells the aux byte (the `MwRecon` polynomial
+    /// index, or a vote's value).
+    aux: bool,
+    body: Shape,
+}
+
+/// The RB family whose steps an RB kind carries. (A private kind has no
+/// family: each is a message class of its own.)
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Family {
+    Slot(SlotKind),
+    Attach,
+    Support,
+    Vector,
+    Vote,
+}
+
+const RB_FAMILY_COUNT: usize = 10;
+
+impl Family {
+    /// The family's row in [`RB_KINDS`]. A slot family's is its
+    /// [`SlotKind`] discriminant, which is how a vector member's head
+    /// byte names it.
+    const fn index(self) -> usize {
+        match self {
+            Family::Slot(slot) => slot as usize,
+            Family::Attach => 6,
+            Family::Support => 7,
+            Family::Vector => 8,
+            Family::Vote => 9,
+        }
+    }
+}
+
+/// What a kind's body holds ([`Body`]'s variants; `Vote` is a `Unit`
+/// whose key must spell a vote). One shape per kind is what keeps the
+/// kind/body agreement a decode-time invariant.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Shape {
+    Unit,
+    Set,
+    Value,
+    Gsets,
+    Deal,
+    Rows,
+    Vector,
+    Vote,
+}
+
+/// The inverse of the table's RB rows: `RB_KINDS[family.index()][step]`
+/// is the kind of that family's step. Built, and the table checked, at
+/// compile time: every `(family, step)` must be exactly one row's.
+const RB_KINDS: [[WireKind; 3]; RB_FAMILY_COUNT] = {
+    // `MwDeal` marks an empty cell: no RB row can be a private kind.
+    let mut by = [[WireKind::MwDeal; 3]; RB_FAMILY_COUNT];
+    let (mut k, mut filled) = (0, 0);
+    while k < KINDS.len() {
+        if let Some((family, step)) = KINDS[k].rb {
+            let cell = &mut by[family.index()][step as usize];
+            assert!(matches!(*cell, WireKind::MwDeal), "two rows, one step");
+            *cell = KINDS[k].kind;
+            filled += 1;
+        }
+        k += 1;
+    }
+    assert!(filled == 3 * RB_FAMILY_COUNT, "an RB step has no row");
+    by
+};
+
 impl WireKind {
+    #[inline]
+    fn row(self) -> &'static KindRow {
+        &KINDS[self as usize]
+    }
+
+    /// The kind of `family`'s step `step`.
+    #[inline]
+    fn of(family: Family, step: RbStep) -> WireKind {
+        RB_KINDS[family.index()][step as usize]
+    }
+
+    /// The scalar init kind of the slot family a vector member's head
+    /// byte names ([`Family::index`]); `None` past the six slot families.
+    fn slot_init(b: u8) -> Option<WireKind> {
+        let kind = RB_KINDS.get(usize::from(b))?[RbStep::Init as usize];
+        kind.slot_kind().map(|_| kind)
+    }
+
     /// Decodes a discriminant byte.
     pub fn from_byte(b: u8) -> Option<WireKind> {
-        if b < WIRE_KIND_COUNT {
-            // SAFETY-free dispatch: a match keeps this in safe Rust and
-            // compiles to the same jump table.
-            Some(match b {
-                0 => WireKind::MwDeal,
-                1 => WireKind::MwPoint,
-                2 => WireKind::MwMval,
-                3 => WireKind::Rows,
-                4 => WireKind::MwAckInit,
-                5 => WireKind::MwAckEcho,
-                6 => WireKind::MwAckReady,
-                7 => WireKind::MwLInit,
-                8 => WireKind::MwLEcho,
-                9 => WireKind::MwLReady,
-                10 => WireKind::MwMInit,
-                11 => WireKind::MwMEcho,
-                12 => WireKind::MwMReady,
-                13 => WireKind::MwOkInit,
-                14 => WireKind::MwOkEcho,
-                15 => WireKind::MwOkReady,
-                16 => WireKind::MwReconInit,
-                17 => WireKind::MwReconEcho,
-                18 => WireKind::MwReconReady,
-                19 => WireKind::GsetsInit,
-                20 => WireKind::GsetsEcho,
-                21 => WireKind::GsetsReady,
-                22 => WireKind::AttachInit,
-                23 => WireKind::AttachEcho,
-                24 => WireKind::AttachReady,
-                25 => WireKind::SupportInit,
-                26 => WireKind::SupportEcho,
-                27 => WireKind::SupportReady,
-                28 => WireKind::VecInit,
-                29 => WireKind::VecEcho,
-                30 => WireKind::VecReady,
-                31 => WireKind::VoteInit,
-                32 => WireKind::VoteEcho,
-                _ => WireKind::VoteReady,
-            })
-        } else {
-            None
-        }
+        KINDS.get(usize::from(b)).map(|row| row.kind)
     }
 
     /// Enumerates every kind (for exhaustive wire tests).
     pub fn all() -> impl Iterator<Item = WireKind> {
-        (0..WIRE_KIND_COUNT).map(|b| WireKind::from_byte(b).expect("in range"))
+        KINDS.iter().map(|row| row.kind)
     }
 
     /// The RB step, for RB-carried kinds.
     pub fn rb_step(self) -> Option<RbStep> {
-        let b = self as u8;
-        if b >= 4 {
-            Some(RbStep::from_offset((b - 4) % 3))
-        } else {
-            None
-        }
+        self.row().rb.map(|(_, step)| step)
+    }
+
+    fn family(self) -> Option<Family> {
+        self.row().rb.map(|(family, _)| family)
     }
 
     /// The SVSS slot family, for SVSS-RB kinds.
     pub fn slot_kind(self) -> Option<SlotKind> {
-        let b = self as u8;
-        if (4..22).contains(&b) {
-            Some(match (b - 4) / 3 {
-                0 => SlotKind::MwAck,
-                1 => SlotKind::MwL,
-                2 => SlotKind::MwM,
-                3 => SlotKind::MwOk,
-                4 => SlotKind::MwRecon,
-                _ => SlotKind::Gsets,
-            })
-        } else {
-            None
+        match self.family()? {
+            Family::Slot(slot) => Some(slot),
+            _ => None,
         }
     }
 
     /// Whether this is coin-layer RB traffic (attach/support slots).
     pub fn is_coin_rb(self) -> bool {
-        (22..28).contains(&(self as u8))
+        matches!(self.family(), Some(Family::Attach | Family::Support))
     }
 
     /// Whether this is a vector broadcast of the SVSS stack (one Bracha
     /// instance carrying several slots' values, see [`RbVector`]).
     pub fn is_vector(self) -> bool {
-        (28..31).contains(&(self as u8))
+        self.family() == Some(Family::Vector)
     }
 
     /// Whether this is agreement-layer RB traffic (a [`VoteSlot`]).
     pub fn is_vote_rb(self) -> bool {
-        (31..WIRE_KIND_COUNT).contains(&(self as u8))
+        self.family() == Some(Family::Vote)
     }
 
     /// Whether this is a private point-to-point message.
     pub fn is_priv(self) -> bool {
-        (self as u8) < 4
+        self.row().rb.is_none()
     }
 
-    /// Whether the kind spells the `aux` byte (the `MwRecon`
-    /// polynomial index, or a vote's value).
     fn has_aux(self) -> bool {
-        (16..19).contains(&(self as u8)) || self.is_vote_rb()
+        self.row().aux
     }
 
-    fn rb(slot: SlotKind, step: RbStep) -> WireKind {
-        WireKind::from_byte(4 + (slot as u8) * 3 + step as u8).expect("in range")
+    fn p_width(self) -> usize {
+        usize::from(self.row().p_width)
     }
 }
 
@@ -894,56 +965,26 @@ pub enum Unpacked<F> {
 impl<F: Field> WireMsg<F> {
     /// Wraps a private message.
     pub fn private(p: SvssPriv<F>) -> Self {
-        match p {
-            SvssPriv::MwDeal { mw, deal } => {
-                let (tag, pb) = pack_mw(mw);
-                WireMsg {
-                    key: WireKey {
-                        tag,
-                        p: pb,
-                        aux: 0,
-                        kind: WireKind::MwDeal,
-                        origin: 0,
-                    },
-                    body: Body::Deal(deal),
-                }
-            }
-            SvssPriv::MwPoint { mw, value } => {
-                let (tag, pb) = pack_mw(mw);
-                WireMsg {
-                    key: WireKey {
-                        tag,
-                        p: pb,
-                        aux: 0,
-                        kind: WireKind::MwPoint,
-                        origin: 0,
-                    },
-                    body: Body::Value(value),
-                }
-            }
+        let (kind, (tag, p), body) = match p {
+            SvssPriv::MwDeal { mw, deal } => (WireKind::MwDeal, pack_mw(mw), Body::Deal(deal)),
+            SvssPriv::MwPoint { mw, value } => (WireKind::MwPoint, pack_mw(mw), Body::Value(value)),
             SvssPriv::MwMonitorValue { mw, value } => {
-                let (tag, pb) = pack_mw(mw);
-                WireMsg {
-                    key: WireKey {
-                        tag,
-                        p: pb,
-                        aux: 0,
-                        kind: WireKind::MwMval,
-                        origin: 0,
-                    },
-                    body: Body::Value(value),
-                }
+                (WireKind::MwMval, pack_mw(mw), Body::Value(value))
             }
-            SvssPriv::Rows { session, rows } => WireMsg {
-                key: WireKey {
-                    tag: session.tag(),
-                    p: [pack_pid(session.dealer()), 0, 0, 0, 0],
-                    aux: 0,
-                    kind: WireKind::Rows,
-                    origin: 0,
-                },
-                body: Body::Rows(rows),
+            SvssPriv::Rows { session, rows } => {
+                let p = [pack_pid(session.dealer()), 0, 0, 0, 0];
+                (WireKind::Rows, (session.tag(), p), Body::Rows(rows))
+            }
+        };
+        WireMsg {
+            key: WireKey {
+                tag,
+                p,
+                aux: 0,
+                kind,
+                origin: 0,
             },
+            body,
         }
     }
 
@@ -955,19 +996,20 @@ impl<F: Field> WireMsg<F> {
     /// payload shape (the flat wire format cannot represent a mismatch),
     /// or if `origin` exceeds the packed pid cap of [`crate::MAX_N`].
     pub fn rb(slot: SvssSlot, origin: Pid, step: RbStep, value: SvssRbValue<F>) -> Self {
-        let body = match (slot.kind, value) {
-            (SlotKind::MwAck | SlotKind::MwOk, SvssRbValue::Unit) => Body::Unit,
-            (SlotKind::MwL | SlotKind::MwM, SvssRbValue::Set(s)) => Body::Set(CompactSet::pack(s)),
-            (SlotKind::MwRecon, SvssRbValue::Value(v)) => Body::Value(v),
-            (SlotKind::Gsets, SvssRbValue::Gsets(b)) => Body::Gsets(b),
-            (k, v) => panic!("slot family {k:?} cannot carry payload {v:?}"),
+        let kind = WireKind::of(Family::Slot(slot.kind), step);
+        let body = match (kind.row().body, value) {
+            (Shape::Unit, SvssRbValue::Unit) => Body::Unit,
+            (Shape::Set, SvssRbValue::Set(s)) => Body::Set(CompactSet::pack(s)),
+            (Shape::Value, SvssRbValue::Value(v)) => Body::Value(v),
+            (Shape::Gsets, SvssRbValue::Gsets(b)) => Body::Gsets(b),
+            (_, v) => panic!("slot family {:?} cannot carry payload {v:?}", slot.kind),
         };
         WireMsg {
             key: WireKey {
                 tag: slot.tag,
                 p: slot.p,
                 aux: slot.aux,
-                kind: WireKind::rb(slot.kind, step),
+                kind,
                 origin: pack_pid(origin),
             },
             body,
@@ -980,16 +1022,16 @@ impl<F: Field> WireMsg<F> {
     ///
     /// Panics if `origin` exceeds the packed pid cap of [`crate::MAX_N`].
     pub fn coin_rb(slot: CoinSlot, origin: Pid, step: RbStep, set: ProcessSet) -> Self {
-        let (tag, base) = match slot {
-            CoinSlot::Attach(t) => (t, 22),
-            CoinSlot::Support(t) => (t, 25),
+        let (tag, family) = match slot {
+            CoinSlot::Attach(t) => (t, Family::Attach),
+            CoinSlot::Support(t) => (t, Family::Support),
         };
         WireMsg {
             key: WireKey {
                 tag,
                 p: [0; 5],
                 aux: 0,
-                kind: WireKind::from_byte(base + step as u8).expect("in range"),
+                kind: WireKind::of(family, step),
                 origin: pack_pid(origin),
             },
             body: Body::Set(CompactSet::pack(set)),
@@ -1007,7 +1049,7 @@ impl<F: Field> WireMsg<F> {
                 tag: u64::from(seq),
                 p: [0; 5],
                 aux: 0,
-                kind: WireKind::from_byte(28 + step as u8).expect("in range"),
+                kind: WireKind::of(Family::Vector, step),
                 origin: pack_pid(origin),
             },
             body: Body::Vector(members),
@@ -1034,7 +1076,7 @@ impl<F: Field> WireMsg<F> {
                 tag,
                 p: [phase, 0, 0, 0, 0],
                 aux,
-                kind: WireKind::from_byte(31 + step as u8).expect("in range"),
+                kind: WireKind::of(Family::Vote, step),
                 origin: pack_pid(origin),
             },
             body: Body::Unit,
@@ -1118,9 +1160,8 @@ impl<F: Field> WireMsg<F> {
     /// agreement is a construction invariant).
     pub fn unpack(self) -> Unpacked<F> {
         let WireMsg { key, body } = self;
-        let kind = key.kind;
-        if kind.is_priv() {
-            let p = match (kind, body) {
+        let Some((family, step)) = key.kind.row().rb else {
+            let p = match (key.kind, body) {
                 (WireKind::MwDeal, Body::Deal(deal)) => SvssPriv::MwDeal {
                     mw: unpack_mw(key.tag, key.p),
                     deal,
@@ -1140,65 +1181,65 @@ impl<F: Field> WireMsg<F> {
                 _ => unreachable!("kind/body agreement is a construction invariant"),
             };
             return Unpacked::Priv(p);
-        }
-        let step = kind.rb_step().expect("non-priv kinds are RB kinds");
+        };
         let origin = unpack_pid(key.origin);
-        if kind.is_vote_rb() {
-            let phase = key.p[0];
-            return Unpacked::VoteRb {
-                slot: VoteSlot::unpack(key.tag, phase).expect("checked at construction"),
-                origin,
-                step,
-                value: VoteValue::unpack(phase, key.aux).expect("checked at construction"),
-            };
-        }
-        if kind.is_coin_rb() {
-            let slot = if (kind as u8) < 25 {
-                CoinSlot::Attach(key.tag)
-            } else {
-                CoinSlot::Support(key.tag)
-            };
+        let coin = |slot, body| {
             let Body::Set(set) = body else {
                 unreachable!("coin RB bodies are sets by construction")
             };
-            return Unpacked::CoinRb {
+            Unpacked::CoinRb {
                 slot,
                 origin,
                 step,
                 set: set.expand(),
-            };
-        }
-        if kind.is_vector() {
-            let Body::Vector(members) = body else {
-                unreachable!("vector kinds carry member lists by construction")
-            };
-            return Unpacked::RbVector {
-                origin,
-                seq: key.tag as u32,
-                step,
-                members,
-            };
-        }
-        let slot = SvssSlot {
-            tag: key.tag,
-            p: key.p,
-            aux: key.aux,
-            kind: kind.slot_kind().expect("SVSS RB kind"),
-        };
-        let value = match body {
-            Body::Unit => SvssRbValue::Unit,
-            Body::Set(s) => SvssRbValue::Set(s.expand()),
-            Body::Value(v) => SvssRbValue::Value(v),
-            Body::Gsets(b) => SvssRbValue::Gsets(b),
-            Body::Deal(_) | Body::Rows(_) | Body::Vector(_) => {
-                unreachable!("private and vector bodies never ride scalar RB kinds")
             }
         };
-        Unpacked::Rb {
-            slot,
-            origin,
-            step,
-            value,
+        match family {
+            Family::Vote => {
+                let phase = key.p[0];
+                Unpacked::VoteRb {
+                    slot: VoteSlot::unpack(key.tag, phase).expect("checked at construction"),
+                    origin,
+                    step,
+                    value: VoteValue::unpack(phase, key.aux).expect("checked at construction"),
+                }
+            }
+            Family::Attach => coin(CoinSlot::Attach(key.tag), body),
+            Family::Support => coin(CoinSlot::Support(key.tag), body),
+            Family::Vector => {
+                let Body::Vector(members) = body else {
+                    unreachable!("vector kinds carry member lists by construction")
+                };
+                Unpacked::RbVector {
+                    origin,
+                    seq: key.tag as u32,
+                    step,
+                    members,
+                }
+            }
+            Family::Slot(kind) => {
+                let value = match body {
+                    Body::Unit => SvssRbValue::Unit,
+                    Body::Set(s) => SvssRbValue::Set(s.expand()),
+                    Body::Value(v) => SvssRbValue::Value(v),
+                    Body::Gsets(b) => SvssRbValue::Gsets(b),
+                    Body::Deal(_) | Body::Rows(_) | Body::Vector(_) => {
+                        unreachable!("private and vector bodies never ride scalar RB kinds")
+                    }
+                };
+                let slot = SvssSlot {
+                    tag: key.tag,
+                    p: key.p,
+                    aux: key.aux,
+                    kind,
+                };
+                Unpacked::Rb {
+                    slot,
+                    origin,
+                    step,
+                    value,
+                }
+            }
         }
     }
 }
@@ -1241,20 +1282,6 @@ fn get_field_vec<F: Field>(r: &mut Reader<'_>) -> Result<Vec<F>, CodecError> {
     Ok(out)
 }
 
-/// Width of the packed-pid slot prefix that follows the session tag for
-/// `kind` — the only header field whose width varies by kind. Every
-/// standalone encoding is `[kind][tag: 8 LE][p-bytes: p_width]` followed
-/// by the kind's tail; the key-delta frame form elides the tag and/or
-/// p-bytes when they repeat the previous frame member's.
-fn p_width(kind: WireKind) -> usize {
-    match kind {
-        WireKind::Rows | WireKind::GsetsInit | WireKind::GsetsEcho | WireKind::GsetsReady => 1,
-        k if k.is_vote_rb() => 1,
-        k if k.is_coin_rb() || k.is_vector() => 0,
-        _ => 5,
-    }
-}
-
 /// Encodes a G-sets member table: the member pids as one adaptive
 /// [`ProcessSet`] keyset, then each member's set in ascending key order.
 /// Canonical because the table is built by iterating `G` (ascending,
@@ -1294,7 +1321,7 @@ impl<F: Field> Wire for WireMsg<F> {
     fn encode(&self, buf: &mut Vec<u8>) {
         buf.push(self.key.kind as u8);
         self.key.tag.encode(buf);
-        buf.extend_from_slice(&self.key.p[..p_width(self.key.kind)]);
+        buf.extend_from_slice(&self.key.p[..self.key.kind.p_width()]);
         self.encode_tail(buf);
     }
 
@@ -1308,14 +1335,14 @@ impl<F: Field> Wire for WireMsg<F> {
             kind,
             origin: 0,
         };
-        let pw = p_width(kind);
+        let pw = kind.p_width();
         key.p[..pw].copy_from_slice(r.take(pw)?);
         let body = Self::decode_tail(r, &mut key)?;
         Ok(WireMsg { key, body })
     }
 
     fn encoded_len(&self) -> usize {
-        1 + 8 + p_width(self.key.kind) + self.tail_len()
+        1 + 8 + self.key.kind.p_width() + self.tail_len()
     }
 
     fn framed_wire_len(&self, prev: Option<&Self>) -> usize {
@@ -1394,8 +1421,8 @@ impl<F: Field> WireMsg<F> {
     /// The body `key.kind` prescribes (one shape per kind: that is what
     /// keeps the kind/body agreement a decode-time invariant).
     fn decode_body(r: &mut Reader<'_>, key: &WireKey) -> Result<Body<F>, CodecError> {
-        let body = match key.kind {
-            WireKind::MwDeal => {
+        let body = match key.kind.row().body {
+            Shape::Deal => {
                 let others = get_field_vec(r)?;
                 let monitor_poly = get_field_vec(r)?;
                 let moderator_poly = match r.byte()? as usize {
@@ -1418,29 +1445,19 @@ impl<F: Field> WireMsg<F> {
                     moderator_poly,
                 }))
             }
-            WireKind::Rows => {
+            Shape::Rows => {
                 let g = get_field_vec(r)?;
                 let h = get_field_vec(r)?;
                 Body::Rows(Box::new(RowsBody { g, h }))
             }
-            WireKind::MwPoint
-            | WireKind::MwMval
-            | WireKind::MwReconInit
-            | WireKind::MwReconEcho
-            | WireKind::MwReconReady => Body::Value(get_field(r)?),
-            WireKind::MwAckInit
-            | WireKind::MwAckEcho
-            | WireKind::MwAckReady
-            | WireKind::MwOkInit
-            | WireKind::MwOkEcho
-            | WireKind::MwOkReady => Body::Unit,
-            WireKind::GsetsInit | WireKind::GsetsEcho | WireKind::GsetsReady => {
-                Body::Gsets(Box::new(GsetsBody {
-                    g: ProcessSet::decode(r)?,
-                    members: get_members(r)?,
-                }))
-            }
-            WireKind::VecInit | WireKind::VecEcho | WireKind::VecReady => {
+            Shape::Value => Body::Value(get_field(r)?),
+            Shape::Unit => Body::Unit,
+            Shape::Set => Body::Set(CompactSet::pack(ProcessSet::decode(r)?)),
+            Shape::Gsets => Body::Gsets(Box::new(GsetsBody {
+                g: ProcessSet::decode(r)?,
+                members: get_members(r)?,
+            })),
+            Shape::Vector => {
                 if key.tag > u64::from(u32::MAX) {
                     return Err(CodecError::Invalid);
                 }
@@ -1448,7 +1465,7 @@ impl<F: Field> WireMsg<F> {
             }
             // The phase p-byte, a decide's empty round and the value's
             // shape are what a vote key can get wrong.
-            WireKind::VoteInit | WireKind::VoteEcho | WireKind::VoteReady => {
+            Shape::Vote => {
                 let phase = key.p[0];
                 if VoteSlot::unpack(key.tag, phase).is_none()
                     || VoteValue::unpack(phase, key.aux).is_none()
@@ -1457,8 +1474,6 @@ impl<F: Field> WireMsg<F> {
                 }
                 Body::Unit
             }
-            // `L_j`, `M`, and the coin's attach / support sets.
-            _ => Body::Set(CompactSet::pack(ProcessSet::decode(r)?)),
         };
         Ok(body)
     }
@@ -1495,7 +1510,7 @@ impl<F: Field> WireMsg<F> {
         let Some(q) = prev else {
             return (false, 0);
         };
-        let pw = p_width(self.key.kind);
+        let pw = self.key.kind.p_width();
         let differ = |k: &usize| q.key.p[*k] != self.key.p[*k];
         (
             q.key.tag == self.key.tag,
@@ -1518,7 +1533,7 @@ impl<F: Field> WireMsg<F> {
         if !same_tag {
             self.key.tag.encode(buf);
         }
-        buf.extend_from_slice(&self.key.p[shared..p_width(kind)]);
+        buf.extend_from_slice(&self.key.p[shared..kind.p_width()]);
         if kind.has_aux() {
             buf.push(self.key.aux);
         }
@@ -1528,7 +1543,7 @@ impl<F: Field> WireMsg<F> {
     /// Exact byte length of [`WireMsg::encode_vector_member`].
     fn vector_member_len(&self, prev: Option<&Self>) -> usize {
         let (same_tag, shared) = self.member_delta(prev);
-        1 + if same_tag { 0 } else { 8 } + p_width(self.key.kind) - shared
+        1 + if same_tag { 0 } else { 8 } + self.key.kind.p_width() - shared
             + usize::from(self.key.kind.has_aux())
             + self.body_len()
     }
@@ -1540,13 +1555,9 @@ impl<F: Field> WireMsg<F> {
         origin: u8,
     ) -> Result<Self, CodecError> {
         let head = r.byte()?;
-        // The scalar init kind of slot family `head & 7` (families 6 and
-        // 7 would land on the coin's kinds, which have no slot family).
-        let kind = WireKind::from_byte(4 + (head & 7) * 3)
-            .filter(|k| k.slot_kind().is_some())
-            .ok_or(CodecError::Invalid)?;
+        let kind = WireKind::slot_init(head & 7).ok_or(CodecError::Invalid)?;
         let (same_tag, shared) = (head & 8 != 0, usize::from(head >> 4));
-        let pw = p_width(kind);
+        let pw = kind.p_width();
         if shared > pw || (prev.is_none() && (same_tag || shared > 0)) {
             return Err(CodecError::Invalid);
         }
@@ -1583,19 +1594,31 @@ impl<F: Field> WireMsg<F> {
             None => (false, false),
             Some(q) => (
                 q.key.tag == self.key.tag,
-                p_width(self.key.kind) > 0 && q.key.p == self.key.p,
+                self.key.kind.p_width() > 0 && q.key.p == self.key.p,
             ),
         }
     }
 
-    /// Appends the key-delta frame encoding: a one-byte prelude whose
-    /// flags say which header fields repeat the previous frame member's
-    /// (which are then omitted), the kind byte, the surviving header
-    /// fields, and the tail. The encoder always takes an available
-    /// elision, and [`WireMsg::decode_framed`] rejects a spelled-out
-    /// field equal to the predecessor's, so the frame form is canonical
-    /// the same way the standalone form is.
-    pub fn encode_framed(&self, prev: Option<&Self>, buf: &mut Vec<u8>) {
+    /// Exact byte length of this message's key-delta frame-member
+    /// encoding ([`crate::FramedWire`]), without serializing — the
+    /// quantity the simulator charges for a message landing in a
+    /// per-recipient batch right after `prev`.
+    pub fn framed_len(&self, prev: Option<&Self>) -> usize {
+        let (same_tag, same_p) = self.frame_flags(prev);
+        1 + self.encoded_len()
+            - if same_tag { 8 } else { 0 }
+            - if same_p { self.key.kind.p_width() } else { 0 }
+    }
+}
+
+/// The key-delta frame-member form: a one-byte prelude whose flags say
+/// which header fields repeat the previous frame member's (which are
+/// then omitted), the kind byte, the surviving header fields, and the
+/// tail. The encoder always takes an available elision and the decoder
+/// rejects a spelled-out field equal to the predecessor's, so the frame
+/// form is canonical the same way the standalone form is.
+impl<F: Field> crate::FramedWire for WireMsg<F> {
+    fn encode_framed_member(&self, prev: Option<&Self>, buf: &mut Vec<u8>) {
         let (same_tag, same_p) = self.frame_flags(prev);
         let mut prelude = 0u8;
         if same_tag {
@@ -1610,19 +1633,9 @@ impl<F: Field> WireMsg<F> {
             self.key.tag.encode(buf);
         }
         if !same_p {
-            buf.extend_from_slice(&self.key.p[..p_width(self.key.kind)]);
+            buf.extend_from_slice(&self.key.p[..self.key.kind.p_width()]);
         }
         self.encode_tail(buf);
-    }
-
-    /// Exact byte length of [`WireMsg::encode_framed`], without
-    /// serializing — the quantity the simulator charges for a message
-    /// landing in a per-recipient batch right after `prev`.
-    pub fn framed_len(&self, prev: Option<&Self>) -> usize {
-        let (same_tag, same_p) = self.frame_flags(prev);
-        1 + self.encoded_len()
-            - if same_tag { 8 } else { 0 }
-            - if same_p { p_width(self.key.kind) } else { 0 }
     }
 
     /// Decodes one frame member, resolving elided header fields against
@@ -1634,7 +1647,7 @@ impl<F: Field> WireMsg<F> {
     /// elision with no predecessor (or one whose unused p-bytes are
     /// nonzero for this kind), or a non-minimal spelling — a tag or
     /// p-prefix written out despite matching the predecessor's.
-    pub fn decode_framed(r: &mut Reader<'_>, prev: Option<&Self>) -> Result<Self, CodecError> {
+    fn decode_framed_member(r: &mut Reader<'_>, prev: Option<&Self>) -> Result<Self, CodecError> {
         let prelude = r.byte()?;
         if prelude & !(FRAME_SAME_TAG | FRAME_SAME_P) != 0 {
             return Err(CodecError::Invalid);
@@ -1643,7 +1656,7 @@ impl<F: Field> WireMsg<F> {
         let same_p = prelude & FRAME_SAME_P != 0;
         let kb = r.byte()?;
         let kind = WireKind::from_byte(kb).ok_or(CodecError::BadDiscriminant(kb))?;
-        let pw = p_width(kind);
+        let pw = kind.p_width();
         let mut key = WireKey {
             tag: 0,
             p: [0; 5],
@@ -1678,18 +1691,9 @@ impl<F: Field> WireMsg<F> {
     }
 }
 
-impl<F: Field> crate::FramedWire for WireMsg<F> {
-    fn encode_framed_member(&self, prev: Option<&Self>, buf: &mut Vec<u8>) {
-        self.encode_framed(prev, buf);
-    }
-    fn decode_framed_member(r: &mut Reader<'_>, prev: Option<&Self>) -> Result<Self, CodecError> {
-        Self::decode_framed(r, prev)
-    }
-}
-
 /// Encodes a per-recipient frame: a `u32` member count, then each
 /// message in its frame-member form against its predecessor (for
-/// [`WireMsg`], the key-delta form of [`WireMsg::encode_framed`]).
+/// [`WireMsg`], the key-delta form).
 pub fn encode_frame<T: crate::FramedWire>(msgs: &[T], buf: &mut Vec<u8>) {
     (msgs.len() as u32).encode(buf);
     let mut prev = None;
@@ -1732,22 +1736,11 @@ pub fn decode_frame<T: crate::FramedWire>(r: &mut Reader<'_>) -> Result<Vec<T>, 
 
 impl<F> Kinded for WireMsg<F> {
     fn kind(&self) -> &'static str {
-        match self.key.kind {
-            WireKind::MwDeal => "mw/deal",
-            WireKind::MwPoint => "mw/point",
-            WireKind::MwMval => "mw/mval",
-            WireKind::Rows => "svss/rows",
-            WireKind::AttachInit | WireKind::AttachEcho | WireKind::AttachReady => "coin/attach",
-            WireKind::SupportInit | WireKind::SupportEcho | WireKind::SupportReady => {
-                "coin/support"
-            }
-            // Every RB step of a vote carries its phase's label.
-            k if k.is_vote_rb() => VOTE_LABELS[usize::from(self.key.p[0])],
-            k => match k.rb_step().expect("RB kind") {
-                RbStep::Init => "rb/init",
-                RbStep::Echo => "rb/echo",
-                RbStep::Ready => "rb/ready",
-            },
+        // Every RB step of a vote carries its phase's label.
+        if self.key.kind.is_vote_rb() {
+            VOTE_LABELS[usize::from(self.key.p[0])]
+        } else {
+            self.key.kind.row().label
         }
     }
 }
@@ -1785,17 +1778,18 @@ mod tests {
         RbVector::new(origin, members)
     }
 
+    /// The table's accessors agree with it and with its inverse.
     #[test]
     fn kind_table_is_consistent() {
         for kind in WireKind::all() {
             assert_eq!(WireKind::from_byte(kind as u8), Some(kind));
             assert_eq!(kind.is_priv(), kind.rb_step().is_none());
-            if let Some(slot) = kind.slot_kind() {
-                let step = kind.rb_step().expect("slot kinds are RB kinds");
-                assert_eq!(WireKind::rb(slot, step), kind);
+            if let Some((family, step)) = kind.row().rb {
+                assert_eq!(WireKind::of(family, step), kind);
             }
         }
         assert_eq!(WireKind::from_byte(WIRE_KIND_COUNT), None);
+        assert_eq!(WireKind::all().count(), usize::from(WIRE_KIND_COUNT));
     }
 
     #[test]

@@ -8,12 +8,14 @@
 //!   reconstruct points, `G` sets), carried as [`SvssRbValue`] payloads in
 //!   [`SvssSlot`] slots through the `sba-broadcast` mux.
 //!
-//! Since PR 4 the on-wire and in-queue representation is the **flat
-//! packed** [`sba_net::WireMsg`] (one [`sba_net::WireKind`] discriminant,
-//! 32 bytes in memory) — see `sba_net::wire` for the format. This module
-//! re-exports the shared types under their historical names and provides
-//! the conversions between the structured forms the state machines use
-//! (`MuxMsg`, [`SvssPriv`]) and the flat form.
+//! The on-wire and in-queue representation is the **flat packed**
+//! [`sba_net::WireMsg`] (one [`sba_net::WireKind`] discriminant, 32 bytes
+//! in memory), the stack's only codec — see `sba_net::wire` for the
+//! format and its kind table. The structured forms the state machines
+//! use (`MuxMsg`, [`SvssPriv`]) are in-memory routing forms with no
+//! encoding of their own. This module re-exports the shared types under
+//! their historical names and provides the conversions between those
+//! forms and the flat one.
 
 use sba_broadcast::{MuxMsg, RbMsg};
 use sba_field::Field;

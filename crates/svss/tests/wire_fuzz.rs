@@ -6,9 +6,9 @@
 use proptest::prelude::*;
 use sba_field::{Field, Gf61};
 use sba_net::{
-    CodecError, CoinSlot, GsetsBody, MwDealBody, MwId, Pid, ProcessSet, RbStep, RbVector, Reader,
-    RowsBody, SvssId, SvssPriv, SvssRbValue, SvssSlot, VoteSlot, VoteValue, Wire, WireKind,
-    WireMsg, WIRE_KIND_COUNT,
+    CodecError, CoinSlot, FramedWire, GsetsBody, Kinded, MwDealBody, MwId, Pid, ProcessSet, RbStep,
+    RbVector, Reader, RowsBody, SvssId, SvssPriv, SvssRbValue, SvssSlot, VoteSlot, VoteValue, Wire,
+    WireKind, WireMsg, WIRE_KIND_COUNT,
 };
 use sba_svss::SvssMsg;
 
@@ -256,6 +256,80 @@ fn representative(kind: WireKind) -> SvssMsg<Gf61> {
             };
             SvssMsg::vote_rb(slot, origin, step, VoteValue::MaybeBit(None))
         }
+    }
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// One [`GOLDEN`] row: the kind, its label, its standalone bytes, and its
+/// frame-member bytes against no predecessor and against a same-session
+/// one (the message itself, so both header elisions are available).
+fn golden_row(kind: WireKind) -> String {
+    let msg = representative(kind);
+    let framed = |prev: Option<&SvssMsg<Gf61>>| {
+        let mut buf = Vec::new();
+        msg.encode_framed_member(prev, &mut buf);
+        assert_eq!(msg.framed_wire_len(prev), buf.len(), "{kind:?}");
+        hex(&buf)
+    };
+    format!(
+        "{kind:?} {} {} {} {}",
+        msg.kind(),
+        hex(&msg.encoded()),
+        framed(None),
+        framed(Some(&msg))
+    )
+}
+
+/// Every kind's bytes and label, recorded before the kind table existed:
+/// `kind label standalone framed-first framed-after-same-session`.
+const GOLDEN: &str = "
+MwDeal mw/deal 0005000000000000000001020201024d000000000000004d00000000000000014d00000000000000024d00000000000000 000005000000000000000001020201024d000000000000004d00000000000000014d00000000000000024d00000000000000 0300024d000000000000004d00000000000000014d00000000000000024d00000000000000
+MwPoint mw/point 01050000000000000000010202014d00000000000000 0001050000000000000000010202014d00000000000000 03014d00000000000000
+MwMval mw/mval 02050000000000000000010202014d00000000000000 0002050000000000000000010202014d00000000000000 03024d00000000000000
+Rows svss/rows 03050000000000000000014d00000000000000024d000000000000004d00000000000000 0003050000000000000000014d00000000000000024d000000000000004d00000000000000 0303014d00000000000000024d000000000000004d00000000000000
+MwAckInit rb/init 040500000000000000000102020103 00040500000000000000000102020103 030403
+MwAckEcho rb/echo 050500000000000000000102020103 00050500000000000000000102020103 030503
+MwAckReady rb/ready 060500000000000000000102020103 00060500000000000000000102020103 030603
+MwLInit rb/init 07050000000000000000010202010303000102 0007050000000000000000010202010303000102 03070303000102
+MwLEcho rb/echo 08050000000000000000010202010303000102 0008050000000000000000010202010303000102 03080303000102
+MwLReady rb/ready 09050000000000000000010202010303000102 0009050000000000000000010202010303000102 03090303000102
+MwMInit rb/init 0a050000000000000000010202010303000102 000a050000000000000000010202010303000102 030a0303000102
+MwMEcho rb/echo 0b050000000000000000010202010303000102 000b050000000000000000010202010303000102 030b0303000102
+MwMReady rb/ready 0c050000000000000000010202010303000102 000c050000000000000000010202010303000102 030c0303000102
+MwOkInit rb/init 0d0500000000000000000102020103 000d0500000000000000000102020103 030d03
+MwOkEcho rb/echo 0e0500000000000000000102020103 000e0500000000000000000102020103 030e03
+MwOkReady rb/ready 0f0500000000000000000102020103 000f0500000000000000000102020103 030f03
+MwReconInit rb/init 100500000000000000000102020101034d00000000000000 00100500000000000000000102020101034d00000000000000 031001034d00000000000000
+MwReconEcho rb/echo 110500000000000000000102020101034d00000000000000 00110500000000000000000102020101034d00000000000000 031101034d00000000000000
+MwReconReady rb/ready 120500000000000000000102020101034d00000000000000 00120500000000000000000102020101034d00000000000000 031201034d00000000000000
+GsetsInit rb/init 130500000000000000000303000102010003000102 00130500000000000000000303000102010003000102 03130303000102010003000102
+GsetsEcho rb/echo 140500000000000000000303000102010003000102 00140500000000000000000303000102010003000102 03140303000102010003000102
+GsetsReady rb/ready 150500000000000000000303000102010003000102 00150500000000000000000303000102010003000102 03150303000102010003000102
+AttachInit coin/attach 1609000000000000000303000102 001609000000000000000303000102 01160303000102
+AttachEcho coin/attach 1709000000000000000303000102 001709000000000000000303000102 01170303000102
+AttachReady coin/attach 1809000000000000000303000102 001809000000000000000303000102 01180303000102
+SupportInit coin/support 1909000000000000000303000102 001909000000000000000303000102 01190303000102
+SupportEcho coin/support 1a09000000000000000303000102 001a09000000000000000303000102 011a0303000102
+SupportReady coin/support 1b09000000000000000303000102 001b09000000000000000303000102 011b0303000102
+VecInit rb/init 1c09000000000000000304000000000500000000000000000102020159030001025c014d000000000000005c024d00000000000000 001c09000000000000000304000000000500000000000000000102020159030001025c014d000000000000005c024d00000000000000 011c0304000000000500000000000000000102020159030001025c014d000000000000005c024d00000000000000
+VecEcho rb/echo 1d09000000000000000304000000000500000000000000000102020159030001025c014d000000000000005c024d00000000000000 001d09000000000000000304000000000500000000000000000102020159030001025c014d000000000000005c024d00000000000000 011d0304000000000500000000000000000102020159030001025c014d000000000000005c024d00000000000000
+VecReady rb/ready 1e09000000000000000304000000000500000000000000000102020159030001025c014d000000000000005c024d00000000000000 001e09000000000000000304000000000500000000000000000102020159030001025c014d000000000000005c024d00000000000000 011e0304000000000500000000000000000102020159030001025c014d000000000000005c024d00000000000000
+VoteInit aba/vote 1f0200000007000000020203 001f0200000007000000020203 031f0203
+VoteEcho aba/vote 200200000007000000020203 00200200000007000000020203 03200203
+VoteReady aba/vote 210200000007000000020203 00210200000007000000020203 03210203
+";
+
+/// The wire layout of every kind is pinned byte for byte: a change to
+/// the kind table (or anything under it) fails on the kind that moved.
+#[test]
+fn every_wire_kind_matches_its_golden_encoding() {
+    let rows: Vec<&str> = GOLDEN.trim().lines().collect();
+    assert_eq!(rows.len(), usize::from(WIRE_KIND_COUNT));
+    for (kind, want) in WireKind::all().zip(rows) {
+        assert_eq!(golden_row(kind), want, "{kind:?}");
     }
 }
 
@@ -601,7 +675,7 @@ proptest! {
     /// bytes it consumed.
     #[test]
     fn vector_decoder_never_panics(
-        kind in 28u8..=30,
+        kind in WireKind::VecInit as u8..=WireKind::VecReady as u8,
         soup in proptest::collection::vec(any::<u8>(), 0..256),
         msg in rb_vector(),
         at in any::<usize>(),

@@ -2,37 +2,66 @@
 //! enabled and print the message-flow timeline — the tool you reach for
 //! when a schedule misbehaves.
 //!
+//! The broadcast runs the way the SVSS engine runs one: an `RbMux` over
+//! SVSS slots whose messages travel as the stack's wire messages. Its
+//! one value is a reconstruct point, so the trace labels each step
+//! `rb/init`, `rb/echo` or `rb/ready`.
+//!
 //! ```sh
 //! cargo run -p sba-examples --example trace_debug
 //! ```
 
-use sba::broadcast::{MuxMsg, RbDelivery, RbMux};
-use sba::net::{Outbox, Pid};
+use sba::broadcast::{RbDelivery, RbMux};
+use sba::field::{Field, Gf61};
+use sba::net::{MwId, Outbox, Pid, SlotView, Unpacked};
 use sba::sim::{schedulers, Process, Simulation};
+use sba::svss::{mux_of_parts, wire_of_mux, SvssMsg, SvssRbValue, SvssSlot};
 use sba::Params;
 
-type Msg = MuxMsg<u32, u64>;
+type Msg = SvssMsg<Gf61>;
+type Value = SvssRbValue<Gf61>;
+
+/// The slot of tag `tag`: the reconstruct-point slot of MW session `tag`.
+fn slot(tag: u32) -> SvssSlot {
+    let mw = MwId::standalone(u64::from(tag), Pid::new(1), Pid::new(2));
+    SvssSlot::mw_recon(mw, Pid::new(1))
+}
 
 /// Broadcasts one value (p1 only) and records deliveries.
 struct Node {
-    mux: RbMux<u32, u64>,
+    mux: RbMux<SvssSlot, Value>,
     is_dealer: bool,
-    delivered: Vec<RbDelivery<u32, u64>>,
+    delivered: Vec<RbDelivery<SvssSlot, Value>>,
 }
 
 impl Process<Msg> for Node {
     fn on_start(&mut self, out: &mut Outbox<Msg>) {
         if self.is_dealer {
             let mut sends = Vec::new();
-            self.mux.broadcast(1, 42, &mut sends);
+            let value = SvssRbValue::Value(Gf61::from_u64(42));
+            self.mux
+                .broadcast_with(slot(1), value, &mut sends, wire_of_mux);
             for (to, m) in sends {
                 out.send(to, m);
             }
         }
     }
     fn on_message(&mut self, from: Pid, msg: Msg, out: &mut Outbox<Msg>) {
+        let Unpacked::Rb {
+            slot,
+            origin,
+            step,
+            value,
+        } = msg.unpack()
+        else {
+            unreachable!("only the broadcast's own steps are sent");
+        };
         let mut sends = Vec::new();
-        if let Some(d) = self.mux.on_message(from, msg, &mut sends) {
+        let routed = mux_of_parts(slot, origin, step, value);
+        if let Some(d) = self
+            .mux
+            .on_message_with(from, routed, &mut sends, wire_of_mux)
+        {
             self.delivered.push(d);
         }
         for (to, m) in sends {
@@ -81,12 +110,16 @@ fn main() {
     println!("Deliveries per process:");
     for i in 1..=4u32 {
         let n = sim.process(Pid::new(i));
-        println!(
-            "  p{i}: accepted {:?}",
-            n.delivered
-                .iter()
-                .map(|d| (d.origin.index(), d.tag, d.value))
-                .collect::<Vec<_>>()
-        );
+        let accepted: Vec<_> = n
+            .delivered
+            .iter()
+            .map(|d| match (d.tag.view(), &d.value) {
+                (SlotView::MwRecon(mw, _), SvssRbValue::Value(v)) => {
+                    (d.origin.index(), mw.parent().tag(), v.as_u64())
+                }
+                _ => unreachable!("the one broadcast is a reconstruct point"),
+            })
+            .collect();
+        println!("  p{i}: accepted {accepted:?}");
     }
 }

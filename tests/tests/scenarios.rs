@@ -299,7 +299,7 @@ fn compound_plans_run_clean_under_the_monitor() {
 }
 
 /// The zoo is size-generic: two scenarios pinned at n=16 (t=5) with an
-/// oracle coin standing in for the degree-7-in-n shunning coin. The
+/// oracle coin standing in for the high-degree-in-n shunning coin. The
 /// decision bits and the partition actually biting are exact pins.
 #[test]
 fn zoo_scales_to_n16_with_an_oracle_coin() {
