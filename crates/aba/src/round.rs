@@ -243,11 +243,6 @@ impl RoundState {
         Some(RoundOutcome::UseCoin)
     }
 
-    /// Number of validated reports (used by tests).
-    pub fn valid_reports(&self) -> usize {
-        self.a_valid.len()
-    }
-
     /// Number of validated candidates (used by tests).
     pub fn valid_candidates(&self) -> usize {
         self.b_valid.len()

@@ -48,16 +48,10 @@
 //! `compare OLD NEW [--key K] [--max-ratio R]` diffs two snapshots and
 //! exits nonzero when `K` (default `scc_larger_system.wall_seconds`)
 //! regressed by more than `R` (default 1.25 = +25 %) — the CI perf gate.
-//! It additionally drift-checks `scc_larger_system.messages` (±10 %,
-//! two-sided: the count is seed-pinned, so movement either way means
-//! the schedule changed), and regression-gates
-//! `scc_larger_system.peak_inflight_bytes` and
-//! `scc_larger_system.deal_bytes` (+10 %: the memory and word-complexity
-//! contracts — growth is a bug, a drop is a win the new snapshot
-//! re-baselines), whenever both snapshots carry the key. Every
-//! `scc_n<N>.messages` key present in both snapshots gets the same
-//! two-sided ±10 % check, so each point of the scaling curve is gated
-//! independently.
+//! It additionally drift-checks every key named in [`DRIFT_GATES`]:
+//! `scc_larger_system.messages` and each `scc_n<N>.messages` by ±10 %,
+//! `scc_larger_system.{peak_inflight_bytes,deal_bytes}` and each
+//! `scc_n<N>.bytes` by +10 %.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -108,6 +102,13 @@ fn usage() -> String {
     )
 }
 
+/// A command line the binary cannot run: says why, prints the usage and
+/// exits 2.
+fn usage_error(why: &str) -> ! {
+    eprint!("experiments: {why}\n{}", usage());
+    std::process::exit(2);
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
@@ -140,8 +141,7 @@ fn main() {
         .map(|&(_, run)| run)
         .collect();
     if selected.is_empty() {
-        eprint!("experiments: no experiment named `{which}`\n{}", usage());
-        std::process::exit(2);
+        usage_error(&format!("no experiment named `{which}`"));
     }
     println!(
         "# sba experiments ({} mode)\n",
@@ -575,6 +575,36 @@ fn merge_into_snapshot(
 // compare - the CI perf-regression gate over two BENCH_<pr>.json files
 // ---------------------------------------------------------------------
 
+/// The drift gates on the deterministic keys, ±10 % (+10 % one-sided).
+/// A `*` in the key stands for the `N` of a per-n family. Two-sided keys
+/// are seed-pinned counts, so movement either way means the schedule
+/// changed. One-sided keys are memory and word-complexity gauges: growth
+/// is a bug, while a large drop is a deliberate win that the new snapshot
+/// re-baselines (it prints as an improvement). A key absent from the old
+/// snapshot is skipped, because older snapshots predate it. Absent from
+/// the new one, it fails when the gate is marked "must exist" and the new
+/// snapshot is an e9 run. CI's e13-only sweep lacks e9's keys and runs a
+/// subset of the n set, so those are skipped.
+const DRIFT_GATES: [(&str, bool, bool); 5] = [
+    // (key, two-sided, must exist in an e9-shaped new snapshot)
+    ("scc_larger_system.messages", true, true),
+    ("scc_larger_system.peak_inflight_bytes", false, true),
+    ("scc_larger_system.deal_bytes", false, true),
+    ("scc_n*.messages", true, false),
+    ("scc_n*.bytes", false, false),
+];
+
+/// Whether `key` is one of the keys `pattern` names in [`DRIFT_GATES`].
+fn gate_covers(pattern: &str, key: &str) -> bool {
+    match pattern.split_once('*') {
+        None => pattern == key,
+        Some((head, tail)) => key
+            .strip_prefix(head)
+            .and_then(|rest| rest.strip_suffix(tail))
+            .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit())),
+    }
+}
+
 fn compare_snapshots(args: &[String]) {
     use sba_bench::{check_regression, parse_snapshot};
 
@@ -584,20 +614,23 @@ fn compare_snapshots(args: &[String]) {
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--key" => key = it.next().expect("--key needs a value").clone(),
+            "--key" => {
+                key = it
+                    .next()
+                    .cloned()
+                    .unwrap_or_else(|| usage_error("--key needs a value"));
+            }
             "--max-ratio" => {
                 max_ratio = it
                     .next()
-                    .expect("--max-ratio needs a value")
-                    .parse()
-                    .expect("--max-ratio must be a number");
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| usage_error("--max-ratio needs a number"));
             }
             _ => paths.push(a.clone()),
         }
     }
     let [old_path, new_path] = paths.as_slice() else {
-        eprintln!("usage: experiments compare OLD.json NEW.json [--key K] [--max-ratio R]");
-        std::process::exit(2);
+        usage_error("compare needs exactly two snapshots, OLD and NEW");
     };
     let read = |p: &str| {
         std::fs::read_to_string(p).unwrap_or_else(|e| panic!("cannot read snapshot {p}: {e}"))
@@ -625,155 +658,52 @@ fn compare_snapshots(args: &[String]) {
             std::process::exit(1);
         }
     }
-    // Drift gates on the deterministic keys (±10 %). `messages` is
-    // two-sided: the count is pinned by seed + scheduler semantics, so
-    // movement in either direction means the schedule changed under us.
-    // The memory and word-complexity gauges are regression-gated only:
-    // a +10 % growth is a bug, while a large drop is a deliberate win
-    // that this snapshot re-baselines (it cannot be *silent* — the
-    // improvement prints below, the new value is committed as the next
-    // baseline, and a gauge that breaks outright trips the
-    // missing-from-new check instead). A key absent from the *old*
-    // snapshot is skipped with a note (older snapshots predate the
-    // gauge); absent from the *new* one, it fails — gauges must not
-    // silently disappear.
     const DRIFT: f64 = 1.10;
-    // The scc_larger_system gauges live in e9's snapshot. A "new" file
-    // produced by e13 alone (CI's NSWEEP_fresh.json) legitimately lacks
-    // them, so the disappeared-from-new hard-fail only applies when the
-    // new snapshot is e9-shaped to begin with.
     let new_is_e9 = new.iter().any(|(k, _)| k.starts_with("scc_larger_system."));
-    for (drift_key, two_sided) in [
-        ("scc_larger_system.messages", true),
-        ("scc_larger_system.peak_inflight_bytes", false),
-        ("scc_larger_system.deal_bytes", false),
-    ] {
-        if drift_key == key {
-            // The caller picked this key as the primary gate with an
-            // explicit ratio; don't second-guess it with the hard ±10 %.
-            println!("{drift_key}: drift check skipped (primary gate above)");
-            continue;
-        }
-        let find =
-            |snap: &[(String, f64)]| snap.iter().find(|(k, _)| k == drift_key).map(|&(_, v)| v);
-        match (find(&old), find(&new)) {
-            (None, _) => println!("{drift_key}: skipped (old snapshot predates this gauge)"),
-            (Some(_), None) if !new_is_e9 => {
-                println!("{drift_key}: skipped (new snapshot is not an e9 run)");
-            }
-            (Some(_), None) => {
-                eprintln!("DRIFT GATE: {drift_key} disappeared from the new snapshot");
-                failed = true;
-            }
-            (Some(o), Some(n)) if o > 0.0 => {
-                let ratio = n / o;
-                let ok = ratio <= DRIFT && (!two_sided || ratio >= 1.0 / DRIFT);
-                let improved = !two_sided && ratio < 1.0 / DRIFT;
-                println!(
-                    "{drift_key}: {o} -> {n} ({:+.1}% vs {}{:.0}% drift limit){}",
-                    (ratio - 1.0) * 100.0,
-                    if two_sided { "±" } else { "+" },
-                    (DRIFT - 1.0) * 100.0,
-                    if !ok {
-                        "  <-- DRIFT"
-                    } else if improved {
-                        "  (improvement; re-baselined by this snapshot)"
-                    } else {
-                        ""
-                    }
-                );
-                if !ok {
-                    failed = true;
-                }
-            }
-            (Some(o), Some(_)) => {
-                eprintln!("DRIFT GATE: old value for {drift_key} is not positive ({o})");
-                failed = true;
-            }
-        }
-    }
-    // The per-n scaling family (E13): every `scc_n<N>.messages` key
-    // present in BOTH snapshots is drift-checked two-sided — the counts
-    // are seed-pinned, so movement either way means the schedule changed.
-    // Keys on one side only are skipped with a note: older snapshots
-    // predate the sweep, and CI's fresh sweep runs a subset of the n set.
-    let family = |k: &str| {
-        k.strip_prefix("scc_n")
-            .and_then(|rest| rest.strip_suffix(".messages"))
-            .is_some_and(|mid| !mid.is_empty() && mid.bytes().all(|b| b.is_ascii_digit()))
-    };
     let lookup =
         |snap: &[(String, f64)], k: &str| snap.iter().find(|(kk, _)| kk == k).map(|&(_, v)| v);
-    for (k, o) in old.iter().filter(|(k, _)| family(k)) {
-        if *k == key {
-            println!("{k}: drift check skipped (primary gate above)");
-            continue;
-        }
-        match lookup(&new, k) {
-            None => println!("{k}: skipped (absent from the new sweep's n set)"),
-            Some(nv) if *o > 0.0 => {
-                let ratio = nv / o;
-                let ok = (1.0 / DRIFT..=DRIFT).contains(&ratio);
-                println!(
-                    "{k}: {o} -> {nv} ({:+.1}% vs ±{:.0}% drift limit){}",
-                    (ratio - 1.0) * 100.0,
-                    (DRIFT - 1.0) * 100.0,
-                    if ok { "" } else { "  <-- DRIFT" }
-                );
-                if !ok {
-                    failed = true;
-                }
+    for (pattern, two_sided, must_exist) in DRIFT_GATES {
+        for (k, o) in old.iter().filter(|(k, _)| gate_covers(pattern, k)) {
+            if *k == key {
+                // The caller picked this key as the primary gate with an
+                // explicit ratio; don't second-guess it with the ±10 %.
+                println!("{k}: drift check skipped (primary gate above)");
+                continue;
             }
-            Some(_) => {
+            let Some(n) = lookup(&new, k) else {
+                if must_exist && new_is_e9 {
+                    eprintln!("DRIFT GATE: {k} disappeared from the new snapshot");
+                    failed = true;
+                } else {
+                    println!("{k}: skipped (absent from the new snapshot)");
+                }
+                continue;
+            };
+            if *o <= 0.0 {
                 eprintln!("DRIFT GATE: old value for {k} is not positive ({o})");
                 failed = true;
+                continue;
             }
-        }
-    }
-    for (k, _) in new.iter().filter(|(k, _)| family(k)) {
-        if lookup(&old, k).is_none() {
-            println!("{k}: skipped (old snapshot predates this n)");
-        }
-    }
-    // The per-n byte curve (PR 9): `scc_n<N>.bytes` is deterministic
-    // like the message counts, but gated regression-only — growth means
-    // the wire format (or the frame charging) fattened, while a large
-    // drop is a deliberate encoding win the new snapshot re-baselines.
-    let bytes_family = |k: &str| {
-        k.strip_prefix("scc_n")
-            .and_then(|rest| rest.strip_suffix(".bytes"))
-            .is_some_and(|mid| !mid.is_empty() && mid.bytes().all(|b| b.is_ascii_digit()))
-    };
-    for (k, o) in old.iter().filter(|(k, _)| bytes_family(k)) {
-        if *k == key {
-            println!("{k}: drift check skipped (primary gate above)");
-            continue;
-        }
-        match lookup(&new, k) {
-            None => println!("{k}: skipped (absent from the new sweep's n set)"),
-            Some(nv) if *o > 0.0 => {
-                let ratio = nv / o;
-                let ok = ratio <= DRIFT;
-                let improved = ratio < 1.0 / DRIFT;
-                println!(
-                    "{k}: {o} -> {nv} ({:+.1}% vs +{:.0}% regression limit){}",
-                    (ratio - 1.0) * 100.0,
-                    (DRIFT - 1.0) * 100.0,
-                    if !ok {
-                        "  <-- DRIFT"
-                    } else if improved {
-                        "  (improvement; re-baselined by this snapshot)"
-                    } else {
-                        ""
-                    }
-                );
+            let ratio = n / o;
+            let ok = ratio <= DRIFT && (!two_sided || ratio >= 1.0 / DRIFT);
+            println!(
+                "{k}: {o} -> {n} ({:+.1}% vs {}{:.0}% drift limit){}",
+                (ratio - 1.0) * 100.0,
+                if two_sided { "±" } else { "+" },
+                (DRIFT - 1.0) * 100.0,
                 if !ok {
-                    failed = true;
+                    "  <-- DRIFT"
+                } else if ratio < 1.0 / DRIFT {
+                    "  (improvement; re-baselined by this snapshot)"
+                } else {
+                    ""
                 }
-            }
-            Some(_) => {
-                eprintln!("DRIFT GATE: old value for {k} is not positive ({o})");
-                failed = true;
+            );
+            failed |= !ok;
+        }
+        for (k, _) in new.iter().filter(|(k, _)| gate_covers(pattern, k)) {
+            if lookup(&old, k).is_none() {
+                println!("{k}: skipped (old snapshot predates this key)");
             }
         }
     }
@@ -828,21 +758,12 @@ fn e9_perf(full: bool, json_path: Option<&str>) {
     };
     for t in [1usize, 2, 5, 10, 20] {
         let poly = Poly::random_with_constant(Gf61::from_u64(7), t, &mut rng);
-        let pts: Vec<(Gf61, Gf61)> = (1..=(t as u64 + 1))
-            .map(|i| (Gf61::from_u64(i), poly.eval_at_index(i)))
-            .collect();
         let idx_pts: Vec<(u64, Gf61)> = (1..=(t as u64 + 1))
             .map(|i| (i, poly.eval_at_index(i)))
             .collect();
         let verify_pts: Vec<(u64, Gf61)> = (1..=(2 * (t as u64 + 1)).min(32))
             .map(|i| (i, poly.eval_at_index(i)))
             .collect();
-        report(
-            format!("poly_interpolate_t{t}"),
-            time_ns(|| {
-                std::hint::black_box(Poly::interpolate(std::hint::black_box(&pts)).unwrap());
-            }),
-        );
         report(
             format!("domain_interpolate_t{t}"),
             time_ns(|| {

@@ -1,7 +1,6 @@
-//! Shared helpers for benchmarks and the experiments harness: descriptive
-//! statistics, log–log slope fits, and run wrappers.
-
-use sba::{Cluster, ClusterConfig, ClusterReport};
+//! Shared helpers for the experiments harness: descriptive statistics,
+//! log–log slope fits, the split-input vector, and the `BENCH_<pr>.json`
+//! snapshot writer, parser and regression check.
 
 pub mod trial;
 
@@ -66,24 +65,9 @@ pub fn loglog_slope(points: &[(f64, f64)]) -> f64 {
     (n * sxy - sx * sy) / (n * sxx - sx * sx)
 }
 
-/// Runs one agreement cluster and returns its report.
-pub fn run_agreement(
-    config: ClusterConfig,
-    inputs: &[Option<bool>],
-    max_events: u64,
-) -> ClusterReport {
-    let mut cluster = Cluster::new(config, inputs);
-    cluster.run(max_events)
-}
-
 /// Standard split-input vector (alternating bits).
 pub fn split_inputs(n: usize) -> Vec<Option<bool>> {
     (0..n).map(|i| Some(i % 2 == 0)).collect()
-}
-
-/// Renders a markdown table row.
-pub fn row(cells: &[String]) -> String {
-    format!("| {} |", cells.join(" | "))
 }
 
 /// A minimal JSON writer for perf snapshots (`BENCH_<pr>.json`).

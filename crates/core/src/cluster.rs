@@ -23,7 +23,6 @@ pub struct ClusterConfig {
     mode: CoinMode,
     max_rounds: u32,
     max_delay: u64,
-    detection: bool,
     faults: Vec<(Pid, Role)>,
 }
 
@@ -44,7 +43,6 @@ impl ClusterConfig {
             mode: CoinMode::Scc,
             max_rounds: 200,
             max_delay: 20,
-            detection: true,
             faults: Vec::new(),
         }
     }
@@ -81,12 +79,6 @@ impl ClusterConfig {
         if role != Role::Honest {
             self.faults.push((p, role));
         }
-        self
-    }
-
-    /// Disables shunning detection (experiment E8 ablation only).
-    pub fn without_detection(mut self) -> Self {
-        self.detection = false;
         self
     }
 
@@ -133,7 +125,6 @@ impl ClusterConfig {
                 let mut aba_config = AbaConfig::scc(params, self.seed ^ ((i as u64) << 32));
                 aba_config.mode = self.mode;
                 aba_config.max_rounds = self.max_rounds;
-                aba_config.detection = self.detection;
                 let node: AbaNode<Gf61> = AbaNode::new(pid, aba_config);
                 let proposals = match inputs[i - 1] {
                     Some(bit) => vec![(0u32, bit)],

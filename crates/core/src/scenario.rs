@@ -789,11 +789,6 @@ impl PlanRun {
         &self.cluster
     }
 
-    /// Mutable access to the underlying cluster.
-    pub fn cluster_mut(&mut self) -> &mut Cluster {
-        &mut self.cluster
-    }
-
     /// Events that have not fired yet.
     pub fn pending(&self) -> &[PlanEvent] {
         &self.pending

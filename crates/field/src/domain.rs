@@ -212,8 +212,8 @@ impl<F: Field> Domain<F> {
 
     /// Checked secret recovery: succeeds only if one polynomial of degree
     /// at most `max_degree` passes through **all** points, returning its
-    /// value at zero. The domain analogue of
-    /// [`Poly::interpolate_checked`].
+    /// value at zero. The coefficient-free form of
+    /// [`Domain::interpolate_checked`].
     ///
     /// The barycentric weights of the `k = max_degree + 1` base points
     /// are computed **once** (`O(k²)`) and shared by every surplus-point
@@ -337,8 +337,11 @@ impl<F: Field> Domain<F> {
     }
 
     /// Checked interpolation: succeeds only if a polynomial of degree at
-    /// most `max_degree` passes through **all** points. The domain
-    /// analogue of [`Poly::interpolate_checked`].
+    /// most `max_degree` passes through **all** points. Returns `None`
+    /// otherwise, and on an empty, repeated or out-of-domain index.
+    ///
+    /// This is the predicate the paper's reconstruct protocols apply to
+    /// decide between outputting a value and outputting `⊥`.
     pub fn interpolate_checked(&self, pts: &[(u64, F)], max_degree: usize) -> Option<Poly<F>> {
         if pts.is_empty() || self.check_indices(pts).is_err() {
             return None;
@@ -382,9 +385,6 @@ mod tests {
         for degree in 0..6 {
             let (p, pts) = poly_and_points(degree, 99, degree as u64 + 1);
             assert_eq!(domain.interpolate(&pts).unwrap(), p);
-            let naive: Vec<(Gf61, Gf61)> =
-                pts.iter().map(|&(i, y)| (Gf61::from_u64(i), y)).collect();
-            assert_eq!(Poly::interpolate(&naive).unwrap(), p);
         }
     }
 
@@ -458,14 +458,8 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let p = Poly::random_with_constant(Gf101::from_u64(7), 3, &mut rng);
         let pts: Vec<(u64, Gf101)> = (1..=7).map(|i| (i, p.eval_at_index(i))).collect();
-        let naive: Vec<(Gf101, Gf101)> =
-            pts.iter().map(|&(i, y)| (Gf101::from_u64(i), y)).collect();
-        assert_eq!(
-            domain.interpolate_checked(&pts, 3),
-            Poly::interpolate_checked(&naive, 3)
-        );
+        assert_eq!(domain.interpolate_checked(&pts, 3), Some(p));
         assert!(domain.interpolate_checked(&pts, 2).is_none());
-        assert!(Poly::interpolate_checked(&naive, 2).is_none());
     }
 
     #[test]

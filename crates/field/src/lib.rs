@@ -9,10 +9,10 @@
 //! - [`Gf61`], the production field `GF(2^61 − 1)` with fast Mersenne
 //!   reduction,
 //! - [`Gf101`], a tiny field used by exhaustive property tests,
-//! - [`Poly`], univariate degree-bounded polynomials with Lagrange
-//!   interpolation,
+//! - [`Poly`], univariate degree-bounded polynomials (sampling with a
+//!   fixed secret, evaluation),
 //! - [`Domain`], a precomputed evaluation domain over the process indices
-//!   `1..=n` that makes interpolation and secret recovery inversion-free
+//!   `1..=n`: the one interpolator, inversion-free, plain and checked
 //!   (the protocols' hot path — build one per instance and share it),
 //! - [`BiPoly`], bivariate polynomials of degree `t` in each variable, with
 //!   the row/column extraction (`g_j(y) = f(j, y)`, `h_j(x) = f(x, j)`)
@@ -21,21 +21,24 @@
 //! # Examples
 //!
 //! Share-style sampling: a random degree-`t` polynomial with a fixed
-//! constant term, evaluated at process indices.
+//! constant term, evaluated at process indices and recovered from them.
 //!
 //! ```
 //! use rand::SeedableRng;
-//! use sba_field::{Field, Gf61, Poly};
+//! use sba_field::{Domain, Field, Gf61, Poly};
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let secret = Gf61::from_u64(42);
 //! let poly = Poly::random_with_constant(secret, 2, &mut rng);
-//! // Any 3 = t+1 evaluations reconstruct the secret.
-//! let pts: Vec<(Gf61, Gf61)> = (1..=3u64)
-//!     .map(|i| (Gf61::from_u64(i), poly.eval(Gf61::from_u64(i))))
-//!     .collect();
-//! let back = Poly::interpolate(&pts).expect("distinct x's");
-//! assert_eq!(back.eval(Gf61::ZERO), secret);
+//! let domain: Domain<Gf61> = Domain::new(4);
+//! // Any 3 = t+1 evaluations reconstruct the secret...
+//! let pts: Vec<(u64, Gf61)> = [1, 3, 4].map(|i| (i, poly.eval_at_index(i))).to_vec();
+//! assert_eq!(domain.interpolate_at_zero(&pts), Ok(secret));
+//! // ...and all 4 of them only if they lie on one degree-2 polynomial.
+//! let mut all: Vec<(u64, Gf61)> = (1..=4).map(|i| (i, poly.eval_at_index(i))).collect();
+//! assert_eq!(domain.interpolate_checked_at_zero(&all, 2), Some(secret));
+//! all[1].1 += Gf61::ONE;
+//! assert_eq!(domain.interpolate_checked_at_zero(&all, 2), None);
 //! ```
 
 mod bipoly;

@@ -1,10 +1,11 @@
-//! Univariate polynomials over a [`Field`], with Lagrange interpolation.
+//! Univariate polynomials over a [`Field`].
 //!
 //! The SVSS protocols manipulate degree-`t` polynomials in three ways:
 //! sampling with a fixed constant term (the secret), evaluating at process
-//! indices, and interpolating from `t+1` points. Reconstruction also needs
-//! *checked* interpolation: "is there a degree-`t` polynomial through all of
-//! these `≥ t+1` points?" (MW-SVSS `R′` step 4, SVSS `R` steps 2–3).
+//! indices, and interpolating from `t+1` points. Every point is a process
+//! index, so interpolation — plain and *checked* ("is there a degree-`t`
+//! polynomial through all of these `≥ t+1` points?", MW-SVSS `R′` step 4,
+//! SVSS `R` steps 2–3) — lives on [`crate::Domain`].
 
 use std::fmt;
 
@@ -32,8 +33,8 @@ pub struct Poly<F: Field> {
     coeffs: Vec<F>,
 }
 
-/// Error returned by [`Poly::interpolate`] (and the domain-cached variants
-/// in [`crate::Domain`]) when input points are unusable.
+/// Error returned by [`crate::Domain`]'s interpolators when input points
+/// are unusable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InterpolateError {
     /// Two points share the same x-coordinate.
@@ -160,122 +161,6 @@ impl<F: Field> Poly<F> {
         out.extend(xs.iter().map(|&x| self.eval(x)));
     }
 
-    /// Interpolates the unique polynomial of degree `< points.len()` through
-    /// the given `(x, y)` points.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`InterpolateError::Empty`] for an empty slice and
-    /// [`InterpolateError::DuplicateX`] if two x-coordinates coincide.
-    pub fn interpolate(points: &[(F, F)]) -> Result<Self, InterpolateError> {
-        let mut coeffs = Vec::with_capacity(points.len());
-        Self::interpolate_into(points, &mut coeffs)?;
-        Ok(Self::from_coeffs(coeffs))
-    }
-
-    /// Interpolation into a caller-owned coefficient buffer (cleared and
-    /// resized to `points.len()`, coefficients lowest degree first,
-    /// untrimmed). Reusing the buffer makes repeated interpolation
-    /// allocation-free apart from internal `O(k)` scratch.
-    ///
-    /// Uses barycentric weights with one batched inversion and recovers
-    /// coefficients by synthetic division of the master polynomial
-    /// `M(x) = Π (x − x_i)` — `O(k²)` multiplications and a single field
-    /// inversion, against `O(k³)` plus `k` inversions for the textbook
-    /// per-basis expansion. For interpolation at the fixed process-index
-    /// points, [`crate::Domain`] removes the remaining inversion too.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`Poly::interpolate`].
-    pub fn interpolate_into(
-        points: &[(F, F)],
-        coeffs: &mut Vec<F>,
-    ) -> Result<(), InterpolateError> {
-        if points.is_empty() {
-            return Err(InterpolateError::Empty);
-        }
-        for (a, &(xa, _)) in points.iter().enumerate() {
-            for &(xb, _) in &points[a + 1..] {
-                if xa == xb {
-                    return Err(InterpolateError::DuplicateX);
-                }
-            }
-        }
-        let k = points.len();
-        coeffs.clear();
-        coeffs.resize(k, F::ZERO);
-        if k == 1 {
-            coeffs[0] = points[0].1;
-            return Ok(());
-        }
-        // Barycentric weights w_i = Π_{j≠i} (x_i − x_j)^{-1}, one inversion.
-        let mut weights: Vec<F> = Vec::with_capacity(k);
-        for (i, &(xi, _)) in points.iter().enumerate() {
-            let mut d = F::ONE;
-            for (j, &(xj, _)) in points.iter().enumerate() {
-                if i != j {
-                    d = d * (xi - xj);
-                }
-            }
-            weights.push(d);
-        }
-        batch_invert(&mut weights);
-        // Master polynomial M(x) = Π (x − x_i), lowest degree first.
-        let mut master = vec![F::ZERO; k + 1];
-        master[0] = F::ONE;
-        for (deg, &(xi, _)) in points.iter().enumerate() {
-            master[deg + 1] = master[deg];
-            for c in (1..=deg).rev() {
-                master[c] = master[c - 1] - xi * master[c];
-            }
-            master[0] = -(xi * master[0]);
-        }
-        // Basis numerator M(x)/(x − x_i) by synthetic division, scaled by
-        // y_i · w_i and accumulated.
-        for (i, &(xi, yi)) in points.iter().enumerate() {
-            let scale = yi * weights[i];
-            let mut carry = master[k];
-            for c in (0..k).rev() {
-                coeffs[c] = coeffs[c] + scale * carry;
-                carry = master[c] + xi * carry;
-            }
-            debug_assert!(carry.is_zero(), "x_i must be a root of the master");
-        }
-        Ok(())
-    }
-
-    /// Checked interpolation for reconstruction: succeeds only if a
-    /// polynomial of degree at most `max_degree` passes through **all**
-    /// points. Returns `None` otherwise (including on duplicate x's).
-    ///
-    /// This is the predicate the paper's reconstruct protocols apply to
-    /// decide between outputting a value and outputting `⊥`.
-    pub fn interpolate_checked(points: &[(F, F)], max_degree: usize) -> Option<Self> {
-        if points.is_empty() {
-            return None;
-        }
-        let take = (max_degree + 1).min(points.len());
-        let poly = Self::interpolate(&points[..take]).ok()?;
-        if poly.degree().unwrap_or(0) > max_degree {
-            return None;
-        }
-        for &(x, y) in &points[take..] {
-            if poly.eval(x) != y {
-                return None;
-            }
-        }
-        // Reject duplicate x's hidden in the tail.
-        for (a, &(xa, _)) in points.iter().enumerate() {
-            for &(xb, _) in &points[a + 1..] {
-                if xa == xb {
-                    return None;
-                }
-            }
-        }
-        Some(poly)
-    }
-
     /// Adds two polynomials.
     pub fn add(&self, other: &Self) -> Self {
         let n = self.coeffs.len().max(other.coeffs.len());
@@ -302,10 +187,22 @@ impl<F: Field> Default for Poly<F> {
 
 #[cfg(test)]
 mod tests {
+    // Interpolation is `Domain`'s: the cases below sample a `Poly`,
+    // evaluate it at process indices and check what the domain recovers
+    // against the polynomial they built.
+
     use super::*;
-    use crate::{Gf101, Gf61};
+    use crate::{Domain, Gf101, Gf61};
     use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// `p`'s `(index, value)` points at `indices`.
+    fn points<F: Field>(p: &Poly<F>, indices: impl IntoIterator<Item = u64>) -> Vec<(u64, F)> {
+        indices
+            .into_iter()
+            .map(|i| (i, p.eval_at_index(i)))
+            .collect()
+    }
 
     #[test]
     fn zero_poly_invariants() {
@@ -324,54 +221,54 @@ mod tests {
 
     #[test]
     fn interpolate_empty_and_duplicates() {
+        let domain: Domain<Gf61> = Domain::new(4);
         assert_eq!(
-            Poly::<Gf61>::interpolate(&[]).unwrap_err(),
+            domain.interpolate(&[]).unwrap_err(),
             InterpolateError::Empty
         );
-        let x = Gf61::from_u64(3);
-        let pts = [(x, Gf61::ONE), (x, Gf61::ZERO)];
+        let pts = [(3, Gf61::ONE), (3, Gf61::ZERO)];
         assert_eq!(
-            Poly::interpolate(&pts).unwrap_err(),
+            domain.interpolate(&pts).unwrap_err(),
             InterpolateError::DuplicateX
         );
     }
 
     #[test]
     fn interpolate_checked_detects_off_curve_point() {
+        let domain: Domain<Gf61> = Domain::new(5);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let p = Poly::random_with_constant(Gf61::from_u64(9), 2, &mut rng);
-        let mut pts: Vec<(Gf61, Gf61)> = (1..=5u64)
-            .map(|i| (Gf61::from_u64(i), p.eval_at_index(i)))
-            .collect();
-        assert!(Poly::interpolate_checked(&pts, 2).is_some());
+        let mut pts = points(&p, 1..=5);
+        assert_eq!(domain.interpolate_checked(&pts, 2), Some(p));
         pts[4].1 += Gf61::ONE;
-        assert!(Poly::interpolate_checked(&pts, 2).is_none());
+        assert!(domain.interpolate_checked(&pts, 2).is_none());
     }
 
     #[test]
     fn interpolate_checked_rejects_high_degree() {
         // Points from a degree-3 polynomial cannot be fit with max_degree 2.
+        let domain: Domain<Gf101> = Domain::new(6);
         let p = Poly::from_coeffs(vec![
             Gf101::from_u64(1),
             Gf101::from_u64(0),
             Gf101::from_u64(0),
             Gf101::from_u64(5),
         ]);
-        let pts: Vec<_> = (1..=6u64)
-            .map(|i| (Gf101::from_u64(i), p.eval_at_index(i)))
-            .collect();
-        assert!(Poly::interpolate_checked(&pts, 3).is_some());
-        assert!(Poly::interpolate_checked(&pts, 2).is_none());
+        let pts = points(&p, 1..=6);
+        assert_eq!(domain.interpolate_checked(&pts, 3), Some(p));
+        assert!(domain.interpolate_checked(&pts, 2).is_none());
+        assert!(domain.interpolate_checked_at_zero(&pts, 2).is_none());
     }
 
     #[test]
     fn interpolate_checked_rejects_duplicate_in_tail() {
-        let pts = [
-            (Gf101::from_u64(1), Gf101::from_u64(4)),
-            (Gf101::from_u64(2), Gf101::from_u64(4)),
-            (Gf101::from_u64(2), Gf101::from_u64(4)),
-        ];
-        assert!(Poly::interpolate_checked(&pts, 1).is_none());
+        // The base (the first max_degree + 1 points) is duplicate-free;
+        // the repeat hides in the points only checked against it.
+        let domain: Domain<Gf101> = Domain::new(4);
+        let y = Gf101::from_u64(4);
+        let pts = [(1, y), (2, y), (2, y)];
+        assert!(domain.interpolate_checked(&pts, 1).is_none());
+        assert!(domain.interpolate_checked_at_zero(&pts, 1).is_none());
     }
 
     proptest! {
@@ -381,12 +278,10 @@ mod tests {
             degree in 0usize..6,
             secret in 0u64..1_000_000,
         ) {
+            let domain: Domain<Gf61> = Domain::new(degree + 1);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let p = Poly::random_with_constant(Gf61::from_u64(secret), degree, &mut rng);
-            let pts: Vec<(Gf61, Gf61)> = (1..=(degree as u64 + 1))
-                .map(|i| (Gf61::from_u64(i), p.eval_at_index(i)))
-                .collect();
-            let q = Poly::interpolate(&pts).unwrap();
+            let q = domain.interpolate(&points(&p, 1..=degree as u64 + 1)).unwrap();
             prop_assert_eq!(q.clone(), p);
             prop_assert_eq!(q.eval(Gf61::ZERO), Gf61::from_u64(secret));
         }
@@ -397,13 +292,10 @@ mod tests {
             // choose 4 distinct evaluation indices out of 1..=9
             perm in proptest::sample::subsequence((1u64..=9).collect::<Vec<_>>(), 4),
         ) {
+            let domain: Domain<Gf61> = Domain::new(9);
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let p = Poly::random_with_constant(Gf61::from_u64(77), 3, &mut rng);
-            let pts: Vec<(Gf61, Gf61)> = perm
-                .iter()
-                .map(|&i| (Gf61::from_u64(i), p.eval_at_index(i)))
-                .collect();
-            prop_assert_eq!(Poly::interpolate(&pts).unwrap(), p);
+            prop_assert_eq!(domain.interpolate(&points(&p, perm)).unwrap(), p);
         }
 
         #[test]

@@ -1,5 +1,5 @@
 //! Property suite for the field layer (integration-level, both fields):
-//! interpolation/evaluation round-trips for `Poly` and row/column
+//! `Poly` evaluation / `Domain` interpolation round-trips and row/column
 //! projection consistency for `BiPoly`, over `Gf61` (production) and
 //! `Gf101` (tiny, near-exhaustive index space).
 //!
@@ -17,10 +17,11 @@ fn poly_round_trips<F: Field>(seed: u64, degree: usize, secret: u64) -> Result<(
     let mut rng = StdRng::seed_from_u64(seed);
     let secret = F::from_u64(secret);
     let p = Poly::random_with_constant(secret, degree, &mut rng);
-    let pts: Vec<(F, F)> = (1..=(degree as u64 + 1))
-        .map(|i| (F::from_u64(i), p.eval_at_index(i)))
+    let domain: Domain<F> = Domain::new(degree + 1);
+    let pts: Vec<(u64, F)> = (1..=(degree as u64 + 1))
+        .map(|i| (i, p.eval_at_index(i)))
         .collect();
-    let q = Poly::interpolate(&pts).map_err(|e| e.to_string())?;
+    let q = domain.interpolate(&pts).map_err(|e| e.to_string())?;
     if q != p {
         return Err(format!(
             "interpolation changed the polynomial: {q:?} != {p:?}"
@@ -30,7 +31,7 @@ fn poly_round_trips<F: Field>(seed: u64, degree: usize, secret: u64) -> Result<(
         return Err("recovered polynomial lost the secret".into());
     }
     // Checked interpolation agrees on honest points.
-    if Poly::interpolate_checked(&pts, degree).as_ref() != Some(&p) {
+    if domain.interpolate_checked(&pts, degree).as_ref() != Some(&p) {
         return Err("interpolate_checked rejected honest points".into());
     }
     Ok(())
@@ -135,17 +136,22 @@ proptest! {
         victim in 0usize..6,
         delta in 1u64..1000,
     ) {
+        let domain: Domain<Gf61> = Domain::new(8);
         let mut rng = StdRng::seed_from_u64(seed);
         let p = Poly::random_with_constant(Gf61::from_u64(99), degree, &mut rng);
-        let extra = 2usize; // redundancy beyond t+1
-        let mut pts: Vec<(Gf61, Gf61)> = (1..=(degree as u64 + 1 + extra as u64))
-            .map(|i| (Gf61::from_u64(i), p.eval_at_index(i)))
+        let extra = 2u64; // redundancy beyond t+1
+        let mut pts: Vec<(u64, Gf61)> = (1..=(degree as u64 + 1 + extra))
+            .map(|i| (i, p.eval_at_index(i)))
             .collect();
         let victim = victim % pts.len();
         pts[victim].1 += Gf61::from_u64(delta);
         prop_assert!(
-            Poly::interpolate_checked(&pts, degree).is_none(),
+            domain.interpolate_checked(&pts, degree).is_none(),
             "a corrupted share slipped through checked interpolation"
+        );
+        prop_assert!(
+            domain.interpolate_checked_at_zero(&pts, degree).is_none(),
+            "a corrupted share slipped through checked secret recovery"
         );
     }
 

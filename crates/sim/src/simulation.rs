@@ -572,13 +572,6 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
         (h.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95)
     }
 
-    /// Derives a per-process RNG from a run seed; use this when
-    /// constructing processes so that the whole run is a function of one
-    /// seed.
-    pub fn derive_rng(seed: u64, pid: Pid) -> StdRng {
-        StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(pid.index()))
-    }
-
     /// Number of processes.
     pub fn n(&self) -> usize {
         self.procs.len()
