@@ -50,11 +50,13 @@
 //! regressed by more than `R` (default 1.25 = +25 %) — the CI perf gate.
 //! It additionally drift-checks every key named in [`DRIFT_GATES`]:
 //! `scc_larger_system.messages` and each `scc_n<N>.messages` by ±10 %,
-//! `scc_larger_system.{peak_inflight_bytes,deal_bytes}` and each
-//! `scc_n<N>.bytes` by +10 %.
+//! `scc_larger_system.{peak_inflight_bytes,deal_bytes,heap_peak_bytes}`
+//! and each `scc_n<N>.bytes` by +10 %.
 
+use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::RefCell;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -62,6 +64,37 @@ use sba::coin::{CoinEngine, CoinMsg};
 use sba::field::{Field, Gf101, Gf61};
 use sba::{Cluster, ClusterConfig, CoinMode, OracleCoin, Params, Pid, Role};
 use sba_bench::{loglog_slope, split_inputs, JsonSink, Stats};
+
+/// The system allocator, counting live bytes, their peak and the
+/// allocations made (a `realloc` is one more: the default moves the
+/// block). In the single-threaded simulator, with its fixed-seed
+/// hashing, e9's counts are seed-pinned memory gauges.
+struct Counting;
+
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+static PEAK: AtomicUsize = AtomicUsize::new(0);
+static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: both calls are forwarded unchanged to `System` under the
+// caller's own contract; the counters only observe them.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let size = layout.size();
+        ALLOCS.fetch_add(1, Relaxed);
+        PEAK.fetch_max(LIVE.fetch_add(size, Relaxed) + size, Relaxed);
+        // SAFETY: as above.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size(), Relaxed);
+        // SAFETY: as above.
+        unsafe { System.dealloc(p, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 /// The options an experiment may read.
 struct Args {
@@ -585,11 +618,12 @@ fn merge_into_snapshot(
 /// the new one, it fails when the gate is marked "must exist" and the new
 /// snapshot is an e9 run. CI's e13-only sweep lacks e9's keys and runs a
 /// subset of the n set, so those are skipped.
-const DRIFT_GATES: [(&str, bool, bool); 5] = [
+const DRIFT_GATES: [(&str, bool, bool); 6] = [
     // (key, two-sided, must exist in an e9-shaped new snapshot)
     ("scc_larger_system.messages", true, true),
     ("scc_larger_system.peak_inflight_bytes", false, true),
     ("scc_larger_system.deal_bytes", false, true),
+    ("scc_larger_system.heap_peak_bytes", false, true),
     ("scc_n*.messages", true, false),
     ("scc_n*.bytes", false, false),
 ];
@@ -841,10 +875,15 @@ fn e9_perf(full: bool, json_path: Option<&str>) {
         use std::time::Instant;
         println!("Timing the n=7 SCC agreement run (slow tier's heaviest test)...\n");
         let config = ClusterConfig::new(7, 2).seed(15);
+        // Memory as work counters, from `Cluster::new` to decision.
+        let (heap_base, allocs_base) = (LIVE.load(Relaxed), ALLOCS.load(Relaxed));
+        PEAK.store(heap_base, Relaxed);
         let mut cluster = Cluster::new(config, &split_inputs(7));
         let start = Instant::now();
         let report = cluster.run(60_000_000);
         let wall = start.elapsed().as_secs_f64();
+        let heap_peak = PEAK.load(Relaxed) - heap_base;
+        let allocs = ALLOCS.load(Relaxed) - allocs_base;
         assert!(report.terminated, "n=7 SCC run must terminate");
         assert!(report.agreement(), "n=7 SCC run must agree");
         let m = &report.metrics;
@@ -890,12 +929,13 @@ fn e9_perf(full: bool, json_path: Option<&str>) {
         // instances the processes started (one per step that broadcast
         // anything) and the slot values those carried. Seed-pinned and
         // hardware-independent, like `messages`.
-        let (mut rb_instances, mut rb_members) = (0, 0);
+        let (mut rb_instances, mut rb_members, mut mw_machines) = (0, 0, 0);
         for &pid in cluster.honest() {
             let node = cluster.sim().process(pid).node();
             let svss = node.and_then(|n| n.coin()).expect("SCC mode").svss();
             rb_instances += svss.rb_started_instances();
             rb_members += svss.rb_started_members();
+            mw_machines += svss.mw_machine_count();
         }
         println!(
             "SVSS RB: {rb_members} slot values in {rb_instances} instances ({:.1} per instance)\n",
@@ -903,6 +943,13 @@ fn e9_perf(full: bool, json_path: Option<&str>) {
         );
         sink.put_num("scc_larger_system.rb_instances", rb_instances as f64);
         sink.put_num("scc_larger_system.rb_members", rb_members as f64);
+        println!(
+            "heap: {:.1} MB peak live, {allocs} allocations, {mw_machines} live MW machines\n",
+            heap_peak as f64 / 1e6
+        );
+        sink.put_num("scc_larger_system.heap_peak_bytes", heap_peak as f64);
+        sink.put_num("scc_larger_system.allocs", allocs as f64);
+        sink.put_num("scc_larger_system.mw_machines", mw_machines as f64);
         sink.put_num(
             "scc_larger_system.self_delivery_batches",
             m.self_delivery_batches as f64,

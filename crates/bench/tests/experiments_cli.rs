@@ -43,11 +43,12 @@ fn help_lists_every_experiment_and_exits_0() {
 
 /// An e9-shaped snapshot merged with an e13 sweep: every key a drift gate
 /// reads, each at a round value.
-const BASE: [(&str, f64); 6] = [
+const BASE: [(&str, f64); 7] = [
     ("scc_larger_system.wall_seconds", 2.0),
     ("scc_larger_system.messages", 1000.0),
     ("scc_larger_system.peak_inflight_bytes", 1000.0),
     ("scc_larger_system.deal_bytes", 1000.0),
+    ("scc_larger_system.heap_peak_bytes", 1000.0),
     ("scc_n31.messages", 1000.0),
     ("scc_n31.bytes", 1000.0),
 ];
@@ -136,6 +137,17 @@ fn compare_peak_inflight_drop_is_an_improvement() {
 #[test]
 fn compare_deal_bytes_growth_drifts() {
     assert_drifts("scc_larger_system.deal_bytes", 1.11);
+}
+
+#[test]
+fn compare_heap_peak_growth_drifts() {
+    assert_drifts("scc_larger_system.heap_peak_bytes", 1.11);
+}
+
+#[test]
+fn compare_heap_peak_drop_is_an_improvement() {
+    let line = assert_passes("scc_larger_system.heap_peak_bytes", 0.5);
+    assert!(line.contains("improvement"), "{line}");
 }
 
 #[test]

@@ -31,6 +31,9 @@
 //! nothing, so every operation costs what its own session holds — at
 //! most `n` entries, `n²` at the dealer — however many sessions the run
 //! has.
+//! The `n` rows (16 bytes each) live as long as the record; the two
+//! `n × n` tables only where written: `ACK_i` at the session's dealer,
+//! the reconstruct log until the session's own output prunes it.
 //!
 //! What a *verdict* reads is kept across sessions instead: `D_i`, the
 //! session order, and per broadcaster the completed sessions that still
@@ -63,20 +66,19 @@ pub enum Verdict {
 /// What one MW session holds about one broadcaster.
 #[derive(Clone, Copy, Debug)]
 struct Row<F> {
-    /// The `DEAL_i` expectation: the value of `f_me` at the broadcaster.
-    deal: Option<F>,
+    /// The `DEAL_i` expectation — the value of `f_me` at the broadcaster
+    /// — when `has_deal` says one stands.
+    deal: F,
+    has_deal: bool,
     /// Outstanding expectations of this session (ACK and DEAL) naming
     /// the broadcaster.
     open: u32,
 }
 
-/// One MW session's part of `ACK_i` and `DEAL_i`, and its reconstruct
-/// log. A cell `(b − 1)·n + (l − 1)` is about broadcaster `b` and
-/// polynomial `l`.
-#[derive(Clone, Debug)]
-struct Session<F> {
-    /// Indexed by broadcaster (`pid − 1`).
-    rows: Vec<Row<F>>,
+/// A session's two `n × n` tables. A cell `(b − 1)·n + (l − 1)` is about
+/// broadcaster `b` and polynomial `l`.
+#[derive(Clone, Debug, Default)]
+struct Cells<F> {
     /// `ACK_i` cells, written by the session's dealer only. Empty until
     /// the first registration.
     ack: Vec<Option<F>>,
@@ -85,22 +87,32 @@ struct Session<F> {
     /// rules 2 and 3 order-independent. Empty until the first logged
     /// broadcast.
     log: Vec<Option<F>>,
-    /// Expectations in `rows` and `ack`.
+}
+
+/// One MW session's part of `ACK_i` and `DEAL_i`, and its reconstruct
+/// log.
+#[derive(Clone, Debug)]
+struct Session<F> {
+    /// Indexed by broadcaster (`pid − 1`).
+    rows: Vec<Row<F>>,
+    /// Only at the session's dealer or while broadcasts are logged.
+    cells: Option<Box<Cells<F>>>,
+    /// Expectations in `rows` and `cells.ack`.
     outstanding: u32,
-    /// Entries in `log`.
+    /// Entries in `cells.log`.
     logged: u32,
 }
 
 impl<F: Field> Session<F> {
     fn new(n: usize) -> Self {
         let row = Row {
-            deal: None,
+            deal: F::ZERO,
+            has_deal: false,
             open: 0,
         };
         Session {
             rows: vec![row; n],
-            ack: Vec::new(),
-            log: Vec::new(),
+            cells: None,
             outstanding: 0,
             logged: 0,
         }
@@ -271,19 +283,23 @@ impl<F: Field> Dmm<F> {
     }
 
     /// Registers the expectation that `broadcaster` RBs `expected` for
-    /// `cell` in `mw`'s reconstruct; `slot` names where the session
-    /// record keeps it. If that broadcast already arrived, the check is
-    /// applied immediately. Returns whether a new expectation now
-    /// stands (registering the same one again only replaces its value).
+    /// `cell` in `mw`'s reconstruct; `put` stores it in the session
+    /// record and returns the one it replaced. If that broadcast already
+    /// arrived, the check is applied immediately. Returns whether a new
+    /// expectation now stands (registering the same one again only
+    /// replaces its value).
     fn register(
         &mut self,
         mw: MwId,
         broadcaster: Pid,
         cell: usize,
         expected: F,
-        slot: impl FnOnce(&mut Session<F>) -> &mut Option<F>,
+        put: impl FnOnce(&mut Session<F>, F) -> Option<F>,
     ) -> bool {
-        let seen = self.sessions.get(&mw).and_then(|s| *s.log.get(cell)?);
+        let seen = self
+            .sessions
+            .get(&mw)
+            .and_then(|s| *s.cells.as_ref()?.log.get(cell)?);
         if let Some(value) = seen {
             if value != expected {
                 self.shun(broadcaster, mw.parent());
@@ -292,7 +308,7 @@ impl<F: Field> Dmm<F> {
         }
         let n = self.n;
         let s = self.sessions.entry(mw).or_insert_with(|| Session::new(n));
-        if slot(s).replace(expected).is_some() {
+        if put(s, expected).is_some() {
             return false;
         }
         s.rows[cell / n].open += 1;
@@ -314,9 +330,10 @@ impl<F: Field> Dmm<F> {
             return;
         };
         let cells = self.n * self.n;
-        let fresh = self.register(mw, broadcaster, cell, expected, |s| {
-            s.ack.resize(cells, None);
-            &mut s.ack[cell]
+        let fresh = self.register(mw, broadcaster, cell, expected, |s, x| {
+            let ack = &mut s.cells.get_or_insert_with(Default::default).ack;
+            ack.resize(cells, None);
+            ack[cell].replace(x)
         });
         self.acks += usize::from(fresh);
     }
@@ -329,7 +346,12 @@ impl<F: Field> Dmm<F> {
             return;
         };
         let b = cell / self.n;
-        let fresh = self.register(mw, broadcaster, cell, expected, |s| &mut s.rows[b].deal);
+        let fresh = self.register(mw, broadcaster, cell, expected, |s, x| {
+            let row = &mut s.rows[b];
+            let old = row.has_deal.then_some(row.deal);
+            (row.deal, row.has_deal) = (x, true);
+            old
+        });
         self.deals += usize::from(fresh);
     }
 
@@ -345,7 +367,10 @@ impl<F: Field> Dmm<F> {
         };
         self.logged -= s.logged as usize;
         s.logged = 0;
-        s.log = Vec::new();
+        s.cells.take_if(|c| c.ack.is_empty());
+        if let Some(cells) = &mut s.cells {
+            cells.log = Vec::new();
+        }
         if s.is_empty() {
             self.sessions.remove(&mw);
         }
@@ -363,7 +388,7 @@ impl<F: Field> Dmm<F> {
             return;
         };
         for (row, broadcaster) in s.rows.iter_mut().zip(Pid::all(self.n)) {
-            if row.deal.take().is_some() {
+            if std::mem::take(&mut row.has_deal) {
                 self.deals -= 1;
                 s.outstanding -= 1;
                 row.open -= 1;
@@ -403,11 +428,13 @@ impl<F: Field> Dmm<F> {
             }
         };
         if log {
-            s.log.resize(self.n * self.n, None);
+            let cells = self.n * self.n;
+            let log = &mut s.cells.get_or_insert_with(Default::default).log;
+            log.resize(cells, None);
             // First delivery per slot wins; RB guarantees all nonfaulty see
             // the same one.
-            if s.log[cell].is_none() {
-                s.log[cell] = Some(value);
+            if log[cell].is_none() {
+                log[cell] = Some(value);
                 s.logged += 1;
                 self.logged += 1;
             }
@@ -426,12 +453,15 @@ impl<F: Field> Dmm<F> {
             None => {}
         };
         if self.me == mw.dealer() {
-            if let Some(expectation) = s.ack.get_mut(cell) {
+            if let Some(expectation) = s.cells.as_mut().and_then(|c| c.ack.get_mut(cell)) {
                 check(expectation, &mut self.acks);
             }
         }
         if poly == self.me {
-            check(&mut s.rows[b].deal, &mut self.deals);
+            let row = &mut s.rows[b];
+            let mut deal = row.has_deal.then_some(row.deal);
+            check(&mut deal, &mut self.deals);
+            row.has_deal = deal.is_some();
         }
         if resolved > 0 {
             s.outstanding -= resolved;

@@ -160,9 +160,10 @@ pub struct SvssEngine<F: Field> {
     /// Slot values RB has delivered to this process, whoever's.
     rb_delivered: u64,
     dmm: Dmm<F>,
-    /// MW machines, boxed: [`Mw`] is ~400 B, and an inline-value table
-    /// with thousands of live machines would drag a cache line per probe
-    /// step through the hottest delivery path.
+    /// MW machines, boxed: [`Mw`] is 376 B over `Gf61` (pinned at ≤ 384 by
+    /// `tests/state_bytes.rs`), and an inline-value table with thousands
+    /// of live machines would drag a cache line per probe step through
+    /// the hottest delivery path.
     mw: FastMap<MwId, Box<Mw<F>>>,
     svss: FastMap<SvssId, Svss<F>>,
     mw_completed: BTreeSet<MwId>,

@@ -10,6 +10,10 @@
 //! is, who closes it and when, and why echoing at most one instance per
 //! `(origin, slot)` suffices (with the arithmetic) is in the engine's
 //! module docs; this module is the mechanism.
+//! A live instance lasts until it accepts (then a unit record), the open
+//! vector until this process's step ends, and the echo-once record for
+//! the layer's life: a late init for a slot an accepted instance carried
+//! must still be refused.
 
 use sba_broadcast::{MuxMsg, Params, Rb, RbDelivery, RbMsg, RbMux};
 use sba_field::Field;
@@ -37,11 +41,12 @@ pub(crate) struct SvssRb<F: Field> {
     /// retires to a unit record (its members were delivered, and nothing
     /// reads the list again).
     vectors: Interner<(Pid, u32), Rb<RbVector<F>>, ()>,
-    /// The echo-once-per-slot record: the one instance of `origin` this
+    /// The echo-once-per-slot record, one map per origin (`pid − 1`,
+    /// built on the first claim): the one instance of that origin this
     /// process will echo (or, as origin, has started) for a slot.
     /// Written when an init arrives and when the own vector closes; the
     /// echo/ready relays never touch it.
-    claims: FastMap<(Pid, SvssSlot), Instance>,
+    claims: Vec<FastMap<SvssSlot, Instance>>,
     /// The open vector: what this process has broadcast since its last
     /// step boundary, and where in the step's send list the first of it
     /// was issued.
@@ -66,7 +71,7 @@ impl<F: Field> SvssRb<F> {
             params,
             mux: RbMux::new(me, params),
             vectors: Interner::new(),
-            claims: FastMap::default(),
+            claims: Vec::new(),
             open: Vec::new(),
             open_at: 0,
             closed_vectors: 0,
@@ -101,16 +106,22 @@ impl<F: Field> SvssRb<F> {
     /// already this instance's — i.e. whether this process may echo that
     /// init (or, as origin, start that instance). A refusal may leave the
     /// leading slots claimed; only a faulty origin, who is owed nothing,
-    /// ever meets one.
+    /// ever meets one. An origin outside `1..=n` is no process: refused.
     fn claim(
         &mut self,
         origin: Pid,
         instance: Instance,
         slots: impl IntoIterator<Item = SvssSlot>,
     ) -> bool {
+        let (n, at) = (self.params.n(), origin.index() as usize - 1);
+        if at >= n {
+            return false;
+        }
+        self.claims.resize_with(n, FastMap::default);
+        let claims = &mut self.claims[at];
         slots
             .into_iter()
-            .all(|slot| *self.claims.entry((origin, slot)).or_insert(instance) == instance)
+            .all(|slot| *claims.entry(slot).or_insert(instance) == instance)
     }
 
     /// Takes one step of the scalar instance `(origin, slot)` off a
@@ -431,6 +442,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An init naming an origin outside `1..=n` — scalar or vector — is
+    /// refused before it reaches the per-origin record: nothing is
+    /// claimed, routed, relayed or delivered, and nothing panics.
+    #[test]
+    fn claims_refuse_origins_outside_the_system() {
+        let n = 4;
+        let params = Params::new(n, 1).expect("n > 3t");
+        let mut rb: SvssRb<Gf61> = SvssRb::new(Pid::new(1), params);
+        let (mut sends, mut log) = (Vec::new(), Vec::new());
+        for origin in [Pid::new(n as u32 + 1), Pid::new(256)] {
+            let (slot, value) = member(0, 1);
+            rb.on_scalar(origin, slot, origin, RbStep::Init, value);
+            let members = RbVector::new(origin, vec![member(0, 1), member(2, 1)]);
+            rb.on_vector(
+                origin,
+                (origin, 1),
+                RbStep::Init,
+                members,
+                &mut sends,
+                &mut log,
+            );
+            rb.flush(origin, &mut sends, &mut log);
+        }
+        assert!(rb.claims.is_empty(), "no origin's record was built");
+        assert!(sends.is_empty() && log.is_empty());
+        assert_eq!(rb.live_instances(), 0);
+        // A real origin's init is still claimed and echoed.
+        let (slot, value) = member(0, 1);
+        rb.on_scalar(Pid::new(2), slot, Pid::new(2), RbStep::Init, value);
+        rb.flush(Pid::new(2), &mut sends, &mut log);
+        assert_eq!(rb.claims[1].len(), 1);
+        assert_eq!(sends.len(), n, "one echo per process");
     }
 
     /// The scenario the echo-once-per-slot rule exists for, pinned: two
