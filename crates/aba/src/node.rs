@@ -1,4 +1,25 @@
 //! The per-process agreement node: vote rounds + coin + decide gossip.
+//!
+//! # The unread coin
+//!
+//! After its own round-`r` outcome is `Decide(v)`, a process enters `r+1`
+//! and votes but does not deal `r+1`'s coin: by the paper's round lemma,
+//! checked here against `round.rs`'s predicates, no honest process reads it.
+//! 1. Votes ride RB (one vote per origin everywhere), and `Some(v)` needs
+//!    `τ_B = ⌊(n+t)/2⌋+1 > n/2` valid `v` candidates: `Some(v)` and
+//!    `Some(¬v)` never both validate in one round.
+//! 2. The decider saw `n−t` origins vote `Some(v)`, so at most `t` voted
+//!    otherwise and every `n−t` sample holds `≥ n−2t` `Some(v)`: every
+//!    honest process enters `r+1` holding `v`.
+//! 3. Anywhere, a `¬v` report needs `min(c_v, n−2t−1) + c_⊥ ≥ n−t`, i.e.
+//!    `c_⊥ ≥ t+1`, which 2 rules out. So no `¬v` candidate and no `⊥` or
+//!    `Some(¬v)` vote validates (`⌊(n+t)/2⌋ < n−t` as `n > 3t`): round
+//!    `r+1` decides `v` everywhere and never reaches `UseCoin`.
+//! 4. Shun accounting loses nothing: an undealt session cannot disagree.
+//! 5. A process that only adopted in `r` still deals `r+1`'s coin. That
+//!    session never completes (deciders do not deal) and nobody reads it;
+//!    halting comes from the decide gossip, and instance teardown is what
+//!    will retire such sessions. `tests/round_lemma.rs` checks 2 and 3.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -255,6 +276,7 @@ impl<F: Field> AbaNode<F> {
             return;
         }
         inst.current_round = round;
+        let prev = inst.rounds.get(&(round - 1)).and_then(|s| s.outcome);
         let state = inst.rounds.entry(round).or_default();
         if state.a_sent {
             return;
@@ -267,7 +289,10 @@ impl<F: Field> AbaNode<F> {
             sends,
         );
         // SCC: the coin's sharing phase runs concurrently with the votes.
-        if let Some(coin) = self.coin.as_mut() {
+        // After my own `Decide` nobody reads this round's coin (the module
+        // doc's round lemma), so it is not dealt. Round 1 always deals.
+        let unread = matches!(prev, Some(RoundOutcome::Decide(_)));
+        if let Some(coin) = self.coin.as_mut().filter(|_| !unread) {
             let state = self
                 .instances
                 .get_mut(&instance)
@@ -544,10 +569,10 @@ impl<F: Field> AbaNode<F> {
         }
 
         // Resolve the outcome and enter the next round.
-        let (outcome, already_advanced) = {
+        let (outcome, already_advanced, coin_started) = {
             let inst = self.instances.get_mut(&instance).expect("instance exists");
             let state = inst.rounds.entry(round).or_default();
-            (state.outcome, state.advanced)
+            (state.outcome, state.advanced, state.coin_started)
         };
         let Some(outcome) = outcome else {
             return progressed;
@@ -555,6 +580,8 @@ impl<F: Field> AbaNode<F> {
         if already_advanced {
             return progressed;
         }
+        // The round lemma: a round whose coin I skipped never needs it.
+        debug_assert!(outcome != RoundOutcome::UseCoin || coin_started || self.coin.is_none());
         let next_value = match outcome {
             RoundOutcome::Decide(v) | RoundOutcome::Adopt(v) => v,
             RoundOutcome::UseCoin => match self.coin_value(instance, round) {

@@ -243,14 +243,19 @@ impl RoundState {
         Some(RoundOutcome::UseCoin)
     }
 
-    /// Number of validated candidates (used by tests).
-    pub fn valid_candidates(&self) -> usize {
-        self.b_valid.len()
+    /// Validated reports in validation order (used by tests).
+    pub fn valid_reports(&self) -> &[(Pid, bool)] {
+        &self.a_valid
     }
 
-    /// Number of validated votes (used by tests).
-    pub fn valid_votes(&self) -> usize {
-        self.c_valid.len()
+    /// Validated candidates in validation order (used by tests).
+    pub fn valid_candidates(&self) -> &[(Pid, bool)] {
+        &self.b_valid
+    }
+
+    /// Validated votes in validation order (used by tests).
+    pub fn valid_votes(&self) -> &[(Pid, Option<bool>)] {
+        &self.c_valid
     }
 }
 

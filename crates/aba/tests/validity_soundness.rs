@@ -48,7 +48,7 @@ proptest! {
         receiver_round.deliver_b(Pid::new(sender_order[0]), candidate);
         receiver_round.revalidate(None, n, t);
         prop_assert_eq!(
-            receiver_round.valid_candidates(),
+            receiver_round.valid_candidates().len(),
             1,
             "honest candidate {} rejected; sender sample {:?}, bits {:?}",
             candidate,
@@ -76,7 +76,7 @@ proptest! {
             base.deliver_b(Pid::new(i), candidate);
         }
         base.revalidate(None, n, t);
-        prop_assume!(base.valid_candidates() >= n - t);
+        prop_assume!(base.valid_candidates().len() >= n - t);
         let vote = base.vote(n, t).expect("n−t valid candidates");
 
         // A receiver with the same pools must accept the vote message.
@@ -84,7 +84,7 @@ proptest! {
         receiver.deliver_c(Pid::new(cand_senders[0]), vote);
         receiver.revalidate(None, n, t);
         prop_assert_eq!(
-            receiver.valid_votes(),
+            receiver.valid_votes().len(),
             1,
             "honest vote {:?} rejected",
             vote
@@ -104,5 +104,5 @@ fn candidate_of_tied_sample_is_true_and_validates() {
     r.deliver_b(Pid::new(1), true);
     r.deliver_b(Pid::new(2), false);
     r.revalidate(None, n, t);
-    assert_eq!(r.valid_candidates(), 2, "both splits are producible");
+    assert_eq!(r.valid_candidates().len(), 2, "both splits are producible");
 }

@@ -929,13 +929,16 @@ fn e9_perf(full: bool, json_path: Option<&str>) {
         // instances the processes started (one per step that broadcast
         // anything) and the slot values those carried. Seed-pinned and
         // hardware-independent, like `messages`.
-        let (mut rb_instances, mut rb_members, mut mw_machines) = (0, 0, 0);
+        let (mut rb_instances, mut rb_members, mut mw_machines, mut coin_sessions) = (0, 0, 0, 0);
         for &pid in cluster.honest() {
             let node = cluster.sim().process(pid).node();
-            let svss = node.and_then(|n| n.coin()).expect("SCC mode").svss();
+            let coin = node.and_then(|n| n.coin()).expect("SCC mode");
+            let svss = coin.svss();
             rb_instances += svss.rb_started_instances();
             rb_members += svss.rb_started_members();
             mw_machines += svss.mw_machine_count();
+            let (live, _, retired) = coin.session_stats();
+            coin_sessions += live + retired;
         }
         println!(
             "SVSS RB: {rb_members} slot values in {rb_instances} instances ({:.1} per instance)\n",
@@ -944,12 +947,14 @@ fn e9_perf(full: bool, json_path: Option<&str>) {
         sink.put_num("scc_larger_system.rb_instances", rb_instances as f64);
         sink.put_num("scc_larger_system.rb_members", rb_members as f64);
         println!(
-            "heap: {:.1} MB peak live, {allocs} allocations, {mw_machines} live MW machines\n",
+            "heap: {:.1} MB peak live, {allocs} allocations, {mw_machines} live MW machines, \
+             {coin_sessions} coin sessions\n",
             heap_peak as f64 / 1e6
         );
         sink.put_num("scc_larger_system.heap_peak_bytes", heap_peak as f64);
         sink.put_num("scc_larger_system.allocs", allocs as f64);
         sink.put_num("scc_larger_system.mw_machines", mw_machines as f64);
+        sink.put_num("scc_larger_system.coin_sessions", coin_sessions as f64);
         sink.put_num(
             "scc_larger_system.self_delivery_batches",
             m.self_delivery_batches as f64,

@@ -109,10 +109,10 @@ type Gf64Erased = u64;
 
 /// The shunning common coin for one process.
 ///
-/// Drive it with [`CoinEngine::start`] (every nonfaulty process must start
-/// every session), [`CoinEngine::enable_reconstruct`] (the agreement layer
-/// gates this on its vote lock), and [`CoinEngine::on_message`]; collect
-/// [`CoinEvent`]s with [`CoinEngine::take_events`].
+/// Drive it with [`CoinEngine::start`] (by every nonfaulty process that
+/// may read the session), [`CoinEngine::enable_reconstruct`] (the agreement
+/// layer gates this on its vote lock), and [`CoinEngine::on_message`];
+/// collect [`CoinEvent`]s with [`CoinEngine::take_events`].
 #[derive(Clone)]
 pub struct CoinEngine<F: Field> {
     me: Pid,
@@ -226,8 +226,8 @@ impl<F: Field> CoinEngine<F> {
 
     /// Starts coin session `tag`: deal one random secret per process.
     ///
-    /// Every nonfaulty process must call this for the session to
-    /// terminate.
+    /// Every nonfaulty process that may read the session must call this
+    /// for it to terminate.
     pub fn start(&mut self, tag: u64, sends: &mut Vec<(Pid, CoinMsg<F>)>) {
         let Some(slot) = self.live_slot(tag) else {
             return; // retired: the session already ran to completion

@@ -133,7 +133,13 @@ fn recorded_run(seed: u64) -> (Vec<Record>, RunPin) {
 /// were asserted to produce exactly these runs; the delivery log and the
 /// message counts were re-recorded when vector RB (PR 24) put a step's
 /// broadcasts into one instance — the same runs, tick for tick and
-/// generation for generation, with a seventh of the messages.
+/// generation for generation, with a seventh of the messages. They were
+/// re-recorded, with the generation counts, when a process that decides
+/// stopped dealing the next round's coin: same decisions and decide
+/// rounds, and the same ticks on seeds 3 and 42. Seed 11 (decides in
+/// round 2) halts at tick 363, not 365: the scheduler draws one delay per
+/// send from one stream, so the round-3 deals it no longer makes shift
+/// the draws of the decide gossip that follows.
 #[test]
 fn delivery_order_matches_recorded_runs() {
     let pin = |deliveries, log_fold, decision, messages_sent, virtual_time, selfs, gens| RunPin {
@@ -149,37 +155,37 @@ fn delivery_order_matches_recorded_runs() {
         (
             3u64,
             pin(
-                24_617,
-                0x27f5_566d_49f5_e55a,
+                17_101,
+                0xfa72_0980_207a_c9fc,
                 false,
-                20_113,
+                13_164,
                 132,
-                6_699,
-                1_936,
+                4_388,
+                1_729,
             ),
         ),
         (
             11,
             pin(
-                43_330,
-                0x560a_305d_ea33_de28,
+                35_650,
+                0x644f_10f2_0636_32e0,
                 false,
-                33_993,
-                365,
-                11_331,
-                3_891,
+                27_105,
+                363,
+                9_035,
+                3_696,
             ),
         ),
         (
             42,
             pin(
-                25_100,
-                0xfa54_d85d_c1a6_a058,
+                17_222,
+                0x8aa8_321a_ad3b_52e6,
                 true,
-                20_310,
+                13_260,
                 130,
-                6_778,
-                1_983,
+                4_420,
+                1_773,
             ),
         ),
     ];
