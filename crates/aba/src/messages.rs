@@ -8,26 +8,15 @@
 //! coin's traffic joins the agreement layer's send list unwrapped, and
 //! one decoder (with its canonical-form checks) covers every layer.
 
-use sba_broadcast::MuxMsg;
-use sba_field::Field;
-
 pub use sba_net::{VoteSlot, VoteValue};
 
 /// The agreement layer's wire message: the shared flat format (vote-slot
 /// reliable broadcasts plus all coin and SVSS traffic).
 pub type AbaMsg<F> = sba_net::WireMsg<F>;
 
-/// Flattens a routed vote-mux message into the packed wire form (the RB
-/// mux's `wrap` hook for the vote layer).
-pub(crate) fn wire_of_vote_mux<F: Field>(m: MuxMsg<VoteSlot, VoteValue>) -> AbaMsg<F> {
-    let (step, value) = m.inner.into_step();
-    AbaMsg::vote_rb(m.tag, m.origin, step, value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sba_broadcast::RbMsg;
     use sba_field::Gf61;
     use sba_net::{
         decode_frame, encode_frame, frame_len, CoinSlot, Kinded, Pid, ProcessSet, RbStep, Reader,
@@ -94,15 +83,12 @@ mod tests {
 
     #[test]
     fn messages_round_trip_and_kinds() {
-        let m = MuxMsg {
-            tag: VoteSlot::Vote {
-                instance: 1,
-                round: 7,
-            },
-            origin: Pid::new(2),
-            inner: RbMsg::Ready(VoteValue::MaybeBit(None)),
+        let vote = VoteSlot::Vote {
+            instance: 1,
+            round: 7,
         };
-        let msg: AbaMsg<Gf61> = wire_of_vote_mux(m.clone());
+        let parts = (vote, Pid::new(2), RbStep::Ready, VoteValue::MaybeBit(None));
+        let msg: AbaMsg<Gf61> = AbaMsg::vote_rb(parts.0, parts.1, parts.2, parts.3);
         assert_eq!(msg.kind(), "aba/vote");
         let bytes = msg.encoded();
         // kind + tag + phase + value + origin.
@@ -117,14 +103,7 @@ mod tests {
         else {
             panic!("vote kinds unpack as VoteRb");
         };
-        assert_eq!(
-            MuxMsg {
-                tag: slot,
-                origin,
-                inner: RbMsg::of_step(step, value),
-            },
-            m
-        );
+        assert_eq!((slot, origin, step, value), parts);
     }
 
     #[test]

@@ -23,13 +23,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use sba_broadcast::{MuxMsg, Params, RbDelivery, RbMsg, RbMux};
+use sba_broadcast::{MuxMsg, Params, RbDelivery, RbMux};
 use sba_coin::oracle::{Flip, OracleCoin};
 use sba_coin::{CoinEngine, CoinEvent};
 use sba_field::Field;
 use sba_net::{Pid, Unpacked, Wire};
 
-use crate::messages::wire_of_vote_mux;
 use crate::{AbaMsg, RoundOutcome, RoundState, VoteSlot, VoteValue};
 
 /// Which common-coin construction drives liveness.
@@ -313,8 +312,7 @@ impl<F: Field> AbaNode<F> {
         value: VoteValue,
         sends: &mut Vec<(Pid, AbaMsg<F>)>,
     ) {
-        self.mux
-            .broadcast_with(slot, value, sends, wire_of_vote_mux);
+        self.mux.broadcast_with(slot, value, sends, AbaMsg::vote_rb);
     }
 
     /// Records one accepted vote-layer broadcast into its instance's
@@ -366,11 +364,7 @@ impl<F: Field> AbaNode<F> {
                 else {
                     unreachable!("vote RB kinds unpack as VoteRb");
                 };
-                votes.push(MuxMsg {
-                    tag: slot,
-                    origin,
-                    inner: RbMsg::of_step(step, value),
-                });
+                votes.push(MuxMsg::new(slot, origin, step, value));
             } else {
                 coins.push(msg);
             }
@@ -380,7 +374,7 @@ impl<F: Field> AbaNode<F> {
             from,
             votes.drain(..),
             sends,
-            wire_of_vote_mux,
+            AbaMsg::vote_rb,
             &mut deliveries,
         );
         let mut touched = std::mem::take(&mut self.touched);

@@ -15,16 +15,17 @@
 //!   whatever is accepted is accepted identically by all nonfaulty
 //!   processes. The SVSS/coin/agreement layers lean on this.
 //!
-//! All machines are sans-io: they consume messages and emit
-//! `(recipient, message)` pairs plus delivery events.
+//! All machines are sans-io: they step on the paper's `(step, value)`
+//! pairs ([`sba_net::RbStep`]) and emit `(recipient, message)` pairs,
+//! each message built by the caller's `wrap` hook, plus delivery events.
 
 mod mux;
 mod rb;
 mod wrb;
 
 pub use mux::{MuxMsg, RbDelivery, RbMux};
-pub use rb::{Rb, RbMsg};
-pub use wrb::{Wrb, WrbMsg};
+pub use rb::Rb;
+pub use wrb::Wrb;
 
 /// Quorum sizes for `n` processes tolerating `t` faults.
 ///

@@ -19,13 +19,14 @@
 //!
 //! # Routing form, not wire form
 //!
-//! [`MuxMsg`], and the [`RbMsg`]/[`WrbMsg`] step inside it, are in-memory
-//! routing forms with no encoding of their own. Every layer flattens them
-//! into the stack's one wire message, `sba_net::WireMsg`, through the
-//! `wrap` hook of [`RbMux::broadcast_with`] and
-//! [`RbMux::on_message_with`], and rebuilds them from the unpacked parts
-//! on delivery. A new slot family reaches the wire as a new row of that
-//! format's kind table, not as a codec here.
+//! [`MuxMsg`] is an in-memory routing form with no encoding of its own:
+//! the instance key `(tag, origin)` plus the paper's RB step and its
+//! payload, the same four parts `sba_net::WireMsg` packs. A layer hands
+//! the mux those parts as they come out of the wire message's unpacking,
+//! and passes the matching `WireMsg` constructor as the `wrap` hook of
+//! [`RbMux::broadcast_with`] / [`RbMux::on_batch_with`], so every send
+//! leaves as the wire message it is. A new slot family reaches the wire
+//! as a new row of that format's kind table, not as a codec here.
 //!
 //! # Instance store and retirement
 //!
@@ -57,12 +58,13 @@
 
 use std::hash::Hash;
 
-use sba_net::{Interner, Pid, Slot};
+use sba_net::{Interner, Pid, RbStep, Slot};
 
-use crate::{Params, Rb, RbMsg};
+use crate::{Params, Rb};
 
-/// A routed RB message: which instance it belongs to, plus the inner step
-/// (an in-memory form; see the module docs for how it travels).
+/// A routed RB message: which instance it belongs to, the protocol step
+/// and the value that step carries (an in-memory form; see the module
+/// docs for how it travels).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MuxMsg<T, P> {
     /// Slot tag chosen by the broadcasting layer.
@@ -70,7 +72,22 @@ pub struct MuxMsg<T, P> {
     /// The broadcasting process (the RB dealer).
     pub origin: Pid,
     /// The RB protocol step.
-    pub inner: RbMsg<P>,
+    pub step: RbStep,
+    /// The value the step carries.
+    pub value: P,
+}
+
+impl<T, P> MuxMsg<T, P> {
+    /// The message of step `step` carrying `value` in instance
+    /// `(origin, tag)` — the mux's own `wrap` hook.
+    pub fn new(tag: T, origin: Pid, step: RbStep, value: P) -> Self {
+        MuxMsg {
+            tag,
+            origin,
+            step,
+            value,
+        }
+    }
 }
 
 /// A delivery produced by the mux: `origin` reliably broadcast `value`
@@ -133,9 +150,8 @@ where
     }
 
     /// Reliably broadcasts `value` in slot `tag` (this process is origin),
-    /// wrapping each outgoing mux message through `wrap` — the
-    /// allocation-free path for layers that nest `MuxMsg` in a larger
-    /// wire enum.
+    /// building each outgoing message with `wrap` from the instance key,
+    /// step and payload — a layer passes its wire constructor.
     ///
     /// # Panics
     ///
@@ -146,7 +162,7 @@ where
         tag: T,
         value: P,
         sends: &mut Vec<(Pid, M)>,
-        mut wrap: impl FnMut(MuxMsg<T, P>) -> M,
+        mut wrap: impl FnMut(T, Pid, RbStep, P) -> M,
     ) {
         let me = self.me;
         // A retired slot was accepted, which requires a prior start.
@@ -155,12 +171,8 @@ where
         };
         self.slots
             .live_mut(idx)
-            .start_with(self.params, value, sends, |inner| {
-                wrap(MuxMsg {
-                    tag,
-                    origin: me,
-                    inner,
-                })
+            .start(self.params, value, sends, |step, value| {
+                wrap(tag, me, step, value)
             });
     }
 
@@ -171,37 +183,22 @@ where
     /// Panics if this process already broadcast in slot `tag` — slots are
     /// single-use by construction.
     pub fn broadcast(&mut self, tag: T, value: P, sends: &mut Vec<(Pid, MuxMsg<T, P>)>) {
-        self.broadcast_with(tag, value, sends, |m| m);
+        self.broadcast_with(tag, value, sends, MuxMsg::new);
     }
 
-    /// Routes one delivered mux message, wrapping outgoing messages
-    /// through `wrap`; returns an RB delivery if the underlying instance
-    /// just accepted. Traffic for a retired slot is dropped (see the
-    /// module docs for why that is safe).
-    pub fn on_message_with<M>(
-        &mut self,
-        from: Pid,
-        msg: MuxMsg<T, P>,
-        sends: &mut Vec<(Pid, M)>,
-        wrap: impl FnMut(MuxMsg<T, P>) -> M,
-    ) -> Option<RbDelivery<T, P>> {
-        let mut memo = None;
-        self.route_one(from, msg, sends, wrap, &mut memo)
-    }
-
-    /// Routes a whole delivered batch from one sender, appending any
-    /// acceptances to `deliveries`. Semantically identical to routing the
-    /// members one by one through [`RbMux::on_message_with`]; the win is
-    /// the probe memo — same-tick batches routinely carry several steps
-    /// of the *same* slot (an echo quorum completing and the ready that
-    /// follows it), and the memo turns the repeat index probes into one
-    /// key comparison.
+    /// Routes a whole delivered batch from one sender, building outgoing
+    /// messages with `wrap` and appending any acceptances to
+    /// `deliveries`. Semantically identical to routing the members one by
+    /// one; the win is the probe memo — same-tick batches routinely carry
+    /// several steps of the *same* slot (an echo quorum completing and
+    /// the ready that follows it), and the memo turns the repeat index
+    /// probes into one key comparison.
     pub fn on_batch_with<M>(
         &mut self,
         from: Pid,
         msgs: impl IntoIterator<Item = MuxMsg<T, P>>,
         sends: &mut Vec<(Pid, M)>,
-        mut wrap: impl FnMut(MuxMsg<T, P>) -> M,
+        mut wrap: impl FnMut(T, Pid, RbStep, P) -> M,
         deliveries: &mut Vec<RbDelivery<T, P>>,
     ) {
         let mut memo = None;
@@ -215,15 +212,22 @@ where
     /// The routing core shared by the single-message and batch paths.
     /// `memo` caches the last probed `(origin, tag) → slot`; it is
     /// cleared when that slot retires (the live index is recycled).
+    /// Traffic for a retired slot is dropped (see the module docs for why
+    /// that is safe), and so is traffic naming an origin outside `1..=n`:
+    /// no such process broadcasts, so its instance could never accept or
+    /// retire.
     fn route_one<M>(
         &mut self,
         from: Pid,
         msg: MuxMsg<T, P>,
         sends: &mut Vec<(Pid, M)>,
-        mut wrap: impl FnMut(MuxMsg<T, P>) -> M,
+        mut wrap: impl FnMut(T, Pid, RbStep, P) -> M,
         memo: &mut Option<((Pid, T), Slot)>,
     ) -> Option<RbDelivery<T, P>> {
-        let MuxMsg { tag, origin, inner } = msg;
+        let (tag, origin) = (msg.tag, msg.origin);
+        if origin.index() as usize > self.params.n() {
+            return None;
+        }
         let slot = match memo {
             Some((key, slot)) if *key == (origin, tag) => *slot,
             _ => {
@@ -235,12 +239,9 @@ where
         let Slot::Live(idx) = slot else {
             return None; // retired: late traffic needs no answer
         };
-        let value =
-            self.slots
-                .live_mut(idx)
-                .on_message_with(self.params, from, inner, sends, |inner| {
-                    wrap(MuxMsg { tag, origin, inner })
-                })?;
+        let wrap = |step, value| wrap(tag, origin, step, value);
+        let rb = self.slots.live_mut(idx);
+        let value = rb.on_step(self.params, from, msg.step, msg.value, sends, wrap)?;
         // Retire: acceptance is final, our ready is already in flight to
         // everyone — keep only the value. The accepted machine already
         // shrank its tallies (see `Rb`), so the husk left in the slab
@@ -258,7 +259,7 @@ where
         msg: MuxMsg<T, P>,
         sends: &mut Vec<(Pid, MuxMsg<T, P>)>,
     ) -> Option<RbDelivery<T, P>> {
-        self.on_message_with(from, msg, sends, |m| m)
+        self.route_one(from, msg, sends, MuxMsg::new, &mut None)
     }
 
     /// The accepted value for slot `(origin, tag)`, if that instance
@@ -448,26 +449,16 @@ mod tests {
             .collect();
         pump(&mut muxes, inflight);
         let (live, retired) = (muxes[1].instance_count(), muxes[1].retired_count());
-        // Replay every message class at p2 — duplicates, conflicting
-        // values, the lot.
-        for inner in [
-            RbMsg::Wrb(crate::WrbMsg::Init(33)),
-            RbMsg::Wrb(crate::WrbMsg::Echo(44)),
-            RbMsg::Ready(33),
-            RbMsg::Ready(55),
-        ] {
-            let mut out = Vec::new();
-            let d = muxes[1].on_message(
-                Pid::new(4),
-                MuxMsg {
-                    tag: 3,
-                    origin: Pid::new(1),
-                    inner,
-                },
-                &mut out,
-            );
-            assert!(d.is_none(), "retired slot must not deliver again");
-            assert!(out.is_empty(), "retired slot must not send");
+        // Replay every step at p2, with the accepted value and with
+        // another one.
+        for step in [RbStep::Init, RbStep::Echo, RbStep::Ready] {
+            for value in [33, 44] {
+                let mut out = Vec::new();
+                let msg = MuxMsg::new(3, Pid::new(1), step, value);
+                let d = muxes[1].on_message(Pid::new(4), msg, &mut out);
+                assert!(d.is_none(), "retired slot must not deliver again");
+                assert!(out.is_empty(), "retired slot must not send");
+            }
         }
         assert_eq!(muxes[1].instance_count(), live, "no resurrection");
         assert_eq!(muxes[1].retired_count(), retired);
@@ -483,26 +474,10 @@ mod tests {
         // A same-sender burst that exercises the probe memo: echoes and
         // the ready for one slot, interleaved with a second slot.
         let burst: Vec<Msg> = vec![
-            MuxMsg {
-                tag: 7,
-                origin: Pid::new(1),
-                inner: RbMsg::Wrb(crate::WrbMsg::Init(42)),
-            },
-            MuxMsg {
-                tag: 7,
-                origin: Pid::new(1),
-                inner: RbMsg::Wrb(crate::WrbMsg::Echo(42)),
-            },
-            MuxMsg {
-                tag: 9,
-                origin: Pid::new(3),
-                inner: RbMsg::Ready(5),
-            },
-            MuxMsg {
-                tag: 7,
-                origin: Pid::new(1),
-                inner: RbMsg::Ready(42),
-            },
+            MuxMsg::new(7, Pid::new(1), RbStep::Init, 42),
+            MuxMsg::new(7, Pid::new(1), RbStep::Echo, 42),
+            MuxMsg::new(9, Pid::new(3), RbStep::Ready, 5),
+            MuxMsg::new(7, Pid::new(1), RbStep::Ready, 42),
         ];
         let mut seq: RbMux<u32, u64> = RbMux::new(Pid::new(2), params);
         let mut seq_sends = Vec::new();
@@ -519,12 +494,36 @@ mod tests {
             Pid::new(4),
             burst,
             &mut bat_sends,
-            |m| m,
+            MuxMsg::new,
             &mut bat_deliveries,
         );
         assert_eq!(seq_sends, bat_sends);
         assert_eq!(seq_deliveries, bat_deliveries);
         assert_eq!(seq.instance_count(), bat.instance_count());
         assert_eq!(seq.retired_count(), bat.retired_count());
+    }
+
+    /// Traffic naming an origin that is no process (past `n`, up to the
+    /// 256 a packed pid byte can name) builds no instance on any entry
+    /// point: nothing is sent, delivered, or kept live.
+    #[test]
+    fn origins_outside_the_system_build_no_instance() {
+        let params = Params::new(4, 1).unwrap();
+        let mut mux: RbMux<u32, u64> = RbMux::new(Pid::new(2), params);
+        let (mut out, mut deliveries) = (Vec::new(), Vec::new());
+        let from = Pid::new(4); // the one faulty peer
+        for origin in [Pid::new(5), Pid::new(256)] {
+            for (tag, step) in [RbStep::Init, RbStep::Echo, RbStep::Ready]
+                .into_iter()
+                .enumerate()
+            {
+                let msg = MuxMsg::new(tag as u32, origin, step, 9);
+                assert!(mux.on_message(from, msg.clone(), &mut out).is_none());
+                let batch = [msg.clone(), msg];
+                mux.on_batch_with(from, batch, &mut out, MuxMsg::new, &mut deliveries);
+            }
+        }
+        assert!(out.is_empty() && deliveries.is_empty());
+        assert_eq!((mux.instance_count(), mux.live_peak()), (0, 0));
     }
 }

@@ -16,38 +16,7 @@
 use sba_net::{Pid, RbStep};
 
 use crate::wrb::Tally;
-use crate::{Params, Wrb, WrbMsg};
-
-/// RB protocol messages: the embedded WRB exchange plus type-3 `Ready`
-/// (a routing form; the wire carries them as `sba_net::WireMsg`).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RbMsg<P> {
-    /// Types 1 and 2 (the WRB sub-protocol).
-    Wrb(WrbMsg<P>),
-    /// `(r, 3)` — "I know the WRB outcome is r".
-    Ready(P),
-}
-
-impl<P> RbMsg<P> {
-    /// The message of protocol step `step` carrying `payload`.
-    pub fn of_step(step: RbStep, payload: P) -> Self {
-        match step {
-            RbStep::Init => RbMsg::Wrb(WrbMsg::Init(payload)),
-            RbStep::Echo => RbMsg::Wrb(WrbMsg::Echo(payload)),
-            RbStep::Ready => RbMsg::Ready(payload),
-        }
-    }
-
-    /// The protocol step and the payload it carries (the flat wire
-    /// format stores the two apart).
-    pub fn into_step(self) -> (RbStep, P) {
-        match self {
-            RbMsg::Wrb(WrbMsg::Init(p)) => (RbStep::Init, p),
-            RbMsg::Wrb(WrbMsg::Echo(p)) => (RbStep::Echo, p),
-            RbMsg::Ready(p) => (RbStep::Ready, p),
-        }
-    }
-}
+use crate::{Params, Wrb};
 
 /// One Reliable Broadcast instance (one dealer, one slot).
 ///
@@ -88,49 +57,34 @@ impl<P: Clone + Eq> Rb<P> {
         self.readies.decided().filter(|_| self.accepted)
     }
 
-    /// Dealer entry point. Only the dealer's own instance may be started.
+    /// Dealer entry point: WRB-broadcasts `value`, each message built by
+    /// `wrap` from its step and payload. Only the dealer's own instance
+    /// may be started.
     ///
     /// # Panics
     ///
     /// Panics if the instance was already started.
-    pub fn start(&mut self, params: Params, value: P, sends: &mut Vec<(Pid, RbMsg<P>)>) {
-        self.start_with(params, value, sends, |m| m);
-    }
-
-    /// [`Rb::start`], with each outgoing message passed through `wrap`
-    /// on its way into the enclosing layer's send list.
-    pub fn start_with<M>(
+    pub fn start<M>(
         &mut self,
         params: Params,
         value: P,
         sends: &mut Vec<(Pid, M)>,
-        mut wrap: impl FnMut(RbMsg<P>) -> M,
+        wrap: impl FnMut(RbStep, P) -> M,
     ) {
-        self.wrb
-            .start_with(params, value, sends, |m| wrap(RbMsg::Wrb(m)));
+        self.wrb.start(params, value, sends, wrap);
     }
 
-    /// Handles one delivered message; returns the value if acceptance
+    /// Handles one delivered step carrying `value`, building each
+    /// outgoing message with `wrap`; returns the value if acceptance
     /// happened just now.
-    pub fn on_message(
+    pub fn on_step<M>(
         &mut self,
         params: Params,
         from: Pid,
-        msg: RbMsg<P>,
-        sends: &mut Vec<(Pid, RbMsg<P>)>,
-    ) -> Option<P> {
-        self.on_message_with(params, from, msg, sends, |m| m)
-    }
-
-    /// [`Rb::on_message`], with each outgoing message passed through
-    /// `wrap` on its way into the enclosing layer's send list.
-    pub fn on_message_with<M>(
-        &mut self,
-        params: Params,
-        from: Pid,
-        msg: RbMsg<P>,
+        step: RbStep,
+        value: P,
         sends: &mut Vec<(Pid, M)>,
-        mut wrap: impl FnMut(RbMsg<P>) -> M,
+        mut wrap: impl FnMut(RbStep, P) -> M,
     ) -> Option<P> {
         if self.accepted {
             // Acceptance is sticky and implies this process already sent
@@ -139,14 +93,12 @@ impl<P: Clone + Eq> Rb<P> {
             // everyone else still terminates via ready amplification.
             return None;
         }
-        let wrb_accepted = match msg {
-            RbMsg::Wrb(m) => self
-                .wrb
-                .on_message_with(params, from, m, sends, |m| wrap(RbMsg::Wrb(m))),
-            RbMsg::Ready(v) => {
-                self.readies.add(params.n(), from, v);
-                None
-            }
+        let wrb_accepted = if step == RbStep::Ready {
+            self.readies.add(params.n(), from, value);
+            None
+        } else {
+            self.wrb
+                .on_step(params, from, step, value, sends, &mut wrap)
         };
         if !self.sent_ready {
             // Ready for the WRB outcome — or, by amplification, for a value
@@ -155,7 +107,7 @@ impl<P: Clone + Eq> Rb<P> {
             let amplified = || self.readies.winner(params.amplify()).cloned();
             if let Some(v) = wrb_accepted.or_else(amplified) {
                 self.sent_ready = true;
-                sends.extend(Pid::all(params.n()).map(|p| (p, wrap(RbMsg::Ready(v.clone())))));
+                sends.extend(Pid::all(params.n()).map(|p| (p, wrap(RbStep::Ready, v.clone()))));
             }
         }
         let v = self.readies.decide(params.quorum())?.clone();
@@ -173,6 +125,11 @@ impl<P: Clone + Eq> Rb<P> {
 mod tests {
     use super::*;
 
+    /// The tests' `wrap`: an outgoing message as its step and payload.
+    fn pair(step: RbStep, value: u64) -> (RbStep, u64) {
+        (step, value)
+    }
+
     /// A tiny synchronous harness: delivers every in-flight message in
     /// round-robin order until quiescent. Faulty processes are absent
     /// (silent), modelled by skipping deliveries to them.
@@ -180,19 +137,19 @@ mod tests {
         let params = Params::new(n, t).unwrap();
         let mut procs: Vec<Rb<u64>> = (0..n).map(|_| Rb::new(Pid::new(dealer))).collect();
         let mut sends = Vec::new();
-        procs[(dealer - 1) as usize].start(params, value, &mut sends);
-        let mut inflight: Vec<(Pid, Pid, RbMsg<u64>)> = sends
+        procs[(dealer - 1) as usize].start(params, value, &mut sends, pair);
+        let mut inflight: Vec<(Pid, Pid, (RbStep, u64))> = sends
             .drain(..)
             .map(|(to, m)| (Pid::new(dealer), to, m))
             .collect();
         let mut accepted: Vec<Option<u64>> = vec![None; n];
-        while let Some((from, to, msg)) = inflight.pop() {
+        while let Some((from, to, (step, v))) = inflight.pop() {
             if silent.contains(&to.index()) {
                 continue;
             }
             let mut out = Vec::new();
             if let Some(v) =
-                procs[(to.index() - 1) as usize].on_message(params, from, msg, &mut out)
+                procs[(to.index() - 1) as usize].on_step(params, from, step, v, &mut out, pair)
             {
                 accepted[(to.index() - 1) as usize] = Some(v);
             }
@@ -235,17 +192,17 @@ mod tests {
         let mut out = Vec::new();
         // p4 never saw any WRB traffic, only readies from 2 peers (t+1=2).
         assert!(p4
-            .on_message(params, Pid::new(2), RbMsg::Ready(9), &mut out)
+            .on_step(params, Pid::new(2), RbStep::Ready, 9, &mut out, pair)
             .is_none());
         assert!(out.is_empty());
         assert!(p4
-            .on_message(params, Pid::new(3), RbMsg::Ready(9), &mut out)
+            .on_step(params, Pid::new(3), RbStep::Ready, 9, &mut out, pair)
             .is_none());
         // Amplified: p4 itself sends Ready to all 4 processes.
         assert_eq!(out.len(), 4);
-        assert!(matches!(out[0].1, RbMsg::Ready(9)));
+        assert_eq!(out[0].1, (RbStep::Ready, 9));
         // Its own ready (self-delivery) is the 3rd distinct ready = quorum.
-        let acc = p4.on_message(params, Pid::new(4), RbMsg::Ready(9), &mut out);
+        let acc = p4.on_step(params, Pid::new(4), RbStep::Ready, 9, &mut out, pair);
         assert_eq!(acc, Some(9));
     }
 
@@ -254,15 +211,15 @@ mod tests {
         let params = Params::new(4, 1).unwrap();
         let mut p2 = Rb::<u64>::new(Pid::new(1));
         let mut out = Vec::new();
-        p2.on_message(params, Pid::new(1), RbMsg::Ready(0), &mut out);
-        p2.on_message(params, Pid::new(3), RbMsg::Ready(1), &mut out);
-        p2.on_message(params, Pid::new(4), RbMsg::Ready(1), &mut out);
+        p2.on_step(params, Pid::new(1), RbStep::Ready, 0, &mut out, pair);
+        p2.on_step(params, Pid::new(3), RbStep::Ready, 1, &mut out, pair);
+        p2.on_step(params, Pid::new(4), RbStep::Ready, 1, &mut out, pair);
         // p2 amplifies value 1 (t+1 = 2 readies) with its own ready.
-        let acc = p2.on_message(params, Pid::new(2), RbMsg::Ready(1), &mut out);
+        let acc = p2.on_step(params, Pid::new(2), RbStep::Ready, 1, &mut out, pair);
         assert_eq!(acc, Some(1));
         // Value 0 can never also be accepted: accepted is sticky.
         assert!(p2
-            .on_message(params, Pid::new(2), RbMsg::Ready(0), &mut out)
+            .on_step(params, Pid::new(2), RbStep::Ready, 0, &mut out, pair)
             .is_none());
     }
 
@@ -274,7 +231,7 @@ mod tests {
         let mut accepts = 0;
         for from in 1..=4u32 {
             if p2
-                .on_message(params, Pid::new(from), RbMsg::Ready(5), &mut out)
+                .on_step(params, Pid::new(from), RbStep::Ready, 5, &mut out, pair)
                 .is_some()
             {
                 accepts += 1;
@@ -293,19 +250,16 @@ mod tests {
         for outsider in [Pid::new(5), Pid::new(100_000)] {
             let mut p2 = Rb::<u64>::new(Pid::new(1));
             let mut out = Vec::new();
-            for msg in [
-                RbMsg::Wrb(WrbMsg::Init(9)),
-                RbMsg::Wrb(WrbMsg::Echo(9)),
-                RbMsg::Ready(9),
-                RbMsg::Ready(9),
-            ] {
-                assert!(p2.on_message(params, outsider, msg, &mut out).is_none());
+            for step in [RbStep::Init, RbStep::Echo, RbStep::Ready, RbStep::Ready] {
+                assert!(p2
+                    .on_step(params, outsider, step, 9, &mut out, pair)
+                    .is_none());
             }
             assert!(out.is_empty());
             assert!(p2.readies.winner(1).is_none(), "nothing was counted");
             // One real ready is still one short of the amplification
             // threshold of two.
-            p2.on_message(params, Pid::new(3), RbMsg::Ready(9), &mut out);
+            p2.on_step(params, Pid::new(3), RbStep::Ready, 9, &mut out, pair);
             assert!(out.is_empty());
         }
     }

@@ -3,7 +3,7 @@
 //! This module also owns [`Tally`], the vote counter behind both the
 //! echo step here and the ready step of [`crate::Rb`].
 
-use sba_net::{Pid, ProcessSet};
+use sba_net::{Pid, ProcessSet, RbStep};
 
 use crate::Params;
 
@@ -81,16 +81,6 @@ impl<P: Eq> Tally<P> {
     }
 }
 
-/// WRB protocol messages. Type-1 carries the dealer's value; type-2 is the
-/// echo each process sends the first time it hears the dealer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WrbMsg<P> {
-    /// `(s, 1)` — dealer's initial value.
-    Init(P),
-    /// `(r, 2)` — echo of the value received from the dealer.
-    Echo(P),
-}
-
 /// One Weak Reliable Broadcast instance (one dealer, one slot).
 ///
 /// Protocol (Appendix A.1):
@@ -106,14 +96,15 @@ pub enum WrbMsg<P> {
 /// # Examples
 ///
 /// ```
-/// use sba_broadcast::{Params, Wrb, WrbMsg};
-/// use sba_net::Pid;
+/// use sba_broadcast::{Params, Wrb};
+/// use sba_net::{Pid, RbStep};
 ///
 /// let params = Params::new(4, 1).unwrap();
 /// let mut dealer = Wrb::<u64>::new(Pid::new(1));
 /// let mut sends = Vec::new();
-/// dealer.start(params, 7, &mut sends);
+/// dealer.start(params, 7, &mut sends, |step, value| (step, value));
 /// assert_eq!(sends.len(), 4); // Init to everyone, including itself
+/// assert!(sends.iter().all(|&(_, m)| m == (RbStep::Init, 7)));
 /// ```
 #[derive(Clone, Debug)]
 pub struct Wrb<P> {
@@ -148,70 +139,59 @@ impl<P: Clone + Eq> Wrb<P> {
         self.echoes = Tally::new();
     }
 
-    /// Dealer entry point: broadcast `value` to all processes. Only the
+    /// Dealer entry point: broadcast `value` to all processes, each
+    /// message built by `wrap` from its step and payload. Only the
     /// dealer's own instance may be started.
     ///
     /// # Panics
     ///
     /// Panics if the instance was already started.
-    pub fn start(&mut self, params: Params, value: P, sends: &mut Vec<(Pid, WrbMsg<P>)>) {
-        self.start_with(params, value, sends, |m| m);
-    }
-
-    /// [`Wrb::start`], with each outgoing message passed through `wrap`
-    /// on its way into the enclosing layer's send list.
-    pub(crate) fn start_with<M>(
+    pub fn start<M>(
         &mut self,
         params: Params,
         value: P,
         sends: &mut Vec<(Pid, M)>,
-        mut wrap: impl FnMut(WrbMsg<P>) -> M,
+        mut wrap: impl FnMut(RbStep, P) -> M,
     ) {
         assert!(!self.started, "WRB instance started twice");
         self.started = true;
-        sends.extend(Pid::all(params.n()).map(|p| (p, wrap(WrbMsg::Init(value.clone())))));
+        sends.extend(Pid::all(params.n()).map(|p| (p, wrap(RbStep::Init, value.clone()))));
     }
 
-    /// Handles one delivered message; pushes outgoing messages to `sends`
-    /// and returns a newly accepted value, if acceptance happened just now.
-    pub fn on_message(
+    /// Handles one delivered step carrying `value`; pushes outgoing
+    /// messages, built by `wrap`, to `sends` and returns a newly accepted
+    /// value, if acceptance happened just now. A `Ready` is no WRB step
+    /// and changes nothing.
+    pub fn on_step<M>(
         &mut self,
         params: Params,
         from: Pid,
-        msg: WrbMsg<P>,
-        sends: &mut Vec<(Pid, WrbMsg<P>)>,
-    ) -> Option<P> {
-        self.on_message_with(params, from, msg, sends, |m| m)
-    }
-
-    /// [`Wrb::on_message`], with each outgoing message passed through
-    /// `wrap` on its way into the enclosing layer's send list.
-    pub(crate) fn on_message_with<M>(
-        &mut self,
-        params: Params,
-        from: Pid,
-        msg: WrbMsg<P>,
+        step: RbStep,
+        value: P,
         sends: &mut Vec<(Pid, M)>,
-        mut wrap: impl FnMut(WrbMsg<P>) -> M,
+        mut wrap: impl FnMut(RbStep, P) -> M,
     ) -> Option<P> {
-        match msg {
-            WrbMsg::Init(v) => {
+        match step {
+            RbStep::Init => {
                 // Only the dealer's type-1 counts; echo at most once.
                 if from == self.dealer && !self.sent_echo {
                     self.sent_echo = true;
-                    sends.extend(Pid::all(params.n()).map(|p| (p, wrap(WrbMsg::Echo(v.clone())))));
+                    sends.extend(
+                        Pid::all(params.n()).map(|p| (p, wrap(RbStep::Echo, value.clone()))),
+                    );
                 }
                 None
             }
-            WrbMsg::Echo(v) => {
+            RbStep::Echo => {
                 if self.accepted {
                     return None; // sticky
                 }
-                self.echoes.add(params.n(), from, v);
+                self.echoes.add(params.n(), from, value);
                 let winner = self.echoes.decide(params.quorum())?.clone();
                 self.accepted = true;
                 Some(winner)
             }
+            RbStep::Ready => None,
         }
     }
 }
@@ -223,6 +203,11 @@ mod tests {
 
     fn params4() -> Params {
         Params::new(4, 1).unwrap()
+    }
+
+    /// The tests' `wrap`: an outgoing message as its step and payload.
+    fn pair(step: RbStep, value: u64) -> (RbStep, u64) {
+        (step, value)
     }
 
     /// The tally this crate used before [`Tally`], kept as the reference
@@ -279,16 +264,16 @@ mod tests {
         for outsider in [Pid::new(5), Pid::new(100_000)] {
             let mut p2 = Wrb::<u64>::new(Pid::new(1));
             let mut out = Vec::new();
-            p2.on_message(params, outsider, WrbMsg::Init(5), &mut out);
+            p2.on_step(params, outsider, RbStep::Init, 5, &mut out, pair);
             for _ in 0..3 {
-                let acc = p2.on_message(params, outsider, WrbMsg::Echo(5), &mut out);
+                let acc = p2.on_step(params, outsider, RbStep::Echo, 5, &mut out, pair);
                 assert!(acc.is_none());
             }
             assert!(out.is_empty());
             assert!(p2.echoes.winner(1).is_none(), "nothing was counted");
             // Two real echoes are still one short of the quorum of three.
-            p2.on_message(params, Pid::new(2), WrbMsg::Echo(5), &mut out);
-            p2.on_message(params, Pid::new(3), WrbMsg::Echo(5), &mut out);
+            p2.on_step(params, Pid::new(2), RbStep::Echo, 5, &mut out, pair);
+            p2.on_step(params, Pid::new(3), RbStep::Echo, 5, &mut out, pair);
             assert!(p2.accepted().is_none());
         }
     }
@@ -299,17 +284,18 @@ mod tests {
         let params = params4();
         let mut procs: Vec<Wrb<u64>> = (0..4).map(|_| Wrb::new(Pid::new(1))).collect();
         let mut sends = Vec::new();
-        procs[0].start(params, 99, &mut sends);
+        procs[0].start(params, 99, &mut sends, pair);
 
         // Deliver all messages until quiescent (synchronous full mesh).
-        let mut inflight: Vec<(Pid, Pid, WrbMsg<u64>)> = sends
+        let mut inflight: Vec<(Pid, Pid, (RbStep, u64))> = sends
             .drain(..)
             .map(|(to, m)| (Pid::new(1), to, m))
             .collect();
         let mut accepted = vec![None; 4];
-        while let Some((from, to, msg)) = inflight.pop() {
+        while let Some((from, to, (step, v))) = inflight.pop() {
             let mut out = Vec::new();
-            let acc = procs[(to.index() - 1) as usize].on_message(params, from, msg, &mut out);
+            let acc =
+                procs[(to.index() - 1) as usize].on_step(params, from, step, v, &mut out, pair);
             if let Some(v) = acc {
                 accepted[(to.index() - 1) as usize] = Some(v);
             }
@@ -330,9 +316,9 @@ mod tests {
         let mut p3 = Wrb::<u64>::new(Pid::new(1));
         let mut p4 = Wrb::<u64>::new(Pid::new(1));
         let mut out = Vec::new();
-        p2.on_message(params, Pid::new(1), WrbMsg::Init(0), &mut out);
-        p3.on_message(params, Pid::new(1), WrbMsg::Init(0), &mut out);
-        p4.on_message(params, Pid::new(1), WrbMsg::Init(1), &mut out);
+        p2.on_step(params, Pid::new(1), RbStep::Init, 0, &mut out, pair);
+        p3.on_step(params, Pid::new(1), RbStep::Init, 0, &mut out, pair);
+        p4.on_step(params, Pid::new(1), RbStep::Init, 1, &mut out, pair);
         // Feed every honest echo plus a faulty echo for value 1 to all.
         let echoes = [
             (Pid::new(2), 0u64),
@@ -344,7 +330,7 @@ mod tests {
         for proc_ in [&mut p2, &mut p3, &mut p4] {
             for &(from, v) in &echoes {
                 let mut o = Vec::new();
-                if let Some(a) = proc_.on_message(params, from, WrbMsg::Echo(v), &mut o) {
+                if let Some(a) = proc_.on_step(params, from, RbStep::Echo, v, &mut o, pair) {
                     accs.push(a);
                 }
             }
@@ -361,7 +347,7 @@ mod tests {
         // Same faulty sender echoes three times.
         for _ in 0..3 {
             assert!(p2
-                .on_message(params, Pid::new(3), WrbMsg::Echo(5), &mut out)
+                .on_step(params, Pid::new(3), RbStep::Echo, 5, &mut out, pair)
                 .is_none());
         }
         assert!(p2.accepted().is_none());
@@ -372,9 +358,9 @@ mod tests {
         let params = params4();
         let mut p2 = Wrb::<u64>::new(Pid::new(1));
         let mut out = Vec::new();
-        p2.on_message(params, Pid::new(1), WrbMsg::Init(5), &mut out);
+        p2.on_step(params, Pid::new(1), RbStep::Init, 5, &mut out, pair);
         assert_eq!(out.len(), 4);
-        p2.on_message(params, Pid::new(1), WrbMsg::Init(6), &mut out);
+        p2.on_step(params, Pid::new(1), RbStep::Init, 6, &mut out, pair);
         assert_eq!(out.len(), 4, "second Init must not trigger another echo");
     }
 
@@ -383,7 +369,7 @@ mod tests {
         let params = params4();
         let mut p2 = Wrb::<u64>::new(Pid::new(1));
         let mut out = Vec::new();
-        p2.on_message(params, Pid::new(3), WrbMsg::Init(5), &mut out);
+        p2.on_step(params, Pid::new(3), RbStep::Init, 5, &mut out, pair);
         assert!(out.is_empty());
     }
 }

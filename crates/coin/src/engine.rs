@@ -36,7 +36,6 @@ use sba_field::{Domain, Field};
 use sba_net::{FastMap, Interner, Pid, ProcessSet, Slot, SvssId, Unpacked};
 use sba_svss::{Reconstructed, SvssEngine, SvssEvent, SvssMsg};
 
-use crate::messages::{coin_mux_of_parts, wire_of_coin_mux};
 use crate::{coin_svss_id, decode_coin_svss_id, CoinMsg, CoinSlot};
 
 /// Events reported by the coin engine.
@@ -304,7 +303,7 @@ impl<F: Field> CoinEngine<F> {
                 else {
                     unreachable!("coin RB kinds unpack as CoinRb");
                 };
-                rb_run.push(coin_mux_of_parts(slot, origin, step, set));
+                rb_run.push(MuxMsg::new(slot, origin, step, set));
             } else {
                 svss_batch.push(msg);
             }
@@ -317,7 +316,7 @@ impl<F: Field> CoinEngine<F> {
             from,
             rb_run.drain(..),
             sends,
-            wire_of_coin_mux,
+            CoinMsg::coin_rb,
             &mut deliveries,
         );
         for d in deliveries.drain(..) {
@@ -483,7 +482,7 @@ impl<F: Field> CoinEngine<F> {
                 session.attach_broadcast = true;
                 let t_set: ProcessSet = session.my_dealers.iter().take(t + 1).copied().collect();
                 self.mux
-                    .broadcast_with(CoinSlot::Attach(tag), t_set, sends, wire_of_coin_mux);
+                    .broadcast_with(CoinSlot::Attach(tag), t_set, sends, CoinMsg::coin_rb);
             }
         }
 
@@ -514,7 +513,7 @@ impl<F: Field> CoinEngine<F> {
                 session.support_broadcast = true;
                 let snapshot = session.accepted;
                 self.mux
-                    .broadcast_with(CoinSlot::Support(tag), snapshot, sends, wire_of_coin_mux);
+                    .broadcast_with(CoinSlot::Support(tag), snapshot, sends, CoinMsg::coin_rb);
             }
         }
 

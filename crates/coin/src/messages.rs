@@ -8,9 +8,7 @@
 //! wrapper nesting, no per-layer heap node, and wrapping SVSS traffic
 //! into the coin layer is the identity function.
 
-use sba_broadcast::{MuxMsg, RbMsg};
-use sba_field::Field;
-use sba_net::{Pid, ProcessSet, RbStep, SvssId};
+use sba_net::{Pid, SvssId};
 
 pub use sba_net::CoinSlot;
 
@@ -37,33 +35,11 @@ pub fn decode_coin_svss_id(id: SvssId) -> (u64, Pid, Pid) {
     (id.tag() >> 8, id.dealer(), Pid::new(target.max(1)))
 }
 
-/// Flattens a routed coin-mux message into the packed wire form (the RB
-/// mux's `wrap` hook for the coin layer).
-pub fn wire_of_coin_mux<F: Field>(m: MuxMsg<CoinSlot, ProcessSet>) -> CoinMsg<F> {
-    let (step, set) = m.inner.into_step();
-    CoinMsg::coin_rb(m.tag, m.origin, step, set)
-}
-
-/// Rebuilds the routed coin-mux message from unpacked RB parts (the
-/// inverse of [`wire_of_coin_mux`], used on the delivery path).
-pub fn coin_mux_of_parts(
-    slot: CoinSlot,
-    origin: Pid,
-    step: RbStep,
-    set: ProcessSet,
-) -> MuxMsg<CoinSlot, ProcessSet> {
-    MuxMsg {
-        tag: slot,
-        origin,
-        inner: RbMsg::of_step(step, set),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use sba_field::Gf61;
-    use sba_net::{Kinded, Reader, Unpacked, Wire};
+    use sba_net::{Kinded, ProcessSet, RbStep, Reader, Unpacked, Wire};
 
     #[test]
     fn svss_id_round_trip() {
@@ -80,11 +56,9 @@ mod tests {
 
     #[test]
     fn wire_round_trips() {
-        let msg: CoinMsg<Gf61> = wire_of_coin_mux(MuxMsg {
-            tag: CoinSlot::Support(9),
-            origin: Pid::new(2),
-            inner: RbMsg::Ready(Pid::all(3).collect()),
-        });
+        let all: ProcessSet = Pid::all(3).collect();
+        let msg: CoinMsg<Gf61> =
+            CoinMsg::coin_rb(CoinSlot::Support(9), Pid::new(2), RbStep::Ready, all);
         let bytes = msg.encoded();
         assert_eq!(msg.encoded_len(), bytes.len());
         assert_eq!(CoinMsg::decode(&mut Reader::new(&bytes)).unwrap(), msg);
@@ -99,12 +73,8 @@ mod tests {
             panic!("coin RB unpacks as CoinRb");
         };
         assert_eq!(
-            coin_mux_of_parts(slot, origin, step, set),
-            MuxMsg {
-                tag: CoinSlot::Support(9),
-                origin: Pid::new(2),
-                inner: RbMsg::Ready(Pid::all(3).collect()),
-            }
+            (slot, origin, step, set),
+            (CoinSlot::Support(9), Pid::new(2), RbStep::Ready, all)
         );
     }
 

@@ -6,6 +6,7 @@
 //! counters so that higher layers (common coin, agreement rounds) can mint
 //! globally unique, self-describing sessions without coordination.
 
+use crate::wire::{pack_pid, unpack_pid};
 use crate::Pid;
 
 /// Identifier of one SVSS invocation: the paper's `(c, i)`.
@@ -82,23 +83,6 @@ pub struct MwId {
     moderator: u8,
     row: u8,
     col: u8,
-}
-
-/// Narrows a pid index to the packed excess-one byte (`index − 1`),
-/// panicking past the cap.
-fn pack_pid(p: Pid) -> u8 {
-    assert!(
-        p.index() <= MwId::MAX_INDEX,
-        "process index {} exceeds the MwId cap of {}",
-        p.index(),
-        MwId::MAX_INDEX
-    );
-    (p.index() - 1) as u8
-}
-
-/// Widens a packed excess-one byte back to the pid it names.
-fn unpack_pid(b: u8) -> Pid {
-    Pid::new(u32::from(b) + 1)
 }
 
 impl MwId {
@@ -221,7 +205,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds the MwId cap")]
+    #[should_panic(expected = "exceeds the packed-wire cap")]
     fn mw_id_cap_enforced() {
         let _ = MwId::standalone(1, Pid::new(MwId::MAX_INDEX + 1), Pid::new(1));
     }

@@ -27,13 +27,15 @@
 //! # Routing forms
 //!
 //! The protocol crates reason in their own terms: `sba-broadcast`'s mux
-//! routes `MuxMsg { tag, origin, inner }` (an `RbMsg`/`WrbMsg` inside),
-//! the SVSS engine matches on [`SvssSlot`]/[`SvssRbValue`] pairs, the
-//! agreement node on [`VoteSlot`]/[`VoteValue`] pairs. Those are
-//! in-memory routing forms with no encoding of their own: they exist
-//! transiently on the stack, and [`WireMsg::unpack`] and the
-//! constructors convert between them and the wire form by moving fields
-//! (no allocation).
+//! routes a flat `MuxMsg { tag, origin, step, value }`, the SVSS engine
+//! matches on [`SvssSlot`]/[`SvssRbValue`] pairs, the agreement node on
+//! [`VoteSlot`]/[`VoteValue`] pairs. Those are in-memory routing forms
+//! with no encoding of their own: they exist transiently on the stack,
+//! [`WireMsg::unpack`] yields their parts, and the RB constructors
+//! ([`WireMsg::rb`], [`WireMsg::coin_rb`], [`WireMsg::vote_rb`], and
+//! [`WireMsg::rb_vector`] per vector instance) take the same
+//! `(slot, origin, step, value)` parts back, so each is the mux's `wrap`
+//! hook as it stands. Both directions move fields (no allocation).
 //!
 //! A safe-Rust subtlety: the body enum carries its own (redundant)
 //! discriminant, but that byte lives inside the body's 16-byte slot, so
@@ -330,7 +332,7 @@ pub(crate) fn pack_pid(p: Pid) -> u8 {
 
 /// Widens a packed excess-one byte back to the pid it names. Total:
 /// every byte value is a valid index in `1..=MAX_N`.
-fn unpack_pid(b: u8) -> Pid {
+pub(crate) fn unpack_pid(b: u8) -> Pid {
     Pid::new(u32::from(b) + 1)
 }
 

@@ -59,8 +59,8 @@ mod svss;
 pub use dmm::{Dmm, SessionKey, Verdict};
 pub use engine::{SvssEngine, SvssEvent};
 pub use messages::{
-    forge_recon_points, mux_of_parts, wire_of_mux, GsetsBody, MwDealBody, Reconstructed, RowsBody,
-    SvssMsg, SvssPriv, SvssRbValue, SvssSlot,
+    forge_recon_points, GsetsBody, MwDealBody, Reconstructed, RowsBody, SvssMsg, SvssPriv,
+    SvssRbValue, SvssSlot,
 };
 pub use mw::{Mw, MwIn, MwOut};
 pub use svss::{pair_mw_ids, Svss, SvssCtx, SvssOut};

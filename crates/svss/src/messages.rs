@@ -11,15 +11,15 @@
 //! The on-wire and in-queue representation is the **flat packed**
 //! [`sba_net::WireMsg`] (one [`sba_net::WireKind`] discriminant, 32 bytes
 //! in memory), the stack's only codec — see `sba_net::wire` for the
-//! format and its kind table. The structured forms the state machines
-//! use (`MuxMsg`, [`SvssPriv`]) are in-memory routing forms with no
-//! encoding of their own. This module re-exports the shared types under
-//! their historical names and provides the conversions between those
-//! forms and the flat one.
+//! format and its kind table. Nothing converts to or from it here: the
+//! RB layer hands the mux a broadcast's unpacked parts as a flat
+//! `MuxMsg` and passes the constructors [`sba_net::WireMsg::rb`] and
+//! [`sba_net::WireMsg::rb_vector`] as its `wrap` hooks, and [`SvssPriv`]
+//! is what a private message unpacks to. This module re-exports the
+//! shared types under their historical names.
 
-use sba_broadcast::{MuxMsg, RbMsg};
 use sba_field::Field;
-use sba_net::{Pid, RbStep, RbVector, SlotView};
+use sba_net::{Pid, SlotView};
 
 pub use sba_net::{GsetsBody, MwDealBody, RowsBody, SvssPriv, SvssRbValue, SvssSlot};
 
@@ -52,28 +52,6 @@ impl<F: Field> Reconstructed<F> {
     }
 }
 
-/// Flattens a routed mux message into the packed wire form (the RB mux's
-/// `wrap` hook). Moves fields; allocation-free.
-pub fn wire_of_mux<F: Field>(m: MuxMsg<SvssSlot, SvssRbValue<F>>) -> SvssMsg<F> {
-    let (step, value) = m.inner.into_step();
-    SvssMsg::rb(m.tag, m.origin, step, value)
-}
-
-/// Rebuilds the routed mux message from unpacked RB parts (the inverse of
-/// [`wire_of_mux`], used on the delivery path).
-pub fn mux_of_parts<F: Field>(
-    slot: SvssSlot,
-    origin: Pid,
-    step: RbStep,
-    value: SvssRbValue<F>,
-) -> MuxMsg<SvssSlot, SvssRbValue<F>> {
-    MuxMsg {
-        tag: slot,
-        origin,
-        inner: RbMsg::of_step(step, value),
-    }
-}
-
 /// The lying-share attack on one outgoing message: every reconstruct
 /// point the message originates — a scalar init, or members of a vector
 /// init — moved by `shift(poly)` (`None` leaves that point honest).
@@ -90,19 +68,12 @@ pub fn forge_recon_points<F: Field>(
     })
 }
 
-/// Flattens one step of the vector instance `(origin, seq)` into the
-/// packed wire form (that instance's `wrap` hook). The member list moves
-/// as the shared pointer it is.
-pub fn wire_of_vector<F: Field>(origin: Pid, seq: u32, m: RbMsg<RbVector<F>>) -> SvssMsg<F> {
-    let (step, members) = m.into_step();
-    SvssMsg::rb_vector(origin, seq, step, members)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sba_broadcast::MuxMsg;
     use sba_field::Gf61;
-    use sba_net::{MwId, Pid, SessionKey, SvssId, Unpacked, Wire};
+    use sba_net::{MwId, Pid, RbStep, SessionKey, SvssId, Unpacked, Wire};
 
     fn mw_id() -> MwId {
         MwId::nested(
@@ -117,12 +88,13 @@ mod tests {
     #[test]
     fn mux_round_trips_through_the_flat_form() {
         let f = |v: u64| Gf61::from_u64(v);
-        let m = MuxMsg {
-            tag: SvssSlot::mw_recon(mw_id(), Pid::new(4)),
-            origin: Pid::new(2),
-            inner: RbMsg::of_step(RbStep::Init, SvssRbValue::Value(f(7))),
-        };
-        let flat = wire_of_mux(m.clone());
+        let m = MuxMsg::new(
+            SvssSlot::mw_recon(mw_id(), Pid::new(4)),
+            Pid::new(2),
+            RbStep::Init,
+            SvssRbValue::Value(f(7)),
+        );
+        let flat = SvssMsg::rb(m.tag, m.origin, m.step, m.value.clone());
         let Unpacked::Rb {
             slot,
             origin,
@@ -132,7 +104,7 @@ mod tests {
         else {
             panic!("RB kinds unpack as RB");
         };
-        assert_eq!(mux_of_parts(slot, origin, step, value), m);
+        assert_eq!(MuxMsg::new(slot, origin, step, value), m);
     }
 
     #[test]

@@ -15,11 +15,10 @@
 //! the layer's life: a late init for a slot an accepted instance carried
 //! must still be refused.
 
-use sba_broadcast::{MuxMsg, Params, Rb, RbDelivery, RbMsg, RbMux};
+use sba_broadcast::{MuxMsg, Params, Rb, RbDelivery, RbMux};
 use sba_field::Field;
 use sba_net::{FastMap, Interner, Pid, RbStep, RbVector, Slot};
 
-use crate::messages::{mux_of_parts, wire_of_mux, wire_of_vector};
 use crate::{SvssMsg, SvssRbValue, SvssSlot};
 
 /// Which Bracha instance of an origin carries a slot: the scalar one
@@ -137,7 +136,7 @@ impl<F: Field> SvssRb<F> {
     ) {
         if step != RbStep::Init || (from == origin && self.claim(origin, Instance::Scalar, [slot]))
         {
-            self.run.push(mux_of_parts(slot, origin, step, value));
+            self.run.push(MuxMsg::new(slot, origin, step, value));
         }
     }
 
@@ -164,10 +163,9 @@ impl<F: Field> SvssRb<F> {
         let Slot::Live(idx) = self.vectors.intern((origin, seq), || Rb::new(origin)) else {
             return; // retired: late traffic needs no answer
         };
-        let wrap = |inner| wire_of_vector(origin, seq, inner);
-        let inner = RbMsg::of_step(step, members);
+        let wrap = |step, members| SvssMsg::rb_vector(origin, seq, step, members);
         let rb = self.vectors.live_mut(idx);
-        let Some(accepted) = rb.on_message_with(self.params, from, inner, sends, wrap) else {
+        let Some(accepted) = rb.on_step(self.params, from, step, members, sends, wrap) else {
             return;
         };
         // Acceptance is final and the members are about to be handed
@@ -191,7 +189,7 @@ impl<F: Field> SvssRb<F> {
     ) {
         if !self.run.is_empty() {
             self.mux
-                .on_batch_with(from, self.run.drain(..), sends, wire_of_mux, deliveries);
+                .on_batch_with(from, self.run.drain(..), sends, SvssMsg::rb, deliveries);
         }
     }
 
@@ -234,7 +232,7 @@ impl<F: Field> SvssRb<F> {
                 "RB slot started twice"
             );
             self.mux
-                .broadcast_with(slot, value, &mut fan_out, wire_of_mux);
+                .broadcast_with(slot, value, &mut fan_out, SvssMsg::rb);
         } else {
             open.sort_unstable_by_key(|m| m.0);
             self.closed_vectors += 1;
@@ -247,10 +245,10 @@ impl<F: Field> SvssRb<F> {
             let Slot::Live(idx) = self.vectors.intern((me, seq), || Rb::new(me)) else {
                 unreachable!("own sequence numbers are fresh");
             };
-            let wrap = |inner| wire_of_vector(me, seq, inner);
+            let wrap = |step, members| SvssMsg::rb_vector(me, seq, step, members);
             self.vectors
                 .live_mut(idx)
-                .start_with(self.params, members, &mut fan_out, wrap);
+                .start(self.params, members, &mut fan_out, wrap);
         }
         // (The list is the caller's: clamp rather than trust that it
         // only grew since the first value was issued.)

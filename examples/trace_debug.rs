@@ -11,11 +11,11 @@
 //! cargo run -p sba-examples --example trace_debug
 //! ```
 
-use sba::broadcast::{RbDelivery, RbMux};
+use sba::broadcast::{MuxMsg, RbDelivery, RbMux};
 use sba::field::{Field, Gf61};
 use sba::net::{MwId, Outbox, Pid, SlotView, Unpacked};
 use sba::sim::{schedulers, Process, Simulation};
-use sba::svss::{mux_of_parts, wire_of_mux, SvssMsg, SvssRbValue, SvssSlot};
+use sba::svss::{SvssMsg, SvssRbValue, SvssSlot};
 use sba::Params;
 
 type Msg = SvssMsg<Gf61>;
@@ -39,8 +39,7 @@ impl Process<Msg> for Node {
         if self.is_dealer {
             let mut sends = Vec::new();
             let value = SvssRbValue::Value(Gf61::from_u64(42));
-            self.mux
-                .broadcast_with(slot(1), value, &mut sends, wire_of_mux);
+            self.mux.broadcast_with(slot(1), value, &mut sends, Msg::rb);
             for (to, m) in sends {
                 out.send(to, m);
             }
@@ -57,13 +56,9 @@ impl Process<Msg> for Node {
             unreachable!("only the broadcast's own steps are sent");
         };
         let mut sends = Vec::new();
-        let routed = mux_of_parts(slot, origin, step, value);
-        if let Some(d) = self
-            .mux
-            .on_message_with(from, routed, &mut sends, wire_of_mux)
-        {
-            self.delivered.push(d);
-        }
+        let routed = [MuxMsg::new(slot, origin, step, value)];
+        self.mux
+            .on_batch_with(from, routed, &mut sends, Msg::rb, &mut self.delivered);
         for (to, m) in sends {
             out.send(to, m);
         }

@@ -3,16 +3,17 @@
 //!
 //! The mux runs the way the SVSS engine runs it: slots are
 //! [`SvssSlot`]s, values [`SvssRbValue`]s, and every message travels as
-//! the stack's one wire message ([`SvssMsg`]), flattened on send and
-//! rebuilt on delivery. Test tag `k` is the reconstruct-point slot of MW
-//! session `k`, and a test value is one field element.
+//! the stack's one wire message ([`SvssMsg`]), built by its constructor
+//! on send and unpacked into a flat `MuxMsg` on delivery. Test tag `k`
+//! is the reconstruct-point slot of MW session `k`, and a test value is
+//! one field element.
 
 use proptest::prelude::*;
-use sba::broadcast::{MuxMsg, RbDelivery, RbMsg, RbMux, WrbMsg};
+use sba::broadcast::{MuxMsg, RbDelivery, RbMux};
 use sba::field::{Field, Gf61};
 use sba::net::{MwId, Outbox, RbStep, SlotView, Unpacked};
 use sba::sim::{schedulers, Process, Simulation, Tamper, TamperProcess};
-use sba::svss::{mux_of_parts, wire_of_mux, SvssMsg, SvssRbValue, SvssSlot};
+use sba::svss::{SvssMsg, SvssRbValue, SvssSlot};
 use sba::{Params, Pid};
 
 type Msg = SvssMsg<Gf61>;
@@ -48,7 +49,7 @@ fn routed(msg: Msg) -> MuxMsg<SvssSlot, Value> {
     else {
         unreachable!("only scalar SVSS broadcasts are sent here");
     };
-    mux_of_parts(slot, origin, step, value)
+    MuxMsg::new(slot, origin, step, value)
 }
 
 /// A process that RB-broadcasts scripted values at start and records all
@@ -76,7 +77,7 @@ impl Process<Msg> for Broadcaster {
         let mut sends = Vec::new();
         for (tag, v) in self.to_send.clone() {
             self.mux
-                .broadcast_with(slot(tag), value(v), &mut sends, wire_of_mux);
+                .broadcast_with(slot(tag), value(v), &mut sends, Msg::rb);
         }
         for (to, m) in sends {
             out.send(to, m);
@@ -85,12 +86,9 @@ impl Process<Msg> for Broadcaster {
 
     fn on_message(&mut self, from: Pid, msg: Msg, out: &mut Outbox<Msg>) {
         let mut sends = Vec::new();
-        if let Some(d) = self
-            .mux
-            .on_message_with(from, routed(msg), &mut sends, wire_of_mux)
-        {
-            self.delivered.push(d);
-        }
+        let batch = [routed(msg)];
+        self.mux
+            .on_batch_with(from, batch, &mut sends, Msg::rb, &mut self.delivered);
         for (to, m) in sends {
             out.send(to, m);
         }
@@ -261,30 +259,21 @@ fn late_and_tampered_traffic_after_retirement_is_inert() {
             );
         }
 
-        // No resurrection: replay stale traffic of every kind straight
-        // into a retired slot; counters must not move and nothing is sent.
+        // No resurrection: replay every step straight into a retired
+        // slot, with the accepted value and with another one; counters
+        // must not move and nothing is sent.
         let P::Honest(b) = sim.process_mut(Pid::new(2)) else {
             unreachable!("p2 is honest");
         };
         let (live, retired) = (b.mux.instance_count(), b.mux.retired_count());
-        for inner in [
-            RbMsg::Wrb(WrbMsg::Init(value(0))),
-            RbMsg::Wrb(WrbMsg::Echo(value(12345))),
-            RbMsg::Ready(value(0)),
-            RbMsg::Ready(value(9_999_999)),
-        ] {
-            let mut out = Vec::new();
-            let d = b.mux.on_message(
-                Pid::new(4),
-                MuxMsg {
-                    tag: slot(slots[0].0),
-                    origin: Pid::new(1),
-                    inner,
-                },
-                &mut out,
-            );
-            assert!(d.is_none(), "seed {seed}: retired slot delivered again");
-            assert!(out.is_empty(), "seed {seed}: retired slot produced sends");
+        for step in [RbStep::Init, RbStep::Echo, RbStep::Ready] {
+            for v in [slots[0].1, 12345] {
+                let mut out = Vec::new();
+                let msg = MuxMsg::new(slot(slots[0].0), Pid::new(1), step, value(v));
+                let d = b.mux.on_message(Pid::new(4), msg, &mut out);
+                assert!(d.is_none(), "seed {seed}: retired slot delivered again");
+                assert!(out.is_empty(), "seed {seed}: retired slot produced sends");
+            }
         }
         assert_eq!(b.mux.instance_count(), live, "seed {seed}: resurrection");
         assert_eq!(b.mux.retired_count(), retired);
