@@ -54,14 +54,12 @@
 //! and each `scc_n<N>.bytes` by +10 %.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sba::coin::{CoinEngine, CoinMsg};
+use rand::SeedableRng;
 use sba::field::{Field, Gf101, Gf61};
+use sba::harness::CoinNet;
 use sba::{Cluster, ClusterConfig, CoinMode, OracleCoin, Params, Pid, Role};
 use sba_bench::{loglog_slope, split_inputs, JsonSink, Stats};
 
@@ -389,83 +387,8 @@ fn e14_fork_corpus(full: bool, json_path: Option<&str>) {
 // E13 - n-sweep: the SCC unit workload at n up to MAX_N (scaling curve)
 // ---------------------------------------------------------------------
 
-/// One process of the E13 workload: an [`SvssEngine`](sba::SvssEngine)
-/// driven as a [`sim::Process`](sba::sim::Process), running a single
-/// moderated MW-SVSS share session (dealer p1, moderator p2).
-struct MwShareProc {
-    engine: sba::SvssEngine<Gf61>,
-    id: sba::net::MwId,
-    secret: Gf61,
-    completed: bool,
-}
-
-impl MwShareProc {
-    fn absorb_events(&mut self) {
-        use sba::SvssEvent;
-        for ev in self.engine.take_events() {
-            if matches!(ev, SvssEvent::MwShareCompleted(i) if i == self.id) {
-                self.completed = true;
-            }
-        }
-    }
-
-    fn forward(
-        sends: Vec<(Pid, sba::svss::SvssMsg<Gf61>)>,
-        out: &mut sba::net::Outbox<sba::svss::SvssMsg<Gf61>>,
-    ) {
-        for (to, m) in sends {
-            out.send(to, m);
-        }
-    }
-}
-
-impl sba::sim::Process<sba::svss::SvssMsg<Gf61>> for MwShareProc {
-    fn on_start(&mut self, out: &mut sba::net::Outbox<sba::svss::SvssMsg<Gf61>>) {
-        let mut sends = Vec::new();
-        if self.engine.me() == self.id.dealer() {
-            self.engine.mw_share(self.id, self.secret, &mut sends);
-        }
-        if self.engine.me() == self.id.moderator() {
-            self.engine
-                .mw_set_moderator_input(self.id, self.secret, &mut sends);
-        }
-        Self::forward(sends, out);
-        self.absorb_events();
-    }
-
-    fn on_message(
-        &mut self,
-        from: Pid,
-        msg: sba::svss::SvssMsg<Gf61>,
-        out: &mut sba::net::Outbox<sba::svss::SvssMsg<Gf61>>,
-    ) {
-        let mut sends = Vec::new();
-        self.engine.on_message(from, msg, &mut sends);
-        Self::forward(sends, out);
-        self.absorb_events();
-    }
-
-    fn on_batch(
-        &mut self,
-        from: Pid,
-        msgs: &mut Vec<sba::svss::SvssMsg<Gf61>>,
-        out: &mut sba::net::Outbox<sba::svss::SvssMsg<Gf61>>,
-    ) {
-        let mut sends = Vec::new();
-        self.engine.on_batch(from, msgs, &mut sends);
-        Self::forward(sends, out);
-        self.absorb_events();
-    }
-
-    fn done(&self) -> bool {
-        self.completed
-    }
-}
-
 fn e13_nsweep(full: bool, json_path: Option<&str>, ns_arg: Option<&str>) {
-    use sba::field::Domain;
-    use sba::sim::{schedulers, Simulation};
-    use std::sync::Arc;
+    use sba::harness::SvssNet;
     use std::time::Instant;
 
     println!("## E13 - n-sweep: SCC unit workload up to MAX_N = {}\n", {
@@ -505,33 +428,19 @@ fn e13_nsweep(full: bool, json_path: Option<&str>, ns_arg: Option<&str>) {
         );
         let t = (n - 1) / 3;
         let params = Params::new(n, t).expect("n > 3t");
-        // One shared domain: the per-engine difference tables are O(n^2)
-        // to build, which at n = 256 x 256 engines would dominate the run.
-        let domain: Arc<Domain<Gf61>> = Arc::new(Domain::new(n));
         let id = sba::net::MwId::standalone(1, Pid::new(1), Pid::new(2));
         let secret = Gf61::from_u64(7);
-        let procs: Vec<MwShareProc> = Pid::all(n)
-            .map(|p| MwShareProc {
-                engine: sba::SvssEngine::with_domain(
-                    p,
-                    params,
-                    15 ^ (u64::from(p.index()) << 32),
-                    Arc::clone(&domain),
-                ),
-                id,
-                secret,
-                completed: false,
-            })
-            .collect();
-        let mut sim = Simulation::new(procs, schedulers::uniform(8), 15);
+        let mut net = SvssNet::<Gf61>::new(params, 15);
         let start = Instant::now();
-        let outcome = sim.run_until_all_done(4_000_000_000);
+        net.mw_share(id, secret);
+        net.mw_set_moderator_input(id, secret);
+        let done = sba::SvssEvent::MwShareCompleted(id);
+        let all_done = net.sim.run_until(u64::MAX, |sim| {
+            sim.processes().all(|tp| tp.inner().events.contains(&done))
+        });
         let wall = start.elapsed().as_secs_f64();
-        assert!(
-            outcome.all_done,
-            "n = {n}: MW share must complete at every process"
-        );
-        let m = sim.metrics();
+        assert!(all_done, "n = {n}: MW share must complete at every process");
+        let m = net.sim.metrics();
         let (deal_msgs, deal_bytes) = m.sent_with_prefix("mw/deal");
         println!(
             "| {n} | {t} | {wall:.2} | {} | {} | {deal_msgs} | {deal_bytes} | {} |",
@@ -1162,68 +1071,10 @@ fn e2_rounds(full: bool) {
 // ---------------------------------------------------------------------
 // E3 - SCC correctness probabilities (Lemma 4)
 // ---------------------------------------------------------------------
-struct CoinMesh {
-    engines: Vec<CoinEngine<Gf61>>,
-    queue: Vec<(Pid, Pid, CoinMsg<Gf61>)>,
-    rng: StdRng,
-    silenced: Vec<Pid>,
-}
-
-impl CoinMesh {
-    fn new(params: Params, seed: u64) -> Self {
-        CoinMesh {
-            engines: Pid::all(params.n())
-                .map(|p| CoinEngine::new(p, params, seed ^ (u64::from(p.index()) << 40)))
-                .collect(),
-            queue: Vec::new(),
-            rng: StdRng::seed_from_u64(seed),
-            silenced: Vec::new(),
-        }
-    }
-
-    fn drive(
-        &mut self,
-        p: Pid,
-        f: impl FnOnce(&mut CoinEngine<Gf61>, &mut Vec<(Pid, CoinMsg<Gf61>)>),
-    ) {
-        let mut sends = Vec::new();
-        f(&mut self.engines[(p.index() - 1) as usize], &mut sends);
-        for (to, m) in sends {
-            self.queue.push((p, to, m));
-        }
-    }
-
-    fn flip(&mut self, tag: u64) -> (Vec<Option<bool>>, u64, u64) {
-        use sba::net::Wire;
-        let n = self.engines.len();
-        for p in Pid::all(n) {
-            if !self.silenced.contains(&p) {
-                self.drive(p, |e, s| e.start(tag, s));
-                self.drive(p, |e, s| e.enable_reconstruct(tag, s));
-            }
-        }
-        let mut msgs = 0u64;
-        let mut bytes = 0u64;
-        while !self.queue.is_empty() {
-            let k = self.rng.gen_range(0..self.queue.len());
-            let (from, to, msg) = self.queue.swap_remove(k);
-            if self.silenced.contains(&to) {
-                continue;
-            }
-            msgs += 1;
-            bytes += msg.wire_len() as u64;
-            self.drive(to, |e, s| e.on_message(from, msg, s));
-        }
-        let outs = Pid::all(n)
-            .filter(|p| !self.silenced.contains(p))
-            .map(|p| self.engines[(p.index() - 1) as usize].output(tag))
-            .collect();
-        (outs, msgs, bytes)
-    }
-}
-
 fn e3_coin_probabilities(full: bool) {
     println!("## E3 - SCC correctness (Lemma 4): Pr[all output s] >= 1/4 per side\n");
+    println!("Each session is one flip on the simulator's batched schedule (one");
+    println!("delay draw per event and recipient, uniform adversary, seeded).\n");
     println!("| n | t | faults | sessions | all-0 | all-1 | mixed | bound |");
     println!("|---|---|--------|----------|-------|-------|-------|-------|");
     let configs: &[(usize, usize, usize, u64)] = if full {
@@ -1237,11 +1088,12 @@ fn e3_coin_probabilities(full: bool) {
         let mut all1 = 0;
         let mut mixed = 0;
         for s in 0..sessions {
-            let mut mesh = CoinMesh::new(params, s * 101 + 17);
+            let mut net = CoinNet::<Gf61>::new(params, s * 101 + 17);
             for k in 0..silent {
-                mesh.silenced.push(Pid::new((n - k) as u32));
+                net.silence(Pid::new((n - k) as u32));
             }
-            let (outs, _, _) = mesh.flip(1);
+            net.flip_all(1);
+            let outs = net.outputs(1);
             assert!(outs.iter().all(Option::is_some), "coin must terminate");
             let zeros = outs.iter().filter(|o| **o == Some(false)).count();
             if zeros == outs.len() {
@@ -1268,7 +1120,9 @@ fn e3_coin_probabilities(full: bool) {
 // ---------------------------------------------------------------------
 fn e4_complexity(full: bool) {
     println!("## E4 - communication complexity vs n (polynomial, per Theorem 1)\n");
-    println!("One complete coin flip (the dominant cost of a round):\n");
+    println!("One complete coin flip (the dominant cost of a round), measured on the");
+    println!("simulator's batched schedule: network messages and frame-charged bytes,");
+    println!("self-deliveries excluded.\n");
     println!("| n | t | messages | bytes | msgs / n^2 sessions |");
     println!("|---|---|----------|-------|---------------------|");
     let ns: &[(usize, usize)] = if full {
@@ -1279,9 +1133,13 @@ fn e4_complexity(full: bool) {
     let mut pts = Vec::new();
     for &(n, t) in ns {
         let params = Params::new(n, t).unwrap();
-        let mut mesh = CoinMesh::new(params, 99);
-        let (outs, msgs, bytes) = mesh.flip(1);
-        assert!(outs.iter().all(Option::is_some));
+        let mut net = CoinNet::<Gf61>::new(params, 99);
+        net.flip_all(1);
+        assert!(net.outputs(1).iter().all(Option::is_some));
+        let (msgs, bytes) = (
+            net.sim.metrics().messages_sent,
+            net.sim.metrics().bytes_sent,
+        );
         pts.push((n as f64, msgs as f64));
         println!(
             "| {n} | {t} | {msgs} | {bytes} | {:.0} |",
@@ -1292,13 +1150,11 @@ fn e4_complexity(full: bool) {
         "\nlog-log slope (messages vs n): **{:.2}** - polynomial, not exponential.",
         loglog_slope(&pts)
     );
-    println!("(The degree is unmeasured: the old structural count - n^2 SVSS sessions");
-    println!("x ~2n^2 MW invocations x ~3n RB slots x ~3n^2 RB messages => degree 7 -");
-    println!("priced one Bracha instance per slot, and vector RB now carries a whole");
-    println!("step per instance; the coin_n<N> curve is what will measure it.");
-    println!("Polynomial with a large exponent is exactly what the paper promises -");
-    println!("its contribution is almost-sure termination at polynomial cost, not a");
-    println!("low-degree protocol.)\n");
+    println!("(These are the counts of the schedule production runs, not of a");
+    println!("one-message-per-step draw; the degree stays unmeasured until the");
+    println!("coin_n<N> curve lands. Polynomial with a large exponent is exactly what");
+    println!("the paper promises - its contribution is almost-sure termination at");
+    println!("polynomial cost, not a low-degree protocol.)\n");
 }
 
 // ---------------------------------------------------------------------
@@ -1351,12 +1207,12 @@ fn e5_shunning_bound(full: bool) {
 
 // ---------------------------------------------------------------------
 // E6 - Example 1 (reported; the deterministic schedule lives in
-// crates/svss/tests/example1.rs)
+// tests/tests/example1.rs)
 // ---------------------------------------------------------------------
 fn e6_example1() {
     println!("## E6 - paper Example 1 (MW-SVSS divergence, then shunning)\n");
     println!("Reproduced as the deterministic regression test");
-    println!("`crates/svss/tests/example1.rs::example_1_divergent_outputs_then_shunning`:");
+    println!("`tests/tests/example1.rs::example_1_divergent_outputs_then_shunning`:");
     println!("- p1 reconstructs `s`, p3 reconstructs `s + 9d` (both complete, no");
     println!("  detection yet) - weak binding broken exactly as the paper describes;");
     println!("- releasing the delayed traffic makes p1 shun p2 *after the fact*;");
@@ -1368,7 +1224,8 @@ fn e6_example1() {
 // E7 - hiding: the adversary's share view is secret-independent
 // ---------------------------------------------------------------------
 fn e7_hiding(full: bool) {
-    use sba::svss::harness::{SvssNet, Tamper};
+    use sba::harness::SvssNet;
+    use sba::net::{Unpacked, WireKind};
     use sba::svss::SvssPriv;
     use sba::SvssId;
 
@@ -1378,6 +1235,7 @@ fn e7_hiding(full: bool) {
     println!("distributions with a two-sample chi-square statistic (4 bins).\n");
     let samples: u64 = if full { 400 } else { 150 };
     let mut hist = [[0f64; 4]; 2];
+    let p4 = Pid::new(4);
     for (si, secret) in [0u64, 50].into_iter().enumerate() {
         for seed in 0..samples {
             // Disjoint seed ranges per secret: with shared seeds the two
@@ -1387,23 +1245,17 @@ fn e7_hiding(full: bool) {
             let run_seed = seed * 11 + 3 + (si as u64) * 1_000_003;
             let params = Params::new(4, 1).unwrap();
             let mut net = SvssNet::<Gf101>::new(params, run_seed);
-            let captured: Rc<RefCell<Option<u64>>> = Rc::new(RefCell::new(None));
-            let cap = Rc::clone(&captured);
-            // Capture the dealer's Rows message to p4 (its whole view of
-            // the secret at share time derives from it).
-            net.set_tamper(Pid::new(1), move |to, msg| {
-                if to == Pid::new(4) && msg.wire_kind() == sba::net::WireKind::Rows {
-                    if let sba::net::Unpacked::Priv(SvssPriv::Rows { rows, .. }) =
-                        msg.clone().unpack()
-                    {
-                        *cap.borrow_mut() = Some(rows.g.first().map_or(0, |v| v.as_u64()));
-                    }
-                }
-                Tamper::Keep
-            });
             net.share(SvssId::new(1, Pid::new(1)), Gf101::from_u64(secret));
-            net.run();
-            let v = captured.borrow().expect("rows captured");
+            // p4 holds the dealer's Rows message unread: its whole view
+            // of the secret at share time derives from it.
+            net.deliver_matching(move |_, to, msg| {
+                !(to == p4 && msg.wire_kind() == WireKind::Rows)
+            });
+            let held = net.node(p4).held[0].1.clone().unpack();
+            let Unpacked::Priv(SvssPriv::Rows { rows, .. }) = held else {
+                panic!("p4 holds the dealer's rows");
+            };
+            let v = rows.g.first().map_or(0, |v| v.as_u64());
             hist[si][(v % 4) as usize] += 1.0;
         }
     }

@@ -23,8 +23,8 @@
 //! adversarial runs where a Byzantine process withholds its broadcasts,
 //! the gate simply never fires and the session stays live — retirement
 //! is a memory optimization, never a behavior change:
-//! `crates/coin/tests/coin_adversarial.rs` pins the event streams of an
-//! adversarial sweep recorded from a store that never retired.
+//! `tests/tests/coin_adversarial.rs` pins the event streams of an
+//! adversarial sweep, first recorded from a store that never retired.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;

@@ -49,7 +49,13 @@ pub use sba_coin as coin;
 pub use sba_field as field;
 pub use sba_net as net;
 pub use sba_sim as sim;
-pub use sba_svss as svss;
+
+/// Shunning VSS: the [`sba_svss`] crate, plus the multi-process
+/// [`harness`] its runs use.
+pub mod svss {
+    pub use crate::harness;
+    pub use sba_svss::*;
+}
 
 pub use sba_aba::{AbaConfig, AbaEvent, AbaMsg, AbaNode, AbaProcess, CoinMode};
 pub use sba_broadcast::Params;
@@ -60,6 +66,7 @@ pub use sba_svss::{Reconstructed, SvssEngine, SvssEvent};
 
 pub mod adversary;
 mod cluster;
+pub mod harness;
 pub mod monitor;
 pub mod scenario;
 pub mod threaded;

@@ -721,14 +721,27 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
             return;
         }
         self.started = true;
-        for k in 0..self.procs.len() {
-            let pid = Pid::new(k as u32 + 1);
-            let mut out = std::mem::replace(&mut self.outbox, Outbox::new(pid));
-            out.reset(pid);
-            self.procs[k].on_start(&mut out);
-            self.dispatch_outbox(&mut out);
-            self.outbox = out;
+        for pid in Pid::all(self.procs.len()) {
+            self.act(pid, |p, out| p.on_start(out));
         }
+    }
+
+    /// Runs one out-of-band local step at `pid` — a command from outside
+    /// the message flow (share a secret, start a coin, inject a raw
+    /// message) — and dispatches what `f` sends exactly as a delivery
+    /// event's output: self-sends run the self-delivery fixpoint, and the
+    /// network sends of the whole step are grouped per recipient,
+    /// charged and scheduled in one pass. `on_start` takes this path.
+    /// The first call starts the run (every process's `on_start` goes
+    /// first).
+    pub fn act(&mut self, pid: Pid, f: impl FnOnce(&mut P, &mut Outbox<M>)) {
+        self.start_if_needed();
+        let k = (pid.index() - 1) as usize;
+        let mut out = std::mem::replace(&mut self.outbox, Outbox::new(pid));
+        out.reset(pid);
+        f(&mut self.procs[k], &mut out);
+        self.dispatch_outbox(&mut out);
+        self.outbox = out;
     }
 
     /// Delivers exactly one scheduled batch. Returns `false` when the
@@ -1085,6 +1098,95 @@ mod tests {
         assert_eq!(m.inflight_peak_msgs, 20);
         assert_eq!(m.inflight_peak_batches, 2);
         assert!(m.inflight_peak_bytes > 0);
+    }
+
+    /// Sends `script` on start (or not at all, when `quiet`); answers a
+    /// network message `msg < 100` with `100 + msg`.
+    struct Scripted {
+        quiet: bool,
+        script: Vec<(u32, u64)>,
+    }
+    impl Process<u64> for Scripted {
+        fn on_start(&mut self, out: &mut Outbox<u64>) {
+            if !self.quiet {
+                for &(to, msg) in &self.script {
+                    out.send(Pid::new(to), msg);
+                }
+            }
+        }
+        fn on_message(&mut self, from: Pid, msg: u64, out: &mut Outbox<u64>) {
+            if msg < 100 && from != out.me() {
+                out.send(from, 100 + msg);
+            }
+        }
+    }
+
+    /// An action's network sends are grouped, charged, scheduled and
+    /// digested exactly like the same sends made from `on_start`.
+    #[test]
+    fn act_schedules_like_on_start() {
+        let script = vec![(2, 1), (3, 2), (2, 3), (1, 4), (3, 5), (2, 6)];
+        let run = |quiet: bool| {
+            let procs: Vec<Box<dyn Process<u64>>> = (0..3)
+                .map(|k| {
+                    let script = if k == 0 { script.clone() } else { Vec::new() };
+                    Box::new(Scripted { quiet, script }) as Box<dyn Process<u64>>
+                })
+                .collect();
+            let mut sim = Simulation::new(procs, schedulers::uniform(20), 9);
+            sim.enable_digest();
+            sim.enable_trace(64);
+            if quiet {
+                sim.act(Pid::new(1), |_, out| {
+                    for &(to, msg) in &script {
+                        out.send(Pid::new(to), msg);
+                    }
+                });
+            }
+            assert!(sim.run_to_quiescence(1_000).quiescent);
+            let m = sim.metrics().clone();
+            let trace: Vec<TraceEntry> = sim.trace().cloned().collect();
+            (
+                m.messages_sent,
+                m.bytes_sent,
+                m.batches_sent,
+                m.self_deliveries,
+                sim.digest(),
+                trace,
+            )
+        };
+        let (from_start, from_act) = (run(false), run(true));
+        assert_eq!(from_start, from_act);
+        // Two recipient groups out, two replies back; one self-delivery.
+        assert_eq!((from_act.0, from_act.2, from_act.3), (10, 4, 1));
+    }
+
+    /// Self-sends made by an action run the self-delivery fixpoint, and
+    /// the network sends that fixpoint makes join the action's one
+    /// scheduling pass.
+    #[test]
+    fn act_runs_the_self_delivery_fixpoint() {
+        /// Each self-delivered `k < 3` sends itself `k + 1` and p2 `k`.
+        struct Chain;
+        impl Process<u64> for Chain {
+            fn on_start(&mut self, _: &mut Outbox<u64>) {}
+            fn on_message(&mut self, from: Pid, msg: u64, out: &mut Outbox<u64>) {
+                if from == out.me() && msg < 3 {
+                    out.send(out.me(), msg + 1);
+                    out.send(Pid::new(2), msg);
+                }
+            }
+        }
+        let procs: Vec<Box<dyn Process<u64>>> = vec![Box::new(Chain), Box::new(Chain)];
+        let mut sim = Simulation::new(procs, schedulers::uniform(10), 4);
+        sim.act(Pid::new(1), |_, out| out.send(Pid::new(1), 0));
+        let m = sim.metrics();
+        // Generations 0, 1, 2, 3 before anything is delivered.
+        assert_eq!((m.self_deliveries, m.self_delivery_batches), (4, 4));
+        // The fixpoint's three sends to p2 left as one batch.
+        assert_eq!((m.messages_sent, m.batches_sent, m.events), (3, 1, 0));
+        sim.run_to_quiescence(100);
+        assert_eq!(sim.metrics().messages_delivered, 3);
     }
 
     #[test]

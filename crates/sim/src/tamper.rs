@@ -79,12 +79,28 @@ impl<P, M> TamperProcess<P, M> {
     pub fn inner(&self) -> &P {
         &self.inner
     }
-}
 
-impl<P, M> TamperProcess<P, M> {
-    /// Applies the tamper function to every message in `raw`, forwarding
-    /// the survivors (and replacements) into `out`.
-    fn forward(&mut self, raw: &mut Outbox<M>, out: &mut Outbox<M>) {
+    /// The wrapped process, mutably.
+    pub fn inner_mut(&mut self) -> &mut P {
+        &mut self.inner
+    }
+
+    /// Replaces the tamper function: the process turns (or stops being)
+    /// Byzantine from its next step on.
+    pub fn set_tamper(
+        &mut self,
+        tamper: impl FnMut(Pid, &M) -> Tamper<M> + Send + Clone + 'static,
+    ) {
+        self.tamper = Box::new(tamper);
+    }
+
+    /// Runs `f` on the wrapped process and forwards what it sends into
+    /// `out` through the tamper function — the path every callback and
+    /// every out-of-band action of a corrupted process takes.
+    pub fn with_inner(&mut self, out: &mut Outbox<M>, f: impl FnOnce(&mut P, &mut Outbox<M>)) {
+        let mut raw = std::mem::replace(&mut self.raw, Outbox::new(out.me()));
+        raw.reset(out.me());
+        f(&mut self.inner, &mut raw);
         for env in raw.drain_iter() {
             match (self.tamper)(env.to, &env.msg) {
                 Tamper::Keep => out.send(env.to, env.msg),
@@ -96,34 +112,23 @@ impl<P, M> TamperProcess<P, M> {
                 }
             }
         }
+        self.raw = raw;
     }
 }
 
 impl<P: Process<M>, M: Clone + Send> Process<M> for TamperProcess<P, M> {
     fn on_start(&mut self, out: &mut Outbox<M>) {
-        let mut raw = std::mem::replace(&mut self.raw, Outbox::new(out.me()));
-        raw.reset(out.me());
-        self.inner.on_start(&mut raw);
-        self.forward(&mut raw, out);
-        self.raw = raw;
+        self.with_inner(out, |p, raw| p.on_start(raw));
     }
 
     fn on_message(&mut self, from: Pid, msg: M, out: &mut Outbox<M>) {
-        let mut raw = std::mem::replace(&mut self.raw, Outbox::new(out.me()));
-        raw.reset(out.me());
-        self.inner.on_message(from, msg, &mut raw);
-        self.forward(&mut raw, out);
-        self.raw = raw;
+        self.with_inner(out, |p, raw| p.on_message(from, msg, raw));
     }
 
     fn on_batch(&mut self, from: Pid, msgs: &mut Vec<M>, out: &mut Outbox<M>) {
         // Forward the batch intact (the inner engine keeps its batch
         // amortization); tamper each resulting send as usual.
-        let mut raw = std::mem::replace(&mut self.raw, Outbox::new(out.me()));
-        raw.reset(out.me());
-        self.inner.on_batch(from, msgs, &mut raw);
-        self.forward(&mut raw, out);
-        self.raw = raw;
+        self.with_inner(out, |p, raw| p.on_batch(from, msgs, raw));
     }
 
     fn done(&self) -> bool {

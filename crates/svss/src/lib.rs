@@ -25,32 +25,34 @@
 //!
 //! # Examples
 //!
-//! Sharing and reconstructing among `n = 4` processes on the deterministic
-//! simulator (see `examples/secret_sharing.rs` for the full program):
+//! The engine is sans-io: a command or a delivered message goes in, the
+//! sends it causes come out as `(recipient, message)` pairs, and the
+//! caller moves them. Here the dealer's `share` step hands every
+//! process, itself included, its private rows:
 //!
 //! ```
 //! use sba_broadcast::Params;
 //! use sba_field::{Field, Gf61};
-//! use sba_net::{Pid, SvssId};
-//! use sba_svss::harness::SvssNet;
+//! use sba_net::{Pid, SvssId, WireKind};
+//! use sba_svss::SvssEngine;
 //!
 //! let params = Params::new(4, 1).unwrap();
-//! let mut net = SvssNet::<Gf61>::new(params, 42);
 //! let sid = SvssId::new(1, Pid::new(2));
-//! net.share(sid, Gf61::from_u64(123));
-//! net.run();
-//! assert!(net.all_shares_completed(sid));
-//! net.reconstruct_all(sid);
-//! net.run();
+//! let mut dealer = SvssEngine::<Gf61>::new(Pid::new(2), params, 42);
+//! let mut sends = Vec::new();
+//! dealer.share(sid, Gf61::from_u64(123), &mut sends);
 //! for p in Pid::all(4) {
-//!     let out = net.engine(p).output(sid).unwrap();
-//!     assert_eq!(out.value(), Some(Gf61::from_u64(123)));
+//!     assert!(sends.iter().any(|(to, m)| *to == p && m.wire_kind() == WireKind::Rows));
 //! }
+//! assert!(!dealer.share_completed(sid));
 //! ```
+//!
+//! `examples/secret_sharing.rs` runs whole shares and reconstructions
+//! among four processes on the deterministic simulator, through the
+//! `sba` facade's multi-process harness (`sba::harness`).
 
 mod dmm;
 mod engine;
-pub mod harness;
 mod messages;
 mod mw;
 mod rb;

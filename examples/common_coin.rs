@@ -5,50 +5,9 @@
 //! cargo run -p sba-examples --example common_coin
 //! ```
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sba::coin::{CoinEngine, CoinMsg};
 use sba::field::Gf61;
-use sba::{Params, Pid};
-
-/// Minimal deterministic mesh of coin engines.
-struct Mesh {
-    engines: Vec<CoinEngine<Gf61>>,
-    queue: Vec<(Pid, Pid, CoinMsg<Gf61>)>,
-    rng: StdRng,
-}
-
-impl Mesh {
-    fn new(params: Params, seed: u64) -> Self {
-        Mesh {
-            engines: Pid::all(params.n())
-                .map(|p| CoinEngine::new(p, params, seed ^ (u64::from(p.index()) << 40)))
-                .collect(),
-            queue: Vec::new(),
-            rng: StdRng::seed_from_u64(seed),
-        }
-    }
-
-    fn drive(
-        &mut self,
-        p: Pid,
-        f: impl FnOnce(&mut CoinEngine<Gf61>, &mut Vec<(Pid, CoinMsg<Gf61>)>),
-    ) {
-        let mut sends = Vec::new();
-        f(&mut self.engines[(p.index() - 1) as usize], &mut sends);
-        for (to, m) in sends {
-            self.queue.push((p, to, m));
-        }
-    }
-
-    fn run(&mut self) {
-        while !self.queue.is_empty() {
-            let k = self.rng.gen_range(0..self.queue.len());
-            let (from, to, msg) = self.queue.swap_remove(k);
-            self.drive(to, |e, s| e.on_message(from, msg, s));
-        }
-    }
-}
+use sba::harness::CoinNet;
+use sba::Params;
 
 fn main() {
     let params = Params::new(4, 1).unwrap();
@@ -58,15 +17,10 @@ fn main() {
     let mut mixed = 0;
 
     for tag in 1..=sessions {
-        let mut mesh = Mesh::new(params, tag * 1009);
-        for p in Pid::all(4) {
-            mesh.drive(p, |e, s| e.start(tag, s));
-            mesh.drive(p, |e, s| e.enable_reconstruct(tag, s));
-        }
-        mesh.run();
-        let outs: Vec<bool> = Pid::all(4)
-            .map(|p| mesh.engines[(p.index() - 1) as usize].output(tag).unwrap())
-            .collect();
+        // A fresh four-process system per session, on the simulator.
+        let mut net = CoinNet::<Gf61>::new(params, tag * 1009);
+        net.flip_all(tag);
+        let outs: Vec<bool> = net.outputs(tag).into_iter().map(Option::unwrap).collect();
         let zeros = outs.iter().filter(|&&v| !v).count();
         match zeros {
             0 => all_one += 1,

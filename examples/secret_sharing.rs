@@ -7,8 +7,9 @@
 //! ```
 
 use sba::field::{Field, Gf61};
+use sba::harness::SvssNet;
+use sba::sim::Tamper;
 use sba::svss::forge_recon_points;
-use sba::svss::harness::{SvssNet, Tamper};
 use sba::{Params, Pid, SvssId};
 
 fn main() {

@@ -95,7 +95,7 @@ fn coin_sessions_retire_during_full_scc_run() {
 /// processes. The duplicates must die without resurrecting slots or
 /// breaking agreement — the full-stack companion to the unit-level
 /// `retired_sessions_drop_late_duplicate_and_tampered_traffic` in
-/// `crates/coin/tests/coin_adversarial.rs`.
+/// `tests/tests/coin_adversarial.rs`.
 #[test]
 fn duplicate_flood_cannot_resurrect_retired_sessions() {
     let config = ClusterConfig::new(4, 1)
