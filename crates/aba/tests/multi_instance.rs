@@ -6,7 +6,7 @@ use sba_aba::{AbaConfig, AbaNode, AbaProcess, CoinMode};
 use sba_coin::oracle::OracleCoin;
 use sba_field::Gf61;
 use sba_net::Pid;
-use sba_sim::{schedulers, Simulation};
+use sba_sim::{schedulers, SchedLayer, Simulation};
 
 fn node(i: u32, n: usize, t: usize, seed: u64, mode: CoinMode) -> AbaNode<Gf61> {
     let params = sba_broadcast::Params::new(n, t).unwrap();
@@ -152,7 +152,12 @@ fn lagged_process_converges() {
         let procs: Vec<AbaProcess<Gf61>> = (1..=n as u32)
             .map(|i| AbaProcess::new(node(i, n, 1, 100 + seed, mode), vec![(0, i % 2 == 0)]))
             .collect();
-        let sched = schedulers::lagged(vec![Pid::new(4)], 3, 40);
+        let sched = SchedLayer::Lagged {
+            slow: vec![Pid::new(4)],
+            base: 3,
+            factor: 40,
+        }
+        .build();
         let mut sim = Simulation::new(procs, sched, seed);
         let outcome = sim.run_until_all_done(40_000_000);
         assert!(outcome.all_done, "seed {seed}");
@@ -177,7 +182,7 @@ fn proposals_added_mid_run() {
             AbaProcess::new(node(i, n, 1, 200, mode), proposals)
         })
         .collect();
-    let mut sim = Simulation::new(procs, schedulers::skewed(25), 2);
+    let mut sim = Simulation::new(procs, SchedLayer::Skewed { max_delay: 25 }.build(), 2);
     let outcome = sim.run_until_all_done(60_000_000);
     assert!(outcome.all_done);
     for s in 0..5 {

@@ -22,10 +22,10 @@
 //! `--full` mode E9 additionally times the heavyweight n=7 SCC agreement
 //! run (the `scc_larger_system` slow-tier test's workload).
 //!
-//! `e11` sweeps the scenario zoo: every [`Zoo`](sba::Zoo) scenario —
-//! plus the three compound [`ScenarioPlan`](sba::ScenarioPlan)s, which
-//! run under the invariant monitor and embed their full plan in the
-//! artifact — is run, recorded as a JSON artifact under `artifacts/`,
+//! `e11` sweeps the scenario zoo: every [`Zoo`](sba::Zoo) scenario's
+//! plan — plus the three compound [`ScenarioPlan`](sba::ScenarioPlan)s,
+//! which run under the invariant monitor — is run, recorded with its
+//! full plan as a JSON artifact under `artifacts/`,
 //! and immediately replayed from that artifact — the harness exits
 //! nonzero if any replay diverges from its recording (the CI
 //! replay-smoke gate). `e14` is the *fork corpus*: every recorded
@@ -205,12 +205,9 @@ fn e11_scenario_zoo(full: bool, json_path: Option<&str>) {
     let mut sink = JsonSink::new();
     sink.put_str("schema", "sba-zoo-v1");
     let mut failed = false;
+    let (n, t) = if full { (7, 2) } else { (4, 1) };
     for zoo in Zoo::ALL {
-        let mut trial = Trial::new(zoo, seed);
-        if full {
-            trial.n = 7;
-            trial.t = 2;
-        }
+        let trial = Trial::new(zoo.plan(n, t, seed));
         let (path, run) = record(&trial, dir).expect("record artifact");
         let replay = replay_file(&path).expect("artifact replays");
         let r = &run.report;
@@ -260,12 +257,12 @@ fn e11_scenario_zoo(full: bool, json_path: Option<&str>) {
     println!("| plan | rounds | messages | held | recoveries | violations | digest | replay |");
     println!("|------|--------|----------|------|------------|------------|--------|--------|");
     for plan in sba::ScenarioPlan::compounds(4, 1, seed) {
-        let trial = Trial::plan(plan);
+        let trial = Trial::new(plan);
         let (path, run) = record(&trial, dir).expect("record artifact");
         let replay = replay_file(&path).expect("artifact replays");
         let r = &run.report;
         let m = &r.metrics;
-        let name = trial.scenario.name().to_string();
+        let name = trial.plan.name.clone();
         assert!(r.terminated, "{name} must terminate");
         assert!(r.agreement(), "{name} must agree");
         assert_eq!(
@@ -1281,12 +1278,11 @@ fn e7_hiding(full: bool) {
 // ---------------------------------------------------------------------
 fn e8_ablation(full: bool) {
     use sba::aba::{AbaConfig, AbaNode, AbaProcess};
-    use sba::adversary::lying_share_tamper;
     use sba::coin::coin_svss_id;
     use sba::field::Gf61 as F;
-    use sba::sim::{schedulers, Process, Simulation, TamperProcess};
+    use sba::sim::{SchedLayer, Simulation};
     use sba::svss::Reconstructed;
-    use sba::AbaMsg;
+    use sba::{ClusterProcess, Role};
 
     println!("## E8 - ablation: why shunning matters\n");
     println!("A forging adversary attacks every SVSS session of every coin, across");
@@ -1303,37 +1299,7 @@ fn e8_ablation(full: bool) {
     println!("| detection | instances | corrupted SVSS sessions | shun pairs | all agreed |");
     println!("|-----------|-----------|-------------------------|------------|-----------|");
     for &detection in &[true, false] {
-        enum P {
-            Honest(AbaProcess<F>),
-            Byz(TamperProcess<AbaProcess<F>, AbaMsg<F>>),
-        }
-        impl Process<AbaMsg<F>> for P {
-            fn on_start(&mut self, out: &mut sba::net::Outbox<AbaMsg<F>>) {
-                match self {
-                    P::Honest(x) => x.on_start(out),
-                    P::Byz(x) => x.on_start(out),
-                }
-            }
-            fn on_message(
-                &mut self,
-                from: Pid,
-                msg: AbaMsg<F>,
-                out: &mut sba::net::Outbox<AbaMsg<F>>,
-            ) {
-                match self {
-                    P::Honest(x) => x.on_message(from, msg, out),
-                    P::Byz(x) => x.on_message(from, msg, out),
-                }
-            }
-            fn done(&self) -> bool {
-                match self {
-                    P::Honest(x) => x.done(),
-                    P::Byz(_) => true,
-                }
-            }
-        }
-
-        let procs: Vec<P> = (1..=n as u32)
+        let procs: Vec<ClusterProcess> = (1..=n as u32)
             .map(|i| {
                 let pid = Pid::new(i);
                 let mut config = AbaConfig::scc(params, 7 ^ (u64::from(i) << 32));
@@ -1341,25 +1307,27 @@ fn e8_ablation(full: bool) {
                 let node: AbaNode<F> = AbaNode::new(pid, config);
                 let proposals: Vec<(u32, bool)> =
                     (0..instances).map(|k| (k, (k + i) % 2 == 0)).collect();
-                let proc_ = AbaProcess::new(node, proposals);
-                if i == n as u32 {
-                    P::Byz(TamperProcess::new(proc_, lying_share_tamper(3)))
+                let role = if i == n as u32 {
+                    Role::LyingShares { delta: 3 }
                 } else {
-                    P::Honest(proc_)
-                }
+                    Role::Honest
+                };
+                ClusterProcess::with_role(AbaProcess::new(node, proposals), role)
             })
             .collect();
-        let sched = schedulers::lagged(vec![Pid::new(1), Pid::new(2)], 2, 9);
+        let sched = SchedLayer::Lagged {
+            slow: vec![Pid::new(1), Pid::new(2)],
+            base: 2,
+            factor: 9,
+        }
+        .build();
         let mut sim = Simulation::new(procs, sched, 31);
         let outcome = sim.run_until_all_done(2_000_000_000);
 
         // Count corrupted SVSS sessions across every instance and round.
-        let honest: Vec<&AbaNode<F>> = (1..n as u32 + 1)
-            .filter(|&i| i != n as u32)
-            .map(|i| match sim.process(Pid::new(i)) {
-                P::Honest(x) => x.node(),
-                P::Byz(_) => unreachable!("liar is the last process"),
-            })
+        // The liar is the last process.
+        let honest: Vec<&AbaNode<F>> = (1..n as u32)
+            .map(|i| sim.process(Pid::new(i)).node().expect("honest nodes"))
             .collect();
         let mut corrupted = 0u64;
         let mut agreed = outcome.all_done;
@@ -1396,13 +1364,10 @@ fn e8_ablation(full: bool) {
             }
         }
         let mut shuns: Vec<(u32, Pid)> = Vec::new();
-        for (i, nd) in honest.iter().enumerate() {
-            let _ = nd;
-            if let P::Honest(x) = sim.process(Pid::new(i as u32 + 1)) {
-                for ev in x.events() {
-                    if let sba::AbaEvent::Shunned { process } = ev {
-                        shuns.push((i as u32 + 1, *process));
-                    }
+        for i in 1..n as u32 {
+            for ev in sim.process(Pid::new(i)).events().expect("honest events") {
+                if let sba::AbaEvent::Shunned { process } = ev {
+                    shuns.push((i, *process));
                 }
             }
         }

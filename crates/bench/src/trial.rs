@@ -1,18 +1,19 @@
 //! The trial harness: record, replay, and fork scenario runs as JSON
 //! artifacts.
 //!
-//! A *trial* is `(scenario, n, t, seed, event budget)` — everything
+//! A *trial* is a [`ScenarioPlan`] plus an event budget — everything
 //! needed to reproduce a run bit-for-bit, since a simulation is a pure
-//! function of its construction. The scenario is either a [`Zoo`] entry
-//! or a full [`ScenarioPlan`]; plan trials serialize the *entire plan*
-//! (roles, scheduler layers, timed events) into the artifact, so the
-//! artifact carries its environment. [`record`] runs a trial and writes
-//! an artifact (config + outcome + metrics + run digest) under a
-//! directory of the caller's choosing (`artifacts/` by convention);
-//! [`replay_file`] reads an artifact back, re-runs the trial it
-//! describes, and reports every numeric divergence — an empty mismatch
-//! list *is* the bit-identity proof (the digest folds every delivered
-//! message's timing, route, and kind).
+//! function of its construction. The artifact serializes the *entire
+//! plan* (roles, scheduler layers, timed events) as `plan.*` keys, so it
+//! carries its environment. [`record`] runs a trial and writes an
+//! artifact (config + outcome + metrics + run digest) under a directory
+//! of the caller's choosing (`artifacts/` by convention); [`replay_file`]
+//! reads an artifact back, re-runs the trial it describes, and reports
+//! every numeric divergence — an empty mismatch list *is* the
+//! bit-identity proof (the digest folds every delivered message's
+//! timing, route, and kind). Artifacts recorded before plans were
+//! embedded name a [`Zoo`] entry by `trial.scenario_index`;
+//! [`parse_trial`] maps that index to the entry's plan.
 //!
 //! [`fork`] drives the mid-run checkpoint path: advance a trial to a
 //! branch point, then continue it once with the original schedule (the
@@ -32,79 +33,33 @@ use crate::{parse_snapshot, JsonSink};
 /// Artifact schema tag.
 pub const TRIAL_SCHEMA: &str = "sba-trial-v1";
 
-/// What a [`Trial`] runs: a canned zoo entry or a full fault plan.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Scenario {
-    /// A canonical [`Zoo`] scenario (recorded by index).
-    Zoo(Zoo),
-    /// An arbitrary [`ScenarioPlan`] (recorded in full as `plan.*`
-    /// keys).
-    Plan(ScenarioPlan),
-}
-
-impl Scenario {
-    /// The stable name recorded in artifacts and CLI output.
-    pub fn name(&self) -> &str {
-        match self {
-            Scenario::Zoo(z) => z.name(),
-            Scenario::Plan(p) => &p.name,
-        }
-    }
-}
+/// The artifact key older artifacts name their [`Zoo`] entry by. It is
+/// an input, not a measurement: [`parse_trial`] turns it into the plan,
+/// and a replay does not compare it.
+const LEGACY_INDEX_KEY: &str = "trial.scenario_index";
 
 /// A reproducible scenario run: the full recipe, no state.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Trial {
-    /// The adversarial scenario.
-    pub scenario: Scenario,
-    /// Cluster size.
-    pub n: usize,
-    /// Fault bound.
-    pub t: usize,
-    /// Run seed (drives scheduling and all protocol randomness).
-    pub seed: u64,
+    /// The adversary, the size, and the seed.
+    pub plan: ScenarioPlan,
     /// Event budget for the run.
     pub max_events: u64,
 }
 
 impl Trial {
-    /// A zoo trial at the canonical small size (n=4, t=1) with the
-    /// standard event budget.
-    pub fn new(zoo: Zoo, seed: u64) -> Trial {
+    /// A trial over `plan` with the standard event budget.
+    pub fn new(plan: ScenarioPlan) -> Trial {
         Trial {
-            scenario: Scenario::Zoo(zoo),
-            n: 4,
-            t: 1,
-            seed,
+            plan,
             max_events: 60_000_000,
-        }
-    }
-
-    /// A trial over a full fault plan (size and seed come from the
-    /// plan), with the standard event budget.
-    pub fn plan(plan: ScenarioPlan) -> Trial {
-        Trial {
-            n: plan.n,
-            t: plan.t,
-            seed: plan.seed,
-            scenario: Scenario::Plan(plan),
-            max_events: 60_000_000,
-        }
-    }
-
-    /// The trial's scenario as a [`ScenarioPlan`] — the single source
-    /// of truth for how its cluster is built.
-    pub fn as_plan(&self) -> ScenarioPlan {
-        match &self.scenario {
-            Scenario::Zoo(z) => z.plan(self.n, self.t, self.seed),
-            Scenario::Plan(p) => p.clone(),
         }
     }
 
     /// Builds the trial's run (digest enabled, split inputs, timed
     /// events pending).
     pub fn plan_run(&self) -> PlanRun {
-        self.as_plan().build()
+        self.plan.build()
     }
 
     /// Runs the trial to completion.
@@ -120,13 +75,8 @@ impl Trial {
 
     /// The artifact file name this trial records to.
     pub fn artifact_name(&self) -> String {
-        format!(
-            "trial_{}_n{}t{}_s{}.json",
-            self.scenario.name(),
-            self.n,
-            self.t,
-            self.seed
-        )
+        let p = &self.plan;
+        format!("trial_{}_n{}t{}_s{}.json", p.name, p.n, p.t, p.seed)
     }
 }
 
@@ -147,24 +97,18 @@ pub struct TrialRun {
 /// Scalars only (the [`JsonSink`] round-trips numbers through `f64`, so
 /// the 64-bit digest is stored as two 32-bit halves); decisions are
 /// packed as bitmasks, which also keeps the artifact diff-friendly.
-/// Plan trials additionally embed the full plan as `plan.*` keys
-/// ([`ScenarioPlan::to_kv`]).
+/// The full plan is embedded as `plan.*` keys ([`ScenarioPlan::to_kv`]).
 pub fn artifact_json(trial: &Trial, run: &TrialRun) -> String {
+    let plan = &trial.plan;
     let mut sink = JsonSink::new();
     sink.put_str("schema", TRIAL_SCHEMA);
-    sink.put_str("trial.scenario", trial.scenario.name());
-    if let Scenario::Zoo(zoo) = &trial.scenario {
-        let index = Zoo::ALL.iter().position(|z| z == zoo).expect("in ALL");
-        sink.put_num("trial.scenario_index", index as f64);
-    }
-    sink.put_num("trial.n", trial.n as f64);
-    sink.put_num("trial.t", trial.t as f64);
-    sink.put_num("trial.seed", trial.seed as f64);
+    sink.put_str("trial.scenario", &plan.name);
+    sink.put_num("trial.n", plan.n as f64);
+    sink.put_num("trial.t", plan.t as f64);
+    sink.put_num("trial.seed", plan.seed as f64);
     sink.put_num("trial.max_events", trial.max_events as f64);
-    if let Scenario::Plan(plan) = &trial.scenario {
-        for (key, value) in plan.to_kv() {
-            sink.put_num(&key, value);
-        }
+    for (key, value) in plan.to_kv() {
+        sink.put_num(&key, value);
     }
     let r = &run.report;
     let (mut decided_mask, mut decision_bits) = (0u64, 0u64);
@@ -264,11 +208,13 @@ fn scenario_name(text: &str) -> Option<String> {
 }
 
 /// Reconstructs the trial an artifact describes without re-running it.
+/// An artifact without `plan.*` keys names a [`Zoo`] entry by index, at
+/// the artifact's `trial.{n,t,seed}`.
 ///
 /// # Errors
 ///
 /// Errors on malformed artifacts (bad JSON, missing keys, unknown
-/// scenario index, malformed embedded plan).
+/// scenario index, a plan [`ScenarioPlan::check`] rejects).
 pub fn parse_trial(text: &str) -> Result<Trial, String> {
     let recorded = parse_snapshot(text)?;
     let get = |key: &str| {
@@ -278,21 +224,27 @@ pub fn parse_trial(text: &str) -> Result<Trial, String> {
             .map(|&(_, v)| v)
             .ok_or_else(|| format!("artifact is missing '{key}'"))
     };
-    let scenario = if recorded.iter().any(|(k, _)| k == "plan.version") {
+    let plan = if recorded.iter().any(|(k, _)| k == "plan.version") {
         let name = scenario_name(text).unwrap_or_else(|| "plan".to_string());
-        Scenario::Plan(ScenarioPlan::from_kv(&name, &recorded)?)
+        ScenarioPlan::from_kv(&name, &recorded)?
     } else {
-        let index = get("trial.scenario_index")? as usize;
-        let zoo = *Zoo::ALL
+        let index = get(LEGACY_INDEX_KEY)? as usize;
+        let zoo = Zoo::ALL
             .get(index)
             .ok_or_else(|| format!("unknown scenario index {index}"))?;
-        Scenario::Zoo(zoo)
+        let (n, t, seed) = (
+            get("trial.n")? as usize,
+            get("trial.t")? as usize,
+            get("trial.seed")? as u64,
+        );
+        // The size is checked before `Zoo::plan` builds for it.
+        ScenarioPlan::new("", n, t, seed).check()?;
+        let plan = zoo.plan(n, t, seed);
+        plan.check()?;
+        plan
     };
     Ok(Trial {
-        scenario,
-        n: get("trial.n")? as usize,
-        t: get("trial.t")? as usize,
-        seed: get("trial.seed")? as u64,
+        plan,
         max_events: get("trial.max_events")? as u64,
     })
 }
@@ -310,7 +262,7 @@ pub fn replay_artifact(text: &str) -> Result<Replay, String> {
     let run = trial.run();
     let replayed = parse_snapshot(&artifact_json(&trial, &run))?;
     let mut mismatches = Vec::new();
-    for (key, recorded_v) in &recorded {
+    for (key, recorded_v) in recorded.iter().filter(|(k, _)| k != LEGACY_INDEX_KEY) {
         let replayed_v = replayed
             .iter()
             .find(|(k, _)| k == key)
@@ -461,7 +413,7 @@ fn decided(report: &ClusterReport) -> bool {
 /// gets at least three branch points (unless the run is shorter than
 /// four events).
 pub fn fork_corpus_trial(trial: &Trial, seeds: &[u64], max_boundaries: usize) -> CorpusEntry {
-    let mut plan = trial.as_plan();
+    let mut plan = trial.plan.clone();
     plan.monitor = true;
     // Pass 1: run to completion, checkpointing at each round entry.
     let mut run = plan.build();
@@ -512,7 +464,7 @@ pub fn fork_corpus_trial(trial: &Trial, seeds: &[u64], max_boundaries: usize) ->
     }
     CorpusEntry {
         artifact: trial.artifact_name(),
-        scenario: trial.scenario.name().to_string(),
+        scenario: trial.plan.name.clone(),
         boundaries: cks.into_iter().map(|(e, _)| e).collect(),
         resumes_faithful,
         branches_run,
@@ -556,10 +508,15 @@ pub fn fork_corpus(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sba::{Action, Pid, PlanEvent, Role, SchedLayer, Trigger};
+
+    fn benign(seed: u64) -> Trial {
+        Trial::new(Zoo::Benign.plan(4, 1, seed))
+    }
 
     #[test]
     fn artifact_round_trips_bit_identically() {
-        let trial = Trial::new(Zoo::Benign, 42);
+        let trial = benign(42);
         let run = trial.run();
         let replay = replay_artifact(&artifact_json(&trial, &run)).expect("well-formed");
         assert!(
@@ -573,7 +530,7 @@ mod tests {
 
     #[test]
     fn plan_artifact_round_trips_with_its_environment() {
-        let trial = Trial::plan(ScenarioPlan::crash_during_recovery(4, 1, 7));
+        let trial = Trial::new(ScenarioPlan::crash_during_recovery(4, 1, 7));
         let run = trial.run();
         assert_eq!(run.monitor_ok, Some(true));
         let text = artifact_json(&trial, &run);
@@ -587,9 +544,21 @@ mod tests {
         assert_eq!(replay.trial, trial, "plan (and name) reconstructed");
     }
 
+    /// An artifact recorded when zoo trials were stored by index (no
+    /// `plan.*` keys) still loads, as its zoo entry's plan, and replays
+    /// with zero mismatches.
+    #[test]
+    fn zoo_index_artifact_still_replays() {
+        let path =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/data/trial_benign_n4t1_s7.json");
+        let replay = replay_file(&path).expect("a zoo-index artifact loads");
+        assert!(replay.ok(), "mismatches: {:?}", replay.mismatches);
+        assert_eq!(replay.trial, Trial::new(Zoo::Benign.plan(4, 1, 7)));
+    }
+
     #[test]
     fn tampered_artifact_is_flagged() {
-        let trial = Trial::new(Zoo::Benign, 42);
+        let trial = benign(42);
         let run = trial.run();
         let tampered = artifact_json(&trial, &run).replace(
             &format!("\"digest_lo\": {}", run.digest & 0xffff_ffff),
@@ -601,10 +570,134 @@ mod tests {
         assert_eq!(replay.mismatches[0].key, "outcome.digest_lo");
     }
 
+    /// Artifact text for `plan` with some `plan.*` values overwritten.
+    fn plan_text(plan: &ScenarioPlan, edits: &[(&str, f64)]) -> String {
+        let mut sink = JsonSink::new();
+        sink.put_str("schema", TRIAL_SCHEMA);
+        sink.put_num("trial.max_events", 1000.0);
+        for (key, value) in plan.to_kv() {
+            let edit = edits.iter().find(|(k, _)| *k == key);
+            sink.put_num(&key, edit.map_or(value, |&(_, v)| v));
+        }
+        for (key, _) in edits {
+            assert!(plan.to_kv().iter().any(|(k, _)| k == key), "no key {key}");
+        }
+        sink.render()
+    }
+
     #[test]
     fn replay_rejects_malformed_artifacts() {
         assert!(replay_artifact("{}").is_err());
         assert!(replay_artifact("not json").is_err());
         assert!(replay_artifact("{\"trial\": {\"scenario_index\": 99}}").is_err());
+        // A zoo index at a size no cluster has, or crash_recover at t = 0.
+        for (index, n, t) in [(0, 3, 1), (0, 0, 0), (0, 1000, 1), (2, 4, 0)] {
+            let text = format!(
+                "{{\"trial\": {{\"scenario_index\": {index}, \"n\": {n}, \"t\": {t}, \
+                 \"seed\": 7, \"max_events\": 10}}}}"
+            );
+            assert!(
+                replay_artifact(&text).is_err(),
+                "index {index} at n={n} t={t}"
+            );
+        }
+        // Plans that decode but could not be built: each must be an Err
+        // from the decoder, never a panic in `build`.
+        let silent = |pids: &[u32]| {
+            let mut plan = ScenarioPlan::new("roles", 4, 1, 7);
+            plan.roles = pids.iter().map(|&i| (Pid::new(i), Role::Silent)).collect();
+            plan
+        };
+        let with_event = |action: Action| {
+            let mut plan = ScenarioPlan::new("event", 4, 1, 7);
+            plan.events.push(PlanEvent {
+                at: Trigger::AtDelivery(10),
+                action,
+            });
+            plan
+        };
+        let crash_recover = {
+            let mut plan = silent(&[4]);
+            plan.roles[0].1 = Role::CrashRecover {
+                after: 10,
+                down_for: 5,
+            };
+            plan
+        };
+        let lagged = {
+            let mut plan = ScenarioPlan::new("lagged", 4, 1, 7);
+            plan.layers = vec![SchedLayer::Lagged {
+                slow: vec![Pid::new(4)],
+                base: 2,
+                factor: 9,
+            }];
+            plan
+        };
+        let cases: Vec<(ScenarioPlan, Vec<(&str, f64)>)> = vec![
+            (silent(&[4]), vec![("plan.roles.r0.pid", 0.0)]),
+            (silent(&[4]), vec![("plan.roles.r0.pid", 9.0)]),
+            (silent(&[3, 4]), vec![]),
+            (crash_recover, vec![("plan.roles.r0.b", 0.0)]),
+            (Zoo::Rushing.plan(4, 1, 7), vec![("plan.layers.l0.a", 0.0)]),
+            (Zoo::Rushing.plan(4, 1, 7), vec![("plan.layers.l0.b", 1.0)]),
+            (
+                Zoo::LossRetransmit.plan(4, 1, 7),
+                vec![("plan.layers.l0.a", 1000.0)],
+            ),
+            (
+                Zoo::LossRetransmit.plan(4, 1, 7),
+                vec![("plan.layers.l0.d", 0.0)],
+            ),
+            (
+                Zoo::HealedPartition.plan(4, 1, 7),
+                vec![("plan.layers.l0.b", 0.0)],
+            ),
+            (
+                Zoo::HeavyTail.plan(4, 1, 7),
+                vec![("plan.layers.l0.b", 3.0)],
+            ),
+            (Zoo::Benign.plan(4, 1, 7), vec![("plan.layers.l0.a", 0.0)]),
+            (
+                Zoo::Benign.plan(4, 1, 7),
+                vec![("plan.layers.l0.kind", 99.0)],
+            ),
+            (Zoo::Benign.plan(4, 1, 7), vec![("plan.layers.count", 0.0)]),
+            (Zoo::Benign.plan(4, 1, 7), vec![("plan.n", 3.0)]),
+            (
+                ScenarioPlan::partition_heal_mid_coin(4, 1, 7),
+                vec![("plan.layers.l0.a", 5000.0)],
+            ),
+            (lagged.clone(), vec![("plan.layers.l0.a", 0.0)]),
+            (lagged, vec![("plan.layers.l0.b", 0.0)]),
+            (
+                with_event(Action::Crash {
+                    p: Pid::new(4),
+                    down_for: Some(3),
+                }),
+                vec![("plan.events.e0.b", 0.0)],
+            ),
+            (
+                with_event(Action::Crash {
+                    p: Pid::new(4),
+                    down_for: None,
+                }),
+                vec![("plan.events.e0.pid", 0.0)],
+            ),
+            (
+                with_event(Action::Corrupt {
+                    p: Pid::new(4),
+                    role: Role::Silent,
+                }),
+                vec![("plan.events.e0.kind", 0.0)],
+            ),
+        ];
+        for (plan, edits) in cases {
+            let text = plan_text(&plan, &edits);
+            assert!(
+                replay_artifact(&text).is_err(),
+                "{} with {edits:?} decoded",
+                plan.name
+            );
+        }
     }
 }

@@ -1,10 +1,12 @@
-//! Canned Byzantine behaviours and adversarial schedulers for the full
-//! stack, used by the fault-injection tests and the experiment harness.
+//! The tampers behind the Byzantine [`Role`](crate::Role)s: each one
+//! rewrites a corrupted process's outgoing messages, and
+//! [`ClusterProcess::with_role`](crate::ClusterProcess::with_role) is
+//! their only caller.
 
 use sba_aba::VoteValue;
 use sba_field::{Field, Gf61};
-use sba_net::{Envelope, Kinded, Pid, RbStep, Unpacked, WireKind};
-use sba_sim::{FnScheduler, Scheduler, Tamper};
+use sba_net::{Pid, RbStep, Unpacked, WireKind};
+use sba_sim::Tamper;
 use sba_svss::forge_recon_points;
 
 use crate::cluster::Msg;
@@ -63,27 +65,6 @@ pub fn equivocating_vote_tamper() -> impl FnMut(Pid, &Msg) -> Tamper<Msg> + Send
         }
         flip_vote_init(msg).map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
     }
-}
-
-/// Scheduler: delays the vote-layer traffic of `victims` by `factor`
-/// while coin traffic flows freely — the "reveal the coin early, then let
-/// the slow votes land" schedule of a rushing adversary, which voids a
-/// round's progress guarantee without violating safety.
-pub fn coin_steer_scheduler(victims: Vec<Pid>, factor: u64) -> Box<dyn Scheduler<Msg>> {
-    assert!(factor > 0, "factor must be positive");
-    Box::new(FnScheduler::new(
-        move |env: &Envelope<Msg>, now: u64, rng: &mut rand::rngs::StdRng| {
-            use rand::Rng;
-            let base = now + rng.gen_range(1..=4u64);
-            // Every RB step of a vote carries its phase's label.
-            let is_vote = matches!(env.msg.kind(), "aba/vote" | "aba/candidate");
-            if is_vote && victims.contains(&env.from) {
-                base + factor
-            } else {
-                base
-            }
-        },
-    ))
 }
 
 #[cfg(test)]

@@ -338,7 +338,8 @@ impl Cluster {
         )
     }
 
-    /// Builds a cluster with a custom adversarial scheduler.
+    /// Builds a cluster with a custom adversarial scheduler: the
+    /// [`ScenarioPlan::build`](crate::ScenarioPlan::build) back end.
     ///
     /// # Panics
     ///
@@ -487,8 +488,9 @@ impl Cluster {
     ///
     /// # Panics
     ///
-    /// Panics if the scheduler does not support checkpointing (all stock
-    /// [`schedulers`] do; custom `FnScheduler`s do not).
+    /// Panics if the scheduler does not support checkpointing (every
+    /// [`SchedLayer`](sba_sim::SchedLayer) stack does; a custom
+    /// [`Scheduler`] need not).
     pub fn checkpoint(&self) -> ClusterCheckpoint {
         ClusterCheckpoint {
             sim: self.sim.checkpoint(),

@@ -64,7 +64,7 @@ pub use sba_field::{Field, Gf101, Gf61};
 pub use sba_net::{Pid, ProcessSet, SvssId};
 pub use sba_svss::{Reconstructed, SvssEngine, SvssEvent};
 
-pub mod adversary;
+mod adversary;
 mod cluster;
 pub mod harness;
 pub mod monitor;

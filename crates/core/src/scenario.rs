@@ -1,33 +1,39 @@
-//! Fault plans: adversarial environments as first-class, serializable,
+//! Fault plans: the one way to describe an adversary, as serializable,
 //! replayable data.
 //!
-//! A [`ScenarioPlan`] describes one adversarial run completely:
+//! In the paper's model the adversary is a scheduler plus a set of
+//! corrupted processes. A [`ScenarioPlan`] says both, completely:
 //!
 //! - a **role** per process ([`Role`]) — honest, silent, crashing,
 //!   crash-recovering, lying about shares, flipping votes, or
 //!   equivocating;
-//! - a **stack of scheduler layers** ([`SchedLayer`]) composed through
-//!   [`schedulers::layered`] (each message's delivery time is the max of
-//!   the layers' proposals, so layers only ever *add* adversarial
-//!   power);
+//! - a **stack of scheduler layers** ([`SchedLayer`], defined in
+//!   [`sba_sim`] and re-exported here) composed by [`SchedLayer::stack`]
+//!   (each message's delivery time is the max of the layers' proposals,
+//!   so layers only ever *add* adversarial power);
 //! - **timed events** ([`PlanEvent`]) — "heal the partitions at delivery
 //!   200 000", "corrupt p3 when round 2 starts", "crash p4 again while
 //!   it is still recovering" — fired mid-run by [`PlanRun`];
 //! - the **coin construction** ([`PlanCoin`]) and whether the
 //!   [invariant monitor](crate::monitor) rides along.
 //!
+//! A new adversary is one enum row: a [`Role`] row (with its arm in
+//! [`ClusterProcess::with_role`]) or a [`SchedLayer`] row.
+//!
 //! Plans serialize to the flat numeric key/value form the bench trial
 //! artifacts use ([`ScenarioPlan::to_kv`] / [`ScenarioPlan::from_kv`]),
 //! so an `artifacts/trial_*.json` file *contains* the environment it was
 //! recorded under and anyone holding one can rebuild the identical
-//! cluster and replay the run bit-for-bit.
+//! cluster and replay the run bit-for-bit. Decoding checks the plan
+//! ([`ScenarioPlan::check`]), so a malformed artifact is an `Err`, not a
+//! panic in [`ScenarioPlan::build`].
 //!
-//! The classic [`Zoo`] scenarios are now just canned plans
-//! ([`Zoo::plan`]); compound scenarios that used to require bespoke
-//! harness code are one literal each ([`ScenarioPlan::compounds`]).
+//! The [`Zoo`] scenarios are named plans ([`Zoo::plan`]); compound
+//! scenarios are one literal each ([`ScenarioPlan::compounds`]).
 
-use sba_net::Pid;
-use sba_sim::{schedulers, Scheduler, Simulation};
+use sba_net::{Pid, MAX_N};
+pub use sba_sim::SchedLayer;
+use sba_sim::Simulation;
 
 use crate::cluster::{ClusterProcess, Msg};
 use crate::{Cluster, ClusterCheckpoint, ClusterConfig, ClusterReport, CoinMode, OracleCoin};
@@ -72,8 +78,8 @@ pub enum Role {
     /// Runs the honest protocol but **equivocates**: tells half the
     /// network one vote-layer bit and the other half its negation
     /// (recipient-dependent tampering — the canonical Byzantine
-    /// behaviour reliable broadcast exists to defeat; see
-    /// [`equivocating_vote_tamper`](crate::adversary::equivocating_vote_tamper)).
+    /// behaviour reliable broadcast exists to defeat: odd-indexed
+    /// recipients hear the honest bit, even-indexed ones its negation).
     Equivocating,
 }
 
@@ -99,6 +105,17 @@ impl Role {
         }
     }
 
+    /// Checks the role's parameters (a crash-recover outage must be
+    /// non-empty).
+    fn check(&self) -> Result<(), String> {
+        match self {
+            Role::CrashRecover { down_for: 0, .. } => {
+                Err("a zero-length outage is not a crash".into())
+            }
+            _ => Ok(()),
+        }
+    }
+
     fn decode(kind: u64, a: u64, b: u64) -> Result<Role, String> {
         Ok(match kind {
             0 => Role::Honest,
@@ -113,117 +130,6 @@ impl Role {
             6 => Role::Equivocating,
             k => return Err(format!("unknown role kind {k}")),
         })
-    }
-}
-
-/// One layer of the adversarial scheduler stack. A plan's layers compose
-/// through [`schedulers::layered`]: every message's delivery time is the
-/// **max** of the layers' proposals (a single-layer stack is built bare,
-/// bit-identical to using the layer directly).
-///
-/// Partition groups are *sets*: they serialize as membership bitmasks
-/// and deserialize in ascending pid order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum SchedLayer {
-    /// Uniform random delays in `1..=max_delay`
-    /// ([`schedulers::uniform`]).
-    Uniform {
-        /// Maximum random delay.
-        max_delay: u64,
-    },
-    /// Instant in-order delivery ([`schedulers::fifo`]).
-    Fifo,
-    /// Cross-partition traffic held until `heal_at`, then drained in
-    /// send order ([`schedulers::healed_partition`]).
-    HealedPartition {
-        /// One side of the partition.
-        group_a: Vec<Pid>,
-        /// Virtual time of the heal (a [`Action::HealPartitions`] event
-        /// can pull it earlier).
-        heal_at: u64,
-        /// Base random delay for unheld traffic.
-        base: u64,
-    },
-    /// Lossy links with bounded retransmission
-    /// ([`schedulers::loss_retransmit`]).
-    LossRetransmit {
-        /// Per-message loss probability in permille.
-        loss_permille: u32,
-        /// Retransmission timeout.
-        rto: u64,
-        /// Maximum retransmissions per message.
-        max_retries: u32,
-        /// Base random delay.
-        base: u64,
-    },
-    /// One process's links always run ahead of the network
-    /// ([`schedulers::rushing`]).
-    Rushing {
-        /// The rushed process.
-        target: Pid,
-        /// Reordering window.
-        window: u64,
-    },
-    /// Long-fat-network heavy-tail delays ([`schedulers::heavy_tail`]).
-    HeavyTail {
-        /// Common-case delay bound.
-        base: u64,
-        /// Tail delay cap.
-        cap: u64,
-    },
-    /// A partition that *starts mid-run*: cross traffic sent within
-    /// `[from, until)` is held ([`schedulers::window_partition`]); the
-    /// window's end — or a [`Action::HealPartitions`] event — heals it.
-    WindowPartition {
-        /// One side of the partition.
-        group_a: Vec<Pid>,
-        /// Virtual time the partition starts.
-        from: u64,
-        /// Virtual time of the backstop heal.
-        until: u64,
-        /// Base random delay for unheld traffic.
-        base: u64,
-    },
-}
-
-impl SchedLayer {
-    /// Builds this layer as a standalone scheduler.
-    pub fn build(&self) -> Box<dyn Scheduler<Msg>> {
-        match self {
-            SchedLayer::Uniform { max_delay } => schedulers::uniform(*max_delay),
-            SchedLayer::Fifo => schedulers::fifo(),
-            SchedLayer::HealedPartition {
-                group_a,
-                heal_at,
-                base,
-            } => schedulers::healed_partition(group_a.clone(), *heal_at, *base),
-            SchedLayer::LossRetransmit {
-                loss_permille,
-                rto,
-                max_retries,
-                base,
-            } => schedulers::loss_retransmit(*loss_permille, *rto, *max_retries, *base),
-            SchedLayer::Rushing { target, window } => schedulers::rushing(*target, *window),
-            SchedLayer::HeavyTail { base, cap } => schedulers::heavy_tail(*base, *cap),
-            SchedLayer::WindowPartition {
-                group_a,
-                from,
-                until,
-                base,
-            } => schedulers::window_partition(group_a.clone(), *from, *until, *base),
-        }
-    }
-
-    fn kind(&self) -> u64 {
-        match self {
-            SchedLayer::Uniform { .. } => 0,
-            SchedLayer::Fifo => 1,
-            SchedLayer::HealedPartition { .. } => 2,
-            SchedLayer::LossRetransmit { .. } => 3,
-            SchedLayer::Rushing { .. } => 4,
-            SchedLayer::HeavyTail { .. } => 5,
-            SchedLayer::WindowPartition { .. } => 6,
-        }
     }
 }
 
@@ -333,13 +239,77 @@ impl ScenarioPlan {
         }
     }
 
+    /// Checks that the plan can be built: `3t < n ≤ MAX_N`, at most `t`
+    /// non-honest roles, every pid names one of the `n` processes, the
+    /// layer stack is non-empty, and every layer and role passes its own
+    /// parameter check ([`SchedLayer::check`]). [`ScenarioPlan::from_kv`]
+    /// and [`ScenarioPlan::build`] both call it.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first violation.
+    pub fn check(&self) -> Result<(), String> {
+        let (n, t) = (self.n, self.t);
+        if n <= 3 * t {
+            return Err(format!(
+                "Byzantine agreement requires n > 3t (n = {n}, t = {t})"
+            ));
+        }
+        if n > MAX_N as usize {
+            return Err(format!("n = {n} exceeds the {MAX_N}-process cap"));
+        }
+        let in_range = |p: &Pid| {
+            if (p.index() as usize) <= n {
+                Ok(())
+            } else {
+                Err(format!("{p} is not one of the {n} processes"))
+            }
+        };
+        for (p, role) in &self.roles {
+            in_range(p)?;
+            role.check()?;
+        }
+        let faulty = self
+            .roles
+            .iter()
+            .filter(|(_, r)| *r != Role::Honest)
+            .count();
+        if faulty > t {
+            return Err(format!("{faulty} faulty roles exceed t = {t}"));
+        }
+        if self.layers.is_empty() {
+            return Err("a scheduler stack needs >= 1 layer".into());
+        }
+        for layer in &self.layers {
+            layer.check()?;
+        }
+        for ev in &self.events {
+            match &ev.action {
+                Action::HealPartitions => {}
+                Action::Corrupt { p, role } => {
+                    in_range(p)?;
+                    if *role == Role::Honest {
+                        return Err("Corrupt requires a non-honest role".into());
+                    }
+                    role.check()?;
+                }
+                Action::Crash { p, down_for } => {
+                    in_range(p)?;
+                    if *down_for == Some(0) {
+                        return Err("a zero-length outage is not a crash".into());
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Builds the plan's cluster with the canonical split-input vector
     /// and wraps it in a [`PlanRun`] that fires the timed events.
     ///
     /// # Panics
     ///
-    /// Panics unless `n > 3t`, the layer stack is non-empty, and at most
-    /// `t` roles are non-honest.
+    /// Panics if [`ScenarioPlan::check`] rejects the plan.
     pub fn build(&self) -> PlanRun {
         let inputs: Vec<Option<bool>> = (0..self.n).map(|i| Some(i % 2 == 0)).collect();
         self.build_with_inputs(&inputs)
@@ -374,15 +344,19 @@ impl ScenarioPlan {
     ///
     /// Same conditions as [`ScenarioPlan::build`].
     pub fn build_with_inputs(&self, inputs: &[Option<bool>]) -> PlanRun {
-        let config = self.cluster_config();
-        // A one-layer stack is bit-identical to the bare layer.
-        let scheduler = schedulers::layered(self.layers.iter().map(SchedLayer::build).collect());
-        let mut cluster = Cluster::with_scheduler(config, inputs, scheduler);
+        if let Err(e) = self.check() {
+            panic!("plan {}: {e}", self.name);
+        }
+        let scheduler = SchedLayer::stack(&self.layers);
+        let mut cluster = Cluster::with_scheduler(self.cluster_config(), inputs, scheduler);
         cluster.sim_mut().enable_digest();
         if self.monitor {
             cluster.enable_monitor();
         }
-        PlanRun::new(cluster, self.events.clone())
+        PlanRun {
+            cluster,
+            pending: self.events.clone(),
+        }
     }
 
     /// Serializes the plan (minus its name) as flat `plan.*` key/value
@@ -423,52 +397,7 @@ impl ScenarioPlan {
         kv.push(("plan.layers.count".into(), int(self.layers.len() as u64)));
         for (i, layer) in self.layers.iter().enumerate() {
             let pre = format!("plan.layers.l{i}");
-            kv.push((format!("{pre}.kind"), int(layer.kind())));
-            match layer {
-                SchedLayer::Uniform { max_delay } => {
-                    kv.push((format!("{pre}.a"), int(*max_delay)));
-                }
-                SchedLayer::Fifo => {}
-                SchedLayer::HealedPartition {
-                    group_a,
-                    heal_at,
-                    base,
-                } => {
-                    kv.push((format!("{pre}.a"), int(*heal_at)));
-                    kv.push((format!("{pre}.b"), int(*base)));
-                    push_group(&mut kv, &pre, group_a);
-                }
-                SchedLayer::LossRetransmit {
-                    loss_permille,
-                    rto,
-                    max_retries,
-                    base,
-                } => {
-                    kv.push((format!("{pre}.a"), f64::from(*loss_permille)));
-                    kv.push((format!("{pre}.b"), int(*rto)));
-                    kv.push((format!("{pre}.c"), f64::from(*max_retries)));
-                    kv.push((format!("{pre}.d"), int(*base)));
-                }
-                SchedLayer::Rushing { target, window } => {
-                    kv.push((format!("{pre}.a"), f64::from(target.index())));
-                    kv.push((format!("{pre}.b"), int(*window)));
-                }
-                SchedLayer::HeavyTail { base, cap } => {
-                    kv.push((format!("{pre}.a"), int(*base)));
-                    kv.push((format!("{pre}.b"), int(*cap)));
-                }
-                SchedLayer::WindowPartition {
-                    group_a,
-                    from,
-                    until,
-                    base,
-                } => {
-                    kv.push((format!("{pre}.a"), int(*from)));
-                    kv.push((format!("{pre}.b"), int(*until)));
-                    kv.push((format!("{pre}.c"), int(*base)));
-                    push_group(&mut kv, &pre, group_a);
-                }
-            }
+            kv.extend(layer.to_kv(&pre).into_iter().map(|(k, v)| (k, int(v))));
         }
         kv.push(("plan.events.count".into(), int(self.events.len() as u64)));
         for (i, ev) in self.events.iter().enumerate() {
@@ -509,7 +438,8 @@ impl ScenarioPlan {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first missing or malformed key.
+    /// Returns a description of the first missing or malformed key, or
+    /// of the first rule [`ScenarioPlan::check`] finds broken.
     pub fn from_kv(name: &str, kv: &[(String, f64)]) -> Result<ScenarioPlan, String> {
         let get = |key: String| -> Result<u64, String> {
             kv.iter()
@@ -535,7 +465,7 @@ impl ScenarioPlan {
         let mut roles = Vec::new();
         for i in 0..get("plan.roles.count".into())? {
             let pre = format!("plan.roles.r{i}");
-            let pid = Pid::new(get(format!("{pre}.pid"))? as u32);
+            let pid = pid(get(format!("{pre}.pid"))?)?;
             let role = Role::decode(
                 get(format!("{pre}.kind"))?,
                 get(format!("{pre}.a"))?,
@@ -543,43 +473,9 @@ impl ScenarioPlan {
             )?;
             roles.push((pid, role));
         }
-        let mut layers = Vec::new();
-        for i in 0..get("plan.layers.count".into())? {
-            let pre = format!("plan.layers.l{i}");
-            let layer = match get(format!("{pre}.kind"))? {
-                0 => SchedLayer::Uniform {
-                    max_delay: get(format!("{pre}.a"))?,
-                },
-                1 => SchedLayer::Fifo,
-                2 => SchedLayer::HealedPartition {
-                    group_a: read_group(&get, &pre)?,
-                    heal_at: get(format!("{pre}.a"))?,
-                    base: get(format!("{pre}.b"))?,
-                },
-                3 => SchedLayer::LossRetransmit {
-                    loss_permille: get(format!("{pre}.a"))? as u32,
-                    rto: get(format!("{pre}.b"))?,
-                    max_retries: get(format!("{pre}.c"))? as u32,
-                    base: get(format!("{pre}.d"))?,
-                },
-                4 => SchedLayer::Rushing {
-                    target: Pid::new(get(format!("{pre}.a"))? as u32),
-                    window: get(format!("{pre}.b"))?,
-                },
-                5 => SchedLayer::HeavyTail {
-                    base: get(format!("{pre}.a"))?,
-                    cap: get(format!("{pre}.b"))?,
-                },
-                6 => SchedLayer::WindowPartition {
-                    group_a: read_group(&get, &pre)?,
-                    from: get(format!("{pre}.a"))?,
-                    until: get(format!("{pre}.b"))?,
-                    base: get(format!("{pre}.c"))?,
-                },
-                k => return Err(format!("unknown layer kind {k}")),
-            };
-            layers.push(layer);
-        }
+        let layers = (0..get("plan.layers.count".into())?)
+            .map(|i| SchedLayer::from_kv(&format!("plan.layers.l{i}"), &get))
+            .collect::<Result<Vec<_>, _>>()?;
         let mut events = Vec::new();
         for i in 0..get("plan.events.count".into())? {
             let pre = format!("plan.events.e{i}");
@@ -593,7 +489,7 @@ impl ScenarioPlan {
             let action = match get(format!("{pre}.action"))? {
                 0 => Action::HealPartitions,
                 1 => Action::Corrupt {
-                    p: Pid::new(get(format!("{pre}.pid"))? as u32),
+                    p: pid(get(format!("{pre}.pid"))?)?,
                     role: Role::decode(
                         get(format!("{pre}.kind"))?,
                         get(format!("{pre}.a"))?,
@@ -601,7 +497,7 @@ impl ScenarioPlan {
                     )?,
                 },
                 2 => Action::Crash {
-                    p: Pid::new(get(format!("{pre}.pid"))? as u32),
+                    p: pid(get(format!("{pre}.pid"))?)?,
                     down_for: if get(format!("{pre}.a"))? != 0 {
                         Some(get(format!("{pre}.b"))?)
                     } else {
@@ -612,7 +508,7 @@ impl ScenarioPlan {
             };
             events.push(PlanEvent { at, action });
         }
-        Ok(ScenarioPlan {
+        let plan = ScenarioPlan {
             name: name.to_string(),
             n,
             t,
@@ -622,7 +518,9 @@ impl ScenarioPlan {
             layers,
             events,
             monitor,
-        })
+        };
+        plan.check()?;
+        Ok(plan)
     }
 
     /// The three canonical **compound** scenarios at `(n, t, seed)` —
@@ -742,31 +640,12 @@ impl ScenarioPlan {
     }
 }
 
-/// Serializes a partition group as eight 32-bit membership words.
-fn push_group(kv: &mut Vec<(String, f64)>, pre: &str, group: &[Pid]) {
-    let mut words = [0u32; 8];
-    for p in group {
-        let i = (p.index() - 1) as usize;
-        assert!(i < 256, "plan groups support up to 256 processes");
-        words[i / 32] |= 1 << (i % 32);
+/// Decodes a recorded pid, rejecting 0 (which names no process).
+fn pid(index: u64) -> Result<Pid, String> {
+    match u32::try_from(index) {
+        Ok(i) if i > 0 => Ok(Pid::new(i)),
+        _ => Err(format!("pid {index} names no process")),
     }
-    for (w, word) in words.iter().enumerate() {
-        kv.push((format!("{pre}.g{w}"), f64::from(*word)));
-    }
-}
-
-/// Decodes a partition group from its membership words, ascending.
-fn read_group(get: &impl Fn(String) -> Result<u64, String>, pre: &str) -> Result<Vec<Pid>, String> {
-    let mut group = Vec::new();
-    for w in 0..8usize {
-        let word = get(format!("{pre}.g{w}"))? as u32;
-        for b in 0..32usize {
-            if word & (1 << b) != 0 {
-                group.push(Pid::new((w * 32 + b + 1) as u32));
-            }
-        }
-    }
-    Ok(group)
 }
 
 /// A built [`ScenarioPlan`]: the cluster plus the not-yet-fired timed
@@ -778,12 +657,6 @@ pub struct PlanRun {
 }
 
 impl PlanRun {
-    /// Wraps an existing cluster with a pending event list (plans built
-    /// through [`ScenarioPlan::build`] do this for you).
-    pub fn new(cluster: Cluster, pending: Vec<PlanEvent>) -> PlanRun {
-        PlanRun { cluster, pending }
-    }
-
     /// The underlying cluster.
     pub fn cluster(&self) -> &Cluster {
         &self.cluster
@@ -951,32 +824,27 @@ impl PlanCheckpoint {
     }
 }
 
-/// The named adversarial scenarios — since the fault-plan subsystem
-/// landed, each entry is just a canned [`ScenarioPlan`] ([`Zoo::plan`]).
-/// The bench trial harness records `(scenario, n, t, seed)` in its JSON
-/// artifacts; anyone holding an artifact rebuilds the identical cluster
-/// through [`Zoo::cluster`] and replays the run bit-for-bit (zoo
-/// clusters always run with the
-/// [digest](sba_sim::Simulation::enable_digest) enabled, so bit-identity
-/// is checkable).
+/// The named adversarial scenarios: each entry is a canned
+/// [`ScenarioPlan`] ([`Zoo::plan`]), recorded and replayed like any
+/// other plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Zoo {
     /// Benign uniform random delays — the control group.
     Benign,
     /// Quorum-splitting partition until a heal event, after which the
     /// held cross-traffic drains in send order
-    /// ([`schedulers::healed_partition`]).
+    /// ([`SchedLayer::HealedPartition`]).
     HealedPartition,
     /// One process crashes mid-protocol, misses a stretch of deliveries,
     /// then recovers and catches up ([`Role::CrashRecover`]).
     CrashRecover,
     /// Lossy links with bounded retransmission
-    /// ([`schedulers::loss_retransmit`]).
+    /// ([`SchedLayer::LossRetransmit`]).
     LossRetransmit,
     /// Targeted rushing adversary: one process's links always run ahead
-    /// of the rest of the network ([`schedulers::rushing`]).
+    /// of the rest of the network ([`SchedLayer::Rushing`]).
     Rushing,
-    /// Long-fat-network heavy-tail delays ([`schedulers::heavy_tail`]).
+    /// Long-fat-network heavy-tail delays ([`SchedLayer::HeavyTail`]).
     HeavyTail,
 }
 
@@ -1003,22 +871,18 @@ impl Zoo {
         }
     }
 
-    /// Resolves a stable name back to its scenario.
-    pub fn from_name(name: &str) -> Option<Zoo> {
-        Zoo::ALL.into_iter().find(|z| z.name() == name)
-    }
-
     /// This scenario as a [`ScenarioPlan`] literal with its canonical
-    /// parameters. [`Zoo::cluster`] builds through this plan, so the
-    /// plan *is* the scenario's definition.
+    /// parameters: the plan *is* the scenario's definition.
+    ///
+    /// At `t == 0` the [`Zoo::CrashRecover`] plan has more faulty roles
+    /// than `t`, which [`ScenarioPlan::check`] rejects.
     ///
     /// # Panics
     ///
-    /// Panics if [`Zoo::CrashRecover`] is requested with `t == 0`.
+    /// Panics if `n == 0`.
     pub fn plan(self, n: usize, t: usize, seed: u64) -> ScenarioPlan {
         let mut roles = Vec::new();
         if self == Zoo::CrashRecover {
-            assert!(t >= 1, "crash_recover needs a fault slot");
             roles.push((
                 Pid::new(n as u32),
                 Role::CrashRecover {
@@ -1063,36 +927,6 @@ impl Zoo {
             monitor: false,
         }
     }
-
-    /// Builds the scenario's cluster with the canonical split-input
-    /// vector (alternating proposals, the hardest honest input).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `n > 3t` (and, for [`Zoo::CrashRecover`], `t >= 1`).
-    pub fn cluster(self, n: usize, t: usize, seed: u64) -> Cluster {
-        let inputs: Vec<Option<bool>> = (0..n).map(|i| Some(i % 2 == 0)).collect();
-        self.cluster_with_inputs(n, t, seed, &inputs)
-    }
-
-    /// Builds the scenario's cluster with explicit inputs, by building
-    /// its [`Zoo::plan`]. The run digest is always enabled, so the
-    /// returned cluster's runs can be recorded and replay-verified.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Zoo::cluster`].
-    pub fn cluster_with_inputs(
-        self,
-        n: usize,
-        t: usize,
-        seed: u64,
-        inputs: &[Option<bool>],
-    ) -> Cluster {
-        self.plan(n, t, seed)
-            .build_with_inputs(inputs)
-            .into_cluster()
-    }
 }
 
 #[cfg(test)]
@@ -1101,15 +935,16 @@ mod tests {
 
     #[test]
     fn names_round_trip() {
-        for z in Zoo::ALL {
-            assert_eq!(Zoo::from_name(z.name()), Some(z));
+        for (i, z) in Zoo::ALL.into_iter().enumerate() {
+            assert_eq!(z.plan(4, 1, 0).name, z.name(), "the plan carries the name");
+            let first = Zoo::ALL.iter().position(|w| w.name() == z.name());
+            assert_eq!(first, Some(i), "{} names one scenario", z.name());
         }
-        assert_eq!(Zoo::from_name("nope"), None);
     }
 
     #[test]
     fn zoo_clusters_have_digests() {
-        let mut c = Zoo::Benign.cluster(4, 1, 3);
+        let mut c = Zoo::Benign.plan(4, 1, 3).build().into_cluster();
         assert!(c.digest().is_some());
         c.sim_mut().run_to_quiescence(10);
         assert_ne!(c.digest(), Some(0xcbf2_9ce4_8422_2325), "digest folds");
@@ -1125,9 +960,64 @@ mod tests {
         }
     }
 
+    /// A plan whose stack holds one layer of every [`SchedLayer`] row (a
+    /// new row fails to compile in `row` until it is listed here too).
+    fn every_layer_plan() -> ScenarioPlan {
+        let group = vec![Pid::new(1), Pid::new(3)];
+        let layers = vec![
+            SchedLayer::Uniform { max_delay: 20 },
+            SchedLayer::Fifo,
+            SchedLayer::HealedPartition {
+                group_a: group.clone(),
+                heal_at: 400,
+                base: 6,
+            },
+            SchedLayer::LossRetransmit {
+                loss_permille: 120,
+                rto: 40,
+                max_retries: 3,
+                base: 8,
+            },
+            SchedLayer::Rushing {
+                target: Pid::new(2),
+                window: 30,
+            },
+            SchedLayer::HeavyTail { base: 4, cap: 800 },
+            SchedLayer::WindowPartition {
+                group_a: group.clone(),
+                from: 30,
+                until: 500,
+                base: 6,
+            },
+            SchedLayer::Skewed { max_delay: 9 },
+            SchedLayer::Lagged {
+                slow: group,
+                base: 2,
+                factor: 9,
+            },
+        ];
+        let row = |layer: &SchedLayer| match layer {
+            SchedLayer::Uniform { .. } => 0,
+            SchedLayer::Fifo => 1,
+            SchedLayer::HealedPartition { .. } => 2,
+            SchedLayer::LossRetransmit { .. } => 3,
+            SchedLayer::Rushing { .. } => 4,
+            SchedLayer::HeavyTail { .. } => 5,
+            SchedLayer::WindowPartition { .. } => 6,
+            SchedLayer::Skewed { .. } => 7,
+            SchedLayer::Lagged { .. } => 8,
+        };
+        let rows: Vec<usize> = layers.iter().map(row).collect();
+        assert_eq!(rows, (0..=8).collect::<Vec<_>>(), "one layer per row");
+        let mut plan = ScenarioPlan::new("every_layer", 4, 1, 7);
+        plan.layers = layers;
+        plan
+    }
+
     #[test]
     fn compound_plans_round_trip_through_kv() {
-        for plan in ScenarioPlan::compounds(4, 1, 7) {
+        let compounds = ScenarioPlan::compounds(4, 1, 7);
+        for plan in compounds.into_iter().chain([every_layer_plan()]) {
             let kv = plan.to_kv();
             let back = ScenarioPlan::from_kv(&plan.name, &kv).expect("decodes");
             assert_eq!(plan, back, "{}", plan.name);

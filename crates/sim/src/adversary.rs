@@ -2,7 +2,13 @@
 //!
 //! Scheduling: a [`Scheduler`] assigns every envelope a finite virtual
 //! delivery time — arbitrary, adaptive reordering and delaying, but never
-//! dropping (the model guarantees eventual delivery).
+//! dropping (the model guarantees eventual delivery). The stock
+//! strategies are the rows of [`SchedLayer`]: one enum row per shape,
+//! with its parameter check ([`SchedLayer::check`]), its build arm
+//! ([`SchedLayer::build`]) and its key/value encoding
+//! ([`SchedLayer::to_kv`] / [`SchedLayer::from_kv`]) all in this file.
+//! [`SchedLayer::stack`] composes layers into one scheduler, and
+//! [`schedulers::uniform`] is the benign network.
 //!
 //! Corruption: Byzantine processes are [`Process`] implementations that
 //! deviate. This module provides generic ones (silence, crash); protocol
@@ -10,9 +16,9 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use sba_net::{Envelope, Outbox, Pid};
+use sba_net::{Envelope, Outbox, Pid, MAX_N};
 
-use crate::Process;
+use crate::{Process, SimMsg};
 
 /// Cumulative link-level counters a scheduling strategy may expose.
 ///
@@ -50,9 +56,9 @@ pub trait Scheduler<M>: Send {
     }
 
     /// A deep copy of this scheduler for checkpointing, or `None` if the
-    /// strategy cannot be cloned (e.g. [`FnScheduler`] over an arbitrary
-    /// closure). All stock [`schedulers`] support it; a simulation whose
-    /// scheduler returns `None` cannot be checkpointed.
+    /// strategy cannot be cloned (the default, for custom impls). Every
+    /// [`SchedLayer`] supports it; a simulation whose scheduler returns
+    /// `None` cannot be checkpointed.
     fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
         None
     }
@@ -69,566 +75,668 @@ pub trait Scheduler<M>: Send {
     }
 }
 
-/// A scheduler from a closure; the workhorse for custom adversaries.
+/// One scheduling strategy, as data: the adversary's scheduling power in
+/// the vocabulary fault plans record, replay and fork.
+///
+/// A row's parameters are checked by [`SchedLayer::check`], which both
+/// [`SchedLayer::build`] and [`SchedLayer::from_kv`] call. Layers compose
+/// through [`SchedLayer::stack`]: every message's delivery time is the
+/// **max** of the layers' proposals, so layers only ever *add*
+/// adversarial power.
+///
+/// Pid groups (partition sides, lagging sets) are *sets*: they serialize
+/// as membership bitmasks and deserialize in ascending pid order.
 ///
 /// # Examples
 ///
 /// ```
-/// use sba_sim::FnScheduler;
+/// use sba_net::Pid;
+/// use sba_sim::{SchedLayer, Scheduler};
 ///
-/// // Deliver everything to p1 as late as possible within a window.
-/// let sched = FnScheduler::new(|env: &sba_net::Envelope<u64>, now, _rng| {
-///     if env.to == sba_net::Pid::new(1) { now + 100 } else { now + 1 }
-/// });
+/// let layers = [
+///     SchedLayer::Uniform { max_delay: 20 },
+///     SchedLayer::Rushing { target: Pid::new(1), window: 30 },
+/// ];
+/// let sched: Box<dyn Scheduler<u64>> = SchedLayer::stack(&layers);
 /// # let _ = sched;
+/// assert!(SchedLayer::Uniform { max_delay: 0 }.check().is_err());
 /// ```
-pub struct FnScheduler<M, F>
-where
-    F: FnMut(&Envelope<M>, u64, &mut StdRng) -> u64 + Send,
-{
-    f: F,
-    _marker: std::marker::PhantomData<fn(&M)>,
-}
-
-impl<M, F> FnScheduler<M, F>
-where
-    F: FnMut(&Envelope<M>, u64, &mut StdRng) -> u64 + Send,
-{
-    /// Wraps a closure as a scheduler.
-    pub fn new(f: F) -> Self {
-        FnScheduler {
-            f,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<M, F> Scheduler<M> for FnScheduler<M, F>
-where
-    F: FnMut(&Envelope<M>, u64, &mut StdRng) -> u64 + Send,
-{
-    fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-        (self.f)(env, now, rng)
-    }
-}
-
-/// Stock schedulers used across tests and experiments.
-pub mod schedulers {
-    use super::*;
-
-    #[derive(Clone)]
-    struct Uniform {
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SchedLayer {
+    /// Uniformly random delay in `1..=max_delay`: the benign
+    /// asynchronous network.
+    Uniform {
+        /// Maximum random delay.
         max_delay: u64,
-    }
-    impl<M: 'static> Scheduler<M> for Uniform {
-        fn delivery_time(&mut self, _env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-            now + rng.gen_range(1..=self.max_delay)
-        }
-        fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-            Some(Box::new(self.clone()))
-        }
-    }
-
-    /// Uniformly random delay in `1..=max_delay`: the benign asynchronous
-    /// network.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_delay` is zero.
-    pub fn uniform<M: 'static>(max_delay: u64) -> Box<dyn Scheduler<M>> {
-        assert!(max_delay > 0, "max_delay must be positive");
-        Box::new(Uniform { max_delay })
-    }
-
-    #[derive(Clone)]
-    struct Fifo;
-    impl<M: 'static> Scheduler<M> for Fifo {
-        fn delivery_time(&mut self, _env: &Envelope<M>, now: u64, _rng: &mut StdRng) -> u64 {
-            now + 1
-        }
-        fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-            Some(Box::new(self.clone()))
-        }
-    }
-
+    },
     /// Unit delay: synchronous-looking FIFO network (best case).
-    pub fn fifo<M: 'static>() -> Box<dyn Scheduler<M>> {
-        Box::new(Fifo)
-    }
-
-    #[derive(Clone)]
-    struct Lagged {
-        slow: Vec<Pid>,
-        factor: u64,
-        base: u64,
-    }
-    impl<M: 'static> Scheduler<M> for Lagged {
-        fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-            let d = rng.gen_range(1..=self.base);
-            if self.slow.contains(&env.to) || self.slow.contains(&env.from) {
-                now + d * self.factor
-            } else {
-                now + d
-            }
-        }
-        fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-            Some(Box::new(self.clone()))
-        }
-    }
-
-    /// Delays all traffic to/from `slow` processes by `factor`, modelling
-    /// the classic "fast core, lagging minority" schedule that drives the
-    /// paper's Example 1.
-    pub fn lagged<M: 'static>(slow: Vec<Pid>, base: u64, factor: u64) -> Box<dyn Scheduler<M>> {
-        assert!(base > 0 && factor > 0, "delays must be positive");
-        Box::new(Lagged { slow, factor, base })
-    }
-
-    #[derive(Clone)]
-    struct Skew {
-        max_delay: u64,
-    }
-    impl<M: 'static> Scheduler<M> for Skew {
-        fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-            // Per-(sender,recipient) deterministic skew plus jitter: creates
-            // persistent asymmetry between links, the adversarial shape that
-            // most stresses quorum formation.
-            let link = u64::from(env.from.index()) * 31 + u64::from(env.to.index()) * 17;
-            now + 1 + (link % self.max_delay) + rng.gen_range(0..=self.max_delay / 4)
-        }
-        fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-            Some(Box::new(self.clone()))
-        }
-    }
-
-    /// Persistently skewed per-link delays with jitter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_delay` is zero.
-    pub fn skewed<M: 'static>(max_delay: u64) -> Box<dyn Scheduler<M>> {
-        assert!(max_delay > 0, "max_delay must be positive");
-        Box::new(Skew { max_delay })
-    }
-
-    #[derive(Clone)]
-    struct Partition {
+    Fifo,
+    /// Cross-group messages sent before `heal_at` are queued and
+    /// *released in send order* from `heal_at` (a drain burst, one
+    /// `1..=base` gap per message). The number of queued sends is
+    /// surfaced through [`LinkStats::held`].
+    HealedPartition {
+        /// One side of the partition.
         group_a: Vec<Pid>,
+        /// Virtual time of the heal (a mid-run heal event can pull it
+        /// earlier).
         heal_at: u64,
+        /// Base random delay for unheld traffic.
         base: u64,
-    }
-    impl<M: 'static> Scheduler<M> for Partition {
-        fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-            let a_from = self.group_a.contains(&env.from);
-            let a_to = self.group_a.contains(&env.to);
-            let d = now + rng.gen_range(1..=self.base);
-            if a_from == a_to {
-                d
-            } else {
-                // Cross-partition traffic is held until the heal point —
-                // delayed, never dropped: the asynchronous model's
-                // "temporary partition".
-                d.max(self.heal_at + rng.gen_range(1..=self.base))
-            }
-        }
-        fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-            Some(Box::new(self.clone()))
-        }
-        fn heal_partitions(&mut self, now: u64) {
-            self.heal_at = self.heal_at.min(now);
-        }
-    }
-
-    /// Splits processes into `group_a` vs the rest until virtual time
-    /// `heal_at`; cross-group messages are buffered until the heal.
-    /// Protocols must stall (not err) during the partition and finish
-    /// after it heals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is zero.
-    pub fn partition_until<M: 'static>(
-        group_a: Vec<Pid>,
-        heal_at: u64,
-        base: u64,
-    ) -> Box<dyn Scheduler<M>> {
-        assert!(base > 0, "base delay must be positive");
-        Box::new(Partition {
-            group_a,
-            heal_at,
-            base,
-        })
-    }
-
-    #[derive(Clone)]
-    struct Burst {
-        period: u64,
-        burst_len: u64,
-        base: u64,
-    }
-    impl<M: 'static> Scheduler<M> for Burst {
-        fn delivery_time(&mut self, _env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-            // Messages sent during the "quiet" part of each period are
-            // held and released in a burst at the period boundary.
-            let phase = now % self.period;
-            let d = now + rng.gen_range(1..=self.base);
-            if phase < self.burst_len {
-                d
-            } else {
-                d.max(now - phase + self.period)
-            }
-        }
-        fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-            Some(Box::new(self.clone()))
-        }
-    }
-
-    /// Bursty delivery: messages pile up and land together at period
-    /// boundaries — stresses quorum logic with large simultaneous batches.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < burst_len < period` and `base > 0`.
-    pub fn bursty<M: 'static>(period: u64, burst_len: u64, base: u64) -> Box<dyn Scheduler<M>> {
-        assert!(burst_len > 0 && burst_len < period, "burst must fit period");
-        assert!(base > 0, "base delay must be positive");
-        Box::new(Burst {
-            period,
-            burst_len,
-            base,
-        })
-    }
-
-    #[derive(Clone)]
-    struct HealedPartition {
-        group_a: Vec<Pid>,
-        heal_at: u64,
-        base: u64,
-        held: u64,
-        /// Release clock for the post-heal drain of held cross-traffic.
-        last_release: u64,
-    }
-    impl<M: 'static> Scheduler<M> for HealedPartition {
-        fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-            let cross = self.group_a.contains(&env.from) != self.group_a.contains(&env.to);
-            if !cross || now >= self.heal_at {
-                return now + rng.gen_range(1..=self.base);
-            }
-            // Cross-partition traffic is queued, not dropped, and the heal
-            // event releases the whole backlog in send order: successive
-            // held sends get strictly increasing post-heal times, which
-            // also preserves FIFO per link (global send order refines it).
-            self.held += 1;
-            self.last_release = self.last_release.max(self.heal_at) + rng.gen_range(1..=self.base);
-            self.last_release
-        }
-        fn link_stats(&self) -> LinkStats {
-            LinkStats {
-                held: self.held,
-                ..LinkStats::default()
-            }
-        }
-        fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-            Some(Box::new(self.clone()))
-        }
-        fn heal_partitions(&mut self, now: u64) {
-            self.heal_at = self.heal_at.min(now);
-        }
-    }
-
-    /// [`partition_until`] with an explicit heal event: cross-group
-    /// messages sent during the partition are queued and *released in
-    /// send order* starting at `heal_at` (a drain burst, one `1..=base`
-    /// gap per message), instead of landing at independent random
-    /// post-heal times. The number of queued sends is surfaced through
-    /// [`LinkStats::held`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` is zero.
-    pub fn healed_partition<M: 'static>(
-        group_a: Vec<Pid>,
-        heal_at: u64,
-        base: u64,
-    ) -> Box<dyn Scheduler<M>> {
-        assert!(base > 0, "base delay must be positive");
-        Box::new(HealedPartition {
-            group_a,
-            heal_at,
-            base,
-            held: 0,
-            last_release: 0,
-        })
-    }
-
-    #[derive(Clone)]
-    struct LossRetransmit {
-        loss_permille: u32,
-        rto: u64,
-        max_retries: u32,
-        base: u64,
-        drops: u64,
-        retransmits: u64,
-    }
-    impl<M: 'static> Scheduler<M> for LossRetransmit {
-        fn delivery_time(&mut self, _env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-            // Each independent loss costs one retransmission timeout; the
-            // retry budget bounds the added delay, so delivery stays
-            // eventual (losses are modelled in the delay domain — the
-            // asynchronous model never truly drops).
-            let mut lost = 0u32;
-            while lost < self.max_retries && rng.gen_range(0..1000u32) < self.loss_permille {
-                lost += 1;
-            }
-            self.drops += u64::from(lost);
-            self.retransmits += u64::from(lost);
-            now + u64::from(lost) * self.rto + rng.gen_range(1..=self.base)
-        }
-        fn link_stats(&self) -> LinkStats {
-            LinkStats {
-                drops: self.drops,
-                retransmits: self.retransmits,
-                held: 0,
-            }
-        }
-        fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-            Some(Box::new(self.clone()))
-        }
-    }
-
+    },
     /// Lossy network with bounded retransmission: every transmission
     /// attempt is lost with probability `loss_permille`/1000 (up to
     /// `max_retries` times), and each loss adds one retransmission
-    /// timeout `rto` to the delivery delay on top of the benign
-    /// `1..=base` draw. Losses and retransmissions are surfaced through
-    /// [`LinkStats`] (and from there [`Metrics`](crate::Metrics)).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `loss_permille < 1000`, `rto > 0` and `base > 0`.
-    pub fn loss_retransmit<M: 'static>(
+    /// timeout `rto` on top of the benign `1..=base` draw. Losses and
+    /// retransmissions are surfaced through [`LinkStats`].
+    LossRetransmit {
+        /// Per-message loss probability in permille.
         loss_permille: u32,
+        /// Retransmission timeout.
         rto: u64,
+        /// Maximum retransmissions per message.
         max_retries: u32,
+        /// Base random delay.
         base: u64,
-    ) -> Box<dyn Scheduler<M>> {
-        assert!(loss_permille < 1000, "loss probability must be < 1");
-        assert!(rto > 0 && base > 0, "delays must be positive");
-        Box::new(LossRetransmit {
-            loss_permille,
-            rto,
-            max_retries,
-            base,
-            drops: 0,
-            retransmits: 0,
-        })
-    }
-
-    #[derive(Clone)]
-    struct Rushing {
-        target: Pid,
-        window: u64,
-        /// Last delivery time assigned per directed link, to keep every
-        /// link FIFO under the reordering.
-        last: Vec<((Pid, Pid), u64)>,
-    }
-    impl<M: 'static> Scheduler<M> for Rushing {
-        fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-            // A full-information rushing adversary: the target's traffic
-            // (in both directions) is delivered first among all eligible
-            // events, everyone else's is pushed toward the edge of the
-            // legal asynchrony window — the target always speaks before
-            // the rest of the network hears anything.
-            let rushed = env.to == self.target || env.from == self.target;
-            let raw = if rushed {
-                now + 1
-            } else {
-                now + self.window - rng.gen_range(0..=self.window / 4)
-            };
-            // FIFO per directed link: never schedule before an earlier
-            // same-link send (reordering happens only across links).
-            let key = (env.from, env.to);
-            match self.last.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, last)) => {
-                    let at = raw.max(*last);
-                    *last = at;
-                    at
-                }
-                None => {
-                    self.last.push((key, raw));
-                    raw
-                }
-            }
-        }
-        fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-            Some(Box::new(self.clone()))
-        }
-    }
-
-    /// A targeted rushing adversary: reorders deliveries inside the legal
-    /// asynchrony envelope so that `target`'s links always run ahead of
+    },
+    /// A targeted rushing adversary: `target`'s links always run ahead of
     /// everyone else's (rushed traffic lands at `now + 1`, the rest near
-    /// `now + window`), while preserving FIFO on every directed link.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window < 2` (there must be room to reorder).
-    pub fn rushing<M: 'static>(target: Pid, window: u64) -> Box<dyn Scheduler<M>> {
-        assert!(window >= 2, "window must leave room to reorder");
-        Box::new(Rushing {
-            target,
-            window,
-            last: Vec::new(),
-        })
-    }
-
-    #[derive(Clone)]
-    struct HeavyTail {
-        base: u64,
-        cap: u64,
-    }
-    impl<M: 'static> Scheduler<M> for HeavyTail {
-        fn delivery_time(&mut self, _env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-            // Bounded integer Pareto (α = 1): delay = base · 1024/u for
-            // uniform u ∈ 1..=1024, truncated at `cap`. Median ≈ 2·base,
-            // p99 ≈ 100·base — the long-fat-network shape where a few
-            // messages straggle far behind the bulk.
-            let u = rng.gen_range(1..=1024u64);
-            now + (self.base * 1024 / u).min(self.cap)
-        }
-        fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-            Some(Box::new(self.clone()))
-        }
-    }
-
+    /// `now + window`), while every directed link stays FIFO.
+    Rushing {
+        /// The rushed process.
+        target: Pid,
+        /// Reordering window.
+        window: u64,
+    },
     /// Heavy-tail (bounded Pareto) delays: most messages arrive within a
     /// few `base` ticks, a small fraction straggle up to `cap`.
+    HeavyTail {
+        /// Common-case delay bound.
+        base: u64,
+        /// Tail delay cap.
+        cap: u64,
+    },
+    /// A partition that *starts mid-run*: cross-group traffic sent in
+    /// `[from, until)` is held and drained in send order from `until`
+    /// (as in [`SchedLayer::HealedPartition`]); traffic outside the
+    /// window flows normally.
+    WindowPartition {
+        /// One side of the partition.
+        group_a: Vec<Pid>,
+        /// Virtual time the partition starts.
+        from: u64,
+        /// Virtual time of the backstop heal.
+        until: u64,
+        /// Base random delay for unheld traffic.
+        base: u64,
+    },
+    /// Persistently skewed per-link delays with jitter: a deterministic
+    /// per-(sender, recipient) offset below `max_delay` plus up to
+    /// `max_delay / 4` of noise.
+    Skewed {
+        /// Bound of the per-link offset.
+        max_delay: u64,
+    },
+    /// All traffic to or from the `slow` processes takes `factor` times
+    /// the `1..=base` draw: the "fast core, lagging minority" schedule
+    /// that drives the paper's Example 1.
+    Lagged {
+        /// The lagging processes.
+        slow: Vec<Pid>,
+        /// Base random delay.
+        base: u64,
+        /// Slow-down factor.
+        factor: u64,
+    },
+}
+
+impl SchedLayer {
+    /// Checks this layer's parameters: the contract its scheduler needs
+    /// to keep every delay finite and positive.
+    ///
+    /// # Errors
+    ///
+    /// Names the broken contract.
+    pub fn check(&self) -> Result<(), String> {
+        let (ok, contract) = match self {
+            SchedLayer::Uniform { max_delay } | SchedLayer::Skewed { max_delay } => {
+                (*max_delay > 0, "max_delay must be positive")
+            }
+            SchedLayer::Fifo => (true, ""),
+            SchedLayer::HealedPartition { base, .. } => (*base > 0, "base must be positive"),
+            SchedLayer::LossRetransmit {
+                loss_permille,
+                rto,
+                base,
+                ..
+            } => (
+                *loss_permille < 1000 && *rto > 0 && *base > 0,
+                "need loss_permille < 1000 and positive delays",
+            ),
+            SchedLayer::Rushing { window, .. } => (*window >= 2, "window must be >= 2"),
+            SchedLayer::HeavyTail { base, cap } => {
+                (*base > 0 && cap >= base, "need 0 < base <= cap")
+            }
+            SchedLayer::WindowPartition {
+                from, until, base, ..
+            } => (from < until && *base > 0, "need from < until and base > 0"),
+            SchedLayer::Lagged { base, factor, .. } => {
+                (*base > 0 && *factor > 0, "delays must be positive")
+            }
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(contract.to_string())
+        }
+    }
+
+    /// Builds this layer as a standalone scheduler.
     ///
     /// # Panics
     ///
-    /// Panics unless `0 < base <= cap`.
-    pub fn heavy_tail<M: 'static>(base: u64, cap: u64) -> Box<dyn Scheduler<M>> {
-        assert!(base > 0 && cap >= base, "need 0 < base <= cap");
-        Box::new(HeavyTail { base, cap })
+    /// Panics if [`SchedLayer::check`] rejects the parameters.
+    pub fn build<M: SimMsg>(&self) -> Box<dyn Scheduler<M>> {
+        if let Err(e) = self.check() {
+            panic!("{self:?}: {e}");
+        }
+        match self.clone() {
+            SchedLayer::Uniform { max_delay } => Box::new(Uniform { max_delay }),
+            SchedLayer::Fifo => Box::new(Fifo),
+            SchedLayer::HealedPartition {
+                group_a,
+                heal_at,
+                base,
+            } => Box::new(HealedPartition {
+                group_a,
+                heal_at,
+                base,
+                held: 0,
+                last_release: 0,
+            }),
+            SchedLayer::LossRetransmit {
+                loss_permille,
+                rto,
+                max_retries,
+                base,
+            } => Box::new(LossRetransmit {
+                loss_permille,
+                rto,
+                max_retries,
+                base,
+                drops: 0,
+                retransmits: 0,
+            }),
+            SchedLayer::Rushing { target, window } => Box::new(Rushing {
+                target,
+                window,
+                last: Vec::new(),
+            }),
+            SchedLayer::HeavyTail { base, cap } => Box::new(HeavyTail { base, cap }),
+            SchedLayer::WindowPartition {
+                group_a,
+                from,
+                until,
+                base,
+            } => Box::new(WindowPartition {
+                group_a,
+                from,
+                until,
+                base,
+                held: 0,
+                last_release: 0,
+            }),
+            SchedLayer::Skewed { max_delay } => Box::new(Skew { max_delay }),
+            SchedLayer::Lagged { slow, base, factor } => Box::new(Lagged { slow, factor, base }),
+        }
     }
 
-    #[derive(Clone)]
-    struct WindowPartition {
-        group_a: Vec<Pid>,
-        from: u64,
-        until: u64,
-        base: u64,
-        held: u64,
-        /// Release clock for the post-heal drain of held cross-traffic.
-        last_release: u64,
-    }
-    impl<M: 'static> Scheduler<M> for WindowPartition {
-        fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-            let cross = self.group_a.contains(&env.from) != self.group_a.contains(&env.to);
-            if !cross || now < self.from || now >= self.until {
-                return now + rng.gen_range(1..=self.base);
-            }
-            // Same drain discipline as `healed_partition`: held sends are
-            // released in send order from the heal point.
-            self.held += 1;
-            self.last_release = self.last_release.max(self.until) + rng.gen_range(1..=self.base);
-            self.last_release
-        }
-        fn link_stats(&self) -> LinkStats {
-            LinkStats {
-                held: self.held,
-                ..LinkStats::default()
-            }
-        }
-        fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-            Some(Box::new(self.clone()))
-        }
-        fn heal_partitions(&mut self, now: u64) {
-            self.until = self.until.min(now);
-        }
-    }
-
-    /// A partition that *starts mid-run*: cross-group traffic sent in the
-    /// virtual-time window `[from, until)` is held and drained in send
-    /// order from `until` (one `1..=base` gap per message, as in
-    /// [`healed_partition`]); traffic outside the window flows normally.
-    /// This is the shape a [`healed_partition`] cannot express — the
-    /// network degrades *after* the protocol is already in flight.
+    /// Composes layers into one strategy: each layer proposes a delivery
+    /// time (sharing the simulation RNG, drawn in stack order) and the
+    /// message is delivered at the maximum — the intersection of every
+    /// layer's constraints. A single-layer stack is bit-identical to the
+    /// bare layer (same draws, same times). [`LinkStats`] are summed
+    /// across layers; `heal_partitions` reaches every layer.
     ///
     /// # Panics
     ///
-    /// Panics unless `from < until` and `base > 0`.
-    pub fn window_partition<M: 'static>(
-        group_a: Vec<Pid>,
-        from: u64,
-        until: u64,
-        base: u64,
-    ) -> Box<dyn Scheduler<M>> {
-        assert!(from < until, "partition window must be non-empty");
-        assert!(base > 0, "base delay must be positive");
-        Box::new(WindowPartition {
-            group_a,
-            from,
-            until,
-            base,
-            held: 0,
-            last_release: 0,
+    /// Panics if `layers` is empty or a layer fails
+    /// [`SchedLayer::check`].
+    pub fn stack<M: SimMsg>(layers: &[SchedLayer]) -> Box<dyn Scheduler<M>> {
+        assert!(!layers.is_empty(), "a scheduler stack needs >= 1 layer");
+        Box::new(Layered {
+            layers: layers.iter().map(SchedLayer::build).collect(),
         })
     }
 
-    struct Layered<M> {
-        layers: Vec<Box<dyn Scheduler<M>>>,
-    }
-    impl<M: 'static> Scheduler<M> for Layered<M> {
-        fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-            // Every layer proposes a time (drawing from the shared RNG in
-            // stack order) and the envelope lands at the *latest* proposal,
-            // so each layer's constraint — a hold, a retransmission delay,
-            // a rushing window — is honoured simultaneously.
-            self.layers
-                .iter_mut()
-                .map(|l| l.delivery_time(env, now, rng))
-                .max()
-                .expect("layered scheduler has at least one layer")
-        }
-        fn link_stats(&self) -> LinkStats {
-            let mut sum = LinkStats::default();
-            for l in &self.layers {
-                let s = l.link_stats();
-                sum.drops += s.drops;
-                sum.retransmits += s.retransmits;
-                sum.held += s.held;
-            }
-            sum
-        }
-        fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-            let mut layers = Vec::with_capacity(self.layers.len());
-            for l in &self.layers {
-                layers.push(l.clone_box()?);
-            }
-            Some(Box::new(Layered { layers }))
-        }
-        fn heal_partitions(&mut self, now: u64) {
-            for l in &mut self.layers {
-                l.heal_partitions(now);
-            }
+    /// The row's kind number in the key/value form (stable: recorded
+    /// artifacts carry it).
+    fn kind(&self) -> u64 {
+        match self {
+            SchedLayer::Uniform { .. } => 0,
+            SchedLayer::Fifo => 1,
+            SchedLayer::HealedPartition { .. } => 2,
+            SchedLayer::LossRetransmit { .. } => 3,
+            SchedLayer::Rushing { .. } => 4,
+            SchedLayer::HeavyTail { .. } => 5,
+            SchedLayer::WindowPartition { .. } => 6,
+            SchedLayer::Skewed { .. } => 7,
+            SchedLayer::Lagged { .. } => 8,
         }
     }
 
-    /// Composes scheduler layers into one strategy: each layer proposes a
-    /// delivery time (sharing the simulation RNG, drawn in stack order)
-    /// and the message is delivered at the maximum — the intersection of
-    /// every layer's constraints. A single-layer stack is bit-identical
-    /// to the bare layer (same draws, same times), so wrapping costs
-    /// nothing determinism-wise. [`LinkStats`] are summed across layers;
-    /// `heal_partitions` reaches every layer.
+    /// Serializes the layer as flat `{pre}.*` integer pairs: `kind`, the
+    /// parameters as `a`, `b`, `c`, `d`, and a pid set as eight 32-bit
+    /// membership words `g0..g7`.
     ///
     /// # Panics
     ///
-    /// Panics if `layers` is empty.
-    pub fn layered<M: 'static>(layers: Vec<Box<dyn Scheduler<M>>>) -> Box<dyn Scheduler<M>> {
-        assert!(!layers.is_empty(), "a scheduler stack needs >= 1 layer");
-        Box::new(Layered { layers })
+    /// Panics if a pid set names a process above 256.
+    pub fn to_kv(&self, pre: &str) -> Vec<(String, u64)> {
+        let (params, group): (Vec<u64>, Option<&[Pid]>) = match self {
+            SchedLayer::Uniform { max_delay } | SchedLayer::Skewed { max_delay } => {
+                (vec![*max_delay], None)
+            }
+            SchedLayer::Fifo => (vec![], None),
+            SchedLayer::HealedPartition {
+                group_a,
+                heal_at,
+                base,
+            } => (vec![*heal_at, *base], Some(group_a)),
+            SchedLayer::LossRetransmit {
+                loss_permille,
+                rto,
+                max_retries,
+                base,
+            } => (
+                vec![
+                    u64::from(*loss_permille),
+                    *rto,
+                    u64::from(*max_retries),
+                    *base,
+                ],
+                None,
+            ),
+            SchedLayer::Rushing { target, window } => (vec![target.as_u64(), *window], None),
+            SchedLayer::HeavyTail { base, cap } => (vec![*base, *cap], None),
+            SchedLayer::WindowPartition {
+                group_a,
+                from,
+                until,
+                base,
+            } => (vec![*from, *until, *base], Some(group_a)),
+            SchedLayer::Lagged { slow, base, factor } => (vec![*base, *factor], Some(slow)),
+        };
+        let mut kv = vec![(format!("{pre}.kind"), self.kind())];
+        for (name, v) in ["a", "b", "c", "d"].iter().zip(params) {
+            kv.push((format!("{pre}.{name}"), v));
+        }
+        if let Some(group) = group {
+            let mut words = [0u32; 8];
+            for p in group {
+                let i = (p.index() - 1) as usize;
+                assert!(i < 256, "plan groups support up to 256 processes");
+                words[i / 32] |= 1 << (i % 32);
+            }
+            for (w, word) in words.iter().enumerate() {
+                kv.push((format!("{pre}.g{w}"), u64::from(*word)));
+            }
+        }
+        kv
+    }
+
+    /// Rebuilds a layer from the pairs [`SchedLayer::to_kv`] wrote under
+    /// `pre`; `get` looks up one full key.
+    ///
+    /// # Errors
+    ///
+    /// A missing key, an unknown kind, a value out of its field's range,
+    /// or parameters [`SchedLayer::check`] rejects.
+    pub fn from_kv(
+        pre: &str,
+        get: &impl Fn(String) -> Result<u64, String>,
+    ) -> Result<SchedLayer, String> {
+        let p = |name: &str| get(format!("{pre}.{name}"));
+        let small = |name: &str| {
+            p(name).and_then(|v| u32::try_from(v).map_err(|_| format!("{pre}.{name} = {v}")))
+        };
+        let group = || -> Result<Vec<Pid>, String> {
+            let mut group = Vec::new();
+            for w in 0..8usize {
+                let word = p(&format!("g{w}"))?;
+                for b in 0..32usize {
+                    if word & (1 << b) != 0 {
+                        group.push(Pid::new((w * 32 + b + 1) as u32));
+                    }
+                }
+            }
+            Ok(group)
+        };
+        let layer = match p("kind")? {
+            0 => SchedLayer::Uniform { max_delay: p("a")? },
+            1 => SchedLayer::Fifo,
+            2 => SchedLayer::HealedPartition {
+                group_a: group()?,
+                heal_at: p("a")?,
+                base: p("b")?,
+            },
+            3 => SchedLayer::LossRetransmit {
+                loss_permille: small("a")?,
+                rto: p("b")?,
+                max_retries: small("c")?,
+                base: p("d")?,
+            },
+            4 => SchedLayer::Rushing {
+                target: match small("a")? {
+                    i @ 1..=MAX_N => Pid::new(i),
+                    i => return Err(format!("{pre}: rushing target p{i} is not a process")),
+                },
+                window: p("b")?,
+            },
+            5 => SchedLayer::HeavyTail {
+                base: p("a")?,
+                cap: p("b")?,
+            },
+            6 => SchedLayer::WindowPartition {
+                group_a: group()?,
+                from: p("a")?,
+                until: p("b")?,
+                base: p("c")?,
+            },
+            7 => SchedLayer::Skewed { max_delay: p("a")? },
+            8 => SchedLayer::Lagged {
+                slow: group()?,
+                base: p("a")?,
+                factor: p("b")?,
+            },
+            k => return Err(format!("unknown layer kind {k}")),
+        };
+        layer.check().map_err(|e| format!("{pre}: {e}"))?;
+        Ok(layer)
+    }
+}
+
+/// The benign network as a one-line scheduler.
+pub mod schedulers {
+    use super::{SchedLayer, Scheduler};
+    use crate::SimMsg;
+
+    /// [`SchedLayer::Uniform`]: a uniformly random delay in
+    /// `1..=max_delay`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_delay` is zero.
+    pub fn uniform<M: SimMsg>(max_delay: u64) -> Box<dyn Scheduler<M>> {
+        SchedLayer::Uniform { max_delay }.build()
+    }
+}
+
+#[derive(Clone)]
+struct Uniform {
+    max_delay: u64,
+}
+impl<M: 'static> Scheduler<M> for Uniform {
+    fn delivery_time(&mut self, _env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
+        now + rng.gen_range(1..=self.max_delay)
+    }
+    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+#[derive(Clone)]
+struct Fifo;
+impl<M: 'static> Scheduler<M> for Fifo {
+    fn delivery_time(&mut self, _env: &Envelope<M>, now: u64, _rng: &mut StdRng) -> u64 {
+        now + 1
+    }
+    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+#[derive(Clone)]
+struct Lagged {
+    slow: Vec<Pid>,
+    factor: u64,
+    base: u64,
+}
+impl<M: 'static> Scheduler<M> for Lagged {
+    fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
+        let d = rng.gen_range(1..=self.base);
+        if self.slow.contains(&env.to) || self.slow.contains(&env.from) {
+            now + d * self.factor
+        } else {
+            now + d
+        }
+    }
+    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+#[derive(Clone)]
+struct Skew {
+    max_delay: u64,
+}
+impl<M: 'static> Scheduler<M> for Skew {
+    fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
+        // Per-(sender,recipient) deterministic skew plus jitter: creates
+        // persistent asymmetry between links, the adversarial shape that
+        // most stresses quorum formation.
+        let link = u64::from(env.from.index()) * 31 + u64::from(env.to.index()) * 17;
+        now + 1 + (link % self.max_delay) + rng.gen_range(0..=self.max_delay / 4)
+    }
+    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+#[derive(Clone)]
+struct HealedPartition {
+    group_a: Vec<Pid>,
+    heal_at: u64,
+    base: u64,
+    held: u64,
+    /// Release clock for the post-heal drain of held cross-traffic.
+    last_release: u64,
+}
+impl<M: 'static> Scheduler<M> for HealedPartition {
+    fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
+        let cross = self.group_a.contains(&env.from) != self.group_a.contains(&env.to);
+        if !cross || now >= self.heal_at {
+            return now + rng.gen_range(1..=self.base);
+        }
+        // Cross-partition traffic is queued, not dropped, and the heal
+        // event releases the whole backlog in send order: successive
+        // held sends get strictly increasing post-heal times, which
+        // also preserves FIFO per link (global send order refines it).
+        self.held += 1;
+        self.last_release = self.last_release.max(self.heal_at) + rng.gen_range(1..=self.base);
+        self.last_release
+    }
+    fn link_stats(&self) -> LinkStats {
+        LinkStats {
+            held: self.held,
+            ..LinkStats::default()
+        }
+    }
+    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
+        Some(Box::new(self.clone()))
+    }
+    fn heal_partitions(&mut self, now: u64) {
+        self.heal_at = self.heal_at.min(now);
+    }
+}
+
+#[derive(Clone)]
+struct LossRetransmit {
+    loss_permille: u32,
+    rto: u64,
+    max_retries: u32,
+    base: u64,
+    drops: u64,
+    retransmits: u64,
+}
+impl<M: 'static> Scheduler<M> for LossRetransmit {
+    fn delivery_time(&mut self, _env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
+        // Each independent loss costs one retransmission timeout; the
+        // retry budget bounds the added delay, so delivery stays
+        // eventual (losses are modelled in the delay domain — the
+        // asynchronous model never truly drops).
+        let mut lost = 0u32;
+        while lost < self.max_retries && rng.gen_range(0..1000u32) < self.loss_permille {
+            lost += 1;
+        }
+        self.drops += u64::from(lost);
+        self.retransmits += u64::from(lost);
+        now + u64::from(lost) * self.rto + rng.gen_range(1..=self.base)
+    }
+    fn link_stats(&self) -> LinkStats {
+        LinkStats {
+            drops: self.drops,
+            retransmits: self.retransmits,
+            held: 0,
+        }
+    }
+    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+#[derive(Clone)]
+struct Rushing {
+    target: Pid,
+    window: u64,
+    /// Last delivery time assigned per directed link, to keep every
+    /// link FIFO under the reordering.
+    last: Vec<((Pid, Pid), u64)>,
+}
+impl<M: 'static> Scheduler<M> for Rushing {
+    fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
+        // A full-information rushing adversary: the target's traffic
+        // (in both directions) is delivered first among all eligible
+        // events, everyone else's is pushed toward the edge of the
+        // legal asynchrony window — the target always speaks before
+        // the rest of the network hears anything.
+        let rushed = env.to == self.target || env.from == self.target;
+        let raw = if rushed {
+            now + 1
+        } else {
+            now + self.window - rng.gen_range(0..=self.window / 4)
+        };
+        // FIFO per directed link: never schedule before an earlier
+        // same-link send (reordering happens only across links).
+        let key = (env.from, env.to);
+        match self.last.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, last)) => {
+                let at = raw.max(*last);
+                *last = at;
+                at
+            }
+            None => {
+                self.last.push((key, raw));
+                raw
+            }
+        }
+    }
+    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+#[derive(Clone)]
+struct HeavyTail {
+    base: u64,
+    cap: u64,
+}
+impl<M: 'static> Scheduler<M> for HeavyTail {
+    fn delivery_time(&mut self, _env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
+        // Bounded integer Pareto (α = 1): delay = base · 1024/u for
+        // uniform u ∈ 1..=1024, truncated at `cap`. Median ≈ 2·base,
+        // p99 ≈ 100·base — the long-fat-network shape where a few
+        // messages straggle far behind the bulk.
+        let u = rng.gen_range(1..=1024u64);
+        now + (self.base * 1024 / u).min(self.cap)
+    }
+    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
+        Some(Box::new(self.clone()))
+    }
+}
+
+#[derive(Clone)]
+struct WindowPartition {
+    group_a: Vec<Pid>,
+    from: u64,
+    until: u64,
+    base: u64,
+    held: u64,
+    /// Release clock for the post-heal drain of held cross-traffic.
+    last_release: u64,
+}
+impl<M: 'static> Scheduler<M> for WindowPartition {
+    fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
+        let cross = self.group_a.contains(&env.from) != self.group_a.contains(&env.to);
+        if !cross || now < self.from || now >= self.until {
+            return now + rng.gen_range(1..=self.base);
+        }
+        // Same drain discipline as `HealedPartition`: held sends are
+        // released in send order from the heal point.
+        self.held += 1;
+        self.last_release = self.last_release.max(self.until) + rng.gen_range(1..=self.base);
+        self.last_release
+    }
+    fn link_stats(&self) -> LinkStats {
+        LinkStats {
+            held: self.held,
+            ..LinkStats::default()
+        }
+    }
+    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
+        Some(Box::new(self.clone()))
+    }
+    fn heal_partitions(&mut self, now: u64) {
+        self.until = self.until.min(now);
+    }
+}
+
+struct Layered<M> {
+    layers: Vec<Box<dyn Scheduler<M>>>,
+}
+impl<M: 'static> Scheduler<M> for Layered<M> {
+    fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
+        // Every layer proposes a time (drawing from the shared RNG in
+        // stack order) and the envelope lands at the *latest* proposal,
+        // so each layer's constraint — a hold, a retransmission delay,
+        // a rushing window — is honoured simultaneously.
+        self.layers
+            .iter_mut()
+            .map(|l| l.delivery_time(env, now, rng))
+            .max()
+            .expect("layered scheduler has at least one layer")
+    }
+    fn link_stats(&self) -> LinkStats {
+        let mut sum = LinkStats::default();
+        for l in &self.layers {
+            let s = l.link_stats();
+            sum.drops += s.drops;
+            sum.retransmits += s.retransmits;
+            sum.held += s.held;
+        }
+        sum
+    }
+    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
+        let mut layers = Vec::with_capacity(self.layers.len());
+        for l in &self.layers {
+            layers.push(l.clone_box()?);
+        }
+        Some(Box::new(Layered { layers }))
+    }
+    fn heal_partitions(&mut self, now: u64) {
+        for l in &mut self.layers {
+            l.heal_partitions(now);
+        }
     }
 }
 
@@ -842,7 +950,12 @@ mod tests {
 
     #[test]
     fn lagged_slows_target_traffic() {
-        let mut s = schedulers::lagged::<u64>(vec![Pid::new(3)], 1, 50);
+        let mut s = SchedLayer::Lagged {
+            slow: vec![Pid::new(3)],
+            base: 1,
+            factor: 50,
+        }
+        .build::<u64>();
         let mut rng = StdRng::seed_from_u64(0);
         let fast = Envelope {
             from: Pid::new(1),
@@ -860,7 +973,12 @@ mod tests {
 
     #[test]
     fn partition_holds_cross_traffic_until_heal() {
-        let mut s = schedulers::partition_until::<u64>(vec![Pid::new(1), Pid::new(2)], 1000, 2);
+        let mut s = SchedLayer::HealedPartition {
+            group_a: vec![Pid::new(1), Pid::new(2)],
+            heal_at: 1000,
+            base: 2,
+        }
+        .build::<u64>();
         let mut rng = StdRng::seed_from_u64(0);
         let inside = Envelope {
             from: Pid::new(1),
@@ -880,27 +998,6 @@ mod tests {
         for _ in 0..50 {
             let at = s.delivery_time(&across, 2000, &mut rng);
             assert!(at > 2000 && at <= 2002);
-        }
-    }
-
-    #[test]
-    fn bursty_releases_at_period_boundaries() {
-        let mut s = schedulers::bursty::<u64>(100, 10, 3);
-        let mut rng = StdRng::seed_from_u64(0);
-        let env = Envelope {
-            from: Pid::new(1),
-            to: Pid::new(2),
-            msg: 0u64,
-        };
-        // Sent in the quiet phase: held to the next boundary.
-        for _ in 0..20 {
-            let at = s.delivery_time(&env, 55, &mut rng);
-            assert!(at >= 100, "quiet-phase send released early: {at}");
-        }
-        // Sent inside the burst window: delivered promptly.
-        for _ in 0..20 {
-            let at = s.delivery_time(&env, 103, &mut rng);
-            assert!(at <= 106);
         }
     }
 
@@ -930,7 +1027,7 @@ mod tests {
             Box::new(Driver { replies: 0 }),
             Box::new(CrashProcess::new(Echoer, 4)),
         ];
-        let mut sim = Simulation::new(procs, schedulers::fifo(), 9);
+        let mut sim = Simulation::new(procs, SchedLayer::Fifo.build(), 9);
         sim.run_to_quiescence(1000);
         // Echoer answered exactly 4 of the 10 pings. 10 pings + 4 replies.
         assert_eq!(sim.metrics().messages_sent, 14);
@@ -938,7 +1035,12 @@ mod tests {
 
     #[test]
     fn healed_partition_releases_backlog_in_send_order() {
-        let mut s = schedulers::healed_partition::<u64>(vec![Pid::new(1), Pid::new(2)], 1000, 3);
+        let mut s = SchedLayer::HealedPartition {
+            group_a: vec![Pid::new(1), Pid::new(2)],
+            heal_at: 1000,
+            base: 3,
+        }
+        .build::<u64>();
         let mut rng = StdRng::seed_from_u64(1);
         let across = Envelope {
             from: Pid::new(1),
@@ -968,7 +1070,13 @@ mod tests {
 
     #[test]
     fn loss_retransmit_counts_and_delays() {
-        let mut s = schedulers::loss_retransmit::<u64>(500, 100, 3, 4);
+        let mut s = SchedLayer::LossRetransmit {
+            loss_permille: 500,
+            rto: 100,
+            max_retries: 3,
+            base: 4,
+        }
+        .build::<u64>();
         let mut rng = StdRng::seed_from_u64(2);
         let env = Envelope {
             from: Pid::new(1),
@@ -985,7 +1093,13 @@ mod tests {
         assert!(stats.drops > 0, "p=0.5 over 200 sends must lose some");
         assert_eq!(stats.drops, stats.retransmits);
         // No-loss configuration never drops.
-        let mut s0 = schedulers::loss_retransmit::<u64>(0, 100, 3, 4);
+        let mut s0 = SchedLayer::LossRetransmit {
+            loss_permille: 0,
+            rto: 100,
+            max_retries: 3,
+            base: 4,
+        }
+        .build::<u64>();
         for _ in 0..50 {
             assert!(s0.delivery_time(&env, 0, &mut rng) <= 4);
         }
@@ -994,7 +1108,11 @@ mod tests {
 
     #[test]
     fn rushing_prefers_target_and_keeps_links_fifo() {
-        let mut s = schedulers::rushing::<u64>(Pid::new(1), 40);
+        let mut s = SchedLayer::Rushing {
+            target: Pid::new(1),
+            window: 40,
+        }
+        .build::<u64>();
         let mut rng = StdRng::seed_from_u64(3);
         let to_target = Envelope {
             from: Pid::new(2),
@@ -1024,7 +1142,7 @@ mod tests {
 
     #[test]
     fn heavy_tail_is_bounded_and_skewed() {
-        let mut s = schedulers::heavy_tail::<u64>(3, 500);
+        let mut s = SchedLayer::HeavyTail { base: 3, cap: 500 }.build::<u64>();
         let mut rng = StdRng::seed_from_u64(4);
         let env = Envelope {
             from: Pid::new(1),
@@ -1069,7 +1187,7 @@ mod tests {
             Box::new(Driver { replies: 0 }),
             Box::new(CrashProcess::with_recovery(Echoer, 2, 3)),
         ];
-        let mut sim = Simulation::new(procs, schedulers::fifo(), 9);
+        let mut sim = Simulation::new(procs, SchedLayer::Fifo.build(), 9);
         sim.run_to_quiescence(1000);
         assert_eq!(sim.metrics().messages_sent, 20, "all pings answered");
         assert_eq!(sim.metrics().recoveries, 1);
@@ -1099,7 +1217,7 @@ mod tests {
     #[test]
     fn layered_single_layer_is_bit_identical_to_bare() {
         let mut bare = schedulers::uniform::<u64>(20);
-        let mut stack = schedulers::layered::<u64>(vec![schedulers::uniform(20)]);
+        let mut stack = SchedLayer::stack::<u64>(&[SchedLayer::Uniform { max_delay: 20 }]);
         let mut rng_a = StdRng::seed_from_u64(7);
         let mut rng_b = StdRng::seed_from_u64(7);
         let env = Envelope {
@@ -1119,9 +1237,18 @@ mod tests {
     fn layered_takes_the_max_and_sums_stats() {
         // loss layer (always delays by >= 1 rto here) stacked on fifo:
         // the max wins, and both layers' stats surface.
-        let mut s = schedulers::layered::<u64>(vec![
-            schedulers::loss_retransmit(999, 50, 1, 2),
-            schedulers::healed_partition(vec![Pid::new(1)], 1000, 2),
+        let mut s = SchedLayer::stack::<u64>(&[
+            SchedLayer::LossRetransmit {
+                loss_permille: 999,
+                rto: 50,
+                max_retries: 1,
+                base: 2,
+            },
+            SchedLayer::HealedPartition {
+                group_a: vec![Pid::new(1)],
+                heal_at: 1000,
+                base: 2,
+            },
         ]);
         let mut rng = StdRng::seed_from_u64(5);
         let across = Envelope {
@@ -1139,8 +1266,13 @@ mod tests {
 
     #[test]
     fn window_partition_bites_only_inside_the_window() {
-        let mut s =
-            schedulers::window_partition::<u64>(vec![Pid::new(1), Pid::new(2)], 100, 400, 3);
+        let mut s = SchedLayer::WindowPartition {
+            group_a: vec![Pid::new(1), Pid::new(2)],
+            from: 100,
+            until: 400,
+            base: 3,
+        }
+        .build::<u64>();
         let mut rng = StdRng::seed_from_u64(6);
         let across = Envelope {
             from: Pid::new(1),
@@ -1189,7 +1321,7 @@ mod tests {
     #[test]
     fn silent_process_sends_nothing() {
         let procs: Vec<Box<dyn Process<u64>>> = vec![Box::new(SilentProcess)];
-        let mut sim = Simulation::new(procs, schedulers::fifo(), 0);
+        let mut sim = Simulation::new(procs, SchedLayer::Fifo.build(), 0);
         let outcome = sim.run_to_quiescence(10);
         assert!(outcome.quiescent);
         assert_eq!(sim.metrics().messages_sent, 0);

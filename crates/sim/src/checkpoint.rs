@@ -17,7 +17,7 @@
 //! Processes opt in through the [`Checkpoint`] trait, which is
 //! blanket-implemented for every `Clone` process; schedulers opt in
 //! through [`Scheduler::clone_box`](crate::Scheduler::clone_box) (all
-//! stock [`schedulers`](crate::schedulers) do).
+//! [`SchedLayer`](crate::SchedLayer) rows do).
 
 use crate::{Process, SimMsg, Simulation};
 
@@ -55,7 +55,7 @@ impl<M: SimMsg, P: Process<M> + Checkpoint> Simulation<M, P> {
     ///
     /// Panics if the scheduler does not support checkpointing
     /// ([`Scheduler::clone_box`](crate::Scheduler::clone_box) returned
-    /// `None` — e.g. a custom [`FnScheduler`](crate::FnScheduler)).
+    /// `None` — the default for a custom impl).
     pub fn checkpoint(&self) -> SimCheckpoint<M, P> {
         SimCheckpoint {
             frozen: self.deep_copy(),
@@ -95,7 +95,7 @@ impl<M: SimMsg, P: Process<M> + Checkpoint> SimCheckpoint<M, P> {
 mod tests {
     use sba_net::{Outbox, Pid};
 
-    use crate::{schedulers, Process, Simulation};
+    use crate::{schedulers, Process, SchedLayer, Simulation};
 
     /// A process with internal randomness-free state whose transcript
     /// depends on delivery order: each delivery appends to a rolling fold.
@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn checkpoint_is_reusable_and_independent() {
-        let mut sim = Simulation::new(folders(3), schedulers::skewed(9), 5);
+        let mut sim = Simulation::new(folders(3), SchedLayer::Skewed { max_delay: 9 }.build(), 5);
         sim.enable_digest();
         sim.run_to_quiescence(10);
         let ck = sim.checkpoint();

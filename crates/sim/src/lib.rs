@@ -10,6 +10,8 @@
 //! - every process is a sans-io [`Process`] state machine;
 //! - every sent envelope is handed to a [`Scheduler`] (the adversary's
 //!   scheduling power), which assigns it a finite virtual delivery time;
+//!   the stock strategies are the rows of [`SchedLayer`], composed by
+//!   [`SchedLayer::stack`] ([`schedulers::uniform`] is the benign one);
 //! - Byzantine behaviour is expressed by corrupted [`Process`]
 //!   implementations (the adversary's corruption power);
 //! - the run is a pure function of the seed, so every experiment is
@@ -61,7 +63,7 @@ pub mod socket;
 mod tamper;
 pub mod threaded;
 
-pub use adversary::{schedulers, CrashProcess, FnScheduler, LinkStats, Scheduler, SilentProcess};
+pub use adversary::{schedulers, CrashProcess, LinkStats, SchedLayer, Scheduler, SilentProcess};
 pub use checkpoint::{Checkpoint, SimCheckpoint};
 pub use metrics::Metrics;
 pub use observer::{Observer, ObserverStats};

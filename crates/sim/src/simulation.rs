@@ -942,7 +942,7 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedulers;
+    use crate::{schedulers, SchedLayer};
 
     /// Floods `count` pings to every other process on start; counts pongs.
     struct Pinger {
@@ -1087,7 +1087,7 @@ mod tests {
     /// gauges see the difference while per-message metrics do not.
     #[test]
     fn batches_coalesce_same_event_same_recipient_sends() {
-        let mut sim = Simulation::new(pingers(2, 10), schedulers::fifo(), 3);
+        let mut sim = Simulation::new(pingers(2, 10), SchedLayer::Fifo.build(), 3);
         sim.run_to_quiescence(100);
         let m = sim.metrics();
         assert_eq!(m.messages_sent, 20);
@@ -1293,7 +1293,7 @@ mod queue_model {
 #[cfg(test)]
 mod trace_tests {
     use super::*;
-    use crate::schedulers;
+    use crate::{schedulers, SchedLayer};
     use sba_net::Outbox;
 
     struct Chat {
@@ -1329,7 +1329,7 @@ mod trace_tests {
 
     #[test]
     fn trace_records_deliveries_in_order() {
-        let mut sim = Simulation::new(chat_pair(), schedulers::fifo(), 1);
+        let mut sim = Simulation::new(chat_pair(), SchedLayer::Fifo.build(), 1);
         sim.enable_trace(100);
         sim.run_to_quiescence(100);
         let entries: Vec<&TraceEntry> = sim.trace().collect();
@@ -1341,7 +1341,7 @@ mod trace_tests {
 
     #[test]
     fn trace_ring_buffer_evicts_oldest() {
-        let mut sim = Simulation::new(chat_pair(), schedulers::fifo(), 1);
+        let mut sim = Simulation::new(chat_pair(), SchedLayer::Fifo.build(), 1);
         sim.enable_trace(3);
         sim.run_to_quiescence(100);
         let entries: Vec<&TraceEntry> = sim.trace().collect();
@@ -1361,7 +1361,7 @@ mod trace_tests {
 
     #[test]
     fn trace_disabled_by_default() {
-        let mut sim = Simulation::new(chat_pair(), schedulers::fifo(), 1);
+        let mut sim = Simulation::new(chat_pair(), SchedLayer::Fifo.build(), 1);
         sim.run_to_quiescence(100);
         assert_eq!(sim.trace().count(), 0);
     }

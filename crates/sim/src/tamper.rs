@@ -139,7 +139,7 @@ impl<P: Process<M>, M: Clone + Send> Process<M> for TamperProcess<P, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{schedulers, Simulation};
+    use crate::{SchedLayer, Simulation};
 
     struct Flood;
     impl Process<u64> for Flood {
@@ -174,7 +174,7 @@ mod tests {
         });
         let procs: Vec<Box<dyn Process<u64>>> =
             vec![Box::new(tampered), Box::new(Counter { sum: 0 })];
-        let mut sim = Simulation::new(procs, schedulers::fifo(), 1);
+        let mut sim = Simulation::new(procs, SchedLayer::Fifo.build(), 1);
         sim.run_to_quiescence(100);
         // Sent: (0 dropped), 1→(100,200), 2, 3  ⇒  sum = 100+200+2+3.
         assert_eq!(sim.metrics().messages_sent, 4);

@@ -14,7 +14,7 @@
 use sba::broadcast::{MuxMsg, RbDelivery, RbMux};
 use sba::field::{Field, Gf61};
 use sba::net::{MwId, Outbox, Pid, SlotView, Unpacked};
-use sba::sim::{schedulers, Process, Simulation};
+use sba::sim::{Process, SchedLayer, Simulation};
 use sba::svss::{SvssMsg, SvssRbValue, SvssSlot};
 use sba::Params;
 
@@ -77,7 +77,7 @@ fn main() {
             delivered: Vec::new(),
         })
         .collect();
-    let mut sim = Simulation::new(procs, schedulers::skewed(8), 5);
+    let mut sim = Simulation::new(procs, SchedLayer::Skewed { max_delay: 8 }.build(), 5);
     sim.enable_trace(256);
     let outcome = sim.run_until_all_done(100_000);
     assert!(outcome.all_done);

@@ -1,7 +1,14 @@
 //! Cross-crate integration: the full agreement stack under fault
 //! injection, adversarial scheduling, and on both runtimes.
 
-use sba::{Cluster, ClusterConfig, Pid, Role};
+use rand::rngs::StdRng;
+use rand::Rng;
+use sba::net::{Envelope, Kinded};
+use sba::sim::Scheduler;
+use sba::{AbaMsg, Cluster, ClusterConfig, Gf61, Pid, Role, ScenarioPlan, SchedLayer};
+
+/// The cluster's wire message.
+type Msg = AbaMsg<Gf61>;
 
 fn inputs_split(n: usize) -> Vec<Option<bool>> {
     (0..n).map(|i| Some(i % 2 == 0)).collect()
@@ -95,12 +102,34 @@ fn lying_share_adversary_is_shunned_within_bound() {
 /// Adversarial link-skewed scheduling cannot break agreement.
 #[test]
 fn skewed_scheduler_agreement() {
-    use sba::sim::schedulers;
     for seed in [3u64, 4] {
-        let config = ClusterConfig::new(4, 1).seed(seed);
-        let mut cluster = Cluster::with_scheduler(config, &inputs_split(4), schedulers::skewed(30));
-        let report = cluster.run(60_000_000);
+        let mut plan = ScenarioPlan::new("skewed", 4, 1, seed);
+        plan.layers = vec![SchedLayer::Skewed { max_delay: 30 }];
+        let report = plan.build().run(60_000_000);
         assert!(report.terminated && report.agreement(), "seed {seed}");
+    }
+}
+
+/// Delays the vote-layer traffic of `victims` by `factor` while coin
+/// traffic flows freely: the "reveal the coin early, then let the slow
+/// votes land" schedule of a rushing adversary, which voids a round's
+/// progress guarantee without violating safety. It reads ABA message
+/// kinds, so it is a scheduler of its own rather than a `SchedLayer`.
+struct CoinSteer {
+    victims: Vec<Pid>,
+    factor: u64,
+}
+
+impl Scheduler<Msg> for CoinSteer {
+    fn delivery_time(&mut self, env: &Envelope<Msg>, now: u64, rng: &mut StdRng) -> u64 {
+        let base = now + rng.gen_range(1..=4u64);
+        // Every RB step of a vote carries its phase's label.
+        let is_vote = matches!(env.msg.kind(), "aba/vote" | "aba/candidate");
+        if is_vote && self.victims.contains(&env.from) {
+            base + self.factor
+        } else {
+            base
+        }
     }
 }
 
@@ -108,10 +137,12 @@ fn skewed_scheduler_agreement() {
 /// votes until after coin reveal; safety and termination hold.
 #[test]
 fn coin_steer_scheduler_agreement() {
-    use sba::adversary::coin_steer_scheduler;
     let config = ClusterConfig::new(4, 1).seed(5);
-    let sched = coin_steer_scheduler(vec![Pid::new(1), Pid::new(2)], 500);
-    let mut cluster = Cluster::with_scheduler(config, &inputs_split(4), sched);
+    let sched = CoinSteer {
+        victims: vec![Pid::new(1), Pid::new(2)],
+        factor: 500,
+    };
+    let mut cluster = Cluster::with_scheduler(config, &inputs_split(4), Box::new(sched));
     let report = cluster.run(120_000_000);
     assert!(report.terminated, "steered run must still terminate");
     assert!(report.agreement());
@@ -133,32 +164,22 @@ fn cluster_replay() {
 /// breaks agreement: progress resumes after the heal.
 #[test]
 fn partition_heals_and_agreement_completes() {
-    use sba::sim::schedulers;
-    let config = ClusterConfig::new(4, 1).seed(6);
-    let sched = schedulers::partition_until(vec![Pid::new(1), Pid::new(2)], 5_000, 10);
-    let mut cluster = Cluster::with_scheduler(config, &inputs_split(4), sched);
-    let report = cluster.run(120_000_000);
+    let mut plan = ScenarioPlan::new("partition", 4, 1, 6);
+    plan.layers = vec![SchedLayer::HealedPartition {
+        group_a: vec![Pid::new(1), Pid::new(2)],
+        heal_at: 5_000,
+        base: 10,
+    }];
+    let report = plan.build().run(120_000_000);
     assert!(report.terminated, "agreement must resume after the heal");
     assert!(report.agreement());
-}
-
-/// Bursty delivery (large simultaneous batches) is just another
-/// asynchronous schedule.
-#[test]
-fn bursty_schedule_agreement() {
-    use sba::sim::schedulers;
-    let config = ClusterConfig::new(4, 1).seed(8);
-    let sched = schedulers::bursty(200, 20, 5);
-    let mut cluster = Cluster::with_scheduler(config, &inputs_split(4), sched);
-    let report = cluster.run(120_000_000);
-    assert!(report.terminated && report.agreement());
+    assert!(report.metrics.sched_held > 0, "the partition never held");
 }
 
 /// A three-slot replicated log over the real SCC coin (not the oracle):
 /// repeated agreement against one shunning domain.
 #[test]
 fn scc_replicated_log_three_slots() {
-    use sba::field::Gf61;
     use sba::sim::{schedulers, Simulation};
     use sba::{AbaConfig, AbaNode, AbaProcess, Params};
 

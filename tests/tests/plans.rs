@@ -28,7 +28,7 @@ fn group_from_mask(mask: u32, n: usize) -> Vec<Pid> {
 /// One scheduler layer from raw generated integers, respecting every
 /// constructor's argument contract (positive delays, window >= 2, ...).
 fn layer_from(kind: u8, a: u64, b: u64, c: u64, mask: u32, n: usize) -> SchedLayer {
-    match kind % 7 {
+    match kind % 9 {
         0 => SchedLayer::Uniform {
             max_delay: 1 + a % 40,
         },
@@ -55,7 +55,7 @@ fn layer_from(kind: u8, a: u64, b: u64, c: u64, mask: u32, n: usize) -> SchedLay
                 cap: base + b % 1000,
             }
         }
-        _ => {
+        6 => {
             let from = a % 1000;
             SchedLayer::WindowPartition {
                 group_a: group_from_mask(mask, n),
@@ -64,6 +64,14 @@ fn layer_from(kind: u8, a: u64, b: u64, c: u64, mask: u32, n: usize) -> SchedLay
                 base: 1 + c % 10,
             }
         }
+        7 => SchedLayer::Skewed {
+            max_delay: 1 + a % 40,
+        },
+        _ => SchedLayer::Lagged {
+            slow: group_from_mask(mask, n),
+            base: 1 + a % 10,
+            factor: 1 + b % 20,
+        },
     }
 }
 

@@ -9,8 +9,9 @@
 //! altered the schedule — which may be fine, but must be a conscious
 //! re-pin, not drift.
 
-use sba::sim::schedulers;
-use sba::{Cluster, ClusterConfig, ClusterReport, Pid, PlanCoin, Role, ScenarioPlan, Zoo};
+use sba::{
+    Cluster, ClusterConfig, ClusterReport, Pid, PlanCoin, Role, ScenarioPlan, SchedLayer, Zoo,
+};
 use sba_bench::trial::{self, Trial};
 
 /// The pinned tier-1 seed (matches the e11 artifact sweep).
@@ -18,8 +19,7 @@ const SEED: u64 = 7;
 
 /// Runs a scenario at the canonical small size with split inputs.
 fn run_zoo(zoo: Zoo) -> ClusterReport {
-    let mut cluster = zoo.cluster(4, 1, SEED);
-    cluster.run(60_000_000)
+    zoo.plan(4, 1, SEED).build().run(60_000_000)
 }
 
 /// Asserts the invariants every scenario run must satisfy, plus the
@@ -46,8 +46,10 @@ fn assert_decided(zoo: Zoo, report: &ClusterReport, bit: bool) {
 /// Validity under this scenario: unanimous inputs decide that bit.
 fn assert_validity(zoo: Zoo) {
     let inputs = vec![Some(true); 4];
-    let mut cluster = zoo.cluster_with_inputs(4, 1, SEED, &inputs);
-    let report = cluster.run(60_000_000);
+    let report = zoo
+        .plan(4, 1, SEED)
+        .build_with_inputs(&inputs)
+        .run(60_000_000);
     assert!(report.terminated && report.agreement(), "{}", zoo.name());
     for d in report.decisions.iter().flatten() {
         assert!(*d, "{}: validity violated", zoo.name());
@@ -128,7 +130,7 @@ fn heavy_tail_delays_only_slow_the_run() {
 #[test]
 fn identical_runs_are_bit_identical() {
     let run = |_: ()| {
-        let mut cluster = Zoo::LossRetransmit.cluster(4, 1, SEED);
+        let mut cluster = Zoo::LossRetransmit.plan(4, 1, SEED).build().into_cluster();
         cluster.sim_mut().enable_trace(1 << 20);
         cluster.run(60_000_000);
         let trace: Vec<sba::sim::TraceEntry> = cluster.sim().trace().cloned().collect();
@@ -149,7 +151,7 @@ fn identical_runs_are_bit_identical() {
 fn recorded_artifact_replays_bit_identically() {
     let dir = std::env::temp_dir().join(format!("sba-replay-{}", std::process::id()));
     for zoo in [Zoo::Benign, Zoo::CrashRecover] {
-        let trial = Trial::new(zoo, SEED);
+        let trial = Trial::new(zoo.plan(4, 1, SEED));
         let (path, run) = trial::record(&trial, &dir).expect("record");
         let replay = trial::replay_file(&path).expect("artifact parses");
         assert!(
@@ -169,7 +171,7 @@ fn recorded_artifact_replays_bit_identically() {
 /// seeds yields different schedules that still decide.
 #[test]
 fn forked_checkpoints_resume_exactly_and_diverge_live() {
-    let trial = Trial::new(Zoo::HealedPartition, SEED);
+    let trial = Trial::new(Zoo::HealedPartition.plan(4, 1, SEED));
     let fork = trial::fork(&trial, 1_500, &[11, 22]);
     assert!(fork.branch_events >= 1_500, "branch point too early");
     assert!(
@@ -194,10 +196,11 @@ fn forked_checkpoints_resume_exactly_and_diverge_live() {
 }
 
 /// Builds a zoo scenario the way the pre-plan code did — explicit
-/// config, fault, and scheduler constructor calls, no [`ScenarioPlan`]
+/// config, fault, and one bare scheduler layer, no [`ScenarioPlan`]
 /// involved. Kept as an independent reference implementation so the
-/// next test can prove the plan DSL is a faithful re-expression, not a
-/// behavioural rewrite.
+/// next test can prove the plan DSL (its checks, its layer stack, its
+/// event runner) is a faithful re-expression, not a behavioural
+/// rewrite.
 fn legacy_cluster(zoo: Zoo, n: usize, t: usize, seed: u64) -> Cluster {
     let inputs: Vec<Option<bool>> = (0..n).map(|i| Some(i % 2 == 0)).collect();
     let mut config = ClusterConfig::new(n, t).seed(seed);
@@ -211,15 +214,27 @@ fn legacy_cluster(zoo: Zoo, n: usize, t: usize, seed: u64) -> Cluster {
         );
     }
     let group_a: Vec<Pid> = Pid::all(n.div_ceil(2)).collect();
-    let scheduler = match zoo {
-        Zoo::Benign => schedulers::uniform(20),
-        Zoo::HealedPartition => schedulers::healed_partition(group_a, 400, 6),
-        Zoo::CrashRecover => schedulers::uniform(12),
-        Zoo::LossRetransmit => schedulers::loss_retransmit(200, 40, 3, 8),
-        Zoo::Rushing => schedulers::rushing(Pid::new(1), 30),
-        Zoo::HeavyTail => schedulers::heavy_tail(4, 800),
+    let layer = match zoo {
+        Zoo::Benign => SchedLayer::Uniform { max_delay: 20 },
+        Zoo::HealedPartition => SchedLayer::HealedPartition {
+            group_a,
+            heal_at: 400,
+            base: 6,
+        },
+        Zoo::CrashRecover => SchedLayer::Uniform { max_delay: 12 },
+        Zoo::LossRetransmit => SchedLayer::LossRetransmit {
+            loss_permille: 200,
+            rto: 40,
+            max_retries: 3,
+            base: 8,
+        },
+        Zoo::Rushing => SchedLayer::Rushing {
+            target: Pid::new(1),
+            window: 30,
+        },
+        Zoo::HeavyTail => SchedLayer::HeavyTail { base: 4, cap: 800 },
     };
-    let mut cluster = Cluster::with_scheduler(config, &inputs, scheduler);
+    let mut cluster = Cluster::with_scheduler(config, &inputs, layer.build());
     cluster.sim_mut().enable_digest();
     cluster
 }
@@ -232,7 +247,7 @@ fn plan_built_zoo_matches_legacy_construction_bit_for_bit() {
     for zoo in Zoo::ALL {
         let mut legacy = legacy_cluster(zoo, 4, 1, SEED);
         let legacy_report = legacy.run(60_000_000);
-        let mut planned = zoo.cluster(4, 1, SEED);
+        let mut planned = zoo.plan(4, 1, SEED).build().into_cluster();
         let planned_report = planned.run(60_000_000);
         assert_eq!(
             legacy.digest(),
@@ -259,7 +274,7 @@ fn plan_built_zoo_matches_legacy_construction_bit_for_bit() {
 fn compound_plans_run_clean_under_the_monitor() {
     let dir = std::env::temp_dir().join(format!("sba-compound-{}", std::process::id()));
     for plan in ScenarioPlan::compounds(4, 1, SEED) {
-        let trial = Trial::plan(plan.clone());
+        let trial = Trial::new(plan.clone());
         let (path, run) = trial::record(&trial, &dir).expect("record");
         assert!(
             run.report.terminated && run.report.all_decided() && run.report.agreement(),
@@ -353,8 +368,7 @@ fn zoo_sweeps_at_n31_with_an_oracle_coin() {
 fn zoo_multi_seed_sweep() {
     for zoo in Zoo::ALL {
         for seed in [1u64, 2, 3] {
-            let mut cluster = zoo.cluster(4, 1, seed);
-            let report = cluster.run(60_000_000);
+            let report = zoo.plan(4, 1, seed).build().run(60_000_000);
             assert!(
                 report.terminated && report.all_decided() && report.agreement(),
                 "{} seed {seed} failed",
@@ -373,7 +387,7 @@ fn zoo_multi_seed_sweep() {
 fn every_scenario_replays_bit_identically() {
     let dir = std::env::temp_dir().join(format!("sba-replay-all-{}", std::process::id()));
     for zoo in Zoo::ALL {
-        let trial = Trial::new(zoo, SEED);
+        let trial = Trial::new(zoo.plan(4, 1, SEED));
         let (path, _) = trial::record(&trial, &dir).expect("record");
         let replay = trial::replay_file(&path).expect("artifact parses");
         assert!(replay.ok(), "{}: {:?}", zoo.name(), replay.mismatches);
