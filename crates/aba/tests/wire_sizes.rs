@@ -33,8 +33,8 @@ const _: () = assert!(size_of::<SvssMsg<Gf61>>() == 32);
 // 32 bytes.
 const _: () = assert!(size_of::<AbaMsg<Gf61>>() <= 32);
 
-// What rides in the simulator's payload arena per in-flight message
-// (measured: 40 — the message plus the batch's intrusive link).
+// What an outbox holds per send until the simulator groups it
+// (measured: 40 — the message plus its sender and recipient).
 const _: () = assert!(size_of::<Envelope<AbaMsg<Gf61>>>() <= 40);
 
 // The structured decomposition forms stay lean too (they live on the
@@ -200,15 +200,16 @@ fn vote_encoding_pinned() {
     );
 }
 
-/// The queue arenas' per-slot footprint: one batch entry per
-/// `(tick, from, to)` group, one payload slot per in-flight message.
-/// Runtime (not const) because the sizes come through a function, but it
-/// fails the same build that would regress them.
+/// The queue's per-batch and per-message footprint: one header per
+/// `(tick, from, to)` group and one bare message per in-flight send, each
+/// in its tick bucket's FIFO (no links, no `Option` slot). Runtime (not
+/// const) because the sizes come through a function, but it fails the
+/// same build that would regress them.
 #[test]
 fn queue_slot_sizes_pinned() {
-    let (entry, pay) = sba_sim::queue_slot_sizes::<AbaMsg<Gf61>>();
-    assert!(entry <= 56, "batch entry grew to {entry} bytes");
-    assert!(pay <= 40, "payload slot grew to {pay} bytes");
+    let (header, msg) = sba_sim::queue_slot_sizes::<AbaMsg<Gf61>>();
+    assert!(header <= 24, "batch header grew to {header} bytes");
+    assert!(msg <= 32, "queued message grew to {msg} bytes");
 }
 
 /// The asserts above are compile-time; this test exists so the pins show
@@ -229,7 +230,7 @@ fn wire_sizes_pinned() {
     ] {
         println!("{name} = {size} bytes");
     }
-    let (entry, pay) = sba_sim::queue_slot_sizes::<AbaMsg<Gf61>>();
-    println!("queue batch entry = {entry} bytes");
-    println!("queue payload slot = {pay} bytes");
+    let (header, msg) = sba_sim::queue_slot_sizes::<AbaMsg<Gf61>>();
+    println!("queue batch header = {header} bytes");
+    println!("queued message = {msg} bytes");
 }

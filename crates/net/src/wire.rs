@@ -755,9 +755,9 @@ struct WireKey {
 /// Body-slot storage for process sets. Sets confined to the first
 /// bitmask word (indices `1..=64` — every seed-pinned workload) stay
 /// inline; wider sets spill their word block to the heap. The inline
-/// common case holds [`WireMsg`] at its pinned 32 bytes (~10⁶ envelopes
-/// ride the queue arena in a full n=7 run), while the spill path spans
-/// the full [`crate::MAX_N`] range.
+/// common case holds [`WireMsg`] at its pinned 32 bytes (~10⁶ messages
+/// sit in the simulator's tick buckets in a full n=7 run), while the
+/// spill path spans the full [`crate::MAX_N`] range.
 ///
 /// Canonical-form invariant (enforced by [`CompactSet::pack`], the only
 /// constructor): `Spilled` only when a high word is nonzero, so the

@@ -46,9 +46,9 @@ pub struct Metrics {
     /// Peak number of batches (queue entries) simultaneously in flight.
     pub inflight_peak_batches: u64,
     /// Approximate peak in-flight queue footprint in bytes: live batch
-    /// entries plus live payload slots at their arena slot sizes (the
-    /// arenas' high-water capacity matches this at steady state; heap
-    /// payloads boxed inside messages are not counted).
+    /// headers plus live messages at their in-bucket sizes
+    /// ([`queue_slot_sizes`](crate::queue_slot_sizes)); spare bucket
+    /// capacity and heap payloads boxed inside messages are not counted.
     pub inflight_peak_bytes: u64,
     /// Simulated transmission losses reported by the scheduler (see
     /// [`LinkStats::drops`](crate::LinkStats)); each one was recovered by

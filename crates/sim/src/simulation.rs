@@ -20,11 +20,13 @@
 //! unaffected.
 //!
 //! **Order.** A batch is delivered at its `(at, seq)`: `at` from the
-//! group's one delay draw, `seq` in scheduling order. The calendar queue
-//! below is the only queue layout; this module's tests check it pop for
-//! pop against a binary heap keyed `(at, seq)`, and
-//! `tests/tests/batching.rs` pins full-stack delivery logs recorded
-//! while a per-message reference queue still existed beside it.
+//! group's one delay draw, `seq` in scheduling order. The queue is a
+//! calendar of per-tick FIFO buckets: `at` is the bucket and `seq` the
+//! position in it, so neither is stored. It is the only queue layout;
+//! this module's tests check it pop for pop against a binary heap keyed
+//! `(at, seq)`, and `tests/tests/batching.rs` pins full-stack delivery
+//! logs recorded while a per-message reference queue still existed
+//! beside it.
 //!
 //! # Batched self-delivery
 //!
@@ -41,7 +43,7 @@
 //! buffer, and [`Metrics::self_delivery_batches`] counts generations.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,41 +81,38 @@ impl<M> Ord for OverflowBatch<M> {
     }
 }
 
-/// Width of the calendar-queue window (a power of two). Delivery delays
-/// in this workspace are tiny (≤ ~1000 virtual ticks), so almost every
-/// event lands in the ring; anything farther out waits in the overflow
-/// heap until the window reaches it.
+/// Width of the calendar-queue window: the ring never holds more than
+/// this many ticks. Delivery delays in this workspace are tiny (≤ ~1000
+/// virtual ticks), so almost every event lands in the ring; anything
+/// farther out waits in the overflow heap until the window reaches it.
 const CALENDAR_WINDOW: u64 = 4096;
 
-/// Sentinel "null" arena index.
-const NIL: u32 = u32::MAX;
-
-/// One queued batch: the shared `(at, seq, sent, from, to)` header plus
-/// an intrusive FIFO of payload slots, threaded into its bucket's entry
-/// chain (when queued) or the entry free list (when vacant).
+/// One queued batch's header; its `len` members sit, in order, in the
+/// bucket's message FIFO. Delivery time is the bucket's tick and `seq`
+/// is the header's position in the bucket, so neither is stored.
 #[derive(Clone)]
-struct Entry {
-    at: u64,
-    seq: u64,
+struct Header {
     sent: u64,
     from: Pid,
     to: Pid,
-    /// Head of the payload chain in the payload arena.
-    head: u32,
-    /// Member count.
     len: u32,
-    /// Bucket chain (queued) or free list (vacant).
-    next: u32,
 }
 
-/// One payload slot: a message plus the intrusive link to the next
-/// member of its batch (or the next free slot).
+/// One virtual tick's batches: headers and messages in two contiguous
+/// FIFOs, pushed at the back and popped from the front in `seq` order.
 #[derive(Clone)]
-struct PaySlot<M> {
-    /// `Some` while queued; taken at pop, leaving the slot on the free
-    /// list for reuse.
-    msg: Option<M>,
-    next: u32,
+struct Bucket<M> {
+    heads: VecDeque<Header>,
+    msgs: VecDeque<M>,
+}
+
+impl<M> Default for Bucket<M> {
+    fn default() -> Self {
+        Bucket {
+            heads: VecDeque::new(),
+            msgs: VecDeque::new(),
+        }
+    }
 }
 
 /// A popped batch header (payloads are drained into the caller's scratch).
@@ -126,43 +125,37 @@ struct PoppedBatch {
     len: u32,
 }
 
-/// The pending-delivery queue: a calendar queue over two slab arenas —
-/// one for batch entries, one for message payloads.
+/// The pending-delivery queue: a calendar of per-tick FIFO buckets.
 ///
 /// Full protocol runs keep *hundreds of thousands* of messages in
-/// flight. Storing them as individually-queued envelopes cost one fat
-/// queue entry per message; batching shares one [`Entry`] per
-/// `(tick, from, to)` group, and the payloads pack densely into a
-/// recycled [`PaySlot`] arena — the queue's memory is two dense
-/// allocations sized by the *peak* population, with no allocator traffic
-/// at steady state.
+/// flight. Batching shares one [`Header`] per `(tick, from, to)` group,
+/// and a tick's headers and messages each sit in one contiguous FIFO, so
+/// a pop streams through the front bucket and a push appends to one of
+/// the few buckets the delay span covers. The ring starts empty and grows
+/// only to the live span; a drained bucket's buffers wait in a spare pool
+/// for the next tick that opens, so there is no allocator traffic at
+/// steady state and retained capacity is bounded by the span.
 ///
 /// Order: deliveries are ordered by `(at, seq)` where `seq` is assigned
 /// in push order, so a FIFO bucket per virtual tick reproduces a heap's
-/// order exactly (bucket scan order gives ascending `at`; each bucket is
-/// pushed, hence popped, in ascending `seq`).
+/// order exactly (buckets ascend in `at`; each bucket is pushed, hence
+/// popped, in ascending `seq`).
 ///
-/// `Clone` deep-copies both arenas and the overflow heap — the queue
-/// half of a [`SimCheckpoint`](crate::SimCheckpoint) snapshot.
+/// `Clone` deep-copies the ring and the overflow heap — the queue half of
+/// a [`SimCheckpoint`](crate::SimCheckpoint) snapshot.
 #[derive(Clone)]
 struct EventQueue<M> {
-    /// `ring[at % CALENDAR_WINDOW]` is the `(head, tail)` of the entry
-    /// FIFO for time `at`, for `at ∈ [cursor, cursor + CALENDAR_WINDOW)`.
-    ring: Vec<(u32, u32)>,
-    /// The batch-entry arena.
-    entries: Vec<Entry>,
-    /// Head of the vacant-entry free list.
-    free_entry: u32,
-    /// The payload arena.
-    pay: Vec<PaySlot<M>>,
-    /// Head of the vacant-payload free list.
-    free_pay: u32,
+    /// `ring[i]` holds the batches due at tick `cursor + i`; its length
+    /// never exceeds `CALENDAR_WINDOW`.
+    ring: VecDeque<Bucket<M>>,
+    /// Drained buckets, kept for their buffers' capacity.
+    spare: Vec<Bucket<M>>,
     /// Batches beyond the window; migrated into the ring as the cursor
     /// advances.
     overflow: BinaryHeap<Reverse<OverflowBatch<M>>>,
     /// Batches currently in the ring.
     ring_len: usize,
-    /// Lower bound of the window; never decreases.
+    /// The tick of `ring[0]`; never decreases.
     cursor: u64,
     /// Total batches (ring + overflow).
     len: usize,
@@ -171,11 +164,8 @@ struct EventQueue<M> {
 impl<M> EventQueue<M> {
     fn new() -> Self {
         EventQueue {
-            ring: vec![(NIL, NIL); CALENDAR_WINDOW as usize],
-            entries: Vec::new(),
-            free_entry: NIL,
-            pay: Vec::new(),
-            free_pay: NIL,
+            ring: VecDeque::new(),
+            spare: Vec::new(),
             overflow: BinaryHeap::new(),
             ring_len: 0,
             cursor: 0,
@@ -187,76 +177,31 @@ impl<M> EventQueue<M> {
         self.len == 0
     }
 
-    fn alloc_pay(&mut self, msg: M) -> u32 {
-        if self.free_pay != NIL {
-            let idx = self.free_pay;
-            let slot = &mut self.pay[idx as usize];
-            self.free_pay = slot.next;
-            slot.msg = Some(msg);
-            slot.next = NIL;
-            idx
-        } else {
-            assert!(self.pay.len() < NIL as usize, "payload arena overflow");
-            self.pay.push(PaySlot {
-                msg: Some(msg),
-                next: NIL,
-            });
-            (self.pay.len() - 1) as u32
-        }
-    }
-
-    /// Appends a batch to its bucket's FIFO, moving its payloads into the
-    /// payload arena.
+    /// Appends a batch to its tick's bucket, opening buckets (from the
+    /// spare pool first) up to that tick.
     fn push_bucket(
         &mut self,
         at: u64,
-        seq: u64,
         sent: u64,
         from: Pid,
         to: Pid,
         msgs: impl Iterator<Item = M>,
     ) {
-        let (mut head, mut tail, mut count) = (NIL, NIL, 0u32);
-        for msg in msgs {
-            let idx = self.alloc_pay(msg);
-            if head == NIL {
-                head = idx;
-            } else {
-                self.pay[tail as usize].next = idx;
-            }
-            tail = idx;
-            count += 1;
+        let i = (at - self.cursor) as usize;
+        while self.ring.len() <= i {
+            self.ring.push_back(self.spare.pop().unwrap_or_default());
         }
-        debug_assert!(count > 0, "empty batches are never scheduled");
-        let _ = tail; // the chain is walked from `head`; tail is build-local
-        let entry = Entry {
-            at,
-            seq,
+        let bucket = &mut self.ring[i];
+        let before = bucket.msgs.len();
+        bucket.msgs.extend(msgs);
+        let len = (bucket.msgs.len() - before) as u32;
+        debug_assert!(len > 0, "empty batches are never scheduled");
+        bucket.heads.push_back(Header {
             sent,
             from,
             to,
-            head,
-            len: count,
-            next: NIL,
-        };
-        let idx = if self.free_entry != NIL {
-            let idx = self.free_entry;
-            self.free_entry = self.entries[idx as usize].next;
-            self.entries[idx as usize] = entry;
-            idx
-        } else {
-            assert!(self.entries.len() < NIL as usize, "event arena overflow");
-            self.entries.push(entry);
-            (self.entries.len() - 1) as u32
-        };
-        let bucket = &mut self.ring[(at % CALENDAR_WINDOW) as usize];
-        if bucket.0 == NIL {
-            *bucket = (idx, idx);
-        } else {
-            let t = bucket.1;
-            self.entries[t as usize].next = idx;
-            bucket.1 = idx;
-        }
+            len,
+        });
         self.ring_len += 1;
     }
 
@@ -272,7 +217,7 @@ impl<M> EventQueue<M> {
         debug_assert!(at >= self.cursor, "push into the past");
         self.len += 1;
         if at < self.cursor + CALENDAR_WINDOW {
-            self.push_bucket(at, seq, sent, from, to, msgs);
+            self.push_bucket(at, sent, from, to, msgs);
         } else {
             self.overflow.push(Reverse(OverflowBatch {
                 at,
@@ -295,56 +240,8 @@ impl<M> EventQueue<M> {
                 break;
             }
             let Reverse(b) = self.overflow.pop().expect("peeked");
-            self.push_bucket(b.at, b.seq, b.sent, b.from, b.to, b.msgs.into_iter());
+            self.push_bucket(b.at, b.sent, b.from, b.to, b.msgs.into_iter());
         }
-    }
-
-    /// Detaches the head batch of the current cursor's bucket, draining
-    /// its payloads (in order) into `scratch` and recycling both arenas'
-    /// slots.
-    fn pop_bucket(&mut self, scratch: &mut Vec<M>) -> Option<PoppedBatch> {
-        let bucket = &mut self.ring[(self.cursor % CALENDAR_WINDOW) as usize];
-        let head = bucket.0;
-        if head == NIL {
-            return None;
-        }
-        let e = &self.entries[head as usize];
-        let popped = PoppedBatch {
-            at: e.at,
-            sent: e.sent,
-            from: e.from,
-            to: e.to,
-            len: e.len,
-        };
-        let mut p = e.head;
-        let next_entry = e.next;
-        // Checked in release builds too. The queue holds ~10⁶ entries at
-        // the peak of a full run, so an entry is cold when its turn
-        // comes; this read pulls the next one to pop into cache a whole
-        // delivery ahead (−10 % `op_s` on the queue-bound n=97 workload).
-        assert!(
-            next_entry == NIL || self.entries[next_entry as usize].seq > e.seq,
-            "a bucket is FIFO in seq"
-        );
-        while p != NIL {
-            let slot = &mut self.pay[p as usize];
-            scratch.push(slot.msg.take().expect("queued slots hold a message"));
-            let next = slot.next;
-            slot.next = self.free_pay;
-            self.free_pay = p;
-            p = next;
-        }
-        let e = &mut self.entries[head as usize];
-        e.next = self.free_entry;
-        self.free_entry = head;
-        let bucket = &mut self.ring[(self.cursor % CALENDAR_WINDOW) as usize];
-        if next_entry == NIL {
-            *bucket = (NIL, NIL);
-        } else {
-            bucket.0 = next_entry;
-        }
-        self.ring_len -= 1;
-        Some(popped)
     }
 
     fn pop(&mut self, scratch: &mut Vec<M>) -> Option<PoppedBatch> {
@@ -352,32 +249,44 @@ impl<M> EventQueue<M> {
             return None;
         }
         if self.ring_len == 0 {
-            // Jump the window to the earliest overflow entry.
+            // Jump the window to the earliest overflow entry. Buckets
+            // left in the ring are drained, so they serve any tick.
             self.cursor = self.overflow.peek().expect("len > 0").0.at;
             self.migrate();
         }
         loop {
-            if let Some(b) = self.pop_bucket(scratch) {
-                self.len -= 1;
-                return Some(b);
+            if let Some(bucket) = self.ring.front_mut() {
+                if let Some(h) = bucket.heads.pop_front() {
+                    scratch.extend(bucket.msgs.drain(..h.len as usize));
+                    self.ring_len -= 1;
+                    self.len -= 1;
+                    return Some(PoppedBatch {
+                        at: self.cursor,
+                        sent: h.sent,
+                        from: h.from,
+                        to: h.to,
+                        len: h.len,
+                    });
+                }
+            }
+            // The cursor's bucket is drained: its buffers go to the pool.
+            if let Some(drained) = self.ring.pop_front() {
+                self.spare.push(drained);
             }
             self.cursor += 1;
             self.migrate();
         }
     }
 
-    /// `(batch entry, payload slot)` footprint in bytes — the basis of
-    /// the approximate in-flight byte gauge.
+    /// `(batch header, message)` footprint in bytes — the basis of the
+    /// approximate in-flight byte gauge.
     fn slot_sizes() -> (usize, usize) {
-        (
-            std::mem::size_of::<Entry>(),
-            std::mem::size_of::<PaySlot<M>>(),
-        )
+        (std::mem::size_of::<Header>(), std::mem::size_of::<M>())
     }
 }
 
-/// `(batch entry, payload slot)` sizes in bytes of the in-flight queue
-/// arenas for message type `M` — the unit costs behind
+/// `(batch header, message)` sizes in bytes of the in-flight queue's
+/// bucket FIFOs for message type `M` — the unit costs behind
 /// [`Metrics::inflight_peak_bytes`], exposed so the wire-size tests can
 /// pin them (every byte here is multiplied by the ~10⁶-message peak
 /// in-flight population of a full run).
@@ -413,6 +322,9 @@ pub struct TraceEntry {
     pub kind: &'static str,
 }
 
+/// `Simulation::group_of`'s "no open group" mark.
+const NO_GROUP: u32 = u32::MAX;
+
 /// An open per-recipient group while one outbox drain is being scheduled.
 struct OpenGroup<M> {
     to: Pid,
@@ -436,7 +348,7 @@ pub struct Simulation<M, P = Box<dyn Process<M>>> {
     now: u64,
     seq: u64,
     started: bool,
-    trace: Option<(usize, std::collections::VecDeque<TraceEntry>)>,
+    trace: Option<(usize, VecDeque<TraceEntry>)>,
     /// Running fold over every delivered network message when enabled
     /// ([`Simulation::enable_digest`]); `None` keeps the hot path free of
     /// the per-member hashing.
@@ -454,6 +366,10 @@ pub struct Simulation<M, P = Box<dyn Process<M>>> {
     held: Vec<Envelope<M>>,
     /// Reusable open-group table for one outbox drain (≤ n entries).
     open: Vec<OpenGroup<M>>,
+    /// `group_of[to]` is the index in `open` of recipient `to`'s group
+    /// during one drain, else `NO_GROUP` (length `n + 1`, reset after
+    /// each drain).
+    group_of: Vec<u32>,
     /// Pool of payload buffers recycled through `open`.
     group_bufs: Vec<Vec<M>>,
     /// Reusable batch-payload scratch for [`Simulation::step`].
@@ -470,6 +386,7 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
     /// (given deterministic processes).
     pub fn new(procs: Vec<P>, scheduler: Box<dyn Scheduler<M>>, seed: u64) -> Self {
         assert!(!procs.is_empty(), "simulation needs at least one process");
+        let n = procs.len();
         Simulation {
             procs,
             queue: EventQueue::new(),
@@ -485,6 +402,7 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
             outbox: Outbox::new(Pid::new(1)),
             local_gen: Vec::new(),
             held: Vec::new(),
+            group_of: vec![NO_GROUP; n + 1],
             open: Vec::new(),
             group_bufs: Vec::new(),
             batch_scratch: Vec::new(),
@@ -499,7 +417,7 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
     /// millions of messages.
     pub fn enable_trace(&mut self, capacity: usize) {
         assert!(capacity > 0, "trace capacity must be positive");
-        self.trace = Some((capacity, std::collections::VecDeque::new()));
+        self.trace = Some((capacity, VecDeque::new()));
     }
 
     /// The recorded trace (empty unless [`Simulation::enable_trace`]).
@@ -644,7 +562,7 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
             // its key-delta cost against the previous message in its
             // per-recipient group (`None` = frame head pays the full
             // header).
-            match open.iter_mut().find(|g| g.to == env.to) {
+            match open.get_mut(self.group_of[to] as usize) {
                 Some(g) => {
                     self.metrics
                         .record_send(env.msg.kind(), env.msg.framed_wire_len(g.msgs.last()));
@@ -658,9 +576,13 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
                         .delivery_time(&env, self.now, &mut self.rng)
                         .max(self.now + 1);
                     let mut msgs = self.group_bufs.pop().unwrap_or_default();
-                    let to = env.to;
+                    self.group_of[to] = open.len() as u32;
                     msgs.push(env.msg);
-                    open.push(OpenGroup { to, at, msgs });
+                    open.push(OpenGroup {
+                        to: env.to,
+                        at,
+                        msgs,
+                    });
                 }
             }
         }
@@ -674,6 +596,7 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
         }
         self.note_inflight();
         for g in open.drain(..) {
+            self.group_of[g.to.index() as usize] = NO_GROUP;
             self.group_bufs.push(g.msgs);
         }
         self.open = open;
@@ -931,6 +854,7 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
             local_gen: Vec::new(),
             held: Vec::new(),
             open: Vec::new(),
+            group_of: vec![NO_GROUP; self.procs.len() + 1],
             group_bufs: Vec::new(),
             batch_scratch: Vec::new(),
             inflight_msgs: self.inflight_msgs,
@@ -1217,6 +1141,7 @@ mod queue_model {
     /// queue does not hand `seq` back, so the members carry it.
     type Batch = (u64, u64, u64, Pid, Pid, Vec<u64>);
 
+    #[derive(Clone)]
     struct Model {
         queue: EventQueue<u64>,
         heap: BinaryHeap<Reverse<Batch>>,
@@ -1255,15 +1180,18 @@ mod queue_model {
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, max_shrink_iters: 256 })]
 
-        /// Random pushes — same-tick, in-window, at the window's edge
-        /// and far beyond it, so buckets, the overflow heap, `migrate`
-        /// and the cursor jump all run — interleaved with pops, then
-        /// drained: every pop is the heap's, member for member, and the
-        /// two run empty together.
+        /// Random pushes — same-tick, in-window, mid-window (a ring of
+        /// empty buckets the cursor walks across), at the window's edge
+        /// and far beyond it, so buckets, the spare pool, the overflow
+        /// heap, `migrate` and the cursor jump all run — interleaved
+        /// with pops and checkpoints, then drained: every pop is the
+        /// heap's, member for member, and the two run empty together. A
+        /// checkpoint deep-copies the queue mid-drain and drains the
+        /// copy to the end against a copy of the heap.
         #[test]
         fn event_queue_pops_like_a_binary_heap(
             ops in proptest::collection::vec(
-                (0..3u8, 0..4u8, 0..3 * CALENDAR_WINDOW, 1..5u32, 1..5u32, 1..4u64),
+                (0..8u8, 0..5u8, 0..3 * CALENDAR_WINDOW, 1..5u32, 1..5u32, 1..4u64),
                 0..400,
             ),
         ) {
@@ -1274,18 +1202,58 @@ mod queue_model {
                 seq: 0,
             };
             for (op, range, raw, from, to, k) in ops {
-                if op == 0 {
-                    m.pop();
-                    continue;
+                match op {
+                    0..=2 => {
+                        m.pop();
+                        continue;
+                    }
+                    3 => {
+                        let mut copy = m.clone();
+                        while copy.pop() {}
+                        continue;
+                    }
+                    _ => {}
                 }
                 let delay = match range {
                     0 | 1 => raw % 8,
-                    2 => CALENDAR_WINDOW - 4 + raw % 8,
+                    2 => CALENDAR_WINDOW / 2 + raw % 8,
+                    3 => CALENDAR_WINDOW - 4 + raw % 8,
                     _ => raw,
                 };
                 m.push(delay, Pid::new(from), Pid::new(to), k);
             }
             while m.pop() {}
+        }
+    }
+
+    /// The spare pool keeps buffers for the live delay span only: 100 k
+    /// ticks of traffic with delays of at most 8 never hold more than
+    /// `2 · 8 + 1` buckets between the ring and the pool.
+    #[test]
+    fn retained_buckets_are_bounded_by_the_delay_span() {
+        const MAX_DELAY: u64 = 8;
+        let mut q = EventQueue::<u64>::new();
+        let (mut now, mut seq, mut x) = (0u64, 0u64, 1u64);
+        let (a, b) = (Pid::new(1), Pid::new(2));
+        let mut scratch = Vec::new();
+        // Every pop answers with one push, so four batches stay in flight.
+        for _ in 0..4 {
+            seq += 1;
+            q.push(seq, seq, 0, a, b, [seq].into_iter());
+        }
+        while now < 100_000 {
+            scratch.clear();
+            now = q.pop(&mut scratch).expect("traffic never stops").at;
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            seq += 1;
+            let at = now + 1 + (x >> 33) % MAX_DELAY;
+            q.push(at, seq, now, b, a, (0..1 + x % 3).map(|i| seq + i));
+            assert!(
+                q.ring.len() + q.spare.len() <= (2 * MAX_DELAY + 1) as usize,
+                "{} ring + {} spare buckets at tick {now}",
+                q.ring.len(),
+                q.spare.len()
+            );
         }
     }
 }
