@@ -2,10 +2,12 @@
 //! in a recycled slab, keep a compact record once it is provably inert.
 //!
 //! The protocol is a pile of keyed state machines — every reliable
-//! broadcast is an `(origin, slot)` instance, every shunning-coin round a
-//! tagged session — and every delivered message routes into one of them,
-//! so this is the hottest data structure in the stack (~2 × 10⁵ interned
-//! keys per process in a full run). Three parts, one owner:
+//! broadcast is an `(origin, slot)` instance, every MW-SVSS invocation an
+//! [`MwId`](crate::MwId) session (its machine, then its output record),
+//! every shunning-coin round a tagged session — and every delivered
+//! message routes into one of them, so this is the hottest data
+//! structure in the stack (~2 × 10⁵ interned keys per process in a full
+//! run). Three parts, one owner:
 //!
 //! - **The live slab.** Live states sit next to their keys in a `Vec`
 //!   whose freed entries are recycled, so its size tracks the *peak

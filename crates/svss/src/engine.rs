@@ -7,12 +7,22 @@
 //!
 //! ```text
 //!               ┌ scalar (origin, slot) ─ RbMux ───┐ one delivery
-//! incoming ─► RB┤                                  ├─► per slot ─► DMM filter ─► MW / SVSS machines
-//!               └ vector (origin, seq) ─ Rb, split ┘        │ rules 2+3 (detection) fire
-//!                 (relays always run)                       └─ before the delay/discard verdict
+//! incoming ─► RB┤                                  ├─► per slot ─► session lookup ─► DMM filter ─► MW / SVSS machines
+//!               └ vector (origin, seq) ─ Rb, split ┘              (MW: one probe) │ rules 2+3 (detection) fire
+//!                 (relays always run)                                             └─ before the delay/discard verdict
 //!
 //! MW / SVSS machines ─► broadcasts ─► open vector ─(own step boundary)─► one Bracha instance
 //! ```
+//!
+//! **One probe per MW delivery.** Two thirds of a full run's messages
+//! belong to MW-SVSS sessions, thousands of them live per process. Each
+//! is one entry of the engine's MW table, an [`sba_net::Interner`], and
+//! a message resolves its session there once: an id naming a process
+//! past `n` is dropped before any state exists; the first sight starts
+//! the session for the DMM (`→_i` counts from there); a finished session
+//! — retired to its output record — lets the DMM observe a reconstruct
+//! value and drops the rest; a live one hands its slab index to the
+//! machine's step. SVSS sessions keep their own map.
 //!
 //! # Vector RB: one Bracha instance per (origin, step)
 //!
@@ -80,14 +90,13 @@
 //! hash; this paper's setting is information-theoretic — an unbounded
 //! adversary — so no digest can stand in for the payload.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sba_broadcast::{Params, RbDelivery};
 use sba_field::{Domain, Field};
-use sba_net::{FastMap, MwId, Pid, ProcessSet, SlotView, SvssId, Unpacked};
+use sba_net::{FastMap, Interner, MwId, Pid, ProcessSet, Slot, SlotView, SvssId, Unpacked};
 
 use crate::rb::SvssRb;
 use crate::{
@@ -116,6 +125,31 @@ pub enum SvssEvent<F> {
         session: SvssId,
     },
 }
+
+/// One MW-SVSS session's live state at this process: the entry every
+/// message, command and step of the session resolves to.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct MwSession<F: Field> {
+    /// The machine, built on the session's first step here (a message
+    /// can start the session for the DMM, and wait, before that).
+    machine: Option<Box<Mw<F>>>,
+    /// The share protocol completed at this process.
+    pub(crate) completed: bool,
+    /// The DMM has been told the session started.
+    started: bool,
+}
+
+/// What a finished MW-SVSS session leaves behind: its output and whether
+/// its share completed here.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct MwDone<F> {
+    pub(crate) output: Reconstructed<F>,
+    pub(crate) completed: bool,
+}
+
+/// Every MW-SVSS session a process has seen: the live ones with their
+/// machines, the finished ones as [`MwDone`] records.
+pub(crate) type MwTable<F> = Interner<MwId, MwSession<F>, MwDone<F>>;
 
 /// A message the DMM told us to buffer.
 #[derive(Clone, Debug)]
@@ -160,14 +194,18 @@ pub struct SvssEngine<F: Field> {
     /// Slot values RB has delivered to this process, whoever's.
     rb_delivered: u64,
     dmm: Dmm<F>,
-    /// MW machines, boxed: [`Mw`] is 376 B over `Gf61` (pinned at ≤ 384 by
-    /// `tests/state_bytes.rs`), and an inline-value table with thousands
-    /// of live machines would drag a cache line per probe step through
-    /// the hottest delivery path.
-    mw: FastMap<MwId, Box<Mw<F>>>,
+    /// MW-SVSS sessions, one interned entry each, resolved once per
+    /// delivery. A live entry is the session's flags and its machine,
+    /// boxed: [`Mw`] is 376 B over `Gf61` (pinned at ≤ 384 by
+    /// `tests/state_bytes.rs`), so inline it would make every slab entry
+    /// a dozen cache lines and leave a full machine in each retired
+    /// husk, where boxed the slab packs two `(MwId, MwSession)` entries
+    /// per line (pinned at 32 B below). An output retires the entry to
+    /// its [`MwDone`] record, so a finished session is never rebuilt.
+    mws: MwTable<F>,
+    /// Machines built and not yet retired.
+    mw_machines: usize,
     svss: FastMap<SvssId, Svss<F>>,
-    mw_completed: BTreeSet<MwId>,
-    mw_outputs: FastMap<MwId, Reconstructed<F>>,
     pending: Vec<(Pid, Inner<F>)>,
     pending_version: u64,
     events: Vec<SvssEvent<F>>,
@@ -208,10 +246,9 @@ impl<F: Field> SvssEngine<F> {
             held: false,
             rb_delivered: 0,
             dmm: Dmm::new(me, params.n()),
-            mw: FastMap::default(),
+            mws: Interner::new(),
+            mw_machines: 0,
             svss: FastMap::default(),
-            mw_completed: BTreeSet::new(),
-            mw_outputs: FastMap::default(),
             pending: Vec::new(),
             pending_version: 0,
             events: Vec::new(),
@@ -265,12 +302,12 @@ impl<F: Field> SvssEngine<F> {
 
     /// The standalone MW output of `id`, if reconstructed.
     pub fn mw_output(&self, id: MwId) -> Option<Reconstructed<F>> {
-        self.mw_outputs.get(&id).copied()
+        SvssCtx { mws: &self.mws }.mw_output(id)
     }
 
     /// Number of live MW machines (memory accounting).
     pub fn mw_machine_count(&self) -> usize {
-        self.mw.len()
+        self.mw_machines
     }
 
     /// Live (not yet accepted) RB instances, scalar and vector.
@@ -364,9 +401,7 @@ impl<F: Field> SvssEngine<F> {
     ///
     /// Panics if this process is not `id.dealer()`.
     pub fn mw_share(&mut self, id: MwId, secret: F, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
-        self.dmm.session_started(SessionKey::Mw(id));
-        self.drive_mw(id, sends, |mw, rng, outs| mw.start_share(secret, rng, outs));
-        self.finish(sends);
+        self.mw_command(id, sends, |mw, rng, outs| mw.start_share(secret, rng, outs));
     }
 
     /// Provides the moderator input of a standalone MW-SVSS session.
@@ -380,15 +415,25 @@ impl<F: Field> SvssEngine<F> {
         value: F,
         sends: &mut Vec<(Pid, SvssMsg<F>)>,
     ) {
-        self.dmm.session_started(SessionKey::Mw(id));
-        self.drive_mw(id, sends, |mw, _, outs| mw.set_moderator_input(value, outs));
-        self.finish(sends);
+        self.mw_command(id, sends, |mw, _, outs| mw.set_moderator_input(value, outs));
     }
 
     /// Begins the reconstruct protocol of a standalone MW-SVSS session.
     pub fn mw_reconstruct(&mut self, id: MwId, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
-        self.dmm.session_started(SessionKey::Mw(id));
-        self.drive_mw(id, sends, |mw, _, outs| mw.start_reconstruct(outs));
+        self.mw_command(id, sends, |mw, _, outs| mw.start_reconstruct(outs));
+    }
+
+    /// A local command to MW session `id`, as one step: it starts the
+    /// session for the DMM; a finished session ignores it.
+    fn mw_command(
+        &mut self,
+        id: MwId,
+        sends: &mut Vec<(Pid, SvssMsg<F>)>,
+        step: impl FnOnce(&mut Mw<F>, &mut StdRng, &mut Vec<MwOut<F>>),
+    ) {
+        if let Some(Slot::Live(idx)) = self.mw_start(id) {
+            self.step_mw(id, idx, sends, step);
+        }
         self.finish(sends);
     }
 
@@ -480,12 +525,6 @@ impl<F: Field> SvssEngine<F> {
             return; // forged origin: no such process
         }
         self.rb_delivered += 1;
-        // DMM rules 2/3: detection fires on every reconstruct
-        // broadcast, before (and regardless of) the verdict.
-        if let (SlotView::MwRecon(mw, poly), SvssRbValue::Value(v)) = (d.tag.view(), &d.value) {
-            let log = !self.mw_outputs.contains_key(&mw);
-            self.dmm.observe_recon(mw, d.origin, poly, *v, log);
-        }
         self.route(
             d.origin,
             Inner::Deliv {
@@ -497,21 +536,59 @@ impl<F: Field> SvssEngine<F> {
         );
     }
 
-    /// DMM rules 4/5: discard, buffer, or act.
+    /// DMM rules 4/5: discard, buffer, or act. Seeing a session's first
+    /// message starts participation in it. An MW session is resolved
+    /// here once, and the machine's step reuses the slot.
     fn route(&mut self, sender: Pid, inner: Inner<F>, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
-        // Seeing a session's first message starts participation in it.
-        self.dmm.session_started(inner.session_key());
-        match self.dmm.verdict(sender, inner.session_key()) {
+        let key = inner.session_key();
+        let mw = match key {
+            SessionKey::Svss(_) => {
+                self.dmm.session_started(key);
+                None
+            }
+            SessionKey::Mw(id) => {
+                let Some(at) = self.mw_start(id) else {
+                    return; // ids referencing unknown processes: drop
+                };
+                // DMM rules 2/3: detection fires on every reconstruct
+                // broadcast, before (and regardless of) the verdict.
+                if let Inner::Deliv {
+                    slot,
+                    origin,
+                    value: SvssRbValue::Value(v),
+                } = &inner
+                {
+                    if let SlotView::MwRecon(_, poly) = slot.view() {
+                        let log = matches!(at, Slot::Live(_));
+                        self.dmm.observe_recon(id, *origin, poly, *v, log);
+                    }
+                }
+                let Slot::Live(idx) = at else {
+                    return; // session finished here; late traffic is dead
+                };
+                Some(idx)
+            }
+        };
+        match self.dmm.verdict(sender, key) {
             Verdict::Discard => {}
             Verdict::Delay => self.pending.push((sender, inner)),
-            Verdict::Act => self.process_inner(sender, inner, sends),
+            Verdict::Act => self.process_inner(sender, inner, mw, sends),
         }
     }
 
-    fn process_inner(&mut self, sender: Pid, inner: Inner<F>, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
+    /// Acts on one message. `mw` is its MW session's live slab index
+    /// when [`SvssEngine::route`] has just resolved it; a buffered
+    /// message, released later, is resolved again.
+    fn process_inner(
+        &mut self,
+        sender: Pid,
+        inner: Inner<F>,
+        mw: Option<u32>,
+        sends: &mut Vec<(Pid, SvssMsg<F>)>,
+    ) {
         match inner {
             Inner::Priv(p) => match p {
-                SvssPriv::MwDeal { mw, deal } => {
+                SvssPriv::MwDeal { mw: id, deal } => {
                     let crate::MwDealBody {
                         others,
                         monitor_poly,
@@ -535,6 +612,7 @@ impl<F: Field> SvssEngine<F> {
                     let mut values = others;
                     values.insert((self.me.index() - 1) as usize, own);
                     self.feed_mw(
+                        id,
                         mw,
                         MwIn::Deal {
                             from: sender,
@@ -545,7 +623,8 @@ impl<F: Field> SvssEngine<F> {
                         sends,
                     )
                 }
-                SvssPriv::MwPoint { mw, value } => self.feed_mw(
+                SvssPriv::MwPoint { mw: id, value } => self.feed_mw(
+                    id,
                     mw,
                     MwIn::Point {
                         from: sender,
@@ -553,7 +632,8 @@ impl<F: Field> SvssEngine<F> {
                     },
                     sends,
                 ),
-                SvssPriv::MwMonitorValue { mw, value } => self.feed_mw(
+                SvssPriv::MwMonitorValue { mw: id, value } => self.feed_mw(
+                    id,
                     mw,
                     MwIn::MonitorValue {
                         from: sender,
@@ -574,20 +654,21 @@ impl<F: Field> SvssEngine<F> {
                 origin,
                 value,
             } => match (slot.view(), value) {
-                (SlotView::MwAck(m), SvssRbValue::Unit) => {
-                    self.feed_mw(m, MwIn::AckDelivered { origin }, sends)
+                (SlotView::MwAck(id), SvssRbValue::Unit) => {
+                    self.feed_mw(id, mw, MwIn::AckDelivered { origin }, sends)
                 }
-                (SlotView::MwL(m), SvssRbValue::Set(set)) => {
-                    self.feed_mw(m, MwIn::LDelivered { origin, set }, sends)
+                (SlotView::MwL(id), SvssRbValue::Set(set)) => {
+                    self.feed_mw(id, mw, MwIn::LDelivered { origin, set }, sends)
                 }
-                (SlotView::MwM(m), SvssRbValue::Set(set)) => {
-                    self.feed_mw(m, MwIn::MDelivered { origin, set }, sends)
+                (SlotView::MwM(id), SvssRbValue::Set(set)) => {
+                    self.feed_mw(id, mw, MwIn::MDelivered { origin, set }, sends)
                 }
-                (SlotView::MwOk(m), SvssRbValue::Unit) => {
-                    self.feed_mw(m, MwIn::OkDelivered { origin }, sends)
+                (SlotView::MwOk(id), SvssRbValue::Unit) => {
+                    self.feed_mw(id, mw, MwIn::OkDelivered { origin }, sends)
                 }
-                (SlotView::MwRecon(m, poly), SvssRbValue::Value(value)) => self.feed_mw(
-                    m,
+                (SlotView::MwRecon(id, poly), SvssRbValue::Value(value)) => self.feed_mw(
+                    id,
+                    mw,
                     MwIn::ReconDelivered {
                         origin,
                         poly,
@@ -611,20 +692,60 @@ impl<F: Field> SvssEngine<F> {
         (p.index() as usize) <= self.params.n()
     }
 
-    /// Runs one step of MW machine `id` (created on first use) and
-    /// handles what it emits. One probe of the machine table per step;
-    /// the shared domain is cloned only for a new machine, and the
-    /// output buffer is the engine's own (a step nested inside the
-    /// handling of another finds it taken and uses a fresh one).
+    /// Resolves MW session `id`, interning it on first sight. An id
+    /// naming a process past `n` is no session: `None`, and nothing —
+    /// no entry, no machine, no DMM start — is built for it.
+    fn mw_slot(&mut self, id: MwId) -> Option<Slot> {
+        let pids = [id.dealer(), id.moderator(), id.row(), id.col()];
+        if !pids.into_iter().all(|p| self.valid_pid(p)) {
+            return None;
+        }
+        Some(self.mws.intern(id, MwSession::default))
+    }
+
+    /// [`SvssEngine::mw_slot`], starting participation in the session
+    /// for the DMM on its first sight here.
+    fn mw_start(&mut self, id: MwId) -> Option<Slot> {
+        let slot = self.mw_slot(id)?;
+        if let Slot::Live(idx) = slot {
+            let session = self.mws.live_mut(idx);
+            if !session.started {
+                session.started = true;
+                self.dmm.session_started(SessionKey::Mw(id));
+            }
+        }
+        Some(slot)
+    }
+
+    /// Runs one step of MW session `id` — a session's step, not a
+    /// delivery's, so the DMM is not told it started — if it is live.
     fn drive_mw(
         &mut self,
         id: MwId,
         sends: &mut Vec<(Pid, SvssMsg<F>)>,
         step: impl FnOnce(&mut Mw<F>, &mut StdRng, &mut Vec<MwOut<F>>),
     ) {
+        if let Some(Slot::Live(idx)) = self.mw_slot(id) {
+            self.step_mw(id, idx, sends, step);
+        }
+    }
+
+    /// Runs one step of the live MW session `id` at slab index `idx`
+    /// (its machine is built on its first step) and handles what it
+    /// emits. The shared domain is cloned only for a new machine, and the
+    /// output buffer is the engine's own (a step nested inside the
+    /// handling of another finds it taken and uses a fresh one).
+    fn step_mw(
+        &mut self,
+        id: MwId,
+        idx: u32,
+        sends: &mut Vec<(Pid, SvssMsg<F>)>,
+        step: impl FnOnce(&mut Mw<F>, &mut StdRng, &mut Vec<MwOut<F>>),
+    ) {
         let mut outs = std::mem::take(&mut self.mw_outs);
         let (me, params, domain) = (self.me, self.params, &self.domain);
-        let machine = self.mw.entry(id).or_insert_with(|| {
+        let machine = self.mws.live_mut(idx).machine.get_or_insert_with(|| {
+            self.mw_machines += 1;
             let domain = Arc::clone(domain);
             Box::new(Mw::new(id, me, params.n(), params.t(), domain))
         });
@@ -647,28 +768,27 @@ impl<F: Field> SvssEngine<F> {
             .svss
             .entry(sid)
             .or_insert_with(|| Svss::new(sid, me, params.n(), params.t(), Arc::clone(domain)));
-        let ctx = SvssCtx {
-            mw_completed: &self.mw_completed,
-            mw_outputs: &self.mw_outputs,
-        };
+        let ctx = SvssCtx { mws: &self.mws };
         step(machine, &mut self.rng, &ctx, &mut outs);
         self.handle_svss_outs(sid, &mut outs, sends);
         self.svss_outs = outs;
     }
 
-    fn feed_mw(&mut self, id: MwId, input: MwIn<F>, sends: &mut Vec<(Pid, SvssMsg<F>)>) {
-        if self.mw_outputs.contains_key(&id) {
-            return; // session finished here; late traffic is dead
+    /// Feeds `input` to MW session `id`, at live slab index `at` when
+    /// the caller has it; a released buffered message finds its session
+    /// again (routing interned and started it), and a finished one is
+    /// dead.
+    fn feed_mw(
+        &mut self,
+        id: MwId,
+        at: Option<u32>,
+        input: MwIn<F>,
+        sends: &mut Vec<(Pid, SvssMsg<F>)>,
+    ) {
+        let slot = at.map(Slot::Live).or_else(|| self.mws.probe(&id));
+        if let Some(Slot::Live(idx)) = slot {
+            self.step_mw(id, idx, sends, |mw, _, outs| mw.on_input(input, outs));
         }
-        if !self.valid_pid(id.dealer())
-            || !self.valid_pid(id.moderator())
-            || !self.valid_pid(id.row())
-            || !self.valid_pid(id.col())
-        {
-            return; // ids referencing unknown processes: drop
-        }
-        self.dmm.session_started(SessionKey::Mw(id));
-        self.drive_mw(id, sends, |mw, _, outs| mw.on_input(input, outs));
     }
 
     fn handle_mw_outs(
@@ -692,28 +812,35 @@ impl<F: Field> SvssEngine<F> {
                 } => self.dmm.register_deal(id, broadcaster, expected),
                 MwOut::DropDealEntries => self.dmm.drop_deal_entries(id),
                 MwOut::ShareCompleted => {
-                    self.mw_completed.insert(id);
+                    if let Some(Slot::Live(idx)) = self.mws.probe(&id) {
+                        self.mws.live_mut(idx).completed = true;
+                    }
                     if self.svss.contains_key(&id.parent()) {
                         self.drive_svss(id.parent(), sends, |m, _, ctx, outs| m.advance(ctx, outs));
                     } else {
                         self.events.push(SvssEvent::MwShareCompleted(id));
                     }
                 }
-                MwOut::Output(v) => {
-                    self.mw_outputs.insert(id, v);
+                MwOut::Output(output) => {
+                    // The machine's work is done: the session retires to
+                    // its record (late broadcasts still match DMM tuples
+                    // directly). Dropping the machine keeps memory
+                    // polynomial in the number of *live* sessions, per
+                    // Theorem 1.
+                    let Some(Slot::Live(idx)) = self.mws.probe(&id) else {
+                        unreachable!("only a live session's machine steps");
+                    };
+                    let MwSession { completed, .. } = std::mem::take(self.mws.live_mut(idx));
+                    self.mw_machines -= 1;
+                    self.mws.retire(idx, MwDone { output, completed });
                     // Each MW invocation is a VSS session of its own for
                     // →_i purposes; its reconstruct just completed.
                     self.dmm.session_completed(SessionKey::Mw(id));
-                    // The machine's work is done (output is retained in
-                    // mw_outputs; late broadcasts still match DMM tuples
-                    // directly). Dropping it keeps memory polynomial in
-                    // the number of *live* sessions, per Theorem 1.
-                    self.mw.remove(&id);
                     self.dmm.prune_recon_log(id);
                     if self.svss.contains_key(&id.parent()) {
                         self.drive_svss(id.parent(), sends, |m, _, ctx, outs| m.advance(ctx, outs));
                     } else {
-                        self.events.push(SvssEvent::MwReconstructed(id, v));
+                        self.events.push(SvssEvent::MwReconstructed(id, output));
                     }
                 }
             }
@@ -762,7 +889,7 @@ impl<F: Field> SvssEngine<F> {
                 match self.dmm.verdict(sender, inner.session_key()) {
                     Verdict::Discard => {}
                     Verdict::Delay => self.pending.push((sender, inner)),
-                    Verdict::Act => self.process_inner(sender, inner, sends),
+                    Verdict::Act => self.process_inner(sender, inner, None, sends),
                 }
             }
         }
@@ -778,5 +905,93 @@ impl<F: Field> SvssEngine<F> {
     /// Processes this engine currently detects as faulty (`D_i`).
     pub fn detected(&self) -> ProcessSet {
         self.dmm.detected().collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sba_field::Gf61;
+    use sba_net::{MwDealBody, RbStep, RbVector};
+
+    /// The hot entry: every MW delivery resolves to one of these, so two
+    /// share a 64-byte cache line (the boxed machine itself is pinned by
+    /// `tests/state_bytes.rs`).
+    #[test]
+    fn mw_session_entry_size_pinned() {
+        let size = std::mem::size_of::<(MwId, MwSession<Gf61>)>();
+        assert!(size <= 32, "(MwId, MwSession<Gf61>) is {size} B");
+    }
+
+    /// An MW id naming a process past `n` — as dealer, moderator, row or
+    /// column — builds nothing: neither a private message of any MW kind
+    /// nor an accepted RB value in any MW slot creates a table entry, a
+    /// machine or a DMM start. A valid id then does, as a control.
+    #[test]
+    fn out_of_range_mw_ids_build_no_state() {
+        let (n, params) = (4, Params::new(4, 1).unwrap());
+        let (me, p) = (Pid::new(1), Pid::new);
+        let mut engine = SvssEngine::<Gf61>::new(me, params, 7);
+        let parent = SvssId::new(5, p(2));
+        let forged = [
+            MwId::nested(parent, p(9), p(3), p(2), p(3)),
+            MwId::nested(parent, p(2), p(9), p(2), p(3)),
+            MwId::nested(parent, p(2), p(3), p(9), p(3)),
+            MwId::nested(parent, p(2), p(3), p(2), p(9)),
+        ];
+        let v = Gf61::from_u64(3);
+        let version = engine.dmm().version();
+        let mut sends = Vec::new();
+        for mw in forged {
+            let deal = Box::new(MwDealBody {
+                others: vec![v; n - 1],
+                monitor_poly: vec![v, v],
+                moderator_poly: None,
+            });
+            for private in [
+                SvssPriv::MwDeal { mw, deal },
+                SvssPriv::MwPoint { mw, value: v },
+                SvssPriv::MwMonitorValue { mw, value: v },
+            ] {
+                engine.on_message(p(2), SvssMsg::private(private), &mut sends);
+            }
+        }
+        let set: ProcessSet = [p(1), p(2), p(3)].into_iter().collect();
+        let mut members: Vec<_> = forged
+            .iter()
+            .flat_map(|&mw| {
+                [
+                    (SvssSlot::mw_ack(mw), SvssRbValue::Unit),
+                    (SvssSlot::mw_l(mw), SvssRbValue::Set(set)),
+                    (SvssSlot::mw_m(mw), SvssRbValue::Set(set)),
+                    (SvssSlot::mw_ok(mw), SvssRbValue::Unit),
+                    (SvssSlot::mw_recon(mw, me), SvssRbValue::Value(v)),
+                ]
+            })
+            .collect();
+        members.sort_by_key(|m| m.0);
+        let count = members.len() as u64;
+        let vector = RbVector::new(p(2), members);
+        for from in [p(2), p(3), p(4)] {
+            let ready = SvssMsg::rb_vector(p(2), 1, RbStep::Ready, vector.clone());
+            engine.on_message(from, ready, &mut sends);
+        }
+        assert_eq!(engine.rb_delivered_members(), count, "every slot delivered");
+        assert_eq!(engine.mw_machine_count(), 0);
+        assert_eq!(engine.mws.live_count() + engine.mws.retired_count(), 0);
+        assert_eq!(engine.dmm().version(), version, "no DMM start");
+        assert_eq!(engine.pending_len(), 0);
+        let private = |(_, m): (Pid, SvssMsg<Gf61>)| matches!(m.unpack(), Unpacked::Priv(_));
+        assert!(!sends.drain(..).any(private), "no MW machine stepped");
+
+        let valid = MwId::nested(parent, p(2), p(3), p(2), p(3));
+        let point = SvssPriv::MwPoint {
+            mw: valid,
+            value: v,
+        };
+        engine.on_message(p(2), SvssMsg::private(point), &mut sends);
+        assert_eq!(engine.mw_machine_count(), 1);
+        assert_eq!(engine.mws.live_count(), 1);
+        assert!(engine.dmm().version() > version);
     }
 }

@@ -10,15 +10,17 @@
 //!
 //! The [`Svss`] machine holds per-session state; MW-SVSS sub-machines are
 //! owned by the engine and exposed to this machine read-only through
-//! [`SvssCtx`] (completion set and outputs), which makes the conditions
-//! here monotone re-evaluations, immune to event ordering.
+//! [`SvssCtx`] (share completion and outputs, read from the engine's MW
+//! session table), which makes the conditions here monotone
+//! re-evaluations, immune to event ordering.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use sba_field::{BiPoly, Domain, Field, Poly};
-use sba_net::{FastMap, MwId, Pid, ProcessSet, SvssId};
+use sba_net::{MwId, Pid, ProcessSet, Slot, SvssId};
 
+use crate::engine::MwTable;
 use crate::{Reconstructed, SvssPriv, SvssRbValue, SvssSlot};
 
 /// The four MW-SVSS invocations of the unordered pair `{a, b}` inside
@@ -33,12 +35,31 @@ pub fn pair_mw_ids(parent: SvssId, a: Pid, b: Pid) -> [MwId; 4] {
     ]
 }
 
-/// Read-only view of MW-SVSS progress, provided by the engine.
-pub struct SvssCtx<'a, F> {
-    /// MW sessions whose share protocol completed at this process.
-    pub mw_completed: &'a BTreeSet<MwId>,
-    /// MW reconstruct outputs at this process.
-    pub mw_outputs: &'a FastMap<MwId, Reconstructed<F>>,
+/// Read-only view of MW-SVSS progress, provided by the engine: both
+/// answers come from its one MW session table, where a live session
+/// holds its share-completed flag and a finished one its record.
+pub struct SvssCtx<'a, F: Field> {
+    pub(crate) mws: &'a MwTable<F>,
+}
+
+impl<F: Field> SvssCtx<'_, F> {
+    /// Whether MW session `id`'s share protocol completed at this
+    /// process.
+    pub fn mw_completed(&self, id: MwId) -> bool {
+        match self.mws.probe(&id) {
+            Some(Slot::Live(idx)) => self.mws.live(idx).completed,
+            Some(Slot::Retired(idx)) => self.mws.retired(idx).completed,
+            None => false,
+        }
+    }
+
+    /// MW session `id`'s reconstruct output at this process, if any.
+    pub fn mw_output(&self, id: MwId) -> Option<Reconstructed<F>> {
+        match self.mws.probe(&id)? {
+            Slot::Retired(idx) => Some(self.mws.retired(idx).output),
+            Slot::Live(_) => None,
+        }
+    }
 }
 
 /// Outputs of the SVSS state machine.
@@ -312,7 +333,7 @@ impl<F: Field> Svss<F> {
                 }
                 let done = pair_mw_ids(self.id, a, b)
                     .iter()
-                    .all(|id| ctx.mw_completed.contains(id));
+                    .all(|&id| ctx.mw_completed(id));
                 if done {
                     // G_j includes j itself: a process trivially agrees
                     // with its own entries. Without self-inclusion,
@@ -371,7 +392,7 @@ impl<F: Field> Svss<F> {
         let Some(required) = self.required_mw_ids() else {
             return;
         };
-        if required.iter().all(|id| ctx.mw_completed.contains(id)) {
+        if required.iter().all(|&id| ctx.mw_completed(id)) {
             self.share_completed = true;
             out.push(SvssOut::ShareCompleted);
         }
@@ -397,9 +418,10 @@ impl<F: Field> Svss<F> {
         let Some(required) = self.required_mw_ids() else {
             return;
         };
-        if !required.iter().all(|id| ctx.mw_outputs.contains_key(id)) {
+        if !required.iter().all(|&id| ctx.mw_output(id).is_some()) {
             return;
         }
+        let output = |id| ctx.mw_output(id).expect("every required output is in");
         let (g, members) = self.g_hat.as_ref().expect("recon implies Ĝ");
         // Step 2: build the ignore set I.
         let mut survivors: Vec<(Pid, Poly<F>, Poly<F>)> = Vec::new();
@@ -412,8 +434,8 @@ impl<F: Field> Svss<F> {
             for l in gk.iter().filter(|&l| l != k) {
                 // r_{k,k,l}: dealer k, entry f(k, l); r_{k,l,k}: dealer k,
                 // entry f(l, k). Moderator is l in both.
-                let r_kkl = ctx.mw_outputs[&MwId::nested(self.id, k, l, k, l)];
-                let r_klk = ctx.mw_outputs[&MwId::nested(self.id, k, l, l, k)];
+                let r_kkl = output(MwId::nested(self.id, k, l, k, l));
+                let r_klk = output(MwId::nested(self.id, k, l, l, k));
                 let (Reconstructed::Value(vg), Reconstructed::Value(vh)) = (r_kkl, r_klk) else {
                     continue 'candidates; // k ∈ I: a ⊥ among its entries
                 };

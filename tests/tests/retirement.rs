@@ -3,8 +3,18 @@
 //! growing with the total instance count (PR 3's slab/retirement design),
 //! and fully-drained coin sessions must retire out of the dense session
 //! slab (PR 5) — including under an adversary that floods duplicates at
-//! sessions that already retired.
+//! sessions that already retired. A finished MW-SVSS session retires to
+//! its output record, and nothing that arrives for it later rebuilds it.
 
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
+
+use sba::broadcast::Params;
+use sba::field::{Field, Gf61};
+use sba::harness::SvssNet;
+use sba::net::{MwId, Pid, ProcessSet, RbStep, RbVector, Unpacked};
+use sba::sim::Tamper;
+use sba::svss::{SvssMsg, SvssPriv, SvssRbValue, SvssSlot};
 use sba::{Cluster, ClusterConfig, Role};
 
 #[test]
@@ -116,4 +126,94 @@ fn duplicate_flood_cannot_resurrect_retired_sessions() {
         println!("{pid}: coin sessions live={live} peak={peak} retired={retired}");
         assert!(live <= peak);
     }
+}
+
+/// A finished MW session is inert: once a process has the output of a
+/// standalone share and reconstruct, replaying every private message it
+/// was sent (deals, points, monitor values), a fresh RB instance that
+/// carries a value in every MW slot of the session, and the local
+/// commands `mw_reconstruct` and `mw_set_moderator_input` builds no
+/// machine, sends nothing of its own and reports no event, and the
+/// output is still answered from the session's record.
+#[test]
+fn finished_mw_session_is_inert() {
+    let (n, params) = (4, Params::new(4, 1).unwrap());
+    let mut net = SvssNet::<Gf61>::new(params, 5);
+    let (dealer, me) = (Pid::new(2), Pid::new(3));
+    // Every private message `me` is sent, with its sender.
+    let sent = Arc::new(Mutex::new(Vec::<(Pid, SvssPriv<Gf61>)>::new()));
+    for from in Pid::all(n) {
+        let sent = Arc::clone(&sent);
+        net.set_tamper(from, move |to, msg| {
+            if let (true, Unpacked::Priv(p)) = (to == me, msg.clone().unpack()) {
+                sent.lock().unwrap().push((from, p));
+            }
+            Tamper::Keep
+        });
+    }
+    let id = MwId::standalone(1, dealer, me);
+    let secret = Gf61::from_u64(77);
+    net.mw_share(id, secret);
+    net.mw_set_moderator_input(id, secret);
+    net.run();
+    net.mw_reconstruct_all(id);
+    net.run();
+    let output = net.engine(me).mw_output(id);
+    assert_eq!(output.and_then(|o| o.value()), Some(secret));
+    assert_eq!(net.engine(me).mw_machine_count(), 0, "retired at output");
+
+    let late = std::mem::take(&mut *sent.lock().unwrap());
+    let kinds: BTreeSet<_> = late
+        .iter()
+        .map(|(_, p)| match p {
+            SvssPriv::MwDeal { .. } => "deal",
+            SvssPriv::MwPoint { .. } => "point",
+            SvssPriv::MwMonitorValue { .. } => "monitor value",
+            SvssPriv::Rows { .. } => "rows",
+        })
+        .collect();
+    assert_eq!(kinds, ["deal", "monitor value", "point"].into());
+
+    let set: ProcessSet = Pid::all(n).collect();
+    let mut members = vec![
+        (SvssSlot::mw_ack(id), SvssRbValue::Unit),
+        (SvssSlot::mw_l(id), SvssRbValue::Set(set)),
+        (SvssSlot::mw_m(id), SvssRbValue::Set(set)),
+        (SvssSlot::mw_ok(id), SvssRbValue::Unit),
+    ];
+    members.extend(Pid::all(n).map(|l| (SvssSlot::mw_recon(id, l), SvssRbValue::Value(secret))));
+    members.sort_by_key(|m| m.0);
+    let (origin, seq) = (Pid::new(1), 99);
+    let vector = RbVector::new(origin, members);
+
+    let events = net.events(me).len();
+    net.act(me, |engine, sends| {
+        let delivered = engine.rb_delivered_members();
+        for (from, p) in &late {
+            engine.on_message(*from, SvssMsg::private(p.clone()), sends);
+        }
+        for from in [Pid::new(1), Pid::new(2), Pid::new(4)] {
+            let ready = SvssMsg::rb_vector(origin, seq, RbStep::Ready, vector.clone());
+            engine.on_message(from, ready, sends);
+        }
+        assert_eq!(
+            engine.rb_delivered_members(),
+            delivered + 4 + n as u64,
+            "every MW slot was delivered"
+        );
+        engine.mw_reconstruct(id, sends);
+        engine.mw_set_moderator_input(id, secret, sends);
+        assert_eq!(engine.mw_machine_count(), 0, "no machine rebuilt");
+        assert_eq!(engine.mw_output(id), output, "answered from the record");
+        // Only the injected instance's own RB relay leaves.
+        for (_, m) in sends.iter() {
+            let relay = matches!(
+                m.clone().unpack(),
+                Unpacked::RbVector { origin: o, seq: s, step: RbStep::Ready, .. }
+                    if o == origin && s == seq
+            );
+            assert!(relay, "the finished session sent {m:?}");
+        }
+    });
+    assert_eq!(net.events(me).len(), events, "no event");
 }
