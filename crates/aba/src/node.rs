@@ -198,11 +198,6 @@ impl<F: Field> AbaNode<F> {
         }
     }
 
-    /// This process's id.
-    pub fn me(&self) -> Pid {
-        self.me
-    }
-
     /// Drains accumulated events.
     pub fn take_events(&mut self) -> Vec<AbaEvent> {
         std::mem::take(&mut self.events)

@@ -131,8 +131,8 @@ fn set_and_frame_encodings_pinned() {
     // 8-byte tag and 5 p-bytes (the n = 256 e13 workload is a single
     // MW share, so nearly every frame member takes this form).
     let prev = l_ready(7);
-    assert_eq!(l_ready(256).framed_len(Some(&prev)), 1 + 48 - 8 - 5);
-    assert_eq!(l_ready(256).framed_len(None), 1 + 48);
+    assert_eq!(l_ready(256).framed_wire_len(Some(&prev)), 1 + 48 - 8 - 5);
+    assert_eq!(l_ready(256).framed_wire_len(None), 1 + 48);
     // G-sets: the member table is an adaptive keyset plus one set per
     // member — no 4-byte count, no 4-byte pids.
     let full: ProcessSet = Pid::all(7).collect();
@@ -185,17 +185,17 @@ fn vote_encoding_pinned() {
         // kind 1 + tag 8 + phase 1 + value 1 + origin 1.
         assert_eq!(m.encoded_len(), 12);
         assert_eq!(m.encoded().len(), 12);
-        assert_eq!(m.framed_len(None), 1 + 12);
+        assert_eq!(m.framed_wire_len(None), 1 + 12);
     }
     // Same round and phase: the prelude, kind, value and origin remain.
     let prev = vote(1, report, VoteValue::Bit(true));
     assert_eq!(
-        vote(2, report, VoteValue::Bit(false)).framed_len(Some(&prev)),
+        vote(2, report, VoteValue::Bit(false)).framed_wire_len(Some(&prev)),
         4
     );
     // Same round, another phase: the tag still elides.
     assert_eq!(
-        vote(2, bottom, VoteValue::MaybeBit(None)).framed_len(Some(&prev)),
+        vote(2, bottom, VoteValue::MaybeBit(None)).framed_wire_len(Some(&prev)),
         5
     );
 }

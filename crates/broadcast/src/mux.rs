@@ -139,16 +139,6 @@ where
         }
     }
 
-    /// This process's id.
-    pub fn me(&self) -> Pid {
-        self.me
-    }
-
-    /// System parameters.
-    pub fn params(&self) -> Params {
-        self.params
-    }
-
     /// Reliably broadcasts `value` in slot `tag` (this process is origin),
     /// building each outgoing message with `wrap` from the instance key,
     /// step and payload — a layer passes its wire constructor.

@@ -52,11 +52,6 @@ impl<P: Clone + Eq> Rb<P> {
         }
     }
 
-    /// The value accepted so far, if any.
-    pub fn accepted(&self) -> Option<&P> {
-        self.readies.decided().filter(|_| self.accepted)
-    }
-
     /// Dealer entry point: WRB-broadcasts `value`, each message built by
     /// `wrap` from its step and payload. Only the dealer's own instance
     /// may be started.
@@ -124,6 +119,13 @@ impl<P: Clone + Eq> Rb<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<P: Clone + Eq> Rb<P> {
+        /// The value accepted so far, if any.
+        fn accepted(&self) -> Option<&P> {
+            self.readies.decided().filter(|_| self.accepted)
+        }
+    }
 
     /// The tests' `wrap`: an outgoing message as its step and payload.
     fn pair(step: RbStep, value: u64) -> (RbStep, u64) {

@@ -128,11 +128,6 @@ impl<P: Clone + Eq> Wrb<P> {
         }
     }
 
-    /// The value accepted so far, if any.
-    pub fn accepted(&self) -> Option<&P> {
-        self.echoes.decided().filter(|_| self.accepted)
-    }
-
     /// Drops the echo tally. Called by the enclosing RB once its own
     /// acceptance makes this sub-machine's future output irrelevant.
     pub(crate) fn shrink(&mut self) {
@@ -200,6 +195,13 @@ impl<P: Clone + Eq> Wrb<P> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl<P: Clone + Eq> Wrb<P> {
+        /// The value accepted so far, if any.
+        fn accepted(&self) -> Option<&P> {
+            self.echoes.decided().filter(|_| self.accepted)
+        }
+    }
 
     fn params4() -> Params {
         Params::new(4, 1).unwrap()

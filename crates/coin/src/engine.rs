@@ -164,16 +164,6 @@ impl<F: Field> CoinEngine<F> {
         }
     }
 
-    /// This process's id.
-    pub fn me(&self) -> Pid {
-        self.me
-    }
-
-    /// System parameters.
-    pub fn params(&self) -> Params {
-        self.params
-    }
-
     /// Drains accumulated events.
     pub fn take_events(&mut self) -> Vec<CoinEvent> {
         std::mem::take(&mut self.events)

@@ -82,16 +82,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Number of processes.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Fault bound.
-    pub fn t(&self) -> usize {
-        self.t
-    }
-
     /// Builds the process table this config describes — the same table
     /// for every runtime: [`Cluster::with_scheduler`] hands it to the
     /// deterministic simulator, the threaded and socket harnesses hand
@@ -657,7 +647,7 @@ mod tests {
     #[test]
     fn config_accessors() {
         let c = ClusterConfig::new(7, 2).seed(5).max_rounds(9).max_delay(3);
-        assert_eq!(c.n(), 7);
-        assert_eq!(c.t(), 2);
+        assert_eq!(c.n, 7);
+        assert_eq!(c.t, 2);
     }
 }

@@ -662,11 +662,6 @@ impl PlanRun {
         &self.cluster
     }
 
-    /// Events that have not fired yet.
-    pub fn pending(&self) -> &[PlanEvent] {
-        &self.pending
-    }
-
     /// Unwraps the cluster.
     ///
     /// # Panics
@@ -1039,7 +1034,7 @@ mod tests {
         let mut run = plan.build();
         let report = run.run(60_000_000);
         assert!(report.terminated, "three honest processes still decide");
-        assert!(run.pending().is_empty(), "the event fired");
+        assert!(run.pending.is_empty(), "the event fired");
         assert_eq!(report.decisions[3], None, "p4 is no longer honest");
         assert!(report.agreement());
     }

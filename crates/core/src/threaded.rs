@@ -64,13 +64,6 @@ pub struct WatchedProcess {
     watch: InvariantMonitor,
 }
 
-impl WatchedProcess {
-    /// The wrapped cluster process.
-    pub fn inner(&self) -> &ClusterProcess {
-        &self.inner
-    }
-}
-
 impl Process<Msg> for WatchedProcess {
     fn on_start(&mut self, out: &mut Outbox<Msg>) {
         self.inner.on_start(out);
@@ -237,7 +230,7 @@ mod tests {
             process: Pid::new(4),
         };
         let shunned =
-            (sim.processes()).any(|w| w.inner().events().is_some_and(|log| log.contains(&liar)));
+            (sim.processes()).any(|w| w.inner.events().is_some_and(|log| log.contains(&liar)));
         (watch.report(), shunned)
     }
 

@@ -24,7 +24,7 @@ use crate::{Field, Poly};
 /// // Row j evaluated at l equals column l evaluated at j: f(j, l).
 /// let (j, l) = (3u64, 7u64);
 /// assert_eq!(f.row(j).eval_at_index(l), f.col(l).eval_at_index(j));
-/// assert_eq!(f.eval_indices(0, 0), Gf61::from_u64(5));
+/// assert_eq!(f.eval(Gf61::ZERO, Gf61::ZERO), Gf61::from_u64(5));
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BiPoly<F: Field> {
@@ -51,29 +51,6 @@ impl<F: Field> BiPoly<F> {
         BiPoly { coeffs, degree: t }
     }
 
-    /// Builds a bivariate polynomial from explicit coefficients.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coeffs` is not a square `(t+1) × (t+1)` matrix for some `t`.
-    pub fn from_coeffs(coeffs: Vec<Vec<F>>) -> Self {
-        let n = coeffs.len();
-        assert!(n > 0, "coefficient matrix must be nonempty");
-        assert!(
-            coeffs.iter().all(|r| r.len() == n),
-            "coefficient matrix must be square"
-        );
-        BiPoly {
-            coeffs,
-            degree: n - 1,
-        }
-    }
-
-    /// The per-variable degree bound `t`.
-    pub fn degree(&self) -> usize {
-        self.degree
-    }
-
     /// Evaluates `f(x, y)`.
     pub fn eval(&self, x: F, y: F) -> F {
         // Horner in x over inner Horner in y.
@@ -86,11 +63,6 @@ impl<F: Field> BiPoly<F> {
             acc = acc * x + inner;
         }
         acc
-    }
-
-    /// Evaluates at (1-based) process indices.
-    pub fn eval_indices(&self, i: u64, j: u64) -> F {
-        self.eval(F::from_u64(i), F::from_u64(j))
     }
 
     /// The row polynomial `g_j(y) = f(j, y)` for process index `j`.
@@ -224,8 +196,9 @@ mod tests {
         let f = BiPoly::random_with_secret(Gf61::from_u64(123), 3, &mut rng);
         for j in 1..=8u64 {
             for l in 1..=8u64 {
-                assert_eq!(f.row(j).eval_at_index(l), f.eval_indices(j, l));
-                assert_eq!(f.col(l).eval_at_index(j), f.eval_indices(j, l));
+                let direct = f.eval(Gf61::from_u64(j), Gf61::from_u64(l));
+                assert_eq!(f.row(j).eval_at_index(l), direct);
+                assert_eq!(f.col(l).eval_at_index(j), direct);
                 assert_eq!(f.row(j).eval_at_index(l), f.col(l).eval_at_index(j));
             }
         }
@@ -262,12 +235,6 @@ mod tests {
         assert!(BiPoly::interpolate_rows(t, &dup).is_none());
     }
 
-    #[test]
-    #[should_panic(expected = "square")]
-    fn from_coeffs_rejects_ragged() {
-        let _ = BiPoly::from_coeffs(vec![vec![Gf61::ZERO; 2], vec![Gf61::ZERO; 3]]);
-    }
-
     proptest! {
         #[test]
         fn random_bipoly_rows_determine_it(seed in any::<u64>(), t in 1usize..4) {
@@ -279,7 +246,8 @@ mod tests {
             prop_assert_eq!(g.secret(), Gf101::from_u64(17));
             for x in 0..6u64 {
                 for y in 0..6u64 {
-                    prop_assert_eq!(g.eval_indices(x, y), f.eval_indices(x, y));
+                    let (x, y) = (Gf101::from_u64(x), Gf101::from_u64(y));
+                    prop_assert_eq!(g.eval(x, y), f.eval(x, y));
                 }
             }
         }

@@ -104,7 +104,7 @@ impl<F: Field> Domain<F> {
 
     /// Whether `i` is a valid 1-based domain index.
     #[inline]
-    pub fn contains_index(&self, i: u64) -> bool {
+    fn contains_index(&self, i: u64) -> bool {
         i >= 1 && i <= self.points.len() as u64
     }
 
@@ -175,41 +175,6 @@ impl<F: Field> Domain<F> {
         Ok(acc)
     }
 
-    /// Evaluates the interpolant through `pts` at the domain point
-    /// `target` (which may or may not be one of the interpolation points).
-    ///
-    /// `O(k²)` multiplications, no inversions, no allocation.
-    ///
-    /// # Errors
-    ///
-    /// Same error conditions as [`Domain::interpolate_at_zero`], plus
-    /// [`InterpolateError::OutOfDomain`] if `target` is outside `1..=n`.
-    pub fn eval_at_index(&self, pts: &[(u64, F)], target: u64) -> Result<F, InterpolateError> {
-        if pts.is_empty() {
-            return Err(InterpolateError::Empty);
-        }
-        if !self.contains_index(target) {
-            return Err(InterpolateError::OutOfDomain);
-        }
-        self.check_indices(pts)?;
-        // If target coincides with a base point the Lagrange terms collapse
-        // to exactly y_target (every other basis polynomial vanishes).
-        if let Some(&(_, y)) = pts.iter().find(|&&(i, _)| i == target) {
-            return Ok(y);
-        }
-        let mut acc = F::ZERO;
-        for &(im, ym) in pts {
-            let mut lm = ym;
-            for &(ij, _) in pts {
-                if ij != im {
-                    lm = lm * self.diff(target, ij) * self.inv_diff(im, ij);
-                }
-            }
-            acc = acc + lm;
-        }
-        Ok(acc)
-    }
-
     /// Checked secret recovery: succeeds only if one polynomial of degree
     /// at most `max_degree` passes through **all** points, returning its
     /// value at zero. The coefficient-free form of
@@ -218,8 +183,8 @@ impl<F: Field> Domain<F> {
     /// The barycentric weights of the `k = max_degree + 1` base points
     /// are computed **once** (`O(k²)`) and shared by every surplus-point
     /// check and the final evaluation at zero (`O(k)` each) — total
-    /// `O(k² + k·surplus)` where the per-point [`Domain::eval_at_index`]
-    /// loop this replaces cost `O(k²·surplus)`. With full verification
+    /// `O(k² + k·surplus)` where a per-point Lagrange evaluation of
+    /// each surplus point would cost `O(k²·surplus)`. With full verification
     /// quorums (`surplus ≈ k`) that is the difference between quadratic
     /// and cubic, which is exactly what the `domain_batch_verify_t20`
     /// microbenchmark measures.
@@ -399,21 +364,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_at_index_matches_poly_eval() {
-        let domain: Domain<Gf101> = Domain::new(20);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let p = Poly::random_with_constant(Gf101::from_u64(5), 3, &mut rng);
-        let pts: Vec<(u64, Gf101)> = (2..=5).map(|i| (i, p.eval_at_index(i))).collect();
-        for target in 1..=20u64 {
-            assert_eq!(
-                domain.eval_at_index(&pts, target).unwrap(),
-                p.eval_at_index(target),
-                "target {target}"
-            );
-        }
-    }
-
-    #[test]
     fn error_paths() {
         let domain: Domain<Gf61> = Domain::new(4);
         let y = Gf61::ONE;
@@ -442,8 +392,8 @@ mod tests {
     #[test]
     fn checked_at_zero_detects_off_curve_point() {
         let domain: Domain<Gf61> = Domain::new(8);
-        let (_, mut pts) = poly_and_points(2, 42, 5);
-        pts.push((7, domain.eval_at_index(&pts, 7).unwrap()));
+        let (p, mut pts) = poly_and_points(2, 42, 5);
+        pts.push((7, p.eval_at_index(7)));
         assert_eq!(
             domain.interpolate_checked_at_zero(&pts, 2),
             Some(Gf61::from_u64(42))

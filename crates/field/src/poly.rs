@@ -103,11 +103,6 @@ impl<F: Field> Poly<F> {
         Poly { coeffs: Vec::new() }
     }
 
-    /// The constant polynomial `c`.
-    pub fn constant(c: F) -> Self {
-        Self::from_coeffs(vec![c])
-    }
-
     /// Samples a uniformly random polynomial of degree **at most** `degree`
     /// whose constant term is exactly `constant`.
     ///
@@ -159,23 +154,6 @@ impl<F: Field> Poly<F> {
     pub fn eval_many(&self, xs: &[F], out: &mut Vec<F>) {
         out.clear();
         out.extend(xs.iter().map(|&x| self.eval(x)));
-    }
-
-    /// Adds two polynomials.
-    pub fn add(&self, other: &Self) -> Self {
-        let n = self.coeffs.len().max(other.coeffs.len());
-        let mut out = Vec::with_capacity(n);
-        for k in 0..n {
-            let a = self.coeffs.get(k).copied().unwrap_or(F::ZERO);
-            let b = other.coeffs.get(k).copied().unwrap_or(F::ZERO);
-            out.push(a + b);
-        }
-        Self::from_coeffs(out)
-    }
-
-    /// Scales every coefficient by `s`.
-    pub fn scale(&self, s: F) -> Self {
-        Self::from_coeffs(self.coeffs.iter().map(|&c| c * s).collect())
     }
 }
 
@@ -305,12 +283,15 @@ mod tests {
             s in 0u64..101,
             x in 0u64..101,
         ) {
-            let pa = Poly::from_coeffs(a.into_iter().map(Gf101::from_u64).collect());
-            let pb = Poly::from_coeffs(b.into_iter().map(Gf101::from_u64).collect());
+            let coeff = |v: &[u64], k: usize| Gf101::from_u64(v.get(k).copied().unwrap_or(0));
+            let pa = Poly::from_coeffs(a.iter().map(|&c| Gf101::from_u64(c)).collect());
+            let pb = Poly::from_coeffs(b.iter().map(|&c| Gf101::from_u64(c)).collect());
+            let sum = (0..a.len().max(b.len())).map(|k| coeff(&a, k) + coeff(&b, k));
             let s = Gf101::from_u64(s);
             let x = Gf101::from_u64(x);
-            prop_assert_eq!(pa.add(&pb).eval(x), pa.eval(x) + pb.eval(x));
-            prop_assert_eq!(pa.scale(s).eval(x), pa.eval(x) * s);
+            prop_assert_eq!(Poly::from_coeffs(sum.collect()).eval(x), pa.eval(x) + pb.eval(x));
+            let scaled = Poly::from_coeffs(pa.coeffs().iter().map(|&c| c * s).collect());
+            prop_assert_eq!(scaled.eval(x), pa.eval(x) * s);
         }
     }
 

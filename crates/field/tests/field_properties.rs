@@ -44,7 +44,7 @@ fn bipoly_projections_consistent<F: Field>(seed: u64, t: usize) -> Result<(), St
     let mut rng = StdRng::seed_from_u64(seed);
     let secret = F::random(&mut rng);
     let f = BiPoly::random_with_secret(secret, t, &mut rng);
-    if f.secret() != secret || f.eval_indices(0, 0) != secret {
+    if f.secret() != secret || f.eval(F::ZERO, F::ZERO) != secret {
         return Err("secret is not f(0,0)".into());
     }
     for k in 1..=(2 * t as u64 + 2) {
@@ -54,7 +54,7 @@ fn bipoly_projections_consistent<F: Field>(seed: u64, t: usize) -> Result<(), St
             return Err(format!("projection degree exceeds t={t} at index {k}"));
         }
         for l in 1..=(2 * t as u64 + 2) {
-            let direct = f.eval_indices(k, l);
+            let direct = f.eval(F::from_u64(k), F::from_u64(l));
             if row.eval_at_index(l) != direct {
                 return Err(format!("row({k}) at {l} disagrees with f({k},{l})"));
             }

@@ -1,20 +1,34 @@
-//! A minimal, canonical byte codec.
+//! The canonical byte codec under [`WireMsg`](crate::WireMsg), the one
+//! message type the stack ships.
 //!
-//! No offline serialization *format* crate is available in this
-//! environment (serde alone emits nothing), so the workspace defines its
-//! own: fixed-width little-endian integers, length-prefixed sequences,
-//! 1-byte enum discriminants. Canonical encodings make wire-byte metrics
-//! exact and reproducible.
+//! No offline serialization *format* crate is available (serde alone
+//! emits nothing), so the workspace defines its own: fixed-width
+//! little-endian integers, one-byte discriminants and an adaptive
+//! process-set form. Canonical encodings make the wire-byte metrics, the
+//! quantity the paper's polynomial bound counts, exact and reproducible.
 //!
-//! Decoding validates everything it can (C-VALIDATE): field elements must
-//! be canonical representatives, lengths are bounded by the remaining
-//! input, booleans must be 0/1.
+//! What implements these traits, and why:
+//! - [`Wire`] for `u32` and `u64`: `WireMsg`'s encoder writes its
+//!   counts, session tags and field elements with them;
+//! - [`Wire`] for [`ProcessSet`](crate::ProcessSet): the one set form of
+//!   every set-carrying kind;
+//! - [`FramedWire`] (and [`Kinded`](crate::Kinded)) for `u64`: the one
+//!   raw message of the simulator, transport and socket-runtime unit
+//!   tests, which the orphan rule keeps from implementing this crate's
+//!   traits on `u64` themselves.
+//!
+//! [`FramedWire`] and the frame functions (`encode_frame`,
+//! `decode_frame`, `frame_len`, `tcp::{read_frame, write_frame}`) stay
+//! generic over it because the benchmark package's probes instantiate
+//! them by name.
+//!
+//! Decoding validates everything it can (C-VALIDATE): field elements
+//! must be canonical representatives, counts are bounded by the
+//! remaining input, and a set has exactly one spelling.
 
 use std::fmt;
 
 use sba_field::Field;
-
-use crate::Pid;
 
 /// The buffer a sequence decoder starts from when a length prefix
 /// claims `claimed` elements. Decoders bound the claim by the bytes that
@@ -107,37 +121,20 @@ pub trait Wire: Sized {
     }
 
     /// Exact byte length of the canonical encoding, computed **without**
-    /// serializing. The simulator charges every sent message, so all wire
-    /// types override this arithmetically; the default falls back to
-    /// encoding into a thread-local scratch buffer and is only a safety
-    /// net for new types (laws tests pin overrides to `encoded().len()`).
-    fn encoded_len(&self) -> usize {
-        thread_local! {
-            static SCRATCH: std::cell::RefCell<Vec<u8>> =
-                std::cell::RefCell::new(Vec::with_capacity(1024));
-        }
-        SCRATCH.with(|b| {
-            let mut buf = b.borrow_mut();
-            buf.clear();
-            self.encode(&mut buf);
-            buf.len()
-        })
-    }
-
-    /// The encoded length in bytes (used for wire metrics).
-    fn wire_len(&self) -> usize {
-        self.encoded_len()
-    }
+    /// serializing: the simulator and the channel runtime charge every
+    /// sent message this many bytes (laws tests pin it to
+    /// `encoded().len()`).
+    fn encoded_len(&self) -> usize;
 
     /// The wire length charged when this message rides a per-recipient
     /// batch frame immediately after `prev` (`None` = first frame
     /// member). Types without a frame-delta encoding charge their
-    /// standalone [`Wire::wire_len`], which keeps primitive test
-    /// messages byte-identical; `WireMsg` overrides this with the
-    /// key-delta arithmetic of its framed form.
+    /// standalone [`Wire::encoded_len`], which keeps raw test messages
+    /// byte-identical; `WireMsg` overrides this with the key-delta
+    /// arithmetic of its framed form.
     fn framed_wire_len(&self, prev: Option<&Self>) -> usize {
         let _ = prev;
-        self.wire_len()
+        self.encoded_len()
     }
 }
 
@@ -166,36 +163,17 @@ pub trait FramedWire: Wire {
     fn decode_framed_member(r: &mut Reader<'_>, prev: Option<&Self>) -> Result<Self, CodecError>;
 }
 
-/// Fixed-width primitives are trivially self-delimiting: their frame
-/// member form is their standalone encoding, matching the
-/// [`Wire::framed_wire_len`] default. (Used by transport tests; protocol
-/// messages have real delta forms.)
-macro_rules! plain_framed {
-    ($($t:ty),*) => {$(
-        impl FramedWire for $t {
-            fn encode_framed_member(&self, _prev: Option<&Self>, buf: &mut Vec<u8>) {
-                self.encode(buf);
-            }
-            fn decode_framed_member(
-                r: &mut Reader<'_>,
-                _prev: Option<&Self>,
-            ) -> Result<Self, CodecError> {
-                Self::decode(r)
-            }
-        }
-    )*};
-}
-plain_framed!(u8, u32, u64, bool);
-
-impl Wire for u8 {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(*self);
+/// `u64` is the one raw message type of the runtime unit tests (the
+/// simulator's, the TCP transport's and the socket runtime's): its
+/// frame member is its standalone encoding, matching the
+/// [`Wire::framed_wire_len`] default. Protocol messages are `WireMsg`s,
+/// with real delta forms.
+impl FramedWire for u64 {
+    fn encode_framed_member(&self, _prev: Option<&Self>, buf: &mut Vec<u8>) {
+        self.encode(buf);
     }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        r.byte()
+    fn decode_framed_member(r: &mut Reader<'_>, _prev: Option<&Self>) -> Result<Self, CodecError> {
+        Self::decode(r)
     }
 }
 
@@ -220,98 +198,6 @@ impl Wire for u64 {
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(u64::from_le_bytes(r.take(8)?.try_into().unwrap()))
-    }
-}
-
-impl Wire for bool {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        buf.push(u8::from(*self));
-    }
-    fn encoded_len(&self) -> usize {
-        1
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.byte()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CodecError::Invalid),
-        }
-    }
-}
-
-impl Wire for Pid {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.index().encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        4
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let idx = u32::decode(r)?;
-        if idx == 0 {
-            return Err(CodecError::Invalid);
-        }
-        Ok(Pid::new(idx))
-    }
-}
-
-impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u32).encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        4 + self.iter().map(Wire::encoded_len).sum::<usize>()
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let len = u32::decode(r)? as usize;
-        // Each element takes at least one byte: a count past the input
-        // is a lie.
-        if len > r.remaining() {
-            return Err(CodecError::Invalid);
-        }
-        let mut out = reserve_decoded(len);
-        for _ in 0..len {
-            out.push(T::decode(r)?);
-        }
-        Ok(out)
-    }
-}
-
-impl<T: Wire> Wire for Option<T> {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            None => buf.push(0),
-            Some(v) => {
-                buf.push(1);
-                v.encode(buf);
-            }
-        }
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.byte()? {
-            0 => Ok(None),
-            1 => Ok(Some(T::decode(r)?)),
-            d => Err(CodecError::BadDiscriminant(d)),
-        }
-    }
-    fn encoded_len(&self) -> usize {
-        1 + self.as_ref().map_or(0, Wire::encoded_len)
-    }
-}
-
-impl<A: Wire, B: Wire> Wire for (A, B) {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-        self.1.encode(buf);
-    }
-    fn encoded_len(&self) -> usize {
-        self.0.encoded_len() + self.1.encoded_len()
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok((A::decode(r)?, B::decode(r)?))
     }
 }
 
@@ -437,69 +323,62 @@ mod tests {
         let back = T::decode(&mut r).expect("decode");
         assert_eq!(back, v);
         assert_eq!(r.remaining(), 0, "trailing bytes");
-        assert_eq!(v.wire_len(), bytes.len());
+        assert_eq!(v.encoded_len(), bytes.len());
     }
 
-    /// A length prefix the input could just about back (one byte per
-    /// element) buys a bounded reservation, not `len × size_of::<T>()`;
-    /// a long sequence that really is there still decodes.
+    /// A member count the input could just about back buys a bounded
+    /// reservation, not `count × size_of::<T>()`; a long frame that
+    /// really is there still decodes.
     #[test]
     fn vec_decode_does_not_reserve_on_the_peers_word() {
         assert_eq!(reserve_decoded::<[u64; 4]>(64 << 20).capacity(), 1024);
         assert_eq!(reserve_decoded::<u64>(3).capacity(), 3);
-        // 4 MiB claiming 4 Mi eight-byte elements: fails at the first
-        // element that is not there, having reserved 8 KiB, not 32 MiB.
+        // 4 MiB of zeros claiming 4 Mi `WireMsg` members: `decode_frame`
+        // starts from `reserve_decoded` (1 024 members, not 4 Mi) and
+        // fails once the zeros stop spelling a canonical member.
         let mut lie = ((4u32 << 20).to_le_bytes()).to_vec();
         lie.resize(4 + (4 << 20), 0);
         let mut r = Reader::new(&lie);
-        assert_eq!(Vec::<u64>::decode(&mut r), Err(CodecError::UnexpectedEnd));
-        round_trip((0..5_000u32).collect::<Vec<u32>>());
+        assert!(crate::decode_frame::<crate::WireMsg<Gf61>>(&mut r).is_err());
+        let long: Vec<u64> = (0..5_000).collect();
+        let mut buf = Vec::new();
+        crate::encode_frame(&long, &mut buf);
+        let mut r = Reader::new(&buf);
+        assert_eq!(crate::decode_frame::<u64>(&mut r), Ok(long));
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
     fn primitives_round_trip() {
-        round_trip(0u8);
-        round_trip(255u8);
+        round_trip(0u32);
         round_trip(u32::MAX);
         round_trip(u64::MAX);
-        round_trip(true);
-        round_trip(false);
-        round_trip(Pid::new(17));
-        round_trip(Some(Pid::new(3)));
-        round_trip(Option::<u64>::None);
-        round_trip((Pid::new(1), 9u64));
-        round_trip(vec![1u32, 2, 3]);
-        round_trip(Vec::<u64>::new());
-        round_trip(Pid::all(5).collect::<crate::ProcessSet>());
+        round_trip(crate::Pid::all(5).collect::<crate::ProcessSet>());
     }
 
     #[test]
     fn truncated_inputs_error() {
         let mut r = Reader::new(&[1, 2]);
         assert_eq!(u32::decode(&mut r).unwrap_err(), CodecError::UnexpectedEnd);
+        let mut r = Reader::new(&[1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(u64::decode(&mut r).unwrap_err(), CodecError::UnexpectedEnd);
         let mut r = Reader::new(&[]);
-        assert_eq!(u8::decode(&mut r).unwrap_err(), CodecError::UnexpectedEnd);
+        assert_eq!(
+            crate::ProcessSet::decode(&mut r).unwrap_err(),
+            CodecError::UnexpectedEnd
+        );
     }
 
     #[test]
     fn invalid_values_rejected() {
-        // bool must be 0/1
-        let mut r = Reader::new(&[2]);
-        assert_eq!(bool::decode(&mut r).unwrap_err(), CodecError::Invalid);
-        // pid must be nonzero
-        let mut r = Reader::new(&[0, 0, 0, 0]);
-        assert_eq!(Pid::decode(&mut r).unwrap_err(), CodecError::Invalid);
-        // option discriminant must be 0/1
-        let mut r = Reader::new(&[7]);
-        assert!(matches!(
-            Option::<u8>::decode(&mut r).unwrap_err(),
-            CodecError::BadDiscriminant(7)
-        ));
-        // absurd length prefix must not allocate
-        let mut bytes = Vec::new();
-        u32::MAX.encode(&mut bytes);
-        let mut r = Reader::new(&bytes);
-        assert_eq!(Vec::<u8>::decode(&mut r).unwrap_err(), CodecError::Invalid);
+        // a member count past the input is a lie, refused before any
+        // reservation
+        let lie = u32::MAX.to_le_bytes();
+        let mut r = Reader::new(&lie);
+        assert_eq!(
+            crate::decode_frame::<u64>(&mut r).unwrap_err(),
+            CodecError::Invalid
+        );
         // duplicate entries in a sparse ProcessSet are non-canonical
         // (equal adjacent bytes violate the strictly-ascending rule)
         let mut r = Reader::new(&[2, 0, 0]);
@@ -597,11 +476,6 @@ mod tests {
         }
 
         #[test]
-        fn vec_of_pairs_round_trip(v in proptest::collection::vec((any::<u32>(), any::<u64>()), 0..20)) {
-            round_trip(v);
-        }
-
-        #[test]
         fn gf61_round_trip(v in 0u64..<Gf61 as Field>::MODULUS) {
             let x = Gf61::from_u64(v);
             let mut buf = Vec::new();
@@ -613,11 +487,11 @@ mod tests {
         #[test]
         fn decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
             let mut r = Reader::new(&bytes);
-            let _ = Vec::<(Pid, u64)>::decode(&mut r);
+            let _ = u64::decode(&mut r);
             let mut r = Reader::new(&bytes);
             let _ = crate::ProcessSet::decode(&mut r);
             let mut r = Reader::new(&bytes);
-            let _ = Option::<(u32, bool)>::decode(&mut r);
+            let _ = crate::WireMsg::<Gf61>::decode(&mut r);
         }
     }
 }

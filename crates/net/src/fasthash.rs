@@ -10,14 +10,11 @@
 //! 8-byte word with `rotate_left(5) ^ word`, then multiply by a seed
 //! constant.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// A `HashMap` using [`FxHasher`] — for hot, trusted-key tables.
 pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
-
-/// A `HashSet` using [`FxHasher`] — for hot, trusted-key tables.
-pub type FastSet<K> = HashSet<K, BuildHasherDefault<FxHasher>>;
 
 const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
 
@@ -93,7 +90,7 @@ mod tests {
     #[test]
     fn distinct_keys_rarely_collide() {
         use std::hash::Hash;
-        let mut seen = FastSet::default();
+        let mut seen = std::collections::HashSet::new();
         for tag in 0u64..1000 {
             let mut h = FxHasher::default();
             (tag, 7u32).hash(&mut h);

@@ -9,18 +9,7 @@ pub trait Kinded {
     fn kind(&self) -> &'static str;
 }
 
-impl Kinded for u8 {
-    fn kind(&self) -> &'static str {
-        "raw"
-    }
-}
-
-impl Kinded for u32 {
-    fn kind(&self) -> &'static str {
-        "raw"
-    }
-}
-
+/// The raw message of the runtime unit tests (see the `codec` module).
 impl Kinded for u64 {
     fn kind(&self) -> &'static str {
         "raw"
@@ -34,7 +23,5 @@ mod tests {
     #[test]
     fn primitive_kinds() {
         assert_eq!(5u64.kind(), "raw");
-        assert_eq!(5u32.kind(), "raw");
-        assert_eq!(5u8.kind(), "raw");
     }
 }

@@ -10,8 +10,11 @@
 //! envelopes between processes.
 //!
 //! The hand-rolled [`Wire`] codec exists so that the complexity experiments
-//! can report *real* wire bytes: every message type in the workspace
-//! encodes to a canonical byte string, and the simulator charges its length.
+//! can report *real* wire bytes: the one message type the stack ships,
+//! [`WireMsg`], encodes to a canonical byte string, and the simulator
+//! charges its [`Wire::encoded_len`] (its [`Wire::framed_wire_len`]
+//! inside a per-recipient batch). [`tcp`] ships the same frame bytes
+//! over real sockets.
 //!
 //! # Examples
 //!
@@ -36,7 +39,7 @@ mod wire;
 
 pub use codec::{get_field, put_field, CodecError, FramedWire, Reader, Wire};
 pub use envelope::{Envelope, Outbox};
-pub use fasthash::{FastMap, FastSet, FxHasher};
+pub use fasthash::{FastMap, FxHasher};
 pub use interner::{Interner, Slot};
 pub use kind::Kinded;
 pub use pid::{Pid, ProcessSet, ProcessSetIter, MAX_N};

@@ -264,24 +264,6 @@ impl ProcessSet {
     pub fn from_words(words: [u64; WORDS]) -> Self {
         ProcessSet(words)
     }
-
-    /// The union `self ∪ other` as a new set.
-    #[inline]
-    pub fn union(&self, other: &ProcessSet) -> ProcessSet {
-        let mut out = *self;
-        out.extend_from(other);
-        out
-    }
-
-    /// The intersection `self ∩ other` as a new set.
-    #[inline]
-    pub fn intersection(&self, other: &ProcessSet) -> ProcessSet {
-        let mut out = *self;
-        for (a, b) in out.0.iter_mut().zip(other.0.iter()) {
-            *a &= b;
-        }
-        out
-    }
 }
 
 impl fmt::Debug for ProcessSet {
@@ -388,8 +370,8 @@ mod tests {
         assert!(!t.contains(Pid::new(128)));
         assert!(t.is_subset(&s));
         assert!(!s.is_subset(&t));
-        assert_eq!(s.intersection(&t), t);
-        assert_eq!(s.union(&t), s);
+        t.extend_from(&s);
+        assert_eq!(t, s);
     }
 
     #[test]

@@ -71,8 +71,8 @@ impl SvssId {
 /// in the SVSS engine, so it is packed to 16 bytes: the four process
 /// indices and the parent dealer are stored as single excess-one bytes
 /// (`index − 1`, so indices `1..=256` fit in a `u8`). Process indices
-/// are therefore capped at [`MwId::MAX_INDEX`] = [`crate::MAX_N`], the
-/// same cap that bounds `ProcessSet` and the `Domain` tables. An `MwId`
+/// are therefore capped at [`crate::MAX_N`], the same cap that bounds
+/// `ProcessSet` and the `Domain` tables. An `MwId`
 /// has no encoding of its own: on the wire it is the parent tag and
 /// these five bytes, packed into a [`WireMsg`](crate::WireMsg)'s key.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -86,16 +86,12 @@ pub struct MwId {
 }
 
 impl MwId {
-    /// The largest process index representable in a packed `MwId`
-    /// ( = [`crate::MAX_N`]).
-    pub const MAX_INDEX: u32 = crate::MAX_N;
-
     /// Creates the id of an MW-SVSS invocation nested in SVSS session
     /// `parent`, with the given dealer/moderator and target entry.
     ///
     /// # Panics
     ///
-    /// Panics if any process index exceeds [`MwId::MAX_INDEX`].
+    /// Panics if any process index exceeds [`crate::MAX_N`].
     pub fn nested(parent: SvssId, dealer: Pid, moderator: Pid, row: Pid, col: Pid) -> Self {
         MwId {
             parent_tag: parent.tag(),
@@ -114,7 +110,7 @@ impl MwId {
     ///
     /// # Panics
     ///
-    /// Panics if any process index exceeds [`MwId::MAX_INDEX`].
+    /// Panics if any process index exceeds [`crate::MAX_N`].
     pub fn standalone(tag: u64, dealer: Pid, moderator: Pid) -> Self {
         Self::nested(
             SvssId::new(tag, dealer),
@@ -198,7 +194,7 @@ mod tests {
     #[test]
     fn mw_id_cap_boundary_round_trips() {
         // Index MAX_N packs excess-one into the top byte value (255).
-        let top = Pid::new(MwId::MAX_INDEX);
+        let top = Pid::new(crate::MAX_N);
         let id = MwId::standalone(1, top, Pid::new(1));
         assert_eq!(id.dealer(), top);
         assert_eq!(id.parent().dealer(), top);
@@ -207,7 +203,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "exceeds the packed-wire cap")]
     fn mw_id_cap_enforced() {
-        let _ = MwId::standalone(1, Pid::new(MwId::MAX_INDEX + 1), Pid::new(1));
+        let _ = MwId::standalone(1, Pid::new(crate::MAX_N + 1), Pid::new(1));
     }
 
     #[test]

@@ -39,6 +39,11 @@ pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
 /// 64 MiB. Ordinary frames are smaller and still take one allocation.
 const READ_CHUNK: usize = 64 << 10;
 
+const _: () = assert!(
+    (u8::MAX as u32) < MAX_N,
+    "every excess-one sender byte names a pid in 1..=MAX_N"
+);
+
 /// Writes one transport frame carrying `msgs` from `from`; returns the
 /// total bytes written (header + payload).
 ///
@@ -84,11 +89,8 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> io::Result<bool> {
 }
 
 /// Reads a `len`-byte payload into `payload` (cleared first), growing it
-/// at most [`READ_CHUNK`] beyond what the stream has delivered. Not part
-/// of the transport API — public so the transport tests can observe the
-/// buffer a failed read leaves behind.
-#[doc(hidden)]
-pub fn read_payload(r: &mut impl Read, len: usize, payload: &mut Vec<u8>) -> io::Result<()> {
+/// at most [`READ_CHUNK`] beyond what the stream has delivered.
+fn read_payload(r: &mut impl Read, len: usize, payload: &mut Vec<u8>) -> io::Result<()> {
     payload.clear();
     while payload.len() < len {
         let filled = payload.len();
@@ -105,10 +107,13 @@ pub fn read_payload(r: &mut impl Read, len: usize, payload: &mut Vec<u8>) -> io:
 ///
 /// # Errors
 ///
-/// Returns [`io::ErrorKind::InvalidData`] for an oversized length
-/// prefix, an out-of-range sender pid, a payload that fails canonical
-/// frame decoding, or trailing bytes after the frame; I/O errors from
-/// `r` (including EOF mid-frame) propagate.
+/// Returns [`io::ErrorKind::InvalidData`] for an empty or oversized
+/// length prefix, a payload that fails canonical frame decoding, or
+/// trailing bytes after the frame; I/O errors from `r` (including EOF
+/// mid-frame) propagate. Every sender byte names a pid in `1..=MAX_N`,
+/// so the sender is not checked here: binding it to the stream's peer
+/// is the reader's job (the socket runtime drops a frame that names
+/// another sender).
 pub fn read_frame<T: FramedWire>(r: &mut impl Read) -> io::Result<Option<(Pid, Vec<T>)>> {
     let mut header = [0u8; 4];
     if !read_full(r, &mut header)? {
@@ -120,11 +125,7 @@ pub fn read_frame<T: FramedWire>(r: &mut impl Read) -> io::Result<Option<(Pid, V
     }
     let mut payload = Vec::new();
     read_payload(r, len, &mut payload)?;
-    let from_byte = payload[0] as usize;
-    if from_byte as u32 >= MAX_N {
-        return Err(invalid("sender pid out of range"));
-    }
-    let from = Pid::new(from_byte as u32 + 1);
+    let from = Pid::new(u32::from(payload[0]) + 1);
     let mut reader = Reader::new(&payload[1..]);
     let msgs = decode_frame(&mut reader).map_err(|e| invalid(&format!("bad frame: {e}")))?;
     if reader.remaining() != 0 {
@@ -305,6 +306,45 @@ mod tests {
             .unwrap();
         let got: Option<(Pid, Vec<u64>)> = read_frame(&mut mesh[1].stream(Pid::new(1))).unwrap();
         assert!(got.is_none());
+    }
+
+    #[test]
+    fn top_sender_byte_reads_as_the_last_pid() {
+        let mut scratch = Vec::new();
+        write_frame(&mut Vec::new(), Pid::new(256), &[7u64], &mut scratch).unwrap();
+        assert_eq!(scratch[4], 255);
+        let (from, got) = read_frame::<u64>(&mut &scratch[..]).unwrap().unwrap();
+        assert_eq!((from, got), (Pid::new(MAX_N), vec![7]));
+    }
+
+    /// A length prefix is a claim, not a delivery: a peer that declares the
+    /// 64 MiB cap and dies three bytes in costs the reader a bounded buffer,
+    /// and reads as a stream that ended mid-frame. A frame larger than one
+    /// read chunk still arrives whole.
+    #[test]
+    fn declared_length_does_not_size_the_read_buffer() {
+        use crate::WireMsg;
+        use sba_field::Gf61;
+        use std::io::ErrorKind;
+
+        let mut stream = Vec::new();
+        stream.extend_from_slice(&(MAX_FRAME_PAYLOAD as u32).to_le_bytes());
+        stream.extend_from_slice(&[0, 0xde, 0xad]);
+        let err = read_frame::<WireMsg<Gf61>>(&mut &stream[..]).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+
+        let mut buf = Vec::new();
+        let err = read_payload(&mut &stream[4..], MAX_FRAME_PAYLOAD, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
+        assert!(
+            buf.capacity() <= 1 << 20,
+            "a 3-byte stream grew the buffer to {} bytes",
+            buf.capacity()
+        );
+
+        let big: Vec<u8> = (0..300_000u32).map(|i| i as u8).collect();
+        read_payload(&mut &big[..], big.len(), &mut buf).unwrap();
+        assert_eq!(buf, big);
     }
 
     #[test]

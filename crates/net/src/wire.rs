@@ -292,12 +292,6 @@ impl WireKind {
         matches!(self.family(), Some(Family::Attach | Family::Support))
     }
 
-    /// Whether this is a vector broadcast of the SVSS stack (one Bracha
-    /// instance carrying several slots' values, see [`RbVector`]).
-    pub fn is_vector(self) -> bool {
-        self.family() == Some(Family::Vector)
-    }
-
     /// Whether this is agreement-layer RB traffic (a [`VoteSlot`]).
     pub fn is_vote_rb(self) -> bool {
         self.family() == Some(Family::Vote)
@@ -1347,8 +1341,14 @@ impl<F: Field> Wire for WireMsg<F> {
         1 + 8 + self.key.kind.p_width() + self.tail_len()
     }
 
+    /// Exact byte length of the key-delta frame-member encoding
+    /// ([`crate::FramedWire`]), without serializing: a prelude byte plus
+    /// the standalone form, less the header fields `prev` lets it elide.
     fn framed_wire_len(&self, prev: Option<&Self>) -> usize {
-        self.framed_len(prev)
+        let (same_tag, same_p) = self.frame_flags(prev);
+        1 + self.encoded_len()
+            - if same_tag { 8 } else { 0 }
+            - if same_p { self.key.kind.p_width() } else { 0 }
     }
 }
 
@@ -1599,17 +1599,6 @@ impl<F: Field> WireMsg<F> {
                 self.key.kind.p_width() > 0 && q.key.p == self.key.p,
             ),
         }
-    }
-
-    /// Exact byte length of this message's key-delta frame-member
-    /// encoding ([`crate::FramedWire`]), without serializing — the
-    /// quantity the simulator charges for a message landing in a
-    /// per-recipient batch right after `prev`.
-    pub fn framed_len(&self, prev: Option<&Self>) -> usize {
-        let (same_tag, same_p) = self.frame_flags(prev);
-        1 + self.encoded_len()
-            - if same_tag { 8 } else { 0 }
-            - if same_p { self.key.kind.p_width() } else { 0 }
     }
 }
 
@@ -2065,7 +2054,7 @@ mod tests {
         ] {
             let msg = WireMsg::rb_vector(Pid::new(1), 9, step, vector(Pid::new(1)));
             assert_eq!(msg.kind(), label);
-            assert!(msg.wire_kind().is_vector() && !msg.wire_kind().is_coin_rb());
+            assert_eq!(msg.wire_kind().family(), Some(Family::Vector));
             assert_eq!(msg.wire_kind().rb_step(), Some(step));
             assert_eq!(msg.origin(), Some(Pid::new(1)));
         }

@@ -94,8 +94,8 @@ proptest! {
         assert_equivalent(&s, r);
     }
 
-    /// union / intersection / extend_from / is_subset against the u64
-    /// bitwise definitions.
+    /// extend_from (union) / is_subset against the u64 bitwise
+    /// definitions.
     #[test]
     fn set_algebra_matches(
         xs in proptest::collection::vec(1..=64u32, 0..40),
@@ -103,8 +103,6 @@ proptest! {
     ) {
         let (sx, rx) = build(&xs);
         let (sy, ry) = build(&ys);
-        assert_equivalent(&sx.union(&sy), RefSet(rx.0 | ry.0));
-        assert_equivalent(&sx.intersection(&sy), RefSet(rx.0 & ry.0));
         let mut ext = sx;
         ext.extend_from(&sy);
         assert_equivalent(&ext, RefSet(rx.0 | ry.0));
@@ -165,8 +163,9 @@ fn cap_boundary_255_256() {
     let full: ProcessSet = (1..=MAX_N).map(Pid::new).collect();
     assert_eq!(full.len(), MAX_N as usize);
     assert!(s.is_subset(&full));
-    assert_eq!(full.intersection(&s), s);
-    assert_eq!(full.union(&s), full);
+    let mut u = full;
+    u.extend_from(&s);
+    assert_eq!(u, full);
 }
 
 #[test]

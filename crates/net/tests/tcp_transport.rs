@@ -122,32 +122,3 @@ fn corrupt_payload_is_invalid_data_not_a_panic() {
     let err = read_frame::<WireMsg<Gf61>>(&mut mesh[1].stream(Pid::new(1))).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
 }
-
-/// A length prefix is a claim, not a delivery: a peer that declares the
-/// 64 MiB cap and dies three bytes in costs the reader a bounded buffer,
-/// and reads as a stream that ended mid-frame. A frame larger than one
-/// read chunk still arrives whole.
-#[test]
-fn declared_length_does_not_size_the_read_buffer() {
-    use sba_net::tcp::{read_payload, MAX_FRAME_PAYLOAD};
-    use std::io::ErrorKind;
-
-    let mut stream = Vec::new();
-    stream.extend_from_slice(&(MAX_FRAME_PAYLOAD as u32).to_le_bytes());
-    stream.extend_from_slice(&[0, 0xde, 0xad]);
-    let err = read_frame::<WireMsg<Gf61>>(&mut &stream[..]).unwrap_err();
-    assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
-
-    let mut buf = Vec::new();
-    let err = read_payload(&mut &stream[4..], MAX_FRAME_PAYLOAD, &mut buf).unwrap_err();
-    assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
-    assert!(
-        buf.capacity() <= 1 << 20,
-        "a 3-byte stream grew the buffer to {} bytes",
-        buf.capacity()
-    );
-
-    let big: Vec<u8> = (0..300_000u32).map(|i| i as u8).collect();
-    read_payload(&mut &big[..], big.len(), &mut buf).unwrap();
-    assert_eq!(buf, big);
-}

@@ -845,13 +845,6 @@ impl<P, M> CrashProcess<P, M> {
         self.down_left = down_for.unwrap_or(0);
     }
 
-    /// Completed recoveries (0 unless the process carries a recovery
-    /// schedule; more than 1 if it was re-crashed via
-    /// [`CrashProcess::crash_now`]).
-    pub fn recoveries(&self) -> u64 {
-        self.recoveries
-    }
-
     /// The wrapped process.
     pub fn inner(&self) -> &P {
         &self.inner

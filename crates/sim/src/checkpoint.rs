@@ -84,11 +84,6 @@ impl<M: SimMsg, P: Process<M> + Checkpoint> SimCheckpoint<M, P> {
     pub fn events(&self) -> u64 {
         self.frozen.metrics().events
     }
-
-    /// Virtual time at the branch point.
-    pub fn now(&self) -> u64 {
-        self.frozen.metrics().virtual_time
-    }
 }
 
 #[cfg(test)]

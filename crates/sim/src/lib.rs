@@ -42,9 +42,7 @@
 //!     }
 //! }
 //!
-//! let procs: Vec<Box<dyn Process<u64>>> = (0..2).map(|_| {
-//!     Box::new(Echo { sent: false }) as Box<dyn Process<u64>>
-//! }).collect();
+//! let procs: Vec<Echo> = (0..2).map(|_| Echo { sent: false }).collect();
 //! let mut sim = Simulation::new(procs, schedulers::uniform(8), 42);
 //! let outcome = sim.run_to_quiescence(10_000);
 //! assert!(outcome.quiescent);

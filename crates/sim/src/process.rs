@@ -76,6 +76,8 @@ pub trait Process<M>: Send {
     }
 }
 
+/// Lets the simulator's unit tests mix process types in one run.
+#[cfg(test)]
 impl<M> Process<M> for Box<dyn Process<M>> {
     fn on_start(&mut self, out: &mut Outbox<M>) {
         (**self).on_start(out);

@@ -339,7 +339,7 @@ struct OpenGroup<M> {
 /// delivered immediately (a process never waits on its own messages);
 /// everything else is scheduled by the adversary — one delay draw per
 /// `(event, recipient)` group (see the module docs).
-pub struct Simulation<M, P = Box<dyn Process<M>>> {
+pub struct Simulation<M, P> {
     procs: Vec<P>,
     queue: EventQueue<M>,
     scheduler: Box<dyn Scheduler<M>>,

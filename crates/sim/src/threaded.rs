@@ -11,7 +11,7 @@
 //! group per destination. How a group travels is what a runtime
 //! chooses — a private link. This module's [`run`] moves it through the
 //! destination's in-process channel and charges its messages'
-//! `wire_len`: the control for what framing and the kernel add.
+//! `encoded_len`: the control for what framing and the kernel add.
 //! [`crate::socket::run`] writes it to a loopback TCP stream as one
 //! canonical frame and charges the bytes written.
 //!
@@ -52,7 +52,7 @@ pub struct ThreadedStats {
     /// Per-sender [`Process::on_batch`] deliveries.
     pub batches: u64,
     /// What the link charged for every shipped group: the sum of
-    /// [`Wire::wire_len`](sba_net::Wire::wire_len) for the threaded
+    /// [`Wire::encoded_len`](sba_net::Wire::encoded_len) for the threaded
     /// runtime, real framed transport bytes for the socket runtime.
     pub bytes: u64,
     /// Messages that were sent but never delivered: groups shipped to
@@ -210,7 +210,7 @@ impl<M: SimMsg> Link<M> for ChannelLink<M> {
     const TURNS: bool = true;
 
     fn ship(&mut self, to: Pid, msgs: &mut Vec<M>) -> Result<u64, Gone> {
-        let bytes = msgs.iter().map(|m| m.wire_len() as u64).sum();
+        let bytes = msgs.iter().map(|m| m.encoded_len() as u64).sum();
         self.inboxes[(to.index() - 1) as usize]
             .send((self.me, std::mem::take(msgs)))
             .map_err(|_| Gone)?;

@@ -202,11 +202,6 @@ impl<F: Field> Dmm<F> {
         Some(row(broadcaster)? * self.n + row(poly)?)
     }
 
-    /// The processes currently in `D_i`.
-    pub fn detected(&self) -> impl Iterator<Item = Pid> + '_ {
-        self.d.iter().copied()
-    }
-
     /// Whether `p` is in `D_i`.
     pub fn is_detected(&self, p: Pid) -> bool {
         self.d.contains(&p)
@@ -255,15 +250,6 @@ impl<F: Field> Dmm<F> {
                         .insert(mw, self.epoch);
                 }
             }
-        }
-    }
-
-    /// The `→_i` order: `a` precedes `b` iff this process completed `a`'s
-    /// reconstruct before starting `b`'s share.
-    pub fn precedes(&self, a: SessionKey, b: SessionKey) -> bool {
-        match (self.completed.get(&a), self.started.get(&b)) {
-            (Some(ca), Some(sb)) => ca < sb,
-            _ => false,
         }
     }
 
@@ -522,6 +508,17 @@ mod tests {
         MwId::nested(parent, Pid::new(1), Pid::new(2), Pid::new(1), Pid::new(2))
     }
 
+    impl<F: Field> Dmm<F> {
+        /// The `→_i` order: `a` precedes `b` iff this process completed
+        /// `a`'s reconstruct before starting `b`'s share.
+        fn precedes(&self, a: SessionKey, b: SessionKey) -> bool {
+            match (self.completed.get(&a), self.started.get(&b)) {
+                (Some(ca), Some(sb)) => ca < sb,
+                _ => false,
+            }
+        }
+    }
+
     #[test]
     fn matching_broadcast_clears_expectation() {
         let s = session(1, 1);
@@ -693,7 +690,7 @@ mod tests {
         }
         assert_eq!(dmm.expectation_counts(), (0, 0));
         assert_eq!(dmm.recon_log_len(), 0);
-        assert_eq!(dmm.detected().count(), 0);
+        assert!(dmm.d.is_empty());
     }
 
     /// Registering the same expectation again replaces its value and
@@ -1017,7 +1014,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(
-                    new.detected().collect::<Vec<_>>(),
+                    new.d.iter().copied().collect::<Vec<_>>(),
                     old.detected().collect::<Vec<_>>()
                 );
                 prop_assert_eq!(new.take_new_shuns(), old.take_new_shuns());

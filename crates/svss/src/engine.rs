@@ -96,7 +96,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sba_broadcast::{Params, RbDelivery};
 use sba_field::{Domain, Field};
-use sba_net::{FastMap, Interner, MwId, Pid, ProcessSet, Slot, SlotView, SvssId, Unpacked};
+use sba_net::{FastMap, Interner, MwId, Pid, Slot, SlotView, SvssId, Unpacked};
 
 use crate::rb::SvssRb;
 use crate::{
@@ -259,19 +259,9 @@ impl<F: Field> SvssEngine<F> {
         }
     }
 
-    /// The instance-wide evaluation domain.
-    pub fn domain(&self) -> &Arc<Domain<F>> {
-        &self.domain
-    }
-
     /// This process's id.
     pub fn me(&self) -> Pid {
         self.me
-    }
-
-    /// System parameters.
-    pub fn params(&self) -> Params {
-        self.params
     }
 
     /// Drains accumulated events.
@@ -901,18 +891,13 @@ impl<F: Field> SvssEngine<F> {
             self.rb.close(sends);
         }
     }
-
-    /// Processes this engine currently detects as faulty (`D_i`).
-    pub fn detected(&self) -> ProcessSet {
-        self.dmm.detected().collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sba_field::Gf61;
-    use sba_net::{MwDealBody, RbStep, RbVector};
+    use sba_net::{MwDealBody, ProcessSet, RbStep, RbVector};
 
     /// The hot entry: every MW delivery resolves to one of these, so two
     /// share a 64-byte cache line (the boxed machine itself is pinned by

@@ -45,11 +45,6 @@ impl<F: Field> Reconstructed<F> {
             Reconstructed::Bottom => None,
         }
     }
-
-    /// Whether this is `⊥`.
-    pub fn is_bottom(self) -> bool {
-        matches!(self, Reconstructed::Bottom)
-    }
 }
 
 /// The lying-share attack on one outgoing message: every reconstruct
@@ -145,6 +140,5 @@ mod tests {
             Some(Gf61::from_u64(3))
         );
         assert_eq!(Reconstructed::<Gf61>::Bottom.value(), None);
-        assert!(Reconstructed::<Gf61>::Bottom.is_bottom());
     }
 }

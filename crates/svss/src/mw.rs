@@ -282,11 +282,6 @@ impl<F: Field> Mw<F> {
         self.share_completed
     }
 
-    /// The reconstruct output, if produced.
-    pub fn output(&self) -> Option<Reconstructed<F>> {
-        self.output
-    }
-
     fn quorum(&self) -> usize {
         self.n - self.t
     }
@@ -952,7 +947,7 @@ mod tests {
         );
         // No output, no panic; the point is retained for later.
         assert!(out.is_empty());
-        assert!(m.output().is_none());
+        assert!(m.output.is_none());
     }
 
     /// `Mw` as it was before its state became phase-scoped: every role's
@@ -1764,11 +1759,11 @@ mod tests {
             }
             assert_eq!(new_out, old_out, "outputs differ after step {k}: {step:?}");
             assert_eq!(new.share_completed(), old.share_completed(), "step {k}");
-            assert_eq!(new.output(), old.output(), "step {k}");
+            assert_eq!(new.output, old.output(), "step {k}");
             old_out.clear();
             new_out.clear();
         }
-        (new.share_completed(), new.output().is_some())
+        (new.share_completed(), new.output.is_some())
     }
 
     proptest::proptest! {

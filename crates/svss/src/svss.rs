@@ -153,11 +153,6 @@ impl<F: Field> Svss<F> {
         }
     }
 
-    /// The session id.
-    pub fn id(&self) -> SvssId {
-        self.id
-    }
-
     /// Whether protocol `S` completed at this process.
     pub fn share_completed(&self) -> bool {
         self.share_completed

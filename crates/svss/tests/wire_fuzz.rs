@@ -1,10 +1,12 @@
 //! Wire-format fuzzing for the full flat message surface — SVSS, coin
 //! and agreement votes: random well-formed messages of **every**
 //! `WireKind` round-trip; truncated, foreign-discriminant and
-//! mis-shaped inputs are rejected; random bytes never panic the decoder.
+//! mis-shaped inputs are rejected; random bytes never panic the decoder,
+//! whether handed over as a buffer or read off a transport stream.
 
 use proptest::prelude::*;
 use sba_field::{Field, Gf61};
+use sba_net::tcp::{read_frame, write_frame};
 use sba_net::{
     CodecError, CoinSlot, FramedWire, GsetsBody, Kinded, MwDealBody, MwId, Pid, ProcessSet, RbStep,
     RbVector, Reader, RowsBody, SvssId, SvssPriv, SvssRbValue, SvssSlot, VoteSlot, VoteValue, Wire,
@@ -176,6 +178,20 @@ fn any_msg() -> impl Strategy<Value = SvssMsg<Gf61>> {
 
 /// One deterministic representative per [`WireKind`] — the exhaustiveness
 /// backstop for the proptest strategies above.
+/// One piece of a transport byte stream: a small length prefix, a
+/// well-formed transport frame, or raw bytes.
+fn stream_chunk() -> impl Strategy<Value = Vec<u8>> {
+    prop_oneof![
+        (1u32..64).prop_map(|len| len.to_le_bytes().to_vec()),
+        (pid(), proptest::collection::vec(any_msg(), 0..3)).prop_map(|(from, msgs)| {
+            let mut frame = Vec::new();
+            write_frame(&mut frame, from, &msgs, &mut Vec::new()).unwrap();
+            frame
+        }),
+        proptest::collection::vec(any::<u8>(), 0..16),
+    ]
+}
+
 fn representative(kind: WireKind) -> SvssMsg<Gf61> {
     let mw = MwId::nested(
         SvssId::new(5, Pid::new(1)),
@@ -605,6 +621,22 @@ fn malformed_votes_rejected() {
 
 /// Discriminant bytes outside the kind table are foreign and rejected
 /// with `BadDiscriminant`.
+/// A transport stream that breaks off inside its second frame reads the
+/// first frame whole, then reports the truncation.
+#[test]
+fn stream_truncated_mid_frame_reads_the_whole_frame_first() {
+    let msgs: Vec<SvssMsg<Gf61>> = WireKind::all().take(3).map(representative).collect();
+    let mut stream = Vec::new();
+    write_frame(&mut stream, Pid::new(3), &msgs, &mut Vec::new()).unwrap();
+    let whole = stream.len();
+    stream.extend_from_within(..whole - 1);
+    let mut r = &stream[..];
+    let (from, got) = read_frame::<SvssMsg<Gf61>>(&mut r).unwrap().unwrap();
+    assert_eq!((from, got), (Pid::new(3), msgs));
+    let err = read_frame::<SvssMsg<Gf61>>(&mut r).unwrap_err();
+    assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+}
+
 #[test]
 fn foreign_discriminants_rejected() {
     for b in WIRE_KIND_COUNT..=255 {
@@ -757,6 +789,23 @@ proptest! {
             let mut re = Vec::new();
             sba_net::encode_frame(&got, &mut re);
             prop_assert_eq!(&re[..], &frame[..consumed]);
+        }
+    }
+
+    /// `read_frame` never panics on stream soup (length prefixes,
+    /// transport frames and raw bytes back to back). Each frame it
+    /// accepts consumed at least its 5-byte header, so reading until
+    /// end-of-stream or the first error terminates.
+    #[test]
+    fn stream_reader_never_panics(chunks in proptest::collection::vec(stream_chunk(), 0..8)) {
+        let stream = chunks.concat();
+        let mut r = &stream[..];
+        loop {
+            let before = r.len();
+            match read_frame::<SvssMsg<Gf61>>(&mut r) {
+                Ok(Some(_)) => prop_assert!(before - r.len() >= 5),
+                Ok(None) | Err(_) => break,
+            }
         }
     }
 

@@ -53,6 +53,12 @@ impl Wire for SumMsg {
             }
         }
     }
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            SumMsg::Share(m) => m.encoded_len(),
+            SumMsg::Aba(m) => m.encoded_len(),
+        }
+    }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.byte()? {
             0 => Ok(SumMsg::Share(SvssMsg::decode(r)?)),
