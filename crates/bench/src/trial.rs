@@ -26,7 +26,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use sba::{ClusterReport, PlanCheckpoint, PlanRun, ScenarioPlan, Zoo};
+use sba::{Cluster, ClusterReport, ScenarioPlan, Zoo};
 
 use crate::{parse_snapshot, JsonSink};
 
@@ -56,19 +56,13 @@ impl Trial {
         }
     }
 
-    /// Builds the trial's run (digest enabled, split inputs, timed
-    /// events pending).
-    pub fn plan_run(&self) -> PlanRun {
-        self.plan.build()
-    }
-
     /// Runs the trial to completion.
     pub fn run(&self) -> TrialRun {
-        let mut run = self.plan_run();
-        let report = run.run(self.max_events);
+        let mut cluster = self.plan.build();
+        let (digest, report) = finish(&mut cluster, self.max_events);
         TrialRun {
-            digest: run.cluster().digest().expect("plan runs carry digests"),
-            monitor_ok: run.cluster().monitor_report().map(|m| m.ok()),
+            digest,
+            monitor_ok: cluster.monitor_report().map(|m| m.ok()),
             report,
         }
     }
@@ -326,34 +320,40 @@ impl ForkReport {
     }
 }
 
-fn finish(run: &mut PlanRun, max_events: u64) -> (u64, ClusterReport) {
-    let report = run.run(max_events);
-    let digest = run.cluster().digest().expect("plan runs carry digests");
+fn finish(cluster: &mut Cluster, max_events: u64) -> (u64, ClusterReport) {
+    let report = cluster.run(max_events);
+    let digest = cluster.digest().expect("plan runs carry digests");
     (digest, report)
 }
 
-/// Runs `trial` to (about) `at_events` delivered events, checkpoints,
-/// then: finishes the original run, resumes the checkpoint with the
+/// A divergent continuation of the checkpoint `ck`: a snapshot whose
+/// scheduler stream is re-derived from `seed`.
+fn fork_at(ck: &Cluster, seed: u64) -> Cluster {
+    let mut branch = ck.snapshot();
+    branch.sim_mut().reseed(seed);
+    branch
+}
+
+/// Runs `trial` to (about) `at_events` delivered events, snapshots,
+/// then: finishes the original run, resumes the snapshot with the
 /// original schedule (must reproduce the original digest), and forks one
 /// divergent branch per seed in `seeds`. Plan events that have not fired
 /// by the branch point are carried into every branch.
 pub fn fork(trial: &Trial, at_events: u64, seeds: &[u64]) -> ForkReport {
-    let mut run = trial.plan_run();
+    let mut run = trial.plan.build();
     run.advance_until(at_events, |_| false);
-    let ck = run.checkpoint();
+    let ck = run.snapshot();
     let (digest, report) = finish(&mut run, trial.max_events);
     let original = TrialRun {
         digest,
-        monitor_ok: run.cluster().monitor_report().map(|m| m.ok()),
+        monitor_ok: run.monitor_report().map(|m| m.ok()),
         report,
     };
-    let mut resumed = ck.resume();
-    let (resumed_digest, _) = finish(&mut resumed, trial.max_events);
+    let (resumed_digest, _) = finish(&mut ck.snapshot(), trial.max_events);
     let branches = seeds
         .iter()
         .map(|&seed| {
-            let mut branch = ck.fork(seed);
-            let (digest, report) = finish(&mut branch, trial.max_events);
+            let (digest, report) = finish(&mut fork_at(&ck, seed), trial.max_events);
             BranchOutcome {
                 seed,
                 digest,
@@ -362,7 +362,7 @@ pub fn fork(trial: &Trial, at_events: u64, seeds: &[u64]) -> ForkReport {
         })
         .collect();
     ForkReport {
-        branch_events: ck.events(),
+        branch_events: ck.sim().metrics().events,
         original,
         resumed_digest,
         branches,
@@ -400,6 +400,11 @@ impl CorpusEntry {
     }
 }
 
+/// Events processed up to a checkpoint's branch point.
+fn events(ck: &Cluster) -> u64 {
+    ck.sim().metrics().events
+}
+
 /// The branch decided: terminated, honest decisions exist, and agree.
 fn decided(report: &ClusterReport) -> bool {
     report.terminated && report.all_decided() && report.agreement()
@@ -407,7 +412,7 @@ fn decided(report: &ClusterReport) -> bool {
 
 /// Forks one trial at up to `max_boundaries` round boundaries under
 /// every seed in `seeds`, with the invariant monitor riding every
-/// branch. Round boundaries are discovered live (a checkpoint is taken
+/// branch. Round boundaries are discovered live (a snapshot is taken
 /// as each voting round is first entered); if the run has fewer than
 /// three, quarter-points of the run's event count fill in — every entry
 /// gets at least three branch points (unless the run is shorter than
@@ -415,12 +420,12 @@ fn decided(report: &ClusterReport) -> bool {
 pub fn fork_corpus_trial(trial: &Trial, seeds: &[u64], max_boundaries: usize) -> CorpusEntry {
     let mut plan = trial.plan.clone();
     plan.monitor = true;
-    // Pass 1: run to completion, checkpointing at each round entry.
+    // Pass 1: run to completion, snapshotting at each round entry.
     let mut run = plan.build();
-    let mut cks: Vec<(u64, PlanCheckpoint)> = Vec::new();
+    let mut cks: Vec<Cluster> = Vec::new();
     let mut round = 1u32;
     while cks.len() < max_boundaries && run.advance_to_round(round, trial.max_events) {
-        cks.push((run.cluster().sim().metrics().events, run.checkpoint()));
+        cks.push(run.snapshot());
         round += 1;
     }
     let (original_digest, original_report) = finish(&mut run, trial.max_events);
@@ -428,33 +433,31 @@ pub fn fork_corpus_trial(trial: &Trial, seeds: &[u64], max_boundaries: usize) ->
     let total = original_report.metrics.events;
     // Pass 2 (only if rounds were scarce): quarter-point supplements
     // from an identical fresh run — same plan, same seed, so its
-    // checkpoints resume onto the same digest.
+    // snapshots resume onto the same digest.
     let mut quarter = 1u64;
     while cks.len() < max_boundaries.min(3) && quarter <= 3 {
         let target = total * quarter / 4;
         quarter += 1;
-        if target == 0 || cks.iter().any(|(e, _)| *e == target) {
+        if target == 0 || cks.iter().any(|ck| events(ck) == target) {
             continue;
         }
         let mut fresh = plan.build();
         if fresh.advance_until(trial.max_events, |s| s.metrics().events >= target) {
-            cks.push((fresh.cluster().sim().metrics().events, fresh.checkpoint()));
+            cks.push(fresh);
         }
     }
-    cks.sort_by_key(|(e, _)| *e);
+    cks.sort_by_key(events);
     let mut resumes_faithful = 0;
     let mut branches_run = 0;
     let mut branches_decided = 0;
-    for (_, ck) in &cks {
-        let mut resumed = ck.resume();
-        let (digest, report) = finish(&mut resumed, trial.max_events);
+    for ck in &cks {
+        let (digest, report) = finish(&mut ck.snapshot(), trial.max_events);
         if digest == original_digest {
             resumes_faithful += 1;
         }
         violations += report.metrics.monitor_violations;
         for &seed in seeds {
-            let mut branch = ck.fork(seed);
-            let (_, report) = finish(&mut branch, trial.max_events);
+            let (_, report) = finish(&mut fork_at(ck, seed), trial.max_events);
             branches_run += 1;
             if decided(&report) {
                 branches_decided += 1;
@@ -465,7 +468,7 @@ pub fn fork_corpus_trial(trial: &Trial, seeds: &[u64], max_boundaries: usize) ->
     CorpusEntry {
         artifact: trial.artifact_name(),
         scenario: trial.plan.name.clone(),
-        boundaries: cks.into_iter().map(|(e, _)| e).collect(),
+        boundaries: cks.iter().map(events).collect(),
         resumes_faithful,
         branches_run,
         branches_decided,

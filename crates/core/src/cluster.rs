@@ -9,7 +9,7 @@ use sba_sim::{
 };
 
 use crate::adversary;
-use crate::scenario::Role;
+use crate::scenario::{Action, PlanEvent, Role, Trigger};
 
 /// The cluster's wire message type (the full stack over `GF(2^61−1)`).
 pub type Msg = AbaMsg<Gf61>;
@@ -134,7 +134,7 @@ impl ClusterConfig {
 /// One process of the cluster: honest, or one of the fault models.
 ///
 /// `Clone` deep-copies the whole protocol state (engines, RNG streams,
-/// tamper closures), which is what makes a [`Cluster`] checkpointable.
+/// tamper closures), which is what [`Cluster::snapshot`] copies.
 #[derive(Clone)]
 pub enum ClusterProcess {
     /// Runs the full honest protocol.
@@ -290,15 +290,27 @@ impl ClusterReport {
 
     /// Whether all honest decisions agree.
     pub fn agreement(&self) -> bool {
-        let mut vals = self.decisions.iter().flatten();
-        let Some(first) = vals.next() else {
-            return true;
-        };
-        vals.all(|v| v == first)
+        agreement(&self.decisions)
     }
 }
 
+/// Whether the decided entries of `decisions` all agree (vacuously true
+/// when none decided).
+pub(crate) fn agreement(decisions: &[Option<bool>]) -> bool {
+    let mut vals = decisions.iter().flatten();
+    let Some(first) = vals.next() else {
+        return true;
+    };
+    vals.all(|v| v == first)
+}
+
 /// A simulated cluster running one agreement instance.
+///
+/// A cluster built from a [`ScenarioPlan`](crate::ScenarioPlan) also
+/// carries the plan's unfired timed events ([`PlanEvent`]);
+/// [`Cluster::run`] and [`Cluster::advance_until`] fire them as their
+/// triggers come due. A cluster built by [`Cluster::new`] or
+/// [`Cluster::with_scheduler`] has none.
 ///
 /// See the crate-level docs for a quickstart; `examples/` for richer
 /// scenarios.
@@ -309,6 +321,8 @@ pub struct Cluster {
     /// reference, and the basis for rebuilding a corrupted process).
     inputs: Vec<Option<bool>>,
     monitor: Option<crate::monitor::InvariantMonitor>,
+    /// The plan's timed events that have not fired yet.
+    pub(crate) pending: Vec<PlanEvent>,
 }
 
 impl Cluster {
@@ -345,6 +359,7 @@ impl Cluster {
             honest,
             inputs: inputs.to_vec(),
             monitor: None,
+            pending: Vec::new(),
         }
     }
 
@@ -397,17 +412,15 @@ impl Cluster {
 
     /// Corrupts process `p` **mid-run** with `role`, keeping its
     /// accumulated protocol state: an *adaptive* adversary that picks
-    /// its victim after watching the run (the timed `Corrupt` action of
-    /// a [`ScenarioPlan`](crate::ScenarioPlan)). The process drops out
-    /// of the honest set from this event on; the invariant monitor (if
-    /// enabled) sees the change on the next delivery.
-    ///
-    /// # Panics
+    /// its victim after watching the run (the timed [`Action::Corrupt`]).
+    /// The process drops out of the honest set from this event on; the
+    /// invariant monitor (if enabled) sees the change on the next
+    /// delivery.
     ///
     /// Panics if `role` is [`Role::Honest`], or if `p` is not currently
     /// honest (corrupting a corrupted process has no sensible semantics
-    /// — use [`Cluster::crash`] to re-crash a crash-recover process).
-    pub fn corrupt(&mut self, p: Pid, role: Role) {
+    /// — [`Cluster::crash`] re-crashes a crash-recover process).
+    fn corrupt(&mut self, p: Pid, role: Role) {
         assert!(role != Role::Honest, "Corrupt requires a non-honest role");
         let slot = self.sim.process_mut(p);
         assert!(
@@ -426,18 +439,17 @@ impl Cluster {
         }
     }
 
-    /// Crashes process `p` **now**: fail-stop with `down_for = None`, or
-    /// down for the next `d` deliveries then recovered (backlog replay)
-    /// with `Some(d)`. Unlike [`Cluster::corrupt`] this also applies to
-    /// a process already carrying a crash fault — re-crashing a process
-    /// *during its recovery window* extends the outage (the
-    /// "crash-during-recovery" compound scenario).
-    ///
-    /// # Panics
+    /// Crashes process `p` **now** (the timed [`Action::Crash`]):
+    /// fail-stop with `down_for = None`, or down for the next `d`
+    /// deliveries then recovered (backlog replay) with `Some(d)`. Unlike
+    /// [`Cluster::corrupt`] this also applies to a process already
+    /// carrying a crash fault — re-crashing a process *during its
+    /// recovery window* extends the outage (the "crash-during-recovery"
+    /// compound scenario).
     ///
     /// Panics if `p` is silent or Byzantine, or if `down_for` is
     /// `Some(0)`.
-    pub fn crash(&mut self, p: Pid, down_for: Option<u64>) {
+    fn crash(&mut self, p: Pid, down_for: Option<u64>) {
         let slot = self.sim.process_mut(p);
         let taken = std::mem::replace(slot, ClusterProcess::Silent(SilentProcess));
         *self.sim.process_mut(p) = match taken {
@@ -473,32 +485,138 @@ impl Cluster {
         }
     }
 
-    /// Freezes the full cluster state — every engine, RNG stream, the
-    /// in-flight queue, the scheduler — as a reusable checkpoint.
+    /// A deep copy of the whole cluster — every engine, RNG stream, the
+    /// in-flight queue, the scheduler, the unfired plan events — through
+    /// [`Simulation::snapshot`]. A monitored copy gets its own
+    /// [`InvariantMonitor::deep_clone`](crate::monitor::InvariantMonitor::deep_clone)
+    /// of the branch-point state, so the original and every copy observe
+    /// their futures independently (a shared live monitor would misread
+    /// a branch's re-observations as the original run rewinding).
+    ///
+    /// A snapshot nobody steps is a checkpoint: running a further
+    /// snapshot of it reproduces the original tail bit-identically, and
+    /// a further snapshot followed by [`Simulation::reseed`] (through
+    /// [`Cluster::sim_mut`]) forks a divergent schedule from the same
+    /// protocol state.
     ///
     /// # Panics
     ///
-    /// Panics if the scheduler does not support checkpointing (every
-    /// [`SchedLayer`](sba_sim::SchedLayer) stack does; a custom
+    /// Panics if the scheduler cannot be copied (every
+    /// [`SchedLayer`](sba_sim::SchedLayer) stack can; a custom
     /// [`Scheduler`] need not).
-    pub fn checkpoint(&self) -> ClusterCheckpoint {
-        ClusterCheckpoint {
-            sim: self.sim.checkpoint(),
+    pub fn snapshot(&self) -> Cluster {
+        let mut sim = self.sim.snapshot();
+        let monitor = self
+            .monitor
+            .as_ref()
+            .map(crate::monitor::InvariantMonitor::deep_clone);
+        if let Some(m) = &monitor {
+            sim.replace_observer(Box::new(m.clone()));
+        }
+        Cluster {
+            sim,
             honest: self.honest.clone(),
             inputs: self.inputs.clone(),
-            // Deep-cloned so the original run's later observations never
-            // leak into the frozen state branches start from.
-            monitor: self
-                .monitor
-                .as_ref()
-                .map(crate::monitor::InvariantMonitor::deep_clone),
+            monitor,
+            pending: self.pending.clone(),
         }
     }
 
+    fn trigger_ready(sim: &Simulation<Msg, ClusterProcess>, at: &Trigger) -> bool {
+        match at {
+            Trigger::AtTime(ts) => sim.metrics().virtual_time >= *ts,
+            Trigger::AtDelivery(k) => sim.metrics().messages_delivered >= *k,
+            Trigger::AtRound(r) => Self::round_reached(sim, *r),
+        }
+    }
+
+    fn round_reached(sim: &Simulation<Msg, ClusterProcess>, round: u32) -> bool {
+        sim.processes()
+            .any(|p| p.is_honest() && p.node().is_some_and(|node| node.current_round(0) >= round))
+    }
+
+    /// Fires every pending event whose trigger currently holds; returns
+    /// how many fired.
+    fn apply_due(&mut self) -> usize {
+        let mut applied = 0;
+        let mut i = 0;
+        while i < self.pending.len() {
+            if Self::trigger_ready(&self.sim, &self.pending[i].at) {
+                let ev = self.pending.remove(i);
+                applied += 1;
+                match ev.action {
+                    Action::HealPartitions => self.sim.heal_partitions(),
+                    Action::Corrupt { p, role } => self.corrupt(p, role),
+                    Action::Crash { p, down_for } => self.crash(p, down_for),
+                }
+            } else {
+                i += 1;
+            }
+        }
+        applied
+    }
+
+    /// Advances until `stop` holds, the event budget is exhausted, all
+    /// honest processes halt, or the simulation quiesces — firing due
+    /// plan events along the way. Returns whether `stop` held on
+    /// return. (This is the fork-corpus harness's stepping primitive:
+    /// it can stop at a round boundary or an event count without losing
+    /// pending plan events.)
+    ///
+    /// Never advances *past* honest termination: once every honest
+    /// process halts, stepping on would deliver post-decision traffic
+    /// that [`Cluster::run`] (and hence the recorded digests) never
+    /// sees, so a still-unmet `stop` returns `false` there instead.
+    pub fn advance_until(
+        &mut self,
+        max_events: u64,
+        mut stop: impl FnMut(&Simulation<Msg, ClusterProcess>) -> bool,
+    ) -> bool {
+        let start = self.sim.metrics().events;
+        loop {
+            self.apply_due();
+            if stop(&self.sim) {
+                return true;
+            }
+            let used = self.sim.metrics().events - start;
+            let Some(left) = max_events.checked_sub(used).filter(|&l| l > 0) else {
+                return false;
+            };
+            let pending = std::mem::take(&mut self.pending);
+            let hit = self.sim.run_until(left, |sim| {
+                sim.all_done()
+                    || stop(sim)
+                    || pending.iter().any(|e| Self::trigger_ready(sim, &e.at))
+            });
+            self.pending = pending;
+            let applied = self.apply_due();
+            if stop(&self.sim) {
+                return true;
+            }
+            if !hit || applied == 0 {
+                // Budget exhausted, quiescent, or no forward progress.
+                return false;
+            }
+        }
+    }
+
+    /// Advances until any honest process has entered voting round
+    /// `round` (the [`Trigger::AtRound`] condition); returns whether
+    /// that happened within the budget. The fork-corpus harness uses
+    /// this to discover and snapshot round boundaries.
+    pub fn advance_to_round(&mut self, round: u32, max_events: u64) -> bool {
+        self.advance_until(max_events, |sim| Self::round_reached(sim, round))
+    }
+
     /// Runs until all honest processes halt (or the event budget runs
-    /// out) and reports.
+    /// out), firing due plan events along the way, and reports. A
+    /// cluster with no pending events steps exactly as
+    /// [`Simulation::run_until_all_done`] would.
     pub fn run(&mut self, max_events: u64) -> ClusterReport {
-        let outcome = self.sim.run_until_all_done(max_events);
+        let start = self.sim.metrics().events;
+        self.advance_until(max_events, Simulation::all_done);
+        let used = self.sim.metrics().events - start;
+        let outcome = self.sim.run_until_all_done(max_events.saturating_sub(used));
         let n = self.sim.n();
         let mut decisions = vec![None; n];
         let mut rounds = vec![None; n];
@@ -536,62 +654,6 @@ impl Cluster {
             metrics,
             shun_pairs,
         }
-    }
-}
-
-/// A frozen mid-run [`Cluster`], from [`Cluster::checkpoint`]. Reusable:
-/// each [`ClusterCheckpoint::resume`] / [`ClusterCheckpoint::fork`]
-/// yields an independent continuation of the same branch point.
-pub struct ClusterCheckpoint {
-    sim: sba_sim::SimCheckpoint<Msg, ClusterProcess>,
-    honest: Vec<Pid>,
-    inputs: Vec<Option<bool>>,
-    /// The monitor's state frozen at the branch point; every resumed /
-    /// forked branch gets its own
-    /// [`deep_clone`](crate::monitor::InvariantMonitor::deep_clone) of
-    /// it, so branches observe their divergent futures independently
-    /// (a shared live monitor would misread a branch's re-observations
-    /// as the original run rewinding).
-    monitor: Option<crate::monitor::InvariantMonitor>,
-}
-
-impl ClusterCheckpoint {
-    /// Continues with the original scheduler stream: the tail is
-    /// bit-identical to the run the checkpoint was taken from.
-    pub fn resume(&self) -> Cluster {
-        self.branch(self.sim.resume())
-    }
-
-    /// Continues with a scheduler stream re-derived from `seed`: same
-    /// protocol state at the branch point, divergent schedule after it
-    /// ("round 3, coin revealed, partition heals" counterfactuals).
-    pub fn fork(&self, seed: u64) -> Cluster {
-        self.branch(self.sim.fork(seed))
-    }
-
-    /// Wires one branch: its monitor is an isolated copy of the
-    /// branch-point state, re-installed as the simulation's observer
-    /// (the checkpointed observer inside `sim` shares state with other
-    /// branches — see [`Observer::clone_box`](sba_sim::Observer)).
-    fn branch(&self, mut sim: Simulation<Msg, ClusterProcess>) -> Cluster {
-        let monitor = self
-            .monitor
-            .as_ref()
-            .map(crate::monitor::InvariantMonitor::deep_clone);
-        if let Some(m) = &monitor {
-            sim.replace_observer(Box::new(m.clone()));
-        }
-        Cluster {
-            sim,
-            honest: self.honest.clone(),
-            inputs: self.inputs.clone(),
-            monitor,
-        }
-    }
-
-    /// Events processed up to the branch point.
-    pub fn events(&self) -> u64 {
-        self.sim.events()
     }
 }
 

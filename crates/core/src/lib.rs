@@ -71,10 +71,7 @@ pub mod monitor;
 pub mod scenario;
 pub mod threaded;
 
-pub use cluster::{Cluster, ClusterCheckpoint, ClusterConfig, ClusterProcess, ClusterReport};
+pub use cluster::{Cluster, ClusterConfig, ClusterProcess, ClusterReport};
 pub use monitor::{InvariantMonitor, MonitorReport, MonitorViolation};
-pub use scenario::{
-    Action, PlanCheckpoint, PlanCoin, PlanEvent, PlanRun, Role, ScenarioPlan, SchedLayer, Trigger,
-    Zoo,
-};
+pub use scenario::{Action, PlanCoin, PlanEvent, Role, ScenarioPlan, SchedLayer, Trigger, Zoo};
 pub use threaded::{run_plan, RuntimeKind, RuntimeReport, WatchedProcess};

@@ -263,12 +263,13 @@ impl MonitorCore {
 /// observer.
 ///
 /// `Clone` shares the underlying report — that is how the cluster's
-/// handle and the simulation's observer stay one monitor. Checkpointed
-/// / forked branches instead get [`InvariantMonitor::deep_clone`]d
-/// monitors: each branch re-observes from the branch point against its
-/// own copy of the monitor's caches (decision table, event-log
-/// cursors), because sharing the live core would make a branch's
-/// re-observations look like rewinds of the original run.
+/// handle and the simulation's observer stay one monitor. A
+/// [`Cluster::snapshot`](crate::Cluster::snapshot) instead gets an
+/// [`InvariantMonitor::deep_clone`]d monitor: each branch re-observes
+/// from the branch point against its own copy of the monitor's caches
+/// (decision table, event-log cursors), because sharing the live core
+/// would make a branch's re-observations look like rewinds of the
+/// original run.
 #[derive(Clone)]
 pub struct InvariantMonitor {
     core: Arc<Mutex<MonitorCore>>,
@@ -306,9 +307,10 @@ impl InvariantMonitor {
 
     /// An *independent* monitor frozen at this one's current state —
     /// unlike `Clone`, later observations on either side do not leak to
-    /// the other. This is the checkpoint/fork isolation primitive: each
-    /// resumed or forked branch monitors its own future against the
-    /// state the caches had at the branch point.
+    /// the other. This is what isolates the copies
+    /// [`Cluster::snapshot`](crate::Cluster::snapshot) makes: each one
+    /// monitors its own future against the state the caches had at the
+    /// branch point.
     #[must_use]
     pub fn deep_clone(&self) -> Self {
         let core = self.core.lock().expect("monitor lock poisoned");

@@ -13,12 +13,14 @@
 //!   so layers only ever *add* adversarial power);
 //! - **timed events** ([`PlanEvent`]) — "heal the partitions at delivery
 //!   200 000", "corrupt p3 when round 2 starts", "crash p4 again while
-//!   it is still recovering" — fired mid-run by [`PlanRun`];
+//!   it is still recovering" — which the built [`Cluster`] carries and
+//!   fires mid-run ([`Cluster::run`]);
 //! - the **coin construction** ([`PlanCoin`]) and whether the
 //!   [invariant monitor](crate::monitor) rides along.
 //!
 //! A new adversary is one enum row: a [`Role`] row (with its arm in
-//! [`ClusterProcess::with_role`]) or a [`SchedLayer`] row.
+//! [`ClusterProcess::with_role`](crate::ClusterProcess::with_role)) or a
+//! [`SchedLayer`] row.
 //!
 //! Plans serialize to the flat numeric key/value form the bench trial
 //! artifacts use ([`ScenarioPlan::to_kv`] / [`ScenarioPlan::from_kv`]),
@@ -33,10 +35,8 @@
 
 use sba_net::{Pid, MAX_N};
 pub use sba_sim::SchedLayer;
-use sba_sim::Simulation;
 
-use crate::cluster::{ClusterProcess, Msg};
-use crate::{Cluster, ClusterCheckpoint, ClusterConfig, ClusterReport, CoinMode, OracleCoin};
+use crate::{Cluster, ClusterConfig, CoinMode, OracleCoin};
 
 /// Serialization format version for [`ScenarioPlan::to_kv`].
 const PLAN_VERSION: u64 = 1;
@@ -149,21 +149,24 @@ pub enum Trigger {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Action {
     /// Heals every partition layer in the scheduler stack *now*
-    /// ([`Simulation::heal_partitions`]): future sends flow freely;
-    /// already-held messages keep their scheduled drain times.
+    /// ([`Simulation::heal_partitions`](sba_sim::Simulation::heal_partitions)):
+    /// future sends flow freely; already-held messages keep their
+    /// scheduled drain times.
     HealPartitions,
     /// Corrupts a currently-honest process mid-run, keeping its protocol
-    /// state ([`Cluster::corrupt`]). The role must be non-honest.
+    /// state: an adaptive adversary that picks its victim after watching
+    /// the run. The victim leaves the honest set (a crash-recover role
+    /// keeps it there). The role must be non-honest.
     Corrupt {
         /// The victim.
         p: Pid,
         /// Its behaviour from now on.
         role: Role,
     },
-    /// Crashes a process *now* ([`Cluster::crash`]): fail-stop with
-    /// `None`, or down for `Some(d)` deliveries then recovered. Applies
-    /// to crash-recover processes too — re-crashing one mid-recovery
-    /// extends the outage.
+    /// Crashes a process *now*: fail-stop with `None`, or down for
+    /// `Some(d)` deliveries then recovered. Applies to crash-recover
+    /// processes too — re-crashing one mid-recovery extends the outage.
+    /// A silent or Byzantine victim panics the run.
     Crash {
         /// The victim.
         p: Pid,
@@ -304,13 +307,14 @@ impl ScenarioPlan {
         Ok(())
     }
 
-    /// Builds the plan's cluster with the canonical split-input vector
-    /// and wraps it in a [`PlanRun`] that fires the timed events.
+    /// Builds the plan's cluster with the canonical split-input vector;
+    /// the cluster carries the plan's timed events and fires them as it
+    /// runs.
     ///
     /// # Panics
     ///
     /// Panics if [`ScenarioPlan::check`] rejects the plan.
-    pub fn build(&self) -> PlanRun {
+    pub fn build(&self) -> Cluster {
         let inputs: Vec<Option<bool>> = (0..self.n).map(|i| Some(i % 2 == 0)).collect();
         self.build_with_inputs(&inputs)
     }
@@ -343,7 +347,7 @@ impl ScenarioPlan {
     /// # Panics
     ///
     /// Same conditions as [`ScenarioPlan::build`].
-    pub fn build_with_inputs(&self, inputs: &[Option<bool>]) -> PlanRun {
+    pub fn build_with_inputs(&self, inputs: &[Option<bool>]) -> Cluster {
         if let Err(e) = self.check() {
             panic!("plan {}: {e}", self.name);
         }
@@ -353,10 +357,8 @@ impl ScenarioPlan {
         if self.monitor {
             cluster.enable_monitor();
         }
-        PlanRun {
-            cluster,
-            pending: self.events.clone(),
-        }
+        cluster.pending = self.events.clone();
+        cluster
     }
 
     /// Serializes the plan (minus its name) as flat `plan.*` key/value
@@ -648,177 +650,6 @@ fn pid(index: u64) -> Result<Pid, String> {
     }
 }
 
-/// A built [`ScenarioPlan`]: the cluster plus the not-yet-fired timed
-/// events. Driving the run through [`PlanRun::run`] (instead of
-/// [`Cluster::run`]) is what makes the plan's [`PlanEvent`]s fire.
-pub struct PlanRun {
-    cluster: Cluster,
-    pending: Vec<PlanEvent>,
-}
-
-impl PlanRun {
-    /// The underlying cluster.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    /// Unwraps the cluster.
-    ///
-    /// # Panics
-    ///
-    /// Panics if timed events are still pending (they would silently
-    /// never fire under [`Cluster::run`]).
-    pub fn into_cluster(self) -> Cluster {
-        assert!(
-            self.pending.is_empty(),
-            "into_cluster would drop pending plan events"
-        );
-        self.cluster
-    }
-
-    fn trigger_ready(sim: &Simulation<Msg, ClusterProcess>, at: &Trigger) -> bool {
-        match at {
-            Trigger::AtTime(ts) => sim.metrics().virtual_time >= *ts,
-            Trigger::AtDelivery(k) => sim.metrics().messages_delivered >= *k,
-            Trigger::AtRound(r) => Self::round_reached(sim, *r),
-        }
-    }
-
-    fn round_reached(sim: &Simulation<Msg, ClusterProcess>, round: u32) -> bool {
-        sim.processes()
-            .any(|p| p.is_honest() && p.node().is_some_and(|node| node.current_round(0) >= round))
-    }
-
-    /// Fires every pending event whose trigger currently holds; returns
-    /// how many fired.
-    fn apply_due(&mut self) -> usize {
-        let mut applied = 0;
-        let mut i = 0;
-        while i < self.pending.len() {
-            if Self::trigger_ready(self.cluster.sim(), &self.pending[i].at) {
-                let ev = self.pending.remove(i);
-                applied += 1;
-                match ev.action {
-                    Action::HealPartitions => self.cluster.sim_mut().heal_partitions(),
-                    Action::Corrupt { p, role } => self.cluster.corrupt(p, role),
-                    Action::Crash { p, down_for } => self.cluster.crash(p, down_for),
-                }
-            } else {
-                i += 1;
-            }
-        }
-        applied
-    }
-
-    /// Advances until `stop` holds, the event budget is exhausted, all
-    /// honest processes halt, or the simulation quiesces — firing due
-    /// plan events along the way. Returns whether `stop` held on
-    /// return. (This is the fork-corpus harness's stepping primitive:
-    /// it can stop at a round boundary or an event count without losing
-    /// pending plan events.)
-    ///
-    /// Never advances *past* honest termination: once every honest
-    /// process halts, stepping on would deliver post-decision traffic
-    /// that [`Cluster::run`] (and hence the recorded digests) never
-    /// sees, so a still-unmet `stop` returns `false` there instead.
-    pub fn advance_until(
-        &mut self,
-        max_events: u64,
-        mut stop: impl FnMut(&Simulation<Msg, ClusterProcess>) -> bool,
-    ) -> bool {
-        let start = self.cluster.sim().metrics().events;
-        loop {
-            self.apply_due();
-            if stop(self.cluster.sim()) {
-                return true;
-            }
-            let used = self.cluster.sim().metrics().events - start;
-            let Some(left) = max_events.checked_sub(used).filter(|&l| l > 0) else {
-                return false;
-            };
-            let pending = std::mem::take(&mut self.pending);
-            let hit = self.cluster.sim_mut().run_until(left, |sim| {
-                sim.all_done()
-                    || stop(sim)
-                    || pending.iter().any(|e| Self::trigger_ready(sim, &e.at))
-            });
-            self.pending = pending;
-            let applied = self.apply_due();
-            if stop(self.cluster.sim()) {
-                return true;
-            }
-            if !hit || applied == 0 {
-                // Budget exhausted, quiescent, or no forward progress.
-                return false;
-            }
-        }
-    }
-
-    /// Advances until any honest process has entered voting round
-    /// `round` (the [`Trigger::AtRound`] condition); returns whether
-    /// that happened within the budget. The fork-corpus harness uses
-    /// this to discover and checkpoint round boundaries.
-    pub fn advance_to_round(&mut self, round: u32, max_events: u64) -> bool {
-        self.advance_until(max_events, |sim| Self::round_reached(sim, round))
-    }
-
-    /// Runs until all honest processes halt (or the budget runs out),
-    /// firing due plan events along the way, and reports — the
-    /// plan-aware counterpart of [`Cluster::run`]. With no pending
-    /// events this consumes exactly the same event sequence.
-    pub fn run(&mut self, max_events: u64) -> ClusterReport {
-        let start = self.cluster.sim().metrics().events;
-        self.advance_until(max_events, Simulation::all_done);
-        let used = self.cluster.sim().metrics().events - start;
-        self.cluster.run(max_events.saturating_sub(used))
-    }
-
-    /// Freezes the run — cluster state *and* unfired events.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Cluster::checkpoint`].
-    pub fn checkpoint(&self) -> PlanCheckpoint {
-        PlanCheckpoint {
-            cluster: self.cluster.checkpoint(),
-            pending: self.pending.clone(),
-        }
-    }
-}
-
-/// A frozen mid-run [`PlanRun`], from [`PlanRun::checkpoint`]. Like
-/// [`ClusterCheckpoint`] but carrying the plan's unfired events, so
-/// resumed and forked branches keep firing them.
-pub struct PlanCheckpoint {
-    cluster: ClusterCheckpoint,
-    pending: Vec<PlanEvent>,
-}
-
-impl PlanCheckpoint {
-    /// Continues with the original scheduler stream (bit-identical
-    /// tail).
-    pub fn resume(&self) -> PlanRun {
-        PlanRun {
-            cluster: self.cluster.resume(),
-            pending: self.pending.clone(),
-        }
-    }
-
-    /// Continues with a schedule re-derived from `seed` (same protocol
-    /// state, divergent future).
-    pub fn fork(&self, seed: u64) -> PlanRun {
-        PlanRun {
-            cluster: self.cluster.fork(seed),
-            pending: self.pending.clone(),
-        }
-    }
-
-    /// Events processed up to the branch point.
-    pub fn events(&self) -> u64 {
-        self.cluster.events()
-    }
-}
-
 /// The named adversarial scenarios: each entry is a canned
 /// [`ScenarioPlan`] ([`Zoo::plan`]), recorded and replayed like any
 /// other plan.
@@ -939,7 +770,7 @@ mod tests {
 
     #[test]
     fn zoo_clusters_have_digests() {
-        let mut c = Zoo::Benign.plan(4, 1, 3).build().into_cluster();
+        let mut c = Zoo::Benign.plan(4, 1, 3).build();
         assert!(c.digest().is_some());
         c.sim_mut().run_to_quiescence(10);
         assert_ne!(c.digest(), Some(0xcbf2_9ce4_8422_2325), "digest folds");
@@ -1031,22 +862,11 @@ mod tests {
                 down_for: None,
             },
         });
-        let mut run = plan.build();
-        let report = run.run(60_000_000);
+        let mut cluster = plan.build();
+        let report = cluster.run(60_000_000);
         assert!(report.terminated, "three honest processes still decide");
-        assert!(run.pending.is_empty(), "the event fired");
+        assert!(cluster.pending.is_empty(), "the event fired");
         assert_eq!(report.decisions[3], None, "p4 is no longer honest");
         assert!(report.agreement());
-    }
-
-    #[test]
-    #[should_panic(expected = "pending plan events")]
-    fn into_cluster_rejects_pending_events() {
-        let mut plan = ScenarioPlan::new("pending", 4, 1, 7);
-        plan.events.push(PlanEvent {
-            at: Trigger::AtTime(10),
-            action: Action::HealPartitions,
-        });
-        let _ = plan.build().into_cluster();
     }
 }

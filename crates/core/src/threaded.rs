@@ -139,11 +139,7 @@ impl RuntimeReport {
 
     /// Whether all honest decisions agree (vacuously true with none).
     pub fn agreement(&self) -> bool {
-        let mut vals = self.decisions.iter().flatten();
-        let Some(first) = vals.next() else {
-            return true;
-        };
-        vals.all(|v| v == first)
+        crate::cluster::agreement(&self.decisions)
     }
 
     /// Whether the checker saw no violation for the whole run.

@@ -55,10 +55,11 @@ pub trait Scheduler<M>: Send {
         LinkStats::default()
     }
 
-    /// A deep copy of this scheduler for checkpointing, or `None` if the
-    /// strategy cannot be cloned (the default, for custom impls). Every
-    /// [`SchedLayer`] supports it; a simulation whose scheduler returns
-    /// `None` cannot be checkpointed.
+    /// A deep copy of this scheduler for
+    /// [`Simulation::snapshot`](crate::Simulation::snapshot), or `None`
+    /// if the strategy cannot be cloned (the default, for custom impls).
+    /// Every [`SchedLayer`] supports it; a simulation whose scheduler
+    /// returns `None` cannot be snapshotted.
     fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
         None
     }

@@ -52,7 +52,6 @@
 //! ```
 
 mod adversary;
-mod checkpoint;
 mod metrics;
 mod observer;
 mod process;
@@ -62,7 +61,6 @@ mod tamper;
 pub mod threaded;
 
 pub use adversary::{schedulers, CrashProcess, LinkStats, SchedLayer, Scheduler, SilentProcess};
-pub use checkpoint::{Checkpoint, SimCheckpoint};
 pub use metrics::Metrics;
 pub use observer::{Observer, ObserverStats};
 pub use process::{Process, SimMsg};

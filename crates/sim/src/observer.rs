@@ -34,12 +34,13 @@ pub trait Observer<P>: Send {
     /// of events delivered so far (including this one).
     fn after_event(&mut self, now: u64, events: u64, procs: &[P]) -> ObserverStats;
 
-    /// A deep copy for checkpointing, or `None` if the observer cannot
-    /// be cloned; a simulation whose observer returns `None` cannot be
-    /// checkpointed. Observers that aggregate into shared state may
-    /// return a handle-sharing clone (checkpointed branches then append
-    /// to the same report — useful for fork corpora, but callers should
-    /// read the report per branch if they need isolation).
+    /// A copy for [`Simulation::snapshot`](crate::Simulation::snapshot),
+    /// or `None` if the observer cannot be cloned; a simulation whose
+    /// observer returns `None` cannot be snapshotted. Observers that
+    /// aggregate into shared state may return a handle-sharing clone
+    /// (snapshots then append to the same report); a layer that needs
+    /// isolated branches installs its own copy through
+    /// [`Simulation::replace_observer`](crate::Simulation::replace_observer).
     fn clone_box(&self) -> Option<Box<dyn Observer<P>>> {
         None
     }

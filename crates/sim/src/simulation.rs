@@ -142,7 +142,7 @@ struct PoppedBatch {
 /// popped, in ascending `seq`).
 ///
 /// `Clone` deep-copies the ring and the overflow heap — the queue half of
-/// a [`SimCheckpoint`](crate::SimCheckpoint) snapshot.
+/// a [`Simulation::snapshot`].
 #[derive(Clone)]
 struct EventQueue<M> {
     /// `ring[i]` holds the batches due at tick `cursor + i`; its length
@@ -463,13 +463,13 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
         self.observer = Some(observer);
     }
 
-    /// Swaps the observer mid-run. This exists for checkpoint resume:
-    /// a resumed simulation carries the checkpointed observer, and the
-    /// resuming layer may replace it with an isolated copy whose state
-    /// matches the branch point (see
-    /// [`Observer::clone_box`](crate::Observer::clone_box), which may
-    /// share state). Fresh runs should use [`Simulation::set_observer`],
-    /// which insists the observer sees every event.
+    /// Swaps the observer mid-run. This exists for snapshots: a
+    /// [`Simulation::snapshot`] carries the original's observer as
+    /// [`Observer::clone_box`](crate::Observer::clone_box) copied it
+    /// (which may share state), and the layer that took the snapshot may
+    /// replace it with an isolated copy whose state matches the branch
+    /// point. Fresh runs should use [`Simulation::set_observer`], which
+    /// insists the observer sees every event.
     pub fn replace_observer(&mut self, observer: Box<dyn Observer<P>>) {
         self.observer = Some(observer);
     }
@@ -811,34 +811,56 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
     /// Replaces the scheduler RNG with a fresh stream derived from
     /// `seed`: the divergence point of a forked run. The extra constant
     /// keeps a fork's stream distinct from a fresh run's even when the
-    /// same seed value is reused.
-    pub(crate) fn reseed(&mut self, seed: u64) {
+    /// same seed value is reused. Process-internal RNG streams continue
+    /// unchanged — the adversary changes, the processes don't.
+    pub fn reseed(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed ^ 0x5ba0_5eed ^ 0xf0f0_0f0f);
     }
 
-    /// A deep copy of the whole simulation — processes (via
-    /// [`Checkpoint::snapshot`]), calendar queue, scheduler, RNG stream,
-    /// metrics, clocks, trace, and digest. Scratch buffers are rebuilt
-    /// empty: between events they hold no state (debug-asserted), only
-    /// recycled capacity.
+    /// A deep copy of the whole simulation, frozen **mid-flight** —
+    /// processes, calendar queue, scheduler, RNG stream, metrics, clocks,
+    /// trace and digest — plus the observer as its
+    /// [`Observer::clone_box`](crate::Observer::clone_box) copies it
+    /// (which may share state; see [`Simulation::replace_observer`]). It
+    /// can only be taken between events, which is the only place user
+    /// code can call it from. Scratch buffers are rebuilt empty: between
+    /// events they hold no state (debug-asserted), only recycled capacity.
+    ///
+    /// A simulation is a pure function of its seed, so a run can always
+    /// be *replayed* by rebuilding it; a snapshot also lets it be
+    /// continued from the middle, any number of times:
+    ///
+    /// - running a snapshot reproduces the original's tail
+    ///   bit-identically (the scheduler RNG stream is copied too);
+    /// - a snapshot followed by [`Simulation::reseed`] is a *fork*: the
+    ///   protocol state at the branch point is identical, but the
+    ///   adversary schedules the future differently — "round 3, coin
+    ///   revealed, partition heals" style counterfactuals.
+    ///
+    /// A snapshot nobody steps is a checkpoint: each further snapshot of
+    /// it is an independent continuation of the same branch point.
+    /// Processes take part through `Clone` (every protocol engine in this
+    /// workspace is plain data), schedulers through
+    /// [`Scheduler::clone_box`](crate::Scheduler::clone_box) (every
+    /// [`SchedLayer`](crate::SchedLayer) stack supports it).
     ///
     /// # Panics
     ///
-    /// Panics if the scheduler or the installed observer does not
-    /// support checkpointing (its `clone_box` returned `None`).
-    pub(crate) fn deep_copy(&self) -> Self
+    /// Panics if the scheduler or the installed observer cannot be
+    /// copied (its `clone_box` returned `None`).
+    pub fn snapshot(&self) -> Self
     where
-        P: crate::Checkpoint,
+        P: Clone,
     {
-        debug_assert!(self.local_gen.is_empty(), "checkpoint mid-dispatch");
-        debug_assert!(self.held.is_empty(), "checkpoint mid-dispatch");
+        debug_assert!(self.local_gen.is_empty(), "snapshot mid-dispatch");
+        debug_assert!(self.held.is_empty(), "snapshot mid-dispatch");
         Simulation {
-            procs: self.procs.iter().map(crate::Checkpoint::snapshot).collect(),
+            procs: self.procs.clone(),
             queue: self.queue.clone(),
             scheduler: self
                 .scheduler
                 .clone_box()
-                .expect("this scheduler does not support checkpointing"),
+                .expect("this scheduler cannot be snapshotted"),
             metrics: self.metrics.clone(),
             rng: self.rng.clone(),
             now: self.now,
@@ -846,10 +868,10 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
             started: self.started,
             trace: self.trace.clone(),
             digest: self.digest,
-            observer: self.observer.as_ref().map(|o| {
-                o.clone_box()
-                    .expect("this observer does not support checkpointing")
-            }),
+            observer: self
+                .observer
+                .as_ref()
+                .map(|o| o.clone_box().expect("this observer cannot be snapshotted")),
             outbox: Outbox::new(Pid::new(1)),
             local_gen: Vec::new(),
             held: Vec::new(),
@@ -1127,6 +1149,99 @@ mod tests {
         let mut sim = Simulation::new(procs, schedulers::uniform(10), 1);
         sim.run_to_quiescence(10);
     }
+
+    /// A process with internal randomness-free state whose transcript
+    /// depends on delivery order: each delivery appends to a rolling fold.
+    #[derive(Clone)]
+    struct Folder {
+        me: Pid,
+        n: usize,
+        fold: u64,
+        sends_left: u64,
+    }
+    impl Process<u64> for Folder {
+        fn on_start(&mut self, out: &mut Outbox<u64>) {
+            for p in Pid::all(self.n) {
+                if p != self.me {
+                    out.send(p, u64::from(self.me.index()));
+                }
+            }
+        }
+        fn on_message(&mut self, from: Pid, msg: u64, out: &mut Outbox<u64>) {
+            self.fold = self
+                .fold
+                .rotate_left(7)
+                .wrapping_add(msg.wrapping_mul(31).wrapping_add(u64::from(from.index())));
+            if self.sends_left > 0 {
+                self.sends_left -= 1;
+                out.send(from, self.fold);
+            }
+        }
+    }
+
+    fn folders(n: usize) -> Vec<Folder> {
+        (1..=n)
+            .map(|i| Folder {
+                me: Pid::new(i as u32),
+                n,
+                fold: 0,
+                sends_left: 20,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn resume_reproduces_the_original_tail() {
+        let mut sim = Simulation::new(folders(4), schedulers::uniform(30), 11);
+        sim.enable_digest();
+        sim.run_to_quiescence(40);
+        let ck = sim.snapshot();
+        sim.run_to_quiescence(100_000);
+        let mut resumed = ck.snapshot();
+        resumed.run_to_quiescence(100_000);
+        assert_eq!(sim.digest(), resumed.digest());
+        assert_eq!(sim.metrics(), resumed.metrics());
+        let a: Vec<u64> = sim.processes().map(|p| p.fold).collect();
+        let b: Vec<u64> = resumed.processes().map(|p| p.fold).collect();
+        assert_eq!(a, b, "process state must match, not just metrics");
+    }
+
+    #[test]
+    fn fork_diverges_but_shares_the_prefix() {
+        let mut sim = Simulation::new(folders(4), schedulers::uniform(30), 11);
+        sim.enable_digest();
+        sim.run_to_quiescence(40);
+        let ck = sim.snapshot();
+        let prefix_digest = sim.digest();
+        sim.run_to_quiescence(100_000);
+
+        let mut fork = ck.snapshot();
+        fork.reseed(999);
+        assert_eq!(fork.digest(), prefix_digest, "branch point state shared");
+        fork.run_to_quiescence(100_000);
+        // Both branches complete; the schedules (almost surely) differ.
+        assert_ne!(sim.digest(), fork.digest(), "divergent tail");
+        // A fork of the fork's own branch point is reproducible too.
+        let mut fork2 = ck.snapshot();
+        fork2.reseed(999);
+        fork2.run_to_quiescence(100_000);
+        assert_eq!(fork.digest(), fork2.digest(), "same fork seed, same run");
+    }
+
+    #[test]
+    fn checkpoint_is_reusable_and_independent() {
+        let mut sim = Simulation::new(folders(3), SchedLayer::Skewed { max_delay: 9 }.build(), 5);
+        sim.enable_digest();
+        sim.run_to_quiescence(10);
+        let ck = sim.snapshot();
+        // Consuming one continuation doesn't disturb the next.
+        let mut r1 = ck.snapshot();
+        r1.run_to_quiescence(100_000);
+        let mut r2 = ck.snapshot();
+        r2.run_to_quiescence(100_000);
+        assert_eq!(r1.digest(), r2.digest());
+        assert_eq!(ck.metrics().events, 10);
+    }
 }
 
 /// The calendar queue against the structure it stands in for: a binary
@@ -1184,9 +1299,9 @@ mod queue_model {
         /// empty buckets the cursor walks across), at the window's edge
         /// and far beyond it, so buckets, the spare pool, the overflow
         /// heap, `migrate` and the cursor jump all run — interleaved
-        /// with pops and checkpoints, then drained: every pop is the
+        /// with pops and snapshots, then drained: every pop is the
         /// heap's, member for member, and the two run empty together. A
-        /// checkpoint deep-copies the queue mid-drain and drains the
+        /// snapshot deep-copies the queue mid-drain and drains the
         /// copy to the end against a copy of the heap.
         #[test]
         fn event_queue_pops_like_a_binary_heap(

@@ -23,7 +23,7 @@ pub enum Tamper<M> {
 
 /// A cloneable tamper function: the closure itself plus the ability to
 /// deep-copy it behind the box, which is what lets a corrupted process
-/// be checkpointed along with everyone else.
+/// be snapshotted along with everyone else.
 trait CloneTamper<M>: FnMut(Pid, &M) -> Tamper<M> + Send {
     fn clone_box(&self) -> Box<dyn CloneTamper<M>>;
 }
@@ -62,7 +62,7 @@ impl<P: Clone, M> Clone for TamperProcess<P, M> {
 impl<P, M> TamperProcess<P, M> {
     /// Corrupts `inner` with `tamper`, applied to every outgoing message
     /// (the recipient is the first argument). The closure must be `Clone`
-    /// so the corrupted process stays checkpointable (capture only
+    /// so the corrupted process can still be snapshotted (capture only
     /// cloneable state — all stock tampers do).
     pub fn new(
         inner: P,

@@ -12,12 +12,12 @@ use sba::{Action, Pid, PlanEvent, Role, ScenarioPlan, SchedLayer, Trigger};
 
 fn run(plan: ScenarioPlan) {
     println!("=== {} ===", plan.name);
-    let mut run = plan.build();
-    let report = run.run(40_000_000);
+    let mut cluster = plan.build();
+    let report = cluster.run(40_000_000);
 
     assert!(report.terminated, "termination under faults");
     assert!(report.agreement(), "agreement under faults");
-    let monitor = run.cluster().monitor_report().expect("monitor enabled");
+    let monitor = cluster.monitor_report().expect("monitor enabled");
     assert!(
         monitor.ok(),
         "invariant violation: {:?}",

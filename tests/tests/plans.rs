@@ -207,13 +207,13 @@ proptest! {
         let mut rebuilt = decoded.build();
         rebuilt.advance_until(1_500, |_| false);
         prop_assert_eq!(
-            original.cluster().digest(),
-            rebuilt.cluster().digest(),
+            original.digest(),
+            rebuilt.digest(),
             "decoded plan rebuilt a different run"
         );
         prop_assert_eq!(
-            original.cluster().sim().metrics(),
-            rebuilt.cluster().sim().metrics(),
+            original.sim().metrics(),
+            rebuilt.sim().metrics(),
             "decoded plan rebuilt different metrics"
         );
     }

@@ -130,7 +130,7 @@ fn heavy_tail_delays_only_slow_the_run() {
 #[test]
 fn identical_runs_are_bit_identical() {
     let run = |_: ()| {
-        let mut cluster = Zoo::LossRetransmit.plan(4, 1, SEED).build().into_cluster();
+        let mut cluster = Zoo::LossRetransmit.plan(4, 1, SEED).build();
         cluster.sim_mut().enable_trace(1 << 20);
         cluster.run(60_000_000);
         let trace: Vec<sba::sim::TraceEntry> = cluster.sim().trace().cloned().collect();
@@ -195,6 +195,57 @@ fn forked_checkpoints_resume_exactly_and_diverge_live() {
     }
 }
 
+/// A snapshot's monitor is its own: the original run and two reseeded
+/// branches of one round-boundary checkpoint each count exactly the
+/// checks their own deliveries made, and running the branches leaves
+/// the original's report as it was.
+#[test]
+fn snapshot_branches_keep_their_own_monitors() {
+    let mut original = ScenarioPlan::partition_heal_mid_coin(4, 1, SEED).build();
+    assert!(
+        original.advance_to_round(2, 60_000_000),
+        "round 2 never started"
+    );
+    let ck = original.snapshot();
+    let at_branch = ck.monitor_report().expect("compound plans are monitored");
+    assert!(
+        at_branch.checks > 0,
+        "the branch point follows monitored deliveries"
+    );
+    assert_eq!(at_branch.checks, ck.sim().metrics().monitor_checks);
+
+    original.run(60_000_000);
+    let before = original.monitor_report().expect("monitored");
+    assert_eq!(before.checks, original.sim().metrics().monitor_checks);
+    assert!(before.checks > at_branch.checks, "the original ran on");
+    let frozen = ck.monitor_report().expect("monitored");
+    assert_eq!(
+        frozen.checks, at_branch.checks,
+        "the original's tail leaked into the checkpoint"
+    );
+
+    for seed in [11, 22] {
+        let mut branch = ck.snapshot();
+        branch.sim_mut().reseed(seed);
+        let report = branch.run(60_000_000);
+        assert!(report.terminated && report.agreement(), "fork seed {seed}");
+        let own = branch.monitor_report().expect("monitored");
+        assert_eq!(
+            own.checks,
+            branch.sim().metrics().monitor_checks,
+            "fork seed {seed}"
+        );
+        assert_eq!(own.violations_total, 0, "fork seed {seed}");
+    }
+    let after = original.monitor_report().expect("monitored");
+    assert_eq!(
+        after.checks, before.checks,
+        "a branch's checks leaked into the original"
+    );
+    assert_eq!(after.violations_total, before.violations_total);
+    assert_eq!(after.round_starts, before.round_starts);
+}
+
 /// Builds a zoo scenario the way the pre-plan code did — explicit
 /// config, fault, and one bare scheduler layer, no [`ScenarioPlan`]
 /// involved. Kept as an independent reference implementation so the
@@ -247,7 +298,7 @@ fn plan_built_zoo_matches_legacy_construction_bit_for_bit() {
     for zoo in Zoo::ALL {
         let mut legacy = legacy_cluster(zoo, 4, 1, SEED);
         let legacy_report = legacy.run(60_000_000);
-        let mut planned = zoo.plan(4, 1, SEED).build().into_cluster();
+        let mut planned = zoo.plan(4, 1, SEED).build();
         let planned_report = planned.run(60_000_000);
         assert_eq!(
             legacy.digest(),
