@@ -636,7 +636,7 @@ mod tests {
             }];
             plan
         };
-        let cases: Vec<(ScenarioPlan, Vec<(&str, f64)>)> = vec![
+        let mut cases: Vec<(ScenarioPlan, Vec<(&str, f64)>)> = vec![
             (silent(&[4]), vec![("plan.roles.r0.pid", 0.0)]),
             (silent(&[4]), vec![("plan.roles.r0.pid", 9.0)]),
             (silent(&[3, 4]), vec![]),
@@ -694,6 +694,37 @@ mod tests {
                 vec![("plan.events.e0.kind", 0.0)],
             ),
         ];
+        // Events a run could not carry out: a crash of a silent or
+        // Byzantine process, a corruption of a corrupted one, and event
+        // victims that take the faulty count over t.
+        let events = |roles: Vec<(u32, Role)>, actions: Vec<Action>| {
+            let mut plan = ScenarioPlan::new("events", 4, 1, 7);
+            plan.roles = roles.into_iter().map(|(i, r)| (Pid::new(i), r)).collect();
+            for action in actions {
+                plan.events.push(PlanEvent {
+                    at: Trigger::AtDelivery(10),
+                    action,
+                });
+            }
+            (plan, vec![])
+        };
+        let crash = |i: u32, down_for: Option<u64>| Action::Crash {
+            p: Pid::new(i),
+            down_for,
+        };
+        let corrupt = |i: u32| Action::Corrupt {
+            p: Pid::new(i),
+            role: Role::FlippedVotes,
+        };
+        cases.extend([
+            events(vec![(4, Role::Silent)], vec![crash(4, None)]),
+            events(vec![(4, Role::FlippedVotes)], vec![crash(4, Some(3))]),
+            events(vec![(4, Role::Crash { after: 5 })], vec![corrupt(4)]),
+            events(vec![], vec![corrupt(4), corrupt(4)]),
+            events(vec![], vec![corrupt(4), crash(4, None)]),
+            events(vec![(3, Role::Silent)], vec![crash(4, None)]),
+            events(vec![], vec![crash(3, Some(3)), crash(4, None)]),
+        ]);
         for (plan, edits) in cases {
             let text = plan_text(&plan, &edits);
             assert!(

@@ -1,25 +1,36 @@
-//! The tampers behind the Byzantine [`Role`](crate::Role)s: each one
-//! rewrites a corrupted process's outgoing messages, and
-//! [`ClusterProcess::with_role`](crate::ClusterProcess::with_role) is
-//! their only caller.
+//! What the Byzantine [`Role`]s send: each rewrites a corrupted
+//! process's outgoing messages one envelope at a time, and
+//! [`ClusterProcess`](crate::ClusterProcess) is its only caller.
 
 use sba_aba::VoteValue;
 use sba_field::{Field, Gf61};
 use sba_net::{Pid, RbStep, Unpacked, WireKind};
-use sba_sim::Tamper;
 use sba_svss::forge_recon_points;
 
 use crate::cluster::Msg;
+use crate::Role;
 
-/// Tamper: shift every SVSS reconstruction point this process originates
-/// by `delta`, whether it leaves as a scalar init or as a member of a
-/// vector init.
-pub fn lying_share_tamper(
-    delta: u64,
-) -> impl FnMut(Pid, &Msg) -> Tamper<Msg> + Send + Clone + 'static {
-    move |_to, msg| {
-        forge_recon_points(msg, |_| Some(Gf61::from_u64(delta)))
-            .map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
+/// What `role` sends to `to` in place of the honest `msg`; `None` sends
+/// `msg` unchanged.
+pub(crate) fn rewrite(role: &Role, to: Pid, msg: &Msg) -> Option<Msg> {
+    match *role {
+        // Shift every SVSS reconstruction point this process originates
+        // by `delta`, whether it leaves as a scalar init or as a member
+        // of a vector init.
+        Role::LyingShares { delta } => forge_recon_points(msg, |_| Some(Gf61::from_u64(delta))),
+        // Lie consistently: every recipient hears the flipped bit.
+        Role::FlippedVotes => flip_vote_init(msg),
+        // Equivocate: odd-indexed recipients hear the honest bit,
+        // even-indexed ones its negation. An honest RB/WRB quorum
+        // accepts at most one of the two versions per slot, so honest
+        // processes still agree (the equivocator merely fails to get
+        // some slots accepted and earns shuns).
+        Role::Equivocating if to.index().is_multiple_of(2) => flip_vote_init(msg),
+        Role::Equivocating
+        | Role::Honest
+        | Role::Silent
+        | Role::Crash { .. }
+        | Role::CrashRecover { .. } => None,
     }
 }
 
@@ -46,27 +57,6 @@ fn flip_vote_init(msg: &Msg) -> Option<Msg> {
     Some(Msg::vote_rb(slot, origin, RbStep::Init, flipped))
 }
 
-/// Tamper: flip every vote-layer bit this process originates.
-pub fn vote_flip_tamper() -> impl FnMut(Pid, &Msg) -> Tamper<Msg> + Send + Clone + 'static {
-    move |_to, msg| flip_vote_init(msg).map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
-}
-
-/// Tamper: equivocate on every vote-layer value this process originates —
-/// odd-indexed recipients get the honest bit, even-indexed recipients its
-/// negation. Unlike [`vote_flip_tamper`] (which lies *consistently*),
-/// this is per-recipient inconsistency: the attack reliable broadcast is
-/// designed to block. An honest RB/WRB quorum can accept at most one of
-/// the two versions per slot, so honest processes still agree (the
-/// equivocator merely fails to get some slots accepted and earns shuns).
-pub fn equivocating_vote_tamper() -> impl FnMut(Pid, &Msg) -> Tamper<Msg> + Send + Clone + 'static {
-    move |to, msg| {
-        if to.index() % 2 == 1 {
-            return Tamper::Keep; // odd recipients hear the honest value
-        }
-        flip_vote_init(msg).map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -82,47 +72,29 @@ mod tests {
 
     #[test]
     fn vote_flip_flips_init_only() {
-        let mut tamper = vote_flip_tamper();
-        match tamper(Pid::new(2), &report(1, RbStep::Init, true)) {
-            Tamper::Replace(v) => assert_eq!(v, vec![report(1, RbStep::Init, false)]),
-            _ => panic!("Init must be flipped"),
-        }
+        let flip = |msg: &Msg| rewrite(&Role::FlippedVotes, Pid::new(2), msg);
+        let init = report(1, RbStep::Init, true);
+        assert_eq!(flip(&init), Some(report(1, RbStep::Init, false)));
         // A ⊥ vote becomes a 1.
         let slot = VoteSlot::Vote {
             instance: 0,
             round: 1,
         };
-        let bottom = Msg::vote_rb(slot, Pid::new(1), RbStep::Init, VoteValue::MaybeBit(None));
-        match tamper(Pid::new(2), &bottom) {
-            Tamper::Replace(v) => assert_eq!(
-                v,
-                vec![Msg::vote_rb(
-                    slot,
-                    Pid::new(1),
-                    RbStep::Init,
-                    VoteValue::MaybeBit(Some(true))
-                )]
-            ),
-            _ => panic!("a ⊥ Init must be flipped"),
-        }
+        let vote = |v| Msg::vote_rb(slot, Pid::new(1), RbStep::Init, VoteValue::MaybeBit(v));
+        assert_eq!(flip(&vote(None)), Some(vote(Some(true))));
         // Relays (echo/ready) stay honest: RB correctness still holds.
-        let echo = report(3, RbStep::Echo, true);
-        assert!(matches!(tamper(Pid::new(2), &echo), Tamper::Keep));
+        assert_eq!(flip(&report(3, RbStep::Echo, true)), None);
     }
 
     #[test]
     fn equivocation_differs_per_recipient() {
-        let mut tamper = equivocating_vote_tamper();
+        let to = |i: u32, msg: &Msg| rewrite(&Role::Equivocating, Pid::new(i), msg);
         let init = report(1, RbStep::Init, true);
         // Even recipients get the flipped bit...
-        match tamper(Pid::new(2), &init) {
-            Tamper::Replace(v) => assert_eq!(v, vec![report(1, RbStep::Init, false)]),
-            _ => panic!("even recipient must see the flipped value"),
-        }
+        assert_eq!(to(2, &init), Some(report(1, RbStep::Init, false)));
         // ...odd recipients the honest one: two versions of one Init.
-        assert!(matches!(tamper(Pid::new(3), &init), Tamper::Keep));
+        assert_eq!(to(3, &init), None);
         // Relays stay honest either way.
-        let echo = report(3, RbStep::Echo, true);
-        assert!(matches!(tamper(Pid::new(2), &echo), Tamper::Keep));
+        assert_eq!(to(2, &report(3, RbStep::Echo, true)), None);
     }
 }

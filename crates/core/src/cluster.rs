@@ -4,9 +4,7 @@
 use sba_aba::{AbaConfig, AbaMsg, AbaNode, AbaProcess, CoinMode};
 use sba_field::Gf61;
 use sba_net::{Outbox, Pid};
-use sba_sim::{
-    schedulers, CrashProcess, Metrics, Process, Scheduler, SilentProcess, Simulation, TamperProcess,
-};
+use sba_sim::{schedulers, Metrics, Process, Scheduler, Simulation};
 
 use crate::adversary;
 use crate::scenario::{Action, PlanEvent, Role, Trigger};
@@ -131,131 +129,235 @@ impl ClusterConfig {
     }
 }
 
-/// One process of the cluster: honest, or one of the fault models.
+/// One process of the cluster: the honest state machine and the
+/// [`Role`] the adversary gives it. What each role does is one `match`
+/// per [`Process`] method; a mid-run [`Action::Corrupt`] or
+/// [`Action::Crash`] changes the role in place.
 ///
 /// `Clone` deep-copies the whole protocol state (engines, RNG streams,
-/// tamper closures), which is what [`Cluster::snapshot`] copies.
+/// a crashed process's missed backlog), which is what
+/// [`Cluster::snapshot`] copies.
 #[derive(Clone)]
-pub enum ClusterProcess {
-    /// Runs the full honest protocol.
-    Honest(AbaProcess<Gf61>),
-    /// Sends nothing, ever.
-    Silent(SilentProcess),
-    /// Honest until a delivery budget runs out, then dead.
-    Crash(CrashProcess<AbaProcess<Gf61>, Msg>),
-    /// Honest, then down for a bounded outage, then recovered (catch-up
-    /// by replaying the missed backlog). Crash faults are not Byzantine:
-    /// a recovered process is expected to decide like everyone else.
-    Recovering(CrashProcess<AbaProcess<Gf61>, Msg>),
-    /// Honest state machine with tampered outgoing messages.
-    Byzantine(TamperProcess<AbaProcess<Gf61>, Msg>),
+pub struct ClusterProcess {
+    node: AbaProcess<Gf61>,
+    role: Role,
+    /// Where a crash role stands in its outage (inert for other roles).
+    outage: Outage,
 }
 
 impl ClusterProcess {
-    /// Wraps the honest state machine `process` in the behaviour `role`
+    /// Gives the honest state machine `process` the behaviour `role`
     /// names.
     pub fn with_role(process: AbaProcess<Gf61>, role: Role) -> Self {
-        match role {
-            Role::Honest => ClusterProcess::Honest(process),
-            Role::Silent => ClusterProcess::Silent(SilentProcess),
-            Role::Crash { after } => ClusterProcess::Crash(CrashProcess::new(process, after)),
-            Role::CrashRecover { after, down_for } => {
-                ClusterProcess::Recovering(CrashProcess::with_recovery(process, after, down_for))
+        ClusterProcess {
+            node: process,
+            outage: Outage::of(&role),
+            role,
+        }
+    }
+
+    /// Crashes the process now: fail-stop with `None`, down for the next
+    /// `d` deliveries then recovered with `Some(d)`. A process already
+    /// down stays down, its backlog kept, until the new recovery point.
+    fn crash_now(&mut self, down_for: Option<u64>) {
+        assert!(
+            matches!(
+                self.role,
+                Role::Honest | Role::Crash { .. } | Role::CrashRecover { .. }
+            ),
+            "cannot crash a silent or Byzantine process"
+        );
+        self.outage.crash_now(down_for);
+        // The outage already counts from now, so the role's `after` is 0.
+        self.role = match down_for {
+            None => Role::Crash { after: 0 },
+            Some(down_for) => Role::CrashRecover { after: 0, down_for },
+        };
+    }
+
+    /// Runs one step of the node, then rewrites what it queued for the
+    /// Byzantine role, envelope by envelope in send order.
+    fn forge(
+        &mut self,
+        out: &mut Outbox<Msg>,
+        step: impl FnOnce(&mut AbaProcess<Gf61>, &mut Outbox<Msg>),
+    ) {
+        let start = out.len();
+        step(&mut self.node, out);
+        for env in out.tail_mut(start) {
+            if let Some(msg) = adversary::rewrite(&self.role, env.to, &env.msg) {
+                env.msg = msg;
             }
-            Role::LyingShares { delta } => ClusterProcess::Byzantine(TamperProcess::new(
-                process,
-                adversary::lying_share_tamper(delta),
-            )),
-            Role::FlippedVotes => ClusterProcess::Byzantine(TamperProcess::new(
-                process,
-                adversary::vote_flip_tamper(),
-            )),
-            Role::Equivocating => ClusterProcess::Byzantine(TamperProcess::new(
-                process,
-                adversary::equivocating_vote_tamper(),
-            )),
         }
     }
 
     /// The underlying node, when one exists (silent processes have none).
     pub fn node(&self) -> Option<&AbaNode<Gf61>> {
-        match self {
-            ClusterProcess::Honest(p) => Some(p.node()),
-            ClusterProcess::Silent(_) => None,
-            ClusterProcess::Crash(p) | ClusterProcess::Recovering(p) => Some(p.inner().node()),
-            ClusterProcess::Byzantine(p) => Some(p.inner().node()),
-        }
+        (self.role != Role::Silent).then(|| self.node.node())
     }
 
     /// Whether this process follows the protocol (crash-recover counts:
     /// crash faults are omission faults, not Byzantine ones — its
     /// decision and shun observations are part of the honest report).
     pub fn is_honest(&self) -> bool {
-        matches!(
-            self,
-            ClusterProcess::Honest(_) | ClusterProcess::Recovering(_)
-        )
+        matches!(self.role, Role::Honest | Role::CrashRecover { .. })
     }
 
     /// The honest event stream, for processes that have one.
     pub fn events(&self) -> Option<&[sba_aba::AbaEvent]> {
-        match self {
-            ClusterProcess::Honest(p) => Some(p.events()),
-            ClusterProcess::Recovering(p) => Some(p.inner().events()),
-            _ => None,
-        }
+        self.is_honest().then(|| self.node.events())
     }
 }
 
 impl Process<Msg> for ClusterProcess {
     fn on_start(&mut self, out: &mut Outbox<Msg>) {
-        match self {
-            ClusterProcess::Honest(p) => p.on_start(out),
-            ClusterProcess::Silent(p) => Process::<Msg>::on_start(p, out),
-            ClusterProcess::Crash(p) | ClusterProcess::Recovering(p) => p.on_start(out),
-            ClusterProcess::Byzantine(p) => p.on_start(out),
+        match self.role {
+            Role::Honest => self.node.on_start(out),
+            Role::Silent => {}
+            Role::Crash { .. } | Role::CrashRecover { .. } => {
+                if !self.outage.down() {
+                    self.node.on_start(out);
+                }
+            }
+            Role::LyingShares { .. } | Role::FlippedVotes | Role::Equivocating => {
+                self.forge(out, |node, raw| node.on_start(raw));
+            }
         }
     }
     fn on_message(&mut self, from: Pid, msg: Msg, out: &mut Outbox<Msg>) {
-        match self {
-            ClusterProcess::Honest(p) => p.on_message(from, msg, out),
-            ClusterProcess::Silent(p) => Process::<Msg>::on_message(p, from, msg, out),
-            ClusterProcess::Crash(p) | ClusterProcess::Recovering(p) => {
-                p.on_message(from, msg, out)
+        match self.role {
+            Role::Honest => self.node.on_message(from, msg, out),
+            Role::Silent => {}
+            Role::Crash { .. } | Role::CrashRecover { .. } => {
+                let node = &mut self.node;
+                self.outage
+                    .deliver(from, msg, |f, m| node.on_message(f, m, out));
             }
-            ClusterProcess::Byzantine(p) => p.on_message(from, msg, out),
+            Role::LyingShares { .. } | Role::FlippedVotes | Role::Equivocating => {
+                self.forge(out, |node, raw| node.on_message(from, msg, raw));
+            }
         }
     }
     fn on_batch(&mut self, from: Pid, msgs: &mut Vec<Msg>, out: &mut Outbox<Msg>) {
-        match self {
-            ClusterProcess::Honest(p) => p.on_batch(from, msgs, out),
-            ClusterProcess::Silent(p) => Process::<Msg>::on_batch(p, from, msgs, out),
-            ClusterProcess::Crash(p) | ClusterProcess::Recovering(p) => p.on_batch(from, msgs, out),
-            ClusterProcess::Byzantine(p) => p.on_batch(from, msgs, out),
+        match self.role {
+            Role::Honest => self.node.on_batch(from, msgs, out),
+            Role::Silent => msgs.clear(),
+            // The outage counts *messages*: a batch that straddles the
+            // crash point is split there, and the rest counts toward
+            // the outage.
+            Role::Crash { .. } | Role::CrashRecover { .. } => {
+                let node = &mut self.node;
+                for msg in msgs.drain(..) {
+                    self.outage
+                        .deliver(from, msg, |f, m| node.on_message(f, m, out));
+                }
+            }
+            Role::LyingShares { .. } | Role::FlippedVotes | Role::Equivocating => {
+                self.forge(out, |node, raw| node.on_batch(from, msgs, raw));
+            }
         }
     }
     fn done(&self) -> bool {
-        match self {
-            ClusterProcess::Honest(p) => p.done(),
-            ClusterProcess::Silent(_) => true,
+        match self.role {
             // A crash-recover process comes back and is expected to
             // decide; the run waits for it.
-            ClusterProcess::Recovering(p) => p.done(),
+            Role::Honest | Role::CrashRecover { .. } => self.node.done(),
             // Corrupted processes never gate termination.
-            ClusterProcess::Crash(_) | ClusterProcess::Byzantine(_) => true,
+            Role::Silent
+            | Role::Crash { .. }
+            | Role::LyingShares { .. }
+            | Role::FlippedVotes
+            | Role::Equivocating => true,
         }
     }
     fn down(&self) -> bool {
-        match self {
-            ClusterProcess::Silent(_) => true,
-            ClusterProcess::Crash(p) | ClusterProcess::Recovering(p) => p.crashed(),
-            _ => false,
+        match self.role {
+            Role::Silent => true,
+            Role::Crash { .. } | Role::CrashRecover { .. } => self.outage.down(),
+            Role::Honest | Role::LyingShares { .. } | Role::FlippedVotes | Role::Equivocating => {
+                false
+            }
         }
     }
     fn recoveries(&self) -> u64 {
-        match self {
-            ClusterProcess::Crash(p) | ClusterProcess::Recovering(p) => p.recoveries(),
-            _ => 0,
+        self.outage.recoveries
+    }
+}
+
+/// A crash role's outage: the process handles deliveries until its
+/// crash point, then misses (fail-stop: drops; crash-recover: buffers)
+/// every delivery until its recovery point, where it replays the missed
+/// backlog in order — the deterministic stand-in for "recover state
+/// from peers" — and stays up from there on.
+#[derive(Clone)]
+struct Outage {
+    /// Deliveries until the crash point; `u64::MAX` for a process that
+    /// is up for good (every non-crash role, and a recovered process).
+    left: u64,
+    /// Deliveries the outage (while up: the coming one) still misses
+    /// before the recovery point; 0 is fail-stop.
+    down_left: u64,
+    /// Deliveries missed so far, replayed at the recovery point.
+    missed: Vec<(Pid, Msg)>,
+    recoveries: u64,
+}
+
+impl Outage {
+    /// The outage `role` starts with: a crash role is up for `after`
+    /// deliveries, then down (for `down_for`, or for good); every other
+    /// role is up for good.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a zero-length crash-recover outage.
+    fn of(role: &Role) -> Self {
+        let (left, down_left) = match *role {
+            Role::Crash { after } => (after, 0),
+            Role::CrashRecover { after, down_for } => {
+                assert!(down_for > 0, "a zero-length outage is not a crash");
+                (after, down_for)
+            }
+            _ => (u64::MAX, 0),
+        };
+        Outage {
+            left,
+            down_left,
+            missed: Vec::new(),
+            recoveries: 0,
+        }
+    }
+
+    fn down(&self) -> bool {
+        self.left == 0
+    }
+
+    /// Goes down now, whether up, recovered or mid-outage (a re-crash
+    /// mid-outage moves the recovery point out and keeps the backlog).
+    fn crash_now(&mut self, down_for: Option<u64>) {
+        assert!(down_for != Some(0), "a zero-length outage is not a crash");
+        self.left = 0;
+        self.down_left = down_for.unwrap_or(0);
+    }
+
+    /// Feeds one delivery through the outage into `handle`.
+    fn deliver(&mut self, from: Pid, msg: Msg, mut handle: impl FnMut(Pid, Msg)) {
+        if self.left > 0 {
+            // Up: the step that reaches the crash point still sends.
+            self.left -= 1;
+            handle(from, msg);
+            return;
+        }
+        if self.down_left == 0 {
+            return; // fail-stop: dead for good
+        }
+        self.missed.push((from, msg));
+        self.down_left -= 1;
+        if self.down_left == 0 {
+            self.recoveries += 1;
+            self.left = u64::MAX;
+            for (f, m) in std::mem::take(&mut self.missed) {
+                handle(f, m);
+            }
         }
     }
 }
@@ -413,74 +515,42 @@ impl Cluster {
     /// Corrupts process `p` **mid-run** with `role`, keeping its
     /// accumulated protocol state: an *adaptive* adversary that picks
     /// its victim after watching the run (the timed [`Action::Corrupt`]).
-    /// The process drops out of the honest set from this event on; the
-    /// invariant monitor (if enabled) sees the change on the next
-    /// delivery.
+    /// The process drops out of the honest set from this event on (a
+    /// crash-recover role keeps it there); the invariant monitor (if
+    /// enabled) sees the change on the next delivery.
     ///
     /// Panics if `role` is [`Role::Honest`], or if `p` is not currently
-    /// honest (corrupting a corrupted process has no sensible semantics
-    /// — [`Cluster::crash`] re-crashes a crash-recover process).
+    /// honest ([`ScenarioPlan::check`](crate::ScenarioPlan::check) rules
+    /// both out).
     fn corrupt(&mut self, p: Pid, role: Role) {
         assert!(role != Role::Honest, "Corrupt requires a non-honest role");
-        let slot = self.sim.process_mut(p);
+        let process = self.sim.process_mut(p);
         assert!(
-            matches!(slot, ClusterProcess::Honest(_)),
+            process.role == Role::Honest,
             "corrupt targets a currently-honest process"
         );
-        let taken = std::mem::replace(slot, ClusterProcess::Silent(SilentProcess));
-        let ClusterProcess::Honest(process) = taken else {
-            unreachable!("asserted honest above");
-        };
-        *self.sim.process_mut(p) = ClusterProcess::with_role(process, role);
-        // Crash-recover keeps the process in the honest (omission-fault)
-        // set; everything else removes it.
-        if !self.sim.process(p).is_honest() {
+        // A crash role counts its `after` deliveries from here.
+        process.outage = Outage::of(&role);
+        process.role = role;
+        if !process.is_honest() {
             self.honest.retain(|&h| h != p);
         }
     }
 
     /// Crashes process `p` **now** (the timed [`Action::Crash`]):
     /// fail-stop with `down_for = None`, or down for the next `d`
-    /// deliveries then recovered (backlog replay) with `Some(d)`. Unlike
-    /// [`Cluster::corrupt`] this also applies to a process already
-    /// carrying a crash fault — re-crashing a process *during its
-    /// recovery window* extends the outage (the "crash-during-recovery"
-    /// compound scenario).
+    /// deliveries then recovered (backlog replay) with `Some(d)`. This
+    /// also applies to a process already carrying a crash fault —
+    /// re-crashing a process *during its recovery window* extends the
+    /// outage (the "crash-during-recovery" compound scenario).
     ///
     /// Panics if `p` is silent or Byzantine, or if `down_for` is
-    /// `Some(0)`.
+    /// `Some(0)` ([`ScenarioPlan::check`](crate::ScenarioPlan::check)
+    /// rules both out).
     fn crash(&mut self, p: Pid, down_for: Option<u64>) {
-        let slot = self.sim.process_mut(p);
-        let taken = std::mem::replace(slot, ClusterProcess::Silent(SilentProcess));
-        *self.sim.process_mut(p) = match taken {
-            ClusterProcess::Honest(process) => match down_for {
-                None => {
-                    let mut cp = CrashProcess::new(process, 1);
-                    cp.crash_now(None);
-                    ClusterProcess::Crash(cp)
-                }
-                Some(d) => {
-                    let mut cp = CrashProcess::with_recovery(process, 1, d);
-                    cp.crash_now(Some(d));
-                    ClusterProcess::Recovering(cp)
-                }
-            },
-            ClusterProcess::Crash(mut cp) | ClusterProcess::Recovering(mut cp) => {
-                cp.crash_now(down_for);
-                match down_for {
-                    None => ClusterProcess::Crash(cp),
-                    Some(_) => ClusterProcess::Recovering(cp),
-                }
-            }
-            other => {
-                let kind = match other {
-                    ClusterProcess::Silent(_) => "silent",
-                    _ => "byzantine",
-                };
-                panic!("cannot crash a {kind} process");
-            }
-        };
-        if !self.sim.process(p).is_honest() {
+        let process = self.sim.process_mut(p);
+        process.crash_now(down_for);
+        if !process.is_honest() {
             self.honest.retain(|&h| h != p);
         }
     }
@@ -660,6 +730,8 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sba_aba::VoteValue;
+    use sba_net::RbStep;
 
     #[test]
     #[should_panic(expected = "n > 3t")]
@@ -704,6 +776,115 @@ mod tests {
         empty.decisions = vec![None; 4];
         assert!(empty.agreement(), "vacuous agreement with no decisions");
         assert!(!empty.all_decided());
+    }
+
+    /// A vote-layer echo from p1, told apart by its round: any message
+    /// will do for the outage tests, which only count deliveries.
+    fn ping(k: u32) -> Msg {
+        let slot = sba_aba::VoteSlot::Report {
+            instance: 0,
+            round: k + 1,
+        };
+        Msg::vote_rb(slot, Pid::new(1), RbStep::Echo, VoteValue::Bit(true))
+    }
+
+    /// p2 of a 4-process cluster with proposal `true`, in `role`.
+    fn process(role: Role) -> ClusterProcess {
+        let (mut procs, _) = ClusterConfig::new(4, 1)
+            .fault(Pid::new(2), role)
+            .processes(&[Some(true); 4]);
+        procs.swap_remove(1)
+    }
+
+    /// Feeds pings `0..count` through `outage`; returns the ones the
+    /// node handled, in handling order.
+    fn feed(outage: &mut Outage, count: u32) -> Vec<Msg> {
+        let mut handled = Vec::new();
+        for k in 0..count {
+            outage.deliver(Pid::new(1), ping(k), |_, m| handled.push(m));
+        }
+        handled
+    }
+
+    #[test]
+    fn crash_process_stops_reacting() {
+        let mut outage = Outage::of(&Role::Crash { after: 4 });
+        let first_four: Vec<Msg> = (0..4).map(ping).collect();
+        assert_eq!(feed(&mut outage, 10), first_four, "4 of 10 handled");
+        assert!(outage.down());
+        assert_eq!(outage.recoveries, 0);
+    }
+
+    #[test]
+    fn crash_recover_replays_missed_backlog() {
+        // Up for 2 deliveries, down for the next 3 (buffered), then
+        // recovered: every one of the 10 pings is handled, in order.
+        let mut outage = Outage::of(&Role::CrashRecover {
+            after: 2,
+            down_for: 3,
+        });
+        assert_eq!(feed(&mut outage, 10), (0..10).map(ping).collect::<Vec<_>>());
+        assert_eq!(outage.recoveries, 1);
+        assert!(!outage.down(), "nobody down at the end");
+    }
+
+    #[test]
+    fn crash_recover_down_state_is_visible_mid_outage() {
+        let mut p = process(Role::CrashRecover {
+            after: 1,
+            down_for: 2,
+        });
+        let mut out = Outbox::new(Pid::new(2));
+        assert!(!p.down());
+        p.on_message(Pid::new(1), ping(0), &mut out);
+        assert!(p.down(), "crash point reached");
+        p.on_message(Pid::new(1), ping(1), &mut out);
+        assert!(p.down(), "still down mid-outage");
+        assert_eq!(p.recoveries(), 0);
+        p.on_message(Pid::new(1), ping(2), &mut out);
+        assert!(!p.down(), "recovered");
+        assert_eq!(p.recoveries(), 1);
+    }
+
+    #[test]
+    fn crash_now_mid_recovery_extends_the_outage() {
+        let mut p = process(Role::CrashRecover {
+            after: 1,
+            down_for: 2,
+        });
+        let mut out = Outbox::new(Pid::new(2));
+        p.on_message(Pid::new(1), ping(0), &mut out);
+        p.on_message(Pid::new(1), ping(1), &mut out);
+        assert!(p.down(), "one missed delivery into the outage");
+        // Re-crash mid-outage: the recovery point moves out by 3 more
+        // deliveries and the backlog keeps growing.
+        p.crash_now(Some(3));
+        for k in 2..5 {
+            assert!(p.down());
+            p.on_message(Pid::new(1), ping(k), &mut out);
+        }
+        assert!(!p.down(), "recovered at the extended point");
+        assert_eq!(p.recoveries(), 1);
+        assert!(p.is_honest(), "a crash-recover process stays honest");
+        // And a recovered process can be fail-stopped outright.
+        p.crash_now(None);
+        assert!(p.down());
+        assert!(!p.is_honest());
+        assert!(p.done(), "fail-stop never blocks termination checks");
+    }
+
+    #[test]
+    fn silent_process_sends_nothing() {
+        let mut out = Outbox::new(Pid::new(2));
+        process(Role::Honest).on_start(&mut out);
+        assert!(!out.is_empty(), "an honest proposer sends at start");
+        let mut silent = process(Role::Silent);
+        let mut out = Outbox::new(Pid::new(2));
+        silent.on_start(&mut out);
+        silent.on_batch(Pid::new(1), &mut vec![ping(0), ping(1)], &mut out);
+        assert!(out.is_empty());
+        assert!(silent.done() && silent.down());
+        assert!(silent.node().is_none() && silent.events().is_none());
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   [invariant monitor](crate::monitor) rides along.
 //!
 //! A new adversary is one enum row: a [`Role`] row (with its arm in
-//! [`ClusterProcess::with_role`](crate::ClusterProcess::with_role)) or a
-//! [`SchedLayer`] row.
+//! each `Process` method of [`ClusterProcess`](crate::ClusterProcess),
+//! the one struct every role runs as) or a [`SchedLayer`] row.
 //!
 //! Plans serialize to the flat numeric key/value form the bench trial
 //! artifacts use ([`ScenarioPlan::to_kv`] / [`ScenarioPlan::from_kv`]),
@@ -153,10 +153,12 @@ pub enum Action {
     /// future sends flow freely; already-held messages keep their
     /// scheduled drain times.
     HealPartitions,
-    /// Corrupts a currently-honest process mid-run, keeping its protocol
-    /// state: an adaptive adversary that picks its victim after watching
-    /// the run. The victim leaves the honest set (a crash-recover role
-    /// keeps it there). The role must be non-honest.
+    /// Corrupts an honest process mid-run, keeping its protocol state:
+    /// an adaptive adversary that picks its victim after watching the
+    /// run. The victim leaves the honest set (a crash-recover role keeps
+    /// it there). The role must be non-honest, and the victim must start
+    /// honest and be the victim of no other event
+    /// ([`ScenarioPlan::check`]).
     Corrupt {
         /// The victim.
         p: Pid,
@@ -164,15 +166,25 @@ pub enum Action {
         role: Role,
     },
     /// Crashes a process *now*: fail-stop with `None`, or down for
-    /// `Some(d)` deliveries then recovered. Applies to crash-recover
+    /// `Some(d)` deliveries then recovered. Applies to crash-faulty
     /// processes too — re-crashing one mid-recovery extends the outage.
-    /// A silent or Byzantine victim panics the run.
+    /// [`ScenarioPlan::check`] rejects a silent or Byzantine victim.
     Crash {
         /// The victim.
         p: Pid,
         /// `None` = fail-stop; `Some(d)` = recover after missing `d`.
         down_for: Option<u64>,
     },
+}
+
+impl Action {
+    /// The process the action changes, if any.
+    fn victim(&self) -> Option<Pid> {
+        match self {
+            Action::HealPartitions => None,
+            Action::Corrupt { p, .. } | Action::Crash { p, .. } => Some(*p),
+        }
+    }
 }
 
 /// A timed mid-run intervention: `action` fires once `at` holds.
@@ -242,11 +254,15 @@ impl ScenarioPlan {
         }
     }
 
-    /// Checks that the plan can be built: `3t < n ≤ MAX_N`, at most `t`
-    /// non-honest roles, every pid names one of the `n` processes, the
-    /// layer stack is non-empty, and every layer and role passes its own
-    /// parameter check ([`SchedLayer::check`]). [`ScenarioPlan::from_kv`]
-    /// and [`ScenarioPlan::build`] both call it.
+    /// Checks that the plan can be built and run: `3t < n ≤ MAX_N`,
+    /// every pid names one of the `n` processes, the layer stack is
+    /// non-empty, every layer and role passes its own parameter check
+    /// ([`SchedLayer::check`]), an [`Action::Corrupt`] victim starts
+    /// honest and is the victim of no other event, a [`Action::Crash`]
+    /// victim is honest or crash-faulty, and the non-honest roles plus
+    /// the distinct event victims that start honest number at most `t`.
+    /// [`ScenarioPlan::from_kv`] and [`ScenarioPlan::build`] both call
+    /// it.
     ///
     /// # Errors
     ///
@@ -272,37 +288,61 @@ impl ScenarioPlan {
             in_range(p)?;
             role.check()?;
         }
-        let faulty = self
-            .roles
-            .iter()
-            .filter(|(_, r)| *r != Role::Honest)
-            .count();
-        if faulty > t {
-            return Err(format!("{faulty} faulty roles exceed t = {t}"));
-        }
         if self.layers.is_empty() {
             return Err("a scheduler stack needs >= 1 layer".into());
         }
         for layer in &self.layers {
             layer.check()?;
         }
-        for ev in &self.events {
-            match &ev.action {
-                Action::HealPartitions => {}
+        let static_role = |p: Pid| {
+            let role = self.roles.iter().find(|(q, _)| *q == p);
+            role.map_or(&Role::Honest, |(_, role)| role)
+        };
+        let mut victims = Vec::new();
+        for (i, ev) in self.events.iter().enumerate() {
+            let p = match &ev.action {
+                Action::HealPartitions => continue,
                 Action::Corrupt { p, role } => {
                     in_range(p)?;
                     if *role == Role::Honest {
                         return Err("Corrupt requires a non-honest role".into());
                     }
                     role.check()?;
+                    if *static_role(*p) != Role::Honest {
+                        return Err(format!("Corrupt of {p}, which is not honest"));
+                    }
+                    let twice = (self.events.iter().enumerate())
+                        .any(|(j, other)| j != i && other.action.victim() == Some(*p));
+                    if twice {
+                        return Err(format!("{p} is corrupted and the victim of another event"));
+                    }
+                    *p
                 }
                 Action::Crash { p, down_for } => {
                     in_range(p)?;
                     if *down_for == Some(0) {
                         return Err("a zero-length outage is not a crash".into());
                     }
+                    let crashable = matches!(
+                        static_role(*p),
+                        Role::Honest | Role::Crash { .. } | Role::CrashRecover { .. }
+                    );
+                    if !crashable {
+                        return Err(format!("Crash of {p}, which is silent or Byzantine"));
+                    }
+                    *p
                 }
+            };
+            if *static_role(p) == Role::Honest && !victims.contains(&p) {
+                victims.push(p);
             }
+        }
+        let roles = self.roles.iter().filter(|(_, r)| *r != Role::Honest);
+        let faulty = roles.count() + victims.len();
+        if faulty > t {
+            return Err(format!(
+                "{faulty} faulty processes (roles and event victims) exceed t = {t}"
+            ));
         }
         Ok(())
     }

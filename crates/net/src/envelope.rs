@@ -84,6 +84,12 @@ impl<M> Outbox<M> {
         self.queue.drain(..)
     }
 
+    /// The envelopes queued after the first `start`, mutably: lets a
+    /// sender rewrite what one of its steps queued, in place.
+    pub fn tail_mut(&mut self, start: usize) -> &mut [Envelope<M>] {
+        &mut self.queue[start..]
+    }
+
     /// Re-arms the outbox for a new sender, clearing any leftover queue
     /// but keeping its capacity.
     pub fn reset(&mut self, me: Pid) {

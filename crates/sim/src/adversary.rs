@@ -10,15 +10,16 @@
 //! [`SchedLayer::stack`] composes layers into one scheduler, and
 //! [`schedulers::uniform`] is the benign network.
 //!
-//! Corruption: Byzantine processes are [`Process`] implementations that
-//! deviate. This module provides generic ones (silence, crash); protocol
-//! crates add protocol-aware liars.
+//! Corruption: a corrupted process is a [`Process`](crate::Process)
+//! implementation that deviates; the simulator makes no honesty
+//! assumption. The fault models themselves (silence, crash, lies) are
+//! protocol-aware and live with the protocol (`sba::Role`).
 
 use rand::rngs::StdRng;
 use rand::Rng;
-use sba_net::{Envelope, Outbox, Pid, MAX_N};
+use sba_net::{Envelope, Pid, MAX_N};
 
-use crate::{Process, SimMsg};
+use crate::SimMsg;
 
 /// Cumulative link-level counters a scheduling strategy may expose.
 ///
@@ -741,188 +742,9 @@ impl<M: 'static> Scheduler<M> for Layered<M> {
     }
 }
 
-/// A corrupted process that never sends anything (fail-silent from the
-/// start). Indistinguishable from an infinitely slow process — the
-/// strongest *crash-style* behaviour the asynchronous model allows.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SilentProcess;
-
-impl<M> Process<M> for SilentProcess {
-    fn on_start(&mut self, _out: &mut Outbox<M>) {}
-    fn on_message(&mut self, _from: Pid, _msg: M, _out: &mut Outbox<M>) {}
-    fn done(&self) -> bool {
-        true // never blocks experiment termination checks
-    }
-    fn down(&self) -> bool {
-        true // crashed-from-the-start, as far as health gauges go
-    }
-}
-
-/// Wraps an honest process and crashes it (drops all behaviour) after a
-/// fixed number of deliveries: fail-stop mid-protocol — or, with
-/// [`CrashProcess::with_recovery`], crash-*recover*: the process misses a
-/// fixed number of deliveries while down, then comes back and catches up
-/// by replaying everything it missed (the deterministic stand-in for
-/// "recover state from peers").
-///
-/// The extra `M` type parameter carries the missed-delivery buffer; plain
-/// fail-stop wrappers never populate it.
-#[derive(Clone)]
-pub struct CrashProcess<P, M> {
-    inner: P,
-    /// Deliveries until the crash point; `u64::MAX` after a recovery
-    /// (a recovered process re-crashes only via [`CrashProcess::crash_now`]).
-    deliveries_left: u64,
-    /// Deliveries to miss while down before recovering; `None` = fail-stop.
-    down_for: Option<u64>,
-    /// Remaining deliveries to miss while down.
-    down_left: u64,
-    /// Messages that arrived while down, replayed (in delivery order) at
-    /// the recovery tick.
-    missed: Vec<(Pid, M)>,
-    recoveries: u64,
-}
-
-impl<P, M> CrashProcess<P, M> {
-    /// Crashes `inner` after it has handled `deliveries` messages
-    /// (fail-stop: it never comes back).
-    pub fn new(inner: P, deliveries: u64) -> Self {
-        CrashProcess {
-            inner,
-            deliveries_left: deliveries,
-            down_for: None,
-            down_left: 0,
-            missed: Vec::new(),
-            recoveries: 0,
-        }
-    }
-
-    /// Crashes `inner` after `deliveries` handled messages, keeps it down
-    /// for the next `down_for` deliveries (buffered, not handled), then
-    /// recovers it: the buffered backlog is replayed into the inner
-    /// process in delivery order — catching up from peers — and the
-    /// process runs normally from there on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `down_for` is zero (use [`CrashProcess::new`] for
-    /// fail-stop).
-    pub fn with_recovery(inner: P, deliveries: u64, down_for: u64) -> Self {
-        assert!(down_for > 0, "a zero-length outage is not a crash");
-        CrashProcess {
-            inner,
-            deliveries_left: deliveries,
-            down_for: Some(down_for),
-            down_left: if deliveries == 0 { down_for } else { 0 },
-            missed: Vec::new(),
-            recoveries: 0,
-        }
-    }
-
-    /// Whether the process is currently down (crashed and, if it is a
-    /// crash-recover process, not yet recovered).
-    pub fn crashed(&self) -> bool {
-        self.deliveries_left == 0
-    }
-
-    /// Crashes the process *now*, regardless of its current state:
-    /// fail-stop with `down_for = None`, crash-recover (down for the
-    /// next `d` deliveries, then replay-and-catch-up) with `Some(d)`.
-    ///
-    /// Works on a process that is up, recovered, or — the "crash during
-    /// recovery" shape — already mid-outage: in that case the outage is
-    /// extended and the missed backlog keeps accumulating until the new
-    /// recovery point.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `down_for` is `Some(0)`.
-    pub fn crash_now(&mut self, down_for: Option<u64>) {
-        if let Some(d) = down_for {
-            assert!(d > 0, "a zero-length outage is not a crash");
-        }
-        self.deliveries_left = 0;
-        self.down_for = down_for;
-        self.down_left = down_for.unwrap_or(0);
-    }
-
-    /// The wrapped process.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-}
-
-impl<P: Process<M>, M: Send> CrashProcess<P, M> {
-    /// Delivers one message through the crash state machine.
-    fn deliver(&mut self, from: Pid, msg: M, out: &mut Outbox<M>) {
-        if self.deliveries_left == 0 {
-            let Some(_) = self.down_for else {
-                return; // fail-stop: dead forever
-            };
-            // Down: the delivery is missed but remembered.
-            self.missed.push((from, msg));
-            self.down_left -= 1;
-            if self.down_left == 0 {
-                // Recovery tick: replay the missed backlog (catch up from
-                // peers), then stay up for good.
-                self.recoveries += 1;
-                self.deliveries_left = u64::MAX;
-                let missed = std::mem::take(&mut self.missed);
-                for (f, m) in missed {
-                    self.inner.on_message(f, m, out);
-                }
-            }
-            return;
-        }
-        self.deliveries_left -= 1;
-        self.inner.on_message(from, msg, out);
-        if self.deliveries_left == 0 {
-            // Messages queued in this final step still go out; afterwards
-            // the process is down (dead, or counting down to recovery).
-            self.down_left = self.down_for.unwrap_or(0);
-        }
-    }
-}
-
-impl<M: Send, P: Process<M>> Process<M> for CrashProcess<P, M> {
-    fn on_start(&mut self, out: &mut Outbox<M>) {
-        if self.deliveries_left > 0 {
-            self.inner.on_start(out);
-        }
-    }
-    fn on_message(&mut self, from: Pid, msg: M, out: &mut Outbox<M>) {
-        self.deliver(from, msg, out);
-    }
-    fn on_batch(&mut self, from: Pid, msgs: &mut Vec<M>, out: &mut Outbox<M>) {
-        // The crash budget is counted in *messages*, so a batch that
-        // straddles the crash point is split mid-batch: the process goes
-        // down exactly after its configured number of deliveries (and the
-        // rest of the batch counts toward the outage).
-        for msg in msgs.drain(..) {
-            self.deliver(from, msg, out);
-        }
-    }
-    fn done(&self) -> bool {
-        match self.down_for {
-            // Fail-stop: a dead process never blocks termination checks.
-            None => self.crashed() || self.inner.done(),
-            // Crash-recover: the run is expected to wait for the
-            // recovered process's output.
-            Some(_) => self.inner.done(),
-        }
-    }
-    fn down(&self) -> bool {
-        self.crashed()
-    }
-    fn recoveries(&self) -> u64 {
-        self.recoveries
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Process, Simulation};
     use rand::SeedableRng;
 
     #[test]
@@ -993,38 +815,6 @@ mod tests {
             let at = s.delivery_time(&across, 2000, &mut rng);
             assert!(at > 2000 && at <= 2002);
         }
-    }
-
-    #[test]
-    fn crash_process_stops_reacting() {
-        struct Echoer;
-        impl Process<u64> for Echoer {
-            fn on_start(&mut self, _out: &mut Outbox<u64>) {}
-            fn on_message(&mut self, from: Pid, msg: u64, out: &mut Outbox<u64>) {
-                out.send(from, msg);
-            }
-        }
-        struct Driver {
-            replies: u64,
-        }
-        impl Process<u64> for Driver {
-            fn on_start(&mut self, out: &mut Outbox<u64>) {
-                for k in 0..10 {
-                    out.send(Pid::new(2), k);
-                }
-            }
-            fn on_message(&mut self, _from: Pid, _msg: u64, _out: &mut Outbox<u64>) {
-                self.replies += 1;
-            }
-        }
-        let procs: Vec<Box<dyn Process<u64>>> = vec![
-            Box::new(Driver { replies: 0 }),
-            Box::new(CrashProcess::new(Echoer, 4)),
-        ];
-        let mut sim = Simulation::new(procs, SchedLayer::Fifo.build(), 9);
-        sim.run_to_quiescence(1000);
-        // Echoer answered exactly 4 of the 10 pings. 10 pings + 4 replies.
-        assert_eq!(sim.metrics().messages_sent, 14);
     }
 
     #[test]
@@ -1154,61 +944,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_recover_replays_missed_backlog() {
-        struct Echoer;
-        impl Process<u64> for Echoer {
-            fn on_start(&mut self, _out: &mut Outbox<u64>) {}
-            fn on_message(&mut self, from: Pid, msg: u64, out: &mut Outbox<u64>) {
-                out.send(from, msg);
-            }
-        }
-        struct Driver {
-            replies: u64,
-        }
-        impl Process<u64> for Driver {
-            fn on_start(&mut self, out: &mut Outbox<u64>) {
-                for k in 0..10 {
-                    out.send(Pid::new(2), k);
-                }
-            }
-            fn on_message(&mut self, _from: Pid, _msg: u64, _out: &mut Outbox<u64>) {
-                self.replies += 1;
-            }
-        }
-        // Up for 2 deliveries, down for the next 3 (buffered), then
-        // recovered: every one of the 10 pings is eventually answered.
-        let procs: Vec<Box<dyn Process<u64>>> = vec![
-            Box::new(Driver { replies: 0 }),
-            Box::new(CrashProcess::with_recovery(Echoer, 2, 3)),
-        ];
-        let mut sim = Simulation::new(procs, SchedLayer::Fifo.build(), 9);
-        sim.run_to_quiescence(1000);
-        assert_eq!(sim.metrics().messages_sent, 20, "all pings answered");
-        assert_eq!(sim.metrics().recoveries, 1);
-        assert_eq!(sim.metrics().processes_down, 0, "nobody down at the end");
-    }
-
-    #[test]
-    fn crash_recover_down_state_is_visible_mid_outage() {
-        struct Sink;
-        impl Process<u64> for Sink {
-            fn on_start(&mut self, _out: &mut Outbox<u64>) {}
-            fn on_message(&mut self, _from: Pid, _msg: u64, _out: &mut Outbox<u64>) {}
-        }
-        let mut p: CrashProcess<Sink, u64> = CrashProcess::with_recovery(Sink, 1, 2);
-        let mut out = Outbox::new(Pid::new(2));
-        assert!(!p.crashed());
-        p.on_message(Pid::new(1), 0, &mut out);
-        assert!(p.crashed(), "crash point reached");
-        p.on_message(Pid::new(1), 1, &mut out);
-        assert!(p.crashed(), "still down mid-outage");
-        assert_eq!(p.recoveries(), 0);
-        p.on_message(Pid::new(1), 2, &mut out);
-        assert!(!p.crashed(), "recovered");
-        assert_eq!(p.recoveries(), 1);
-    }
-
-    #[test]
     fn layered_single_layer_is_bit_identical_to_bare() {
         let mut bare = schedulers::uniform::<u64>(20);
         let mut stack = SchedLayer::stack::<u64>(&[SchedLayer::Uniform { max_delay: 20 }]);
@@ -1283,41 +1018,5 @@ mod tests {
         let at = s.delivery_time(&across, 250, &mut rng);
         assert!(at <= 253, "healed mid-window");
         assert_eq!(s.link_stats().held, 1);
-    }
-
-    #[test]
-    fn crash_now_mid_recovery_extends_the_outage() {
-        struct Sink;
-        impl Process<u64> for Sink {
-            fn on_start(&mut self, _out: &mut Outbox<u64>) {}
-            fn on_message(&mut self, _from: Pid, _msg: u64, _out: &mut Outbox<u64>) {}
-        }
-        let mut p: CrashProcess<Sink, u64> = CrashProcess::with_recovery(Sink, 1, 2);
-        let mut out = Outbox::new(Pid::new(2));
-        p.on_message(Pid::new(1), 0, &mut out);
-        p.on_message(Pid::new(1), 1, &mut out);
-        assert!(p.crashed(), "one missed delivery into the outage");
-        // Re-crash mid-outage: the recovery point moves out by 3 more
-        // deliveries and the backlog keeps growing.
-        p.crash_now(Some(3));
-        for k in 2..5 {
-            assert!(p.crashed());
-            p.on_message(Pid::new(1), k, &mut out);
-        }
-        assert!(!p.crashed(), "recovered at the extended point");
-        assert_eq!(p.recoveries(), 1);
-        // And a recovered process can be fail-stopped outright.
-        p.crash_now(None);
-        assert!(p.crashed());
-        assert!(p.done(), "fail-stop never blocks termination checks");
-    }
-
-    #[test]
-    fn silent_process_sends_nothing() {
-        let procs: Vec<Box<dyn Process<u64>>> = vec![Box::new(SilentProcess)];
-        let mut sim = Simulation::new(procs, SchedLayer::Fifo.build(), 0);
-        let outcome = sim.run_to_quiescence(10);
-        assert!(outcome.quiescent);
-        assert_eq!(sim.metrics().messages_sent, 0);
     }
 }

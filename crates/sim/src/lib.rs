@@ -13,7 +13,10 @@
 //!   the stock strategies are the rows of [`SchedLayer`], composed by
 //!   [`SchedLayer::stack`] ([`schedulers::uniform`] is the benign one);
 //! - Byzantine behaviour is expressed by corrupted [`Process`]
-//!   implementations (the adversary's corruption power);
+//!   implementations (the adversary's corruption power):
+//!   [`TamperProcess`] rewrites what a process sends, and the
+//!   protocol's own fault models (silent, crash, crash-recover, lying)
+//!   are `sba::Role`s;
 //! - the run is a pure function of the seed, so every experiment is
 //!   replayable.
 //!
@@ -60,7 +63,7 @@ pub mod socket;
 mod tamper;
 pub mod threaded;
 
-pub use adversary::{schedulers, CrashProcess, LinkStats, SchedLayer, Scheduler, SilentProcess};
+pub use adversary::{schedulers, LinkStats, SchedLayer, Scheduler};
 pub use metrics::Metrics;
 pub use observer::{Observer, ObserverStats};
 pub use process::{Process, SimMsg};

@@ -58,13 +58,12 @@ pub trait Process<M>: Send {
     }
 
     /// Whether this process is currently down (crashed, silent, or
-    /// mid-outage). Fault wrappers like [`CrashProcess`] override this;
-    /// the simulator mirrors the count into
+    /// mid-outage). A fault model overrides this (`sba::ClusterProcess`
+    /// does for its silent and crash roles); the simulator mirrors the
+    /// count into
     /// [`Metrics::processes_down`](crate::Metrics::processes_down) so
     /// fault sweeps can assert how many processes were dead at decision
     /// time. Defaults to `false`.
-    ///
-    /// [`CrashProcess`]: crate::CrashProcess
     fn down(&self) -> bool {
         false
     }

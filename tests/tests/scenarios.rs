@@ -10,7 +10,8 @@
 //! re-pin, not drift.
 
 use sba::{
-    Cluster, ClusterConfig, ClusterReport, Pid, PlanCoin, Role, ScenarioPlan, SchedLayer, Zoo,
+    Action, Cluster, ClusterConfig, ClusterReport, Pid, PlanCoin, PlanEvent, Role, ScenarioPlan,
+    SchedLayer, Trigger, Zoo,
 };
 use sba_bench::trial::{self, Trial};
 
@@ -444,4 +445,126 @@ fn every_scenario_replays_bit_identically() {
         assert!(replay.ok(), "{}: {:?}", zoo.name(), replay.mismatches);
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The identity oracle for the fault path: one monitored n=4, t=1 run
+/// per non-honest [`Role`] on p4, per [`Action::Corrupt`] of an honest
+/// p4 into each of them, per [`Action::Crash`] shape, and for a
+/// re-crash of a crash-recovering p4 inside its outage. Every count is
+/// exact; a change that moves one changed what a faulty process does.
+///
+/// Columns: plan, digest, messages sent, decisions of p1..p4 (`-` for
+/// none), max decision round, processes down and recoveries at the
+/// end, monitor checks.
+#[test]
+fn every_role_and_action_is_pinned() {
+    const PINS: &str = "\
+role silent           f0f613b236d69b23   5352 111- 1 1 0   5144
+role crash            ff14d31f3ab846bf  10626 000- 1 1 0   7560
+role crash_recover    34dcd34e2f0cb23d  23715 1111 1 0 1  13940
+role lying_shares     c2ad26e2799efc7c  23634 111- 2 0 0  28968
+role flipped_votes    53f4ea416af5c098  13425 111- 1 0 0  16472
+role equivocating     6a6ced2c8f13ab38  13386 111- 1 0 0  16344
+corrupt silent        cf231e0513ca08e2   8406 000- 1 1 0   7088
+corrupt crash         fda83c4245cbb03f  10860 000- 1 1 0   8308
+corrupt crash_recover 3f005153d6378b9c  49692 0000 2 0 1  35504
+corrupt lying_shares  c2ad26e2799efc7c  23634 111- 2 0 0  28968
+corrupt flipped_votes 829382743494e677  27567 111- 2 0 0  36224
+corrupt equivocating  5cb2361947af4599  27195 000- 2 0 0  35044
+crash none            cf231e0513ca08e2   8406 000- 1 1 0   7088
+crash some            8d9d587a01a96ea0  48645 0000 2 0 1  30952
+recrash mid-outage    ea4cf9b8d118b8a2  53316 0000 2 0 1  32364";
+    let p4 = Pid::new(4);
+    let faulty = [
+        ("silent", Role::Silent),
+        ("crash", Role::Crash { after: 400 }),
+        (
+            "crash_recover",
+            Role::CrashRecover {
+                after: 300,
+                down_for: 500,
+            },
+        ),
+        ("lying_shares", Role::LyingShares { delta: 5 }),
+        ("flipped_votes", Role::FlippedVotes),
+        ("equivocating", Role::Equivocating),
+    ];
+    let plan = |name: String, roles: Vec<(Pid, Role)>, at: u64, action: Option<Action>| {
+        let mut plan = ScenarioPlan::new(&name, 4, 1, SEED);
+        plan.roles = roles;
+        plan.events = action
+            .map(|action| PlanEvent {
+                at: Trigger::AtDelivery(at),
+                action,
+            })
+            .into_iter()
+            .collect();
+        plan.monitor = true;
+        plan
+    };
+    let mut plans = Vec::new();
+    for (name, role) in &faulty {
+        plans.push(plan(
+            format!("role {name}"),
+            vec![(p4, role.clone())],
+            0,
+            None,
+        ));
+    }
+    for (name, role) in &faulty {
+        let role = role.clone();
+        let corrupt = Action::Corrupt { p: p4, role };
+        plans.push(plan(format!("corrupt {name}"), vec![], 400, Some(corrupt)));
+    }
+    for (name, down_for) in [("none", None), ("some", Some(600))] {
+        let crash = Action::Crash { p: p4, down_for };
+        plans.push(plan(format!("crash {name}"), vec![], 400, Some(crash)));
+    }
+    let recrash = Action::Crash {
+        p: p4,
+        down_for: Some(600),
+    };
+    let outage = vec![(p4, faulty[2].1.clone())];
+    plans.push(plan(
+        "recrash mid-outage".into(),
+        outage,
+        700,
+        Some(recrash),
+    ));
+    // The re-crash lands inside the static outage: p4 is down, not yet
+    // recovered, one delivery before it fires.
+    let mut probe = plans.last().expect("just pushed").build();
+    probe.advance_until(60_000_000, |sim| sim.metrics().messages_delivered >= 699);
+    let m = probe.sim().metrics();
+    assert_eq!((m.processes_down, m.recoveries), (1, 0), "p4 is mid-outage");
+    let got: Vec<String> = plans
+        .iter()
+        .map(|plan| {
+            let mut cluster = plan.build();
+            let report = cluster.run(60_000_000);
+            assert!(report.terminated && report.agreement(), "{}", plan.name);
+            let monitor = cluster.monitor_report().expect("monitored");
+            assert!(monitor.ok(), "{}: {:?}", plan.name, monitor.violations);
+            let decisions: String = (report.decisions.iter())
+                .map(|d| d.map_or('-', |b| if b { '1' } else { '0' }))
+                .collect();
+            let m = &report.metrics;
+            format!(
+                "{:<21} {:016x} {:>6} {decisions} {} {} {} {:>6}",
+                plan.name,
+                cluster.digest().expect("plans record a digest"),
+                report.messages,
+                report.max_round,
+                m.processes_down,
+                m.recoveries,
+                monitor.checks,
+            )
+        })
+        .collect();
+    assert_eq!(
+        PINS.lines().collect::<Vec<_>>(),
+        got,
+        "actual pins:\n{}",
+        got.join("\n")
+    );
 }
