@@ -671,7 +671,27 @@ mod tests {
                 vec![("plan.layers.l0.a", 5000.0)],
             ),
             (lagged.clone(), vec![("plan.layers.l0.a", 0.0)]),
-            (lagged, vec![("plan.layers.l0.b", 0.0)]),
+            (lagged.clone(), vec![("plan.layers.l0.b", 0.0)]),
+            // Delays whose worst case overflows u64 (2^40 fits in a
+            // to_kv value; the others are written as they would decode).
+            (
+                lagged,
+                vec![
+                    ("plan.layers.l0.a", 2f64.powi(40)),
+                    ("plan.layers.l0.b", 2f64.powi(40)),
+                ],
+            ),
+            (
+                Zoo::HeavyTail.plan(4, 1, 7),
+                vec![
+                    ("plan.layers.l0.a", 2f64.powi(62)),
+                    ("plan.layers.l0.b", 2f64.powi(63)),
+                ],
+            ),
+            (
+                Zoo::LossRetransmit.plan(4, 1, 7),
+                vec![("plan.layers.l0.b", 2f64.powi(62))],
+            ),
             (
                 with_event(Action::Crash {
                     p: Pid::new(4),

@@ -24,7 +24,8 @@ pub(crate) fn rewrite(role: &Role, to: Pid, msg: &Msg) -> Option<Msg> {
         // even-indexed ones its negation. An honest RB/WRB quorum
         // accepts at most one of the two versions per slot, so honest
         // processes still agree (the equivocator merely fails to get
-        // some slots accepted and earns shuns).
+        // some slots accepted). It draws no shun: Bracha RB refuses
+        // the second version without one, and only the DMM shuns.
         Role::Equivocating if to.index().is_multiple_of(2) => flip_vote_init(msg),
         Role::Equivocating
         | Role::Honest

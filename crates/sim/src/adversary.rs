@@ -4,16 +4,15 @@
 //! delivery time — arbitrary, adaptive reordering and delaying, but never
 //! dropping (the model guarantees eventual delivery). The stock
 //! strategies are the rows of [`SchedLayer`]: one enum row per shape,
-//! with its parameter check ([`SchedLayer::check`]), its build arm
-//! ([`SchedLayer::build`]) and its key/value encoding
+//! with its parameter check ([`SchedLayer::check`]), its arm in the one
+//! scheduling `match` and its key/value encoding
 //! ([`SchedLayer::to_kv`] / [`SchedLayer::from_kv`]) all in this file.
-//! [`SchedLayer::stack`] composes layers into one scheduler, and
-//! [`schedulers::uniform`] is the benign network.
+//! [`SchedLayer::stack`] schedules a list of rows ([`SchedLayer::build`]
+//! is a one-row stack), and [`schedulers::uniform`] is the benign network.
 //!
-//! Corruption: a corrupted process is a [`Process`](crate::Process)
-//! implementation that deviates; the simulator makes no honesty
-//! assumption. The fault models themselves (silence, crash, lies) are
-//! protocol-aware and live with the protocol (`sba::Role`).
+//! Corruption: a corrupted process is a [`Process`](crate::Process) whose
+//! sends deviate; the simulator makes no honesty assumption. The fault
+//! models (silence, crash, lies) are protocol-aware `sba::Role` rows.
 
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -194,37 +193,56 @@ pub enum SchedLayer {
 
 impl SchedLayer {
     /// Checks this layer's parameters: the contract its scheduler needs
-    /// to keep every delay finite and positive.
+    /// to keep every delay finite and positive, and every sum it forms
+    /// within `u64`. The worst-case delay a row adds to one send, and
+    /// any heal time it names, is at most 2^32 ticks.
     ///
     /// # Errors
     ///
     /// Names the broken contract.
     pub fn check(&self) -> Result<(), String> {
+        let delay = |d: &u64| (1..=MAX_DELAY).contains(d);
         let (ok, contract) = match self {
             SchedLayer::Uniform { max_delay } | SchedLayer::Skewed { max_delay } => {
-                (*max_delay > 0, "max_delay must be positive")
+                (delay(max_delay), "need 0 < max_delay <= 2^32")
             }
             SchedLayer::Fifo => (true, ""),
-            SchedLayer::HealedPartition { base, .. } => (*base > 0, "base must be positive"),
+            SchedLayer::HealedPartition { heal_at, base, .. } => (
+                delay(base) && *heal_at <= MAX_DELAY,
+                "need 0 < base <= 2^32 and heal_at <= 2^32",
+            ),
             SchedLayer::LossRetransmit {
                 loss_permille,
                 rto,
+                max_retries,
                 base,
-                ..
             } => (
-                *loss_permille < 1000 && *rto > 0 && *base > 0,
-                "need loss_permille < 1000 and positive delays",
+                *loss_permille < 1000
+                    && *rto > 0
+                    && *base > 0
+                    && u64::from(*max_retries)
+                        .checked_mul(*rto)
+                        .and_then(|d| d.checked_add(*base))
+                        .is_some_and(|d| delay(&d)),
+                "need loss_permille < 1000, positive delays and max_retries * rto + base <= 2^32",
             ),
-            SchedLayer::Rushing { window, .. } => (*window >= 2, "window must be >= 2"),
-            SchedLayer::HeavyTail { base, cap } => {
-                (*base > 0 && cap >= base, "need 0 < base <= cap")
+            SchedLayer::Rushing { window, .. } => {
+                ((2..=MAX_DELAY).contains(window), "need 2 <= window <= 2^32")
             }
+            SchedLayer::HeavyTail { base, cap } => (
+                *base > 0 && base <= cap && delay(cap),
+                "need 0 < base <= cap <= 2^32",
+            ),
             SchedLayer::WindowPartition {
                 from, until, base, ..
-            } => (from < until && *base > 0, "need from < until and base > 0"),
-            SchedLayer::Lagged { base, factor, .. } => {
-                (*base > 0 && *factor > 0, "delays must be positive")
-            }
+            } => (
+                from < until && *until <= MAX_DELAY && delay(base),
+                "need from < until <= 2^32 and 0 < base <= 2^32",
+            ),
+            SchedLayer::Lagged { base, factor, .. } => (
+                *factor > 0 && base.checked_mul(*factor).is_some_and(|d| delay(&d)),
+                "need positive delays and base * factor <= 2^32",
+            ),
         };
         if ok {
             Ok(())
@@ -233,72 +251,21 @@ impl SchedLayer {
         }
     }
 
-    /// Builds this layer as a standalone scheduler.
+    /// Builds this layer as a standalone scheduler: a one-layer
+    /// [`SchedLayer::stack`].
     ///
     /// # Panics
     ///
     /// Panics if [`SchedLayer::check`] rejects the parameters.
     pub fn build<M: SimMsg>(&self) -> Box<dyn Scheduler<M>> {
-        if let Err(e) = self.check() {
-            panic!("{self:?}: {e}");
-        }
-        match self.clone() {
-            SchedLayer::Uniform { max_delay } => Box::new(Uniform { max_delay }),
-            SchedLayer::Fifo => Box::new(Fifo),
-            SchedLayer::HealedPartition {
-                group_a,
-                heal_at,
-                base,
-            } => Box::new(HealedPartition {
-                group_a,
-                heal_at,
-                base,
-                held: 0,
-                last_release: 0,
-            }),
-            SchedLayer::LossRetransmit {
-                loss_permille,
-                rto,
-                max_retries,
-                base,
-            } => Box::new(LossRetransmit {
-                loss_permille,
-                rto,
-                max_retries,
-                base,
-                drops: 0,
-                retransmits: 0,
-            }),
-            SchedLayer::Rushing { target, window } => Box::new(Rushing {
-                target,
-                window,
-                last: Vec::new(),
-            }),
-            SchedLayer::HeavyTail { base, cap } => Box::new(HeavyTail { base, cap }),
-            SchedLayer::WindowPartition {
-                group_a,
-                from,
-                until,
-                base,
-            } => Box::new(WindowPartition {
-                group_a,
-                from,
-                until,
-                base,
-                held: 0,
-                last_release: 0,
-            }),
-            SchedLayer::Skewed { max_delay } => Box::new(Skew { max_delay }),
-            SchedLayer::Lagged { slow, base, factor } => Box::new(Lagged { slow, factor, base }),
-        }
+        Self::stack(std::slice::from_ref(self))
     }
 
     /// Composes layers into one strategy: each layer proposes a delivery
     /// time (sharing the simulation RNG, drawn in stack order) and the
     /// message is delivered at the maximum — the intersection of every
-    /// layer's constraints. A single-layer stack is bit-identical to the
-    /// bare layer (same draws, same times). [`LinkStats`] are summed
-    /// across layers; `heal_partitions` reaches every layer.
+    /// layer's constraints. [`LinkStats`] are summed across layers;
+    /// `heal_partitions` reaches every layer.
     ///
     /// # Panics
     ///
@@ -306,9 +273,101 @@ impl SchedLayer {
     /// [`SchedLayer::check`].
     pub fn stack<M: SimMsg>(layers: &[SchedLayer]) -> Box<dyn Scheduler<M>> {
         assert!(!layers.is_empty(), "a scheduler stack needs >= 1 layer");
-        Box::new(Layered {
-            layers: layers.iter().map(SchedLayer::build).collect(),
-        })
+        let stack = layers.iter().map(|layer| {
+            if let Err(e) = layer.check() {
+                panic!("{layer:?}: {e}");
+            }
+            (layer.clone(), Running::default())
+        });
+        Box::new(Stack(stack.collect()))
+    }
+
+    /// This layer's delivery time for `env` sent at `now`; `run` is what
+    /// the layer has accumulated in its stack so far.
+    fn propose<M>(&self, run: &mut Running, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
+        match self {
+            SchedLayer::Uniform { max_delay } => now + rng.gen_range(1..=*max_delay),
+            SchedLayer::Fifo => now + 1,
+            SchedLayer::HealedPartition {
+                group_a,
+                heal_at,
+                base,
+            } => run.hold(group_a, 0..*heal_at, *base, env, now, rng),
+            SchedLayer::WindowPartition {
+                group_a,
+                from,
+                until,
+                base,
+            } => run.hold(group_a, *from..*until, *base, env, now, rng),
+            SchedLayer::LossRetransmit {
+                loss_permille,
+                rto,
+                max_retries,
+                base,
+            } => {
+                // Each independent loss costs one retransmission timeout;
+                // the retry budget bounds the added delay, so delivery
+                // stays eventual (losses are modelled in the delay
+                // domain — the asynchronous model never truly drops).
+                let mut lost = 0u32;
+                while lost < *max_retries && rng.gen_range(0..1000u32) < *loss_permille {
+                    lost += 1;
+                }
+                run.stats.drops += u64::from(lost);
+                run.stats.retransmits += u64::from(lost);
+                now + u64::from(lost) * rto + rng.gen_range(1..=*base)
+            }
+            SchedLayer::Rushing { target, window } => {
+                // A full-information rushing adversary: the target's
+                // traffic (in both directions) is delivered first among
+                // all eligible events, everyone else's is pushed toward
+                // the edge of the legal asynchrony window — the target
+                // always speaks before the rest of the network hears
+                // anything.
+                let raw = if env.to == *target || env.from == *target {
+                    now + 1
+                } else {
+                    now + window - rng.gen_range(0..=window / 4)
+                };
+                // FIFO per directed link: never schedule before an
+                // earlier same-link send (reordering happens only across
+                // links).
+                let key = (env.from, env.to);
+                match run.last.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, last)) => {
+                        *last = raw.max(*last);
+                        *last
+                    }
+                    None => {
+                        run.last.push((key, raw));
+                        raw
+                    }
+                }
+            }
+            SchedLayer::HeavyTail { base, cap } => {
+                // Bounded integer Pareto (α = 1): delay = base · 1024/u
+                // for uniform u ∈ 1..=1024, truncated at `cap`. Median ≈
+                // 2·base, p99 ≈ 100·base — the long-fat-network shape
+                // where a few messages straggle far behind the bulk.
+                let u = rng.gen_range(1..=1024u64);
+                now + (base * 1024 / u).min(*cap)
+            }
+            SchedLayer::Skewed { max_delay } => {
+                // Per-(sender,recipient) deterministic skew plus jitter:
+                // creates persistent asymmetry between links, the
+                // adversarial shape that most stresses quorum formation.
+                let link = u64::from(env.from.index()) * 31 + u64::from(env.to.index()) * 17;
+                now + 1 + (link % max_delay) + rng.gen_range(0..=max_delay / 4)
+            }
+            SchedLayer::Lagged { slow, base, factor } => {
+                let d = rng.gen_range(1..=*base);
+                if slow.contains(&env.to) || slow.contains(&env.from) {
+                    now + d * factor
+                } else {
+                    now + d
+                }
+            }
+        }
     }
 
     /// The row's kind number in the key/value form (stable: recorded
@@ -474,270 +533,89 @@ pub mod schedulers {
     }
 }
 
-#[derive(Clone)]
-struct Uniform {
-    max_delay: u64,
-}
-impl<M: 'static> Scheduler<M> for Uniform {
-    fn delivery_time(&mut self, _env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-        now + rng.gen_range(1..=self.max_delay)
-    }
-    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-        Some(Box::new(self.clone()))
-    }
-}
+/// The largest delay [`SchedLayer::check`] lets a row add to one send,
+/// and the latest heal time it lets a row name: no proposal overflows
+/// `u64` while the clock is below 2^63 and a partition has held fewer
+/// than 2^31 sends.
+const MAX_DELAY: u64 = 1 << 32;
 
-#[derive(Clone)]
-struct Fifo;
-impl<M: 'static> Scheduler<M> for Fifo {
-    fn delivery_time(&mut self, _env: &Envelope<M>, now: u64, _rng: &mut StdRng) -> u64 {
-        now + 1
-    }
-    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-        Some(Box::new(self.clone()))
-    }
-}
-
-#[derive(Clone)]
-struct Lagged {
-    slow: Vec<Pid>,
-    factor: u64,
-    base: u64,
-}
-impl<M: 'static> Scheduler<M> for Lagged {
-    fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-        let d = rng.gen_range(1..=self.base);
-        if self.slow.contains(&env.to) || self.slow.contains(&env.from) {
-            now + d * self.factor
-        } else {
-            now + d
-        }
-    }
-    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-        Some(Box::new(self.clone()))
-    }
-}
-
-#[derive(Clone)]
-struct Skew {
-    max_delay: u64,
-}
-impl<M: 'static> Scheduler<M> for Skew {
-    fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-        // Per-(sender,recipient) deterministic skew plus jitter: creates
-        // persistent asymmetry between links, the adversarial shape that
-        // most stresses quorum formation.
-        let link = u64::from(env.from.index()) * 31 + u64::from(env.to.index()) * 17;
-        now + 1 + (link % self.max_delay) + rng.gen_range(0..=self.max_delay / 4)
-    }
-    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-        Some(Box::new(self.clone()))
-    }
-}
-
-#[derive(Clone)]
-struct HealedPartition {
-    group_a: Vec<Pid>,
-    heal_at: u64,
-    base: u64,
-    held: u64,
+/// What one layer of a [`Stack`] accumulates while it schedules.
+#[derive(Clone, Default)]
+struct Running {
+    /// The layer's share of the stack's link counters.
+    stats: LinkStats,
     /// Release clock for the post-heal drain of held cross-traffic.
     last_release: u64,
+    /// Last delivery time assigned per directed link, to keep every
+    /// link FIFO under a rushing layer's reordering.
+    last: Vec<((Pid, Pid), u64)>,
 }
-impl<M: 'static> Scheduler<M> for HealedPartition {
-    fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-        let cross = self.group_a.contains(&env.from) != self.group_a.contains(&env.to);
-        if !cross || now >= self.heal_at {
-            return now + rng.gen_range(1..=self.base);
+
+impl Running {
+    /// A partition's proposal: cross-group traffic sent in `window` is
+    /// held until the window ends, the rest draws `1..=base`.
+    fn hold<M>(
+        &mut self,
+        group: &[Pid],
+        window: std::ops::Range<u64>,
+        base: u64,
+        env: &Envelope<M>,
+        now: u64,
+        rng: &mut StdRng,
+    ) -> u64 {
+        let cross = group.contains(&env.from) != group.contains(&env.to);
+        if !cross || !window.contains(&now) {
+            return now + rng.gen_range(1..=base);
         }
         // Cross-partition traffic is queued, not dropped, and the heal
         // event releases the whole backlog in send order: successive
         // held sends get strictly increasing post-heal times, which
         // also preserves FIFO per link (global send order refines it).
-        self.held += 1;
-        self.last_release = self.last_release.max(self.heal_at) + rng.gen_range(1..=self.base);
+        self.stats.held += 1;
+        self.last_release = self.last_release.max(window.end) + rng.gen_range(1..=base);
         self.last_release
     }
-    fn link_stats(&self) -> LinkStats {
-        LinkStats {
-            held: self.held,
-            ..LinkStats::default()
-        }
-    }
-    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-        Some(Box::new(self.clone()))
-    }
-    fn heal_partitions(&mut self, now: u64) {
-        self.heal_at = self.heal_at.min(now);
-    }
 }
 
+/// The scheduler [`SchedLayer::stack`] builds: each layer's row beside
+/// what it has accumulated.
 #[derive(Clone)]
-struct LossRetransmit {
-    loss_permille: u32,
-    rto: u64,
-    max_retries: u32,
-    base: u64,
-    drops: u64,
-    retransmits: u64,
-}
-impl<M: 'static> Scheduler<M> for LossRetransmit {
-    fn delivery_time(&mut self, _env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-        // Each independent loss costs one retransmission timeout; the
-        // retry budget bounds the added delay, so delivery stays
-        // eventual (losses are modelled in the delay domain — the
-        // asynchronous model never truly drops).
-        let mut lost = 0u32;
-        while lost < self.max_retries && rng.gen_range(0..1000u32) < self.loss_permille {
-            lost += 1;
-        }
-        self.drops += u64::from(lost);
-        self.retransmits += u64::from(lost);
-        now + u64::from(lost) * self.rto + rng.gen_range(1..=self.base)
-    }
-    fn link_stats(&self) -> LinkStats {
-        LinkStats {
-            drops: self.drops,
-            retransmits: self.retransmits,
-            held: 0,
-        }
-    }
-    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-        Some(Box::new(self.clone()))
-    }
-}
+struct Stack(Vec<(SchedLayer, Running)>);
 
-#[derive(Clone)]
-struct Rushing {
-    target: Pid,
-    window: u64,
-    /// Last delivery time assigned per directed link, to keep every
-    /// link FIFO under the reordering.
-    last: Vec<((Pid, Pid), u64)>,
-}
-impl<M: 'static> Scheduler<M> for Rushing {
-    fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-        // A full-information rushing adversary: the target's traffic
-        // (in both directions) is delivered first among all eligible
-        // events, everyone else's is pushed toward the edge of the
-        // legal asynchrony window — the target always speaks before
-        // the rest of the network hears anything.
-        let rushed = env.to == self.target || env.from == self.target;
-        let raw = if rushed {
-            now + 1
-        } else {
-            now + self.window - rng.gen_range(0..=self.window / 4)
-        };
-        // FIFO per directed link: never schedule before an earlier
-        // same-link send (reordering happens only across links).
-        let key = (env.from, env.to);
-        match self.last.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, last)) => {
-                let at = raw.max(*last);
-                *last = at;
-                at
-            }
-            None => {
-                self.last.push((key, raw));
-                raw
-            }
-        }
-    }
-    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-        Some(Box::new(self.clone()))
-    }
-}
-
-#[derive(Clone)]
-struct HeavyTail {
-    base: u64,
-    cap: u64,
-}
-impl<M: 'static> Scheduler<M> for HeavyTail {
-    fn delivery_time(&mut self, _env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-        // Bounded integer Pareto (α = 1): delay = base · 1024/u for
-        // uniform u ∈ 1..=1024, truncated at `cap`. Median ≈ 2·base,
-        // p99 ≈ 100·base — the long-fat-network shape where a few
-        // messages straggle far behind the bulk.
-        let u = rng.gen_range(1..=1024u64);
-        now + (self.base * 1024 / u).min(self.cap)
-    }
-    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-        Some(Box::new(self.clone()))
-    }
-}
-
-#[derive(Clone)]
-struct WindowPartition {
-    group_a: Vec<Pid>,
-    from: u64,
-    until: u64,
-    base: u64,
-    held: u64,
-    /// Release clock for the post-heal drain of held cross-traffic.
-    last_release: u64,
-}
-impl<M: 'static> Scheduler<M> for WindowPartition {
-    fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
-        let cross = self.group_a.contains(&env.from) != self.group_a.contains(&env.to);
-        if !cross || now < self.from || now >= self.until {
-            return now + rng.gen_range(1..=self.base);
-        }
-        // Same drain discipline as `HealedPartition`: held sends are
-        // released in send order from the heal point.
-        self.held += 1;
-        self.last_release = self.last_release.max(self.until) + rng.gen_range(1..=self.base);
-        self.last_release
-    }
-    fn link_stats(&self) -> LinkStats {
-        LinkStats {
-            held: self.held,
-            ..LinkStats::default()
-        }
-    }
-    fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-        Some(Box::new(self.clone()))
-    }
-    fn heal_partitions(&mut self, now: u64) {
-        self.until = self.until.min(now);
-    }
-}
-
-struct Layered<M> {
-    layers: Vec<Box<dyn Scheduler<M>>>,
-}
-impl<M: 'static> Scheduler<M> for Layered<M> {
+impl<M: 'static> Scheduler<M> for Stack {
     fn delivery_time(&mut self, env: &Envelope<M>, now: u64, rng: &mut StdRng) -> u64 {
         // Every layer proposes a time (drawing from the shared RNG in
         // stack order) and the envelope lands at the *latest* proposal,
         // so each layer's constraint — a hold, a retransmission delay,
         // a rushing window — is honoured simultaneously.
-        self.layers
+        self.0
             .iter_mut()
-            .map(|l| l.delivery_time(env, now, rng))
+            .map(|(layer, run)| layer.propose(run, env, now, rng))
             .max()
-            .expect("layered scheduler has at least one layer")
+            .expect("a scheduler stack has at least one layer")
     }
+
     fn link_stats(&self) -> LinkStats {
         let mut sum = LinkStats::default();
-        for l in &self.layers {
-            let s = l.link_stats();
-            sum.drops += s.drops;
-            sum.retransmits += s.retransmits;
-            sum.held += s.held;
+        for (_, run) in &self.0 {
+            sum.drops += run.stats.drops;
+            sum.retransmits += run.stats.retransmits;
+            sum.held += run.stats.held;
         }
         sum
     }
+
     fn clone_box(&self) -> Option<Box<dyn Scheduler<M>>> {
-        let mut layers = Vec::with_capacity(self.layers.len());
-        for l in &self.layers {
-            layers.push(l.clone_box()?);
-        }
-        Some(Box::new(Layered { layers }))
+        Some(Box::new(self.clone()))
     }
+
     fn heal_partitions(&mut self, now: u64) {
-        for l in &mut self.layers {
-            l.heal_partitions(now);
+        for (layer, _) in &mut self.0 {
+            if let SchedLayer::HealedPartition { heal_at: end, .. }
+            | SchedLayer::WindowPartition { until: end, .. } = layer
+            {
+                *end = (*end).min(now);
+            }
         }
     }
 }
@@ -746,6 +624,7 @@ impl<M: 'static> Scheduler<M> for Layered<M> {
 mod tests {
     use super::*;
     use rand::SeedableRng;
+    use std::ops::Range;
 
     #[test]
     fn uniform_delays_in_range() {
@@ -1018,5 +897,295 @@ mod tests {
         let at = s.delivery_time(&across, 250, &mut rng);
         assert!(at <= 253, "healed mid-window");
         assert_eq!(s.link_stats().held, 1);
+    }
+
+    /// Feeds a stack 300 sends (every directed link of n = 4 in turn,
+    /// two sends per tick) and returns the fold of its delivery times
+    /// over sends 0..150, over 150..300, and over 150..300 after a heal
+    /// at send 150 (tick 75), with the final link stats of the unhealed
+    /// and the healed run. A copy taken at send 150 must replay the tail.
+    fn oracle(layers: &[SchedLayer]) -> ([u64; 3], [LinkStats; 2]) {
+        fn drive(s: &mut dyn Scheduler<u64>, rng: &mut StdRng, sends: Range<u64>) -> u64 {
+            sends.fold(0xcbf2_9ce4_8422_2325, |acc, i| {
+                let env = Envelope {
+                    from: Pid::new(1 + (i % 4) as u32),
+                    to: Pid::new(1 + (i / 4 % 4) as u32),
+                    msg: i,
+                };
+                (acc ^ s.delivery_time(&env, i / 2, rng)).wrapping_mul(0x0100_0000_01b3)
+            })
+        }
+        let mut s = SchedLayer::stack::<u64>(layers);
+        let mut rng = StdRng::seed_from_u64(50);
+        let head = drive(&mut *s, &mut rng, 0..150);
+        let (mut copy, mut copy_rng) = (s.clone_box().unwrap(), rng.clone());
+        let (mut healed, mut healed_rng) = (s.clone_box().unwrap(), rng.clone());
+        let tail = drive(&mut *s, &mut rng, 150..300);
+        assert_eq!(drive(&mut *copy, &mut copy_rng, 150..300), tail);
+        assert_eq!(copy.link_stats(), s.link_stats());
+        healed.heal_partitions(75);
+        let healed_tail = drive(&mut *healed, &mut healed_rng, 150..300);
+        (
+            [head, tail, healed_tail],
+            [s.link_stats(), healed.link_stats()],
+        )
+    }
+
+    #[test]
+    fn every_row_schedules_as_recorded() {
+        let group = |ids: &[u32]| ids.iter().map(|&i| Pid::new(i)).collect::<Vec<_>>();
+        let stats = |drops, held| LinkStats {
+            drops,
+            retransmits: drops,
+            held,
+        };
+        // Parameters chosen so every branch fires: partition holds (and
+        // a heal that cuts them short), losses up to the retry cap, the
+        // rushing FIFO clamp and the heavy-tail cap.
+        let cases = [
+            (
+                vec![SchedLayer::Uniform { max_delay: 7 }],
+                [
+                    2_623_683_955_406_598_571,
+                    14_015_220_004_612_977_999,
+                    14_015_220_004_612_977_999,
+                ],
+                [stats(0, 0), stats(0, 0)],
+            ),
+            (
+                vec![SchedLayer::Fifo],
+                [
+                    14_832_032_874_940_833_741,
+                    14_365_150_866_788_338_935,
+                    14_365_150_866_788_338_935,
+                ],
+                [stats(0, 0), stats(0, 0)],
+            ),
+            (
+                vec![SchedLayer::HealedPartition {
+                    group_a: group(&[1, 2]),
+                    heal_at: 120,
+                    base: 3,
+                }],
+                [
+                    15_499_681_063_005_820_584,
+                    4_619_140_058_345_558_755,
+                    5_102_488_976_005_125_200,
+                ],
+                [stats(0, 120), stats(0, 74)],
+            ),
+            (
+                vec![SchedLayer::LossRetransmit {
+                    loss_permille: 400,
+                    rto: 25,
+                    max_retries: 2,
+                    base: 4,
+                }],
+                [
+                    11_472_228_172_333_752_514,
+                    5_059_301_810_995_877_172,
+                    5_059_301_810_995_877_172,
+                ],
+                [stats(147, 0), stats(147, 0)],
+            ),
+            (
+                vec![SchedLayer::Rushing {
+                    target: Pid::new(2),
+                    window: 40,
+                }],
+                [
+                    17_883_455_823_298_155_307,
+                    7_186_648_853_993_648_230,
+                    7_186_648_853_993_648_230,
+                ],
+                [stats(0, 0), stats(0, 0)],
+            ),
+            (
+                vec![SchedLayer::HeavyTail { base: 3, cap: 200 }],
+                [
+                    850_860_092_285_424_887,
+                    13_796_440_011_515_391_484,
+                    13_796_440_011_515_391_484,
+                ],
+                [stats(0, 0), stats(0, 0)],
+            ),
+            (
+                vec![SchedLayer::WindowPartition {
+                    group_a: group(&[1, 2]),
+                    from: 20,
+                    until: 120,
+                    base: 3,
+                }],
+                [
+                    4_109_326_134_263_804_735,
+                    3_977_259_100_635_413_489,
+                    5_102_488_976_005_125_200,
+                ],
+                [stats(0, 100), stats(0, 54)],
+            ),
+            (
+                vec![SchedLayer::Skewed { max_delay: 9 }],
+                [
+                    17_207_923_373_224_179_488,
+                    11_759_651_181_560_928_073,
+                    11_759_651_181_560_928_073,
+                ],
+                [stats(0, 0), stats(0, 0)],
+            ),
+            (
+                vec![SchedLayer::Lagged {
+                    slow: group(&[3]),
+                    base: 3,
+                    factor: 5,
+                }],
+                [
+                    16_255_756_284_963_856_189,
+                    4_611_858_701_014_583_792,
+                    4_611_858_701_014_583_792,
+                ],
+                [stats(0, 0), stats(0, 0)],
+            ),
+            (
+                vec![
+                    SchedLayer::HealedPartition {
+                        group_a: group(&[1]),
+                        heal_at: 120,
+                        base: 2,
+                    },
+                    SchedLayer::LossRetransmit {
+                        loss_permille: 300,
+                        rto: 15,
+                        max_retries: 3,
+                        base: 3,
+                    },
+                    SchedLayer::Rushing {
+                        target: Pid::new(4),
+                        window: 60,
+                    },
+                ],
+                [
+                    18_334_396_062_986_412_780,
+                    5_041_810_974_899_605_388,
+                    17_095_266_789_095_772_445,
+                ],
+                [stats(124, 90), stats(124, 58)],
+            ),
+        ];
+        for (layers, folds, link) in cases {
+            assert_eq!(oracle(&layers), (folds, link), "{layers:?}");
+        }
+    }
+
+    #[test]
+    fn check_bounds_every_worst_case_delay() {
+        let big = (1u64 << 63) - 1;
+        let p1 = || vec![Pid::new(1)];
+        // Worst cases above the limits. The first three once passed
+        // `check` and then overflowed in `delivery_time`: a panic in
+        // debug builds, a wrap in release.
+        let overflowing = [
+            SchedLayer::HeavyTail {
+                base: big,
+                cap: u64::MAX,
+            },
+            SchedLayer::LossRetransmit {
+                loss_permille: 500,
+                rto: big,
+                max_retries: 3,
+                base: 4,
+            },
+            SchedLayer::Lagged {
+                slow: p1(),
+                base: 1 << 40,
+                factor: 1 << 40,
+            },
+            SchedLayer::LossRetransmit {
+                loss_permille: 500,
+                rto: MAX_DELAY,
+                max_retries: u32::MAX,
+                base: 1,
+            },
+            SchedLayer::Uniform {
+                max_delay: u64::MAX,
+            },
+            SchedLayer::Skewed {
+                max_delay: u64::MAX,
+            },
+            SchedLayer::Rushing {
+                target: Pid::new(1),
+                window: u64::MAX,
+            },
+            SchedLayer::HealedPartition {
+                group_a: p1(),
+                heal_at: u64::MAX,
+                base: 2,
+            },
+            SchedLayer::WindowPartition {
+                group_a: p1(),
+                from: 0,
+                until: u64::MAX,
+                base: 2,
+            },
+        ];
+        for layer in overflowing {
+            assert!(layer.check().is_err(), "{layer:?}");
+            let kv = layer.to_kv("l");
+            let get = |key: String| {
+                let v = kv.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+                v.ok_or(key)
+            };
+            assert!(SchedLayer::from_kv("l", &get).is_err(), "{layer:?}");
+        }
+        // Every row at its limits passes, and its worst case stays in
+        // range (this test runs in debug, where an overflow panics).
+        let at_limit = [
+            SchedLayer::Uniform {
+                max_delay: MAX_DELAY,
+            },
+            SchedLayer::Skewed {
+                max_delay: MAX_DELAY,
+            },
+            SchedLayer::HeavyTail {
+                base: MAX_DELAY,
+                cap: MAX_DELAY,
+            },
+            SchedLayer::LossRetransmit {
+                loss_permille: 999,
+                rto: (MAX_DELAY - 1) / 3,
+                max_retries: 3,
+                base: 1,
+            },
+            SchedLayer::Lagged {
+                slow: p1(),
+                base: 1 << 16,
+                factor: 1 << 16,
+            },
+            SchedLayer::Rushing {
+                target: Pid::new(1),
+                window: MAX_DELAY,
+            },
+            SchedLayer::HealedPartition {
+                group_a: p1(),
+                heal_at: MAX_DELAY,
+                base: MAX_DELAY,
+            },
+            SchedLayer::WindowPartition {
+                group_a: p1(),
+                from: 0,
+                until: MAX_DELAY,
+                base: MAX_DELAY,
+            },
+        ];
+        let mut s = SchedLayer::stack::<u64>(&at_limit);
+        let mut rng = StdRng::seed_from_u64(8);
+        for i in 0..200u64 {
+            let env = Envelope {
+                from: Pid::new(1 + (i % 4) as u32),
+                to: Pid::new(1 + (i / 4 % 4) as u32),
+                msg: i,
+            };
+            assert!(s.delivery_time(&env, i, &mut rng) > i);
+        }
+        assert!(s.link_stats().held > 0 && s.link_stats().drops > 0);
     }
 }

@@ -10,13 +10,14 @@
 //! - every process is a sans-io [`Process`] state machine;
 //! - every sent envelope is handed to a [`Scheduler`] (the adversary's
 //!   scheduling power), which assigns it a finite virtual delivery time;
-//!   the stock strategies are the rows of [`SchedLayer`], composed by
-//!   [`SchedLayer::stack`] ([`schedulers::uniform`] is the benign one);
-//! - Byzantine behaviour is expressed by corrupted [`Process`]
-//!   implementations (the adversary's corruption power):
-//!   [`TamperProcess`] rewrites what a process sends, and the
-//!   protocol's own fault models (silent, crash, crash-recover, lying)
-//!   are `sba::Role`s;
+//!   the stock strategies are the rows of [`SchedLayer`], each scheduled
+//!   straight from its row by [`SchedLayer::stack`]
+//!   ([`schedulers::uniform`] is the benign one);
+//! - Byzantine behaviour is expressed by corrupted [`Process`]es (the
+//!   adversary's corruption power): the protocol's fault models (silent,
+//!   crash, crash-recover, lying, equivocating) are `sba::Role` rows, and
+//!   [`TamperProcess`] rewrites what an engine sends in `sba::harness`'s
+//!   SVSS and coin runs;
 //! - the run is a pure function of the seed, so every experiment is
 //!   replayable.
 //!

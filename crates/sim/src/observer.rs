@@ -25,9 +25,9 @@ pub struct ObserverStats {
 
 /// A read-only per-event hook over the simulation's process table.
 ///
-/// Implementations typically downcast or pattern-match `procs` to the
-/// concrete process type they were built for (the protocol layer's
-/// invariant monitor matches on its own cluster process enum).
+/// Implementations read `procs` as the concrete process type they were
+/// built for (the protocol layer's invariant monitor reads each honest
+/// cluster process's decision, round and event log).
 pub trait Observer<P>: Send {
     /// Called after every delivered event, once the event's outbox has
     /// been dispatched. `now` is the virtual clock, `events` the number
