@@ -433,7 +433,7 @@ fn e13_nsweep(full: bool, json_path: Option<&str>, ns_arg: Option<&str>) {
         net.mw_set_moderator_input(id, secret);
         let done = sba::SvssEvent::MwShareCompleted(id);
         let all_done = net.sim.run_until(u64::MAX, |sim| {
-            sim.processes().all(|tp| tp.inner().events.contains(&done))
+            sim.processes().all(|node| node.events.contains(&done))
         });
         let wall = start.elapsed().as_secs_f64();
         assert!(all_done, "n = {n}: MW share must complete at every process");
@@ -1248,7 +1248,7 @@ fn e7_hiding(full: bool) {
             net.deliver_matching(move |_, to, msg| {
                 !(to == p4 && msg.wire_kind() == WireKind::Rows)
             });
-            let held = net.node(p4).held[0].1.clone().unpack();
+            let held = net.sim.process(p4).held[0].1.clone().unpack();
             let Unpacked::Priv(SvssPriv::Rows { rows, .. }) = held else {
                 panic!("p4 holds the dealer's rows");
             };

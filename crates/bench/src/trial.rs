@@ -211,12 +211,16 @@ fn scenario_name(text: &str) -> Option<String> {
 /// scenario index, a plan [`ScenarioPlan::check`] rejects).
 pub fn parse_trial(text: &str) -> Result<Trial, String> {
     let recorded = parse_snapshot(text)?;
+    // An exact integer in `0..=2^53`, by `ScenarioPlan::from_kv`'s rule.
     let get = |key: &str| {
-        recorded
+        let &(_, v) = recorded
             .iter()
             .find(|(k, _)| k == key)
-            .map(|&(_, v)| v)
-            .ok_or_else(|| format!("artifact is missing '{key}'"))
+            .ok_or_else(|| format!("artifact is missing '{key}'"))?;
+        let int = v as u64;
+        (int as f64 == v && int <= 1 << 53)
+            .then_some(int)
+            .ok_or_else(|| format!("'{key}' = {v} is not an integer in 0..=2^53"))
     };
     let plan = if recorded.iter().any(|(k, _)| k == "plan.version") {
         let name = scenario_name(text).unwrap_or_else(|| "plan".to_string());
@@ -229,7 +233,7 @@ pub fn parse_trial(text: &str) -> Result<Trial, String> {
         let (n, t, seed) = (
             get("trial.n")? as usize,
             get("trial.t")? as usize,
-            get("trial.seed")? as u64,
+            get("trial.seed")?,
         );
         // The size is checked before `Zoo::plan` builds for it.
         ScenarioPlan::new("", n, t, seed).check()?;
@@ -239,7 +243,7 @@ pub fn parse_trial(text: &str) -> Result<Trial, String> {
     };
     Ok(Trial {
         plan,
-        max_events: get("trial.max_events")? as u64,
+        max_events: get("trial.max_events")?,
     })
 }
 
@@ -593,16 +597,29 @@ mod tests {
         assert!(replay_artifact("{}").is_err());
         assert!(replay_artifact("not json").is_err());
         assert!(replay_artifact("{\"trial\": {\"scenario_index\": 99}}").is_err());
-        // A zoo index at a size no cluster has, or crash_recover at t = 0.
-        for (index, n, t) in [(0, 3, 1), (0, 0, 0), (0, 1000, 1), (2, 4, 0)] {
+        // A zoo index at a size no cluster has, or crash_recover at t = 0;
+        // then values that are not exact integers in 0..=2^53.
+        let legacy = [
+            ("0", "3", "1", "7", "10"),
+            ("0", "0", "0", "7", "10"),
+            ("0", "1000", "1", "7", "10"),
+            ("2", "4", "0", "7", "10"),
+            ("0.5", "4", "1", "7", "10"),
+            ("-1", "4", "1", "7", "10"),
+            ("0", "4.5", "1", "7", "10"),
+            ("0", "4", "1.5", "7", "10"),
+            ("0", "4", "1", "-7", "10"),
+            ("0", "4", "1", "7.9", "10"),
+            ("0", "4", "1", "1e30", "10"),
+            ("0", "4", "1", "7", "10.5"),
+            ("0", "4", "1", "7", "1e30"),
+        ];
+        for (index, n, t, seed, max_events) in legacy {
             let text = format!(
                 "{{\"trial\": {{\"scenario_index\": {index}, \"n\": {n}, \"t\": {t}, \
-                 \"seed\": 7, \"max_events\": 10}}}}"
+                 \"seed\": {seed}, \"max_events\": {max_events}}}}}"
             );
-            assert!(
-                replay_artifact(&text).is_err(),
-                "index {index} at n={n} t={t}"
-            );
+            assert!(replay_artifact(&text).is_err(), "{text}");
         }
         // Plans that decode but could not be built: each must be an Err
         // from the decoder, never a panic in `build`.
@@ -712,6 +729,32 @@ mod tests {
                     role: Role::Silent,
                 }),
                 vec![("plan.events.e0.kind", 0.0)],
+            ),
+            // Values that are not exact integers in 0..=2^53, or out of
+            // their field's range.
+            (Zoo::Benign.plan(4, 1, 7), vec![("plan.seed", -7.0)]),
+            (Zoo::Benign.plan(4, 1, 7), vec![("plan.seed", 7.9)]),
+            (Zoo::Benign.plan(4, 1, 7), vec![("plan.seed", 1e30)]),
+            (Zoo::Benign.plan(4, 1, 7), vec![("plan.monitor", 0.5)]),
+            (Zoo::Benign.plan(4, 1, 7), vec![("plan.monitor", 7.0)]),
+            (Zoo::Benign.plan(4, 1, 7), vec![("plan.layers.l0.a", 2.5)]),
+            (Zoo::Benign.plan(4, 1, 7), vec![("plan.n", 4.5)]),
+            (
+                with_event(Action::Crash {
+                    p: Pid::new(4),
+                    down_for: None,
+                }),
+                vec![
+                    ("plan.events.e0.trigger", 2.0),
+                    ("plan.events.e0.arg", 2f64.powi(32) + 1.0),
+                ],
+            ),
+            (
+                with_event(Action::Crash {
+                    p: Pid::new(4),
+                    down_for: None,
+                }),
+                vec![("plan.events.e0.a", 2.0)],
             ),
         ];
         // Events a run could not carry out: a crash of a silent or

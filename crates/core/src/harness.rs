@@ -3,10 +3,11 @@
 //! on a [`Simulation`] under a seeded uniform adversary (delays 1..=8).
 //!
 //! Commands from outside the message flow (share, reconstruct, start a
-//! coin, inject a raw message) are [`Simulation::act`] steps. Each
-//! process is a [`TamperProcess`] that keeps every message until
-//! [`Net::set_tamper`] makes it Byzantine. [`Net::deliver_matching`]
-//! scripts a schedule message by message (the paper's Example 1) as a
+//! coin, inject a raw message) are [`Simulation::act`] steps. A fault is
+//! a field of a [`Node`], as of a `ClusterProcess`: [`Net::silence`] sets
+//! one, and [`Net::set_tamper`] one that rewrites each send, one for one,
+//! as `adversary::rewrite` does. [`Net::deliver_matching`] scripts a
+//! schedule message by message (the paper's Example 1) as a
 //! *receiver-side hold*: a delivery the predicate rejects waits, unread,
 //! at its recipient until a later run admits it — the simulator draws
 //! one delay per `(event, recipient)` group, so no scheduler could hold
@@ -18,7 +19,7 @@ use sba_broadcast::Params;
 use sba_coin::{CoinEngine, CoinEvent, CoinMsg};
 use sba_field::{Domain, Field};
 use sba_net::{MwId, Outbox, Pid, SvssId};
-use sba_sim::{schedulers, Process, SimMsg, Simulation, Tamper, TamperProcess};
+use sba_sim::{schedulers, Process, SimMsg, Simulation};
 use sba_svss::{Reconstructed, SvssEngine, SvssEvent, SvssMsg};
 
 /// Delivery events one run may take before it is declared a livelock.
@@ -94,6 +95,9 @@ impl<F: Field> Engine for CoinEngine<F> {
 /// Which deliveries `(from, to, msg)` a node reads now.
 type Admit<M> = Arc<dyn Fn(Pid, Pid, &M) -> bool + Send + Sync>;
 
+/// What a Byzantine node sends `to` instead of `msg` (`None`: `msg`).
+type Rewrite<M> = Box<dyn FnMut(Pid, &M) -> Option<M> + Send>;
+
 /// One process of a [`Net`]: its engine, the events it reported, and
 /// the deliveries it holds.
 pub struct Node<E: Engine> {
@@ -107,15 +111,18 @@ pub struct Node<E: Engine> {
     silent: bool,
     /// While set, a delivery it rejects waits in `held`.
     admit: Option<Admit<E::Msg>>,
+    /// While set, rewrites what the engine sends (Byzantine).
+    tamper: Option<Rewrite<E::Msg>>,
 }
 
 impl<E: Engine> Node<E> {
-    /// One engine step: `f`'s sends go out through `out`.
+    /// One engine step: `f`'s sends go out through `out` and `tamper`.
     fn step(&mut self, out: &mut Outbox<E::Msg>, f: impl FnOnce(&mut E, &mut Sends<E::Msg>)) {
         let mut sends = Vec::new();
         f(&mut self.engine, &mut sends);
         for (to, msg) in sends {
-            out.send(to, msg);
+            let forged = self.tamper.as_mut().and_then(|rewrite| rewrite(to, &msg));
+            out.send(to, forged.unwrap_or(msg));
         }
         self.events.extend(self.engine.take_events());
     }
@@ -146,7 +153,7 @@ impl<E: Engine> Process<E::Msg> for Node<E> {
 /// `n` engines on one [`Simulation`].
 pub struct Net<E: Engine> {
     /// The simulation (metrics, digest).
-    pub sim: Simulation<E::Msg, TamperProcess<Node<E>, E::Msg>>,
+    pub sim: Simulation<E::Msg, Node<E>>,
 }
 
 /// A mesh of SVSS engines.
@@ -159,34 +166,26 @@ impl<E: Engine> Net<E> {
     /// `params.n()` honest engines from [`Engine::mesh`]; `seed` drives
     /// both the engines' sampling and the schedule.
     pub fn new(params: Params, seed: u64) -> Self {
-        let procs = E::mesh(params, seed).into_iter().map(|engine| {
-            let (events, held, silent, admit) = (Vec::new(), Vec::new(), false, None);
-            let node = Node {
-                engine,
-                events,
-                held,
-                silent,
-                admit,
-            };
-            TamperProcess::new(node, |_, _| Tamper::Keep)
+        let procs = E::mesh(params, seed).into_iter().map(|engine| Node {
+            engine,
+            events: Vec::new(),
+            held: Vec::new(),
+            silent: false,
+            admit: None,
+            tamper: None,
         });
         let sim = Simulation::new(procs.collect(), schedulers::uniform(8), seed);
         Net { sim }
     }
 
-    /// Process `p`'s node.
-    pub fn node(&self, p: Pid) -> &Node<E> {
-        self.sim.process(p).inner()
-    }
-
     /// Process `p`'s engine.
     pub fn engine(&self, p: Pid) -> &E {
-        &self.node(p).engine
+        &self.sim.process(p).engine
     }
 
     /// Every event process `p` reported, in order.
     pub fn events(&self, p: Pid) -> &[E::Event] {
-        &self.node(p).events
+        &self.sim.process(p).events
     }
 
     /// Every (shunner, shunned) pair reported so far, by shunner.
@@ -208,24 +207,25 @@ impl<E: Engine> Net<E> {
     /// `p` drops everything delivered to it from now on, and the `_all`
     /// commands skip it (fail-silent).
     pub fn silence(&mut self, p: Pid) {
-        self.sim.process_mut(p).inner_mut().silent = true;
+        self.sim.process_mut(p).silent = true;
     }
 
     /// The processes not silenced.
     fn live(&self) -> Vec<Pid> {
         Pid::all(self.sim.n())
-            .filter(|&p| !self.node(p).silent)
+            .filter(|&p| !self.sim.process(p).silent)
             .collect()
     }
 
-    /// Makes `p` Byzantine: `f` rewrites every message it sends from now
-    /// on (the recipient is the first argument).
+    /// Makes `p` Byzantine from its next step on: `f(to, msg)` is the
+    /// message `p` sends to `to` instead of `msg` (`None` sends `msg`
+    /// unchanged), one for one, in send order. A later call replaces `f`.
     pub fn set_tamper(
         &mut self,
         p: Pid,
-        f: impl FnMut(Pid, &E::Msg) -> Tamper<E::Msg> + Send + Clone + 'static,
+        f: impl FnMut(Pid, &E::Msg) -> Option<E::Msg> + Send + 'static,
     ) {
-        self.sim.process_mut(p).set_tamper(f);
+        self.sim.process_mut(p).tamper = Some(Box::new(f));
     }
 
     /// Injects a raw message from `from` to `to`, past `from`'s tamper.
@@ -236,9 +236,7 @@ impl<E: Engine> Net<E> {
     /// Runs `f` at `p`'s engine as one local step; its sends go through
     /// `p`'s tamper.
     pub fn act(&mut self, p: Pid, f: impl FnOnce(&mut E, &mut Sends<E::Msg>)) {
-        self.sim.act(p, |tp, out| {
-            tp.with_inner(out, |node, out| node.step(out, f))
-        });
+        self.sim.act(p, |node, out| node.step(out, f));
     }
 
     /// Runs `f` as one [`Net::act`] at every live process, in pid order.
@@ -253,13 +251,11 @@ impl<E: Engine> Net<E> {
     fn settle(&mut self, admit: Option<Admit<E::Msg>>) {
         for p in Pid::all(self.sim.n()) {
             let admit = admit.clone();
-            self.sim.act(p, |tp, out| {
-                tp.with_inner(out, |node, out| {
-                    node.admit = admit;
-                    for (from, msg) in std::mem::take(&mut node.held) {
-                        node.on_batch(from, &mut vec![msg], out);
-                    }
-                });
+            self.sim.act(p, |node, out| {
+                node.admit = admit;
+                for (from, msg) in std::mem::take(&mut node.held) {
+                    node.on_batch(from, &mut vec![msg], out);
+                }
             });
         }
         let outcome = self.sim.run_to_quiescence(MAX_EVENTS);

@@ -484,10 +484,20 @@ impl ScenarioPlan {
     /// of the first rule [`ScenarioPlan::check`] finds broken.
     pub fn from_kv(name: &str, kv: &[(String, f64)]) -> Result<ScenarioPlan, String> {
         let get = |key: String| -> Result<u64, String> {
-            kv.iter()
+            let &(_, v) = kv
+                .iter()
                 .find(|(k, _)| *k == key)
-                .map(|(_, v)| *v as u64)
-                .ok_or_else(|| format!("missing key {key}"))
+                .ok_or_else(|| format!("missing key {key}"))?;
+            // An exact integer in `0..=2^53`, the range `to_kv` writes
+            // (`as` alone saturates and truncates).
+            let int = v as u64;
+            (int as f64 == v && int <= 1 << 53)
+                .then_some(int)
+                .ok_or_else(|| format!("{key} = {v} is not an integer in 0..=2^53"))
+        };
+        let flag = |key: String| match get(key.clone())? {
+            v @ 0..=1 => Ok(v == 1),
+            v => Err(format!("{key} = {v} is not 0 or 1")),
         };
         let version = get("plan.version".into())?;
         if version != PLAN_VERSION {
@@ -496,7 +506,7 @@ impl ScenarioPlan {
         let n = get("plan.n".into())? as usize;
         let t = get("plan.t".into())? as usize;
         let seed = get("plan.seed".into())?;
-        let monitor = get("plan.monitor".into())? != 0;
+        let monitor = flag("plan.monitor".into())?;
         let coin = match get("plan.coin.kind".into())? {
             0 => PlanCoin::Scc,
             1 => PlanCoin::Oracle {
@@ -522,10 +532,11 @@ impl ScenarioPlan {
         for i in 0..get("plan.events.count".into())? {
             let pre = format!("plan.events.e{i}");
             let arg = get(format!("{pre}.arg"))?;
+            let round = u32::try_from(arg).map_err(|_| format!("{pre}.arg = {arg} is not a round"));
             let at = match get(format!("{pre}.trigger"))? {
                 0 => Trigger::AtTime(arg),
                 1 => Trigger::AtDelivery(arg),
-                2 => Trigger::AtRound(arg as u32),
+                2 => Trigger::AtRound(round?),
                 k => return Err(format!("unknown trigger kind {k}")),
             };
             let action = match get(format!("{pre}.action"))? {
@@ -540,7 +551,7 @@ impl ScenarioPlan {
                 },
                 2 => Action::Crash {
                     p: pid(get(format!("{pre}.pid"))?)?,
-                    down_for: if get(format!("{pre}.a"))? != 0 {
+                    down_for: if flag(format!("{pre}.a"))? {
                         Some(get(format!("{pre}.b"))?)
                     } else {
                         None
@@ -823,6 +834,16 @@ mod tests {
             let kv = plan.to_kv();
             let back = ScenarioPlan::from_kv(z.name(), &kv).expect("decodes");
             assert_eq!(plan, back, "{}", z.name());
+        }
+    }
+
+    #[test]
+    fn kv_values_must_be_exact_integers() {
+        let plan = Zoo::Benign.plan(4, 1, 7);
+        for value in [f64::NAN, f64::INFINITY, -7.0, 7.9, 1e30] {
+            let mut kv = plan.to_kv();
+            kv.iter_mut().find(|(k, _)| k == "plan.seed").unwrap().1 = value;
+            assert!(ScenarioPlan::from_kv("seed", &kv).is_err(), "seed {value}");
         }
     }
 

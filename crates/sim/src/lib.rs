@@ -16,8 +16,8 @@
 //! - Byzantine behaviour is expressed by corrupted [`Process`]es (the
 //!   adversary's corruption power): the protocol's fault models (silent,
 //!   crash, crash-recover, lying, equivocating) are `sba::Role` rows, and
-//!   [`TamperProcess`] rewrites what an engine sends in `sba::harness`'s
-//!   SVSS and coin runs;
+//!   an `sba::harness` node's own rewrite makes it lie in SVSS and coin
+//!   runs;
 //! - the run is a pure function of the seed, so every experiment is
 //!   replayable.
 //!
@@ -61,7 +61,6 @@ mod observer;
 mod process;
 mod simulation;
 pub mod socket;
-mod tamper;
 pub mod threaded;
 
 pub use adversary::{schedulers, LinkStats, SchedLayer, Scheduler};
@@ -69,4 +68,3 @@ pub use metrics::Metrics;
 pub use observer::{Observer, ObserverStats};
 pub use process::{Process, SimMsg};
 pub use simulation::{queue_slot_sizes, RunOutcome, Simulation, TraceEntry};
-pub use tamper::{Tamper, TamperProcess};

@@ -8,7 +8,6 @@
 
 use sba::field::{Field, Gf61};
 use sba::harness::SvssNet;
-use sba::sim::Tamper;
 use sba::svss::forge_recon_points;
 use sba::{Params, Pid, SvssId};
 
@@ -38,7 +37,6 @@ fn main() {
     let mut net = SvssNet::<Gf61>::new(params, 2);
     net.set_tamper(Pid::new(4), |_to, msg| {
         forge_recon_points(msg, |_| Some(Gf61::from_u64(1)))
-            .map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
     });
     let session = SvssId::new(1, Pid::new(1));
     net.share(session, secret);

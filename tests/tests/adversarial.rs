@@ -2,21 +2,22 @@
 //! moderators, forged `G`-set broadcasts, malformed messages, and the
 //! DMM's expectation-liveness guarantees (Lemma 1).
 
+use std::sync::{Arc, Mutex};
+
 use sba::broadcast::Params;
 use sba::field::{Field, Gf61};
-use sba::harness::SvssNet;
-use sba::net::{MwId, Pid, ProcessSet, SlotKind, SvssId};
-use sba::sim::Tamper;
+use sba::harness::{CoinNet, SvssNet};
+use sba::net::{MwId, Pid, ProcessSet, SlotKind, SvssId, Unpacked, WireKind};
 use sba::svss::{
     forge_recon_points, GsetsBody, MwDealBody, Reconstructed, RowsBody, SvssEvent, SvssMsg,
     SvssPriv, SvssRbValue,
 };
 
-/// Tamper step: every value of slot family `kind` this init message
-/// originates (scalar, or inside a vector) replaced by `forged`.
-fn forge(msg: &SvssMsg<Gf61>, kind: SlotKind, forged: &SvssRbValue<Gf61>) -> Tamper<SvssMsg<Gf61>> {
+/// `msg` with every value of slot family `kind` this init message
+/// originates (scalar, or inside a vector) replaced by `forged`, if it
+/// originates one.
+fn forge(msg: &SvssMsg<Gf61>, kind: SlotKind, forged: &SvssRbValue<Gf61>) -> Option<SvssMsg<Gf61>> {
     msg.rewrite_inits(|slot, _| (slot.kind() == kind).then(|| forged.clone()))
-        .map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
 }
 
 fn f(v: u64) -> Gf61 {
@@ -161,9 +162,7 @@ fn repeated_attacks_saturate_shun_pairs() {
     let t = 1;
     let mut net = SvssNet::<Gf61>::new(params, 13);
     let liar = Pid::new(4);
-    net.set_tamper(liar, |_to, msg| {
-        forge_recon_points(msg, |_| Some(f(2))).map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
-    });
+    net.set_tamper(liar, |_to, msg| forge_recon_points(msg, |_| Some(f(2))));
     for session in 1..=5u64 {
         let id = MwId::standalone(session, Pid::new(1), Pid::new(2));
         net.mw_share(id, f(session * 7));
@@ -265,4 +264,200 @@ fn no_messages_left_delayed_in_honest_runs() {
             "{p}: messages stuck in the delay buffer"
         );
     }
+}
+
+/// What an SVSS harness run leaves: its digest, its deliveries, its
+/// shun pairs, and each live process's output of `sid` (`None` for one
+/// that has not output, `Some(None)` for ⊥).
+type SvssPin = (
+    Option<u64>,
+    u64,
+    Vec<(Pid, Pid)>,
+    Vec<(Pid, Option<Option<u64>>)>,
+);
+
+fn svss_pin(net: &SvssNet<Gf61>, sid: SvssId) -> SvssPin {
+    let outputs = net.outputs(sid).into_iter();
+    let value = |out: Reconstructed<Gf61>| out.value().map(Field::as_u64);
+    (
+        net.sim.digest(),
+        net.delivered(),
+        net.shun_pairs(),
+        outputs.map(|(p, out)| (p, out.map(value))).collect(),
+    )
+}
+
+/// `msg`, if it is a `Rows`, with the first coefficient of `g` and of
+/// `h` shifted by 5.
+fn bump_rows(msg: &SvssMsg<Gf61>) -> Option<SvssMsg<Gf61>> {
+    let Unpacked::Priv(SvssPriv::Rows { session, rows }) = msg.clone().unpack() else {
+        return None;
+    };
+    let bump = |v: &[Gf61]| -> Vec<Gf61> {
+        let mut v = v.to_vec();
+        if let Some(c) = v.first_mut() {
+            *c += f(5);
+        }
+        v
+    };
+    let rows = Box::new(RowsBody {
+        g: bump(&rows.g),
+        h: bump(&rows.h),
+    });
+    Some(SvssMsg::private(SvssPriv::Rows { session, rows }))
+}
+
+/// Every way the harness makes a node faulty, pinned at n = 4: a rewrite
+/// of what it sends (all of it, or per recipient), silence, a
+/// receiver-side hold, a raw injection past the rewrite, and a coin
+/// flip under a forger. The digest sees routing and timing but no
+/// payload, so the shun pairs and outputs are the payload check.
+#[test]
+fn every_harness_fault_is_pinned() {
+    let params = Params::new(4, 1).unwrap();
+    let [p1, p2, p3, p4] = [1, 2, 3, 4].map(Pid::new);
+    let sid = SvssId::new(1, p1);
+    let svss = |seed| {
+        let mut net = SvssNet::<Gf61>::new(params, seed);
+        net.sim.enable_digest();
+        net
+    };
+    let share_and_reconstruct = |net: &mut SvssNet<Gf61>| {
+        net.share(sid, f(123_456_789));
+        net.run();
+        net.reconstruct_all(sid);
+        net.run();
+        svss_pin(net, sid)
+    };
+    let value = |p: Pid| (p, Some(Some(123_456_789)));
+
+    // Honest.
+    let mut net = svss(1);
+    assert_eq!(
+        share_and_reconstruct(&mut net),
+        (
+            Some(0xd260_42aa_cfb7_3077),
+            2_776,
+            vec![],
+            vec![value(p1), value(p2), value(p3), value(p4)]
+        ),
+        "honest"
+    );
+
+    // p4 forges every reconstruction point (`examples/secret_sharing.rs`).
+    let mut net = svss(2);
+    net.set_tamper(p4, |_to, msg| forge_recon_points(msg, |_| Some(f(1))));
+    assert_eq!(
+        share_and_reconstruct(&mut net),
+        (
+            Some(0x7e1c_e3f3_cda3_b2f2),
+            2_776,
+            vec![(p1, p4), (p2, p4), (p3, p4)],
+            vec![value(p1), value(p2), value(p3), (p4, Some(None))]
+        ),
+        "forger"
+    );
+
+    // The dealer corrupts the rows it sends to p3 only.
+    let mut net = svss(3);
+    net.set_tamper(p1, move |to, msg| bump_rows(msg).filter(|_| to == p3));
+    assert_eq!(
+        share_and_reconstruct(&mut net),
+        (
+            Some(0x49d1_13c3_518b_88c1),
+            2_344,
+            vec![],
+            vec![value(p1), value(p2), value(p3), value(p4)]
+        ),
+        "rows to p3"
+    );
+
+    // p4 is silent.
+    let mut net = svss(4);
+    net.silence(p4);
+    assert_eq!(
+        share_and_reconstruct(&mut net),
+        (
+            Some(0xe397_70b1_29e7_ebfe),
+            1_298,
+            vec![],
+            vec![value(p1), value(p2), value(p3)]
+        ),
+        "silent p4"
+    );
+
+    // Example 1's hold: the share runs without p4, then everything is
+    // released.
+    let mut net = svss(5);
+    net.share(sid, f(123_456_789));
+    net.deliver_matching(move |from, to, _| from != p4 && to != p4);
+    assert_eq!(
+        (net.sim.digest(), net.delivered()),
+        (Some(0x6d03_2e90_4f89_f4c7), 1_214),
+        "held"
+    );
+    assert!(!net.engine(p4).share_completed(sid));
+    net.run();
+    net.reconstruct_all(sid);
+    net.run();
+    assert_eq!(
+        svss_pin(&net, sid),
+        (
+            Some(0xa583_6067_c598_bd97),
+            3_280,
+            vec![],
+            vec![value(p1), value(p2), value(p3), value(p4)]
+        ),
+        "released"
+    );
+
+    // A raw message from p4 bypasses its rewrite, which would bump it.
+    let mut net = svss(6);
+    net.set_tamper(p4, |_to, msg| bump_rows(msg));
+    let raw = SvssMsg::private(SvssPriv::Rows {
+        session: SvssId::new(1, p4),
+        rows: Box::new(RowsBody {
+            g: vec![f(1), f(2)],
+            h: vec![f(3), f(4)],
+        }),
+    });
+    net.push_raw(p4, p2, raw.clone());
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&seen);
+    net.deliver_matching(move |from, _, msg| {
+        if from == p4 && msg.wire_kind() == WireKind::Rows {
+            log.lock().unwrap().push(msg.clone());
+        }
+        true
+    });
+    assert_eq!(*seen.lock().unwrap(), [raw], "push_raw was rewritten");
+    assert_eq!(
+        share_and_reconstruct(&mut net),
+        (
+            Some(0x4374_8a11_6ec2_f4bd),
+            3_209,
+            vec![],
+            vec![value(p1), value(p2), value(p3), value(p4)]
+        ),
+        "raw"
+    );
+
+    // A coin flip under p4's reconstruct-point forger.
+    let mut net = CoinNet::<Gf61>::new(params, 23);
+    net.sim.enable_digest();
+    net.set_tamper(p4, |_to, msg| forge_recon_points(msg, |_| Some(f(5))));
+    net.flip_all(1);
+    let coin = (
+        net.sim.digest(),
+        net.delivered(),
+        net.shun_pairs(),
+        net.outputs(1),
+    );
+    let pinned = (
+        Some(0xf5b8_e9cc_402f_685f),
+        18_348,
+        vec![(p1, p4), (p2, p4), (p3, p4)],
+        vec![Some(false), Some(false), Some(false), Some(true)],
+    );
+    assert_eq!(coin, pinned, "coin forger");
 }

@@ -9,7 +9,6 @@ use sba::coin::CoinMsg;
 use sba::field::{Field, Gf61};
 use sba::harness::CoinNet;
 use sba::net::{Pid, ProcessSet, RbStep, Unpacked, WireKind};
-use sba::sim::Tamper;
 
 type Msg = CoinMsg<Gf61>;
 
@@ -56,14 +55,14 @@ fn malformed_attach_sets_ignored() {
     let mut net = CoinNet::<Gf61>::new(params, 31);
     net.set_tamper(Pid::new(4), |_to, msg: &Msg| {
         if msg.wire_kind() != WireKind::AttachInit {
-            return Tamper::Keep;
+            return None;
         }
         let Unpacked::CoinRb { slot, origin, .. } = msg.clone().unpack() else {
-            return Tamper::Keep;
+            return None;
         };
         // Oversized T set (|T| must be exactly t+1 = 2).
         let bogus: ProcessSet = Pid::all(4).collect();
-        Tamper::Replace(vec![CoinMsg::coin_rb(slot, origin, RbStep::Init, bogus)])
+        Some(CoinMsg::coin_rb(slot, origin, RbStep::Init, bogus))
     });
     net.flip_all(1);
     for p in [1u32, 2, 3] {
@@ -80,11 +79,8 @@ fn malformed_attach_sets_ignored() {
 
 /// The reconstruct-point forger: shifts every reconstruct point it
 /// originates by 5.
-fn forger_tamper() -> impl FnMut(Pid, &Msg) -> Tamper<Msg> + Send + Clone + 'static {
-    |_to, msg| {
-        sba::svss::forge_recon_points(msg, |_| Some(Gf61::from_u64(5)))
-            .map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
-    }
+fn forger_tamper() -> impl FnMut(Pid, &Msg) -> Option<Msg> + Send + 'static {
+    |_to, msg| sba::svss::forge_recon_points(msg, |_| Some(Gf61::from_u64(5)))
 }
 
 /// The adversarial sweep against recorded runs: under the forger, on a
@@ -186,7 +182,7 @@ fn retired_sessions_drop_late_duplicate_and_tampered_traffic() {
             if to == p2 {
                 inbox.lock().unwrap().push((p, msg.clone()));
             }
-            Tamper::Keep
+            None
         });
     }
     net.flip_all(1);

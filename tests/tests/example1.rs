@@ -21,7 +21,6 @@ use sba::broadcast::Params;
 use sba::field::{Field, Gf61};
 use sba::harness::SvssNet;
 use sba::net::{MwId, Pid, WireKind};
-use sba::sim::Tamper;
 use sba::svss::{forge_recon_points, Reconstructed, SvssMsg};
 
 fn f(v: u64) -> Gf61 {
@@ -52,7 +51,7 @@ fn example_1_divergent_outputs_then_shunning() {
             2 => Some(f(delta)),
             _ => None,
         };
-        forge_recon_points(msg, shift).map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
+        forge_recon_points(msg, shift)
     });
 
     net.mw_share(id, secret);

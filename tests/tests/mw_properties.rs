@@ -7,7 +7,6 @@ use sba::broadcast::Params;
 use sba::field::{Field, Gf61};
 use sba::harness::SvssNet;
 use sba::net::{MwId, Pid};
-use sba::sim::Tamper;
 use sba::svss::{Reconstructed, SvssEvent, SvssMsg, SvssPriv};
 
 fn f(v: u64) -> Gf61 {
@@ -91,7 +90,6 @@ fn mismatched_moderator_blocks_completion() {
 fn tamper_recon_points(net: &mut SvssNet<Gf61>, liar: Pid, delta: u64) {
     net.set_tamper(liar, move |_to, msg| {
         sba::svss::forge_recon_points(msg, |_| Some(f(delta)))
-            .map_or(Tamper::Keep, |m| Tamper::Replace(vec![m]))
     });
 }
 

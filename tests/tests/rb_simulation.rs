@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use sba::broadcast::{MuxMsg, RbDelivery, RbMux};
 use sba::field::{Field, Gf61};
 use sba::net::{MwId, Outbox, RbStep, SlotView, Unpacked};
-use sba::sim::{schedulers, Process, Simulation, Tamper, TamperProcess};
+use sba::sim::{schedulers, Process, Simulation};
 use sba::svss::{SvssMsg, SvssRbValue, SvssSlot};
 use sba::{Params, Pid};
 
@@ -183,23 +183,41 @@ fn late_and_tampered_traffic_after_retirement_is_inert() {
     let params = Params::new(4, 1).unwrap();
     let slots: Vec<(u32, u64)> = (0..8u32).map(|k| (k, u64::from(k) * 11)).collect();
 
-    #[allow(clippy::large_enum_variant)] // test scaffolding
+    /// `Byz` runs the honest machine but duplicates every outgoing
+    /// message and appends a forged Ready for the same slot —
+    /// guaranteed-late garbage for slots that retire at the recipient.
     enum P {
         Honest(Broadcaster),
-        Byz(TamperProcess<Broadcaster, Msg>),
+        Byz(Broadcaster),
+    }
+    impl P {
+        fn step(
+            &mut self,
+            out: &mut Outbox<Msg>,
+            f: impl FnOnce(&mut Broadcaster, &mut Outbox<Msg>),
+        ) {
+            match self {
+                P::Honest(b) => f(b, out),
+                P::Byz(b) => {
+                    let mut raw = Outbox::new(out.me());
+                    f(b, &mut raw);
+                    for env in raw.drain_iter() {
+                        let m = routed(env.msg.clone());
+                        let forged = Msg::rb(m.tag, m.origin, RbStep::Ready, value(9_999_999));
+                        for msg in [env.msg.clone(), env.msg, forged] {
+                            out.send(env.to, msg);
+                        }
+                    }
+                }
+            }
+        }
     }
     impl Process<Msg> for P {
         fn on_start(&mut self, out: &mut Outbox<Msg>) {
-            match self {
-                P::Honest(x) => x.on_start(out),
-                P::Byz(x) => x.on_start(out),
-            }
+            self.step(out, |b, out| b.on_start(out));
         }
         fn on_message(&mut self, from: Pid, msg: Msg, out: &mut Outbox<Msg>) {
-            match self {
-                P::Honest(x) => x.on_message(from, msg, out),
-                P::Byz(x) => x.on_message(from, msg, out),
-            }
+            self.step(out, |b, out| b.on_message(from, msg, out));
         }
         fn done(&self) -> bool {
             match self {
@@ -220,15 +238,7 @@ fn late_and_tampered_traffic_after_retirement_is_inert() {
                     expected,
                 );
                 if i == 4 {
-                    // p4 runs the honest machine but duplicates every
-                    // outgoing message and appends a forged Ready for the
-                    // same slot — guaranteed-late garbage for slots that
-                    // retire at the recipient.
-                    P::Byz(TamperProcess::new(b, |_to, msg: &Msg| {
-                        let m = routed(msg.clone());
-                        let forged = Msg::rb(m.tag, m.origin, RbStep::Ready, value(9_999_999));
-                        Tamper::Replace(vec![msg.clone(), msg.clone(), forged])
-                    }))
+                    P::Byz(b)
                 } else {
                     P::Honest(b)
                 }

@@ -13,7 +13,6 @@ use sba::broadcast::Params;
 use sba::field::{Field, Gf61};
 use sba::harness::SvssNet;
 use sba::net::{MwId, Pid, ProcessSet, RbStep, RbVector, Unpacked};
-use sba::sim::Tamper;
 use sba::svss::{SvssMsg, SvssPriv, SvssRbValue, SvssSlot};
 use sba::{Cluster, ClusterConfig, Role};
 
@@ -148,7 +147,7 @@ fn finished_mw_session_is_inert() {
             if let (true, Unpacked::Priv(p)) = (to == me, msg.clone().unpack()) {
                 sent.lock().unwrap().push((from, p));
             }
-            Tamper::Keep
+            None
         });
     }
     let id = MwId::standalone(1, dealer, me);

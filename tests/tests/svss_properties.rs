@@ -6,7 +6,6 @@ use sba::broadcast::Params;
 use sba::field::{Field, Gf101, Gf61};
 use sba::harness::SvssNet;
 use sba::net::{Pid, SvssId};
-use sba::sim::Tamper;
 use sba::svss::{Reconstructed, RowsBody, SvssMsg, SvssPriv};
 
 fn f(v: u64) -> Gf61 {
@@ -82,7 +81,7 @@ fn inconsistent_rows_dealer_binding() {
         // The dealer corrupts the rows it sends to p3: g and h shifted.
         net.set_tamper(dealer, |to, msg| {
             if to != Pid::new(3) {
-                return Tamper::Keep;
+                return None;
             }
             match msg.clone().unpack() {
                 sba::net::Unpacked::Priv(SvssPriv::Rows { session, rows }) => {
@@ -93,15 +92,15 @@ fn inconsistent_rows_dealer_binding() {
                         }
                         v
                     };
-                    Tamper::Replace(vec![SvssMsg::private(SvssPriv::Rows {
+                    Some(SvssMsg::private(SvssPriv::Rows {
                         session,
                         rows: Box::new(RowsBody {
                             g: bump(&rows.g),
                             h: bump(&rows.h),
                         }),
-                    })])
+                    }))
                 }
-                _ => Tamper::Keep,
+                _ => None,
             }
         });
         net.share(sid, f(42));
@@ -136,7 +135,7 @@ fn moderation_excludes_conflicting_pairs() {
     let sid = SvssId::new(1, dealer);
     net.set_tamper(dealer, |to, msg| {
         if to != Pid::new(3) {
-            return Tamper::Keep;
+            return None;
         }
         match msg.clone().unpack() {
             sba::net::Unpacked::Priv(SvssPriv::Rows { session, rows }) => {
@@ -147,15 +146,15 @@ fn moderation_excludes_conflicting_pairs() {
                     }
                     v
                 };
-                Tamper::Replace(vec![SvssMsg::private(SvssPriv::Rows {
+                Some(SvssMsg::private(SvssPriv::Rows {
                     session,
                     rows: Box::new(RowsBody {
                         g: bump(&rows.g),
                         h: bump(&rows.h),
                     }),
-                })])
+                }))
             }
-            _ => Tamper::Keep,
+            _ => None,
         }
     });
     net.share(sid, f(42));
