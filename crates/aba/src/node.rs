@@ -648,12 +648,13 @@ impl<F: Field> AbaNode<F> {
 
 /// Adapter: run an [`AbaNode`] as a simulated process.
 ///
-/// The node is `done` once every proposed instance halted.
+/// The node is `done` once every proposed instance halted. Its events
+/// come out of [`AbaProcess::take_events`]; the [`Process`](sba_sim::Process)
+/// impl keeps none of them (`sba::ClusterProcess` logs them).
 #[derive(Clone)]
 pub struct AbaProcess<F: Field> {
     node: AbaNode<F>,
     proposals: Vec<(u32, bool)>,
-    decided_events: Vec<AbaEvent>,
     /// Reusable send buffer for the node→outbox adapter (per-delivery
     /// allocation-free).
     send_scratch: Vec<(Pid, AbaMsg<F>)>,
@@ -671,7 +672,6 @@ impl<F: Field> AbaProcess<F> {
         AbaProcess {
             node,
             proposals,
-            decided_events: Vec::new(),
             send_scratch: Vec::new(),
             done: proposals_all_halted,
         }
@@ -682,9 +682,47 @@ impl<F: Field> AbaProcess<F> {
         &self.node
     }
 
-    /// Events accumulated over the run.
-    pub fn events(&self) -> &[AbaEvent] {
-        &self.decided_events
+    /// The wrapped node, to feed it deliveries; drain its events through
+    /// [`AbaProcess::take_events`], which keeps `done` current.
+    pub fn node_mut(&mut self) -> &mut AbaNode<F> {
+        &mut self.node
+    }
+
+    /// Proposes the `(instance, bit)` pairs it was built with: its first
+    /// step.
+    pub fn propose_all(&mut self, sends: &mut Vec<(Pid, AbaMsg<F>)>) {
+        for &(instance, bit) in &self.proposals {
+            self.node.propose(instance, bit, sends);
+        }
+    }
+
+    /// Drains the node's events since the last call. A fresh `Halted`
+    /// event is the only thing that can flip doneness, so the cache
+    /// recomputes exactly then.
+    pub fn take_events(&mut self) -> Vec<AbaEvent> {
+        let events = self.node.take_events();
+        if !self.done && events.iter().any(|e| matches!(e, AbaEvent::Halted { .. })) {
+            self.done = self
+                .proposals
+                .iter()
+                .all(|&(instance, _)| self.node.halted(instance));
+        }
+        events
+    }
+
+    /// Runs `step` into the send buffer, then moves its sends to `out`.
+    fn flush(
+        &mut self,
+        out: &mut sba_net::Outbox<AbaMsg<F>>,
+        step: impl FnOnce(&mut Self, &mut Vec<(Pid, AbaMsg<F>)>),
+    ) {
+        let mut sends = std::mem::take(&mut self.send_scratch);
+        step(self, &mut sends);
+        for (to, m) in sends.drain(..) {
+            out.send(to, m);
+        }
+        self.send_scratch = sends;
+        self.take_events();
     }
 }
 
@@ -693,24 +731,11 @@ where
     AbaMsg<F>: Wire,
 {
     fn on_start(&mut self, out: &mut sba_net::Outbox<AbaMsg<F>>) {
-        let mut sends = Vec::new();
-        for &(instance, bit) in &self.proposals.clone() {
-            self.node.propose(instance, bit, &mut sends);
-        }
-        for (to, msg) in sends {
-            out.send(to, msg);
-        }
-        self.absorb_events();
+        self.flush(out, Self::propose_all);
     }
 
     fn on_message(&mut self, from: Pid, msg: AbaMsg<F>, out: &mut sba_net::Outbox<AbaMsg<F>>) {
-        let mut sends = std::mem::take(&mut self.send_scratch);
-        self.node.on_message(from, msg, &mut sends);
-        for (to, m) in sends.drain(..) {
-            out.send(to, m);
-        }
-        self.send_scratch = sends;
-        self.absorb_events();
+        self.flush(out, |p, sends| p.node.on_message(from, msg, sends));
     }
 
     fn on_batch(
@@ -719,36 +744,11 @@ where
         msgs: &mut Vec<AbaMsg<F>>,
         out: &mut sba_net::Outbox<AbaMsg<F>>,
     ) {
-        let mut sends = std::mem::take(&mut self.send_scratch);
-        self.node.on_batch(from, msgs, &mut sends);
-        for (to, m) in sends.drain(..) {
-            out.send(to, m);
-        }
-        self.send_scratch = sends;
-        self.absorb_events();
+        self.flush(out, |p, sends| p.node.on_batch(from, msgs, sends));
     }
 
     fn done(&self) -> bool {
         self.done
-    }
-}
-
-impl<F: Field> AbaProcess<F> {
-    /// Drains node events; a fresh `Halted` event is the only thing that
-    /// can flip doneness, so the cache recomputes exactly then.
-    fn absorb_events(&mut self) {
-        let before = self.decided_events.len();
-        self.decided_events.extend(self.node.take_events());
-        if !self.done
-            && self.decided_events[before..]
-                .iter()
-                .any(|e| matches!(e, AbaEvent::Halted { .. }))
-        {
-            self.done = self
-                .proposals
-                .iter()
-                .all(|&(instance, _)| self.node.halted(instance));
-        }
     }
 }
 

@@ -432,12 +432,12 @@ fn e13_nsweep(full: bool, json_path: Option<&str>, ns_arg: Option<&str>) {
         net.mw_share(id, secret);
         net.mw_set_moderator_input(id, secret);
         let done = sba::SvssEvent::MwShareCompleted(id);
-        let all_done = net.sim.run_until(u64::MAX, |sim| {
-            sim.processes().all(|node| node.events.contains(&done))
+        let all_done = net.sim_mut().run_until(u64::MAX, |sim| {
+            sim.processes().all(|node| node.log().contains(&done))
         });
         let wall = start.elapsed().as_secs_f64();
         assert!(all_done, "n = {n}: MW share must complete at every process");
-        let m = net.sim.metrics();
+        let m = net.sim().metrics();
         let (deal_msgs, deal_bytes) = m.sent_with_prefix("mw/deal");
         println!(
             "| {n} | {t} | {wall:.2} | {} | {} | {deal_msgs} | {deal_bytes} | {} |",
@@ -1087,7 +1087,7 @@ fn e3_coin_probabilities(full: bool) {
         for s in 0..sessions {
             let mut net = CoinNet::<Gf61>::new(params, s * 101 + 17);
             for k in 0..silent {
-                net.silence(Pid::new((n - k) as u32));
+                net.corrupt(Pid::new((n - k) as u32), Role::Silent);
             }
             net.flip_all(1);
             let outs = net.outputs(1);
@@ -1134,8 +1134,8 @@ fn e4_complexity(full: bool) {
         net.flip_all(1);
         assert!(net.outputs(1).iter().all(Option::is_some));
         let (msgs, bytes) = (
-            net.sim.metrics().messages_sent,
-            net.sim.metrics().bytes_sent,
+            net.sim().metrics().messages_sent,
+            net.sim().metrics().bytes_sent,
         );
         pts.push((n as f64, msgs as f64));
         println!(
@@ -1248,7 +1248,7 @@ fn e7_hiding(full: bool) {
             net.deliver_matching(move |_, to, msg| {
                 !(to == p4 && msg.wire_kind() == WireKind::Rows)
             });
-            let held = net.sim.process(p4).held[0].1.clone().unpack();
+            let held = net.sim().process(p4).held()[0].1.clone().unpack();
             let Unpacked::Priv(SvssPriv::Rows { rows, .. }) = held else {
                 panic!("p4 holds the dealer's rows");
             };

@@ -788,6 +788,23 @@ mod tests {
             events(vec![(3, Role::Silent)], vec![crash(4, None)]),
             events(vec![], vec![crash(3, Some(3)), crash(4, None)]),
         ]);
+        // A pid given two roles: a silent liar, or an honest process
+        // that is also silent and then corrupted.
+        for roles in [
+            [Role::Silent, Role::FlippedVotes],
+            [Role::Honest, Role::Silent],
+        ] {
+            let mut plan = ScenarioPlan::new("two_roles", 7, 2, 7);
+            let honest_first = roles[0] == Role::Honest;
+            plan.roles = roles.map(|r| (Pid::new(4), r)).to_vec();
+            if honest_first {
+                plan.events.push(PlanEvent {
+                    at: Trigger::AtDelivery(10),
+                    action: corrupt(4),
+                });
+            }
+            cases.push((plan, vec![]));
+        }
         for (plan, edits) in cases {
             let text = plan_text(&plan, &edits);
             assert!(

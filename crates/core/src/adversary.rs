@@ -1,23 +1,23 @@
 //! What the Byzantine [`Role`]s send: each rewrites a corrupted
 //! process's outgoing messages one envelope at a time, and
-//! [`ClusterProcess`](crate::ClusterProcess) is its only caller.
+//! [`Node`](crate::Node) is its only caller — the same forger for an
+//! agreement, SVSS or coin run, over any field.
 
 use sba_aba::VoteValue;
-use sba_field::{Field, Gf61};
-use sba_net::{Pid, RbStep, Unpacked, WireKind};
+use sba_field::Field;
+use sba_net::{Pid, RbStep, Unpacked, WireKind, WireMsg};
 use sba_svss::forge_recon_points;
 
-use crate::cluster::Msg;
 use crate::Role;
 
 /// What `role` sends to `to` in place of the honest `msg`; `None` sends
 /// `msg` unchanged.
-pub(crate) fn rewrite(role: &Role, to: Pid, msg: &Msg) -> Option<Msg> {
+pub(crate) fn rewrite<F: Field>(role: &Role, to: Pid, msg: &WireMsg<F>) -> Option<WireMsg<F>> {
     match *role {
         // Shift every SVSS reconstruction point this process originates
-        // by `delta`, whether it leaves as a scalar init or as a member
-        // of a vector init.
-        Role::LyingShares { delta } => forge_recon_points(msg, |_| Some(Gf61::from_u64(delta))),
+        // by `delta` (reduced into `F`), whether it leaves as a scalar
+        // init or as a member of a vector init.
+        Role::LyingShares { delta } => forge_recon_points(msg, |_| Some(F::from_u64(delta))),
         // Lie consistently: every recipient hears the flipped bit.
         Role::FlippedVotes => flip_vote_init(msg),
         // Equivocate: odd-indexed recipients hear the honest bit,
@@ -38,7 +38,7 @@ pub(crate) fn rewrite(role: &Role, to: Pid, msg: &Msg) -> Option<Msg> {
 /// The vote-flip lie on one outgoing message: a vote-layer init with its
 /// bit negated (`⊥` becomes 1). Relays (echo/ready) and every other
 /// layer's traffic stay honest: `None`.
-fn flip_vote_init(msg: &Msg) -> Option<Msg> {
+fn flip_vote_init<F: Field>(msg: &WireMsg<F>) -> Option<WireMsg<F>> {
     if msg.wire_kind() != WireKind::VoteInit {
         return None;
     }
@@ -55,12 +55,13 @@ fn flip_vote_init(msg: &Msg) -> Option<Msg> {
         VoteValue::Bit(b) => VoteValue::Bit(!b),
         VoteValue::MaybeBit(b) => VoteValue::MaybeBit(Some(!b.unwrap_or(false))),
     };
-    Some(Msg::vote_rb(slot, origin, RbStep::Init, flipped))
+    Some(WireMsg::vote_rb(slot, origin, RbStep::Init, flipped))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cluster::Msg;
     use sba_aba::VoteSlot;
 
     fn report(origin: u32, step: RbStep, bit: bool) -> Msg {

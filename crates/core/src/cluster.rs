@@ -1,12 +1,24 @@
-//! A batteries-included multi-process harness: build a cluster, inject
-//! faults, run agreement, read a report.
+//! The one multi-process harness. A [`Node`] is one process: an
+//! [`Engine`] plus every fault the adversary gives it, each a field (a
+//! [`Role`], a test rewrite, a receiver-side hold). A [`Net`] is `n`
+//! nodes on one [`Simulation`]: the honest set, the digest and
+//! [`Net::snapshot`] are the same for every engine.
+//!
+//! An agreement run is a [`Cluster`] of [`ClusterProcess`]es: build it,
+//! inject faults, run agreement, read a report; its plans, timed events
+//! and monitor live in `Cluster`'s own impl. SVSS and coin runs are the
+//! same two structs over their engines ([`harness`](crate::harness)).
+
+use std::sync::Arc;
 
 use sba_aba::{AbaConfig, AbaMsg, AbaNode, AbaProcess, CoinMode};
 use sba_field::Gf61;
-use sba_net::{Outbox, Pid};
-use sba_sim::{schedulers, Metrics, Process, Scheduler, Simulation};
+use sba_net::{Outbox, Pid, WireMsg};
+use sba_sim::{schedulers, Metrics, Observer, Process, Scheduler, Simulation};
 
 use crate::adversary;
+use crate::harness::{Engine, Sends};
+use crate::monitor::InvariantMonitor;
 use crate::scenario::{Action, PlanEvent, Role, Trigger};
 
 /// The cluster's wire message type (the full stack over `GF(2^61−1)`).
@@ -71,9 +83,10 @@ impl ClusterConfig {
         self
     }
 
-    /// Corrupts process `p` with the given role ([`Role::Honest`]
-    /// leaves it honest).
+    /// Corrupts process `p` with the given role, in place of any role an
+    /// earlier call gave it ([`Role::Honest`] leaves it honest).
     pub fn fault(mut self, p: Pid, role: Role) -> Self {
+        self.faults.retain(|(q, _)| *q != p);
         if role != Role::Honest {
             self.faults.push((p, role));
         }
@@ -129,36 +142,72 @@ impl ClusterConfig {
     }
 }
 
-/// One process of the cluster: the honest state machine and the
-/// [`Role`] the adversary gives it. What each role does is one `match`
-/// per [`Process`] method; a mid-run [`Action::Corrupt`] or
-/// [`Action::Crash`] changes the role in place.
+/// Which deliveries `(from, to, msg)` a node reads now.
+type Admit<M> = Arc<dyn Fn(Pid, Pid, &M) -> bool + Send + Sync>;
+
+/// What a node sends `to` instead of `msg` (`None`: `msg`).
+type Rewrite<M> = Arc<dyn Fn(Pid, &M) -> Option<M> + Send + Sync>;
+
+/// The wire message of engine `E`.
+type MsgOf<E> = WireMsg<<E as Engine>::Field>;
+
+/// One process of a [`Net`]: its [`Engine`], the events the engine
+/// reported, and every fault the adversary gives it, each a field: a
+/// [`Role`] (one `match` per [`Process`] method; a Byzantine role's
+/// sends are forged by `adversary::rewrite`; a mid-run
+/// [`Action::Corrupt`] or [`Action::Crash`] changes it in place), a test
+/// rewrite of its sends ([`Net::set_tamper`]) that takes the role's
+/// place, and a receiver-side hold ([`Net::deliver_matching`]).
 ///
 /// `Clone` deep-copies the whole protocol state (engines, RNG streams,
-/// a crashed process's missed backlog), which is what
-/// [`Cluster::snapshot`] copies.
+/// a crashed process's missed backlog, held deliveries), which is what
+/// [`Net::snapshot`] copies.
 #[derive(Clone)]
-pub struct ClusterProcess {
-    node: AbaProcess<Gf61>,
+pub struct Node<E: Engine> {
+    engine: E,
     role: Role,
     /// Where a crash role stands in its outage (inert for other roles).
-    outage: Outage,
+    outage: Outage<MsgOf<E>>,
+    /// Every event the engine reported, in order.
+    log: Vec<E::Event>,
+    /// Reusable send buffer: a step allocates nothing once it is warm.
+    sends: Vec<(Pid, MsgOf<E>)>,
+    /// The deliveries held back unread, with their senders.
+    held: Vec<(Pid, MsgOf<E>)>,
+    /// While set, a delivery it rejects waits in `held`.
+    admit: Option<Admit<MsgOf<E>>>,
+    /// While set, rewrites what the engine sends in place of the role.
+    tamper: Option<Rewrite<MsgOf<E>>>,
 }
 
-impl ClusterProcess {
-    /// Gives the honest state machine `process` the behaviour `role`
-    /// names.
-    pub fn with_role(process: AbaProcess<Gf61>, role: Role) -> Self {
-        ClusterProcess {
-            node: process,
+/// One process of the cluster: an agreement process and its faults.
+pub type ClusterProcess = Node<AbaProcess<Gf61>>;
+
+impl<E: Engine> Node<E> {
+    /// Gives the honest engine `engine` the behaviour `role` names.
+    pub fn with_role(engine: E, role: Role) -> Self {
+        Node {
+            engine,
             outage: Outage::of(&role),
             role,
+            log: Vec::new(),
+            sends: Vec::new(),
+            held: Vec::new(),
+            admit: None,
+            tamper: None,
         }
     }
 
-    /// Crashes the process now: fail-stop with `None`, down for the next
-    /// `d` deliveries then recovered with `Some(d)`. A process already
-    /// down stays down, its backlog kept, until the new recovery point.
+    /// Crashes the process now (the timed [`Action::Crash`]): fail-stop
+    /// with `None`, down for the next `d` deliveries then recovered
+    /// (backlog replay) with `Some(d)`. A process already down stays
+    /// down, its backlog kept, until the new recovery point: re-crashing
+    /// it *during its recovery window* extends the outage (the
+    /// "crash-during-recovery" compound scenario).
+    ///
+    /// Panics if it is silent or Byzantine, or if `down_for` is
+    /// `Some(0)` ([`ScenarioPlan::check`](crate::ScenarioPlan::check)
+    /// rules both out).
     fn crash_now(&mut self, down_for: Option<u64>) {
         assert!(
             matches!(
@@ -175,25 +224,21 @@ impl ClusterProcess {
         };
     }
 
-    /// Runs one step of the node, then rewrites what it queued for the
-    /// Byzantine role, envelope by envelope in send order.
-    fn forge(
-        &mut self,
-        out: &mut Outbox<Msg>,
-        step: impl FnOnce(&mut AbaProcess<Gf61>, &mut Outbox<Msg>),
-    ) {
-        let start = out.len();
-        step(&mut self.node, out);
-        for env in out.tail_mut(start) {
-            if let Some(msg) = adversary::rewrite(&self.role, env.to, &env.msg) {
-                env.msg = msg;
-            }
+    /// One engine step: `f`'s sends go out through `out`, each rewritten
+    /// by the tamper if one is set and by the role otherwise, one for
+    /// one in send order; the events it reported join the log.
+    fn step(&mut self, out: &mut Outbox<MsgOf<E>>, f: impl FnOnce(&mut E, &mut Sends<E::Field>)) {
+        let mut sends = std::mem::take(&mut self.sends);
+        f(&mut self.engine, &mut sends);
+        for (to, msg) in sends.drain(..) {
+            let forged = match &self.tamper {
+                Some(rewrite) => rewrite(to, &msg),
+                None => adversary::rewrite(&self.role, to, &msg),
+            };
+            out.send(to, forged.unwrap_or(msg));
         }
-    }
-
-    /// The underlying node, when one exists (silent processes have none).
-    pub fn node(&self) -> Option<&AbaNode<Gf61>> {
-        (self.role != Role::Silent).then(|| self.node.node())
+        self.sends = sends;
+        self.log.extend(self.engine.take_events());
     }
 
     /// Whether this process follows the protocol (crash-recover counts:
@@ -203,81 +248,75 @@ impl ClusterProcess {
         matches!(self.role, Role::Honest | Role::CrashRecover { .. })
     }
 
-    /// The honest event stream, for processes that have one.
-    pub fn events(&self) -> Option<&[sba_aba::AbaEvent]> {
-        self.is_honest().then(|| self.node.events())
+    /// Every event the engine reported, in order, whatever its role.
+    pub fn log(&self) -> &[E::Event] {
+        &self.log
+    }
+
+    /// The deliveries it holds back unread, with their senders.
+    pub fn held(&self) -> &[(Pid, MsgOf<E>)] {
+        &self.held
     }
 }
 
-impl Process<Msg> for ClusterProcess {
-    fn on_start(&mut self, out: &mut Outbox<Msg>) {
-        match self.role {
-            Role::Honest => self.node.on_start(out),
-            Role::Silent => {}
-            Role::Crash { .. } | Role::CrashRecover { .. } => {
-                if !self.outage.down() {
-                    self.node.on_start(out);
-                }
-            }
-            Role::LyingShares { .. } | Role::FlippedVotes | Role::Equivocating => {
-                self.forge(out, |node, raw| node.on_start(raw));
-            }
+impl ClusterProcess {
+    /// The underlying node, when one exists (silent processes have none).
+    pub fn node(&self) -> Option<&AbaNode<Gf61>> {
+        (self.role != Role::Silent).then(|| self.engine.node())
+    }
+
+    /// The honest event stream, for processes that have one.
+    pub fn events(&self) -> Option<&[sba_aba::AbaEvent]> {
+        self.is_honest().then_some(&self.log[..])
+    }
+}
+
+impl<E: Engine> Process<MsgOf<E>> for Node<E> {
+    fn on_start(&mut self, out: &mut Outbox<MsgOf<E>>) {
+        if !self.down() {
+            self.step(out, E::on_start);
         }
     }
-    fn on_message(&mut self, from: Pid, msg: Msg, out: &mut Outbox<Msg>) {
-        match self.role {
-            Role::Honest => self.node.on_message(from, msg, out),
-            Role::Silent => {}
-            Role::Crash { .. } | Role::CrashRecover { .. } => {
-                let node = &mut self.node;
-                self.outage
-                    .deliver(from, msg, |f, m| node.on_message(f, m, out));
-            }
-            Role::LyingShares { .. } | Role::FlippedVotes | Role::Equivocating => {
-                self.forge(out, |node, raw| node.on_message(from, msg, raw));
-            }
-        }
+    fn on_message(&mut self, from: Pid, msg: MsgOf<E>, out: &mut Outbox<MsgOf<E>>) {
+        self.on_batch(from, &mut vec![msg], out);
     }
-    fn on_batch(&mut self, from: Pid, msgs: &mut Vec<Msg>, out: &mut Outbox<Msg>) {
-        match self.role {
-            Role::Honest => self.node.on_batch(from, msgs, out),
-            Role::Silent => msgs.clear(),
+    fn on_batch(&mut self, from: Pid, msgs: &mut Vec<MsgOf<E>>, out: &mut Outbox<MsgOf<E>>) {
+        if self.role == Role::Silent {
+            return msgs.clear();
+        }
+        if let Some(admit) = &self.admit {
+            let me = out.me();
+            let (read, hold): (Vec<_>, _) = msgs.drain(..).partition(|m| admit(from, me, m));
+            self.held.extend(hold.into_iter().map(|m| (from, m)));
+            *msgs = read;
+        }
+        if let Role::Crash { .. } | Role::CrashRecover { .. } = self.role {
             // The outage counts *messages*: a batch that straddles the
             // crash point is split there, and the rest counts toward
-            // the outage.
-            Role::Crash { .. } | Role::CrashRecover { .. } => {
-                let node = &mut self.node;
-                for msg in msgs.drain(..) {
-                    self.outage
-                        .deliver(from, msg, |f, m| node.on_message(f, m, out));
-                }
+            // the outage. Each delivery it lets through is a one-member
+            // batch (`step` does not read the outage).
+            let mut outage = std::mem::replace(&mut self.outage, Outage::of(&Role::Honest));
+            let mut batch = std::mem::take(msgs);
+            for msg in batch.drain(..) {
+                outage.deliver(from, msg, |f, m| {
+                    msgs.push(m);
+                    self.step(out, |e, sends| e.on_batch(f, msgs, sends));
+                });
             }
-            Role::LyingShares { .. } | Role::FlippedVotes | Role::Equivocating => {
-                self.forge(out, |node, raw| node.on_batch(from, msgs, raw));
-            }
+            self.outage = outage;
+            *msgs = batch;
+        } else {
+            self.step(out, |e, sends| e.on_batch(from, msgs, sends));
         }
     }
     fn done(&self) -> bool {
-        match self.role {
-            // A crash-recover process comes back and is expected to
-            // decide; the run waits for it.
-            Role::Honest | Role::CrashRecover { .. } => self.node.done(),
-            // Corrupted processes never gate termination.
-            Role::Silent
-            | Role::Crash { .. }
-            | Role::LyingShares { .. }
-            | Role::FlippedVotes
-            | Role::Equivocating => true,
-        }
+        // A crash-recover process comes back and is expected to decide;
+        // the run waits for it. Corrupted processes never gate
+        // termination.
+        !self.is_honest() || self.engine.done()
     }
     fn down(&self) -> bool {
-        match self.role {
-            Role::Silent => true,
-            Role::Crash { .. } | Role::CrashRecover { .. } => self.outage.down(),
-            Role::Honest | Role::LyingShares { .. } | Role::FlippedVotes | Role::Equivocating => {
-                false
-            }
-        }
+        self.role == Role::Silent || self.outage.down()
     }
     fn recoveries(&self) -> u64 {
         self.outage.recoveries
@@ -290,7 +329,7 @@ impl Process<Msg> for ClusterProcess {
 /// backlog in order — the deterministic stand-in for "recover state
 /// from peers" — and stays up from there on.
 #[derive(Clone)]
-struct Outage {
+struct Outage<M> {
     /// Deliveries until the crash point; `u64::MAX` for a process that
     /// is up for good (every non-crash role, and a recovered process).
     left: u64,
@@ -298,11 +337,11 @@ struct Outage {
     /// before the recovery point; 0 is fail-stop.
     down_left: u64,
     /// Deliveries missed so far, replayed at the recovery point.
-    missed: Vec<(Pid, Msg)>,
+    missed: Vec<(Pid, M)>,
     recoveries: u64,
 }
 
-impl Outage {
+impl<M> Outage<M> {
     /// The outage `role` starts with: a crash role is up for `after`
     /// deliveries, then down (for `down_for`, or for good); every other
     /// role is up for good.
@@ -340,7 +379,7 @@ impl Outage {
     }
 
     /// Feeds one delivery through the outage into `handle`.
-    fn deliver(&mut self, from: Pid, msg: Msg, mut handle: impl FnMut(Pid, Msg)) {
+    fn deliver(&mut self, from: Pid, msg: M, mut handle: impl FnMut(Pid, M)) {
         if self.left > 0 {
             // Up: the step that reaches the crash point still sends.
             self.left -= 1;
@@ -406,25 +445,231 @@ pub(crate) fn agreement(decisions: &[Option<bool>]) -> bool {
     vals.all(|v| v == first)
 }
 
+/// Installs a copy of the monitor as a simulation's observer.
+type Install<E> = fn(InvariantMonitor) -> Box<dyn Observer<Node<E>>>;
+
+/// `n` [`Node`]s on one [`Simulation`]: a [`Cluster`], or an SVSS or
+/// coin run ([`harness`](crate::harness)). An agreement run built from
+/// a [`ScenarioPlan`](crate::ScenarioPlan) also carries the plan's
+/// unfired timed events ([`PlanEvent`]); [`Cluster::run`] and
+/// [`Cluster::advance_until`] fire them as their triggers come due.
+pub struct Net<E: Engine> {
+    sim: Simulation<MsgOf<E>, Node<E>>,
+    honest: Vec<Pid>,
+    /// Proposals an agreement run was built with (the monitor's
+    /// validity reference); empty for other runs.
+    inputs: Vec<Option<bool>>,
+    /// The invariant monitor, and how to install a copy of it as the
+    /// observer (it reads agreement processes only).
+    monitor: Option<(InvariantMonitor, Install<E>)>,
+    /// The plan's timed events that have not fired yet.
+    pub(crate) pending: Vec<PlanEvent>,
+}
+
 /// A simulated cluster running one agreement instance.
-///
-/// A cluster built from a [`ScenarioPlan`](crate::ScenarioPlan) also
-/// carries the plan's unfired timed events ([`PlanEvent`]);
-/// [`Cluster::run`] and [`Cluster::advance_until`] fire them as their
-/// triggers come due. A cluster built by [`Cluster::new`] or
-/// [`Cluster::with_scheduler`] has none.
 ///
 /// See the crate-level docs for a quickstart; `examples/` for richer
 /// scenarios.
-pub struct Cluster {
-    sim: Simulation<Msg, ClusterProcess>,
-    honest: Vec<Pid>,
-    /// Proposals the cluster was built with (the monitor's validity
-    /// reference, and the basis for rebuilding a corrupted process).
-    inputs: Vec<Option<bool>>,
-    monitor: Option<crate::monitor::InvariantMonitor>,
-    /// The plan's timed events that have not fired yet.
-    pub(crate) pending: Vec<PlanEvent>,
+pub type Cluster = Net<AbaProcess<Gf61>>;
+
+/// Delivery events one quiescence run may take before it is declared a
+/// livelock.
+const MAX_EVENTS: u64 = 4_000_000_000;
+
+impl<E: Engine> Net<E> {
+    /// Honest `engines` (pid order) under the seeded uniform adversary,
+    /// delays 1..=8: the SVSS and coin runs.
+    pub(crate) fn mesh(engines: impl Iterator<Item = E>, seed: u64) -> Self {
+        let nodes: Vec<_> = engines.map(|e| Node::with_role(e, Role::Honest)).collect();
+        Net {
+            honest: Pid::all(nodes.len()).collect(),
+            sim: Simulation::new(nodes, schedulers::uniform(8), seed),
+            inputs: Vec::new(),
+            monitor: None,
+            pending: Vec::new(),
+        }
+    }
+
+    /// Direct access to the simulation (metrics, stepping).
+    pub fn sim(&self) -> &Simulation<MsgOf<E>, Node<E>> {
+        &self.sim
+    }
+
+    /// Mutable access to the simulation — e.g. to enable its digest, or
+    /// to drain in-flight tails after [`Cluster::run`] returned at
+    /// `all_done` (memory accounting tests want full quiescence).
+    pub fn sim_mut(&mut self) -> &mut Simulation<MsgOf<E>, Node<E>> {
+        &mut self.sim
+    }
+
+    /// The honest process ids.
+    pub fn honest(&self) -> &[Pid] {
+        &self.honest
+    }
+
+    /// The run digest, if [`Simulation::enable_digest`] was turned on
+    /// (scenario-zoo clusters enable it so runs can be replay-verified).
+    pub fn digest(&self) -> Option<u64> {
+        self.sim.digest()
+    }
+
+    /// A deep copy of the whole run — every engine, RNG stream, the
+    /// in-flight queue, the scheduler, the unfired plan events — through
+    /// [`Simulation::snapshot`]. A monitored copy gets its own
+    /// [`InvariantMonitor::deep_clone`] of the branch-point state, so
+    /// the original and every copy observe their futures independently
+    /// (a shared live monitor would misread a branch's re-observations
+    /// as the original run rewinding).
+    ///
+    /// A snapshot nobody steps is a checkpoint: running a further
+    /// snapshot of it reproduces the original tail bit-identically, and
+    /// a further snapshot followed by [`Simulation::reseed`] (through
+    /// [`Net::sim_mut`]) forks a divergent schedule from the same
+    /// protocol state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scheduler cannot be copied (every
+    /// [`SchedLayer`](sba_sim::SchedLayer) stack can; a custom
+    /// [`Scheduler`] need not).
+    pub fn snapshot(&self) -> Self {
+        let mut sim = self.sim.snapshot();
+        let monitor = self.monitor.as_ref().map(|(m, install)| {
+            let m = m.deep_clone();
+            sim.replace_observer(install(m.clone()));
+            (m, *install)
+        });
+        Net {
+            sim,
+            honest: self.honest.clone(),
+            inputs: self.inputs.clone(),
+            monitor,
+            pending: self.pending.clone(),
+        }
+    }
+
+    /// Corrupts process `p` **mid-run** with `role`, keeping its
+    /// accumulated protocol state: an *adaptive* adversary that picks
+    /// its victim after watching the run (the timed [`Action::Corrupt`];
+    /// `corrupt(p, Role::Silent)` silences `p`). A corrupted process
+    /// takes the new role in place. It drops out of the honest set from
+    /// this event on (a crash-recover role keeps it there); the
+    /// invariant monitor (if enabled) sees the change on the next
+    /// delivery.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `role` is [`Role::Honest`]
+    /// ([`ScenarioPlan::check`](crate::ScenarioPlan::check) rules it
+    /// out, and allows a plan to corrupt only an honest process).
+    pub fn corrupt(&mut self, p: Pid, role: Role) {
+        assert!(role != Role::Honest, "Corrupt requires a non-honest role");
+        self.change(p, |node| {
+            // A crash role counts its `after` deliveries from here.
+            node.outage = Outage::of(&role);
+            node.role = role;
+        });
+    }
+
+    /// Applies `f` to `p`'s node; `p` leaves the honest set if `f` made
+    /// it faulty.
+    fn change(&mut self, p: Pid, f: impl FnOnce(&mut Node<E>)) {
+        let node = self.sim.process_mut(p);
+        f(node);
+        if !node.is_honest() {
+            self.honest.retain(|&h| h != p);
+        }
+    }
+
+    /// Process `p`'s engine.
+    pub fn engine(&self, p: Pid) -> &E {
+        &self.sim.process(p).engine
+    }
+
+    /// Every event process `p` reported, in order, whatever its role.
+    pub fn events(&self, p: Pid) -> &[E::Event] {
+        self.sim.process(p).log()
+    }
+
+    /// Every (shunner, shunned) pair reported so far, by shunner, liars
+    /// included.
+    pub fn shun_pairs(&self) -> Vec<(Pid, Pid)> {
+        let pairs = |p| {
+            self.events(p)
+                .iter()
+                .filter_map(move |ev| Some((p, E::shunned(ev)?)))
+        };
+        Pid::all(self.sim.n()).flat_map(pairs).collect()
+    }
+
+    /// Messages delivered so far, self-deliveries included.
+    pub fn delivered(&self) -> u64 {
+        let m = self.sim.metrics();
+        m.messages_delivered + m.self_deliveries
+    }
+
+    /// The processes not down (silent, or mid-outage): the ones the
+    /// `_all` commands and the outputs cover.
+    pub(crate) fn live(&self) -> impl Iterator<Item = Pid> + '_ {
+        Pid::all(self.sim.n()).filter(|&p| !self.sim.process(p).down())
+    }
+
+    /// From `p`'s next step on, `f(to, msg)` is the message `p` sends to
+    /// `to` instead of `msg` (`None` sends `msg` unchanged), one for one,
+    /// in send order, in place of its role's rewrite. A test device: `p`
+    /// keeps its role and its place in the honest set. A later call
+    /// replaces `f`.
+    pub fn set_tamper(
+        &mut self,
+        p: Pid,
+        f: impl Fn(Pid, &MsgOf<E>) -> Option<MsgOf<E>> + Send + Sync + 'static,
+    ) {
+        self.sim.process_mut(p).tamper = Some(Arc::new(f));
+    }
+
+    /// Injects a raw message from `from` to `to`, past `from`'s rewrite.
+    pub fn push_raw(&mut self, from: Pid, to: Pid, msg: MsgOf<E>) {
+        self.sim.act(from, |_, out| out.send(to, msg));
+    }
+
+    /// Runs `f` at `p`'s engine as one local step; its sends go through
+    /// `p`'s rewrite.
+    pub fn act(&mut self, p: Pid, f: impl FnOnce(&mut E, &mut Sends<E::Field>)) {
+        self.sim.act(p, |node, out| node.step(out, f));
+    }
+
+    /// Runs `f` as one [`Net::act`] at every live process, in pid order.
+    pub fn act_all(&mut self, mut f: impl FnMut(&mut E, &mut Sends<E::Field>)) {
+        for p in self.live().collect::<Vec<_>>() {
+            self.act(p, &mut f);
+        }
+    }
+
+    /// Installs `admit` at every node, lets each read the held
+    /// deliveries it admits, and delivers until quiescent.
+    pub(crate) fn settle(&mut self, admit: Option<Admit<MsgOf<E>>>) {
+        for p in Pid::all(self.sim.n()) {
+            let admit = admit.clone();
+            self.sim.act(p, |node, out| {
+                node.admit = admit;
+                for (from, msg) in std::mem::take(&mut node.held) {
+                    node.on_batch(from, &mut vec![msg], out);
+                }
+            });
+        }
+        let outcome = self.sim.run_to_quiescence(MAX_EVENTS);
+        assert!(outcome.quiescent, "harness exceeded {MAX_EVENTS} events");
+    }
+
+    /// Delivers until quiescent, but each node reads only the deliveries
+    /// `pred(from, to, msg)` admits (held ones included); the rest stay
+    /// held until a later `run` or `deliver_matching` admits them.
+    pub fn deliver_matching(
+        &mut self,
+        pred: impl Fn(Pid, Pid, &MsgOf<E>) -> bool + Send + Sync + 'static,
+    ) {
+        self.settle(Some(Arc::new(pred)));
+    }
 }
 
 impl Cluster {
@@ -456,36 +701,13 @@ impl Cluster {
         scheduler: Box<dyn Scheduler<Msg>>,
     ) -> Self {
         let (procs, honest) = config.processes(inputs);
-        Cluster {
+        Net {
             sim: Simulation::new(procs, scheduler, config.seed),
             honest,
             inputs: inputs.to_vec(),
             monitor: None,
             pending: Vec::new(),
         }
-    }
-
-    /// Direct access to the simulation (metrics, stepping).
-    pub fn sim(&self) -> &Simulation<Msg, ClusterProcess> {
-        &self.sim
-    }
-
-    /// Mutable access to the simulation — e.g. to drain in-flight
-    /// tails after [`Cluster::run`] returned at `all_done` (memory
-    /// accounting tests want full quiescence).
-    pub fn sim_mut(&mut self) -> &mut Simulation<Msg, ClusterProcess> {
-        &mut self.sim
-    }
-
-    /// The honest process ids.
-    pub fn honest(&self) -> &[Pid] {
-        &self.honest
-    }
-
-    /// The run digest, if [`Simulation::enable_digest`] was turned on
-    /// (scenario-zoo clusters enable it so runs can be replay-verified).
-    pub fn digest(&self) -> Option<u64> {
-        self.sim.digest()
     }
 
     /// Installs the [invariant monitor](crate::monitor): after every
@@ -501,95 +723,15 @@ impl Cluster {
     ///
     /// Panics if the simulation has already started.
     pub fn enable_monitor(&mut self) {
-        let monitor = crate::monitor::InvariantMonitor::new(self.inputs.clone());
+        let monitor = InvariantMonitor::new(self.inputs.clone());
         self.sim.set_observer(Box::new(monitor.clone()));
-        self.monitor = Some(monitor);
+        self.monitor = Some((monitor, |m| Box::new(m)));
     }
 
     /// The monitor's findings so far (`None` unless
     /// [`Cluster::enable_monitor`] was called before the run).
     pub fn monitor_report(&self) -> Option<crate::monitor::MonitorReport> {
-        self.monitor.as_ref().map(|m| m.report())
-    }
-
-    /// Corrupts process `p` **mid-run** with `role`, keeping its
-    /// accumulated protocol state: an *adaptive* adversary that picks
-    /// its victim after watching the run (the timed [`Action::Corrupt`]).
-    /// The process drops out of the honest set from this event on (a
-    /// crash-recover role keeps it there); the invariant monitor (if
-    /// enabled) sees the change on the next delivery.
-    ///
-    /// Panics if `role` is [`Role::Honest`], or if `p` is not currently
-    /// honest ([`ScenarioPlan::check`](crate::ScenarioPlan::check) rules
-    /// both out).
-    fn corrupt(&mut self, p: Pid, role: Role) {
-        assert!(role != Role::Honest, "Corrupt requires a non-honest role");
-        let process = self.sim.process_mut(p);
-        assert!(
-            process.role == Role::Honest,
-            "corrupt targets a currently-honest process"
-        );
-        // A crash role counts its `after` deliveries from here.
-        process.outage = Outage::of(&role);
-        process.role = role;
-        if !process.is_honest() {
-            self.honest.retain(|&h| h != p);
-        }
-    }
-
-    /// Crashes process `p` **now** (the timed [`Action::Crash`]):
-    /// fail-stop with `down_for = None`, or down for the next `d`
-    /// deliveries then recovered (backlog replay) with `Some(d)`. This
-    /// also applies to a process already carrying a crash fault —
-    /// re-crashing a process *during its recovery window* extends the
-    /// outage (the "crash-during-recovery" compound scenario).
-    ///
-    /// Panics if `p` is silent or Byzantine, or if `down_for` is
-    /// `Some(0)` ([`ScenarioPlan::check`](crate::ScenarioPlan::check)
-    /// rules both out).
-    fn crash(&mut self, p: Pid, down_for: Option<u64>) {
-        let process = self.sim.process_mut(p);
-        process.crash_now(down_for);
-        if !process.is_honest() {
-            self.honest.retain(|&h| h != p);
-        }
-    }
-
-    /// A deep copy of the whole cluster — every engine, RNG stream, the
-    /// in-flight queue, the scheduler, the unfired plan events — through
-    /// [`Simulation::snapshot`]. A monitored copy gets its own
-    /// [`InvariantMonitor::deep_clone`](crate::monitor::InvariantMonitor::deep_clone)
-    /// of the branch-point state, so the original and every copy observe
-    /// their futures independently (a shared live monitor would misread
-    /// a branch's re-observations as the original run rewinding).
-    ///
-    /// A snapshot nobody steps is a checkpoint: running a further
-    /// snapshot of it reproduces the original tail bit-identically, and
-    /// a further snapshot followed by [`Simulation::reseed`] (through
-    /// [`Cluster::sim_mut`]) forks a divergent schedule from the same
-    /// protocol state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scheduler cannot be copied (every
-    /// [`SchedLayer`](sba_sim::SchedLayer) stack can; a custom
-    /// [`Scheduler`] need not).
-    pub fn snapshot(&self) -> Cluster {
-        let mut sim = self.sim.snapshot();
-        let monitor = self
-            .monitor
-            .as_ref()
-            .map(crate::monitor::InvariantMonitor::deep_clone);
-        if let Some(m) = &monitor {
-            sim.replace_observer(Box::new(m.clone()));
-        }
-        Cluster {
-            sim,
-            honest: self.honest.clone(),
-            inputs: self.inputs.clone(),
-            monitor,
-            pending: self.pending.clone(),
-        }
+        self.monitor.as_ref().map(|(m, _)| m.report())
     }
 
     fn trigger_ready(sim: &Simulation<Msg, ClusterProcess>, at: &Trigger) -> bool {
@@ -617,7 +759,7 @@ impl Cluster {
                 match ev.action {
                     Action::HealPartitions => self.sim.heal_partitions(),
                     Action::Corrupt { p, role } => self.corrupt(p, role),
-                    Action::Crash { p, down_for } => self.crash(p, down_for),
+                    Action::Crash { p, down_for } => self.change(p, |n| n.crash_now(down_for)),
                 }
             } else {
                 i += 1;
@@ -690,29 +832,19 @@ impl Cluster {
         let n = self.sim.n();
         let mut decisions = vec![None; n];
         let mut rounds = vec![None; n];
-        let mut shun_pairs = Vec::new();
         let mut max_round = 0;
         for i in 1..=n as u32 {
-            let pid = Pid::new(i);
-            let proc_ = self.sim.process(pid);
-            if !proc_.is_honest() {
-                continue;
-            }
-            if let Some(node) = proc_.node() {
+            let proc_ = self.sim.process(Pid::new(i));
+            if let Some(node) = proc_.node().filter(|_| proc_.is_honest()) {
                 decisions[(i - 1) as usize] = node.decision(0);
                 rounds[(i - 1) as usize] = node.decision_round(0);
                 if let Some(r) = node.decision_round(0) {
                     max_round = max_round.max(r);
                 }
             }
-            if let Some(events) = proc_.events() {
-                for ev in events {
-                    if let sba_aba::AbaEvent::Shunned { process } = ev {
-                        shun_pairs.push((pid, *process));
-                    }
-                }
-            }
         }
+        let mut shun_pairs = self.shun_pairs();
+        shun_pairs.retain(|&(p, _)| self.sim.process(p).is_honest());
         let metrics = self.sim.metrics().clone();
         ClusterReport {
             terminated: outcome.all_done,
@@ -798,7 +930,7 @@ mod tests {
 
     /// Feeds pings `0..count` through `outage`; returns the ones the
     /// node handled, in handling order.
-    fn feed(outage: &mut Outage, count: u32) -> Vec<Msg> {
+    fn feed(outage: &mut Outage<Msg>, count: u32) -> Vec<Msg> {
         let mut handled = Vec::new();
         for k in 0..count {
             outage.deliver(Pid::new(1), ping(k), |_, m| handled.push(m));

@@ -71,7 +71,7 @@ pub mod monitor;
 pub mod scenario;
 pub mod threaded;
 
-pub use cluster::{Cluster, ClusterConfig, ClusterProcess, ClusterReport};
+pub use cluster::{Cluster, ClusterConfig, ClusterProcess, ClusterReport, Net, Node};
 pub use monitor::{InvariantMonitor, MonitorReport, MonitorViolation};
 pub use scenario::{Action, PlanCoin, PlanEvent, Role, ScenarioPlan, SchedLayer, Trigger, Zoo};
 pub use threaded::{run_plan, RuntimeKind, RuntimeReport, WatchedProcess};

@@ -18,9 +18,10 @@
 //! - the **coin construction** ([`PlanCoin`]) and whether the
 //!   [invariant monitor](crate::monitor) rides along.
 //!
-//! A new adversary is one enum row: a [`Role`] row (with its arm in
-//! each `Process` method of [`ClusterProcess`](crate::ClusterProcess),
-//! the one struct every role runs as) or a [`SchedLayer`] row.
+//! A new adversary is one enum row: a [`Role`] row (read by the
+//! `Process` methods of [`Node`](crate::Node), the one process struct
+//! every role and engine runs as, and, for a liar, by
+//! `adversary::rewrite`) or a [`SchedLayer`] row.
 //!
 //! Plans serialize to the flat numeric key/value form the bench trial
 //! artifacts use ([`ScenarioPlan::to_kv`] / [`ScenarioPlan::from_kv`]),
@@ -284,9 +285,12 @@ impl ScenarioPlan {
                 Err(format!("{p} is not one of the {n} processes"))
             }
         };
-        for (p, role) in &self.roles {
+        for (i, (p, role)) in self.roles.iter().enumerate() {
             in_range(p)?;
             role.check()?;
+            if self.roles[..i].iter().any(|(q, _)| q == p) {
+                return Err(format!("{p} is given two roles"));
+            }
         }
         if self.layers.is_empty() {
             return Err("a scheduler stack needs >= 1 layer".into());
@@ -909,6 +913,45 @@ mod tests {
             let back = ScenarioPlan::from_kv(&plan.name, &kv).expect("decodes");
             assert_eq!(plan, back, "{}", plan.name);
         }
+    }
+
+    #[test]
+    fn a_pid_with_two_roles_is_rejected() {
+        use sba_sim::Process;
+        let two_roles = |roles: [Role; 2], events: Vec<PlanEvent>| {
+            let mut plan = ScenarioPlan::new("two_roles", 7, 2, 7);
+            plan.roles = roles.map(|r| (Pid::new(4), r)).to_vec();
+            plan.events = events;
+            plan
+        };
+        let corrupt = PlanEvent {
+            at: Trigger::AtDelivery(10),
+            action: Action::Corrupt {
+                p: Pid::new(4),
+                role: Role::FlippedVotes,
+            },
+        };
+        for plan in [
+            two_roles([Role::Honest, Role::Silent], vec![corrupt]),
+            two_roles([Role::Silent, Role::FlippedVotes], vec![]),
+        ] {
+            let err = plan.check().expect_err("two roles for p4");
+            assert!(err.contains("p4"), "{err}");
+            assert!(ScenarioPlan::from_kv(&plan.name, &plan.to_kv()).is_err());
+        }
+        // A later `fault` for the same pid replaces the earlier one, and
+        // an honest one clears it.
+        let config = ClusterConfig::new(4, 1).fault(Pid::new(4), Role::Silent);
+        let (procs, honest) = config
+            .clone()
+            .fault(Pid::new(4), Role::FlippedVotes)
+            .processes(&[None; 4]);
+        assert_eq!(honest.len(), 3);
+        assert!(!procs[3].down(), "p4 lies, it is not silent");
+        let (_, honest) = config
+            .fault(Pid::new(4), Role::Honest)
+            .processes(&[None; 4]);
+        assert_eq!(honest.len(), 4);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!   ([`schedulers::uniform`] is the benign one);
 //! - Byzantine behaviour is expressed by corrupted [`Process`]es (the
 //!   adversary's corruption power): the protocol's fault models (silent,
-//!   crash, crash-recover, lying, equivocating) are `sba::Role` rows, and
-//!   an `sba::harness` node's own rewrite makes it lie in SVSS and coin
-//!   runs;
+//!   crash, crash-recover, lying, equivocating) are `sba::Role` rows,
+//!   fields of the one process struct `sba::Node` that agreement, SVSS
+//!   and coin runs all use;
 //! - the run is a pure function of the seed, so every experiment is
 //!   replayable.
 //!

@@ -8,8 +8,7 @@
 
 use sba::field::{Field, Gf61};
 use sba::harness::SvssNet;
-use sba::svss::forge_recon_points;
-use sba::{Params, Pid, SvssId};
+use sba::{Params, Pid, Role, SvssId};
 
 fn main() {
     let params = Params::new(4, 1).unwrap();
@@ -35,9 +34,7 @@ fn main() {
     // --- A forging confirmer gets shunned -------------------------------
     println!("\nnow p4 forges every reconstruction point it broadcasts ...");
     let mut net = SvssNet::<Gf61>::new(params, 2);
-    net.set_tamper(Pid::new(4), |_to, msg| {
-        forge_recon_points(msg, |_| Some(Gf61::from_u64(1)))
-    });
+    net.corrupt(Pid::new(4), Role::LyingShares { delta: 1 });
     let session = SvssId::new(1, Pid::new(1));
     net.share(session, secret);
     net.run();

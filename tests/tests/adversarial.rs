@@ -7,11 +7,11 @@ use std::sync::{Arc, Mutex};
 use sba::broadcast::Params;
 use sba::field::{Field, Gf61};
 use sba::harness::{CoinNet, SvssNet};
-use sba::net::{MwId, Pid, ProcessSet, SlotKind, SvssId, Unpacked, WireKind};
+use sba::net::{MwId, Pid, ProcessSet, SlotKind, SvssId, Unpacked, Wire, WireKind};
 use sba::svss::{
-    forge_recon_points, GsetsBody, MwDealBody, Reconstructed, RowsBody, SvssEvent, SvssMsg,
-    SvssPriv, SvssRbValue,
+    GsetsBody, MwDealBody, Reconstructed, RowsBody, SvssEvent, SvssMsg, SvssPriv, SvssRbValue,
 };
+use sba::Role;
 
 /// `msg` with every value of slot family `kind` this init message
 /// originates (scalar, or inside a vector) replaced by `forged`, if it
@@ -162,7 +162,7 @@ fn repeated_attacks_saturate_shun_pairs() {
     let t = 1;
     let mut net = SvssNet::<Gf61>::new(params, 13);
     let liar = Pid::new(4);
-    net.set_tamper(liar, |_to, msg| forge_recon_points(msg, |_| Some(f(2))));
+    net.corrupt(liar, Role::LyingShares { delta: 2 });
     for session in 1..=5u64 {
         let id = MwId::standalone(session, Pid::new(1), Pid::new(2));
         net.mw_share(id, f(session * 7));
@@ -280,7 +280,7 @@ fn svss_pin(net: &SvssNet<Gf61>, sid: SvssId) -> SvssPin {
     let outputs = net.outputs(sid).into_iter();
     let value = |out: Reconstructed<Gf61>| out.value().map(Field::as_u64);
     (
-        net.sim.digest(),
+        net.digest(),
         net.delivered(),
         net.shun_pairs(),
         outputs.map(|(p, out)| (p, out.map(value))).collect(),
@@ -307,11 +307,35 @@ fn bump_rows(msg: &SvssMsg<Gf61>) -> Option<SvssMsg<Gf61>> {
     Some(SvssMsg::private(SvssPriv::Rows { session, rows }))
 }
 
-/// Every way the harness makes a node faulty, pinned at n = 4: a rewrite
-/// of what it sends (all of it, or per recipient), silence, a
+/// A `deliver_matching` predicate that admits what `admit` admits and
+/// folds each admitted delivery's sender, recipient and `Wire::encode`
+/// bytes into `hash` (FNV-1a): the payload check the digest lacks.
+fn recording(
+    hash: &Arc<Mutex<u64>>,
+    admit: impl Fn(Pid, Pid, &SvssMsg<Gf61>) -> bool + Send + Sync + 'static,
+) -> impl Fn(Pid, Pid, &SvssMsg<Gf61>) -> bool + Send + Sync + 'static {
+    let hash = Arc::clone(hash);
+    move |from, to, msg| {
+        if !admit(from, to, msg) {
+            return false;
+        }
+        let mut bytes = vec![from.index() as u8, to.index() as u8];
+        msg.encode(&mut bytes);
+        let mut h = hash.lock().unwrap();
+        for b in bytes {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+        true
+    }
+}
+
+/// Every way the harness makes a node faulty, pinned at n = 4: a lying
+/// role, a rewrite of what it sends (per recipient), silence, a
 /// receiver-side hold, a raw injection past the rewrite, and a coin
 /// flip under a forger. The digest sees routing and timing but no
-/// payload, so the shun pairs and outputs are the payload check.
+/// payload, so every run goes through [`recording`], which admits all
+/// and so holds nothing: each case's payload hash, shun pairs and
+/// outputs are the payload check.
 #[test]
 fn every_harness_fault_is_pinned() {
     let params = Params::new(4, 1).unwrap();
@@ -319,22 +343,32 @@ fn every_harness_fault_is_pinned() {
     let sid = SvssId::new(1, p1);
     let svss = |seed| {
         let mut net = SvssNet::<Gf61>::new(params, seed);
-        net.sim.enable_digest();
+        net.sim_mut().enable_digest();
         net
     };
-    let share_and_reconstruct = |net: &mut SvssNet<Gf61>| {
+    // One payload hash per case, in case order.
+    let mut payloads = Vec::new();
+    let mut hash = Arc::new(Mutex::new(0xcbf2_9ce4_8422_2325));
+    let run = |net: &mut SvssNet<Gf61>, hash: &Arc<Mutex<u64>>| {
+        net.deliver_matching(recording(hash, |_, _, _| true));
+    };
+    let share_and_reconstruct = |net: &mut SvssNet<Gf61>, hash: &Arc<Mutex<u64>>| {
         net.share(sid, f(123_456_789));
-        net.run();
+        run(net, hash);
         net.reconstruct_all(sid);
-        net.run();
+        run(net, hash);
         svss_pin(net, sid)
+    };
+    let mut next_case = |hash: &mut Arc<Mutex<u64>>| {
+        payloads.push(*hash.lock().unwrap());
+        *hash = Arc::new(Mutex::new(0xcbf2_9ce4_8422_2325));
     };
     let value = |p: Pid| (p, Some(Some(123_456_789)));
 
     // Honest.
     let mut net = svss(1);
     assert_eq!(
-        share_and_reconstruct(&mut net),
+        share_and_reconstruct(&mut net, &hash),
         (
             Some(0xd260_42aa_cfb7_3077),
             2_776,
@@ -343,12 +377,13 @@ fn every_harness_fault_is_pinned() {
         ),
         "honest"
     );
+    next_case(&mut hash);
 
     // p4 forges every reconstruction point (`examples/secret_sharing.rs`).
     let mut net = svss(2);
-    net.set_tamper(p4, |_to, msg| forge_recon_points(msg, |_| Some(f(1))));
+    net.corrupt(p4, Role::LyingShares { delta: 1 });
     assert_eq!(
-        share_and_reconstruct(&mut net),
+        share_and_reconstruct(&mut net, &hash),
         (
             Some(0x7e1c_e3f3_cda3_b2f2),
             2_776,
@@ -357,12 +392,13 @@ fn every_harness_fault_is_pinned() {
         ),
         "forger"
     );
+    next_case(&mut hash);
 
     // The dealer corrupts the rows it sends to p3 only.
     let mut net = svss(3);
     net.set_tamper(p1, move |to, msg| bump_rows(msg).filter(|_| to == p3));
     assert_eq!(
-        share_and_reconstruct(&mut net),
+        share_and_reconstruct(&mut net, &hash),
         (
             Some(0x49d1_13c3_518b_88c1),
             2_344,
@@ -371,12 +407,13 @@ fn every_harness_fault_is_pinned() {
         ),
         "rows to p3"
     );
+    next_case(&mut hash);
 
     // p4 is silent.
     let mut net = svss(4);
-    net.silence(p4);
+    net.corrupt(p4, Role::Silent);
     assert_eq!(
-        share_and_reconstruct(&mut net),
+        share_and_reconstruct(&mut net, &hash),
         (
             Some(0xe397_70b1_29e7_ebfe),
             1_298,
@@ -385,21 +422,22 @@ fn every_harness_fault_is_pinned() {
         ),
         "silent p4"
     );
+    next_case(&mut hash);
 
     // Example 1's hold: the share runs without p4, then everything is
     // released.
     let mut net = svss(5);
     net.share(sid, f(123_456_789));
-    net.deliver_matching(move |from, to, _| from != p4 && to != p4);
+    net.deliver_matching(recording(&hash, move |from, to, _| from != p4 && to != p4));
     assert_eq!(
-        (net.sim.digest(), net.delivered()),
+        (net.digest(), net.delivered()),
         (Some(0x6d03_2e90_4f89_f4c7), 1_214),
         "held"
     );
     assert!(!net.engine(p4).share_completed(sid));
-    net.run();
+    run(&mut net, &hash);
     net.reconstruct_all(sid);
-    net.run();
+    run(&mut net, &hash);
     assert_eq!(
         svss_pin(&net, sid),
         (
@@ -410,6 +448,7 @@ fn every_harness_fault_is_pinned() {
         ),
         "released"
     );
+    next_case(&mut hash);
 
     // A raw message from p4 bypasses its rewrite, which would bump it.
     let mut net = svss(6);
@@ -424,15 +463,15 @@ fn every_harness_fault_is_pinned() {
     net.push_raw(p4, p2, raw.clone());
     let seen = Arc::new(Mutex::new(Vec::new()));
     let log = Arc::clone(&seen);
-    net.deliver_matching(move |from, _, msg| {
+    net.deliver_matching(recording(&hash, move |from, _, msg| {
         if from == p4 && msg.wire_kind() == WireKind::Rows {
             log.lock().unwrap().push(msg.clone());
         }
         true
-    });
+    }));
     assert_eq!(*seen.lock().unwrap(), [raw], "push_raw was rewritten");
     assert_eq!(
-        share_and_reconstruct(&mut net),
+        share_and_reconstruct(&mut net, &hash),
         (
             Some(0x4374_8a11_6ec2_f4bd),
             3_209,
@@ -441,14 +480,19 @@ fn every_harness_fault_is_pinned() {
         ),
         "raw"
     );
+    next_case(&mut hash);
 
     // A coin flip under p4's reconstruct-point forger.
     let mut net = CoinNet::<Gf61>::new(params, 23);
-    net.sim.enable_digest();
-    net.set_tamper(p4, |_to, msg| forge_recon_points(msg, |_| Some(f(5))));
-    net.flip_all(1);
+    net.sim_mut().enable_digest();
+    net.corrupt(p4, Role::LyingShares { delta: 5 });
+    net.act_all(|e, sends| {
+        e.start(1, sends);
+        e.enable_reconstruct(1, sends);
+    });
+    net.deliver_matching(recording(&hash, |_, _, _| true));
     let coin = (
-        net.sim.digest(),
+        net.digest(),
         net.delivered(),
         net.shun_pairs(),
         net.outputs(1),
@@ -460,4 +504,15 @@ fn every_harness_fault_is_pinned() {
         vec![Some(false), Some(false), Some(false), Some(true)],
     );
     assert_eq!(coin, pinned, "coin forger");
+    next_case(&mut hash);
+    let pinned = [
+        0xcf14_5f89_39bd_c54d,
+        0x7d7b_e0cd_b5be_a3a0,
+        0xd262_45e3_a4ec_64cc,
+        0xb10d_2c63_a453_3ef1,
+        0xc0fe_602f_6eef_e730,
+        0xa6c4_a2a8_c2c7_f90a,
+        0xb14c_bf93_947a_d69e,
+    ];
+    assert_eq!(payloads, pinned, "payloads moved");
 }

@@ -6,9 +6,10 @@ use std::sync::{Arc, Mutex};
 
 use sba::broadcast::Params;
 use sba::coin::CoinMsg;
-use sba::field::{Field, Gf61};
+use sba::field::Gf61;
 use sba::harness::CoinNet;
 use sba::net::{Pid, ProcessSet, RbStep, Unpacked, WireKind};
+use sba::Role;
 
 type Msg = CoinMsg<Gf61>;
 
@@ -20,7 +21,7 @@ fn forger_is_shunned_or_coin_is_common() {
     let params = Params::new(4, 1).unwrap();
     let mut net = CoinNet::<Gf61>::new(params, 23);
     let liar = Pid::new(4);
-    net.set_tamper(liar, forger_tamper());
+    net.corrupt(liar, FORGER);
     for tag in 1..=3u64 {
         net.flip_all(tag);
         let outs = net.outputs(tag);
@@ -79,9 +80,7 @@ fn malformed_attach_sets_ignored() {
 
 /// The reconstruct-point forger: shifts every reconstruct point it
 /// originates by 5.
-fn forger_tamper() -> impl FnMut(Pid, &Msg) -> Option<Msg> + Send + 'static {
-    |_to, msg| sba::svss::forge_recon_points(msg, |_| Some(Gf61::from_u64(5)))
-}
+const FORGER: Role = Role::LyingShares { delta: 5 };
 
 /// The adversarial sweep against recorded runs: under the forger, on a
 /// pinned schedule, every process reports the recorded `CoinEvent`
@@ -103,9 +102,9 @@ fn adversarial_sweep_matches_recorded_streams() {
     use sba::coin::CoinEvent::{Flipped, Shunned};
     let params = Params::new(4, 1).unwrap();
     let mut net = CoinNet::<Gf61>::new(params, 23);
-    net.sim.enable_digest();
+    net.sim_mut().enable_digest();
     let liar = Pid::new(4);
-    net.set_tamper(liar, forger_tamper());
+    net.corrupt(liar, FORGER);
     // Per tag, what p1..p4 output; p4 is the liar.
     const COINS: [(u64, [bool; 4]); 3] = [
         (1, [false, false, false, true]),
@@ -140,7 +139,7 @@ fn adversarial_sweep_matches_recorded_streams() {
         [1, 2, 3].map(|p| (Pid::new(p), liar)),
         "shun pairs moved"
     );
-    let delivered = (net.sim.metrics().messages_delivered, net.sim.digest());
+    let delivered = (net.sim().metrics().messages_delivered, net.digest());
     assert_eq!(
         delivered,
         (29_625, Some(0xb94b_6eda_3090_fdf7)),
@@ -192,7 +191,7 @@ fn retired_sessions_drop_late_duplicate_and_tampered_traffic() {
     assert!(retired_before >= 1, "session 1 must have retired");
     let events_before = net.events(p2).len();
     let traffic = |net: &CoinNet<Gf61>| {
-        let m = net.sim.metrics();
+        let m = net.sim().metrics();
         (m.messages_sent, m.self_deliveries)
     };
     let traffic_before = traffic(&net);

@@ -5,6 +5,7 @@ use sba::broadcast::Params;
 use sba::field::Gf61;
 use sba::harness::CoinNet;
 use sba::net::Pid;
+use sba::Role;
 
 /// Termination + Correctness margins: across seeds, every process outputs;
 /// both all-0 and all-1 runs occur with healthy frequency.
@@ -53,7 +54,7 @@ fn coin_with_silent_fault() {
     for seed in 0..6 {
         let params = Params::new(4, 1).unwrap();
         let mut net = CoinNet::<Gf61>::new(params, 100 + seed);
-        net.silence(Pid::new(4));
+        net.corrupt(Pid::new(4), Role::Silent);
         net.flip_all(1);
         let outs = net.outputs(1);
         assert!(
@@ -114,8 +115,8 @@ fn sequential_sessions() {
 fn coin_n7_with_two_silent() {
     let params = Params::new(7, 2).unwrap();
     let mut net = CoinNet::<Gf61>::new(params, 13);
-    net.silence(Pid::new(6));
-    net.silence(Pid::new(7));
+    net.corrupt(Pid::new(6), Role::Silent);
+    net.corrupt(Pid::new(7), Role::Silent);
     net.flip_all(1);
     assert!(net.outputs(1).iter().all(Option::is_some));
 }

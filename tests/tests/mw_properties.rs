@@ -8,6 +8,7 @@ use sba::field::{Field, Gf61};
 use sba::harness::SvssNet;
 use sba::net::{MwId, Pid};
 use sba::svss::{Reconstructed, SvssEvent, SvssMsg, SvssPriv};
+use sba::Role;
 
 fn f(v: u64) -> Gf61 {
     Gf61::from_u64(v)
@@ -50,8 +51,8 @@ fn honest_dealer_and_moderator_reconstruct_secret() {
 fn tolerates_max_silent_faults() {
     let params = Params::new(7, 2).unwrap();
     let mut net = SvssNet::<Gf61>::new(params, 3);
-    net.silence(Pid::new(6));
-    net.silence(Pid::new(7));
+    net.corrupt(Pid::new(6), Role::Silent);
+    net.corrupt(Pid::new(7), Role::Silent);
     let id = standalone(1, 1, 2);
     net.mw_share(id, f(5));
     net.mw_set_moderator_input(id, f(5));
@@ -86,13 +87,6 @@ fn mismatched_moderator_blocks_completion() {
     }
 }
 
-/// Installs the "+delta on every reconstruct point" tamper on `liar`.
-fn tamper_recon_points(net: &mut SvssNet<Gf61>, liar: Pid, delta: u64) {
-    net.set_tamper(liar, move |_to, msg| {
-        sba::svss::forge_recon_points(msg, |_| Some(f(delta)))
-    });
-}
-
 /// Forces `target`'s confirmations to land first, so every monitor's
 /// frozen `L_j` contains `target` (L freezes at the first n−t confirmers).
 fn prioritize_share_traffic_of(net: &mut SvssNet<Gf61>, target: Pid) {
@@ -115,7 +109,7 @@ fn lying_confirmer_binding_property() {
         let mut net = SvssNet::<Gf61>::new(params, seed);
         let id = standalone(1, 2, 3);
         let liar = Pid::new(4);
-        tamper_recon_points(&mut net, liar, 1);
+        net.corrupt(liar, Role::LyingShares { delta: 1 });
         net.mw_share(id, f(42));
         net.mw_set_moderator_input(id, f(42));
         net.run();
@@ -158,7 +152,7 @@ fn lying_confirmer_guaranteed_detection() {
     let mut net = SvssNet::<Gf61>::new(params, 9);
     let id = standalone(1, 2, 3);
     let liar = Pid::new(4);
-    tamper_recon_points(&mut net, liar, 1);
+    net.corrupt(liar, Role::LyingShares { delta: 1 });
     net.mw_share(id, f(42));
     net.mw_set_moderator_input(id, f(42));
     prioritize_share_traffic_of(&mut net, liar);
@@ -180,7 +174,7 @@ fn shunned_process_is_ignored_in_later_sessions() {
     let mut net = SvssNet::<Gf61>::new(params, 5);
     let id1 = standalone(1, 2, 3);
     let liar = Pid::new(4);
-    tamper_recon_points(&mut net, liar, 9);
+    net.corrupt(liar, Role::LyingShares { delta: 9 });
     net.mw_share(id1, f(1));
     net.mw_set_moderator_input(id1, f(1));
     prioritize_share_traffic_of(&mut net, liar);
@@ -196,7 +190,7 @@ fn shunned_process_is_ignored_in_later_sessions() {
     // discarded acks keep it out of the confirmer sets — a schedule
     // accident, not the property under test); the injected forgery below
     // is the only thing it "sends".
-    net.silence(liar);
+    net.corrupt(liar, Role::Silent);
     let id2 = standalone(2, 2, 3);
     net.mw_share(id2, f(2));
     net.mw_set_moderator_input(id2, f(2));

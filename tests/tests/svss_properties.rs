@@ -6,7 +6,9 @@ use sba::broadcast::Params;
 use sba::field::{Field, Gf101, Gf61};
 use sba::harness::SvssNet;
 use sba::net::{Pid, SvssId};
+use sba::sim::Process;
 use sba::svss::{Reconstructed, RowsBody, SvssMsg, SvssPriv};
+use sba::Role;
 
 fn f(v: u64) -> Gf61 {
     Gf61::from_u64(v)
@@ -46,7 +48,7 @@ fn honest_dealer_with_max_silent_faults() {
         let params = Params::new(n, t).unwrap();
         let mut net = SvssNet::<Gf61>::new(params, 17);
         for &s in &silent {
-            net.silence(Pid::new(s));
+            net.corrupt(Pid::new(s), Role::Silent);
         }
         let sid = SvssId::new(1, Pid::new(1));
         net.share(sid, f(321));
@@ -248,5 +250,56 @@ fn sequential_sessions_chain() {
                 "round {round} {p}"
             );
         }
+    }
+}
+
+/// A crash fault in an SVSS run, as in a cluster: p4 stops after 40
+/// deliveries, in the middle of the share; the other three still
+/// complete and reconstruct the secret.
+#[test]
+fn crashed_process_does_not_block_a_share() {
+    let params = Params::new(4, 1).unwrap();
+    let p4 = Pid::new(4);
+    let mut net = SvssNet::<Gf61>::new(params, 9);
+    net.corrupt(p4, Role::Crash { after: 40 });
+    let sid = SvssId::new(1, Pid::new(1));
+    net.share(sid, f(55));
+    net.run();
+    assert!(net.sim().process(p4).down(), "p4 crashed mid-share");
+    assert!(!net.engine(p4).share_completed(sid));
+    assert!(net.all_shares_completed(sid), "p1..p3 complete");
+    net.reconstruct_all(sid);
+    net.run();
+    let outputs = net.outputs(sid);
+    assert_eq!(outputs.len(), 3, "the crashed p4 outputs nothing");
+    for (p, out) in outputs {
+        assert_eq!(out.and_then(Reconstructed::value), Some(f(55)), "{p}");
+    }
+}
+
+/// A snapshot of an SVSS run in the middle of a share is a checkpoint:
+/// running the copy reproduces the original's digest, deliveries and
+/// outputs.
+#[test]
+fn snapshot_mid_share_replays_the_original() {
+    let params = Params::new(4, 1).unwrap();
+    let mut net = SvssNet::<Gf61>::new(params, 12);
+    net.sim_mut().enable_digest();
+    let sid = SvssId::new(1, Pid::new(1));
+    net.share(sid, f(77));
+    net.sim_mut()
+        .run_until(u64::MAX, |sim| sim.metrics().events >= 100);
+    assert!(!net.all_shares_completed(sid), "the share is still running");
+    let mut copy = net.snapshot();
+    let finish = |net: &mut SvssNet<Gf61>| {
+        net.run();
+        net.reconstruct_all(sid);
+        net.run();
+        (net.digest(), net.delivered(), net.outputs(sid))
+    };
+    let original = finish(&mut net);
+    assert_eq!(finish(&mut copy), original);
+    for (p, out) in original.2 {
+        assert_eq!(out.and_then(Reconstructed::value), Some(f(77)), "{p}");
     }
 }
