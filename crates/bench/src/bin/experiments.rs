@@ -262,11 +262,12 @@ fn e11_scenario_zoo(full: bool, json_path: Option<&str>) {
         let replay = replay_file(&path).expect("artifact replays");
         let r = &run.report;
         let m = &r.metrics;
+        let (checks, violations) = run.monitor_counts();
         let name = trial.plan.name.clone();
         assert!(r.terminated, "{name} must terminate");
         assert!(r.agreement(), "{name} must agree");
         assert_eq!(
-            run.monitor_ok,
+            run.monitor_ok(),
             Some(true),
             "{name} must run violation-free under the monitor"
         );
@@ -277,7 +278,7 @@ fn e11_scenario_zoo(full: bool, json_path: Option<&str>) {
             r.messages,
             m.sched_held,
             m.recoveries,
-            m.monitor_violations,
+            violations,
             run.digest,
             if replay.ok() { "identical" } else { "DIVERGED" }
         );
@@ -293,8 +294,8 @@ fn e11_scenario_zoo(full: bool, json_path: Option<&str>) {
         let k = |s: &str| format!("{name}.{s}");
         sink.put_num(&k("rounds"), f64::from(r.max_round));
         sink.put_num(&k("messages"), r.messages as f64);
-        sink.put_num(&k("monitor_checks"), m.monitor_checks as f64);
-        sink.put_num(&k("monitor_violations"), m.monitor_violations as f64);
+        sink.put_num(&k("monitor_checks"), checks as f64);
+        sink.put_num(&k("monitor_violations"), violations as f64);
         sink.put_num(&k("replay_ok"), if replay.ok() { 1.0 } else { 0.0 });
     }
     println!("\n(artifacts written to {}/)\n", dir.display());
@@ -836,7 +837,7 @@ fn e9_perf(full: bool, json_path: Option<&str>) {
         // anything) and the slot values those carried. Seed-pinned and
         // hardware-independent, like `messages`.
         let (mut rb_instances, mut rb_members, mut mw_machines, mut coin_sessions) = (0, 0, 0, 0);
-        for &pid in cluster.honest() {
+        for pid in cluster.honest() {
             let node = cluster.sim().process(pid).node();
             let coin = node.and_then(|n| n.coin()).expect("SCC mode");
             let svss = coin.svss();
@@ -869,10 +870,11 @@ fn e9_perf(full: bool, json_path: Option<&str>) {
         // nonzero only in monitored runs). Deliberately outside every
         // `compare` drift gate: the counters measure the *monitor*, not
         // the protocol.
-        sink.put_num("scc_larger_system.monitor_checks", m.monitor_checks as f64);
+        let watch = cluster.monitor_report().unwrap_or_default();
+        sink.put_num("scc_larger_system.monitor_checks", watch.checks as f64);
         sink.put_num(
             "scc_larger_system.monitor_violations",
-            m.monitor_violations as f64,
+            watch.violations_total as f64,
         );
     }
 
@@ -1182,8 +1184,8 @@ fn e5_shunning_bound(full: bool) {
             let tag = u64::from(round); // instance 0
             let outs: Vec<Option<bool>> = cluster
                 .honest()
-                .iter()
-                .filter_map(|&p| cluster.sim().process(p).node())
+                .into_iter()
+                .filter_map(|p| cluster.sim().process(p).node())
                 .map(|node| node.coin().and_then(|c| c.output(tag)))
                 .collect();
             let vals: Vec<bool> = outs.iter().flatten().copied().collect();

@@ -26,7 +26,7 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use sba::{Cluster, ClusterReport, ScenarioPlan, Zoo};
+use sba::{Cluster, ClusterReport, MonitorReport, ScenarioPlan, Zoo};
 
 use crate::{parse_snapshot, JsonSink};
 
@@ -58,13 +58,7 @@ impl Trial {
 
     /// Runs the trial to completion.
     pub fn run(&self) -> TrialRun {
-        let mut cluster = self.plan.build();
-        let (digest, report) = finish(&mut cluster, self.max_events);
-        TrialRun {
-            digest,
-            monitor_ok: cluster.monitor_report().map(|m| m.ok()),
-            report,
-        }
+        finish(&mut self.plan.build(), self.max_events)
     }
 
     /// The artifact file name this trial records to.
@@ -81,9 +75,23 @@ pub struct TrialRun {
     pub report: ClusterReport,
     /// The run digest over every delivered message.
     pub digest: u64,
+    /// The invariant monitor's findings (`None` if the plan did not
+    /// enable it).
+    pub monitor: Option<MonitorReport>,
+}
+
+impl TrialRun {
     /// Whether the invariant monitor stayed clean (`None` if the plan
     /// did not enable it).
-    pub monitor_ok: Option<bool>,
+    pub fn monitor_ok(&self) -> Option<bool> {
+        self.monitor.as_ref().map(MonitorReport::ok)
+    }
+
+    /// `(checks, violations)` the invariant monitor counted; zeros when
+    /// the plan did not enable it.
+    pub fn monitor_counts(&self) -> (u64, u64) {
+        (self.monitor.as_ref()).map_or((0, 0), |m| (m.checks, m.violations_total))
+    }
 }
 
 /// Encodes a trial + outcome as artifact JSON.
@@ -122,6 +130,7 @@ pub fn artifact_json(trial: &Trial, run: &TrialRun) -> String {
     sink.put_num("outcome.digest_hi", (run.digest >> 32) as f64);
     sink.put_num("outcome.digest_lo", (run.digest & 0xffff_ffff) as f64);
     let m = &r.metrics;
+    let (monitor_checks, monitor_violations) = run.monitor_counts();
     for (key, value) in [
         ("messages_sent", m.messages_sent),
         ("bytes_sent", m.bytes_sent),
@@ -141,8 +150,8 @@ pub fn artifact_json(trial: &Trial, run: &TrialRun) -> String {
         ("sched_held", m.sched_held),
         ("processes_down", m.processes_down),
         ("recoveries", m.recoveries),
-        ("monitor_checks", m.monitor_checks),
-        ("monitor_violations", m.monitor_violations),
+        ("monitor_checks", monitor_checks),
+        ("monitor_violations", monitor_violations),
     ] {
         sink.put_num(&format!("metrics.{key}"), value as f64);
     }
@@ -324,10 +333,14 @@ impl ForkReport {
     }
 }
 
-fn finish(cluster: &mut Cluster, max_events: u64) -> (u64, ClusterReport) {
+/// Runs `cluster` to completion and reads its outcome.
+fn finish(cluster: &mut Cluster, max_events: u64) -> TrialRun {
     let report = cluster.run(max_events);
-    let digest = cluster.digest().expect("plan runs carry digests");
-    (digest, report)
+    TrialRun {
+        digest: cluster.digest().expect("plan runs carry digests"),
+        monitor: cluster.monitor_report(),
+        report,
+    }
 }
 
 /// A divergent continuation of the checkpoint `ck`: a snapshot whose
@@ -347,17 +360,12 @@ pub fn fork(trial: &Trial, at_events: u64, seeds: &[u64]) -> ForkReport {
     let mut run = trial.plan.build();
     run.advance_until(at_events, |_| false);
     let ck = run.snapshot();
-    let (digest, report) = finish(&mut run, trial.max_events);
-    let original = TrialRun {
-        digest,
-        monitor_ok: run.monitor_report().map(|m| m.ok()),
-        report,
-    };
-    let (resumed_digest, _) = finish(&mut ck.snapshot(), trial.max_events);
+    let original = finish(&mut run, trial.max_events);
+    let resumed_digest = finish(&mut ck.snapshot(), trial.max_events).digest;
     let branches = seeds
         .iter()
         .map(|&seed| {
-            let (digest, report) = finish(&mut fork_at(&ck, seed), trial.max_events);
+            let TrialRun { digest, report, .. } = finish(&mut fork_at(&ck, seed), trial.max_events);
             BranchOutcome {
                 seed,
                 digest,
@@ -432,9 +440,9 @@ pub fn fork_corpus_trial(trial: &Trial, seeds: &[u64], max_boundaries: usize) ->
         cks.push(run.snapshot());
         round += 1;
     }
-    let (original_digest, original_report) = finish(&mut run, trial.max_events);
-    let mut violations = original_report.metrics.monitor_violations;
-    let total = original_report.metrics.events;
+    let original = finish(&mut run, trial.max_events);
+    let mut violations = original.monitor_counts().1;
+    let total = original.report.metrics.events;
     // Pass 2 (only if rounds were scarce): quarter-point supplements
     // from an identical fresh run — same plan, same seed, so its
     // snapshots resume onto the same digest.
@@ -455,18 +463,18 @@ pub fn fork_corpus_trial(trial: &Trial, seeds: &[u64], max_boundaries: usize) ->
     let mut branches_run = 0;
     let mut branches_decided = 0;
     for ck in &cks {
-        let (digest, report) = finish(&mut ck.snapshot(), trial.max_events);
-        if digest == original_digest {
+        let resumed = finish(&mut ck.snapshot(), trial.max_events);
+        if resumed.digest == original.digest {
             resumes_faithful += 1;
         }
-        violations += report.metrics.monitor_violations;
+        violations += resumed.monitor_counts().1;
         for &seed in seeds {
-            let (_, report) = finish(&mut fork_at(ck, seed), trial.max_events);
+            let branch = finish(&mut fork_at(ck, seed), trial.max_events);
             branches_run += 1;
-            if decided(&report) {
+            if decided(&branch.report) {
                 branches_decided += 1;
             }
-            violations += report.metrics.monitor_violations;
+            violations += branch.monitor_counts().1;
         }
     }
     CorpusEntry {
@@ -539,7 +547,7 @@ mod tests {
     fn plan_artifact_round_trips_with_its_environment() {
         let trial = Trial::new(ScenarioPlan::crash_during_recovery(4, 1, 7));
         let run = trial.run();
-        assert_eq!(run.monitor_ok, Some(true));
+        assert_eq!(run.monitor_ok(), Some(true));
         let text = artifact_json(&trial, &run);
         assert!(text.contains("\"plan\""), "plan keys embedded");
         let replay = replay_artifact(&text).expect("well-formed");

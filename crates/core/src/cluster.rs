@@ -1,24 +1,26 @@
 //! The one multi-process harness. A [`Node`] is one process: an
 //! [`Engine`] plus every fault the adversary gives it, each a field (a
-//! [`Role`], a test rewrite, a receiver-side hold). A [`Net`] is `n`
-//! nodes on one [`Simulation`]: the honest set, the digest and
-//! [`Net::snapshot`] are the same for every engine.
+//! [`Role`], a test rewrite, a receiver-side hold), and the handle of
+//! the [safety checker](crate::monitor) it reports itself to after each
+//! step. A [`Net`] is `n` nodes on one [`Simulation`]: the honest set,
+//! the digest, the monitor and [`Net::snapshot`] are the same for every
+//! engine.
 //!
 //! An agreement run is a [`Cluster`] of [`ClusterProcess`]es: build it,
-//! inject faults, run agreement, read a report; its plans, timed events
-//! and monitor live in `Cluster`'s own impl. SVSS and coin runs are the
-//! same two structs over their engines ([`harness`](crate::harness)).
+//! inject faults, run agreement, read a report; its plans and timed
+//! events live in `Cluster`'s own impl. SVSS and coin runs are the same
+//! two structs over their engines ([`harness`](crate::harness)).
 
 use std::sync::Arc;
 
 use sba_aba::{AbaConfig, AbaMsg, AbaNode, AbaProcess, CoinMode};
 use sba_field::Gf61;
 use sba_net::{Outbox, Pid, WireMsg};
-use sba_sim::{schedulers, Metrics, Observer, Process, Scheduler, Simulation};
+use sba_sim::{schedulers, Metrics, Process, Scheduler, Simulation};
 
 use crate::adversary;
 use crate::harness::{Engine, Sends};
-use crate::monitor::InvariantMonitor;
+use crate::monitor::{InvariantMonitor, MonitorReport};
 use crate::scenario::{Action, PlanEvent, Role, Trigger};
 
 /// The cluster's wire message type (the full stack over `GF(2^61−1)`).
@@ -98,10 +100,10 @@ impl ClusterConfig {
     /// deterministic simulator, the threaded and socket harnesses hand
     /// it to `sba_sim::threaded` / `sba_sim::socket`. `inputs[i]` is
     /// process `i+1`'s proposal (`None` for a bystander). Also returns
-    /// the fault-free pids (the initial value of [`Cluster::honest`];
-    /// note crash-recover processes are *not* in it despite counting as
-    /// honest for reporting — use [`ClusterProcess::is_honest`] for the
-    /// reporting-honest set).
+    /// the fault-free pids, the ones whose role is [`Role::Honest`]
+    /// ([`Net::honest`]'s rule; crash-recover processes are *not* among
+    /// them despite counting as honest for reporting — use
+    /// [`ClusterProcess::is_honest`] for the reporting-honest set).
     ///
     /// # Panics
     ///
@@ -157,11 +159,14 @@ type MsgOf<E> = WireMsg<<E as Engine>::Field>;
 /// sends are forged by `adversary::rewrite`; a mid-run
 /// [`Action::Corrupt`] or [`Action::Crash`] changes it in place), a test
 /// rewrite of its sends ([`Net::set_tamper`]) that takes the role's
-/// place, and a receiver-side hold ([`Net::deliver_matching`]).
+/// place, and a receiver-side hold ([`Net::deliver_matching`]). A node
+/// with a monitor handle reports itself to that
+/// [checker](crate::monitor) after every `Process` call and every
+/// command it runs.
 ///
 /// `Clone` deep-copies the whole protocol state (engines, RNG streams,
-/// a crashed process's missed backlog, held deliveries), which is what
-/// [`Net::snapshot`] copies.
+/// a crashed process's missed backlog, held deliveries) and shares the
+/// monitor handle; [`Net::snapshot`] repoints the copy's handles.
 #[derive(Clone)]
 pub struct Node<E: Engine> {
     engine: E,
@@ -177,7 +182,9 @@ pub struct Node<E: Engine> {
     /// While set, a delivery it rejects waits in `held`.
     admit: Option<Admit<MsgOf<E>>>,
     /// While set, rewrites what the engine sends in place of the role.
-    tamper: Option<Rewrite<MsgOf<E>>>,
+    pub(crate) tamper: Option<Rewrite<MsgOf<E>>>,
+    /// While set, the checker this node reports itself to.
+    pub(crate) monitor: Option<InvariantMonitor>,
 }
 
 /// One process of the cluster: an agreement process and its faults.
@@ -195,6 +202,7 @@ impl<E: Engine> Node<E> {
             held: Vec::new(),
             admit: None,
             tamper: None,
+            monitor: None,
         }
     }
 
@@ -241,6 +249,47 @@ impl<E: Engine> Node<E> {
         self.log.extend(self.engine.take_events());
     }
 
+    /// Reports this node, which runs as `me`, to its checker, if it has
+    /// one.
+    fn report(&self, me: Pid) {
+        if let Some(monitor) = &self.monitor {
+            let decision = self.engine.decision();
+            monitor.observe(me, self.is_honest(), decision, &self.log, E::shunned);
+        }
+    }
+
+    /// Hands one same-sender batch to the engine through every fault
+    /// the node has (silence, the hold, a crash role's outage).
+    fn take_batch(&mut self, from: Pid, msgs: &mut Vec<MsgOf<E>>, out: &mut Outbox<MsgOf<E>>) {
+        if self.role == Role::Silent {
+            return msgs.clear();
+        }
+        if let Some(admit) = &self.admit {
+            let me = out.me();
+            let (read, hold): (Vec<_>, _) = msgs.drain(..).partition(|m| admit(from, me, m));
+            self.held.extend(hold.into_iter().map(|m| (from, m)));
+            *msgs = read;
+        }
+        if let Role::Crash { .. } | Role::CrashRecover { .. } = self.role {
+            // The outage counts *messages*: a batch that straddles the
+            // crash point is split there, and the rest counts toward
+            // the outage. Each delivery it lets through is a one-member
+            // batch (`step` does not read the outage).
+            let mut outage = std::mem::replace(&mut self.outage, Outage::of(&Role::Honest));
+            let mut batch = std::mem::take(msgs);
+            for msg in batch.drain(..) {
+                outage.deliver(from, msg, |f, m| {
+                    msgs.push(m);
+                    self.step(out, |e, sends| e.on_batch(f, msgs, sends));
+                });
+            }
+            self.outage = outage;
+            *msgs = batch;
+        } else {
+            self.step(out, |e, sends| e.on_batch(from, msgs, sends));
+        }
+    }
+
     /// Whether this process follows the protocol (crash-recover counts:
     /// crash faults are omission faults, not Byzantine ones — its
     /// decision and shun observations are part of the honest report).
@@ -276,38 +325,14 @@ impl<E: Engine> Process<MsgOf<E>> for Node<E> {
         if !self.down() {
             self.step(out, E::on_start);
         }
+        self.report(out.me());
     }
     fn on_message(&mut self, from: Pid, msg: MsgOf<E>, out: &mut Outbox<MsgOf<E>>) {
         self.on_batch(from, &mut vec![msg], out);
     }
     fn on_batch(&mut self, from: Pid, msgs: &mut Vec<MsgOf<E>>, out: &mut Outbox<MsgOf<E>>) {
-        if self.role == Role::Silent {
-            return msgs.clear();
-        }
-        if let Some(admit) = &self.admit {
-            let me = out.me();
-            let (read, hold): (Vec<_>, _) = msgs.drain(..).partition(|m| admit(from, me, m));
-            self.held.extend(hold.into_iter().map(|m| (from, m)));
-            *msgs = read;
-        }
-        if let Role::Crash { .. } | Role::CrashRecover { .. } = self.role {
-            // The outage counts *messages*: a batch that straddles the
-            // crash point is split there, and the rest counts toward
-            // the outage. Each delivery it lets through is a one-member
-            // batch (`step` does not read the outage).
-            let mut outage = std::mem::replace(&mut self.outage, Outage::of(&Role::Honest));
-            let mut batch = std::mem::take(msgs);
-            for msg in batch.drain(..) {
-                outage.deliver(from, msg, |f, m| {
-                    msgs.push(m);
-                    self.step(out, |e, sends| e.on_batch(f, msgs, sends));
-                });
-            }
-            self.outage = outage;
-            *msgs = batch;
-        } else {
-            self.step(out, |e, sends| e.on_batch(from, msgs, sends));
-        }
+        self.take_batch(from, msgs, out);
+        self.report(out.me());
     }
     fn done(&self) -> bool {
         // A crash-recover process comes back and is expected to decide;
@@ -445,9 +470,6 @@ pub(crate) fn agreement(decisions: &[Option<bool>]) -> bool {
     vals.all(|v| v == first)
 }
 
-/// Installs a copy of the monitor as a simulation's observer.
-type Install<E> = fn(InvariantMonitor) -> Box<dyn Observer<Node<E>>>;
-
 /// `n` [`Node`]s on one [`Simulation`]: a [`Cluster`], or an SVSS or
 /// coin run ([`harness`](crate::harness)). An agreement run built from
 /// a [`ScenarioPlan`](crate::ScenarioPlan) also carries the plan's
@@ -455,13 +477,9 @@ type Install<E> = fn(InvariantMonitor) -> Box<dyn Observer<Node<E>>>;
 /// [`Cluster::advance_until`] fire them as their triggers come due.
 pub struct Net<E: Engine> {
     sim: Simulation<MsgOf<E>, Node<E>>,
-    honest: Vec<Pid>,
     /// Proposals an agreement run was built with (the monitor's
-    /// validity reference); empty for other runs.
+    /// validity reference); all `None` for other runs.
     inputs: Vec<Option<bool>>,
-    /// The invariant monitor, and how to install a copy of it as the
-    /// observer (it reads agreement processes only).
-    monitor: Option<(InvariantMonitor, Install<E>)>,
     /// The plan's timed events that have not fired yet.
     pub(crate) pending: Vec<PlanEvent>,
 }
@@ -482,10 +500,8 @@ impl<E: Engine> Net<E> {
     pub(crate) fn mesh(engines: impl Iterator<Item = E>, seed: u64) -> Self {
         let nodes: Vec<_> = engines.map(|e| Node::with_role(e, Role::Honest)).collect();
         Net {
-            honest: Pid::all(nodes.len()).collect(),
+            inputs: vec![None; nodes.len()],
             sim: Simulation::new(nodes, schedulers::uniform(8), seed),
-            inputs: Vec::new(),
-            monitor: None,
             pending: Vec::new(),
         }
     }
@@ -502,9 +518,12 @@ impl<E: Engine> Net<E> {
         &mut self.sim
     }
 
-    /// The honest process ids.
-    pub fn honest(&self) -> &[Pid] {
-        &self.honest
+    /// The fault-free process ids: those whose role is [`Role::Honest`]
+    /// now (a crash-recovering process is omission-faulted, so it is
+    /// not one, whether it started so or was crashed mid-run).
+    pub fn honest(&self) -> Vec<Pid> {
+        let fault_free = |&p: &Pid| self.sim.process(p).role == Role::Honest;
+        Pid::all(self.sim.n()).filter(fault_free).collect()
     }
 
     /// The run digest, if [`Simulation::enable_digest`] was turned on
@@ -515,11 +534,11 @@ impl<E: Engine> Net<E> {
 
     /// A deep copy of the whole run — every engine, RNG stream, the
     /// in-flight queue, the scheduler, the unfired plan events — through
-    /// [`Simulation::snapshot`]. A monitored copy gets its own
-    /// [`InvariantMonitor::deep_clone`] of the branch-point state, so
-    /// the original and every copy observe their futures independently
-    /// (a shared live monitor would misread a branch's re-observations
-    /// as the original run rewinding).
+    /// [`Simulation::snapshot`]. Every node of a monitored copy reports
+    /// to the copy's own [`InvariantMonitor::deep_clone`] of the
+    /// branch-point state, so the original and every copy observe their
+    /// futures independently (a shared live monitor would misread a
+    /// branch's re-observations as the original run rewinding).
     ///
     /// A snapshot nobody steps is a checkpoint: running a further
     /// snapshot of it reproduces the original tail bit-identically, and
@@ -533,29 +552,63 @@ impl<E: Engine> Net<E> {
     /// [`SchedLayer`](sba_sim::SchedLayer) stack can; a custom
     /// [`Scheduler`] need not).
     pub fn snapshot(&self) -> Self {
-        let mut sim = self.sim.snapshot();
-        let monitor = self.monitor.as_ref().map(|(m, install)| {
-            let m = m.deep_clone();
-            sim.replace_observer(install(m.clone()));
-            (m, *install)
-        });
-        Net {
-            sim,
-            honest: self.honest.clone(),
+        let mut copy = Net {
+            sim: self.sim.snapshot(),
             inputs: self.inputs.clone(),
-            monitor,
             pending: self.pending.clone(),
+        };
+        if let Some(monitor) = self.monitor() {
+            copy.watch(&monitor.deep_clone());
         }
+        copy
+    }
+
+    /// The monitor every node reports to, if one is enabled.
+    fn monitor(&self) -> Option<&InvariantMonitor> {
+        self.sim.process(Pid::new(1)).monitor.as_ref()
+    }
+
+    /// Points every node at `monitor`.
+    fn watch(&mut self, monitor: &InvariantMonitor) {
+        for p in Pid::all(self.sim.n()) {
+            self.sim.process_mut(p).monitor = Some(monitor.clone());
+        }
+    }
+
+    /// Enables the [invariant monitor](crate::monitor): after every
+    /// step a process takes, the paper's safety properties (agreement,
+    /// decision stability, validity, shun monotonicity, no honest-pair
+    /// shuns) are re-checked against what it reports, and findings
+    /// accumulate in a [`MonitorReport`] readable through
+    /// [`Net::monitor_report`]. It works for every engine (an SVSS or
+    /// coin run has no proposals, so validity is vacuous there).
+    /// Strictly opt-in: the monitored run's digest and metrics are
+    /// bit-identical to the unmonitored run's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the simulation has already delivered an event.
+    pub fn enable_monitor(&mut self) {
+        let events = self.sim.metrics().events;
+        assert_eq!(events, 0, "enable_monitor must precede the first event");
+        let honest = self.sim.processes().map(Node::is_honest).collect();
+        self.watch(&InvariantMonitor::new(self.inputs.clone(), honest));
+    }
+
+    /// The monitor's findings so far (`None` unless
+    /// [`Net::enable_monitor`] was called before the run).
+    pub fn monitor_report(&self) -> Option<MonitorReport> {
+        self.monitor().map(InvariantMonitor::report)
     }
 
     /// Corrupts process `p` **mid-run** with `role`, keeping its
     /// accumulated protocol state: an *adaptive* adversary that picks
     /// its victim after watching the run (the timed [`Action::Corrupt`];
     /// `corrupt(p, Role::Silent)` silences `p`). A corrupted process
-    /// takes the new role in place. It drops out of the honest set from
-    /// this event on (a crash-recover role keeps it there); the
-    /// invariant monitor (if enabled) sees the change on the next
-    /// delivery.
+    /// takes the new role in place and drops out of [`Net::honest`]
+    /// from this event on. The invariant monitor (if enabled) sees the
+    /// change when `p` next reports itself: at its next step, which is
+    /// also the first step whose sends the new role can forge.
     ///
     /// # Panics
     ///
@@ -564,21 +617,10 @@ impl<E: Engine> Net<E> {
     /// out, and allows a plan to corrupt only an honest process).
     pub fn corrupt(&mut self, p: Pid, role: Role) {
         assert!(role != Role::Honest, "Corrupt requires a non-honest role");
-        self.change(p, |node| {
-            // A crash role counts its `after` deliveries from here.
-            node.outage = Outage::of(&role);
-            node.role = role;
-        });
-    }
-
-    /// Applies `f` to `p`'s node; `p` leaves the honest set if `f` made
-    /// it faulty.
-    fn change(&mut self, p: Pid, f: impl FnOnce(&mut Node<E>)) {
         let node = self.sim.process_mut(p);
-        f(node);
-        if !node.is_honest() {
-            self.honest.retain(|&h| h != p);
-        }
+        // A crash role counts its `after` deliveries from here.
+        node.outage = Outage::of(&role);
+        node.role = role;
     }
 
     /// Process `p`'s engine.
@@ -633,9 +675,12 @@ impl<E: Engine> Net<E> {
     }
 
     /// Runs `f` at `p`'s engine as one local step; its sends go through
-    /// `p`'s rewrite.
+    /// `p`'s rewrite, and `p` then reports itself like after a delivery.
     pub fn act(&mut self, p: Pid, f: impl FnOnce(&mut E, &mut Sends<E::Field>)) {
-        self.sim.act(p, |node, out| node.step(out, f));
+        self.sim.act(p, |node, out| {
+            node.step(out, f);
+            node.report(p);
+        });
     }
 
     /// Runs `f` as one [`Net::act`] at every live process, in pid order.
@@ -700,38 +745,12 @@ impl Cluster {
         inputs: &[Option<bool>],
         scheduler: Box<dyn Scheduler<Msg>>,
     ) -> Self {
-        let (procs, honest) = config.processes(inputs);
+        let (procs, _) = config.processes(inputs);
         Net {
             sim: Simulation::new(procs, scheduler, config.seed),
-            honest,
             inputs: inputs.to_vec(),
-            monitor: None,
             pending: Vec::new(),
         }
-    }
-
-    /// Installs the [invariant monitor](crate::monitor): after every
-    /// delivered event the paper's safety properties (agreement-so-far,
-    /// validity, shun monotonicity, no honest-pair shuns) are re-checked
-    /// against the live process table, and findings accumulate in a
-    /// [`MonitorReport`](crate::MonitorReport) readable through
-    /// [`Cluster::monitor_report`]. Strictly opt-in: the monitored run's
-    /// digest and non-monitor metrics are bit-identical to the
-    /// unmonitored run's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation has already started.
-    pub fn enable_monitor(&mut self) {
-        let monitor = InvariantMonitor::new(self.inputs.clone());
-        self.sim.set_observer(Box::new(monitor.clone()));
-        self.monitor = Some((monitor, |m| Box::new(m)));
-    }
-
-    /// The monitor's findings so far (`None` unless
-    /// [`Cluster::enable_monitor`] was called before the run).
-    pub fn monitor_report(&self) -> Option<crate::monitor::MonitorReport> {
-        self.monitor.as_ref().map(|(m, _)| m.report())
     }
 
     fn trigger_ready(sim: &Simulation<Msg, ClusterProcess>, at: &Trigger) -> bool {
@@ -759,7 +778,7 @@ impl Cluster {
                 match ev.action {
                     Action::HealPartitions => self.sim.heal_partitions(),
                     Action::Corrupt { p, role } => self.corrupt(p, role),
-                    Action::Crash { p, down_for } => self.change(p, |n| n.crash_now(down_for)),
+                    Action::Crash { p, down_for } => self.sim.process_mut(p).crash_now(down_for),
                 }
             } else {
                 i += 1;

@@ -54,6 +54,13 @@ pub trait Engine: Clone + Send + 'static {
     }
     /// The process `event` newly shuns, if it is a shun.
     fn shunned(event: &Self::Event) -> Option<Pid>;
+    /// Its agreement decision, once made; the default never makes one
+    /// (SVSS and coin engines decide nothing, so the
+    /// [checker](crate::monitor)'s agreement and validity are vacuous
+    /// for them).
+    fn decision(&self) -> Option<bool> {
+        None
+    }
 }
 
 impl<F: Field> Engine for SvssEngine<F> {
@@ -110,6 +117,9 @@ impl<F: Field> Engine for AbaProcess<F> {
             AbaEvent::Shunned { process } => Some(*process),
             _ => None,
         }
+    }
+    fn decision(&self) -> Option<bool> {
+        self.node().decision(0)
     }
 }
 

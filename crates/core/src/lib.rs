@@ -74,4 +74,4 @@ pub mod threaded;
 pub use cluster::{Cluster, ClusterConfig, ClusterProcess, ClusterReport, Net, Node};
 pub use monitor::{InvariantMonitor, MonitorReport, MonitorViolation};
 pub use scenario::{Action, PlanCoin, PlanEvent, Role, ScenarioPlan, SchedLayer, Trigger, Zoo};
-pub use threaded::{run_plan, RuntimeKind, RuntimeReport, WatchedProcess};
+pub use threaded::{run_plan, RuntimeKind, RuntimeReport};

@@ -1,11 +1,12 @@
 //! The safety checker: the paper's invariants re-checked after every
-//! delivery, wherever the protocol runs.
+//! step a process takes, wherever the protocol runs.
 //!
 //! End-of-run assertions can only say a run *ended* safe; they cannot
 //! catch a transient violation, localize when one happened, or guard a
-//! run that never terminates. The checker is fed one **observation** per
-//! honest process — its decision, its append-only ABA event log and its
-//! current round — and checks, against everything observed so far:
+//! run that never terminates. The checker is fed one report per step
+//! of each process — whether it follows the protocol, its decision and
+//! its append-only event log — and checks, for a process that follows
+//! the protocol, against everything reported so far:
 //!
 //! - **agreement** — no two honest decisions differ;
 //! - **decision-stability** — a decision never changes once made;
@@ -16,42 +17,42 @@
 //! - **honest-pair-shun** — an honest process never shuns an honest
 //!   process (the MW-SVSS shunning guarantee).
 //!
-//! Two adapters feed it. In the simulator an [`InvariantMonitor`] is an
-//! opt-in [`Observer`]: after every delivered event it re-reads the
-//! honest set from the process table (so mid-run corruption is
-//! reflected) and observes every honest process, surfacing violations
-//! live through [`Metrics::monitor_violations`](sba_sim::Metrics). It
-//! draws nothing from the simulation RNG and never touches the digest,
-//! so monitored and unmonitored runs are bit-identical apart from the
-//! two monitor counters. In the system runtimes each
-//! [`WatchedProcess`](crate::WatchedProcess) observes *itself* after
-//! every batch it takes, against the honest set fixed at build. Either
-//! way a violation is a structured [`MonitorViolation`], localized to
-//! the event or batch that exposed it instead of a late test failure.
+//! One adapter feeds it: a [`Node`](crate::Node) holding a monitor
+//! handle reports itself after every `Process` call it takes
+//! (`on_start`, each delivered batch, self-deliveries included) and
+//! every command a [`Net`](crate::Net) runs at it. The simulator
+//! ([`Net::enable_monitor`](crate::Net::enable_monitor), for every
+//! engine) and the system runtimes ([`run_plan`](crate::run_plan)) set
+//! that handle on every node, so both reach the checker by this one
+//! path. A node reads its decision through
+//! [`Engine::decision`](crate::harness::Engine::decision) (SVSS and coin
+//! engines decide nothing, so agreement and validity are vacuous there)
+//! and its shun targets through
+//! [`Engine::shunned`](crate::harness::Engine::shunned).
+//!
+//! A report of an honest process costs 4 **checks** (the decision, and
+//! the log's suffix against three shun rules); a report of a faulty one
+//! only records that it no longer counts as honest. A violation is a
+//! structured [`MonitorViolation`], localized to the report that
+//! exposed it instead of a late test failure. The checker draws nothing
+//! from the simulation RNG and never touches the digest, so monitored
+//! and unmonitored runs are bit-identical.
 
 use std::sync::{Arc, Mutex};
 
-use sba_aba::AbaEvent;
 use sba_net::Pid;
-use sba_sim::{Observer, ObserverStats};
-
-use crate::cluster::ClusterProcess;
 
 /// How many violations are kept verbatim; later ones are only counted.
 /// A persistent violation would otherwise grow the report by one entry
-/// per delivered event.
+/// per step.
 const MAX_RECORDED: usize = 64;
 
-/// One invariant violation, localized to the observation that exposed
-/// it.
+/// One invariant violation, localized to the report that exposed it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct MonitorViolation {
-    /// The simulator's event counter when the violation was observed —
-    /// in a system runtime, the checker's count of delivered batches.
+    /// The checker's count of reports (one per step of any process)
+    /// when the violation was observed.
     pub at_event: u64,
-    /// Virtual time of that event (0 in a system runtime: there is no
-    /// virtual time outside the simulator).
-    pub now: u64,
     /// Which invariant failed (`"agreement"`, `"decision-stability"`,
     /// `"validity"`, `"shun-monotonicity"`, `"honest-pair-shun"`).
     pub invariant: &'static str,
@@ -63,19 +64,14 @@ pub struct MonitorViolation {
 /// forked runs sharing a monitor — see [`InvariantMonitor`]'s `Clone`).
 #[derive(Clone, Debug, Default)]
 pub struct MonitorReport {
-    /// Invariant evaluations performed (4 per delivered event in the
-    /// simulator, 4 per batch an honest process took in a system
-    /// runtime).
+    /// Invariant evaluations performed: 4 per step of an honest
+    /// process.
     pub checks: u64,
     /// Total violations observed (including any beyond the recording
     /// cap).
     pub violations_total: u64,
     /// The first violations, verbatim, up to a fixed recording cap.
     pub violations: Vec<MonitorViolation>,
-    /// `(round, event counter)` at the first honest entry into each
-    /// voting round — the round-boundary map the fork-corpus harness
-    /// forks at.
-    pub round_starts: Vec<(u32, u64)>,
 }
 
 impl MonitorReport {
@@ -85,33 +81,12 @@ impl MonitorReport {
     }
 }
 
-/// What the checker reads off one honest process.
-struct Observation<'a> {
-    decision: Option<bool>,
-    /// The append-only ABA event log, whole (the checker keeps the
-    /// cursor).
-    log: &'a [AbaEvent],
-    round: u32,
-}
-
-impl<'a> Observation<'a> {
-    /// `p`'s observation; `None` unless it follows the protocol.
-    fn of(p: &'a ClusterProcess) -> Option<Self> {
-        let node = p.node().filter(|_| p.is_honest())?;
-        Some(Observation {
-            decision: node.decision(0),
-            log: p.events().unwrap_or(&[]),
-            round: node.current_round(0),
-        })
-    }
-}
-
 #[derive(Clone)]
 struct MonitorCore {
     /// Proposal per process (index `i` is pid `i+1`); fixed at build.
     inputs: Vec<Option<bool>>,
-    /// Who follows the protocol: re-read from the process table every
-    /// event in the simulator, fixed at build in the system runtimes.
+    /// Who follows the protocol, as each process last reported (its
+    /// role at build until its first report).
     honest: Vec<bool>,
     /// Last observed decision per process (stability cache).
     decisions: Vec<Option<bool>>,
@@ -119,10 +94,8 @@ struct MonitorCore {
     cursors: Vec<usize>,
     /// Observed shun targets per process (for duplicate detection).
     shunned: Vec<Vec<Pid>>,
-    /// Highest voting round any honest process has entered.
-    max_round_seen: u32,
-    /// Batches the system runtimes reported (their event counter).
-    batches: u64,
+    /// Reports received (the violations' `at_event`).
+    reports: u64,
     report: MonitorReport,
 }
 
@@ -136,8 +109,7 @@ impl MonitorCore {
             decisions: vec![None; n],
             cursors: vec![0; n],
             shunned: vec![Vec::new(); n],
-            max_round_seen: 0,
-            batches: 0,
+            reports: 0,
             report: MonitorReport::default(),
         }
     }
@@ -151,13 +123,29 @@ impl MonitorCore {
         proposals.all(|b| b == first).then_some(first)
     }
 
-    /// The checker itself: honest process `i`'s observation against
-    /// everything observed so far.
-    fn observe(&mut self, at_event: u64, now: u64, i: usize, o: Observation<'_>) {
+    /// The checker itself: process `i` took a step, after which it
+    /// follows the protocol (`honest`) or not, shows `decision`, and
+    /// has the event log `log` (`shunned` reads an entry's shun
+    /// target). An honest process's report is checked against
+    /// everything reported so far.
+    fn observe<Ev>(
+        &mut self,
+        i: usize,
+        honest: bool,
+        decision: Option<bool>,
+        log: &[Ev],
+        shunned: impl Fn(&Ev) -> Option<Pid>,
+    ) {
+        self.reports += 1;
+        self.honest[i] = honest;
+        if !honest {
+            return;
+        }
+        self.report.checks += 4;
         let mut found: Vec<(&'static str, String)> = Vec::new();
         let me = i + 1;
         // Agreement, decision stability, validity.
-        match (self.decisions[i], o.decision) {
+        match (self.decisions[i], decision) {
             (Some(prev), cur) if cur != Some(prev) => {
                 let detail = format!("p{me} decided {prev} then reported {cur:?}");
                 found.push(("decision-stability", detail));
@@ -184,87 +172,42 @@ impl MonitorCore {
         }
         // Shun monotonicity + no-honest-pair-shuns, over the new suffix
         // of the append-only event log.
-        if o.log.len() < self.cursors[i] {
+        if log.len() < self.cursors[i] {
             found.push(("shun-monotonicity", format!("p{me}'s event log rewound")));
-            self.cursors[i] = o.log.len();
+            self.cursors[i] = log.len();
         }
-        for ev in &o.log[self.cursors[i]..] {
-            if let AbaEvent::Shunned { process } = ev {
-                if self.shunned[i].contains(process) {
-                    found.push(("shun-monotonicity", format!("p{me} re-shunned {process:?}")));
-                } else {
-                    self.shunned[i].push(*process);
-                }
-                if self.honest[(process.index() - 1) as usize] {
-                    let detail = format!("honest p{me} shunned honest {process:?}");
-                    found.push(("honest-pair-shun", detail));
-                }
+        for process in log[self.cursors[i]..].iter().filter_map(&shunned) {
+            if self.shunned[i].contains(&process) {
+                found.push(("shun-monotonicity", format!("p{me} re-shunned {process:?}")));
+            } else {
+                self.shunned[i].push(process);
+            }
+            if self.honest[(process.index() - 1) as usize] {
+                let detail = format!("honest p{me} shunned honest {process:?}");
+                found.push(("honest-pair-shun", detail));
             }
         }
-        self.cursors[i] = o.log.len();
-        // Round-boundary map (not an invariant; the fork corpus forks
-        // at these event counts).
-        while self.max_round_seen < o.round {
-            self.max_round_seen += 1;
-            (self.report.round_starts).push((self.max_round_seen, at_event));
-        }
+        self.cursors[i] = log.len();
         // A persistent violation is counted every time, recorded up to
         // the cap.
         self.report.violations_total += found.len() as u64;
         let room = MAX_RECORDED.saturating_sub(self.report.violations.len());
         let records = found.into_iter().take(room);
+        let at_event = self.reports;
         (self.report.violations).extend(records.map(|(invariant, detail)| MonitorViolation {
             at_event,
-            now,
             invariant,
             detail,
         }));
     }
-
-    /// The simulator's adapter: one delivered event, then who follows
-    /// the protocol now and what each of them shows (`None` at the
-    /// others).
-    fn after_event<'a>(
-        &mut self,
-        now: u64,
-        events: u64,
-        honest: impl Iterator<Item = bool>,
-        table: impl Iterator<Item = Option<Observation<'a>>>,
-    ) -> ObserverStats {
-        let before = self.report.violations_total;
-        self.honest.clear();
-        self.honest.extend(honest);
-        for (i, o) in table.enumerate() {
-            if let Some(o) = o {
-                self.observe(events, now, i, o);
-            }
-        }
-        self.report.checks += 4;
-        ObserverStats {
-            checks: 4,
-            violations: self.report.violations_total - before,
-        }
-    }
-
-    /// The system runtimes' adapter: process `i` took one batch.
-    fn after_batch(&mut self, i: usize, o: Option<Observation<'_>>) {
-        self.batches += 1;
-        if let Some(o) = o.filter(|_| self.honest[i]) {
-            self.observe(self.batches, 0, i, o);
-            self.report.checks += 4;
-        }
-    }
 }
 
-/// A handle on the safety checker (see the module docs). In the
-/// simulator it is created through
-/// [`Cluster::enable_monitor`](crate::Cluster::enable_monitor): the
-/// cluster keeps one handle and installs another as the simulation's
-/// observer.
+/// A handle on the safety checker (see the module docs): what a
+/// [`Node`](crate::Node) reports itself to.
 ///
-/// `Clone` shares the underlying report — that is how the cluster's
-/// handle and the simulation's observer stay one monitor. A
-/// [`Cluster::snapshot`](crate::Cluster::snapshot) instead gets an
+/// `Clone` shares the underlying report — that is how every node of a
+/// run reports to one checker. A [`Net::snapshot`](crate::Net::snapshot)
+/// instead points the copy's nodes at an
 /// [`InvariantMonitor::deep_clone`]d monitor: each branch re-observes
 /// from the branch point against its own copy of the monitor's caches
 /// (decision table, event-log cursors), because sharing the live core
@@ -276,27 +219,26 @@ pub struct InvariantMonitor {
 }
 
 impl InvariantMonitor {
-    /// A monitor over `inputs.len()` processes with the given proposals,
-    /// for a simulation's observer hook.
-    pub fn new(inputs: Vec<Option<bool>>) -> Self {
-        let honest = vec![false; inputs.len()];
-        Self::with_honest(inputs, honest)
-    }
-
-    /// A monitor whose honest set is fixed (`honest[i]` is pid `i+1`):
-    /// what the system runtimes' processes report to.
-    pub(crate) fn with_honest(inputs: Vec<Option<bool>>, honest: Vec<bool>) -> Self {
+    /// A monitor over `inputs.len()` processes with the given proposals
+    /// (`None`: no proposal) that takes `honest[i]` as whether pid
+    /// `i+1` follows the protocol until that process reports otherwise.
+    pub fn new(inputs: Vec<Option<bool>>, honest: Vec<bool>) -> Self {
         InvariantMonitor {
             core: Arc::new(Mutex::new(MonitorCore::new(inputs, honest))),
         }
     }
 
-    /// Observes `p`, which runs as `pid` in a system runtime, after a
-    /// batch it took.
-    pub(crate) fn after_batch(&self, pid: Pid, p: &ClusterProcess) {
-        let o = Observation::of(p);
+    /// Process `me` took a step (see [`MonitorCore::observe`]).
+    pub(crate) fn observe<Ev>(
+        &self,
+        me: Pid,
+        honest: bool,
+        decision: Option<bool>,
+        log: &[Ev],
+        shunned: impl Fn(&Ev) -> Option<Pid>,
+    ) {
         let mut core = self.core.lock().expect("monitor lock poisoned");
-        core.after_batch((pid.index() - 1) as usize, o);
+        core.observe((me.index() - 1) as usize, honest, decision, log, shunned);
     }
 
     /// A snapshot of the cumulative findings.
@@ -308,7 +250,7 @@ impl InvariantMonitor {
     /// An *independent* monitor frozen at this one's current state —
     /// unlike `Clone`, later observations on either side do not leak to
     /// the other. This is what isolates the copies
-    /// [`Cluster::snapshot`](crate::Cluster::snapshot) makes: each one
+    /// [`Net::snapshot`](crate::Net::snapshot) makes: each one
     /// monitors its own future against the state the caches had at the
     /// branch point.
     #[must_use]
@@ -320,25 +262,17 @@ impl InvariantMonitor {
     }
 }
 
-impl Observer<ClusterProcess> for InvariantMonitor {
-    fn after_event(&mut self, now: u64, events: u64, procs: &[ClusterProcess]) -> ObserverStats {
-        let mut core = self.core.lock().expect("monitor lock poisoned");
-        let honest = procs.iter().map(ClusterProcess::is_honest);
-        core.after_event(now, events, honest, procs.iter().map(Observation::of))
-    }
-
-    fn clone_box(&self) -> Option<Box<dyn Observer<ClusterProcess>>> {
-        Some(Box::new(self.clone()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use sba_aba::{AbaEvent, AbaProcess};
+    use sba_field::Gf61;
 
-    /// What a process shows the checker: its decision, its event log
-    /// and its round.
-    type State = (Option<bool>, Vec<AbaEvent>, u32);
+    use super::*;
+    use crate::harness::Engine;
+
+    /// What a process shows the checker: whether it follows the
+    /// protocol, its decision and its event log.
+    type State = (bool, Option<bool>, Vec<AbaEvent>);
 
     /// One scripted step: process `.0` (an index) now shows `.1`.
     type Step = (usize, State);
@@ -349,36 +283,13 @@ mod tests {
         }
     }
 
-    fn observation(state: &State) -> Observation<'_> {
-        Observation {
-            decision: state.0,
-            log: &state.1,
-            round: state.2,
-        }
-    }
-
-    /// Plays `script` through the simulator's adapter: every step is
-    /// one delivered event, after which the whole table is observed
-    /// (`honest` is what the process table says that event).
-    fn through_events(inputs: &[Option<bool>], honest: &[bool], script: &[Step]) -> MonitorReport {
-        let mut core = MonitorCore::new(inputs.to_vec(), vec![false; inputs.len()]);
-        let mut table: Vec<State> = vec![(None, Vec::new(), 0); inputs.len()];
-        for (event, (i, state)) in script.iter().enumerate() {
-            table[*i] = state.clone();
-            let seen = (table.iter().zip(honest)).map(|(s, &h)| h.then(|| observation(s)));
-            let (now, events) = (10 * event as u64, event as u64 + 1);
-            let stats = core.after_event(now, events, honest.iter().copied(), seen);
-            assert_eq!(stats.checks, 4);
-        }
-        core.report
-    }
-
-    /// Plays `script` through the system runtimes' adapter: every step
-    /// is one batch taken by the process that changed.
-    fn through_batches(inputs: &[Option<bool>], honest: &[bool], script: &[Step]) -> MonitorReport {
+    /// Plays `script` through the checker: every step is one report by
+    /// the process that changed (`honest` is the set at build).
+    fn play(inputs: &[Option<bool>], honest: &[bool], script: &[Step]) -> MonitorReport {
         let mut core = MonitorCore::new(inputs.to_vec(), honest.to_vec());
-        for (i, state) in script {
-            core.after_batch(*i, Some(observation(state)));
+        for (i, (honest, decision, log)) in script {
+            let shunned = <AbaProcess<Gf61> as Engine>::shunned;
+            core.observe(*i, *honest, *decision, log, shunned);
         }
         core.report
     }
@@ -391,26 +302,26 @@ mod tests {
     }
 
     #[test]
-    fn each_invariant_fires_identically_through_both_adapters() {
+    fn each_invariant_fires_as_scripted() {
         // Four processes, all proposing true; p4 is corrupted.
         let inputs = [Some(true); 4];
         let honest = [true, true, true, false];
         let script: Vec<Step> = vec![
-            (0, (Some(true), vec![], 1)),
+            (0, (true, Some(true), vec![])),
             // p2 decides against p1 and against the unanimous proposal.
-            (1, (Some(false), vec![], 1)),
+            (1, (true, Some(false), vec![])),
             // p1 changes its mind (recorded once: re-armed on false).
-            (0, (Some(false), vec![], 2)),
+            (0, (true, Some(false), vec![])),
             // p3 shuns the corrupted p4: what shunning is for.
-            (2, (None, vec![shun(4)], 2)),
+            (2, (true, None, vec![shun(4)])),
             // ...then repeats the pair, then shuns honest p1.
-            (2, (None, vec![shun(4), shun(4)], 2)),
-            (2, (None, vec![shun(4), shun(4), shun(1)], 2)),
+            (2, (true, None, vec![shun(4), shun(4)])),
+            (2, (true, None, vec![shun(4), shun(4), shun(1)])),
             // p3's append-only log rewinds.
-            (2, (None, vec![], 2)),
+            (2, (true, None, vec![])),
             // Whatever the corrupted p4 reports is not evidence.
-            (3, (Some(true), vec![shun(1), shun(1)], 9)),
-            (3, (Some(false), vec![], 0)),
+            (3, (false, Some(true), vec![shun(1), shun(1)])),
+            (3, (false, Some(false), vec![])),
         ];
         let expected = vec![
             ("agreement", "p2 decided false, p1 decided true".to_string()),
@@ -430,32 +341,23 @@ mod tests {
             ("shun-monotonicity", "p3's event log rewound".to_string()),
         ];
 
-        let events = through_events(&inputs, &honest, &script);
-        let batches = through_batches(&inputs, &honest, &script);
-        assert_eq!(records(&events), expected);
-        assert_eq!(records(&batches), expected);
-        // Where they differ is only how a violation is localized and
-        // how often the checker runs: per event, or per honest batch.
-        assert_eq!(events.violations[0].at_event, 2);
-        assert_eq!(events.violations[0].now, 10);
-        assert_eq!(
-            (batches.violations[0].at_event, batches.violations[0].now),
-            (2, 0)
-        );
-        assert_eq!(events.checks, 4 * 9);
-        assert_eq!(batches.checks, 4 * 7);
-        assert_eq!(events.round_starts, vec![(1, 1), (2, 3)]);
-        assert_eq!(batches.round_starts, events.round_starts);
+        let report = play(&inputs, &honest, &script);
+        assert_eq!(records(&report), expected);
+        // A violation is localized to the report that exposed it, and
+        // only an honest process's report is checked.
+        assert_eq!(report.violations[0].at_event, 2);
+        assert_eq!(report.violations[5].at_event, 7);
+        assert_eq!(report.checks, 4 * 7);
     }
 
     #[test]
     fn agreement_and_validity_breaks_are_flagged() {
         let honest = [true; 3];
         let script: Vec<Step> = vec![
-            (0, (Some(true), vec![], 0)),
-            (1, (Some(false), vec![], 0)), // breaks agreement AND validity
+            (0, (true, Some(true), vec![])),
+            (1, (true, Some(false), vec![])), // breaks agreement AND validity
         ];
-        let report = through_batches(&[Some(true); 3], &honest, &script);
+        let report = play(&[Some(true); 3], &honest, &script);
         assert_eq!(report.checks, 8);
         assert_eq!(report.violations_total, 2);
         assert!(report.violations.iter().any(|v| v.invariant == "agreement"));
@@ -465,10 +367,10 @@ mod tests {
     #[test]
     fn decision_instability_is_flagged() {
         let script: Vec<Step> = vec![
-            (0, (Some(true), vec![], 0)),
-            (0, (None, vec![], 0)), // a decision may never regress
+            (0, (true, Some(true), vec![])),
+            (0, (true, None, vec![])), // a decision may never regress
         ];
-        let report = through_batches(&[Some(true), Some(false)], &[true; 2], &script);
+        let report = play(&[Some(true), Some(false)], &[true; 2], &script);
         assert_eq!(report.violations_total, 1);
         assert_eq!(report.violations[0].invariant, "decision-stability");
     }
@@ -476,16 +378,39 @@ mod tests {
     #[test]
     fn corrupted_processes_and_split_inputs_stay_silent() {
         // Split inputs: no unanimity pin. Pid 2 is corrupted: its
-        // (nonsense) reports must not count, on either adapter.
+        // (nonsense) reports must not count.
         let (inputs, honest) = ([Some(true), Some(false)], [true, false]);
         let script: Vec<Step> = vec![
-            (0, (Some(true), vec![shun(2)], 1)),
-            (1, (Some(false), vec![shun(1)], 1)),
-            (1, (None, vec![], 0)),
+            (0, (true, Some(true), vec![shun(2)])),
+            (1, (false, Some(false), vec![shun(1)])),
+            (1, (false, None, vec![])),
         ];
-        let batches = through_batches(&inputs, &honest, &script);
-        assert!(through_events(&inputs, &honest, &script).ok());
-        assert!(batches.ok());
-        assert_eq!(batches.checks, 4, "only the honest batch is checked");
+        let report = play(&inputs, &honest, &script);
+        assert!(report.ok());
+        assert_eq!(report.checks, 4, "only the honest report is checked");
+    }
+
+    #[test]
+    fn a_process_that_reports_itself_faulty_leaves_the_honest_set() {
+        // p2 decides false while honest, then is corrupted: from its
+        // next report on, neither its decision nor a shun of it is a
+        // violation, and all-true honest proposals pin validity again.
+        let inputs = [Some(true), Some(false), Some(true)];
+        let script: Vec<Step> = vec![
+            (1, (true, Some(false), vec![])),
+            (1, (false, Some(false), vec![])),
+            (0, (true, Some(true), vec![shun(2)])),
+            (2, (true, Some(false), vec![])),
+        ];
+        let report = play(&inputs, &[true; 3], &script);
+        let expected = vec![
+            ("agreement", "p3 decided false, p1 decided true".to_string()),
+            (
+                "validity",
+                "all honest proposed true but p3 decided false".to_string(),
+            ),
+        ];
+        assert_eq!(records(&report), expected);
+        assert_eq!(report.checks, 4 * 3);
     }
 }

@@ -14,23 +14,21 @@
 //! events are schedule concerns and do not (the OS *is* the scheduler
 //! here).
 //!
-//! Safety is not only checked at the end: every process is wrapped in a
-//! [`WatchedProcess`] that, after each batch it takes, reports its own
-//! decision, event log and round to the run's one
-//! [safety checker](crate::monitor) — the checker the simulator's
-//! monitor feeds — so all five invariants (agreement,
-//! decision-stability, validity, shun-monotonicity, honest-pair-shun)
-//! are localized to the batch that exposed them, even in a run that
-//! never terminates. The honest set is the one the plan's roles fix at
-//! build: mid-run corruption is a simulator concern.
+//! Safety is not only checked at the end: every process holds a handle
+//! on the run's one [safety checker](crate::monitor) and, after each
+//! batch it takes, reports its own decision and event log to it — the
+//! path every monitored simulation takes too — so all five invariants
+//! (agreement, decision-stability, validity, shun-monotonicity,
+//! honest-pair-shun) are localized to the batch that exposed them, even
+//! in a run that never terminates. The honest set is the one the plan's
+//! roles fix at build: mid-run corruption is a simulator concern.
 
 use std::time::Duration;
 
-use sba_net::{Outbox, Pid};
+use sba_net::Pid;
 use sba_sim::threaded::ThreadedStats;
-use sba_sim::Process;
 
-use crate::cluster::{ClusterProcess, Msg};
+use crate::cluster::ClusterProcess;
 use crate::monitor::{InvariantMonitor, MonitorViolation};
 use crate::ScenarioPlan;
 
@@ -55,56 +53,16 @@ impl RuntimeKind {
     }
 }
 
-/// A [`ClusterProcess`] that reports itself to the run's shared
-/// [safety checker](crate::monitor) after every delivered batch — the
-/// monitored unit the system runtimes actually run.
-pub struct WatchedProcess {
-    pid: Pid,
-    inner: ClusterProcess,
-    watch: InvariantMonitor,
-}
-
-impl Process<Msg> for WatchedProcess {
-    fn on_start(&mut self, out: &mut Outbox<Msg>) {
-        self.inner.on_start(out);
-        self.watch.after_batch(self.pid, &self.inner);
+/// Points every process of a table built for `inputs` at one new
+/// checker, which takes the processes' roles at build for the honest
+/// set; returns the checker.
+fn monitored(procs: &mut [ClusterProcess], inputs: &[Option<bool>]) -> InvariantMonitor {
+    let honest = procs.iter().map(ClusterProcess::is_honest).collect();
+    let monitor = InvariantMonitor::new(inputs.to_vec(), honest);
+    for p in procs {
+        p.monitor = Some(monitor.clone());
     }
-    fn on_message(&mut self, from: Pid, msg: Msg, out: &mut Outbox<Msg>) {
-        self.inner.on_message(from, msg, out);
-        self.watch.after_batch(self.pid, &self.inner);
-    }
-    fn on_batch(&mut self, from: Pid, msgs: &mut Vec<Msg>, out: &mut Outbox<Msg>) {
-        self.inner.on_batch(from, msgs, out);
-        self.watch.after_batch(self.pid, &self.inner);
-    }
-    fn done(&self) -> bool {
-        self.inner.done()
-    }
-    fn down(&self) -> bool {
-        self.inner.down()
-    }
-    fn recoveries(&self) -> u64 {
-        self.inner.recoveries()
-    }
-}
-
-/// Wraps a process table for a system runtime: every process reports to
-/// one checker that takes `honest[i]` as whether pid `i+1` follows the
-/// protocol.
-fn watched(
-    procs: Vec<ClusterProcess>,
-    inputs: &[Option<bool>],
-    honest: Vec<bool>,
-) -> (Vec<WatchedProcess>, InvariantMonitor) {
-    let watch = InvariantMonitor::with_honest(inputs.to_vec(), honest);
-    let watched = (Pid::all(procs.len()).zip(procs))
-        .map(|(pid, inner)| WatchedProcess {
-            pid,
-            inner,
-            watch: watch.clone(),
-        })
-        .collect();
-    (watched, watch)
+    monitor
 }
 
 /// Outcome of a threaded or socket cluster run.
@@ -119,13 +77,13 @@ pub struct RuntimeReport {
     pub decisions: Vec<Option<bool>>,
     /// The honest pids.
     pub honest: Vec<Pid>,
-    /// Invariant evaluations the safety checker performed (4 per batch
-    /// an honest process took).
+    /// Invariant evaluations the safety checker performed (4 per
+    /// `Process` call of an honest process: its start and each batch).
     pub checks: u64,
     /// Total violations observed (including beyond the recording cap).
     pub violations_total: u64,
     /// The first recorded violations, verbatim; `at_event` counts the
-    /// run's delivered batches.
+    /// reports of every process (its start and each batch).
     pub violations: Vec<MonitorViolation>,
 }
 
@@ -169,23 +127,22 @@ pub fn run_plan(
     inputs: &[Option<bool>],
     wall_limit: Duration,
 ) -> std::io::Result<RuntimeReport> {
-    let (procs, _) = plan.cluster_config().processes(inputs);
-    // The reporting-honest set: crash-recover processes count (they are
-    // omission-faulted and expected to decide), Byzantine ones do not.
-    let honest: Vec<bool> = procs.iter().map(ClusterProcess::is_honest).collect();
-    let (watched, watch) = watched(procs, inputs, honest.clone());
+    let (mut procs, _) = plan.cluster_config().processes(inputs);
+    let monitor = monitored(&mut procs, inputs);
 
-    let (watched, stats) = match kind {
-        RuntimeKind::Threaded => sba_sim::threaded::run(watched, wall_limit),
-        RuntimeKind::Socket => sba_sim::socket::run(watched, wall_limit)?,
+    let (procs, stats) = match kind {
+        RuntimeKind::Threaded => sba_sim::threaded::run(procs, wall_limit),
+        RuntimeKind::Socket => sba_sim::socket::run(procs, wall_limit)?,
     };
 
-    let decision = |w: &WatchedProcess| w.inner.node().filter(|_| w.inner.is_honest())?.decision(0);
-    let decisions = watched.iter().map(decision).collect();
-    let honest = (Pid::all(honest.len()).zip(honest))
-        .filter_map(|(pid, honest)| honest.then_some(pid))
+    let decision = |p: &ClusterProcess| p.node().filter(|_| p.is_honest())?.decision(0);
+    let decisions = procs.iter().map(decision).collect();
+    // The reporting-honest set: crash-recover processes count (they are
+    // omission-faulted and expected to decide), Byzantine ones do not.
+    let honest = (Pid::all(procs.len()).zip(&procs))
+        .filter_map(|(pid, p)| p.is_honest().then_some(pid))
         .collect();
-    let findings = watch.report();
+    let findings = monitor.report();
     Ok(RuntimeReport {
         kind,
         stats,
@@ -199,40 +156,47 @@ pub fn run_plan(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use sba_aba::AbaEvent;
+    use sba_field::{Field, Gf61};
     use sba_sim::{schedulers, Simulation};
+    use sba_svss::forge_recon_points;
 
     use super::*;
     use crate::Role;
 
-    /// A plan with one lying process, its table wrapped for a system
-    /// runtime but driven by the deterministic simulator — so the
-    /// schedule, and with it the liar's detection, repeats — under a
-    /// checker that takes `honest` for the honest set. Returns the
-    /// checker's findings and whether some honest process shunned the
-    /// liar.
-    fn lying_p4_run(honest: [bool; 4]) -> (crate::MonitorReport, bool) {
+    /// A plan whose p4 forges every reconstruction point it sends, by
+    /// its role or — while keeping [`Role::Honest`] — by a tamper, its
+    /// table monitored as [`run_plan`] monitors it but driven by the
+    /// deterministic simulator, so the schedule, and with it p4's
+    /// detection, repeats. Returns the checker's findings and whether
+    /// some process shunned p4.
+    fn forging_p4_run(role: Role) -> (crate::MonitorReport, bool) {
         let mut plan = ScenarioPlan::new("liar", 4, 1, 4);
-        plan.roles = vec![(Pid::new(4), Role::LyingShares { delta: 11 })];
+        plan.roles = vec![(Pid::new(4), role)];
         let inputs: Vec<Option<bool>> = (0..4).map(|i| Some(i % 2 == 0)).collect();
-        let (procs, _) = plan.cluster_config().processes(&inputs);
-        let (watched, watch) = watched(procs, &inputs, honest.to_vec());
+        let (mut procs, _) = plan.cluster_config().processes(&inputs);
+        if procs[3].is_honest() {
+            let forge = |_, msg: &_| forge_recon_points(msg, |_| Some(Gf61::from_u64(11)));
+            procs[3].tamper = Some(Arc::new(forge));
+        }
+        let monitor = monitored(&mut procs, &inputs);
 
-        let mut sim = Simulation::new(watched, schedulers::uniform(20), plan.seed);
+        let mut sim = Simulation::new(procs, schedulers::uniform(20), plan.seed);
         let outcome = sim.run_until_all_done(60_000_000);
-        assert!(outcome.all_done, "the watched table did not finish");
+        assert!(outcome.all_done, "the monitored table did not finish");
 
         let liar = AbaEvent::Shunned {
             process: Pid::new(4),
         };
-        let shunned =
-            (sim.processes()).any(|w| w.inner.events().is_some_and(|log| log.contains(&liar)));
-        (watch.report(), shunned)
+        let shunned = (sim.processes()).any(|p| p.log().contains(&liar));
+        (monitor.report(), shunned)
     }
 
     #[test]
     fn a_shunned_liar_is_no_violation() {
-        let (report, shunned) = lying_p4_run([true, true, true, false]);
+        let (report, shunned) = forging_p4_run(Role::LyingShares { delta: 11 });
         assert!(shunned, "the seed no longer gets the liar shunned");
         assert!(report.ok(), "checker saw {:?}", report.violations);
         assert!(report.checks > 0 && report.checks % 4 == 0);
@@ -240,15 +204,15 @@ mod tests {
 
     #[test]
     fn the_runtime_adapter_reports_honest_pair_shuns() {
-        // The same run, but the checker is told p4 is honest: shunning
-        // it is now the violation the paper rules out.
-        let (report, shunned) = lying_p4_run([true; 4]);
+        // The same attack, but p4 keeps its honest role: shunning it is
+        // now the violation the paper rules out.
+        let (report, shunned) = forging_p4_run(Role::Honest);
         assert!(shunned);
         assert!(!report.ok());
         for v in &report.violations {
             assert_eq!(v.invariant, "honest-pair-shun");
             assert!(v.detail.ends_with("shunned honest p4"), "{}", v.detail);
-            assert!(v.at_event > 0 && v.now == 0);
+            assert!(v.at_event > 0);
         }
     }
 }

@@ -57,7 +57,6 @@
 
 mod adversary;
 mod metrics;
-mod observer;
 mod process;
 mod simulation;
 pub mod socket;
@@ -65,6 +64,5 @@ pub mod threaded;
 
 pub use adversary::{schedulers, LinkStats, SchedLayer, Scheduler};
 pub use metrics::Metrics;
-pub use observer::{Observer, ObserverStats};
 pub use process::{Process, SimMsg};
 pub use simulation::{queue_slot_sizes, RunOutcome, Simulation, TraceEntry};

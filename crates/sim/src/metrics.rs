@@ -65,12 +65,6 @@ pub struct Metrics {
     /// Completed crash-recoveries across all processes (see
     /// [`Process::recoveries`](crate::Process::recoveries)).
     pub recoveries: u64,
-    /// Invariant evaluations performed by the run's
-    /// [`Observer`](crate::Observer); 0 when no observer is installed.
-    pub monitor_checks: u64,
-    /// Invariant violations the observer reported. A safety-clean run
-    /// keeps this at exactly 0.
-    pub monitor_violations: u64,
 }
 
 impl Metrics {

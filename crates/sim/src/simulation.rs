@@ -49,7 +49,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sba_net::{Envelope, Outbox, Pid};
 
-use crate::{Metrics, Observer, Process, Scheduler, SimMsg};
+use crate::{Metrics, Process, Scheduler, SimMsg};
 
 /// A batch spilled past the calendar window, ordered by `(at, seq)`.
 /// Overflow is rare (delays in this workspace are far below the window),
@@ -353,9 +353,6 @@ pub struct Simulation<M, P> {
     /// ([`Simulation::enable_digest`]); `None` keeps the hot path free of
     /// the per-member hashing.
     digest: Option<u64>,
-    /// Per-event invariant observer ([`Simulation::set_observer`]);
-    /// `None` keeps the hot path at one untaken branch per event.
-    observer: Option<Box<dyn Observer<P>>>,
     /// Reusable per-delivery outbox (capacity survives across events).
     outbox: Outbox<M>,
     /// Reusable self-delivery generation buffer: the generation
@@ -398,7 +395,6 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
             started: false,
             trace: None,
             digest: None,
-            observer: None,
             outbox: Outbox::new(Pid::new(1)),
             local_gen: Vec::new(),
             held: Vec::new(),
@@ -445,33 +441,6 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
     /// was called before the run).
     pub fn digest(&self) -> Option<u64> {
         self.digest
-    }
-
-    /// Installs a per-event [`Observer`]: after every delivered event
-    /// (once its outbox is dispatched) the observer sees the clock, the
-    /// event counter, and the process table, and its check/violation
-    /// counts accumulate into [`Metrics::monitor_checks`] /
-    /// [`Metrics::monitor_violations`]. Observers draw nothing from the
-    /// RNG and never touch the digest, so observed and unobserved runs
-    /// are bit-identical apart from the two monitor counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation has already started.
-    pub fn set_observer(&mut self, observer: Box<dyn Observer<P>>) {
-        assert!(!self.started, "set_observer must precede the first event");
-        self.observer = Some(observer);
-    }
-
-    /// Swaps the observer mid-run. This exists for snapshots: a
-    /// [`Simulation::snapshot`] carries the original's observer as
-    /// [`Observer::clone_box`](crate::Observer::clone_box) copied it
-    /// (which may share state), and the layer that took the snapshot may
-    /// replace it with an isolated copy whose state matches the branch
-    /// point. Fresh runs should use [`Simulation::set_observer`], which
-    /// insists the observer sees every event.
-    pub fn replace_observer(&mut self, observer: Box<dyn Observer<P>>) {
-        self.observer = Some(observer);
     }
 
     /// Forwards a heal event to the scheduler at the current virtual
@@ -722,12 +691,6 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
         self.batch_scratch = scratch;
         self.dispatch_outbox(&mut out);
         self.outbox = out;
-        if let Some(mut obs) = self.observer.take() {
-            let stats = obs.after_event(self.now, self.metrics.events, &self.procs);
-            self.metrics.monitor_checks += stats.checks;
-            self.metrics.monitor_violations += stats.violations;
-            self.observer = Some(obs);
-        }
         true
     }
 
@@ -819,9 +782,10 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
 
     /// A deep copy of the whole simulation, frozen **mid-flight** —
     /// processes, calendar queue, scheduler, RNG stream, metrics, clocks,
-    /// trace and digest — plus the observer as its
-    /// [`Observer::clone_box`](crate::Observer::clone_box) copies it
-    /// (which may share state; see [`Simulation::replace_observer`]). It
+    /// trace and digest. Processes are copied by their `Clone`, so
+    /// whatever a process shares through a handle (the invariant
+    /// monitor a `sba::Node` reports to) stays shared until the layer
+    /// that took the snapshot points the copy elsewhere. It
     /// can only be taken between events, which is the only place user
     /// code can call it from. Scratch buffers are rebuilt empty: between
     /// events they hold no state (debug-asserted), only recycled capacity.
@@ -846,8 +810,8 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
     ///
     /// # Panics
     ///
-    /// Panics if the scheduler or the installed observer cannot be
-    /// copied (its `clone_box` returned `None`).
+    /// Panics if the scheduler cannot be copied (its `clone_box`
+    /// returned `None`).
     pub fn snapshot(&self) -> Self
     where
         P: Clone,
@@ -868,10 +832,6 @@ impl<M: SimMsg, P: Process<M>> Simulation<M, P> {
             started: self.started,
             trace: self.trace.clone(),
             digest: self.digest,
-            observer: self
-                .observer
-                .as_ref()
-                .map(|o| o.clone_box().expect("this observer cannot be snapshotted")),
             outbox: Outbox::new(Pid::new(1)),
             local_gen: Vec::new(),
             held: Vec::new(),

@@ -15,7 +15,7 @@ fn main() {
     let mut cluster = Cluster::new(config, &inputs);
 
     // Opt-in runtime safety: agreement, validity, and the shunning
-    // invariants are re-checked after every delivered message.
+    // invariants are re-checked after every step a process takes.
     cluster.enable_monitor();
 
     let report = cluster.run(20_000_000);
@@ -27,9 +27,10 @@ fn main() {
     println!("messages sent  : {}", report.messages);
     println!("bytes sent     : {}", report.bytes);
     println!("virtual time   : {}", report.metrics.virtual_time);
+    let monitor = cluster.monitor_report().expect("monitor enabled");
     println!(
         "monitor        : {} invariant checks, {} violations",
-        report.metrics.monitor_checks, report.metrics.monitor_violations
+        monitor.checks, monitor.violations_total
     );
     // Same-tick batching: the simulator coalesces every message one event
     // sends to one recipient into a single scheduled delivery.

@@ -25,7 +25,7 @@ fn rb_instances_retire_during_full_scc_run() {
     assert!(report.terminated, "n=4 SCC run must terminate");
     assert!(report.agreement(), "n=4 SCC run must agree");
 
-    for &pid in cluster.honest() {
+    for pid in cluster.honest() {
         let node = cluster
             .sim()
             .process(pid)
@@ -73,7 +73,7 @@ fn coin_sessions_retire_during_full_scc_run() {
     cluster.sim_mut().run_to_quiescence(50_000_000);
 
     let mut any_retired = false;
-    for &pid in cluster.honest() {
+    for pid in cluster.honest() {
         let node = cluster
             .sim()
             .process(pid)
@@ -118,7 +118,7 @@ fn duplicate_flood_cannot_resurrect_retired_sessions() {
         "run under duplicate flood must terminate"
     );
     assert!(report.agreement());
-    for &pid in cluster.honest() {
+    for pid in cluster.honest() {
         let node = cluster.sim().process(pid).node().expect("honest node");
         let coin = node.coin().expect("SCC mode");
         let (live, peak, retired) = coin.session_stats();

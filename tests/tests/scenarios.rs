@@ -9,9 +9,10 @@
 //! altered the schedule — which may be fine, but must be a conscious
 //! re-pin, not drift.
 
+use sba::svss::forge_recon_points;
 use sba::{
-    Action, Cluster, ClusterConfig, ClusterReport, Pid, PlanCoin, PlanEvent, Role, ScenarioPlan,
-    SchedLayer, Trigger, Zoo,
+    Action, Cluster, ClusterConfig, ClusterReport, Field, Gf61, Pid, PlanCoin, PlanEvent, Role,
+    ScenarioPlan, SchedLayer, Trigger, Zoo,
 };
 use sba_bench::trial::{self, Trial};
 
@@ -196,10 +197,10 @@ fn forked_checkpoints_resume_exactly_and_diverge_live() {
     }
 }
 
-/// A snapshot's monitor is its own: the original run and two reseeded
-/// branches of one round-boundary checkpoint each count exactly the
-/// checks their own deliveries made, and running the branches leaves
-/// the original's report as it was.
+/// A snapshot's monitor is its own: a same-stream resume of one
+/// round-boundary checkpoint counts exactly the original's checks, two
+/// reseeded branches count their own, and running any of them leaves
+/// the original's report and the checkpoint's as they were.
 #[test]
 fn snapshot_branches_keep_their_own_monitors() {
     let mut original = ScenarioPlan::partition_heal_mid_coin(4, 1, SEED).build();
@@ -213,11 +214,9 @@ fn snapshot_branches_keep_their_own_monitors() {
         at_branch.checks > 0,
         "the branch point follows monitored deliveries"
     );
-    assert_eq!(at_branch.checks, ck.sim().metrics().monitor_checks);
 
     original.run(60_000_000);
     let before = original.monitor_report().expect("monitored");
-    assert_eq!(before.checks, original.sim().metrics().monitor_checks);
     assert!(before.checks > at_branch.checks, "the original ran on");
     let frozen = ck.monitor_report().expect("monitored");
     assert_eq!(
@@ -225,17 +224,17 @@ fn snapshot_branches_keep_their_own_monitors() {
         "the original's tail leaked into the checkpoint"
     );
 
+    let mut resumed = ck.snapshot();
+    resumed.run(60_000_000);
+    let replayed = resumed.monitor_report().expect("monitored");
+    assert_eq!(replayed.checks, before.checks, "the resume diverged");
     for seed in [11, 22] {
         let mut branch = ck.snapshot();
         branch.sim_mut().reseed(seed);
         let report = branch.run(60_000_000);
         assert!(report.terminated && report.agreement(), "fork seed {seed}");
         let own = branch.monitor_report().expect("monitored");
-        assert_eq!(
-            own.checks,
-            branch.sim().metrics().monitor_checks,
-            "fork seed {seed}"
-        );
+        assert!(own.checks > at_branch.checks, "fork seed {seed}");
         assert_eq!(own.violations_total, 0, "fork seed {seed}");
     }
     let after = original.monitor_report().expect("monitored");
@@ -244,7 +243,50 @@ fn snapshot_branches_keep_their_own_monitors() {
         "a branch's checks leaked into the original"
     );
     assert_eq!(after.violations_total, before.violations_total);
-    assert_eq!(after.round_starts, before.round_starts);
+    let still = ck.monitor_report().expect("monitored");
+    assert_eq!(
+        still.checks, at_branch.checks,
+        "a branch leaked into its checkpoint"
+    );
+}
+
+/// The checker's findings, pinned: a monitored n=4, t=1 run (seed 4,
+/// alternating inputs, delays up to 20) in which p4 keeps
+/// [`Role::Honest`] but forges every reconstruction point it sends. The
+/// checker takes p4 at its role, so each honest process that shuns it
+/// is an `honest-pair-shun`, recorded once per new shun-log entry, in
+/// the order the entries were made.
+#[test]
+fn monitor_findings_are_pinned() {
+    let inputs: Vec<Option<bool>> = (0..4).map(|i| Some(i % 2 == 0)).collect();
+    let mut cluster = Cluster::new(ClusterConfig::new(4, 1).seed(4), &inputs);
+    cluster.sim_mut().enable_digest();
+    cluster.enable_monitor();
+    cluster.set_tamper(Pid::new(4), |_, msg| {
+        forge_recon_points(msg, |_| Some(Gf61::from_u64(11)))
+    });
+    let report = cluster.run(60_000_000);
+    let decisions: String = (report.decisions.iter())
+        .map(|d| d.map_or('-', |b| if b { '1' } else { '0' }))
+        .collect();
+    let digest = cluster.digest().expect("digest enabled");
+    assert_eq!(
+        (digest, report.messages, decisions.as_str()),
+        (0x0e08_cfe5_a6d3_8ed2, 21_462, "1111")
+    );
+    let monitor = cluster.monitor_report().expect("monitored");
+    let found: Vec<(&str, &str)> = (monitor.violations.iter())
+        .map(|v| (v.invariant, v.detail.as_str()))
+        .collect();
+    assert_eq!(monitor.violations_total, 3, "{found:?}");
+    assert_eq!(
+        found,
+        [
+            ("honest-pair-shun", "honest p2 shunned honest p4"),
+            ("honest-pair-shun", "honest p1 shunned honest p4"),
+            ("honest-pair-shun", "honest p3 shunned honest p4"),
+        ]
+    );
 }
 
 /// Builds a zoo scenario the way the pre-plan code did — explicit
@@ -334,7 +376,7 @@ fn compound_plans_run_clean_under_the_monitor() {
             plan.name
         );
         assert_eq!(
-            run.monitor_ok,
+            run.monitor_ok(),
             Some(true),
             "{}: invariant monitor reported violations",
             plan.name
@@ -363,6 +405,26 @@ fn compound_plans_run_clean_under_the_monitor() {
         assert_eq!(replay.trial, trial, "plan did not survive the artifact");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The monitor does not change the run: each compound plan, run with
+/// and without it, delivers the same messages (equal digests) and ends
+/// with equal metrics, field for field.
+#[test]
+fn the_monitor_leaves_the_run_unchanged() {
+    for plan in ScenarioPlan::compounds(4, 1, SEED) {
+        let run = |monitor| {
+            let plan = ScenarioPlan {
+                monitor,
+                ..plan.clone()
+            };
+            let mut cluster = plan.build();
+            let report = cluster.run(60_000_000);
+            assert_eq!(cluster.monitor_report().is_some(), monitor);
+            (cluster.digest(), report.metrics)
+        };
+        assert_eq!(run(true), run(false), "{}", plan.name);
+    }
 }
 
 /// The zoo is size-generic: two scenarios pinned at n=16 (t=5) with an
@@ -459,21 +521,21 @@ fn every_scenario_replays_bit_identically() {
 #[test]
 fn every_role_and_action_is_pinned() {
     const PINS: &str = "\
-role silent           f0f613b236d69b23   5352 111- 1 1 0   5144
-role crash            ff14d31f3ab846bf  10626 000- 1 1 0   7560
-role crash_recover    34dcd34e2f0cb23d  23715 1111 1 0 1  13940
-role lying_shares     c2ad26e2799efc7c  23634 111- 2 0 0  28968
-role flipped_votes    53f4ea416af5c098  13425 111- 1 0 0  16472
-role equivocating     6a6ced2c8f13ab38  13386 111- 1 0 0  16344
-corrupt silent        cf231e0513ca08e2   8406 000- 1 1 0   7088
-corrupt crash         fda83c4245cbb03f  10860 000- 1 1 0   8308
-corrupt crash_recover 3f005153d6378b9c  49692 0000 2 0 1  35504
-corrupt lying_shares  c2ad26e2799efc7c  23634 111- 2 0 0  28968
-corrupt flipped_votes 829382743494e677  27567 111- 2 0 0  36224
-corrupt equivocating  5cb2361947af4599  27195 000- 2 0 0  35044
-crash none            cf231e0513ca08e2   8406 000- 1 1 0   7088
-crash some            8d9d587a01a96ea0  48645 0000 2 0 1  30952
-recrash mid-outage    ea4cf9b8d118b8a2  53316 0000 2 0 1  32364";
+role silent           f0f613b236d69b23   5352 111- 1 1 0   5708
+role crash            ff14d31f3ab846bf  10626 000- 1 1 0   8360
+role crash_recover    34dcd34e2f0cb23d  23715 1111 1 0 1  20420
+role lying_shares     c2ad26e2799efc7c  23634 111- 2 0 0  31380
+role flipped_votes    53f4ea416af5c098  13425 111- 1 0 0  17860
+role equivocating     6a6ced2c8f13ab38  13386 111- 1 0 0  17720
+corrupt silent        cf231e0513ca08e2   8406 000- 1 1 0   8036
+corrupt crash         fda83c4245cbb03f  10860 000- 1 1 0   9260
+corrupt crash_recover 3f005153d6378b9c  49692 0000 2 0 1  50896
+corrupt lying_shares  c2ad26e2799efc7c  23634 111- 2 0 0  31428
+corrupt flipped_votes 829382743494e677  27567 111- 2 0 0  38800
+corrupt equivocating  5cb2361947af4599  27195 000- 2 0 0  37604
+crash none            cf231e0513ca08e2   8406 000- 1 1 0   8036
+crash some            8d9d587a01a96ea0  48645 0000 2 0 1  44696
+recrash mid-outage    ea4cf9b8d118b8a2  53316 0000 2 0 1  46616";
     let p4 = Pid::new(4);
     let faulty = [
         ("silent", Role::Silent),
@@ -567,4 +629,36 @@ recrash mid-outage    ea4cf9b8d118b8a2  53316 0000 2 0 1  32364";
         "actual pins:\n{}",
         got.join("\n")
     );
+}
+
+/// [`Cluster::honest`] is the fault-free set: the processes whose role
+/// is [`Role::Honest`]. A p4 crashed mid-run with a recovery point (the
+/// "crash some" plan above) leaves it, as a p4 that starts out
+/// crash-recovering is never in it.
+#[test]
+fn a_crash_recovering_process_is_not_fault_free() {
+    let p4 = Pid::new(4);
+    let mut timed = ScenarioPlan::new("crash some", 4, 1, SEED);
+    timed.events = vec![PlanEvent {
+        at: Trigger::AtDelivery(400),
+        action: Action::Crash {
+            p: p4,
+            down_for: Some(600),
+        },
+    }];
+    let mut fixed = ScenarioPlan::new("static crash_recover", 4, 1, SEED);
+    fixed.roles = vec![(
+        p4,
+        Role::CrashRecover {
+            after: 300,
+            down_for: 500,
+        },
+    )];
+    for plan in [timed, fixed] {
+        let mut cluster = plan.build();
+        let report = cluster.run(60_000_000);
+        assert!(report.terminated && report.agreement(), "{}", plan.name);
+        let fault_free = [Pid::new(1), Pid::new(2), Pid::new(3)];
+        assert_eq!(cluster.honest(), fault_free, "{}", plan.name);
+    }
 }
